@@ -166,6 +166,39 @@ def phi_invariant_closure(phi: Automorphism, seeds: Iterable[int]) -> Subgroup:
     return out
 
 
+def orbit_representatives(phi: Automorphism, seeds: Iterable[int]) -> list[int]:
+    """Least element of each orbit of <phi> x C_G(phi) on the seed set.
+
+    The group acts by phi and by conjugation with the fixed-point subgroup.
+    Conjugation by a fixed c commutes with phi, so closure(x^c) is
+    closure(x)^c and one invariant closure per orbit decides any
+    conjugation-invariant property of them all. The seed set must be a union
+    of orbits; a walk that leaves it raises NotInvariant.
+    """
+    G = phi.group
+    fixed_gens = twisted_data(phi).fixed.gens
+    seed_set = set(seeds)
+    seen: set[int] = set()
+    reps = []
+    for s in sorted(seed_set):
+        if s in seen:
+            continue
+        reps.append(s)
+        seen.add(s)
+        queue = [s]
+        while queue:
+            x = queue.pop()
+            for y in [phi.table[x], *(G.conjugate(x, c) for c in fixed_gens)]:
+                if y in seen:
+                    continue
+                if y not in seed_set:
+                    raise NotInvariant(
+                        f"element {y} of the orbit of seed {s} is not a seed")
+                seen.add(y)
+                queue.append(y)
+    return reps
+
+
 def is_phi_invariant(phi: Automorphism, H: Subgroup) -> bool:
     return all(phi.table[t] in H.member_set for t in H.gens)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -16,8 +17,9 @@ from .corpus import build_glauberman_example, default_corpus, load_instance
 from .errors import (CapExceeded, GroupTheoryError, InvalidPermutation, NotBijective,
                      NotHomomorphism, ParseError, UnknownSpec)
 from .lie import (build_graded_lie, check_lazard_all, check_riley, extend_and_eigendecompose,
-                  jlz_series, verify_eigen_product_rule, verify_np_series)
-from .numutil import factorization
+                  induced_action_order, jlz_series, verify_eigen_product_rule,
+                  verify_np_series)
+from .numutil import factorization, is_prime
 from .report import analyze_instance, canonical_json, run_suite
 
 _INPUT_ERRORS = (ParseError, UnknownSpec, InvalidPermutation, NotBijective,
@@ -104,7 +106,13 @@ def cmd_decompose(args) -> int:
 def cmd_lie(args) -> int:
     spec = _load_file(args.file)
     G, phi, _ = load_instance(spec, cap=args.cap)
-    p = args.p or _detect_p(G)
+    p = _detect_p(G)
+    if args.p is not None:
+        if not is_prime(args.p):
+            raise ParseError(f"--p {args.p}: not a prime")
+        if G.order > 1 and p != args.p:
+            raise ParseError(f"--p {args.p}: group order {G.order} is not a power of it")
+        p = args.p
     if p is None:
         raise ParseError("group order is not a prime power; pass --p")
     series = jlz_series(G, p)
@@ -133,6 +141,15 @@ def cmd_eigen(args) -> int:
     if p is None:
         raise ParseError("group order is not a prime power")
     A = build_graded_lie(jlz_series(G, p))
+    if args.n is not None:
+        if args.n < 1:
+            raise ParseError(f"--n {args.n}: not a positive integer")
+        if math.gcd(args.n, p) != 1:
+            raise ParseError(f"--n {args.n}: shares a factor with the characteristic {p}")
+        m = induced_action_order(A, phi)
+        if args.n % m:
+            raise ParseError(f"--n {args.n}: the induced action has order {m}, "
+                             f"which does not divide it")
     ext = extend_and_eigendecompose(A, phi, n=args.n)
     payload = {
         "p": p, "n": ext.n, "field_degree": ext.field.k,

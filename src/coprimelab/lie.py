@@ -531,6 +531,22 @@ def layer_matrices(A: GradedLieAlgebra, phi) -> list[tuple]:
     return mats
 
 
+def induced_action_order(A: GradedLieAlgebra, phi) -> int:
+    """Least m with phi^m acting trivially on every layer; it divides the
+    order of phi, and a root order n suits the eigen split iff m divides n."""
+    order = 1
+    for M in layer_matrices(A, phi):
+        if not M:
+            continue
+        identity = identity_matrix(len(M), A.ops)
+        power, k = M, 1
+        while not mat_equal(power, identity, A.ops):
+            power = mat_mul(power, M, A.ops)
+            k += 1
+        order = math.lcm(order, k)
+    return order
+
+
 def lie_fixed_points(A: GradedLieAlgebra, phi) -> dict:
     """Fixed subspace of the generated subalgebra versus the span coming from
     the fixed-point subgroup; they must agree layer by layer."""

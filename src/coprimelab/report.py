@@ -16,8 +16,8 @@ from typing import Optional
 
 from .automorphisms import (Automorphism, check_coprime_facts, default_normal_family,
                             factorization_status, fixed_generation_S, fixed_points_of_product,
-                            nilpotent_decompose, phi_invariant_closure, restrict_automorphism,
-                            soluble_exponent_probe, twisted_data)
+                            nilpotent_decompose, orbit_representatives, phi_invariant_closure,
+                            restrict_automorphism, soluble_exponent_probe, twisted_data)
 from .corpus import instance_id, load_instance
 from .errors import CapExceeded, GroupTheoryError, NotCoprime, NotSoluble, ParseError
 from .groups import FiniteGroup, center, subgroup_generated
@@ -50,13 +50,17 @@ def _subgroup_exponent(G: FiniteGroup, members) -> int:
 
 def theorem1_probe(phi: Automorphism) -> dict:
     """Largest exponent of a minimal invariant closure of a fixed or twisted
-    element, recorded against the group exponent."""
+    element, recorded against the group exponent.
+
+    Both seed sets are unions of <phi> x C_G(phi) orbits and conjugate
+    closures share their exponent, so one closure per orbit suffices.
+    """
     if not phi.coprime:
         raise NotCoprime("probe requires a coprime action")
     G = phi.group
     td = twisted_data(phi)
     e_star = 1
-    for x in sorted(set(td.fixed.members) | td.twisted_set):
+    for x in orbit_representatives(phi, set(td.fixed.members) | td.twisted_set):
         closure = phi_invariant_closure(phi, {x})
         e_star = max(e_star, closure.exponent())
     exponent = G.exponent()
@@ -206,7 +210,11 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
     else:
         section["soluble_when_fixed_nilpotent"] = _skip("fixed-point subgroup not nilpotent")
 
-    if lower_central_series(G).is_nilpotent:
+    nilpotent = lower_central_series(G).is_nilpotent
+    soluble = derived_series(G).is_soluble
+    if nilpotent or soluble:
+        Hg, rphi, _ = restrict_automorphism(phi, td.commutator_phi)
+    if nilpotent:
         ok = True
         witness = None
         for x in range(G.order):
@@ -223,7 +231,6 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
         section["unique_decomposition"] = _verdict(ok)
         if witness:
             section["unique_decomposition_witness"] = witness
-        Hg, rphi, _ = restrict_automorphism(phi, td.commutator_phi)
         gen_report = fixed_generation_S(rphi)
         section["fixed_generation"] = {
             "restricted_to_commutator_order": Hg.order,
@@ -234,8 +241,7 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
         section["unique_decomposition"] = _skip("group is not nilpotent")
         section["fixed_generation"] = _skip("group is not nilpotent")
 
-    if derived_series(G).is_soluble:
-        Hg, rphi, _ = restrict_automorphism(phi, td.commutator_phi)
+    if soluble:
         probe = soluble_exponent_probe(rphi)
         probe["exponent_consistent"] = _verdict(G.exponent() % probe["exponent"] == 0)
         section["soluble_exponent"] = probe

@@ -172,6 +172,9 @@ def fitting_subgroup(G: FiniteGroup) -> Subgroup:
 
 def fitting_height(G: FiniteGroup) -> int:
     """Number of iterations of G <- G/F(G) until trivial; requires solubility."""
+    cached = G.cache.get("fitting_height")
+    if cached is not None:
+        return cached
     if not is_soluble(G):
         raise NotSoluble(f"group of order {G.order} is not soluble")
     height = 0
@@ -182,6 +185,7 @@ def fitting_height(G: FiniteGroup) -> int:
             raise AssertionError("nontrivial soluble group has trivial Fitting subgroup")
         cur = quotient_group(cur, F).quotient
         height += 1
+    G.cache["fitting_height"] = height
     return height
 
 

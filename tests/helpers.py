@@ -5,6 +5,9 @@ done by repeated pairwise multiplication over whole member sets, orders by
 repeated multiplication, so they stay independent of the paths they check.
 """
 
+import math
+from functools import reduce
+
 from coprimelab.groups import FiniteGroup, compose, generate_group, invert_perm
 
 
@@ -57,7 +60,6 @@ def naive_element_order(G: FiniteGroup, x: int) -> int:
 
 
 def naive_exponent(G: FiniteGroup) -> int:
-    import math
     e = 1
     for x in range(G.order):
         e = math.lcm(e, naive_element_order(G, x))
@@ -97,3 +99,44 @@ def quaternion_group() -> FiniteGroup:
     G = generate_group(8, [perm((1, "i")), perm((1, "j"))])
     assert G.order == 8
     return G
+
+
+def generated_members(G: FiniteGroup, seeds) -> frozenset:
+    """Member indices of <seeds> by breadth-first right multiplication."""
+    members = {0}
+    queue = [0]
+    for x in queue:
+        for s in seeds:
+            y = G.mul(x, s)
+            if y not in members:
+                members.add(y)
+                queue.append(y)
+    return frozenset(members)
+
+
+def unreduced_theorem1(phi) -> dict:
+    """The theorem 1 probe with one invariant closure per phi-orbit of seeds.
+
+    No conjugation reduction and no library closure or twisted-set code: the
+    oracle for ``report.theorem1_probe``.
+    """
+    G = phi.group
+    seeds = {x for x in range(G.order) if phi.table[x] == x}
+    seeds |= {G.mul(G.inv(x), phi.table[x]) for x in range(G.order)}
+    closed = set()
+    e_star = 1
+    for x in sorted(seeds):
+        orbit = {x}
+        y = phi.table[x]
+        while y != x:
+            orbit.add(y)
+            y = phi.table[y]
+        orbit = frozenset(orbit)
+        if orbit in closed:
+            continue
+        closed.add(orbit)
+        members = generated_members(G, orbit)
+        e_star = max(e_star, reduce(math.lcm, (G.element_order(m) for m in members)))
+    exponent = reduce(math.lcm, (G.element_order(x) for x in range(G.order)))
+    return {"e_star": e_star, "n": phi.order_n, "exponent": exponent,
+            "e_star_divides_exponent": "pass" if exponent % e_star == 0 else "fail"}

@@ -5,12 +5,12 @@ from coprimelab.automorphisms import (automorphism_from_table, build_automorphis
                                       factorization_status, fixed_generation_S,
                                       fixed_points_of_product, identity_automorphism,
                                       is_phi_invariant, nilpotent_decompose,
-                                      phi_invariant_closure, phi_invariant_sylow,
+                                      orbit_representatives, phi_invariant_closure, phi_invariant_sylow,
                                       quotient_automorphism, restrict_automorphism,
                                       soluble_exponent_probe, twisted_data)
 from coprimelab.corpus import build_corpus_instance
-from coprimelab.errors import (NotBijective, NotCoprime, NotHomomorphism, NotNilpotent,
-                               PreconditionViolated)
+from coprimelab.errors import (NotBijective, NotCoprime, NotHomomorphism, NotInvariant,
+                               NotNilpotent, PreconditionViolated)
 from coprimelab.groups import quotient_group, subgroup_generated, is_normal
 from coprimelab.structure import sylow_subgroup
 from helpers import quaternion_group
@@ -311,3 +311,16 @@ def test_soluble_exponent_probe_glauberman_restriction(glauberman):
     out = soluble_exponent_probe(rphi)
     assert out["d"] == 2
     assert out["exponent"] % out["e"] == 0
+
+
+def test_orbit_representatives_are_conjugacy_classes(s4):
+    phi = identity_automorphism(s4)
+    reps = orbit_representatives(phi, range(s4.order))
+    assert len(reps) == 5
+    assert reps == sorted(reps) and reps[0] == 0
+
+
+def test_orbit_representatives_rejects_non_invariant_seeds(s4):
+    phi = identity_automorphism(s4)
+    with pytest.raises(NotInvariant):
+        orbit_representatives(phi, {0, 1})

@@ -3,10 +3,11 @@ import json
 import pytest
 
 from coprimelab.cli import main
-from coprimelab.corpus import build_corpus_instance
+from coprimelab.corpus import build_corpus_instance, build_glauberman_example, default_corpus
 from coprimelab.errors import NotCoprime, NotSoluble
 from coprimelab.report import (analyze_instance, canonical_json, count_verdicts, run_suite,
                                theorem1_probe, theorem2_probe, thompson_probe)
+from helpers import unreduced_theorem1
 
 
 def c7_phi():
@@ -25,6 +26,24 @@ def test_theorem1_exponent_p_group():
                                  "automorphism": {"recipe": "power", "k": -1}})[1]
     out = theorem1_probe(phi)
     assert out["e_star"] == 3 and out["exponent"] == 3
+
+
+def test_theorem1_matches_unreduced_oracle_on_corpus():
+    checked = 0
+    for spec in default_corpus()["instances"]:
+        phi = build_corpus_instance(spec)[1]
+        if phi is None or not phi.coprime:
+            continue
+        assert theorem1_probe(phi) == unreduced_theorem1(phi), spec["id"]
+        checked += 1
+    assert checked >= 20
+
+
+def test_theorem1_closes_one_subgroup_per_orbit_glauberman():
+    _, phi = build_glauberman_example()
+    assert not phi.closure_cache
+    theorem1_probe(phi)
+    assert len(phi.closure_cache) == 27
 
 
 def test_theorem2_c7():
@@ -191,6 +210,24 @@ def test_cli_eigen(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["dims"] == [[1, 1, 1]]
     assert out["field_degree"] == 2
+
+
+def test_cli_lie_rejects_bad_p(tmp_path, capsys):
+    path = _write(tmp_path, "s3.json", {"name": "symmetric", "params": {"m": 3}})
+    for p in ("3", "4", "0"):
+        assert main(["lie", path, "--p", p]) == 2
+        assert "--p" in capsys.readouterr().err
+
+
+def test_cli_eigen_rejects_bad_n(tmp_path, capsys):
+    path = _write(tmp_path, "h5.json", {"name": "heisenberg", "params": {"p": 5},
+                                        "automorphism": {"recipe": "power", "k": -1}})
+    for n in ("3", "0", "-2", "5"):
+        assert main(["eigen", path, "--n", n]) == 2
+        assert "--n" in capsys.readouterr().err
+    assert main(["eigen", path, "--n", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["n"] == 4
 
 
 def test_cli_suite(tmp_path, capsys):

@@ -41,12 +41,6 @@ class Automorphism:
     def apply(self, x: int) -> int:
         return self.table[x]
 
-    def apply_power(self, x: int, k: int) -> int:
-        k %= self.order_n
-        for _ in range(k):
-            x = self.table[x]
-        return x
-
     def orbit(self, x: int) -> list[int]:
         out = [x]
         y = self.table[x]

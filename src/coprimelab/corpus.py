@@ -103,19 +103,17 @@ def _affine(p: int, k: int, cap: int) -> tuple:
     return G, {"field": field}
 
 
-def _direct_product(factors: list, cap: int) -> tuple:
+def _direct_product(factors: list, cap: int, where: str) -> tuple:
     built = []
-    for f in factors:
-        sub, _ = _build_group(f, cap)
+    for i, f in enumerate(factors):
+        sub, _ = _build_group(f, cap, f"{where}[{i}].")
         built.append(sub)
     degree = sum(g.degree for g in built)
     gens = []
-    offsets = []
     gen_offsets = []
     pos = 0
     gcount = 0
     for g in built:
-        offsets.append(pos)
         gen_offsets.append(gcount)
         for perm in g.generators:
             full = list(range(degree))
@@ -135,23 +133,36 @@ def _direct_product(factors: list, cap: int) -> tuple:
     return G, meta
 
 
-def _build_group(spec: dict, cap: int) -> tuple:
+def _field(obj: dict, key: str, where: str):
+    """obj[key]; a missing key is a ParseError naming its JSON path."""
+    if key not in obj:
+        raise ParseError(f"{where}{key}: missing")
+    return obj[key]
+
+
+def _build_group(spec: dict, cap: int, where: str = "") -> tuple:
+    """Build the named group; ``where`` prefixes the JSON paths in errors."""
     name = spec.get("name")
     params = spec.get("params", {})
+
+    def param(key):
+        return int(_field(params, key, f"{where}params."))
+
     if name == "cyclic":
-        return _cyclic(int(params["m"]), cap)
+        return _cyclic(param("m"), cap)
     if name == "dihedral":
-        return _dihedral(int(params["m"]), cap)
+        return _dihedral(param("m"), cap)
     if name == "symmetric":
-        return _symmetric(int(params["m"]), cap)
+        return _symmetric(param("m"), cap)
     if name == "heisenberg":
-        return _heisenberg(int(params["p"]), cap)
+        return _heisenberg(param("p"), cap)
     if name == "modular":
-        return _modular(int(params["p"]), cap)
+        return _modular(param("p"), cap)
     if name == "affine":
-        return _affine(int(params["p"]), int(params["k"]), cap)
+        return _affine(param("p"), param("k"), cap)
     if name == "direct_product":
-        return _direct_product(list(params["factors"]), cap)
+        factors = list(_field(params, "factors", f"{where}params."))
+        return _direct_product(factors, cap, f"{where}params.factors")
     raise UnknownSpec(f"unrecognized instance name {name!r}")
 
 
@@ -183,10 +194,10 @@ def _recipe_images(G: FiniteGroup, spec: dict, meta: dict, recipe: dict) -> list
     if kind == "identity":
         return [(i + 1,) for i in range(ngens)]
     if kind == "power":
-        k = int(recipe["k"])
+        k = int(_field(recipe, "k", "automorphism."))
         return [_power_word(i, k) for i in range(ngens)]
     if kind == "gen_powers":
-        powers = list(recipe["powers"])
+        powers = list(_field(recipe, "powers", "automorphism."))
         if len(powers) != ngens:
             raise UnknownSpec(f"gen_powers needs {ngens} exponents")
         return [_power_word(i, int(k)) for i, k in enumerate(powers)]
@@ -269,7 +280,7 @@ def load_instance(data: dict, cap: Optional[int] = None):
         phi = None
         auto = data.get("automorphism")
         if auto is not None:
-            images = [tuple(int(k) for k in w) for w in auto["images"]]
+            images = [tuple(int(k) for k in w) for w in _field(auto, "images", "automorphism.")]
             phi = build_automorphism(G, images)
         return G, phi, data.get("id", f"raw-degree-{data['degree']}")
     if "name" in data:
@@ -281,6 +292,8 @@ def load_instance(data: dict, cap: Optional[int] = None):
 def instance_id(spec: dict) -> str:
     if "id" in spec:
         return str(spec["id"])
+    if "name" not in spec:
+        return f"raw-degree-{spec['degree']}"
     params = spec.get("params", {})
     flat = ",".join(f"{k}={params[k]}" for k in sorted(params))
     return f"{spec['name']}({flat})"

@@ -23,12 +23,6 @@ def poly_trim(c: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def poly_add(a, b, p):
-    n = max(len(a), len(b))
-    return poly_trim([( (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) ) % p
-                      for i in range(n)])
-
-
 def poly_sub(a, b, p):
     n = max(len(a), len(b))
     return poly_trim([( (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) ) % p

@@ -5,6 +5,11 @@ stored as tuples; element 0 is always the identity. Enumeration is
 breadth-first from the generators with a fixed generator order, so element
 indices, factorization words and every downstream report are reproducible.
 
+Elements are keyed by their images on a base, a short list of points whose
+images determine an element (Sims; Seress, *Permutation Group Algorithms*,
+ch. 4). ``mul`` composes on the base points only, so it costs O(len(base))
+lookups instead of a degree-n tuple.
+
 Composition convention: ``mul(a, b)`` is the map "apply b, then a", i.e.
 ordinary function composition a∘b. Conjugation is ``x^g = g⁻¹ x g``.
 
@@ -31,29 +36,6 @@ def compose(a: Perm, b: Perm) -> Perm:
     return tuple(map(a.__getitem__, b))
 
 
-def invert_perm(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, img in enumerate(a):
-        out[img] = i
-    return tuple(out)
-
-
-def perm_cycles(a: Perm) -> list[list[int]]:
-    seen = [False] * len(a)
-    cycles = []
-    for start in range(len(a)):
-        if seen[start]:
-            continue
-        cyc = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cyc.append(x)
-            x = a[x]
-        cycles.append(cyc)
-    return cycles
-
-
 def perm_order(a: Perm) -> int:
     seen = bytearray(len(a))
     order = 1
@@ -70,14 +52,18 @@ def perm_order(a: Perm) -> int:
     return order
 
 
-def perm_power(a: Perm, k: int) -> Perm:
-    out = [0] * len(a)
-    for cyc in perm_cycles(a):
-        n = len(cyc)
-        s = k % n
-        for i, pt in enumerate(cyc):
-            out[pt] = cyc[(i + s) % n]
-    return tuple(out)
+def find_base(degree: int, elements: Sequence[Perm]) -> tuple:
+    """Points whose images tell the elements apart. A point joins the base when
+    an element fixing the base so far moves it, so in the end only the identity
+    (element 0) fixes every base point."""
+    stabilizer, base = elements[1:], []
+    for pt in range(degree):
+        if not stabilizer:
+            break
+        if any(perm[pt] != pt for perm in stabilizer):
+            base.append(pt)
+            stabilizer = [perm for perm in stabilizer if perm[pt] == pt]
+    return tuple(base)
 
 
 def validate_permutation(images: Sequence[int], degree: int) -> Perm:
@@ -88,7 +74,12 @@ def validate_permutation(images: Sequence[int], degree: int) -> Perm:
 
 
 class FiniteGroup:
-    """Fully enumerated permutation group with 0-based element indices."""
+    """Fully enumerated permutation group with 0-based element indices.
+
+    ``_base_images[i][e]`` is the image of ``base[i]`` under element e, and
+    ``_key_index`` maps an element's key (see ``_key``) to its index: a list
+    with -1 at unused keys when degree**len(base) <= 4*order, else a dict.
+    """
 
     def __init__(self, degree: int, generators: Sequence[Perm], elements: list[Perm],
                  words: list[tuple], parents: list[tuple]):
@@ -100,24 +91,56 @@ class FiniteGroup:
         # during enumeration; entry k > 0 means generator k-1, k < 0 its inverse.
         self.words = words
         self._parents = parents
-        self._index = {perm: i for i, perm in enumerate(elements)}
-        self._inverses = [self._index[invert_perm(p)] for p in elements]
-        self.generator_indices = tuple(self._index[g] for g in self.generators)
-        self._exponent: Optional[int] = None
+        self.base = find_base(degree, elements)
+        self._base_images = tuple([perm[pt] for perm in elements] for pt in self.base)
+        if degree ** len(self.base) <= 4 * self.order:
+            self._key_index = [-1] * degree ** len(self.base)
+            for i, perm in enumerate(elements):
+                self._key_index[self._key(perm)] = i
+        else:
+            self._key_index = {self._key(perm): i for i, perm in enumerate(elements)}
         self._orders: list = [0] * len(elements)
+        self.generator_indices = tuple(self.element_index(g) for g in self.generators)
+        # y = parent * g along the enumeration tree, so y^-1 = g^-1 * parent^-1
+        gen_inverses = [self.power(g, -1) for g in self.generator_indices]
+        self._inverses = [0] * self.order
+        for y in range(1, self.order):
+            px, gi = parents[y]
+            self._inverses[y] = self.mul(gen_inverses[gi], self._inverses[px])
+        self._exponent: Optional[int] = None
         self._whole: Optional[Subgroup] = None
         self.cache: dict = {}
 
     # arithmetic on element indices
 
     def mul(self, a: int, b: int) -> int:
-        return self._index[compose(self.elements[a], self.elements[b])]
+        """a*b from the images of the base points under a∘b: O(len(base))."""
+        perm = self.elements[a]
+        images = self._base_images
+        length = len(images)
+        if length == 1:
+            return self._key_index[perm[images[0][b]]]
+        if length == 2:
+            return self._key_index[perm[images[0][b]] + self.degree * perm[images[1][b]]]
+        key = 0
+        for column in reversed(images):
+            key = key * self.degree + perm[column[b]]
+        return self._key_index[key]
 
     def inv(self, a: int) -> int:
         return self._inverses[a]
 
     def power(self, a: int, k: int) -> int:
-        return self._index[perm_power(self.elements[a], k)]
+        """a**k by binary powering; k may be negative."""
+        k %= self.element_order(a)
+        out = 0
+        while k:
+            if k & 1:
+                out = self.mul(out, a)
+            k >>= 1
+            if k:
+                a = self.mul(a, a)
+        return out
 
     def conjugate(self, a: int, g: int) -> int:
         """x^g = g⁻¹ x g."""
@@ -128,9 +151,18 @@ class FiniteGroup:
         return self.mul(self.mul(self.mul(self._inverses[a], self._inverses[b]), a), b)
 
     def element_order(self, a: int) -> int:
+        """The lcm of the cycle lengths of the base points: a**k is the
+        identity exactly when it fixes every base point."""
         order = self._orders[a]
         if order == 0:
-            order = self._orders[a] = perm_order(self.elements[a])
+            perm = self.elements[a]
+            order = 1
+            for pt in self.base:
+                length, x = 1, perm[pt]
+                while x != pt:
+                    length, x = length + 1, perm[x]
+                order = math.lcm(order, length)
+            self._orders[a] = order
         return order
 
     def exponent(self) -> int:
@@ -140,11 +172,30 @@ class FiniteGroup:
                                     (self.element_order(a) for a in range(self.order)), 1)
         return self._exponent
 
+    def _key(self, perm: Perm) -> int:
+        """The images of the base points under perm, as digits in radix degree."""
+        key = 0
+        for pt in reversed(self.base):
+            key = key * self.degree + perm[pt]
+        return key
+
     def element_index(self, perm: Perm) -> int:
-        return self._index[perm]
+        """Index of a member permutation; KeyError for anything else, also for a
+        permutation that agrees with a member on the base only."""
+        perm = tuple(perm)
+        try:
+            i = self._key_index[self._key(perm)]
+        except (IndexError, KeyError):
+            i = -1
+        if i < 0 or self.elements[i] != perm:
+            raise KeyError(perm)
+        return i
 
     def __contains__(self, perm: Perm) -> bool:
-        return perm in self._index
+        try:
+            return self.element_index(perm) >= 0
+        except KeyError:
+            return False
 
     def evaluate_word(self, word: Iterable[int]) -> int:
         """Evaluate a signed 1-based generator word to an element index."""
@@ -263,6 +314,7 @@ def generate_group(degree: int, generators: Sequence[Sequence[int]],
                     parents.append((ei, gi))
                     nxt.append(index[img])
         frontier = nxt
+    del index
     return FiniteGroup(degree, gens, elements, words, parents)
 
 
@@ -349,11 +401,6 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     return Subgroup(G, members, subgroup_generated(G, members).gens)
 
 
-def conjugate_subgroup(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
-    return Subgroup(G, (G.conjugate(m, g) for m in H.members),
-                    tuple(G.conjugate(t, g) for t in H.gens))
-
-
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     return all(G.conjugate(t, g) in H.member_set
                for g in G.generator_indices for t in H.gens)
@@ -391,21 +438,17 @@ class QuotientGroup:
     to its image's element index there.
     """
 
-    def __init__(self, parent, kernel, quotient, projection, to_quotient, cosets, coset_reps):
+    def __init__(self, parent, kernel, quotient, projection, to_quotient, coset_reps):
         self.parent = parent
         self.kernel = kernel
         self.quotient = quotient
         self.projection = projection
         self.to_quotient = to_quotient
-        self.cosets = cosets
         self.coset_reps = coset_reps
 
     def coset_mul(self, c1: int, c2: int) -> int:
         G = self.parent
         return self.projection[G.mul(self.coset_reps[c1], self.coset_reps[c2])]
-
-    def project(self, x: int) -> int:
-        return self.projection[x]
 
     def __repr__(self) -> str:
         return f"QuotientGroup(order={self.quotient.order})"
@@ -438,6 +481,4 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
     for y in range(1, G.order):
         px, gi = G._parents[y]
         to_q[y] = quotient.mul(to_q[px], qgen_elem[gi])
-    cosets = tuple(tuple(sorted(x for x in range(G.order) if coset_index[x] == ci))
-                   for ci in range(num))
-    return QuotientGroup(G, N, quotient, tuple(coset_index), tuple(to_q), cosets, tuple(reps))
+    return QuotientGroup(G, N, quotient, tuple(coset_index), tuple(to_q), tuple(reps))

@@ -23,16 +23,7 @@ from .linalg import (FieldOps, PrimeOps, in_span, intersect_spans, mat_from_colu
                      rref, span_basis, spans_equal, vec_is_zero)
 from .structure import (commutator_subgroup_pair, is_powerful, lower_central_series,
                         power_subgroup)
-from .numutil import factorization, multiplicative_order_mod
-
-
-def _prime_power_base(n: int) -> Optional[int]:
-    if n == 1:
-        return None
-    fac = factorization(n)
-    if len(fac) != 1:
-        return None
-    return next(iter(fac))
+from .numutil import factorization, multiplicative_order_mod, prime_power_base
 
 
 @dataclass
@@ -72,7 +63,7 @@ class NpSeries:
 def jlz_series(G: FiniteGroup, p: int) -> NpSeries:
     """Canonical filtration: term i is the product of the p^k-th power
     subgroups of the j-th lower-central terms over all j * p^k >= i."""
-    base = _prime_power_base(G.order)
+    base = prime_power_base(G.order)
     if G.order > 1 and base != p:
         raise NotAPGroup(f"order {G.order} is not a power of {p}")
     if G.order == 1:
@@ -272,26 +263,29 @@ class GradedLieAlgebra:
                     out[t] = (out[t] + scale * ct) % p
         return tuple(out)
 
+    def bracket_spans(self, X: list, Y: list) -> list:
+        """Per layer k, the echelon span of the nonzero brackets [u, v] with u in
+        X[i-1], v in Y[j-1] and i + j = k."""
+        out = [[] for _ in range(self.num_layers)]
+        for i in range(1, self.num_layers + 1):
+            for j in range(1, self.num_layers + 1 - i):
+                for u in X[i - 1]:
+                    for v in Y[j - 1]:
+                        w = self.bracket(i, u, j, v)
+                        if w is not None and not vec_is_zero(w, self.ops):
+                            out[i + j - 1].append(w)
+        return [rref(vecs, self.ops) if vecs else () for vecs in out]
+
     def _generate_from_first_layer(self) -> list[tuple]:
         spans = [() for _ in range(self.num_layers)]
         if self.num_layers >= 1 and self.layers[0].dim:
             spans[0] = rref([self._unit(1, b) for b in range(self.layers[0].dim)], self.ops)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(1, self.num_layers + 1):
-                for j in range(1, self.num_layers + 1 - i):
-                    if not spans[i - 1] or not spans[j - 1]:
-                        continue
-                    for u in spans[i - 1]:
-                        for v in spans[j - 1]:
-                            w = self.bracket(i, u, j, v)
-                            if w is None or vec_is_zero(w, self.ops):
-                                continue
-                            if not in_span(w, spans[i + j - 1], self.ops):
-                                spans[i + j - 1] = rref(list(spans[i + j - 1]) + [w], self.ops)
-                                changed = True
-        return spans
+        while True:
+            grown = [rref(s + b, self.ops) if b else s
+                     for s, b in zip(spans, self.bracket_spans(spans, spans))]
+            if grown == spans:
+                return spans
+            spans = grown
 
     def lie_class_of_generated(self) -> int:
         """Nilpotency class of the subalgebra generated by the first layer."""
@@ -301,24 +295,9 @@ class GradedLieAlgebra:
         current = spans
         klass = 1
         while True:
-            nxt = [() for _ in range(self.num_layers)]
-            nonzero = False
-            for i in range(1, self.num_layers + 1):
-                for j in range(1, self.num_layers + 1 - i):
-                    if not current[i - 1] or not spans[j - 1]:
-                        continue
-                    vecs = list(nxt[i + j - 1])
-                    for u in current[i - 1]:
-                        for v in spans[j - 1]:
-                            w = self.bracket(i, u, j, v)
-                            if w is not None and not vec_is_zero(w, self.ops):
-                                vecs.append(w)
-                    nxt[i + j - 1] = rref(vecs, self.ops)
-                    if nxt[i + j - 1]:
-                        nonzero = True
-            if not nonzero:
+            current = self.bracket_spans(current, spans)
+            if not any(current):
                 return klass
-            current = nxt
             klass += 1
             if klass > self.num_layers + 1:
                 raise AssertionError("graded lower central series failed to terminate")
@@ -483,30 +462,13 @@ def subalgebra_LGH(A: GradedLieAlgebra, H: Subgroup) -> dict:
     """Span subalgebra attached to a subgroup, with the least u such that
     bracketing the whole algebra u times by it vanishes."""
     K = subalgebra_of_subgroup(A, H)
-    closed = True
-    for i in range(1, A.num_layers + 1):
-        for j in range(1, A.num_layers + 1 - i):
-            for u in K[i - 1]:
-                for v in K[j - 1]:
-                    w = A.bracket(i, u, j, v)
-                    if w is not None and not vec_is_zero(w, A.ops):
-                        if not in_span(w, K[i + j - 1], A.ops):
-                            closed = False
+    closed = all(in_span(w, K[k], A.ops)
+                 for k, span in enumerate(A.bracket_spans(K, K)) for w in span)
     current = [tuple(A._unit(i + 1, b) for b in range(layer.dim))
                for i, layer in enumerate(A.layers)]
     u_count = 0
-    while any(current[i] for i in range(A.num_layers)):
-        nxt = [[] for _ in range(A.num_layers)]
-        for i in range(1, A.num_layers + 1):
-            for j in range(1, A.num_layers + 1 - i):
-                if not current[i - 1] or not K[j - 1]:
-                    continue
-                for w_vec in current[i - 1]:
-                    for k_vec in K[j - 1]:
-                        out = A.bracket(i, w_vec, j, k_vec)
-                        if out is not None and not vec_is_zero(out, A.ops):
-                            nxt[i + j - 1].append(out)
-        current = [rref(vs, A.ops) for vs in nxt]
+    while any(current):
+        current = A.bracket_spans(current, K)
         u_count += 1
         if u_count > A.num_layers + 1:
             raise AssertionError("span bracketing failed to terminate")
@@ -589,9 +551,6 @@ class ExtendedAlgebra:
     matrices: list
     eigenbases: list      # per layer: list over j of basis tuples
     dims: list            # per layer: list over j of dimensions
-
-    def eigen_dims(self) -> list:
-        return self.dims
 
     def bracket_ext(self, i: int, u: tuple, j: int, v: tuple) -> Optional[tuple]:
         if i + j > self.base.num_layers:

@@ -73,14 +73,6 @@ def vec_is_zero(v, ops):
     return all(ops.is_zero(c) for c in v)
 
 
-def vec_add(u, v, ops):
-    return tuple(ops.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(c, v, ops):
-    return tuple(ops.mul(c, a) for a in v)
-
-
 def rref(rows: Sequence[tuple], ops) -> tuple:
     """Reduced row echelon form with zero rows dropped; canonical for a span."""
     mat = [list(r) for r in rows if not vec_is_zero(r, ops)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 
 def is_prime(n: int) -> bool:
@@ -40,6 +41,12 @@ def factorization(n: int) -> dict[int, int]:
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
+
+
+def prime_power_base(n: int) -> Optional[int]:
+    """The prime p with n a power of p, or None (also for n = 1)."""
+    fac = factorization(n) if n > 1 else {}
+    return next(iter(fac)) if len(fac) == 1 else None
 
 
 def prime_factors(n: int) -> list[int]:

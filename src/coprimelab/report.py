@@ -24,7 +24,7 @@ from .groups import FiniteGroup, center, subgroup_generated
 from .lie import (build_graded_lie, check_lazard_all, check_riley, extend_and_eigendecompose,
                   jlz_series, lie_fixed_points, subalgebra_LGH, verify_bracket_axioms,
                   verify_eigen_product_rule, verify_np_series)
-from .numutil import big_omega, factorization
+from .numutil import big_omega, prime_power_base
 from .structure import derived_series, fitting_height, is_powerful, lower_central_series
 
 PAIR_CAP = 1_000_000
@@ -144,8 +144,7 @@ def thompson_probe(phi: Automorphism) -> dict:
 def _group_section(G: FiniteGroup) -> dict:
     lcs = lower_central_series(G)
     ds = derived_series(G)
-    fac = factorization(G.order) if G.order > 1 else {}
-    p = next(iter(fac)) if len(fac) == 1 else None
+    p = prime_power_base(G.order)
     section = {
         "order": G.order,
         "degree": G.degree,
@@ -341,9 +340,11 @@ def analyze_instance(spec: dict, cap: Optional[int] = None) -> dict:
 
 
 def _analyze_for_suite(args) -> dict:
-    spec, cap = args
+    pos, spec, cap = args
     try:
         return analyze_instance(spec, cap=cap)
+    except ParseError as exc:
+        raise ParseError(f"instances[{pos}].{exc}") from exc
     except CapExceeded as exc:
         return {"id": instance_id(spec), "skipped": f"cap exceeded: {exc}"}
     except GroupTheoryError as exc:
@@ -393,7 +394,7 @@ def run_suite(corpus: dict, jobs: int = 1, cap: Optional[int] = None) -> tuple:
     Returns (bundle, exit_code); exit code 1 iff any hard invariant failed.
     """
     instances = validate_corpus(corpus)
-    work = [(spec, cap) for spec in instances]
+    work = [(pos, spec, cap) for pos, spec in enumerate(instances)]
     if jobs <= 1 or len(work) <= 1:
         reports = [_analyze_for_suite(w) for w in work]
     else:

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotAPGroup, NotSoluble
-from .groups import (FiniteGroup, Subgroup, commutator_subgroup_pair, is_normal,
-                     product_of_subgroups, quotient_group, subgroup_generated)
+from .groups import (FiniteGroup, Subgroup, commutator_subgroup_pair, product_of_subgroups,
+                     quotient_group, subgroup_generated)
 from .numutil import is_prime, p_part, prime_factors
 
 
@@ -213,7 +213,3 @@ def is_powerful(G: FiniteGroup, p: int, subgroup: Optional[Subgroup] = None) -> 
     powers = power_subgroup(G, 4 if p == 2 else p, within=H)
     derived = commutator_subgroup_pair(G, H, H)
     return derived.member_set <= powers.member_set
-
-
-def series_terms_normal(G: FiniteGroup, series: SubgroupSeries) -> bool:
-    return all(is_normal(G, term) for term in series.terms)

@@ -8,7 +8,7 @@ repeated multiplication, so they stay independent of the paths they check.
 import math
 from functools import reduce
 
-from coprimelab.groups import FiniteGroup, compose, generate_group, invert_perm
+from coprimelab.groups import FiniteGroup, compose, generate_group
 
 
 def brute_closure(perms):
@@ -140,3 +140,40 @@ def unreduced_theorem1(phi) -> dict:
     exponent = reduce(math.lcm, (G.element_order(x) for x in range(G.order)))
     return {"e_star": e_star, "n": phi.order_n, "exponent": exponent,
             "e_star_divides_exponent": "pass" if exponent % e_star == 0 else "fail"}
+
+
+# Plain tuple oracles for the base-image kernel: no library arithmetic, and
+# element indices found by scanning the enumerated tuples.
+
+def tuple_compose(a: tuple, b: tuple) -> tuple:
+    """a∘b: apply b, then a."""
+    return tuple(a[x] for x in b)
+
+
+def tuple_inverse(a: tuple) -> tuple:
+    out = [0] * len(a)
+    for i, img in enumerate(a):
+        out[img] = i
+    return tuple(out)
+
+
+def tuple_order(a: tuple) -> int:
+    identity = tuple(range(len(a)))
+    k, y = 1, a
+    while y != identity:
+        y = tuple_compose(y, a)
+        k += 1
+    return k
+
+
+def tuple_power(a: tuple, k: int) -> tuple:
+    if k < 0:
+        a, k = tuple_inverse(a), -k
+    out = tuple(range(len(a)))
+    for _ in range(k):
+        out = tuple_compose(out, a)
+    return out
+
+
+def scan_index(G: FiniteGroup, perm: tuple) -> int:
+    return G.elements.index(perm)

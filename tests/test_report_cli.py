@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -228,6 +229,27 @@ def test_cli_eigen_rejects_bad_n(tmp_path, capsys):
     assert main(["eigen", path, "--n", "4"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["n"] == 4
+
+
+def test_cli_eigen_rejects_large_field_degree(tmp_path, capsys):
+    path = _write(tmp_path, "h5.json", {"name": "heisenberg", "params": {"p": 5},
+                                        "automorphism": {"recipe": "power", "k": -1}})
+    start = time.perf_counter()
+    assert main(["eigen", path, "--n", "202"]) == 2  # 5 has order 25 mod 202
+    assert time.perf_counter() - start < 0.5
+    assert "--n 202" in capsys.readouterr().err
+
+
+def test_cli_missing_parameter_names_its_path(tmp_path, capsys):
+    path = _write(tmp_path, "bad.json", {"name": "cyclic", "params": {}})
+    assert main(["info", path]) == 2
+    assert "params.m" in capsys.readouterr().err
+    corpus = {"schema": 1, "instances": [
+        {"name": "cyclic", "params": {"m": 3}},
+        {"name": "direct_product", "params": {"factors": [{"name": "cyclic"}]}}]}
+    path = _write(tmp_path, "corpus.json", corpus)
+    assert main(["suite", path]) == 2
+    assert "instances[1].params.factors[0].params.m: missing" in capsys.readouterr().err
 
 
 def test_cli_suite(tmp_path, capsys):

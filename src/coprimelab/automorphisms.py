@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .errors import (NotBijective, NotCoprime, NotHomomorphism, NotInvariant,
@@ -37,9 +36,6 @@ class Automorphism:
         self.order_n = perm_order(table)
         self._twisted: Optional[TwistedData] = None
         self.closure_cache: dict = {}
-
-    def apply(self, x: int) -> int:
-        return self.table[x]
 
     def orbit(self, x: int) -> list[int]:
         out = [x]
@@ -117,7 +113,7 @@ def twisted_data(phi: Automorphism) -> TwistedData:
         return phi._twisted
     G = phi.group
     fixed_members = [x for x in range(G.order) if phi.table[x] == x]
-    fixed = Subgroup(G, fixed_members, subgroup_generated(G, fixed_members).gens)
+    fixed = subgroup_generated(G, fixed_members)
     producers: dict[int, int] = {}
     for x in range(G.order):
         t = G.mul(G.inv(x), phi.table[x])
@@ -384,6 +380,17 @@ def _core_of_fixed(phi: Automorphism) -> Subgroup:
     return subgroup_generated(G, core)
 
 
+def _checked_family(phi: Automorphism, family: Sequence[tuple]) -> Sequence[tuple]:
+    """The (name, subgroup) family itself; NotInvariant if a member is not a
+    phi-invariant normal subgroup."""
+    for name, N in family:
+        if not is_normal(phi.group, N):
+            raise NotInvariant(f"family member {name} is not normal")
+        if not is_phi_invariant(phi, N):
+            raise NotInvariant(f"family member {name} is not phi-invariant")
+    return family
+
+
 def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dict:
     """Verify the three standard coprime-action facts.
 
@@ -395,14 +402,7 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
         raise NotCoprime("the coprime facts require gcd(|G|, |phi|) = 1")
     G = phi.group
     td = twisted_data(phi)
-    if family is None:
-        family = default_normal_family(phi)
-    else:
-        for name, N in family:
-            if not is_normal(G, N):
-                raise NotInvariant(f"family member {name} is not normal")
-            if not is_phi_invariant(phi, N):
-                raise NotInvariant(f"family member {name} is not phi-invariant")
+    family = default_normal_family(phi) if family is None else _checked_family(phi, family)
 
     report: dict = {}
     twice = commutator_with_automorphism(phi, td.commutator_phi)
@@ -472,11 +472,7 @@ def fixed_points_of_product(phi: Automorphism, family: Sequence[tuple]) -> dict:
         raise NotCoprime("the product formula requires a coprime action")
     G = phi.group
     td = twisted_data(phi)
-    for name, N in family:
-        if not is_normal(G, N):
-            raise NotInvariant(f"family member {name} is not normal")
-        if not is_phi_invariant(phi, N):
-            raise NotInvariant(f"family member {name} is not phi-invariant")
+    _checked_family(phi, family)
     product = product_of_subgroups(G, [N for _, N in family])
     lhs = product.member_set & td.fixed.member_set
     rhs = subgroup_generated(
@@ -524,5 +520,5 @@ def soluble_exponent_probe(phi: Automorphism) -> dict:
     td = twisted_data(phi)
     if td.commutator_phi.order != G.order:
         raise PreconditionViolated("G = [G, phi] required")
-    e = reduce(math.lcm, (G.element_order(x) for x in td.twisted), 1)
-    return {"d": series.derived_length, "e": e, "exponent": G.exponent()}
+    return {"d": series.derived_length, "e": G.exponent_of(td.twisted),
+            "exponent": G.exponent()}

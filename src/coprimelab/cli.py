@@ -19,10 +19,10 @@ from .lie import (build_graded_lie, check_lazard_all, check_riley, extend_and_ei
                   induced_action_order, jlz_series, verify_eigen_product_rule,
                   verify_np_series)
 from .numutil import is_prime, prime_power_base
-from .report import analyze_instance, canonical_json, count_verdicts, run_suite
+from .report import _auto_section, _group_section, canonical_json, count_verdicts, run_suite
 
 _INPUT_ERRORS = (ParseError, UnknownSpec, InvalidPermutation, NotBijective,
-                 NotHomomorphism, CapExceeded, json.JSONDecodeError, ValueError)
+                 NotHomomorphism, CapExceeded)
 
 # `eigen --n` finds its field's modulus by trial division over up to p**degree
 # polynomials: on heisenberg(5), degree 6 took 0.09 s and degree 10 took 81 s.
@@ -32,7 +32,7 @@ MAX_FIELD_DEGREE = 6
 def _load_file(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -48,21 +48,20 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_info(args) -> int:
-    spec = _load_file(args.file)
-    report = analyze_instance(spec, cap=args.cap)
-    _emit(report["group"])
-    print(f"info: order {report['group']['order']}, exponent {report['group']['exponent']}",
-          file=sys.stderr)
+    G, _, _ = load_instance(_load_file(args.file), cap=args.cap)
+    section = _group_section(G)
+    _emit(section)
+    print(f"info: order {section['order']}, exponent {section['exponent']}", file=sys.stderr)
     return 0
 
 
 def cmd_auto(args) -> int:
-    spec = _load_file(args.file)
-    report = analyze_instance(spec, cap=args.cap)
-    if report["automorphism"] is None:
+    G, phi, _ = load_instance(_load_file(args.file), cap=args.cap)
+    if phi is None:
         raise ParseError("input carries no automorphism")
-    _emit(report["automorphism"])
-    fails = count_verdicts(report["automorphism"])["fail"]
+    section = _auto_section(G, phi)
+    _emit(section)
+    fails = count_verdicts(section)["fail"]
     print(f"auto: {'ok' if not fails else f'{fails} failing checks'}", file=sys.stderr)
     return 1 if fails else 0
 
@@ -73,10 +72,9 @@ def cmd_decompose(args) -> int:
     if phi is None:
         raise ParseError("input carries no automorphism")
     try:
-        word = tuple(int(tok) for tok in args.element.split(",") if tok.strip())
+        x = G.evaluate_word(int(tok) for tok in args.element.split(",") if tok.strip())
     except ValueError as exc:
-        raise ParseError(f"bad element word {args.element!r}") from exc
-    x = G.evaluate_word(word)
+        raise ParseError(f"--element {args.element}: {exc}") from exc
     g, h = nilpotent_decompose(phi, x)
     payload = {
         "element": x, "element_word": list(G.words[x]),
@@ -246,6 +244,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.cap is not None and args.cap < 1:
+            raise ParseError(f"--cap {args.cap}: must be at least 1")
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -133,20 +133,31 @@ def _direct_product(factors: list, cap: int, where: str) -> tuple:
     return G, meta
 
 
-def _field(obj: dict, key: str, where: str):
-    """obj[key]; a missing key is a ParseError naming its JSON path."""
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, where: str, kind: type = object, default=_REQUIRED):
+    """obj[key], or ``default`` if given and the key is missing. A ParseError
+    names the JSON path (``where`` is obj's path plus ".") when obj is no
+    object, a required key is missing or the value is not a ``kind``."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where[:-1]}: expected dict, got {obj!r}")
     if key not in obj:
-        raise ParseError(f"{where}{key}: missing")
+        if default is _REQUIRED:
+            raise ParseError(f"{where}{key}: missing")
+        return default
+    if not isinstance(obj[key], kind):
+        raise ParseError(f"{where}{key}: expected {kind.__name__}, got {obj[key]!r}")
     return obj[key]
 
 
 def _build_group(spec: dict, cap: int, where: str = "") -> tuple:
     """Build the named group; ``where`` prefixes the JSON paths in errors."""
-    name = spec.get("name")
-    params = spec.get("params", {})
+    name = _field(spec, "name", where)
+    params = _field(spec, "params", where, dict, {})
 
     def param(key):
-        return int(_field(params, key, f"{where}params."))
+        return _field(params, key, f"{where}params.", int)
 
     if name == "cyclic":
         return _cyclic(param("m"), cap)
@@ -161,14 +172,14 @@ def _build_group(spec: dict, cap: int, where: str = "") -> tuple:
     if name == "affine":
         return _affine(param("p"), param("k"), cap)
     if name == "direct_product":
-        factors = list(_field(params, "factors", f"{where}params."))
+        factors = _field(params, "factors", f"{where}params.", list)
         return _direct_product(factors, cap, f"{where}params.factors")
     raise UnknownSpec(f"unrecognized instance name {name!r}")
 
 
 def _power_word(gen_index: int, k: int) -> tuple:
-    if k == 0:
-        raise UnknownSpec("power recipe needs a nonzero exponent")
+    if not isinstance(k, int) or k == 0:
+        raise UnknownSpec(f"power recipe needs a nonzero integer exponent, got {k!r}")
     if k > 0:
         return (gen_index + 1,) * k
     return (-(gen_index + 1),) * (-k)
@@ -194,19 +205,22 @@ def _recipe_images(G: FiniteGroup, spec: dict, meta: dict, recipe: dict) -> list
     if kind == "identity":
         return [(i + 1,) for i in range(ngens)]
     if kind == "power":
-        k = int(_field(recipe, "k", "automorphism."))
+        k = _field(recipe, "k", "automorphism.", int)
         return [_power_word(i, k) for i in range(ngens)]
     if kind == "gen_powers":
-        powers = list(_field(recipe, "powers", "automorphism."))
+        powers = _field(recipe, "powers", "automorphism.", list)
         if len(powers) != ngens:
             raise UnknownSpec(f"gen_powers needs {ngens} exponents")
-        return [_power_word(i, int(k)) for i, k in enumerate(powers)]
+        return [_power_word(i, k) for i, k in enumerate(powers)]
     if kind == "swap":
-        blocks = recipe.get("blocks", [0, 1])
+        blocks = _field(recipe, "blocks", "automorphism.", list, [0, 1])
         specs = meta.get("factor_specs")
         if specs is None:
             raise UnknownSpec("swap recipe applies to direct products only")
-        a, b = int(blocks[0]), int(blocks[1])
+        if len(blocks) != 2 or not all(type(k) is int and 0 <= k < len(specs) for k in blocks):
+            raise ParseError(f"automorphism.blocks: expected two factor positions "
+                             f"below {len(specs)}, got {blocks!r}")
+        a, b = blocks
         if specs[a] != specs[b]:
             raise UnknownSpec("swap recipe needs identical factors")
         offsets = meta["factor_gen_offsets"]
@@ -238,18 +252,28 @@ def _recipe_images(G: FiniteGroup, spec: dict, meta: dict, recipe: dict) -> list
     raise UnknownSpec(f"unrecognized automorphism recipe {kind!r}")
 
 
+def _spec_automorphism(G: FiniteGroup, spec: dict, meta: Optional[dict]):
+    """The spec's automorphism from its image words, or from its recipe when the
+    spec names its group (``meta`` is None for raw group files); None if absent."""
+    auto = _field(spec, "automorphism", "", dict, None)
+    if auto is None:
+        return None
+    if meta is not None and "images" not in auto:
+        return build_automorphism(G, _recipe_images(G, spec, meta, auto))
+    words = _field(auto, "images", "automorphism.", list)
+    n = len(G.generators)
+    if len(words) != n or not all(isinstance(w, list) and all(
+            type(k) is int and 0 < abs(k) <= n for k in w) for w in words):
+        raise ParseError(f"automorphism.images: expected {n} image words of generator "
+                         f"numbers from -{n} to {n} but 0, got {words!r}")
+    return build_automorphism(G, [tuple(w) for w in words])
+
+
 def build_corpus_instance(spec: dict, cap: Optional[int] = None):
     """Build (group, automorphism-or-None) from a corpus instance spec."""
-    cap = cap if cap is not None else int(spec.get("cap", DEFAULT_CAP))
+    cap = cap if cap is not None else _field(spec, "cap", "", int, DEFAULT_CAP)
     G, meta = _build_group(spec, cap)
-    auto_spec = spec.get("automorphism")
-    if auto_spec is None:
-        return G, None
-    if "images" in auto_spec:
-        images = [tuple(int(k) for k in w) for w in auto_spec["images"]]
-    else:
-        images = _recipe_images(G, spec, meta, auto_spec)
-    return G, build_automorphism(G, images)
+    return G, _spec_automorphism(G, spec, meta)
 
 
 def build_glauberman_example(cap: Optional[int] = None):
@@ -275,14 +299,10 @@ def load_instance(data: dict, cap: Optional[int] = None):
     Returns (group, automorphism-or-None, instance id).
     """
     if "degree" in data:
-        cap = cap if cap is not None else int(data.get("cap", DEFAULT_CAP))
-        G = generate_group(int(data["degree"]), data.get("generators", []), cap=cap)
-        phi = None
-        auto = data.get("automorphism")
-        if auto is not None:
-            images = [tuple(int(k) for k in w) for w in _field(auto, "images", "automorphism.")]
-            phi = build_automorphism(G, images)
-        return G, phi, data.get("id", f"raw-degree-{data['degree']}")
+        cap = cap if cap is not None else _field(data, "cap", "", int, DEFAULT_CAP)
+        G = generate_group(_field(data, "degree", "", int),
+                           _field(data, "generators", "", list, []), cap=cap)
+        return G, _spec_automorphism(G, data, None), data.get("id", f"raw-degree-{data['degree']}")
     if "name" in data:
         G, phi = build_corpus_instance(data, cap=cap)
         return G, phi, instance_id(data)

@@ -21,7 +21,6 @@ published by single attribute assignment.
 from __future__ import annotations
 
 import math
-from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, InvalidPermutation, NotNormal
@@ -67,9 +66,10 @@ def find_base(degree: int, elements: Sequence[Perm]) -> tuple:
 
 
 def validate_permutation(images: Sequence[int], degree: int) -> Perm:
-    p = tuple(images)
-    if len(p) != degree or sorted(p) != list(range(degree)):
-        raise InvalidPermutation(f"image list {list(images)!r} is not a bijection of {degree} points")
+    p = tuple(images) if isinstance(images, (list, tuple)) else None
+    if (p is None or len(p) != degree or any(type(i) is not int for i in p)
+            or sorted(p) != list(range(degree))):
+        raise InvalidPermutation(f"image list {images!r} is not a bijection of {degree} points")
     return p
 
 
@@ -107,7 +107,6 @@ class FiniteGroup:
         for y in range(1, self.order):
             px, gi = parents[y]
             self._inverses[y] = self.mul(gen_inverses[gi], self._inverses[px])
-        self._exponent: Optional[int] = None
         self._whole: Optional[Subgroup] = None
         self.cache: dict = {}
 
@@ -165,12 +164,12 @@ class FiniteGroup:
             self._orders[a] = order
         return order
 
+    def exponent_of(self, elems: Iterable[int]) -> int:
+        """Least e with x^e = identity for every x in elems (lcm of orders)."""
+        return math.lcm(*map(self.element_order, elems))
+
     def exponent(self) -> int:
-        """Least e with x^e = identity for every element (lcm of orders)."""
-        if self._exponent is None:
-            self._exponent = reduce(math.lcm,
-                                    (self.element_order(a) for a in range(self.order)), 1)
-        return self._exponent
+        return self.whole_subgroup().exponent()
 
     def _key(self, perm: Perm) -> int:
         """The images of the base points under perm, as digits in radix degree."""
@@ -208,9 +207,6 @@ class FiniteGroup:
         return out
 
     # subgroup handles
-
-    def subgroup(self, seeds: Iterable[int]) -> "Subgroup":
-        return subgroup_generated(self, seeds)
 
     def whole_subgroup(self) -> "Subgroup":
         if self._whole is None:
@@ -273,8 +269,7 @@ class Subgroup:
 
     def exponent(self) -> int:
         if self._exponent == 0:
-            G = self.parent
-            self._exponent = reduce(math.lcm, (G.element_order(x) for x in self.members), 1)
+            self._exponent = self.parent.exponent_of(self.members)
         return self._exponent
 
     def __repr__(self) -> str:
@@ -290,7 +285,7 @@ def generate_group(degree: int, generators: Sequence[Sequence[int]],
     closure would grow past ``cap`` elements.
     """
     if cap < 1:
-        raise ValueError("cap must be at least 1")
+        raise CapExceeded(f"cap={cap} leaves no room for the identity")
     gens = [validate_permutation(g, degree) for g in generators]
     identity = tuple(range(degree))
     elements: list[Perm] = [identity]
@@ -385,7 +380,7 @@ def centralizer(G: FiniteGroup, elems: Iterable[int]) -> Subgroup:
     targets = sorted(set(elems))
     members = [g for g in range(G.order)
                if all(G.mul(g, s) == G.mul(s, g) for s in targets)]
-    return Subgroup(G, members, subgroup_generated(G, members).gens)
+    return subgroup_generated(G, members)
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -398,12 +393,21 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
                if all(G.conjugate(t, g) in H.member_set for t in H.gens)]
     if len(members) == G.order:
         return G.whole_subgroup()
-    return Subgroup(G, members, subgroup_generated(G, members).gens)
+    return subgroup_generated(G, members)
+
+
+def normality_witness(G: FiniteGroup, gens: Iterable[int], members) -> Optional[tuple]:
+    """The first (t, g), g a generator of G and t in ``gens``, with t^g outside
+    ``members``; None when conjugation by G keeps the generated subgroup inside."""
+    for g in G.generator_indices:
+        for t in gens:
+            if G.conjugate(t, g) not in members:
+                return t, g
+    return None
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    return all(G.conjugate(t, g) in H.member_set
-               for g in G.generator_indices for t in H.gens)
+    return normality_witness(G, H.gens, H.member_set) is None
 
 
 def product_of_subgroups(G: FiniteGroup, subs: Sequence[Subgroup]) -> Subgroup:
@@ -432,23 +436,15 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup):
 class QuotientGroup:
     """Quotient G/N realized as permutations of coset indices.
 
-    ``projection`` maps a parent element index to its (left) coset index;
-    cosets multiply through their least representatives. ``quotient`` is the
-    coset-permutation group itself and ``to_quotient`` maps a parent element
-    to its image's element index there.
+    ``quotient`` is the coset-permutation group itself and ``to_quotient``
+    maps a parent element to its image's element index there.
     """
 
-    def __init__(self, parent, kernel, quotient, projection, to_quotient, coset_reps):
+    def __init__(self, parent, kernel, quotient, to_quotient):
         self.parent = parent
         self.kernel = kernel
         self.quotient = quotient
-        self.projection = projection
         self.to_quotient = to_quotient
-        self.coset_reps = coset_reps
-
-    def coset_mul(self, c1: int, c2: int) -> int:
-        G = self.parent
-        return self.projection[G.mul(self.coset_reps[c1], self.coset_reps[c2])]
 
     def __repr__(self) -> str:
         return f"QuotientGroup(order={self.quotient.order})"
@@ -456,11 +452,10 @@ class QuotientGroup:
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
     """Quotient by a normal subgroup; raises NotNormal otherwise."""
-    for g in G.generator_indices:
-        for t in N.gens:
-            if G.conjugate(t, g) not in N.member_set:
-                raise NotNormal(
-                    f"subgroup of order {N.order} is not normal (generator witness {t}^{g})")
+    witness = normality_witness(G, N.gens, N.member_set)
+    if witness is not None:
+        raise NotNormal(f"subgroup of order {N.order} is not normal "
+                        f"(generator witness {witness[0]}^{witness[1]})")
     coset_index = [-1] * G.order
     reps: list[int] = []
     for x in range(G.order):
@@ -481,4 +476,4 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
     for y in range(1, G.order):
         px, gi = G._parents[y]
         to_q[y] = quotient.mul(to_q[px], qgen_elem[gi])
-    return QuotientGroup(G, N, quotient, tuple(coset_index), tuple(to_q), tuple(reps))
+    return QuotientGroup(G, N, quotient, tuple(to_q))

@@ -9,18 +9,17 @@ across worker counts.
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
-from functools import reduce
 from typing import Optional
 
 from .automorphisms import (Automorphism, check_coprime_facts, default_normal_family,
                             factorization_status, fixed_generation_S, fixed_points_of_product,
-                            nilpotent_decompose, orbit_representatives, phi_invariant_closure,
-                            restrict_automorphism, soluble_exponent_probe, twisted_data)
+                            is_phi_invariant, nilpotent_decompose, orbit_representatives,
+                            phi_invariant_closure, restrict_automorphism, soluble_exponent_probe,
+                            twisted_data)
 from .corpus import instance_id, load_instance
 from .errors import CapExceeded, GroupTheoryError, NotCoprime, NotSoluble, ParseError
-from .groups import FiniteGroup, center, subgroup_generated
+from .groups import FiniteGroup, center, is_normal, subgroup_generated
 from .lie import (build_graded_lie, check_lazard_all, check_riley, extend_and_eigendecompose,
                   jlz_series, lie_fixed_points, subalgebra_LGH, verify_bracket_axioms,
                   verify_eigen_product_rule, verify_np_series)
@@ -42,10 +41,6 @@ def _skip(reason: str) -> str:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-
-
-def _subgroup_exponent(G: FiniteGroup, members) -> int:
-    return reduce(math.lcm, (G.element_order(x) for x in members), 1)
 
 
 def theorem1_probe(phi: Automorphism) -> dict:
@@ -86,7 +81,7 @@ def theorem2_probe(phi: Automorphism, pair_cap: int = PAIR_CAP,
         return {"skipped": "fixed-point subgroup is not nilpotent"}
     c = fixed_lcs.nilpotency_class
     tw = td.twisted
-    e = _subgroup_exponent(G, tw)
+    e = G.exponent_of(tw)
     m = len(tw)
     total = m * m
     sampled = not (m <= full_limit or total <= pair_cap)
@@ -122,7 +117,7 @@ def theorem2_probe(phi: Automorphism, pair_cap: int = PAIR_CAP,
             d = max(d, dl)
     if insoluble:
         return {"skipped": "a twisted-pair closure is insoluble"}
-    exp_comm = _subgroup_exponent(G, td.commutator_phi.members)
+    exp_comm = td.commutator_phi.exponent()
     exponent = G.exponent()
     return {"c": c, "d": d, "d_is_lower_bound": sampled, "e": e, "n": phi.order_n,
             "exponent_commutator": exp_comm,
@@ -171,16 +166,14 @@ def _group_section(G: FiniteGroup) -> dict:
 
 def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
     td = twisted_data(phi)
+    cp = td.commutator_phi
     section: dict = {
         "order": phi.order_n,
         "coprime": td.coprime,
         "fixed_order": td.fixed.order,
         "twisted_size": len(td.twisted),
-        "commutator_order": td.commutator_phi.order,
-        "commutator_normal_invariant": _verdict(
-            all(phi.table[t] in td.commutator_phi.member_set for t in td.commutator_phi.gens)
-            and all(G.conjugate(t, g) in td.commutator_phi.member_set
-                    for g in G.generator_indices for t in td.commutator_phi.gens)),
+        "commutator_order": cp.order,
+        "commutator_normal_invariant": _verdict(is_phi_invariant(phi, cp) and is_normal(G, cp)),
         "order_product_identity": _verdict(
             len(td.twisted) * td.fixed.order == G.order),
     }
@@ -212,7 +205,7 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
     nilpotent = lower_central_series(G).is_nilpotent
     soluble = derived_series(G).is_soluble
     if nilpotent or soluble:
-        Hg, rphi, _ = restrict_automorphism(phi, td.commutator_phi)
+        Hg, rphi, _ = restrict_automorphism(phi, cp)
     if nilpotent:
         ok = True
         witness = None
@@ -269,7 +262,7 @@ def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
     section["riley"] = riley["verdict"]
     section["riley_term_order"] = riley["term_order"]
     term = A.series.term(c + 1)
-    bound = _subgroup_exponent(G, term.members) * p ** c
+    bound = term.exponent() * p ** c
     section["exponent_split"] = _verdict(bound % G.exponent() == 0)
     if is_powerful(G, p):
         # powerful p-groups: elements of order dividing m generate exponent-m subgroups
@@ -298,24 +291,17 @@ def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
             "dims": [list(d) for d in ext.dims],
             "product_rule": verify_eigen_product_rule(ext)["verdict"],
         }
-    elif phi is not None:
-        section["fixed_subalgebra"] = _skip("action is not coprime")
-        section["eigen"] = _skip("action is not coprime")
     else:
-        section["fixed_subalgebra"] = _skip("no automorphism supplied")
-        section["eigen"] = _skip("no automorphism supplied")
+        reason = "no automorphism supplied" if phi is None else "action is not coprime"
+        for key in ("fixed_subalgebra", "eigen"):
+            section[key] = _skip(reason)
     return section
 
 
 def _probe_section(G: FiniteGroup, phi: Optional[Automorphism]) -> dict:
-    if phi is None:
-        return {"theorem1": _skip("no automorphism supplied"),
-                "theorem2": _skip("no automorphism supplied"),
-                "thompson": _skip("no automorphism supplied")}
-    if not phi.coprime:
-        return {"theorem1": _skip("action is not coprime"),
-                "theorem2": _skip("action is not coprime"),
-                "thompson": _skip("action is not coprime")}
+    if phi is None or not phi.coprime:
+        reason = "no automorphism supplied" if phi is None else "action is not coprime"
+        return {key: _skip(reason) for key in ("theorem1", "theorem2", "thompson")}
     section = {"theorem1": theorem1_probe(phi), "theorem2": theorem2_probe(phi)}
     if derived_series(G).is_soluble:
         section["thompson"] = thompson_probe(phi)
@@ -364,6 +350,8 @@ def count_verdicts(obj) -> dict:
             elif node.startswith("skipped:"):
                 counts["skipped"] += 1
         elif isinstance(node, dict):
+            if "skipped" in node:
+                counts["skipped"] += 1
             for v in node.values():
                 walk(v)
         elif isinstance(node, list):

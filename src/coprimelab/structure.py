@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotAPGroup, NotSoluble
-from .groups import (FiniteGroup, Subgroup, commutator_subgroup_pair, product_of_subgroups,
-                     quotient_group, subgroup_generated)
-from .numutil import is_prime, p_part, prime_factors
+from .groups import (FiniteGroup, Subgroup, commutator_subgroup_pair, normality_witness,
+                     product_of_subgroups, quotient_group, subgroup_generated)
+from .numutil import is_prime, p_part, prime_factors, prime_power_base
 
 
 @dataclass(frozen=True)
@@ -48,57 +48,37 @@ class SubgroupSeries:
         return self.length if self.reaches_trivial else None
 
 
-def derived_series(G: FiniteGroup, H: Optional[Subgroup] = None) -> SubgroupSeries:
-    """H >= H' >= H'' >= ... until stable; soluble iff it reaches the trivial group."""
+def _commutator_series(G: FiniteGroup, H: Optional[Subgroup], kind: str) -> SubgroupSeries:
+    """Commutate each term with itself ("derived") or with H ("lower-central")
+    until stable; the series of G itself (H None) is cached in G.cache[kind]."""
     if H is None:
-        cached = G.cache.get("derived_series")
+        cached = G.cache.get(kind)
         if cached is not None:
             return cached
-    cur = H if H is not None else G.whole_subgroup()
+    top = cur = H if H is not None else G.whole_subgroup()
     terms = [cur]
     while True:
-        nxt = commutator_subgroup_pair(G, cur, cur)
+        nxt = commutator_subgroup_pair(G, cur, cur if kind == "derived" else top)
         if nxt.member_set == cur.member_set:
             break
         terms.append(nxt)
         cur = nxt
         if cur.is_trivial:
             break
-    series = SubgroupSeries(tuple(terms), "derived")
+    series = SubgroupSeries(tuple(terms), kind)
     if H is None:
-        G.cache["derived_series"] = series
+        G.cache[kind] = series
     return series
+
+
+def derived_series(G: FiniteGroup, H: Optional[Subgroup] = None) -> SubgroupSeries:
+    """H >= H' >= H'' >= ... until stable; soluble iff it reaches the trivial group."""
+    return _commutator_series(G, H, "derived")
 
 
 def lower_central_series(G: FiniteGroup, H: Optional[Subgroup] = None) -> SubgroupSeries:
     """H = γ1 >= γ2 = [H,H] >= γ3 = [γ2,H] >= ... until stable."""
-    if H is None:
-        cached = G.cache.get("lower_central_series")
-        if cached is not None:
-            return cached
-    top = H if H is not None else G.whole_subgroup()
-    cur = top
-    terms = [cur]
-    while True:
-        nxt = commutator_subgroup_pair(G, cur, top)
-        if nxt.member_set == cur.member_set:
-            break
-        terms.append(nxt)
-        cur = nxt
-        if cur.is_trivial:
-            break
-    series = SubgroupSeries(tuple(terms), "lower-central")
-    if H is None:
-        G.cache["lower_central_series"] = series
-    return series
-
-
-def is_soluble(G: FiniteGroup) -> bool:
-    return derived_series(G).is_soluble
-
-
-def is_nilpotent(G: FiniteGroup) -> bool:
-    return lower_central_series(G).is_nilpotent
+    return _commutator_series(G, H, "lower-central")
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
@@ -138,11 +118,6 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     return P
 
 
-def _set_is_normal(G: FiniteGroup, members: frozenset) -> bool:
-    return all(G.conjugate(m, g) in members
-               for g in G.generator_indices for m in members)
-
-
 def p_core(G: FiniteGroup, p: int) -> Subgroup:
     """O_p(G): intersection of all conjugates of one Sylow p-subgroup."""
     P = sylow_subgroup(G, p)
@@ -153,7 +128,7 @@ def p_core(G: FiniteGroup, p: int) -> Subgroup:
     for g in range(G.order):
         if len(current) == 1:
             break
-        if changed and _set_is_normal(G, current):
+        if changed and normality_witness(G, current, current) is None:
             break
         conj = frozenset(G.conjugate(m, g) for m in P.members)
         reduced = current & conj
@@ -175,7 +150,7 @@ def fitting_height(G: FiniteGroup) -> int:
     cached = G.cache.get("fitting_height")
     if cached is not None:
         return cached
-    if not is_soluble(G):
+    if not derived_series(G).is_soluble:
         raise NotSoluble(f"group of order {G.order} is not soluble")
     height = 0
     cur = G
@@ -199,16 +174,10 @@ def power_subgroup(G: FiniteGroup, m: int, within: Optional[Subgroup] = None) ->
     return subgroup_generated(G, {G.power(x, m) for x in H.members})
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def is_powerful(G: FiniteGroup, p: int, subgroup: Optional[Subgroup] = None) -> bool:
     """True iff p-th powers (4th for p=2) generate a subgroup containing [G,G]."""
     H = subgroup if subgroup is not None else G.whole_subgroup()
-    if not _is_p_power(H.order, p):
+    if H.order > 1 and prime_power_base(H.order) != p:
         raise NotAPGroup(f"order {H.order} is not a power of {p}")
     powers = power_subgroup(G, 4 if p == 2 else p, within=H)
     derived = commutator_subgroup_pair(G, H, H)

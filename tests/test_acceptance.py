@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 """
 
+import hashlib
 import time
 from contextlib import contextmanager
 
@@ -52,6 +53,17 @@ def suite_runs(corpus):
     t2 = time.time() - t0
     return {"bundle1": bundle1, "code1": code1, "t1": t1,
             "bundle2": bundle2, "code2": code2, "t2": t2}
+
+
+# SHA-256 of the shipped-corpus suite bundle as `coprimelab suite` prints it. A
+# change that alters the bundle must update this pin and say why.
+SUITE_BUNDLE_SHA256 = "4923cabc7de86f7faa5b715f0773b21aaecd9434ae213deeec8c0f68b9db4c30"
+
+
+def test_suite_bundle_is_pinned(suite_runs):
+    for bundle in (suite_runs["bundle1"], suite_runs["bundle2"]):
+        text = canonical_json(bundle) + "\n"
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == SUITE_BUNDLE_SHA256
 
 
 def test_criterion_1_glauberman_counterexample():

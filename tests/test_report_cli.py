@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -141,6 +142,7 @@ def test_run_suite_cap_exceeded_marks_skip():
     bundle, code = run_suite(corpus)
     assert code == 0
     assert bundle["instances"][0]["skipped"].startswith("cap exceeded")
+    assert bundle["summary"]["skipped"] == 1
 
 
 def test_run_suite_parallel_matches_serial():
@@ -250,6 +252,49 @@ def test_cli_missing_parameter_names_its_path(tmp_path, capsys):
     path = _write(tmp_path, "corpus.json", corpus)
     assert main(["suite", path]) == 2
     assert "instances[1].params.factors[0].params.m: missing" in capsys.readouterr().err
+
+
+def test_cli_info_and_auto_print_their_analysis_sections(tmp_path, capsys):
+    for spec in default_corpus()["instances"]:
+        report = analyze_instance(spec)
+        path = _write(tmp_path, "spec.json", spec)
+        assert main(["info", path]) == 0
+        assert capsys.readouterr().out == canonical_json(report["group"]) + "\n", spec["id"]
+        if report["automorphism"] is None:
+            assert main(["auto", path]) == 2
+            assert "no automorphism" in capsys.readouterr().err
+            continue
+        assert main(["auto", path]) == 0
+        assert capsys.readouterr().out == canonical_json(report["automorphism"]) + "\n", \
+            spec["id"]
+
+
+C3 = {"name": "cyclic", "params": {"m": 3}}
+C5 = {"name": "cyclic", "params": {"m": 5}}
+C5_AUTO = {**C5, "automorphism": {"recipe": "power", "k": 2}}
+INFO = ["info", "FILE"]
+
+
+@pytest.mark.parametrize("spec, location, command", [
+    ({"name": "cyclic", "params": 5}, "params", INFO),
+    ({"name": "direct_product", "params": {"factors": 5}}, "params.factors", INFO),
+    ({**C5, "automorphism": 7}, "automorphism", INFO),
+    ({"name": "direct_product", "params": {"factors": [C3, C3]},
+      "automorphism": {"recipe": "swap", "blocks": [0, 5]}}, "automorphism.blocks", INFO),
+    ({"name": "cyclic", "params": {"m": "x"}}, "params.m", INFO),
+    ({**C5, "automorphism": {"recipe": "power", "k": "z"}}, "automorphism.k", INFO),
+    ({"degree": "a", "generators": []}, "degree", INFO),
+    ({**C5, "automorphism": {"images": [[1], [1]]}}, "automorphism.images", INFO),
+    ({**C5, "automorphism": {"images": [[7]]}}, "automorphism.images", INFO),
+    (C5, "--cap", INFO + ["--cap", "0"]),
+    (C5_AUTO, "--element", ["decompose", "FILE", "--element", "3"]),
+], ids=["params", "factors", "automorphism", "blocks", "m", "k", "degree", "image-count",
+        "image-entry", "cap", "element"])
+def test_cli_malformed_input_names_its_location(tmp_path, capsys, spec, location, command):
+    path = _write(tmp_path, "bad.json", spec)
+    assert main([path if arg == "FILE" else arg for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"error: {re.escape(location)}[: ]", err), err
 
 
 def test_cli_suite(tmp_path, capsys):

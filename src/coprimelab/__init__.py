@@ -6,7 +6,7 @@ from .automorphisms import (Automorphism, build_automorphism, automorphism_from_
                             nilpotent_decompose, phi_invariant_closure, phi_invariant_sylow,
                             restrict_automorphism, soluble_exponent_probe, twisted_data)
 from .corpus import build_corpus_instance, build_glauberman_example, default_corpus, load_instance
-from .gf import FieldElement, FiniteField
+from .gf import FiniteField
 from .groups import (DEFAULT_CAP, FiniteGroup, Subgroup, QuotientGroup, are_conjugate,
                      center, centralizer, commutator_subgroup_pair, generate_group,
                      quotient_group, subgroup_generated)

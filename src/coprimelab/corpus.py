@@ -9,11 +9,12 @@ plus an optional {"automorphism": {"images": [[signed ints], ...]}}.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from typing import Optional
 
 from .automorphisms import build_automorphism
-from .errors import ParseError, UnknownSpec
+from .errors import CapExceeded, ParseError, UnknownSpec
 from .gf import FiniteField
 from .groups import DEFAULT_CAP, FiniteGroup, generate_group
 from .numutil import is_prime
@@ -60,11 +61,12 @@ def _heisenberg(p: int, cap: int) -> tuple:
     """Upper unitriangular 3x3 matrices over F_p, acting on themselves."""
     if not is_prime(p) or p == 2:
         raise UnknownSpec(f"heisenberg parameter must be an odd prime, got {p}")
+    F = FiniteField(p, 1)
     elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
 
     def mul(u, v):
-        return ((u[0] + v[0]) % p, (u[1] + v[1]) % p,
-                (u[2] + v[2] + u[0] * v[1]) % p)
+        return (F.add(u[0], v[0]), F.add(u[1], v[1]),
+                F.add(F.add(u[2], v[2]), F.mul(u[0], v[1])))
 
     gens = [_left_regular(elems, mul, (1, 0, 0)), _left_regular(elems, mul, (0, 1, 0))]
     G = generate_group(p ** 3, gens, cap=cap)
@@ -92,22 +94,18 @@ def _affine(p: int, k: int, cap: int) -> tuple:
         raise UnknownSpec(f"affine parameters need a prime and k >= 1, got ({p}, {k})")
     field = FiniteField(p, k)
     q = field.order
-    one = field.one
     g = field.multiplicative_generator()
-    translate = tuple(field.index(field.from_index(i) + one) for i in range(q))
-    scale = tuple(field.index(g * field.from_index(i)) for i in range(q))
+    translate = tuple(field.add(x, 1) for x in range(q))
+    scale = tuple(field.mul(g, x) for x in range(q))
     gens = [translate, scale] if q > 2 else [translate]
     G = generate_group(q, gens, cap=cap)
     if G.order != q * (q - 1):
         raise AssertionError("affine construction has wrong order")
-    return G, {"field": field}
+    return G, {}
 
 
-def _direct_product(factors: list, cap: int, where: str) -> tuple:
-    built = []
-    for i, f in enumerate(factors):
-        sub, _ = _build_group(f, cap, f"{where}[{i}].")
-        built.append(sub)
+def _direct_product(factors: list, parsed: list, cap: int) -> tuple:
+    built = [_build_group(factor, cap)[0] for factor in parsed]
     degree = sum(g.degree for g in built)
     gens = []
     gen_offsets = []
@@ -151,30 +149,43 @@ def _field(obj: dict, key: str, where: str, kind: type = object, default=_REQUIR
     return obj[key]
 
 
-def _build_group(spec: dict, cap: int, where: str = "") -> tuple:
-    """Build the named group; ``where`` prefixes the JSON paths in errors."""
+# Name -> (parameter keys, order, constructor). The order is read from the
+# parameters before the constructor runs, so a group above the cap allocates
+# nothing. On parameters that the constructor rejects, a formula need not give
+# the order, but it must not raise or take long.
+_NAMED = {
+    "cyclic": (("m",), lambda m: m, _cyclic),
+    "dihedral": (("m",), lambda m: 2 * m, _dihedral),
+    "symmetric": (("m",), lambda m: math.factorial(m) if 0 <= m <= 5 else 0, _symmetric),
+    "heisenberg": (("p",), lambda p: p ** 3, _heisenberg),
+    "modular": (("p",), lambda p: p ** 3, _modular),
+    "affine": (("p", "k"), lambda p, k: p ** k * (p ** k - 1) if p > 1 and k > 0 else 0,
+               _affine),
+}
+
+
+def _parse(spec: dict, where: str) -> tuple:
+    """(constructor, its arguments, order) of a named group spec; ``where``
+    prefixes the JSON paths in errors."""
     name = _field(spec, "name", where)
     params = _field(spec, "params", where, dict, {})
-
-    def param(key):
-        return _field(params, key, f"{where}params.", int)
-
-    if name == "cyclic":
-        return _cyclic(param("m"), cap)
-    if name == "dihedral":
-        return _dihedral(param("m"), cap)
-    if name == "symmetric":
-        return _symmetric(param("m"), cap)
-    if name == "heisenberg":
-        return _heisenberg(param("p"), cap)
-    if name == "modular":
-        return _modular(param("p"), cap)
-    if name == "affine":
-        return _affine(param("p"), param("k"), cap)
     if name == "direct_product":
         factors = _field(params, "factors", f"{where}params.", list)
-        return _direct_product(factors, cap, f"{where}params.factors")
-    raise UnknownSpec(f"unrecognized instance name {name!r}")
+        parsed = [_parse(f, f"{where}params.factors[{i}].") for i, f in enumerate(factors)]
+        return _direct_product, (factors, parsed), math.prod(order for *_, order in parsed)
+    if name not in _NAMED:
+        raise UnknownSpec(f"unrecognized instance name {name!r}")
+    keys, order, build = _NAMED[name]
+    args = [_field(params, key, f"{where}params.", int) for key in keys]
+    return build, args, order(*args)
+
+
+def _build_group(parsed: tuple, cap: int) -> tuple:
+    """Build a parsed spec's group, after checking its order against the cap."""
+    build, args, order = parsed
+    if order > cap:
+        raise CapExceeded(f"order {order} exceeds cap={cap}")
+    return build(*args, cap)
 
 
 def _power_word(gen_index: int, k: int) -> tuple:
@@ -190,10 +201,8 @@ def _frobenius_images_additive(p: int, k: int) -> list:
     field = FiniteField(p, k)
     images = []
     for i in range(k):
-        basis = field.element(tuple(1 if t == i else 0 for t in range(k)))
-        image = basis ** p
         word = []
-        for gi, coeff in enumerate(image.coeffs):
+        for gi, coeff in enumerate(field.coeffs(field.pow(p ** i, p))):
             word.extend([gi + 1] * coeff)
         images.append(tuple(word))
     return images
@@ -272,7 +281,7 @@ def _spec_automorphism(G: FiniteGroup, spec: dict, meta: Optional[dict]):
 def build_corpus_instance(spec: dict, cap: Optional[int] = None):
     """Build (group, automorphism-or-None) from a corpus instance spec."""
     cap = cap if cap is not None else _field(spec, "cap", "", int, DEFAULT_CAP)
-    G, meta = _build_group(spec, cap)
+    G, meta = _build_group(_parse(spec, ""), cap)
     return G, _spec_automorphism(G, spec, meta)
 
 

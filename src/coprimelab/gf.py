@@ -1,10 +1,14 @@
-"""GF(p^k) arithmetic via polynomials over F_p modulo a fixed irreducible.
+"""GF(p^k) arithmetic on integer codes, modulo a fixed irreducible over F_p.
+
+An element is the int 0..p^k-1 whose base-p digits are its coefficients,
+constant term least significant. So a constant c is the code c, F_p is
+FiniteField(p, 1), and F_p values are valid codes in every extension. Codes
+are canonical: 0 and 1 are the field's zero and one, and equal elements are
+equal ints, which keeps permutation representations of field constructions
+deterministic.
 
 Polynomials are coefficient tuples in ascending degree with no trailing
-zeros; the zero polynomial is the empty tuple. Field elements are length-k
-coefficient tuples and are indexed canonically by their base-p integer
-value, which keeps permutation representations of field constructions
-deterministic.
+zeros; the zero polynomial is the empty tuple.
 """
 
 from __future__ import annotations
@@ -113,19 +117,31 @@ def _poly_eval(f, x, p) -> int:
     return out
 
 
-def default_modulus(p: int, k: int) -> tuple:
-    """Least monic irreducible of degree k, ordered by base-p code of the
-    lower coefficients (constant term least significant)."""
+def digits(code: int, p: int, k: int) -> tuple:
+    """The k base-p digits of code, least significant first."""
+    out = []
+    for _ in range(k):
+        code, d = divmod(code, p)
+        out.append(d)
+    return tuple(out)
+
+
+def least_monic(p: int, k: int, accept) -> Optional[tuple]:
+    """Least monic polynomial of degree k that passes ``accept``, ordered by the
+    base-p code of its lower coefficients; None if there is none."""
     for code in range(p ** k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        f = tuple(coeffs) + (1,)
-        if poly_is_irreducible(f, p):
+        f = digits(code, p, k) + (1,)
+        if accept(f):
             return f
-    raise AssertionError(f"no irreducible of degree {k} over F_{p}")
+    return None
+
+
+def default_modulus(p: int, k: int) -> tuple:
+    """Least monic irreducible of degree k, in ``least_monic`` order."""
+    f = least_monic(p, k, lambda f: poly_is_irreducible(f, p))
+    if f is None:
+        raise AssertionError(f"no irreducible of degree {k} over F_{p}")
+    return f
 
 
 def cyclotomic_polynomial(n: int, p: int) -> tuple:
@@ -142,87 +158,10 @@ def cyclotomic_polynomial(n: int, p: int) -> tuple:
     return polys[n]
 
 
-class FieldElement:
-    """Element of GF(p^k) as a length-k coefficient tuple."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: "FiniteField", coeffs: tuple):
-        self.field = field
-        self.coeffs = coeffs
-
-    def __add__(self, other):
-        f = self.field
-        return FieldElement(f, tuple((a + b) % f.p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        f = self.field
-        return FieldElement(f, tuple((a - b) % f.p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        f = self.field
-        return FieldElement(f, tuple((-a) % f.p for a in self.coeffs))
-
-    def __mul__(self, other):
-        f = self.field
-        prod = poly_mod(poly_mul(poly_trim(self.coeffs), poly_trim(other.coeffs), f.p),
-                        f.modulus, f.p)
-        return f.element(prod)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        f = self.field
-        return f.element(poly_powmod(poly_trim(self.coeffs), e, f.modulus, f.p)) if e else f.one
-
-    def inverse(self) -> "FieldElement":
-        f = self.field
-        a = poly_trim(self.coeffs)
-        if not a:
-            raise ZeroDivisionError("inverse of zero field element")
-        # extended Euclid over F_p[x]
-        r0, r1 = f.modulus, a
-        s0, s1 = (), (1,)
-        while r1:
-            q, rem = poly_divmod(r0, r1, f.p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, f.p), f.p)
-        scale = pow(r0[0], f.p - 2, f.p)
-        return f.element(tuple((c * scale) % f.p for c in s0))
-
-    def frobenius(self) -> "FieldElement":
-        return self ** self.field.p
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def multiplicative_order(self) -> int:
-        if self.is_zero:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        n = self.field.order - 1
-        order = n
-        for q in factorization(n):
-            while order % q == 0 and (self ** (order // q)) == self.field.one:
-                order //= q
-        return order
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement) and self.field is other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.field), self.coeffs))
-
-    def __repr__(self):
-        return f"FieldElement{self.coeffs}"
-
-
 class FiniteField:
-    """GF(p^k) with a fixed monic irreducible modulus of degree k."""
+    """GF(p^k) with a fixed monic irreducible modulus of degree k; its
+    elements are the codes 0..p^k-1. For k = 1 each operation is residue
+    arithmetic mod p; above that it goes through the polynomial helpers."""
 
     def __init__(self, p: int, k: int, modulus: Optional[Sequence[int]] = None):
         if not is_prime(p):
@@ -240,47 +179,81 @@ class FiniteField:
         if not poly_is_irreducible(modulus, p):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
-        self.zero = FieldElement(self, (0,) * k)
-        self.one = self.element((1,))
 
-    def element(self, coeffs: Sequence[int]) -> FieldElement:
-        c = [x % self.p for x in coeffs[: self.k]]
+    def coeffs(self, a: int) -> tuple:
+        return digits(a, self.p, self.k)
+
+    def code(self, coeffs: Sequence[int]) -> int:
+        """The element of a coefficient sequence of any length."""
+        p = self.p
+        coeffs = [c % p for c in coeffs]
         if len(coeffs) > self.k:
-            c = list(poly_mod(poly_trim(coeffs), self.modulus, self.p))
-        c += [0] * (self.k - len(c))
-        return FieldElement(self, tuple(c))
-
-    def from_int(self, n: int) -> FieldElement:
-        return self.element((n % self.p,))
-
-    def from_index(self, i: int) -> FieldElement:
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(i % self.p)
-            i //= self.p
-        return FieldElement(self, tuple(coeffs))
-
-    def index(self, a: FieldElement) -> int:
+            coeffs = poly_mod(coeffs, self.modulus, p)
         out = 0
-        for c in reversed(a.coeffs):
-            out = out * self.p + c
+        for c in reversed(coeffs):
+            out = out * p + c
         return out
 
-    def elements(self):
-        return (self.from_index(i) for i in range(self.order))
+    def add(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a + b) % self.p
+        return self.code([x + y for x, y in zip(self.coeffs(a), self.coeffs(b))])
 
-    def generator_element(self) -> FieldElement:
+    def sub(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a - b) % self.p
+        return self.code([x - y for x, y in zip(self.coeffs(a), self.coeffs(b))])
+
+    def neg(self, a: int) -> int:
+        return self.sub(0, a)
+
+    def mul(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return a * b % self.p
+        return self.code(poly_mul(self.coeffs(a), self.coeffs(b), self.p))
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero field element")
+        p = self.p
+        if self.k == 1:
+            return pow(a, p - 2, p)
+        # extended Euclid over F_p[x]: s1 * a = r1 mod the modulus throughout
+        r0, r1 = self.modulus, poly_trim(self.coeffs(a))
+        s0, s1 = (), (1,)
+        while r1:
+            q, rem = poly_divmod(r0, r1, p)
+            r0, r1 = r1, rem
+            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
+        return self.code([c * pow(r0[0], p - 2, p) for c in s0])
+
+    def pow(self, a: int, e: int) -> int:
+        if e < 0:
+            a, e = self.inv(a), -e
+        if self.k == 1:
+            return pow(a, e, self.p)
+        return self.code(poly_powmod(self.coeffs(a), e, self.modulus, self.p))
+
+    def multiplicative_order(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("zero has no multiplicative order")
+        order = self.order - 1
+        for q in factorization(self.order - 1):
+            while order % q == 0 and self.pow(a, order // q) == 1:
+                order //= q
+        return order
+
+    def generator_element(self) -> int:
         """The class of x (for k >= 2) or the modulus root (k = 1)."""
         if self.k == 1:
-            return self.element(((-self.modulus[0]) % self.p,))
-        return self.element((0, 1))
+            return (-self.modulus[0]) % self.p
+        return self.p
 
-    def multiplicative_generator(self) -> FieldElement:
-        """Least element (in canonical index order) of full multiplicative order."""
+    def multiplicative_generator(self) -> int:
+        """Least element of full multiplicative order."""
         target = self.order - 1
-        for i in range(1, self.order):
-            a = self.from_index(i)
-            if a.multiplicative_order() == target:
+        for a in range(1, self.order):
+            if self.multiplicative_order(a) == target:
                 return a
         raise AssertionError("no multiplicative generator found")
 

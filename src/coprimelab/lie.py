@@ -16,11 +16,10 @@ from typing import Optional
 
 from .errors import (NotAPGroup, NotCoprime, NotCoprimeToP,
                      NotElementaryAbelianLayer, PreconditionViolated)
-from .gf import FiniteField, cyclotomic_polynomial, poly_divmod
+from .gf import FiniteField, cyclotomic_polynomial, least_monic, poly_divmod
 from .groups import FiniteGroup, Subgroup, subgroup_generated
-from .linalg import (FieldOps, PrimeOps, in_span, intersect_spans, mat_from_columns,
-                     mat_mul, mat_equal, identity_matrix, mat_sub, mat_vec, nullspace,
-                     rref, span_basis, spans_equal, vec_is_zero)
+from .linalg import (in_span, intersect_spans, mat_from_columns, mat_mul, identity_matrix,
+                     mat_sub, mat_vec, nullspace, rref, span_basis, spans_equal)
 from .structure import (commutator_subgroup_pair, is_powerful, lower_central_series,
                         power_subgroup)
 from .numutil import factorization, multiplicative_order_mod, prime_power_base
@@ -209,10 +208,10 @@ class GradedLieAlgebra:
         self.layers = layers
         self.num_layers = len(layers)
         self.brackets = brackets
-        self.ops = PrimeOps(self.p)
+        self.field = FiniteField(self.p, 1)
         self.lp_layers = self._generate_from_first_layer()
         self.lp_flags = [
-            tuple(in_span(self._unit(i + 1, b), self.lp_layers[i], self.ops)
+            tuple(in_span(self._unit(i + 1, b), self.lp_layers[i], self.field)
                   for b in range(layer.dim))
             for i, layer in enumerate(layers)
         ]
@@ -242,25 +241,27 @@ class GradedLieAlgebra:
         layer = self.layers[i - 1]
         return tuple(1 if t == b else 0 for t in range(layer.dim))
 
-    def bracket(self, i: int, u: tuple, j: int, v: tuple) -> Optional[tuple]:
-        """[u, v] for homogeneous u in layer i, v in layer j; None past the top."""
+    def bracket(self, i: int, u: tuple, j: int, v: tuple,
+                F: Optional[FiniteField] = None) -> Optional[tuple]:
+        """[u, v] for homogeneous u in layer i, v in layer j, with coordinates
+        in F (by default the algebra's own F_p); None past the top."""
         if i + j > self.num_layers:
             return None
-        target = self.layers[i + j - 1]
-        out = [0] * target.dim
-        p = self.p
+        F = F or self.field
+        out = [0] * self.layers[i + j - 1].dim
         for a, ua in enumerate(u):
-            if ua == 0:
+            if not ua:
                 continue
             for b, vb in enumerate(v):
-                if vb == 0:
+                if not vb:
                     continue
                 cvec = self.brackets.get((i, a, j, b))
                 if cvec is None:
                     continue
-                scale = (ua * vb) % p
+                scale = F.mul(ua, vb)
                 for t, ct in enumerate(cvec):
-                    out[t] = (out[t] + scale * ct) % p
+                    if ct:
+                        out[t] = F.add(out[t], F.mul(scale, ct))
         return tuple(out)
 
     def bracket_spans(self, X: list, Y: list) -> list:
@@ -272,16 +273,16 @@ class GradedLieAlgebra:
                 for u in X[i - 1]:
                     for v in Y[j - 1]:
                         w = self.bracket(i, u, j, v)
-                        if w is not None and not vec_is_zero(w, self.ops):
+                        if w is not None and any(w):
                             out[i + j - 1].append(w)
-        return [rref(vecs, self.ops) if vecs else () for vecs in out]
+        return [rref(vecs, self.field) if vecs else () for vecs in out]
 
     def _generate_from_first_layer(self) -> list[tuple]:
         spans = [() for _ in range(self.num_layers)]
         if self.num_layers >= 1 and self.layers[0].dim:
-            spans[0] = rref([self._unit(1, b) for b in range(self.layers[0].dim)], self.ops)
+            spans[0] = rref([self._unit(1, b) for b in range(self.layers[0].dim)], self.field)
         while True:
-            grown = [rref(s + b, self.ops) if b else s
+            grown = [rref(s + b, self.field) if b else s
                      for s, b in zip(spans, self.bracket_spans(spans, spans))]
             if grown == spans:
                 return spans
@@ -329,7 +330,7 @@ def build_graded_lie(series: NpSeries) -> GradedLieAlgebra:
 
 def ad_nilpotency_index(A: GradedLieAlgebra, i: int, v: tuple) -> int:
     """Least n >= 1 with n-fold bracketing by v killing every basis vector."""
-    if vec_is_zero(v, A.ops):
+    if not any(v):
         raise ValueError("ad-nilpotency index is defined for nonzero elements")
     state = []
     for j in range(1, A.num_layers + 1):
@@ -341,7 +342,7 @@ def ad_nilpotency_index(A: GradedLieAlgebra, i: int, v: tuple) -> int:
         nxt = []
         for layer_idx, vec in state:
             w = A.bracket(layer_idx, vec, i, v)
-            if w is not None and not vec_is_zero(w, A.ops):
+            if w is not None and any(w):
                 nxt.append((layer_idx + i, w))
         state = nxt
         if n > A.num_layers + 1:
@@ -374,7 +375,7 @@ def check_lazard(A: GradedLieAlgebra, x: int) -> bool:
             for _ in range(p):
                 out = A.bracket(layer_idx, vec, i, v)
                 layer_idx += i
-                if out is None or vec_is_zero(out, A.ops):
+                if out is None or not any(out):
                     vec = None
                     break
                 vec = out
@@ -382,7 +383,7 @@ def check_lazard(A: GradedLieAlgebra, x: int) -> bool:
             rhs = None
             if w is not None:
                 out = A.bracket(j, A._unit(j, b), ti, w)
-                if out is not None and not vec_is_zero(out, A.ops):
+                if out is not None and any(out):
                     rhs = out
             if lhs != rhs:
                 return False
@@ -454,7 +455,7 @@ def subalgebra_of_subgroup(A: GradedLieAlgebra, H: Subgroup) -> list[tuple]:
     for i in range(1, A.num_layers + 1):
         term_members = A.series.term(i).member_set
         vecs = [A.coords(i, h) for h in H.members if h in term_members]
-        spans.append(span_basis([v for v in vecs if any(v)], A.ops))
+        spans.append(span_basis([v for v in vecs if any(v)], A.field))
     return spans
 
 
@@ -462,7 +463,7 @@ def subalgebra_LGH(A: GradedLieAlgebra, H: Subgroup) -> dict:
     """Span subalgebra attached to a subgroup, with the least u such that
     bracketing the whole algebra u times by it vanishes."""
     K = subalgebra_of_subgroup(A, H)
-    closed = all(in_span(w, K[k], A.ops)
+    closed = all(in_span(w, K[k], A.field)
                  for k, span in enumerate(A.bracket_spans(K, K)) for w in span)
     current = [tuple(A._unit(i + 1, b) for b in range(layer.dim))
                for i, layer in enumerate(A.layers)]
@@ -489,7 +490,7 @@ def layer_matrices(A: GradedLieAlgebra, phi) -> list[tuple]:
                 raise PreconditionViolated(
                     f"automorphism does not preserve filtration term {i}")
             cols.append(layer.coords_of(image))
-        mats.append(mat_from_columns(cols, A.ops))
+        mats.append(mat_from_columns(cols))
     return mats
 
 
@@ -500,10 +501,10 @@ def induced_action_order(A: GradedLieAlgebra, phi) -> int:
     for M in layer_matrices(A, phi):
         if not M:
             continue
-        identity = identity_matrix(len(M), A.ops)
+        identity = identity_matrix(len(M))
         power, k = M, 1
-        while not mat_equal(power, identity, A.ops):
-            power = mat_mul(power, M, A.ops)
+        while power != identity:
+            power = mat_mul(power, M, A.field)
             k += 1
         order = math.lcm(order, k)
     return order
@@ -516,7 +517,7 @@ def lie_fixed_points(A: GradedLieAlgebra, phi) -> dict:
         raise NotCoprime("fixed-point comparison requires a coprime action")
     from .automorphisms import twisted_data
 
-    ops = A.ops
+    F = A.field
     mats = layer_matrices(A, phi)
     C = twisted_data(phi).fixed
     spans = subalgebra_of_subgroup(A, C)
@@ -528,11 +529,11 @@ def lie_fixed_points(A: GradedLieAlgebra, phi) -> dict:
             per_layer.append({"layer": i, "dim": 0, "verdict": "pass"})
             continue
         M = mats[i - 1]
-        delta = mat_sub(M, identity_matrix(dim, ops), ops)
-        kernel = nullspace(delta, dim, ops)
-        lhs = intersect_spans(kernel, A.lp_layers[i - 1], ops)
-        rhs = intersect_spans(spans[i - 1], A.lp_layers[i - 1], ops)
-        ok = spans_equal(lhs, rhs, ops)
+        delta = mat_sub(M, identity_matrix(dim), F)
+        kernel = nullspace(delta, dim, F)
+        lhs = intersect_spans(kernel, A.lp_layers[i - 1], F)
+        rhs = intersect_spans(spans[i - 1], A.lp_layers[i - 1], F)
+        ok = spans_equal(lhs, rhs, F)
         all_ok = all_ok and ok
         per_layer.append({"layer": i, "fixed_dim": len(lhs),
                           "span_dim": len(rhs), "verdict": "pass" if ok else "fail"})
@@ -547,31 +548,10 @@ class ExtendedAlgebra:
     base: GradedLieAlgebra
     n: int
     field: FiniteField
-    omega: object
-    matrices: list
+    omega: int
+    matrices: list        # per layer, over F_p; its codes are valid in the field
     eigenbases: list      # per layer: list over j of basis tuples
     dims: list            # per layer: list over j of dimensions
-
-    def bracket_ext(self, i: int, u: tuple, j: int, v: tuple) -> Optional[tuple]:
-        if i + j > self.base.num_layers:
-            return None
-        target_dim = self.base.layers[i + j - 1].dim
-        fops = FieldOps(self.field)
-        out = [self.field.zero] * target_dim
-        for a, ua in enumerate(u):
-            if fops.is_zero(ua):
-                continue
-            for b, vb in enumerate(v):
-                if fops.is_zero(vb):
-                    continue
-                cvec = self.base.brackets.get((i, a, j, b))
-                if cvec is None:
-                    continue
-                scale = ua * vb
-                for t, ct in enumerate(cvec):
-                    if ct:
-                        out[t] = out[t] + scale * self.field.from_int(ct)
-        return tuple(out)
 
 
 def _cyclotomic_modulus(n: int, p: int) -> tuple:
@@ -579,17 +559,10 @@ def _cyclotomic_modulus(n: int, p: int) -> tuple:
     cyclotomic polynomial over F_p, found by trial division."""
     phi_n = cyclotomic_polynomial(n, p)
     d = 1 if n == 1 else multiplicative_order_mod(p, n)
-    for code in range(p ** d):
-        coeffs = []
-        c = code
-        for _ in range(d):
-            coeffs.append(c % p)
-            c //= p
-        f = tuple(coeffs) + (1,)
-        _, rem = poly_divmod(phi_n, f, p)
-        if not rem:
-            return f
-    raise AssertionError("cyclotomic polynomial had no factor of the expected degree")
+    f = least_monic(p, d, lambda f: not poly_divmod(phi_n, f, p)[1])
+    if f is None:
+        raise AssertionError("cyclotomic polynomial had no factor of the expected degree")
+    return f
 
 
 def extend_and_eigendecompose(A: GradedLieAlgebra, phi, n: Optional[int] = None) -> ExtendedAlgebra:
@@ -602,44 +575,35 @@ def extend_and_eigendecompose(A: GradedLieAlgebra, phi, n: Optional[int] = None)
         raise NotCoprimeToP(f"root order {n} is divisible by the characteristic {p}")
     modulus = _cyclotomic_modulus(n, p)
     field = FiniteField(p, len(modulus) - 1, modulus)
-    omega = field.generator_element()
-    if n > 1:
-        if omega ** n != field.one:
-            raise AssertionError("modulus root is not an n-th root of unity")
-        for q in factorization(n):
-            if omega ** (n // q) == field.one:
-                raise AssertionError("modulus root is not primitive")
-    else:
-        omega = field.one
-    fops = FieldOps(field)
-    base_mats = layer_matrices(A, phi)
-    lifted = []
-    for M in base_mats:
-        lifted.append(tuple(tuple(field.from_int(c) for c in row) for row in M))
-    omega_powers = [field.one]
-    for _ in range(1, n):
-        omega_powers.append(omega_powers[-1] * omega)
+    omega = field.generator_element()   # the modulus root; 1 when n = 1
+    if field.pow(omega, n) != 1:
+        raise AssertionError("modulus root is not an n-th root of unity")
+    for q in factorization(n):
+        if field.pow(omega, n // q) == 1:
+            raise AssertionError("modulus root is not primitive")
+    mats = layer_matrices(A, phi)
+    omega_powers = [field.pow(omega, j) for j in range(n)]
     eigenbases = []
     dims = []
-    for idx, M in enumerate(lifted):
+    for idx, M in enumerate(mats):
         dim = A.layers[idx].dim
         if dim == 0:
             eigenbases.append([() for _ in range(n)])
             dims.append([0] * n)
             continue
-        Mn = identity_matrix(dim, fops)
+        Mn = identity_matrix(dim)
         for _ in range(n):
-            Mn = mat_mul(Mn, M, fops)
-        if not mat_equal(Mn, identity_matrix(dim, fops), fops):
+            Mn = mat_mul(Mn, M, field)
+        if Mn != identity_matrix(dim):
             raise PreconditionViolated(f"induced action on layer {idx + 1} has order not dividing {n}")
         per_j = []
         per_dim = []
         total = 0
         for j in range(n):
-            shift = tuple(tuple(row[t] - (omega_powers[j] if t == r else field.zero)
-                                for t, _ in enumerate(row))
+            shift = tuple(tuple(field.sub(c, omega_powers[j]) if t == r else c
+                                for t, c in enumerate(row))
                           for r, row in enumerate(M))
-            basis = nullspace(shift, dim, fops)
+            basis = nullspace(shift, dim, field)
             per_j.append(basis)
             per_dim.append(len(basis))
             total += len(basis)
@@ -649,13 +613,13 @@ def extend_and_eigendecompose(A: GradedLieAlgebra, phi, n: Optional[int] = None)
         eigenbases.append(per_j)
         dims.append(per_dim)
     return ExtendedAlgebra(base=A, n=n, field=field, omega=omega,
-                           matrices=lifted, eigenbases=eigenbases, dims=dims)
+                           matrices=mats, eigenbases=eigenbases, dims=dims)
 
 
 def verify_eigen_product_rule(ext: ExtendedAlgebra) -> dict:
     """Brackets of eigenvectors land in the eigenspace of the eigenvalue product."""
     A = ext.base
-    fops = FieldOps(ext.field)
+    F = ext.field
     checked = 0
     failures = 0
     for i in range(1, A.num_layers + 1):
@@ -664,14 +628,13 @@ def verify_eigen_product_rule(ext: ExtendedAlgebra) -> dict:
                 for jj, basis_j in enumerate(ext.eigenbases[j - 1]):
                     for u in basis_i:
                         for v in basis_j:
-                            w = ext.bracket_ext(i, u, j, v)
-                            if w is None or all(fops.is_zero(c) for c in w):
+                            w = A.bracket(i, u, j, v, F)
+                            if w is None or not any(w):
                                 continue
                             checked += 1
-                            target = ext.matrices[i + j - 1]
-                            image = mat_vec(target, w, fops)
-                            lam = (ext.omega ** ((ji + jj) % ext.n)) if ext.n > 1 else ext.field.one
-                            expected = tuple(lam * c for c in w)
+                            image = mat_vec(ext.matrices[i + j - 1], w, F)
+                            lam = F.pow(ext.omega, (ji + jj) % ext.n)
+                            expected = tuple(F.mul(lam, c) for c in w)
                             if image != expected:
                                 failures += 1
     return {"verdict": "pass" if failures == 0 else "fail",

@@ -177,3 +177,63 @@ def tuple_power(a: tuple, k: int) -> tuple:
 
 def scan_index(G: FiniteGroup, perm: tuple) -> int:
     return G.elements.index(perm)
+
+
+class PolyField:
+    """GF(p^k) on plain coefficient tuples (constant term first), to check the
+    code arithmetic of ``coprimelab.gf``. Its modulus is the least monic
+    polynomial of degree k, in base-p code order, that is no product of two
+    monic polynomials of lower degree; inverses are found by search and powers
+    by repeated multiplication."""
+
+    def __init__(self, p: int, k: int):
+        self.p, self.k, self.order = p, k, p ** k
+
+        def monics(d):
+            return [self.elem(c, d) + (1,) for c in range(p ** d)]
+        reducible = {self._product(f, g) for d in range(1, k // 2 + 1)
+                     for f in monics(d) for g in monics(k - d)}
+        self.modulus = next(f for f in monics(k) if f not in reducible)
+
+    def elem(self, code: int, k=None) -> tuple:
+        """The coefficient tuple of an element code, read in base p."""
+        return tuple(code // self.p ** i % self.p for i in range(self.k if k is None else k))
+
+    def _product(self, a: tuple, b: tuple) -> tuple:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % self.p
+        return tuple(out)
+
+    def add(self, a: tuple, b: tuple) -> tuple:
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a: tuple) -> tuple:
+        return tuple(-x % self.p for x in a)
+
+    def sub(self, a: tuple, b: tuple) -> tuple:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        out = list(self._product(a, b))
+        for top in range(len(out) - 1, self.k - 1, -1):
+            c = out[top]
+            for i, m in enumerate(self.modulus):
+                out[top - self.k + i] = (out[top - self.k + i] - c * m) % self.p
+        return tuple(out[:self.k])
+
+    def inv(self, a: tuple) -> tuple:
+        one = self.elem(1)
+        for code in range(1, self.order):
+            if self.mul(a, self.elem(code)) == one:
+                return self.elem(code)
+        raise ZeroDivisionError("zero has no inverse")
+
+    def pow(self, a: tuple, e: int) -> tuple:
+        if e < 0:
+            a, e = self.inv(a), -e
+        out = self.elem(1)
+        for _ in range(e):
+            out = self.mul(out, a)
+        return out

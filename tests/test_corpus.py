@@ -2,7 +2,8 @@ import pytest
 
 from coprimelab.corpus import (build_corpus_instance, build_glauberman_example,
                                default_corpus, instance_id, load_instance)
-from coprimelab.errors import NotBijective, UnknownSpec
+from coprimelab import corpus
+from coprimelab.errors import CapExceeded, NotBijective, UnknownSpec
 from coprimelab.structure import lower_central_series
 
 
@@ -103,3 +104,21 @@ def test_corpus_has_noncoprime_instance():
         if phi is not None:
             flags.append(phi.coprime)
     assert False in flags
+
+
+@pytest.mark.parametrize("spec", [
+    {"name": "cyclic", "params": {"m": 300000}},
+    {"name": "dihedral", "params": {"m": 150000}},
+    {"name": "heisenberg", "params": {"p": 61}},
+    {"name": "modular", "params": {"p": 59}},
+    {"name": "affine", "params": {"p": 31, "k": 2}},
+    {"name": "direct_product",
+     "params": {"factors": [{"name": "cyclic", "params": {"m": 500}}] * 2}},
+])
+def test_cap_checked_before_anything_is_built(spec, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a group above the cap")
+    monkeypatch.setattr(corpus, "generate_group", refuse)
+    monkeypatch.setattr(corpus, "FiniteField", refuse)
+    with pytest.raises(CapExceeded):
+        build_corpus_instance(spec)

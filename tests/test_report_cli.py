@@ -231,6 +231,10 @@ def test_cli_eigen_rejects_bad_n(tmp_path, capsys):
     assert main(["eigen", path, "--n", "4"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["n"] == 4
+    assert main(["eigen", path, "--n", "8"]) == 0  # 8-th roots of unity need GF(25)
+    assert capsys.readouterr().out == (
+        '{"dims":[[0,0,0,0,2,0,0,0],[1,0,0,0,0,0,0,0]],"field_degree":2,'
+        '"modulus":[2,0,1],"n":8,"p":5,"product_rule":"pass"}\n')
 
 
 def test_cli_eigen_rejects_large_field_degree(tmp_path, capsys):

@@ -43,10 +43,6 @@ class NpSeries:
             return self.terms[i - 1]
         return self.group.trivial_subgroup()
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.terms) - 1
-
     def layer_dims(self) -> tuple:
         out = []
         for i in range(1, len(self.terms)):
@@ -197,8 +193,11 @@ def _build_layer(G: FiniteGroup, p: int, index: int, top: Subgroup, bottom: Subg
 class GradedLieAlgebra:
     """Direct sum of the filtration layers with the commutator-induced bracket.
 
-    Structure constants are stored sparsely per basis pair; the subalgebra
-    generated by the first layer is tracked as per-layer echelon bases.
+    A subspace is given per layer, as a list whose entry i - 1 holds vectors
+    of layer i. ``units[i - 1]`` is the standard basis of layer i (the rows of
+    the identity matrix), built once and shared by every caller. Structure
+    constants are stored sparsely per basis pair; the subalgebra generated by
+    the first layer is tracked as per-layer echelon bases.
     """
 
     def __init__(self, series: NpSeries, layers: list[Layer], brackets: dict):
@@ -209,21 +208,14 @@ class GradedLieAlgebra:
         self.num_layers = len(layers)
         self.brackets = brackets
         self.field = FiniteField(self.p, 1)
+        self.units = [identity_matrix(layer.dim) for layer in layers]
         self.lp_layers = self._generate_from_first_layer()
-        self.lp_flags = [
-            tuple(in_span(self._unit(i + 1, b), self.lp_layers[i], self.field)
-                  for b in range(layer.dim))
-            for i, layer in enumerate(layers)
-        ]
+        self.lp_flags = [tuple(in_span(u, span, self.field) for u in units)
+                         for units, span in zip(self.units, self.lp_layers)]
 
     @property
     def dims(self) -> tuple:
         return tuple(layer.dim for layer in self.layers)
-
-    def layer(self, i: int) -> Optional[Layer]:
-        if 1 <= i <= self.num_layers:
-            return self.layers[i - 1]
-        return None
 
     def depth(self, x: int) -> int:
         """Largest i with x in term i; the identity sinks past every layer."""
@@ -237,14 +229,14 @@ class GradedLieAlgebra:
     def coords(self, i: int, x: int) -> tuple:
         return self.layers[i - 1].coords_of(x)
 
-    def _unit(self, i: int, b: int) -> tuple:
-        layer = self.layers[i - 1]
-        return tuple(1 if t == b else 0 for t in range(layer.dim))
-
     def bracket(self, i: int, u: tuple, j: int, v: tuple,
                 F: Optional[FiniteField] = None) -> Optional[tuple]:
         """[u, v] for homogeneous u in layer i, v in layer j, with coordinates
-        in F (by default the algebra's own F_p); None past the top."""
+        in F (by default the algebra's own F_p).
+
+        None stands for the zero bracket, and only for it: past the top
+        (i + j beyond the last layer, where u and v are not read) or when
+        every coordinate vanishes."""
         if i + j > self.num_layers:
             return None
         F = F or self.field
@@ -262,7 +254,7 @@ class GradedLieAlgebra:
                 for t, ct in enumerate(cvec):
                     if ct:
                         out[t] = F.add(out[t], F.mul(scale, ct))
-        return tuple(out)
+        return tuple(out) if any(out) else None
 
     def bracket_spans(self, X: list, Y: list) -> list:
         """Per layer k, the echelon span of the nonzero brackets [u, v] with u in
@@ -273,14 +265,12 @@ class GradedLieAlgebra:
                 for u in X[i - 1]:
                     for v in Y[j - 1]:
                         w = self.bracket(i, u, j, v)
-                        if w is not None and any(w):
+                        if w is not None:
                             out[i + j - 1].append(w)
         return [rref(vecs, self.field) if vecs else () for vecs in out]
 
     def _generate_from_first_layer(self) -> list[tuple]:
-        spans = [() for _ in range(self.num_layers)]
-        if self.num_layers >= 1 and self.layers[0].dim:
-            spans[0] = rref([self._unit(1, b) for b in range(self.layers[0].dim)], self.field)
+        spans = [self.units[0] if k == 0 else () for k in range(self.num_layers)]
         while True:
             grown = [rref(s + b, self.field) if b else s
                      for s, b in zip(spans, self.bracket_spans(spans, spans))]
@@ -288,20 +278,22 @@ class GradedLieAlgebra:
                 return spans
             spans = grown
 
+    def bracket_steps(self, X: list, K: list) -> int:
+        """Least s >= 0 such that bracketing the subspace X by K s times gives
+        zero: X, [X, K], [[X, K], K], ... Each step raises the degree, so s is
+        at most the number of layers. The class of the generated subalgebra,
+        the u of `subalgebra_LGH` and `ad_nilpotency_index` all count this."""
+        steps = 0
+        while any(X):
+            if steps > self.num_layers:
+                raise AssertionError("span bracketing failed to terminate")
+            X = self.bracket_spans(X, K)
+            steps += 1
+        return steps
+
     def lie_class_of_generated(self) -> int:
         """Nilpotency class of the subalgebra generated by the first layer."""
-        spans = self.lp_layers
-        if all(not s for s in spans):
-            return 0
-        current = spans
-        klass = 1
-        while True:
-            current = self.bracket_spans(current, spans)
-            if not any(current):
-                return klass
-            klass += 1
-            if klass > self.num_layers + 1:
-                raise AssertionError("graded lower central series failed to terminate")
+        return self.bracket_steps(self.lp_layers, self.lp_layers)
 
 
 def build_graded_lie(series: NpSeries) -> GradedLieAlgebra:
@@ -329,25 +321,12 @@ def build_graded_lie(series: NpSeries) -> GradedLieAlgebra:
 
 
 def ad_nilpotency_index(A: GradedLieAlgebra, i: int, v: tuple) -> int:
-    """Least n >= 1 with n-fold bracketing by v killing every basis vector."""
+    """Least n >= 1 with (ad v)^n = 0 for v in layer i. ad v is linear, so
+    bracketing the span of the basis gives the span of the basis images."""
     if not any(v):
         raise ValueError("ad-nilpotency index is defined for nonzero elements")
-    state = []
-    for j in range(1, A.num_layers + 1):
-        for b in range(A.layers[j - 1].dim):
-            state.append((j, A._unit(j, b)))
-    n = 0
-    while state:
-        n += 1
-        nxt = []
-        for layer_idx, vec in state:
-            w = A.bracket(layer_idx, vec, i, v)
-            if w is not None and any(w):
-                nxt.append((layer_idx + i, w))
-        state = nxt
-        if n > A.num_layers + 1:
-            raise AssertionError("ad-nilpotency iteration failed to terminate")
-    return max(n, 1)
+    K = [(v,) if k == i - 1 else () for k in range(A.num_layers)]
+    return max(A.bracket_steps(A.units, K), 1)
 
 
 def check_lazard(A: GradedLieAlgebra, x: int) -> bool:
@@ -360,32 +339,22 @@ def check_lazard(A: GradedLieAlgebra, x: int) -> bool:
     v = A.coords(i, x)
     xp = G.power(x, p)
     ti = p * i
+    w = None  # past the top: bracket returns None before it reads w
     if ti <= A.num_layers:
         if xp not in A.series.term(ti).member_set:
             return False
         w = A.coords(ti, xp)
-    else:
-        if xp != 0:
-            return False
-        w = None
-    for j in range(1, A.num_layers + 1):
-        for b in range(A.layers[j - 1].dim):
-            vec = A._unit(j, b)
-            layer_idx = j
+    elif xp != 0:
+        return False
+    for j, units in enumerate(A.units, start=1):
+        for unit in units:
+            vec, layer_idx = unit, j
             for _ in range(p):
-                out = A.bracket(layer_idx, vec, i, v)
-                layer_idx += i
-                if out is None or not any(out):
-                    vec = None
+                vec = A.bracket(layer_idx, vec, i, v)
+                if vec is None:
                     break
-                vec = out
-            lhs = vec  # None means zero
-            rhs = None
-            if w is not None:
-                out = A.bracket(j, A._unit(j, b), ti, w)
-                if out is not None and any(out):
-                    rhs = out
-            if lhs != rhs:
+                layer_idx += i
+            if vec != A.bracket(j, unit, ti, w):
                 return False
     return True
 
@@ -398,22 +367,14 @@ def check_lazard_all(A: GradedLieAlgebra) -> dict:
 
 def verify_bracket_axioms(A: GradedLieAlgebra) -> dict:
     """Antisymmetry and the Jacobi identity on all homogeneous basis triples."""
-    p = A.p
-    homog = [(i, A._unit(i, b))
-             for i in range(1, A.num_layers + 1)
-             for b in range(A.layers[i - 1].dim)]
-
-    def as_zero(vec):
-        return None if vec is None or not any(vec) else vec
-
+    F = A.field
+    homog = [(i, u) for i, units in enumerate(A.units, start=1) for u in units]
     anti_ok = True
     for (i, u) in homog:
         for (j, v) in homog:
-            uv = as_zero(A.bracket(i, u, j, v))
-            vu = as_zero(A.bracket(j, v, i, u))
-            if uv is None and vu is None:
-                continue
-            if uv is None or vu is None or tuple((-c) % p for c in uv) != vu:
+            uv = A.bracket(i, u, j, v)
+            minus_uv = None if uv is None else tuple(map(F.neg, uv))
+            if minus_uv != A.bracket(j, v, i, u):
                 anti_ok = False
     jacobi_ok = True
     for (i, u) in homog:
@@ -429,8 +390,7 @@ def verify_bracket_axioms(A: GradedLieAlgebra) -> dict:
                     outer = A.bracket(a + b, inner, c, z)
                     if outer is None:
                         continue
-                    acc = outer if acc is None else tuple(
-                        (s + t) % p for s, t in zip(acc, outer))
+                    acc = outer if acc is None else tuple(map(F.add, acc, outer))
                 if acc is not None and any(acc):
                     jacobi_ok = False
     return {"verdict": "pass" if anti_ok and jacobi_ok else "fail",
@@ -465,15 +425,8 @@ def subalgebra_LGH(A: GradedLieAlgebra, H: Subgroup) -> dict:
     K = subalgebra_of_subgroup(A, H)
     closed = all(in_span(w, K[k], A.field)
                  for k, span in enumerate(A.bracket_spans(K, K)) for w in span)
-    current = [tuple(A._unit(i + 1, b) for b in range(layer.dim))
-               for i, layer in enumerate(A.layers)]
-    u_count = 0
-    while any(current):
-        current = A.bracket_spans(current, K)
-        u_count += 1
-        if u_count > A.num_layers + 1:
-            raise AssertionError("span bracketing failed to terminate")
-    return {"dims": tuple(len(b) for b in K), "closed": closed, "u": max(u_count, 1)}
+    return {"dims": tuple(len(b) for b in K), "closed": closed,
+            "u": max(A.bracket_steps(A.units, K), 1)}
 
 
 def layer_matrices(A: GradedLieAlgebra, phi) -> list[tuple]:
@@ -573,6 +526,9 @@ def extend_and_eigendecompose(A: GradedLieAlgebra, phi, n: Optional[int] = None)
         n = phi.order_n
     if math.gcd(n, p) != 1:
         raise NotCoprimeToP(f"root order {n} is divisible by the characteristic {p}")
+    m = induced_action_order(A, phi)
+    if n % m:
+        raise PreconditionViolated(f"induced action has order {m}, which does not divide {n}")
     modulus = _cyclotomic_modulus(n, p)
     field = FiniteField(p, len(modulus) - 1, modulus)
     omega = field.generator_element()   # the modulus root; 1 when n = 1
@@ -591,11 +547,6 @@ def extend_and_eigendecompose(A: GradedLieAlgebra, phi, n: Optional[int] = None)
             eigenbases.append([() for _ in range(n)])
             dims.append([0] * n)
             continue
-        Mn = identity_matrix(dim)
-        for _ in range(n):
-            Mn = mat_mul(Mn, M, field)
-        if Mn != identity_matrix(dim):
-            raise PreconditionViolated(f"induced action on layer {idx + 1} has order not dividing {n}")
         per_j = []
         per_dim = []
         total = 0
@@ -629,7 +580,7 @@ def verify_eigen_product_rule(ext: ExtendedAlgebra) -> dict:
                     for u in basis_i:
                         for v in basis_j:
                             w = A.bracket(i, u, j, v, F)
-                            if w is None or not any(w):
+                            if w is None:
                                 continue
                             checked += 1
                             image = mat_vec(ext.matrices[i + j - 1], w, F)

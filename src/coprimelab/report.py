@@ -27,7 +27,6 @@ from .numutil import big_omega, prime_power_base
 from .structure import derived_series, fitting_height, is_powerful, lower_central_series
 
 PAIR_CAP = 1_000_000
-FULL_PAIR_LIMIT = 1000
 LAZARD_FULL_LIMIT = 1024
 
 
@@ -63,13 +62,12 @@ def theorem1_probe(phi: Automorphism) -> dict:
             "e_star_divides_exponent": _verdict(exponent % e_star == 0)}
 
 
-def theorem2_probe(phi: Automorphism, pair_cap: int = PAIR_CAP,
-                   full_limit: int = FULL_PAIR_LIMIT) -> dict:
+def theorem2_probe(phi: Automorphism, pair_cap: int = PAIR_CAP) -> dict:
     """Class of the fixed subgroup, twisted exponent bound, and the largest
     derived length over invariant closures of twisted pairs.
 
-    The pair loop runs in full up to ``full_limit`` twisted elements (or
-    ``pair_cap`` pairs) and switches to deterministic stride sampling beyond
+    With m twisted elements, the pair loop runs in full while m * m is at
+    most ``pair_cap`` and switches to deterministic stride sampling beyond
     that, in which case the reported maximum is only a lower bound.
     """
     if not phi.coprime:
@@ -84,7 +82,7 @@ def theorem2_probe(phi: Automorphism, pair_cap: int = PAIR_CAP,
     e = G.exponent_of(tw)
     m = len(tw)
     total = m * m
-    sampled = not (m <= full_limit or total <= pair_cap)
+    sampled = total > pair_cap
     d = 0
     length_cache: dict = {}
     insoluble = False
@@ -223,12 +221,17 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
         section["unique_decomposition"] = _verdict(ok)
         if witness:
             section["unique_decomposition_witness"] = witness
-        gen_report = fixed_generation_S(rphi)
-        section["fixed_generation"] = {
-            "restricted_to_commutator_order": Hg.order,
-            "S_size": gen_report["S_size"],
-            "generates": _verdict(gen_report["generates"]),
-        }
+        # a sampled S can fail to generate, so above the cap the check is skipped
+        pairs = len(twisted_data(rphi).twisted) ** 2
+        if pairs > PAIR_CAP:
+            section["fixed_generation"] = _skip(f"{pairs} twisted pairs above the pair cap")
+        else:
+            gen_report = fixed_generation_S(rphi)
+            section["fixed_generation"] = {
+                "restricted_to_commutator_order": Hg.order,
+                "S_size": gen_report["S_size"],
+                "generates": _verdict(gen_report["generates"]),
+            }
     else:
         section["unique_decomposition"] = _skip("group is not nilpotent")
         section["fixed_generation"] = _skip("group is not nilpotent")

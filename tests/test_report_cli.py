@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import time
@@ -6,6 +7,7 @@ import pytest
 
 from coprimelab.cli import main
 from coprimelab.corpus import build_corpus_instance, build_glauberman_example, default_corpus
+from coprimelab import report
 from coprimelab.errors import NotCoprime, NotSoluble
 from coprimelab.report import (analyze_instance, canonical_json, count_verdicts, run_suite,
                                theorem1_probe, theorem2_probe, thompson_probe)
@@ -74,10 +76,10 @@ def test_theorem2_sampling_is_deterministic():
     phi = build_corpus_instance({"name": "heisenberg", "params": {"p": 5},
                                  "automorphism": {"recipe": "power", "k": -1}})[1]
     full = theorem2_probe(phi)
-    sampled = theorem2_probe(phi, pair_cap=50, full_limit=3)
+    sampled = theorem2_probe(phi, pair_cap=50)
     assert sampled["d_is_lower_bound"] is True
     assert sampled["d"] <= full["d"]
-    assert sampled == theorem2_probe(phi, pair_cap=50, full_limit=3)
+    assert sampled == theorem2_probe(phi, pair_cap=50)
 
 
 def test_thompson_probe(s3, s5):
@@ -213,6 +215,51 @@ def test_cli_eigen(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["dims"] == [[1, 1, 1]]
     assert out["field_degree"] == 2
+
+
+def test_cli_auto_skips_fixed_generation_above_the_pair_cap(tmp_path, capsys, monkeypatch):
+    # heisenberg(3) under inversion: [G, phi] = G has 9 twisted elements, 81 pairs
+    path = _write(tmp_path, "h3.json", {"name": "heisenberg", "params": {"p": 3},
+                                        "automorphism": {"recipe": "power", "k": -1}})
+    monkeypatch.setattr(report, "PAIR_CAP", 81)
+    assert main(["auto", path]) == 0
+    assert json.loads(capsys.readouterr().out)["fixed_generation"]["generates"] == "pass"
+    monkeypatch.setattr(report, "PAIR_CAP", 80)
+    assert main(["auto", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["fixed_generation"] == "skipped: 81 twisted pairs above the pair cap"
+
+
+def _cyclic(m):
+    return {"name": "cyclic", "params": {"m": m}}
+
+
+HEIS5_INV = {"name": "heisenberg", "params": {"p": 5},
+             "automorphism": {"recipe": "power", "k": -1}}
+HEIS3_C9_INV = {"name": "direct_product",
+                "params": {"factors": [{"name": "heisenberg", "params": {"p": 3}}, _cyclic(9)]},
+                "automorphism": {"recipe": "power", "k": -1}}
+C5_POW5 = {"name": "direct_product", "params": {"factors": [_cyclic(5)] * 5},
+           "automorphism": {"recipe": "gen_powers", "powers": [2, 3, 4, 2, 3]}}
+
+
+# SHA-256 of the stdout of `lie` and `eigen`, structure constants and moduli
+# included, which the suite bundle does not carry.
+@pytest.mark.parametrize("spec, argv, digest", [
+    (HEIS5_INV, ["lie"], "89a7443ec6df7f5d3ddd4a1f7276110f3bed3e9d7c91ec7d089089a21aaf0426"),
+    (HEIS5_INV, ["eigen"], "fda4e81672a1920cadc52a74fd6c775ac9d270249c925c0b1be3e5eff600f913"),
+    (HEIS5_INV, ["eigen", "--n", "8"],
+     "8cf381f0aa163af497594b413dc02699e4dc1411d686b816d2daf960a587e8ab"),
+    (HEIS3_C9_INV, ["lie"], "dd5b84e2079c7f96e925fc07c217321a0c3af9353d8b6fabd0b0b81be9480c68"),
+    (HEIS3_C9_INV, ["eigen"], "29d21c3abb2367bc64aaa2389e2ead7be3e0ad24bcadcadda82c03c2cc09477c"),
+    (C5_POW5, ["lie"], "098de2fe9934c5beb17acdbc91203d81485f6cb2c1c29d7c19c61f54f8546a0f"),
+    (C5_POW5, ["eigen"], "3a6aaa2f25394f9ebdb2b604ea4d15cc600efdb71c6c79c484a3148aed5cdb06"),
+], ids=["heis5-lie", "heis5-eigen", "heis5-eigen-n8", "heis3xc9-lie", "heis3xc9-eigen",
+        "c5^5-lie", "c5^5-eigen"])
+def test_cli_lie_eigen_stdout_pins(tmp_path, capsys, spec, argv, digest):
+    path = _write(tmp_path, "spec.json", spec)
+    assert main([argv[0], path] + argv[1:]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_lie_rejects_bad_p(tmp_path, capsys):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import (NotBijective, NotCoprime, NotHomomorphism, NotInvariant,
+from .errors import (GroupTheoryError, NotBijective, NotCoprime, NotHomomorphism, NotInvariant,
                      NotNilpotent, DecompositionNotFound, NonUniqueDecomposition,
                      PreconditionViolated, SylowNotFound)
 from .groups import (FiniteGroup, Subgroup, are_conjugate, center, is_normal,
@@ -277,6 +277,22 @@ def factorization_status(phi: Automorphism) -> FactorizationStatus:
     return FactorizationStatus(product_covers, criterion_holds, witness)
 
 
+def _decomposition_data(phi: Automorphism) -> TwistedData:
+    """Twisted data of phi, after checking that unique decomposition applies."""
+    G = phi.group
+    if not phi.coprime:
+        raise NotCoprime("unique decomposition needs a coprime action")
+    if not lower_central_series(G).is_nilpotent:
+        raise NotNilpotent(f"group of order {G.order} is not nilpotent")
+    return twisted_data(phi)
+
+
+def _decomposition_error(x: int, count: int) -> GroupTheoryError:
+    if count == 0:
+        return DecompositionNotFound(f"element {x} admits no twisted*fixed factorization")
+    return NonUniqueDecomposition(f"element {x} admits {count} factorizations")
+
+
 def nilpotent_decompose(phi: Automorphism, x: int) -> tuple:
     """The unique (g, h) with x = g h, g twisted and h fixed, by full scan.
 
@@ -284,21 +300,36 @@ def nilpotent_decompose(phi: Automorphism, x: int) -> tuple:
     answer means the input violates those hypotheses and is a hard error.
     """
     G = phi.group
-    if not phi.coprime:
-        raise NotCoprime("unique decomposition needs a coprime action")
-    if not lower_central_series(G).is_nilpotent:
-        raise NotNilpotent(f"group of order {G.order} is not nilpotent")
-    td = twisted_data(phi)
+    td = _decomposition_data(phi)
     solutions = []
     for g in td.twisted:
         h = G.mul(G.inv(g), x)
         if h in td.fixed.member_set:
             solutions.append((g, h))
-    if not solutions:
-        raise DecompositionNotFound(f"element {x} admits no twisted*fixed factorization")
-    if len(solutions) > 1:
-        raise NonUniqueDecomposition(f"element {x} admits {len(solutions)} factorizations")
+    if len(solutions) != 1:
+        raise _decomposition_error(x, len(solutions))
     return solutions[0]
+
+
+def decomposition_witness(phi: Automorphism) -> Optional[dict]:
+    """None when every element has exactly one ``nilpotent_decompose``
+    factorization; else the first element that has not, with the error
+    ``nilpotent_decompose`` raises for it.
+
+    One walk over twisted x fixed counts the factorizations of every element
+    at once: |twisted| * |fixed| = |G| products, where asking
+    ``nilpotent_decompose`` element by element costs |G| * |twisted|.
+    """
+    G = phi.group
+    td = _decomposition_data(phi)
+    counts = [0] * G.order
+    for g in td.twisted:
+        for h in td.fixed.members:
+            counts[G.mul(g, h)] += 1
+    for x, count in enumerate(counts):
+        if count != 1:
+            return {"element": x, "error": str(_decomposition_error(x, count))}
+    return None
 
 
 def restrict_automorphism(phi: Automorphism, H: Subgroup):

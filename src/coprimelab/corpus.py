@@ -16,8 +16,12 @@ from typing import Optional
 from .automorphisms import build_automorphism
 from .errors import CapExceeded, ParseError, UnknownSpec
 from .gf import FiniteField
-from .groups import DEFAULT_CAP, FiniteGroup, generate_group
+from .groups import DEFAULT_CAP, FiniteGroup, element_bytes, generate_group
 from .numutil import is_prime
+
+# Bytes the element store of a named group may take, estimated from its order
+# and degree before anything is built.
+STORE_BUDGET = 10 ** 9
 
 
 def _left_regular(elems: list, mul, g) -> tuple:
@@ -149,42 +153,51 @@ def _field(obj: dict, key: str, where: str, kind: type = object, default=_REQUIR
     return obj[key]
 
 
-# Name -> (parameter keys, order, constructor). The order is read from the
-# parameters before the constructor runs, so a group above the cap allocates
-# nothing. On parameters that the constructor rejects, a formula need not give
-# the order, but it must not raise or take long.
+# Name -> (parameter keys, order, degree, constructor). Order and degree are
+# read from the parameters before the constructor runs, so a group above the
+# cap or the store budget allocates nothing. On parameters that the
+# constructor rejects, a formula need not give the order or the degree, but it
+# must not raise or take long.
 _NAMED = {
-    "cyclic": (("m",), lambda m: m, _cyclic),
-    "dihedral": (("m",), lambda m: 2 * m, _dihedral),
-    "symmetric": (("m",), lambda m: math.factorial(m) if 0 <= m <= 5 else 0, _symmetric),
-    "heisenberg": (("p",), lambda p: p ** 3, _heisenberg),
-    "modular": (("p",), lambda p: p ** 3, _modular),
+    "cyclic": (("m",), lambda m: m, lambda m: m, _cyclic),
+    "dihedral": (("m",), lambda m: 2 * m, lambda m: m, _dihedral),
+    "symmetric": (("m",), lambda m: math.factorial(m) if 0 <= m <= 5 else 0, lambda m: m,
+                  _symmetric),
+    "heisenberg": (("p",), lambda p: p ** 3, lambda p: p ** 3, _heisenberg),
+    "modular": (("p",), lambda p: p ** 3, lambda p: p * p, _modular),
     "affine": (("p", "k"), lambda p, k: p ** k * (p ** k - 1) if p > 1 and k > 0 else 0,
-               _affine),
+               lambda p, k: p ** k if p > 1 and k > 0 else 0, _affine),
 }
 
 
 def _parse(spec: dict, where: str) -> tuple:
-    """(constructor, its arguments, order) of a named group spec; ``where``
-    prefixes the JSON paths in errors."""
+    """(constructor, its arguments, order, degree, JSON path of the params) of a
+    named group spec; ``where`` prefixes the JSON paths in errors."""
     name = _field(spec, "name", where)
     params = _field(spec, "params", where, dict, {})
     if name == "direct_product":
         factors = _field(params, "factors", f"{where}params.", list)
         parsed = [_parse(f, f"{where}params.factors[{i}].") for i, f in enumerate(factors)]
-        return _direct_product, (factors, parsed), math.prod(order for *_, order in parsed)
+        return (_direct_product, (factors, parsed), math.prod(f[2] for f in parsed),
+                sum(f[3] for f in parsed), f"{where}params")
     if name not in _NAMED:
         raise UnknownSpec(f"unrecognized instance name {name!r}")
-    keys, order, build = _NAMED[name]
+    keys, order, degree, build = _NAMED[name]
     args = [_field(params, key, f"{where}params.", int) for key in keys]
-    return build, args, order(*args)
+    return build, args, order(*args), degree(*args), f"{where}params"
 
 
 def _build_group(parsed: tuple, cap: int) -> tuple:
-    """Build a parsed spec's group, after checking its order against the cap."""
-    build, args, order = parsed
+    """Build a parsed spec's group, after checking its order against the cap
+    and the size of its element store against STORE_BUDGET."""
+    build, args, order, degree, where = parsed
     if order > cap:
         raise CapExceeded(f"order {order} exceeds cap={cap}")
+    size = order * element_bytes(degree)
+    if size > STORE_BUDGET:
+        raise CapExceeded(f"{where}: order {order} on {degree} points needs about "
+                          f"{size // 10 ** 6} MB of elements, above the "
+                          f"{STORE_BUDGET // 10 ** 6} MB budget")
     return build(*args, cap)
 
 

@@ -1,9 +1,16 @@
 """Permutation-based finite group engine: enumeration, subgroups, quotients.
 
-Every group is fully enumerated. Elements are permutations of {0..degree-1}
-stored as tuples; element 0 is always the identity. Enumeration is
-breadth-first from the generators with a fixed generator order, so element
-indices, factorization words and every downstream report are reproducible.
+Every group is fully enumerated. Elements are permutations of {0..degree-1};
+element 0 is always the identity. Enumeration is breadth-first from the
+generators with a fixed generator order, so element indices, factorization
+words and every downstream report are reproducible.
+
+At degree <= 256 each element is stored as ``bytes``, one byte per image
+(degree + 33 bytes against 8 * degree + 56 for a tuple), and enumeration
+composes with ``bytes.translate``, a byte-to-byte map done in C. Larger
+degrees store tuples. The store stays private: ``G.elements`` hands out
+tuples either way. Factorization words are not stored either: ``G.words[e]``
+walks up the enumeration tree from e and spells the word enumeration found.
 
 Elements are keyed by their images on a base, a short list of points whose
 images determine an element (Sims; Seress, *Permutation Group Algorithms*,
@@ -21,18 +28,16 @@ published by single attribute assignment.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from collections.abc import Sequence
+from typing import Iterable, Optional
 
 from .errors import CapExceeded, InvalidPermutation, NotNormal
 
 DEFAULT_CAP = 200_000
+# The highest degree whose elements are stored as bytes.
+BYTES_MAX_DEGREE = 256
 
 Perm = tuple
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """Compose permutations: (a*b)(x) = a(b(x))."""
-    return tuple(map(a.__getitem__, b))
 
 
 def perm_order(a: Perm) -> int:
@@ -51,7 +56,12 @@ def perm_order(a: Perm) -> int:
     return order
 
 
-def find_base(degree: int, elements: Sequence[Perm]) -> tuple:
+def element_bytes(degree: int) -> int:
+    """About how many bytes one stored element of this degree takes."""
+    return degree + 33 if degree <= BYTES_MAX_DEGREE else 8 * degree + 56
+
+
+def find_base(degree: int, elements: Sequence) -> tuple:
     """Points whose images tell the elements apart. A point joins the base when
     an element fixing the base so far moves it, so in the end only the identity
     (element 0) fixes every base point."""
@@ -73,33 +83,93 @@ def validate_permutation(images: Sequence[int], degree: int) -> Perm:
     return p
 
 
+class _Elements(Sequence):
+    """Read-only view of an element store that hands out tuples."""
+
+    __slots__ = ("_store", "_encode")
+
+    def __init__(self, store: list, encode):
+        self._store = store
+        self._encode = encode
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [tuple(perm) for perm in self._store[i]]
+        return tuple(self._store[i])
+
+    def __iter__(self):
+        return map(tuple, self._store)
+
+    def index(self, perm) -> int:
+        """Position of ``perm`` by a scan of the store; ValueError if absent."""
+        try:
+            return self._store.index(self._encode(tuple(perm)))
+        except (TypeError, ValueError):
+            raise ValueError(f"{perm!r} is not an element") from None
+
+    def __eq__(self, other) -> bool:
+        return list(self) == (list(other) if isinstance(other, _Elements) else other)
+
+    __hash__ = None
+
+
+class _Words(Sequence):
+    """``words[e]`` spells element e over the generators along the enumeration
+    tree: entry k > 0 means generator k-1, k < 0 its inverse (tree words use
+    only k > 0)."""
+
+    __slots__ = ("_parents",)
+
+    def __init__(self, parents: list):
+        self._parents = parents
+
+    def __len__(self) -> int:
+        return len(self._parents)
+
+    def __getitem__(self, e: int) -> tuple:
+        parents = self._parents
+        e = range(len(parents))[e]
+        word = []
+        while e:
+            e, gi = parents[e]
+            word.append(gi + 1)
+        return tuple(reversed(word))
+
+
 class FiniteGroup:
     """Fully enumerated permutation group with 0-based element indices.
 
+    ``_store[e]`` is element e as ``bytes`` at degree <= BYTES_MAX_DEGREE and
+    as a tuple above; ``elements`` is the tuple view of it. ``_parents[e]`` is
+    (parent, generator position) with e = parent * generator in the
+    enumeration tree, and ``words`` reads factorizations off it.
     ``_base_images[i][e]`` is the image of ``base[i]`` under element e, and
     ``_key_index`` maps an element's key (see ``_key``) to its index: a list
     with -1 at unused keys when degree**len(base) <= 4*order, else a dict.
     """
 
-    def __init__(self, degree: int, generators: Sequence[Perm], elements: list[Perm],
-                 words: list[tuple], parents: list[tuple]):
+    def __init__(self, degree: int, generators: Sequence[Perm], store: list,
+                 parents: list[tuple]):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = elements
-        self.order = len(elements)
-        # words[e] is a factorization of element e over the generators found
-        # during enumeration; entry k > 0 means generator k-1, k < 0 its inverse.
-        self.words = words
+        self._store = store
+        self._encode = bytes if degree <= BYTES_MAX_DEGREE else tuple
+        self.elements = _Elements(store, self._encode)
+        self.order = len(store)
         self._parents = parents
-        self.base = find_base(degree, elements)
-        self._base_images = tuple([perm[pt] for perm in elements] for pt in self.base)
+        self.words = _Words(parents)
+        self.base = find_base(degree, store)
+        self._base_images = tuple([perm[pt] for perm in store] for pt in self.base)
         if degree ** len(self.base) <= 4 * self.order:
             self._key_index = [-1] * degree ** len(self.base)
-            for i, perm in enumerate(elements):
+            for i, perm in enumerate(store):
                 self._key_index[self._key(perm)] = i
         else:
-            self._key_index = {self._key(perm): i for i, perm in enumerate(elements)}
-        self._orders: list = [0] * len(elements)
+            self._key_index = {self._key(perm): i for i, perm in enumerate(store)}
+        self._orders: list = [0] * len(store)
         self.generator_indices = tuple(self.element_index(g) for g in self.generators)
         # y = parent * g along the enumeration tree, so y^-1 = g^-1 * parent^-1
         gen_inverses = [self.power(g, -1) for g in self.generator_indices]
@@ -114,7 +184,7 @@ class FiniteGroup:
 
     def mul(self, a: int, b: int) -> int:
         """a*b from the images of the base points under a∘b: O(len(base))."""
-        perm = self.elements[a]
+        perm = self._store[a]
         images = self._base_images
         length = len(images)
         if length == 1:
@@ -154,7 +224,7 @@ class FiniteGroup:
         identity exactly when it fixes every base point."""
         order = self._orders[a]
         if order == 0:
-            perm = self.elements[a]
+            perm = self._store[a]
             order = 1
             for pt in self.base:
                 length, x = 1, perm[pt]
@@ -171,22 +241,30 @@ class FiniteGroup:
     def exponent(self) -> int:
         return self.whole_subgroup().exponent()
 
-    def _key(self, perm: Perm) -> int:
+    def _key(self, perm) -> int:
         """The images of the base points under perm, as digits in radix degree."""
         key = 0
         for pt in reversed(self.base):
             key = key * self.degree + perm[pt]
         return key
 
+    def _find(self, perm) -> int:
+        """Index of a permutation given in the store's type, or -1."""
+        try:
+            i = self._key_index[self._key(perm)]
+        except (IndexError, KeyError):
+            return -1
+        return i if i >= 0 and self._store[i] == perm else -1
+
     def element_index(self, perm: Perm) -> int:
         """Index of a member permutation; KeyError for anything else, also for a
         permutation that agrees with a member on the base only."""
         perm = tuple(perm)
         try:
-            i = self._key_index[self._key(perm)]
-        except (IndexError, KeyError):
+            i = self._find(self._encode(perm))
+        except (TypeError, ValueError):
             i = -1
-        if i < 0 or self.elements[i] != perm:
+        if i < 0:
             raise KeyError(perm)
         return i
 
@@ -287,30 +365,36 @@ def generate_group(degree: int, generators: Sequence[Sequence[int]],
     if cap < 1:
         raise CapExceeded(f"cap={cap} leaves no room for the identity")
     gens = [validate_permutation(g, degree) for g in generators]
-    identity = tuple(range(degree))
-    elements: list[Perm] = [identity]
-    index: dict[Perm, int] = {identity: 0}
-    words: list[tuple] = [()]
+    # g.translate(base + pad) sends each image g[x] to base[g[x]], which is
+    # base∘g; the pad fills out the 256-entry table that translate reads.
+    pad = bytes(256 - degree) if degree <= BYTES_MAX_DEGREE else None
+    letters = [bytes(g) for g in gens] if pad is not None else gens
+    identity = bytes(range(degree)) if pad is not None else tuple(range(degree))
+    store: list = [identity]
+    index: dict = {identity: 0}
     parents: list[tuple] = [(-1, -1)]
     frontier = [0]
     while frontier:
         nxt = []
         for ei in frontier:
-            base = elements[ei]
-            for gi, g in enumerate(gens):
-                img = compose(base, g)
+            base = store[ei]
+            if pad is not None:
+                table = base + pad
+                images = [g.translate(table) for g in letters]
+            else:
+                images = [tuple(map(base.__getitem__, g)) for g in letters]
+            for gi, img in enumerate(images):
                 if img not in index:
-                    if len(elements) >= cap:
+                    if len(store) >= cap:
                         raise CapExceeded(
                             f"closure exceeded cap={cap} (degree {degree}, {len(gens)} generators)")
-                    index[img] = len(elements)
-                    elements.append(img)
-                    words.append(words[ei] + (gi + 1,))
+                    index[img] = len(store)
+                    nxt.append(len(store))
+                    store.append(img)
                     parents.append((ei, gi))
-                    nxt.append(index[img])
         frontier = nxt
     del index
-    return FiniteGroup(degree, gens, elements, words, parents)
+    return FiniteGroup(degree, gens, store, parents)
 
 
 def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
@@ -428,7 +512,7 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup):
     Hg = generate_group(G.degree, gen_perms, cap=H.order)
     if Hg.order != H.order:
         raise AssertionError("subgroup re-enumeration produced a different order")
-    to_parent = tuple(G.element_index(p) for p in Hg.elements)
+    to_parent = tuple(G._find(perm) for perm in Hg._store)
     from_parent = {pi: i for i, pi in enumerate(to_parent)}
     return Hg, to_parent, from_parent
 
@@ -471,9 +555,8 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
     quotient = generate_group(num, qgens, cap=max(num, 1))
     if quotient.order * N.order != G.order:
         raise AssertionError("coset action has the wrong order; kernel is not normal")
-    qgen_elem = [quotient.element_index(tuple(q)) for q in qgens]
     to_q = [0] * G.order
     for y in range(1, G.order):
         px, gi = G._parents[y]
-        to_q[y] = quotient.mul(to_q[px], qgen_elem[gi])
+        to_q[y] = quotient.mul(to_q[px], quotient.generator_indices[gi])
     return QuotientGroup(G, N, quotient, tuple(to_q))

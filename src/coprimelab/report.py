@@ -12,9 +12,9 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
-from .automorphisms import (Automorphism, check_coprime_facts, default_normal_family,
-                            factorization_status, fixed_generation_S, fixed_points_of_product,
-                            is_phi_invariant, nilpotent_decompose, orbit_representatives,
+from .automorphisms import (Automorphism, check_coprime_facts, decomposition_witness,
+                            default_normal_family, factorization_status, fixed_generation_S,
+                            fixed_points_of_product, is_phi_invariant, orbit_representatives,
                             phi_invariant_closure, restrict_automorphism, soluble_exponent_probe,
                             twisted_data)
 from .corpus import instance_id, load_instance
@@ -205,20 +205,8 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
     if nilpotent or soluble:
         Hg, rphi, _ = restrict_automorphism(phi, cp)
     if nilpotent:
-        ok = True
-        witness = None
-        for x in range(G.order):
-            try:
-                g, h = nilpotent_decompose(phi, x)
-            except GroupTheoryError as exc:
-                ok = False
-                witness = {"element": x, "error": str(exc)}
-                break
-            if G.mul(g, h) != x:
-                ok = False
-                witness = {"element": x, "error": "product mismatch"}
-                break
-        section["unique_decomposition"] = _verdict(ok)
+        witness = decomposition_witness(phi)
+        section["unique_decomposition"] = _verdict(witness is None)
         if witness:
             section["unique_decomposition_witness"] = witness
         # a sampled S can fail to generate, so above the cap the check is skipped

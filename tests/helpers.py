@@ -8,7 +8,7 @@ repeated multiplication, so they stay independent of the paths they check.
 import math
 from functools import reduce
 
-from coprimelab.groups import FiniteGroup, compose, generate_group
+from coprimelab.groups import FiniteGroup, generate_group
 
 
 def brute_closure(perms):
@@ -20,7 +20,7 @@ def brute_closure(perms):
         new = set()
         for a in elems:
             for b in elems:
-                c = compose(a, b)
+                c = tuple_compose(a, b)
                 if c not in elems:
                     new.add(c)
         if not new:
@@ -205,6 +205,27 @@ def scan_index(G: FiniteGroup, perm: tuple) -> int:
     return G.elements.index(perm)
 
 
+def tuple_enumeration(degree: int, generators) -> tuple:
+    """(elements, words) of the group the generators make, by breadth-first
+    search on plain tuples with each word its parent's word plus one letter:
+    the enumeration order ``generate_group`` promises, with nothing shared."""
+    identity = tuple(range(degree))
+    elements, words, seen = [identity], [()], {identity}
+    frontier = [0]
+    while frontier:
+        layer = []
+        for e in frontier:
+            for k, g in enumerate(generators, start=1):
+                img = tuple_compose(elements[e], g)
+                if img not in seen:
+                    seen.add(img)
+                    layer.append(len(elements))
+                    elements.append(img)
+                    words.append(words[e] + (k,))
+        frontier = layer
+    return elements, words
+
+
 class PolyField:
     """GF(p^k) on plain coefficient tuples (constant term first), to check the
     code arithmetic of ``coprimelab.gf``. Its modulus is the least monic
@@ -263,3 +284,20 @@ class PolyField:
         for _ in range(e):
             out = self.mul(out, a)
         return out
+
+
+def per_element_decomposition_witness(phi):
+    """The unique-decomposition witness found element by element: the first x
+    for which ``nilpotent_decompose`` raises, or whose parts do not multiply
+    back to x; the oracle for ``automorphisms.decomposition_witness``."""
+    from coprimelab.automorphisms import nilpotent_decompose
+    from coprimelab.errors import GroupTheoryError
+    G = phi.group
+    for x in range(G.order):
+        try:
+            g, h = nilpotent_decompose(phi, x)
+        except GroupTheoryError as exc:
+            return {"element": x, "error": str(exc)}
+        if G.mul(g, h) != x:
+            return {"element": x, "error": "product mismatch"}
+    return None

@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 
 from coprimelab.automorphisms import (automorphism_from_table, build_automorphism,
                                       check_coprime_facts, commutator_with_automorphism,
-                                      factorization_status, fixed_generation_S,
+                                      decomposition_witness, factorization_status, fixed_generation_S,
                                       fixed_points_of_product, identity_automorphism,
                                       is_phi_invariant, nilpotent_decompose,
                                       orbit_representatives, phi_invariant_closure, phi_invariant_sylow,
@@ -13,7 +15,7 @@ from coprimelab.errors import (NotBijective, NotCoprime, NotHomomorphism, NotInv
                                NotNilpotent, PreconditionViolated)
 from coprimelab.groups import quotient_group, subgroup_generated, is_normal
 from coprimelab.structure import sylow_subgroup
-from helpers import quaternion_group
+from helpers import per_element_decomposition_witness, quaternion_group
 
 
 def c7_square():
@@ -220,6 +222,19 @@ def test_nilpotent_decompose_all_elements_q8():
         g, h = nilpotent_decompose(phi, x)
         assert q8.mul(g, h) == x
         assert g in td.twisted_set and h in td.fixed.member_set
+
+
+def test_decomposition_witness_names_an_element_without_factorization(c3c3_swap):
+    G, phi = c3c3_swap
+    td = twisted_data(phi)
+    assert decomposition_witness(phi) is None
+    # a corrupted twisted set: its last member dropped, so the products miss
+    # that member's coset of the fixed points
+    phi._twisted = dataclasses.replace(td, twisted=td.twisted[:-1])
+    witness = decomposition_witness(phi)
+    assert witness == per_element_decomposition_witness(phi)
+    x = witness["element"]
+    assert witness["error"] == f"element {x} admits no twisted*fixed factorization"
 
 
 def test_nilpotent_decompose_rejects_insoluble_shape(s3):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from coprimelab.corpus import (build_corpus_instance, build_glauberman_example,
@@ -122,3 +124,36 @@ def test_cap_checked_before_anything_is_built(spec, monkeypatch):
     monkeypatch.setattr(corpus, "FiniteField", refuse)
     with pytest.raises(CapExceeded):
         build_corpus_instance(spec)
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a group above the store budget")
+    monkeypatch.setattr(corpus, "generate_group", refuse)
+    monkeypatch.setattr(corpus, "FiniteField", refuse)
+
+
+# Each is within its cap; its elements would take about the given number of MB.
+@pytest.mark.parametrize("spec, path, megabytes", [
+    ({"name": "cyclic", "params": {"m": 199999}}, "params", 320007),
+    ({"name": "dihedral", "params": {"m": 99999}}, "params", 160007),
+    ({"name": "heisenberg", "params": {"p": 61}, "cap": 10 ** 6}, "params", 412175),
+    ({"name": "direct_product",
+      "params": {"factors": [{"name": "cyclic", "params": {"m": 500}},
+                             {"name": "cyclic", "params": {"m": 399}}]}}, "params", 1445),
+])
+def test_store_budget_checked_before_anything_is_built(spec, path, megabytes, monkeypatch):
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(CapExceeded, match=rf"^{path}: .* about {megabytes} MB of elements"):
+        build_corpus_instance(spec)
+
+
+def test_cli_store_budget_exits_2_with_the_path(tmp_path, capsys, monkeypatch):
+    from coprimelab.cli import main
+    _refuse_to_build(monkeypatch)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "direct_product", "params": {"factors": [
+        {"name": "cyclic", "params": {"m": 3}},
+        {"name": "cyclic", "params": {"m": 199999}}]}, "cap": 10 ** 6}), encoding="utf-8")
+    assert main(["info", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: params: order 599997 on 200002 points")

@@ -1,20 +1,26 @@
-"""The base-image kernel against full-tuple arithmetic on the whole corpus."""
+"""The base-image kernel and the element store against full-tuple arithmetic
+and plain tuple enumeration on the whole corpus."""
 
 import random
 
 import pytest
 
 from coprimelab.corpus import build_corpus_instance, default_corpus
-from coprimelab.groups import commutator_subgroup_pair, quotient_group
-from helpers import scan_index, tuple_compose, tuple_inverse, tuple_order, tuple_power
+from coprimelab.groups import (BYTES_MAX_DEGREE, commutator_subgroup_pair, generate_group,
+                               quotient_group)
+from helpers import (scan_index, tuple_compose, tuple_enumeration, tuple_inverse, tuple_order,
+                     tuple_power)
 
 SAMPLES = 60
+# degree 343 > BYTES_MAX_DEGREE: elements are stored as tuples
+TUPLE_STORE_SPEC = {"id": "heisenberg(7)", "name": "heisenberg", "params": {"p": 7}}
 
 
 def _corpus_groups():
-    """Every shipped corpus group, and G/G' for each nonabelian one."""
+    """Every shipped corpus group and heisenberg(7), and G/G' for each
+    nonabelian one."""
     out = []
-    for spec in default_corpus()["instances"]:
+    for spec in default_corpus()["instances"] + [TUPLE_STORE_SPEC]:
         G = build_corpus_instance(spec)[0]
         out.append((spec["id"], G))
         derived = commutator_subgroup_pair(G, G.whole_subgroup(), G.whole_subgroup())
@@ -54,3 +60,32 @@ def test_non_member_with_member_base_images_is_rejected():
 def test_base_lengths(glauberman):
     assert glauberman[0].base == (0, 1)
     assert len(build_corpus_instance({"name": "cyclic", "params": {"m": 125}})[0].base) == 1
+
+
+def test_store_type_follows_degree(glauberman):
+    assert type(glauberman[0]._store[1]) is bytes
+    G = build_corpus_instance(TUPLE_STORE_SPEC)[0]
+    assert G.degree > BYTES_MAX_DEGREE and type(G._store[1]) is tuple
+
+
+def test_elements_and_words_match_tuple_enumeration_on_corpus():
+    groups = _corpus_groups()
+    assert any(G.degree > BYTES_MAX_DEGREE for _, G in groups)
+    for name, G in groups:
+        elements, words = tuple_enumeration(G.degree, G.generators)
+        assert len(G.elements) == len(G.words) == G.order == len(elements), name
+        assert list(G.elements) == elements, name
+        for e in range(G.order):
+            assert G.elements[e] == elements[e] and G.words[e] == words[e], (name, e)
+        assert G.words[-1] == words[-1], name
+
+
+@pytest.mark.parametrize("m", [BYTES_MAX_DEGREE, BYTES_MAX_DEGREE + 1])
+def test_cyclic_group_either_side_of_the_bytes_degree(m):
+    gen = tuple((i + 1) % m for i in range(m))
+    G = generate_group(m, [gen])
+    assert (G.elements, list(G.words)) == tuple_enumeration(m, [gen])
+    for a in (1, m // 2, m - 1):
+        pa = G.elements[a]
+        assert G.mul(a, a) == scan_index(G, tuple_compose(pa, pa))
+        assert G.element_index(pa) == a and G.inv(a) == m - a

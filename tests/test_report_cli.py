@@ -5,13 +5,15 @@ import time
 
 import pytest
 
+from coprimelab.automorphisms import Automorphism, decomposition_witness
 from coprimelab.cli import main
 from coprimelab.corpus import build_corpus_instance, build_glauberman_example, default_corpus
 from coprimelab import report
 from coprimelab.errors import NotCoprime, NotSoluble
 from coprimelab.report import (analyze_instance, canonical_json, count_verdicts, run_suite,
                                theorem1_probe, theorem2_probe, thompson_probe)
-from helpers import unreduced_theorem1
+from coprimelab.structure import lower_central_series
+from helpers import per_element_decomposition_witness, unreduced_theorem1
 
 
 def c7_phi():
@@ -41,6 +43,31 @@ def test_theorem1_matches_unreduced_oracle_on_corpus():
         assert theorem1_probe(phi) == unreduced_theorem1(phi), spec["id"]
         checked += 1
     assert checked >= 20
+
+
+def test_unique_decomposition_matches_per_element_loop_on_corpus():
+    checked = 0
+    for spec in default_corpus()["instances"]:
+        G, phi = build_corpus_instance(spec)
+        if phi is None or not phi.coprime or not lower_central_series(G).is_nilpotent:
+            continue
+        section = report._auto_section(G, phi)
+        witness = per_element_decomposition_witness(phi)
+        assert section["unique_decomposition"] == ("fail" if witness else "pass"), spec["id"]
+        assert section.get("unique_decomposition_witness") == witness, spec["id"]
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("m, k", [(4, 3), (9, 4)])
+def test_forced_coprime_decomposition_witness_matches_per_element_loop(m, k, monkeypatch):
+    G, phi = build_corpus_instance({"name": "cyclic", "params": {"m": m},
+                                    "automorphism": {"recipe": "power", "k": k}})
+    assert not phi.coprime
+    monkeypatch.setattr(Automorphism, "coprime", property(lambda self: True))
+    witness = decomposition_witness(phi)
+    assert witness is not None and witness["error"].endswith("factorizations")
+    assert witness == per_element_decomposition_witness(phi)
 
 
 def test_theorem1_closes_one_subgroup_per_orbit_glauberman():

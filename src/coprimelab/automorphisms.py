@@ -1,9 +1,10 @@
-"""Automorphisms given by generator-image words; fixed/twisted sets and their checks.
+"""Automorphisms given by generator images; fixed/twisted sets and their checks.
 
 The automorphism of an enumerated group is stored as a full element-index
-permutation (``table``). Building from generator images extends along the
-BFS factorization words, then validates bijectivity and the generator-wise
-homomorphism law, which suffices for full multiplicativity.
+permutation (``table``). Every automorphism is built from the element indices
+of its generator images: ``FiniteGroup.extend_images`` extends them along the
+enumeration tree, and the result is checked for bijectivity and for the
+generator-wise homomorphism law, which suffices for full multiplicativity.
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ from .structure import derived_series, lower_central_series, sylow_subgroup
 class Automorphism:
     """Bijective endomorphism of an enumerated group.
 
-    ``table[x]`` is the image of element x; ``gen_images`` are the signed
-    1-based generator words that define the map; ``order_n`` is the order of
-    the permutation the map induces on element indices.
+    ``table[x]`` is the image of element x; ``order_n`` is the order of the
+    permutation the map induces on element indices.
     """
 
-    def __init__(self, group: FiniteGroup, gen_images: Sequence[tuple], table: tuple):
+    def __init__(self, group: FiniteGroup, table: tuple):
         self.group = group
-        self.gen_images = tuple(tuple(w) for w in gen_images)
         self.table = table
         self.order_n = perm_order(table)
         self._twisted: Optional[TwistedData] = None
@@ -46,10 +45,6 @@ class Automorphism:
         return out
 
     @property
-    def is_identity(self) -> bool:
-        return self.order_n == 1
-
-    @property
     def coprime(self) -> bool:
         return math.gcd(self.group.order, self.order_n) == 1
 
@@ -57,15 +52,10 @@ class Automorphism:
         return f"Automorphism(order={self.order_n} on group of order {self.group.order})"
 
 
-def build_automorphism(G: FiniteGroup, gen_images: Sequence[Iterable[int]]) -> Automorphism:
-    """Extend generator-image words to the whole group and validate the result."""
-    if len(gen_images) != len(G.generators):
-        raise ValueError(f"expected {len(G.generators)} image words, got {len(gen_images)}")
-    images = [G.evaluate_word(w) for w in gen_images]
-    table = [0] * G.order
-    for y in range(1, G.order):
-        px, gi = G._parents[y]
-        table[y] = G.mul(table[px], images[gi])
+def automorphism_from_images(G: FiniteGroup, images: Sequence[int]) -> Automorphism:
+    """The automorphism that sends generator i to element ``images[i]``;
+    NotBijective or NotHomomorphism when these images define none."""
+    table = G.extend_images(images, G.mul)
     if len(set(table)) != G.order:
         raise NotBijective("generator images do not induce a bijection")
     for x in range(G.order):
@@ -73,7 +63,14 @@ def build_automorphism(G: FiniteGroup, gen_images: Sequence[Iterable[int]]) -> A
             if table[G.mul(x, s)] != G.mul(table[x], images[gi]):
                 raise NotHomomorphism(
                     f"map breaks at element {x} times generator {gi}", witness=(x, s))
-    return Automorphism(G, [tuple(w) for w in gen_images], tuple(table))
+    return Automorphism(G, tuple(table))
+
+
+def build_automorphism(G: FiniteGroup, gen_images: Sequence[Iterable[int]]) -> Automorphism:
+    """Evaluate generator-image words and extend them to the whole group."""
+    if len(gen_images) != len(G.generators):
+        raise ValueError(f"expected {len(G.generators)} image words, got {len(gen_images)}")
+    return automorphism_from_images(G, [G.evaluate_word(w) for w in gen_images])
 
 
 def automorphism_from_table(G: FiniteGroup, table: Sequence[int]) -> Automorphism:
@@ -81,18 +78,16 @@ def automorphism_from_table(G: FiniteGroup, table: Sequence[int]) -> Automorphis
     table = tuple(table)
     if sorted(table) != list(range(G.order)):
         raise NotBijective("table is not a permutation of the element indices")
-    for x in range(G.order):
-        for s in G.generator_indices:
-            if table[G.mul(x, s)] != G.mul(table[x], table[s]):
-                raise NotHomomorphism(
-                    f"table breaks at element {x} times generator {s}", witness=(x, s))
-    gen_images = [G.words[table[g]] for g in G.generator_indices]
-    return Automorphism(G, gen_images, table)
+    phi = automorphism_from_images(G, [table[g] for g in G.generator_indices])
+    if phi.table != table:
+        x = next(x for x in range(G.order) if phi.table[x] != table[x])
+        raise NotHomomorphism(f"table breaks at element {x}, where the automorphism "
+                              f"its generator images define sends it to {phi.table[x]}")
+    return phi
 
 
 def identity_automorphism(G: FiniteGroup) -> Automorphism:
-    return Automorphism(G, [(i + 1,) for i in range(len(G.generators))],
-                        tuple(range(G.order)))
+    return Automorphism(G, tuple(range(G.order)))
 
 
 @dataclass
@@ -156,6 +151,32 @@ def phi_invariant_closure(phi: Automorphism, seeds: Iterable[int]) -> Subgroup:
     return out
 
 
+def _orbits(starts: Iterable[int], moves) -> list[list[int]]:
+    """The orbits through ``starts`` of the group generated by the maps that
+    send x to each of ``moves(x)``, each listed from the first start in it."""
+    seen: set[int] = set()
+    orbits = []
+    for s in starts:
+        if s in seen:
+            continue
+        seen.add(s)
+        orbit = [s]
+        for x in orbit:
+            for y in moves(x):
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        orbits.append(orbit)
+    return orbits
+
+
+def _fixed_classes(phi: Automorphism) -> list[list[int]]:
+    """The conjugacy classes of G that meet the fixed-point subgroup."""
+    G = phi.group
+    return _orbits(twisted_data(phi).fixed.members,
+                   lambda x: [G.conjugate(x, g) for g in G.generator_indices])
+
+
 def orbit_representatives(phi: Automorphism, seeds: Iterable[int]) -> list[int]:
     """Least element of each orbit of <phi> x C_G(phi) on the seed set.
 
@@ -163,30 +184,19 @@ def orbit_representatives(phi: Automorphism, seeds: Iterable[int]) -> list[int]:
     Conjugation by a fixed c commutes with phi, so closure(x^c) is
     closure(x)^c and one invariant closure per orbit decides any
     conjugation-invariant property of them all. The seed set must be a union
-    of orbits; a walk that leaves it raises NotInvariant.
+    of orbits; an orbit that leaves it raises NotInvariant.
     """
     G = phi.group
     fixed_gens = twisted_data(phi).fixed.gens
     seed_set = set(seeds)
-    seen: set[int] = set()
-    reps = []
-    for s in sorted(seed_set):
-        if s in seen:
-            continue
-        reps.append(s)
-        seen.add(s)
-        queue = [s]
-        while queue:
-            x = queue.pop()
-            for y in [phi.table[x], *(G.conjugate(x, c) for c in fixed_gens)]:
-                if y in seen:
-                    continue
-                if y not in seed_set:
-                    raise NotInvariant(
-                        f"element {y} of the orbit of seed {s} is not a seed")
-                seen.add(y)
-                queue.append(y)
-    return reps
+    orbits = _orbits(sorted(seed_set), lambda x: [phi.table[x],
+                                                  *(G.conjugate(x, c) for c in fixed_gens)])
+    for orbit in orbits:
+        outside = [y for y in orbit if y not in seed_set]
+        if outside:
+            raise NotInvariant(f"element {outside[0]} of the orbit of seed {orbit[0]} "
+                               f"is not a seed")
+    return [orbit[0] for orbit in orbits]
 
 
 def is_phi_invariant(phi: Automorphism, H: Subgroup) -> bool:
@@ -234,19 +244,16 @@ class FactorizationStatus:
     witness: Optional[dict]
 
 
-def _fixed_conjugates(G: FiniteGroup, fixed: Subgroup) -> set[int]:
-    """Union of the conjugacy classes meeting the fixed-point subgroup."""
-    seen = set(fixed.members)
-    queue = list(fixed.members)
-    gens = G.generator_indices
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = G.conjugate(x, g)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
+def _factorization_counts(phi: Automorphism) -> list[int]:
+    """counts[x] is the number of pairs (g, h), g twisted and h fixed, with
+    g h = x: one walk of |twisted| * |fixed| = |G| products."""
+    G = phi.group
+    td = twisted_data(phi)
+    counts = [0] * G.order
+    for g in td.twisted:
+        for h in td.fixed.members:
+            counts[G.mul(g, h)] += 1
+    return counts
 
 
 def factorization_status(phi: Automorphism) -> FactorizationStatus:
@@ -256,12 +263,8 @@ def factorization_status(phi: Automorphism) -> FactorizationStatus:
         raise NotCoprime("factorization criterion is stated for coprime actions")
     G = phi.group
     td = twisted_data(phi)
-    product = set()
-    for g in td.twisted:
-        for h in td.fixed.members:
-            product.add(G.mul(g, h))
-    product_covers = len(product) == G.order
-    conj_union = _fixed_conjugates(G, td.fixed)
+    product_covers = 0 not in _factorization_counts(phi)
+    conj_union = set().union(*_fixed_classes(phi))
     bad = [x for x in td.twisted if x != 0 and x in conj_union]
     criterion_holds = not bad
     witness = None
@@ -317,16 +320,11 @@ def decomposition_witness(phi: Automorphism) -> Optional[dict]:
     ``nilpotent_decompose`` raises for it.
 
     One walk over twisted x fixed counts the factorizations of every element
-    at once: |twisted| * |fixed| = |G| products, where asking
-    ``nilpotent_decompose`` element by element costs |G| * |twisted|.
+    at once, where asking ``nilpotent_decompose`` element by element costs
+    |G| * |twisted| products.
     """
-    G = phi.group
-    td = _decomposition_data(phi)
-    counts = [0] * G.order
-    for g in td.twisted:
-        for h in td.fixed.members:
-            counts[G.mul(g, h)] += 1
-    for x, count in enumerate(counts):
+    _decomposition_data(phi)
+    for x, count in enumerate(_factorization_counts(phi)):
         if count != 1:
             return {"element": x, "error": str(_decomposition_error(x, count))}
     return None
@@ -343,11 +341,8 @@ def restrict_automorphism(phi: Automorphism, H: Subgroup):
     if H.is_whole:
         return G, phi, tuple(range(G.order))
     Hg, to_parent, from_parent = subgroup_as_group(G, H)
-    gen_images = []
-    for g in Hg.generator_indices:
-        img_parent = phi.table[to_parent[g]]
-        gen_images.append(Hg.words[from_parent[img_parent]])
-    return Hg, build_automorphism(Hg, gen_images), to_parent
+    images = [from_parent[phi.table[to_parent[g]]] for g in Hg.generator_indices]
+    return Hg, automorphism_from_images(Hg, images), to_parent
 
 
 def quotient_automorphism(phi: Automorphism, Q) -> Automorphism:
@@ -355,9 +350,11 @@ def quotient_automorphism(phi: Automorphism, Q) -> Automorphism:
     G = phi.group
     if not is_phi_invariant(phi, Q.kernel):
         raise NotInvariant("kernel is not phi-invariant")
-    induced = build_automorphism(Q.quotient, phi.gen_images)
+    to_q = Q.to_quotient
+    induced = automorphism_from_images(
+        Q.quotient, [to_q[phi.table[g]] for g in G.generator_indices])
     for x in range(G.order):
-        if Q.to_quotient[phi.table[x]] != induced.table[Q.to_quotient[x]]:
+        if to_q[phi.table[x]] != induced.table[to_q[x]]:
             raise NotInvariant("induced quotient map is not well defined")
     return induced
 
@@ -386,29 +383,11 @@ def default_normal_family(phi: Automorphism) -> list[tuple]:
 def _core_of_fixed(phi: Automorphism) -> Subgroup:
     """Largest normal subgroup of G inside the fixed-point subgroup.
 
-    An element belongs iff its whole conjugacy class stays inside the fixed
-    set, so each member is tested by an orbit walk with early bailout.
+    It is the union of the conjugacy classes that lie inside the fixed set.
     """
-    G = phi.group
-    fixed = twisted_data(phi).fixed
-    core = set()
-    for m in fixed.members:
-        orbit = {m}
-        queue = [m]
-        inside = True
-        while queue and inside:
-            x = queue.pop()
-            for g in G.generator_indices:
-                y = G.conjugate(x, g)
-                if y not in fixed.member_set:
-                    inside = False
-                    break
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        if inside:
-            core.add(m)
-    return subgroup_generated(G, core)
+    fixed = twisted_data(phi).fixed.member_set
+    return subgroup_generated(phi.group, [x for cls in _fixed_classes(phi)
+                                          if fixed.issuperset(cls) for x in cls])
 
 
 def _checked_family(phi: Automorphism, family: Sequence[tuple]) -> Sequence[tuple]:
@@ -442,21 +421,12 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
     quotient_checks = []
     for name, N in family:
         Q = quotient_group(G, N)
-        ctable = [-1] * Q.quotient.order
-        well_defined = True
-        for x in range(G.order):
-            src = Q.to_quotient[x]
-            dst = Q.to_quotient[phi.table[x]]
-            if ctable[src] == -1:
-                ctable[src] = dst
-            elif ctable[src] != dst:
-                well_defined = False
-                break
-        if not well_defined:
-            quotient_checks.append({"subgroup": name, "verdict": "fail",
-                                    "reason": "induced map not well defined"})
+        try:
+            qphi = quotient_automorphism(phi, Q)
+        except (NotInvariant, NotBijective, NotHomomorphism) as exc:
+            quotient_checks.append({"subgroup": name, "verdict": "fail", "reason": str(exc)})
             continue
-        quotient_fixed = {q for q in range(Q.quotient.order) if ctable[q] == q}
+        quotient_fixed = {q for q, image in enumerate(qphi.table) if image == q}
         image_of_fixed = {Q.to_quotient[x] for x in td.fixed.members}
         ok = quotient_fixed == image_of_fixed
         quotient_checks.append({"subgroup": name, "kernel_order": N.order,

@@ -179,6 +179,8 @@ def cmd_glauberman(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    if args.jobs < 1:
+        raise ParseError(f"--jobs {args.jobs}: must be at least 1")
     corpus = _load_file(args.file) if args.file else default_corpus()
     bundle, code = run_suite(corpus, jobs=args.jobs, cap=args.cap)
     _emit(bundle)

@@ -19,8 +19,8 @@ from .gf import FiniteField
 from .groups import DEFAULT_CAP, FiniteGroup, element_bytes, generate_group
 from .numutil import is_prime
 
-# Bytes the element store of a named group may take, estimated from its order
-# and degree before anything is built.
+# Bytes the element store of a group may take: a named group's is estimated from
+# its order and degree before anything is built, a raw group's bounds its cap.
 STORE_BUDGET = 10 ** 9
 
 
@@ -201,12 +201,13 @@ def _build_group(parsed: tuple, cap: int) -> tuple:
     return build(*args, cap)
 
 
-def _power_word(gen_index: int, k: int) -> tuple:
+def _power_word(G: FiniteGroup, gen_index: int, k: int) -> tuple:
+    """Generator ``gen_index`` to the power k, spelled with |k| reduced modulo
+    the generator's order, so a huge exponent does not spell a huge word."""
     if not isinstance(k, int) or k == 0:
         raise UnknownSpec(f"power recipe needs a nonzero integer exponent, got {k!r}")
-    if k > 0:
-        return (gen_index + 1,) * k
-    return (-(gen_index + 1),) * (-k)
+    letter = gen_index + 1 if k > 0 else -(gen_index + 1)
+    return (letter,) * (abs(k) % G.element_order(G.generator_indices[gen_index]))
 
 
 def _frobenius_images_additive(p: int, k: int) -> list:
@@ -228,12 +229,12 @@ def _recipe_images(G: FiniteGroup, spec: dict, meta: dict, recipe: dict) -> list
         return [(i + 1,) for i in range(ngens)]
     if kind == "power":
         k = _field(recipe, "k", "automorphism.", int)
-        return [_power_word(i, k) for i in range(ngens)]
+        return [_power_word(G, i, k) for i in range(ngens)]
     if kind == "gen_powers":
         powers = _field(recipe, "powers", "automorphism.", list)
         if len(powers) != ngens:
             raise UnknownSpec(f"gen_powers needs {ngens} exponents")
-        return [_power_word(i, k) for i, k in enumerate(powers)]
+        return [_power_word(G, i, k) for i, k in enumerate(powers)]
     if kind == "swap":
         blocks = _field(recipe, "blocks", "automorphism.", list, [0, 1])
         specs = meta.get("factor_specs")
@@ -322,9 +323,17 @@ def load_instance(data: dict, cap: Optional[int] = None):
     """
     if "degree" in data:
         cap = cap if cap is not None else _field(data, "cap", "", int, DEFAULT_CAP)
-        G = generate_group(_field(data, "degree", "", int),
-                           _field(data, "generators", "", list, []), cap=cap)
-        return G, _spec_automorphism(G, data, None), data.get("id", f"raw-degree-{data['degree']}")
+        degree = _field(data, "degree", "", int)
+        if degree < 0:
+            raise ParseError(f"degree: expected a point count, got {degree}")
+        size = element_bytes(degree)
+        if size > STORE_BUDGET:
+            raise CapExceeded(f"degree: one element on {degree} points needs about "
+                              f"{size // 10 ** 6} MB, above the {STORE_BUDGET // 10 ** 6} MB "
+                              f"budget")
+        G = generate_group(degree, _field(data, "generators", "", list, []),
+                           cap=min(cap, STORE_BUDGET // size))
+        return G, _spec_automorphism(G, data, None), instance_id(data)
     if "name" in data:
         G, phi = build_corpus_instance(data, cap=cap)
         return G, phi, instance_id(data)

@@ -145,7 +145,8 @@ class FiniteGroup:
     ``_store[e]`` is element e as ``bytes`` at degree <= BYTES_MAX_DEGREE and
     as a tuple above; ``elements`` is the tuple view of it. ``_parents[e]`` is
     (parent, generator position) with e = parent * generator in the
-    enumeration tree, and ``words`` reads factorizations off it.
+    enumeration tree; ``words`` reads factorizations off it and
+    ``extend_images`` extends generator images along it.
     ``_base_images[i][e]`` is the image of ``base[i]`` under element e, and
     ``_key_index`` maps an element's key (see ``_key``) to its index: a list
     with -1 at unused keys when degree**len(base) <= 4*order, else a dict.
@@ -172,11 +173,8 @@ class FiniteGroup:
         self._orders: list = [0] * len(store)
         self.generator_indices = tuple(self.element_index(g) for g in self.generators)
         # y = parent * g along the enumeration tree, so y^-1 = g^-1 * parent^-1
-        gen_inverses = [self.power(g, -1) for g in self.generator_indices]
-        self._inverses = [0] * self.order
-        for y in range(1, self.order):
-            px, gi = parents[y]
-            self._inverses[y] = self.mul(gen_inverses[gi], self._inverses[px])
+        self._inverses = self.extend_images([self.power(g, -1) for g in self.generator_indices],
+                                            lambda parent, g: self.mul(g, parent))
         self._whole: Optional[Subgroup] = None
         self.cache: dict = {}
 
@@ -195,6 +193,16 @@ class FiniteGroup:
         for column in reversed(images):
             key = key * self.degree + perm[column[b]]
         return self._key_index[key]
+
+    def extend_images(self, images: Sequence[int], mul) -> list:
+        """out[0] = 0 and out[y] = mul(out[x], images[gi]) along every edge
+        y = x * generator gi of the enumeration tree: the homomorphism with these
+        generator images into the group that ``mul`` multiplies, where one exists."""
+        out = [0] * self.order
+        for y in range(1, self.order):
+            x, gi = self._parents[y]
+            out[y] = mul(out[x], images[gi])
+        return out
 
     def inv(self, a: int) -> int:
         return self._inverses[a]
@@ -555,8 +563,5 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
     quotient = generate_group(num, qgens, cap=max(num, 1))
     if quotient.order * N.order != G.order:
         raise AssertionError("coset action has the wrong order; kernel is not normal")
-    to_q = [0] * G.order
-    for y in range(1, G.order):
-        px, gi = G._parents[y]
-        to_q[y] = quotient.mul(to_q[px], quotient.generator_indices[gi])
+    to_q = G.extend_images(quotient.generator_indices, quotient.mul)
     return QuotientGroup(G, N, quotient, tuple(to_q))

@@ -43,17 +43,6 @@ class NpSeries:
             return self.terms[i - 1]
         return self.group.trivial_subgroup()
 
-    def layer_dims(self) -> tuple:
-        out = []
-        for i in range(1, len(self.terms)):
-            idx = self.terms[i - 1].order // self.terms[i].order
-            d = 0
-            while idx > 1:
-                idx //= self.p
-                d += 1
-            out.append(d)
-        return tuple(out)
-
 
 def jlz_series(G: FiniteGroup, p: int) -> NpSeries:
     """Canonical filtration: term i is the product of the p^k-th power

@@ -9,6 +9,7 @@ across worker counts.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
@@ -83,38 +84,20 @@ def theorem2_probe(phi: Automorphism, pair_cap: int = PAIR_CAP) -> dict:
     m = len(tw)
     total = m * m
     sampled = total > pair_cap
+    if sampled:
+        pairs = (divmod(k, m) for k in range(0, total, -(-total // pair_cap)))
+    else:
+        pairs = ((i, j) for i in range(m) for j in range(i, m))
     d = 0
     length_cache: dict = {}
-    insoluble = False
-
-    def closure_derived_length(x1: int, x2: int) -> Optional[int]:
-        K = phi_invariant_closure(phi, {x1, x2})
-        key = K.member_set
-        if key not in length_cache:
-            length_cache[key] = derived_series(G, K).derived_length
-        return length_cache[key]
-
-    if not sampled:
-        for i, x1 in enumerate(tw):
-            for x2 in tw[i:]:
-                dl = closure_derived_length(x1, x2)
-                if dl is None:
-                    insoluble = True
-                    break
-                d = max(d, dl)
-            if insoluble:
-                break
-    else:
-        stride = -(-total // pair_cap)
-        for k in range(0, total, stride):
-            i, j = divmod(k, m)
-            dl = closure_derived_length(tw[i], tw[j])
-            if dl is None:
-                insoluble = True
-                break
-            d = max(d, dl)
-    if insoluble:
-        return {"skipped": "a twisted-pair closure is insoluble"}
+    for i, j in pairs:
+        K = phi_invariant_closure(phi, {tw[i], tw[j]})
+        if K.member_set not in length_cache:
+            length_cache[K.member_set] = derived_series(G, K).derived_length
+        dl = length_cache[K.member_set]
+        if dl is None:
+            return {"skipped": "a twisted-pair closure is insoluble"}
+        d = max(d, dl)
     exp_comm = td.commutator_phi.exponent()
     exponent = G.exponent()
     return {"c": c, "d": d, "d_is_lower_bound": sampled, "e": e, "n": phi.order_n,
@@ -374,10 +357,12 @@ def run_suite(corpus: dict, jobs: int = 1, cap: Optional[int] = None) -> tuple:
     """
     instances = validate_corpus(corpus)
     work = [(pos, spec, cap) for pos, spec in enumerate(instances)]
-    if jobs <= 1 or len(work) <= 1:
+    # a fork pool starts all its workers at once, so never more than can be busy
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers <= 1:
         reports = [_analyze_for_suite(w) for w in work]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_analyze_for_suite, work))
     counts = count_verdicts(reports)
     hard_failures = []

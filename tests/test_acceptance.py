@@ -124,7 +124,7 @@ def test_criterion_3_unique_decomposition(built_instances):
 def test_criterion_4_jlz_golden_values():
     with criterion(4, "canonical filtration golden dimensions"):
         c9 = build_corpus_instance({"name": "cyclic", "params": {"m": 9}})[0]
-        assert jlz_series(c9, 3).layer_dims() == (1, 0, 1)
+        assert build_graded_lie(jlz_series(c9, 3)).dims == (1, 0, 1)
         h3 = build_corpus_instance({"name": "heisenberg", "params": {"p": 3}})[0]
         A = build_graded_lie(jlz_series(h3, 3))
         assert A.dims == (2, 1)
@@ -132,7 +132,7 @@ def test_criterion_4_jlz_golden_values():
         assert w is not None and any(w)
         assert A.lie_class_of_generated() == 2
         m27 = build_corpus_instance({"name": "modular", "params": {"p": 3}})[0]
-        assert jlz_series(m27, 3).layer_dims() == (2, 0, 1)
+        assert build_graded_lie(jlz_series(m27, 3)).dims == (2, 0, 1)
 
 
 def _corpus_p_groups(built_instances):

@@ -339,3 +339,62 @@ def test_orbit_representatives_rejects_non_invariant_seeds(s4):
     phi = identity_automorphism(s4)
     with pytest.raises(NotInvariant):
         orbit_representatives(phi, {0, 1})
+
+
+def _corpus_coprime_actions(max_order):
+    from coprimelab.corpus import default_corpus
+    for spec in default_corpus()["instances"]:
+        G, phi = build_corpus_instance(spec)
+        if phi is not None and phi.coprime and G.order <= max_order:
+            yield spec["id"], G, phi
+
+
+def test_automorphism_walks_match_brute_force_on_corpus():
+    from coprimelab import automorphisms
+    checked = 0
+    for name, G, phi in _corpus_coprime_actions(max_order=2000):
+        td = twisted_data(phi)
+        fixed = td.fixed.member_set
+        classes = [{G.conjugate(x, c) for c in range(G.order)} for x in td.fixed.members]
+        core = {x for cls in classes if cls <= fixed for x in cls}
+        assert automorphisms._core_of_fixed(phi).member_set == core, name
+        products = {G.mul(g, h) for g in td.twisted for h in td.fixed.members}
+        status = factorization_status(phi)
+        assert status.product_covers == (len(products) == G.order), name
+        meets_fixed = set().union(*classes)
+        assert status.criterion_holds == all(x == 0 or x not in meets_fixed
+                                             for x in td.twisted), name
+        assert automorphism_from_table(G, phi.table).table == phi.table, name
+        H, rphi, to_parent = restrict_automorphism(phi, td.commutator_phi)
+        assert all(to_parent[rphi.table[i]] == phi.table[to_parent[i]]
+                   for i in range(H.order)), name
+        for _, N in automorphisms.default_normal_family(phi):
+            Q = quotient_group(G, N)
+            qphi = quotient_automorphism(phi, Q)
+            induced = {Q.to_quotient[x]: Q.to_quotient[phi.table[x]] for x in range(G.order)}
+            assert qphi.table == tuple(induced[q] for q in range(Q.quotient.order)), name
+        checked += 1
+    assert checked >= 10
+
+
+def test_quotient_check_fails_with_the_reason_of_the_induced_map(glauberman, monkeypatch):
+    from coprimelab import automorphisms
+    _, phi = glauberman
+
+    def refuse(phi, Q):
+        raise NotInvariant("induced quotient map is not well defined")
+    monkeypatch.setattr(automorphisms, "quotient_automorphism", refuse)
+    report = check_coprime_facts(phi)
+    assert report["verdict"] == "fail" and report["quotient_fixed_points"]
+    for check in report["quotient_fixed_points"]:
+        assert check["verdict"] == "fail"
+        assert check["reason"] == "induced quotient map is not well defined"
+
+
+def test_table_that_disagrees_with_its_generator_images_is_rejected(c3c3_swap):
+    G, phi = c3c3_swap
+    table = list(phi.table)
+    x, y = [x for x in range(1, G.order) if x not in G.generator_indices][:2]
+    table[x], table[y] = table[y], table[x]
+    with pytest.raises(NotHomomorphism, match=f"table breaks at element {x},"):
+        automorphism_from_table(G, table)

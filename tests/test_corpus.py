@@ -1,11 +1,13 @@
 import json
+import time
 
 import pytest
 
 from coprimelab.corpus import (build_corpus_instance, build_glauberman_example,
                                default_corpus, instance_id, load_instance)
 from coprimelab import corpus
-from coprimelab.errors import CapExceeded, NotBijective, UnknownSpec
+from coprimelab.errors import CapExceeded, NotBijective, ParseError, UnknownSpec
+from coprimelab.groups import element_bytes, generate_group
 from coprimelab.structure import lower_central_series
 
 
@@ -50,6 +52,19 @@ def test_power_recipe_requires_bijection():
                                "automorphism": {"recipe": "power", "k": 2}})
 
 
+@pytest.mark.parametrize("recipe, small", [
+    ({"recipe": "power", "k": 10 ** 12 + 2}, {"recipe": "power", "k": 2}),
+    ({"recipe": "power", "k": -(10 ** 12 + 2)}, {"recipe": "power", "k": -2}),
+    ({"recipe": "gen_powers", "powers": [10 ** 12 + 2]}, {"recipe": "gen_powers", "powers": [2]}),
+])
+def test_power_exponent_is_reduced_modulo_the_generator_order(recipe, small):
+    spec = {"name": "cyclic", "params": {"m": 5}}
+    start = time.perf_counter()
+    phi = build_corpus_instance({**spec, "automorphism": recipe})[1]
+    assert time.perf_counter() - start < 0.5
+    assert phi.table == build_corpus_instance({**spec, "automorphism": small})[1].table
+
+
 def test_swap_recipe_requires_equal_factors():
     with pytest.raises(UnknownSpec):
         build_corpus_instance(
@@ -79,7 +94,7 @@ def test_load_instance_raw_format():
             "automorphism": {"images": [[1], [2]]}}
     G, phi, inst = load_instance(data)
     assert G.order == 6
-    assert phi.is_identity
+    assert phi.order_n == 1
 
 
 def test_default_corpus_loads_and_builds():
@@ -157,3 +172,30 @@ def test_cli_store_budget_exits_2_with_the_path(tmp_path, capsys, monkeypatch):
         {"name": "cyclic", "params": {"m": 199999}}]}, "cap": 10 ** 6}), encoding="utf-8")
     assert main(["info", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: params: order 599997 on 200002 points")
+
+
+def test_raw_degree_over_the_store_budget_builds_nothing(monkeypatch):
+    _refuse_to_build(monkeypatch)
+    degree = corpus.STORE_BUDGET // 8
+    with pytest.raises(CapExceeded, match=rf"^degree: one element on {degree} points"):
+        load_instance({"degree": degree, "generators": []})
+    with pytest.raises(ParseError, match="^degree: "):
+        load_instance({"degree": -40, "generators": []})
+
+
+def test_raw_degree_caps_enumeration_by_the_store_budget(monkeypatch):
+    caps = []
+    monkeypatch.setattr(corpus, "generate_group",
+                        lambda degree, gens, cap: caps.append(cap) or generate_group(1, []))
+    load_instance({"degree": 3 * 10 ** 6, "generators": []})
+    load_instance({"degree": 3, "generators": [], "cap": 7})
+    assert caps == [corpus.STORE_BUDGET // element_bytes(3 * 10 ** 6), 7]
+
+
+def test_cli_raw_degree_over_the_store_budget_exits_2(tmp_path, capsys, monkeypatch):
+    from coprimelab.cli import main
+    _refuse_to_build(monkeypatch)
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({"degree": 10 ** 9, "generators": []}), encoding="utf-8")
+    assert main(["info", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: degree: ")

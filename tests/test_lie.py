@@ -28,20 +28,20 @@ def test_jlz_rejects_non_p_group(s3):
 
 def test_jlz_golden_c9(c9):
     S = jlz_series(c9, 3)
-    assert S.layer_dims() == (1, 0, 1)
+    assert build_graded_lie(S).dims == (1, 0, 1)
     assert [t.order for t in S.terms] == [9, 3, 3, 1]
 
 
 def test_jlz_golden_heisenberg(heis3):
     S = jlz_series(heis3, 3)
-    assert S.layer_dims() == (2, 1)
+    assert build_graded_lie(S).dims == (2, 1)
     assert [t.order for t in S.terms] == [27, 3, 1]
 
 
 def test_jlz_golden_modular27():
     G = build_corpus_instance({"name": "modular", "params": {"p": 3}})[0]
     S = jlz_series(G, 3)
-    assert S.layer_dims() == (2, 0, 1)
+    assert build_graded_lie(S).dims == (2, 0, 1)
 
 
 def test_jlz_elementary_abelian():
@@ -49,7 +49,7 @@ def test_jlz_elementary_abelian():
         {"name": "direct_product",
          "params": {"factors": [{"name": "cyclic", "params": {"m": 3}}] * 3}})[0]
     S = jlz_series(G, 3)
-    assert S.layer_dims() == (3,)
+    assert build_graded_lie(S).dims == (3,)
 
 
 def test_jlz_terms_against_product_of_powers_oracle(heis3, c9):

@@ -189,6 +189,54 @@ def test_run_suite_parallel_matches_serial():
     assert c1 == c2
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (100000, 8, [3]), (2, 8, [2]), (100000, 2, [2]), (100000, 1, []), (1, 8, [])])
+def test_run_suite_pool_is_bounded_by_instances_and_cpus(jobs, cpus, workers, monkeypatch):
+    monkeypatch.setattr(report, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(report.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    corpus = {"schema": 1, "instances": [
+        {"id": str(m), "name": "cyclic", "params": {"m": m}} for m in (2, 3, 5)]}
+    bundle, code = run_suite(corpus, jobs=jobs)
+    assert _RecordingPool.sizes == workers
+    assert code == 0 and [rep["id"] for rep in bundle["instances"]] == ["2", "3", "5"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_suite_rejects_jobs_below_one(jobs, capsys, monkeypatch):
+    monkeypatch.setattr(report, "ProcessPoolExecutor", _RecordingPool)
+    assert main(["suite", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert f"--jobs {jobs}" in captured.err and captured.out == ""
+
+
+def test_raw_spec_id_is_a_string_analysed_and_skipped():
+    spec = {"degree": 3, "generators": [[1, 2, 0]], "id": 5}
+    assert analyze_instance(spec)["id"] == "5"
+    corpus = {"schema": 1, "instances": [spec]}
+    for cap, key in ((None, "group"), (2, "skipped")):
+        bundle, _ = run_suite(corpus, cap=cap)
+        assert bundle["instances"][0]["id"] == "5" and key in bundle["instances"][0]
+
+
 def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (GroupTheoryError, NotBijective, NotCoprime, NotHomomorphism, NotInvariant,
                      NotNilpotent, DecompositionNotFound, NonUniqueDecomposition,
@@ -406,7 +406,9 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
 
     (a) twisting [G,phi] again reproduces it; (b) fixed points pass to
     quotients by invariant normal subgroups; (c) [G,phi] centralizes every
-    invariant normal subgroup inside the fixed points.
+    invariant normal subgroup inside the fixed points. A failed (c) check
+    carries a non-commuting pair m in [G,phi], x in the subgroup as generator
+    words under ``witness``.
     """
     if not phi.coprime:
         raise NotCoprime("the coprime facts require gcd(|G|, |phi|) = 1")
@@ -448,16 +450,13 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
         if N.member_set in seen:
             continue
         seen.add(N.member_set)
-        witness = None
-        for m in td.commutator_phi.members:
-            for x in N.members:
-                if G.mul(m, x) != G.mul(x, m):
-                    witness = (m, x)
-                    break
-            if witness:
-                break
-        central_checks.append({"subgroup": name, "order": N.order,
-                               "verdict": "pass" if witness is None else "fail"})
+        pair = next(((m, x) for m in td.commutator_phi.members for x in N.members
+                     if G.mul(m, x) != G.mul(x, m)), None)
+        check = {"subgroup": name, "order": N.order, "verdict": "pass" if pair is None else "fail"}
+        if pair is not None:
+            # generator words, so the pair replays on a fresh enumeration
+            check["witness"] = {"m": list(G.words[pair[0]]), "x": list(G.words[pair[1]])}
+        central_checks.append(check)
     report["centralizing"] = central_checks
     report["verdict"] = ("pass" if report["commutator_stable"] == "pass"
                          and all(c["verdict"] == "pass" for c in quotient_checks)
@@ -485,11 +484,27 @@ def fixed_points_of_product(phi: Automorphism, family: Sequence[tuple]) -> dict:
             "verdict": "pass" if ok else "fail"}
 
 
+def twisted_pair_closures(phi: Automorphism) -> Iterator[Subgroup]:
+    """The invariant closure of every pair of twisted elements, each once.
+
+    The closure of {x, y} is generated by the <phi>-orbits of x and y, so
+    one representative per orbit on the twisted set (which phi maps onto
+    itself) gives every pair closure: r orbits give r(r+1)/2 closures.
+    """
+    reps = [orbit[0] for orbit in _orbits(twisted_data(phi).twisted, lambda x: [phi.table[x]])]
+    for i, x in enumerate(reps):
+        for y in reps[i:]:
+            yield phi_invariant_closure(phi, {x, y})
+
+
 def fixed_generation_S(phi: Automorphism) -> dict:
     """Fixed elements reachable inside invariant closures of twisted pairs.
 
     Requires a nilpotent group, coprime action and G = [G, phi]; under those
     hypotheses the collected set S generates the whole fixed-point subgroup.
+    The walk takes one pair per pair of <phi>-orbits (``twisted_pair_closures``)
+    and stops once S is all of C_G(phi): S is a union of sets K & C_G(phi), so
+    it cannot grow further, and it then generates C_G(phi) without a closure.
     """
     G = phi.group
     if not phi.coprime:
@@ -499,15 +514,14 @@ def fixed_generation_S(phi: Automorphism) -> dict:
     td = twisted_data(phi)
     if td.commutator_phi.order != G.order:
         raise PreconditionViolated("G = [G, phi] required")
+    fixed = td.fixed.member_set
     S: set[int] = {0}
-    tw = td.twisted
-    for i, x1 in enumerate(tw):
-        for x2 in tw[i:]:
-            K = phi_invariant_closure(phi, {x1, x2})
-            S.update(K.member_set & td.fixed.member_set)
-    generated = subgroup_generated(G, S)
+    closures = twisted_pair_closures(phi)
+    while len(S) < len(fixed) and (K := next(closures, None)) is not None:
+        S.update(K.member_set & fixed)
     return {"S_size": len(S),
-            "generates": generated.member_set == td.fixed.member_set}
+            "generates": len(S) == len(fixed)
+            or subgroup_generated(G, S).member_set == fixed}
 
 
 def soluble_exponent_probe(phi: Automorphism) -> dict:

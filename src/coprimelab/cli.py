@@ -38,6 +38,9 @@ def _load_file(path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal too long to convert, or arrays nested too deep
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top-level JSON value must be an object")
     return data

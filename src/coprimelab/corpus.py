@@ -14,7 +14,8 @@ from importlib import resources
 from typing import Optional
 
 from .automorphisms import build_automorphism
-from .errors import CapExceeded, ParseError, UnknownSpec
+from .errors import (CapExceeded, InvalidPermutation, NotBijective, NotHomomorphism,
+                     ParseError, UnknownSpec)
 from .gf import FiniteField
 from .groups import DEFAULT_CAP, FiniteGroup, element_bytes, generate_group
 from .numutil import is_prime
@@ -30,8 +31,6 @@ def _left_regular(elems: list, mul, g) -> tuple:
 
 
 def _cyclic(m: int, cap: int) -> tuple:
-    if m < 1:
-        raise UnknownSpec(f"cyclic order must be positive, got {m}")
     if m == 1:
         return generate_group(1, [], cap=cap), {}
     gen = tuple((i + 1) % m for i in range(m))
@@ -39,8 +38,6 @@ def _cyclic(m: int, cap: int) -> tuple:
 
 
 def _dihedral(m: int, cap: int) -> tuple:
-    if m < 3:
-        raise UnknownSpec(f"dihedral parameter must be >= 3, got {m}")
     rot = tuple((i + 1) % m for i in range(m))
     flip = tuple((-i) % m for i in range(m))
     G = generate_group(m, [rot, flip], cap=cap)
@@ -50,10 +47,6 @@ def _dihedral(m: int, cap: int) -> tuple:
 
 
 def _symmetric(m: int, cap: int) -> tuple:
-    if m > 5:
-        raise UnknownSpec(f"symmetric degree capped at 5, got {m}")
-    if m < 1:
-        raise UnknownSpec(f"symmetric degree must be positive, got {m}")
     if m == 1:
         return generate_group(1, [], cap=cap), {}
     cycle = tuple((i + 1) % m for i in range(m))
@@ -63,8 +56,6 @@ def _symmetric(m: int, cap: int) -> tuple:
 
 def _heisenberg(p: int, cap: int) -> tuple:
     """Upper unitriangular 3x3 matrices over F_p, acting on themselves."""
-    if not is_prime(p) or p == 2:
-        raise UnknownSpec(f"heisenberg parameter must be an odd prime, got {p}")
     F = FiniteField(p, 1)
     elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
 
@@ -81,8 +72,6 @@ def _heisenberg(p: int, cap: int) -> tuple:
 
 def _modular(p: int, cap: int) -> tuple:
     """Order p^3 with a cyclic maximal subgroup: x+1 and x*(1+p) on Z/p^2."""
-    if not is_prime(p) or p == 2:
-        raise UnknownSpec(f"modular parameter must be an odd prime, got {p}")
     m = p * p
     add = tuple((i + 1) % m for i in range(m))
     scale = tuple((i * (1 + p)) % m for i in range(m))
@@ -94,8 +83,6 @@ def _modular(p: int, cap: int) -> tuple:
 
 def _affine(p: int, k: int, cap: int) -> tuple:
     """Full affine group x -> b*x + a of GF(p^k) on the field elements."""
-    if not is_prime(p) or k < 1:
-        raise UnknownSpec(f"affine parameters need a prime and k >= 1, got ({p}, {k})")
     field = FiniteField(p, k)
     q = field.order
     g = field.multiplicative_generator()
@@ -148,32 +135,40 @@ def _field(obj: dict, key: str, where: str, kind: type = object, default=_REQUIR
         if default is _REQUIRED:
             raise ParseError(f"{where}{key}: missing")
         return default
-    if not isinstance(obj[key], kind):
+    if not isinstance(obj[key], kind) or (kind is int and type(obj[key]) is bool):
         raise ParseError(f"{where}{key}: expected {kind.__name__}, got {obj[key]!r}")
     return obj[key]
 
 
-# Name -> (parameter keys, order, degree, constructor). Order and degree are
-# read from the parameters before the constructor runs, so a group above the
-# cap or the store budget allocates nothing. On parameters that the
-# constructor rejects, a formula need not give the order or the degree, but it
-# must not raise or take long.
+def _odd_prime(p: int) -> bool:
+    return p != 2 and is_prime(p)
+
+
+# Name -> (parameter keys, what they must satisfy, test of it, order, degree,
+# constructor). Order and degree are read from valid parameters before the
+# constructor runs, so a group above the cap or the store budget allocates
+# nothing. Every group here has order at least each of its parameters, so a
+# parameter above STORE_BUDGET is refused before anything is computed from it;
+# the bound on k keeps p ** k quick to compute.
 _NAMED = {
-    "cyclic": (("m",), lambda m: m, lambda m: m, _cyclic),
-    "dihedral": (("m",), lambda m: 2 * m, lambda m: m, _dihedral),
-    "symmetric": (("m",), lambda m: math.factorial(m) if 0 <= m <= 5 else 0, lambda m: m,
+    "cyclic": (("m",), "m >= 1", lambda m: m >= 1, lambda m: m, lambda m: m, _cyclic),
+    "dihedral": (("m",), "m >= 3", lambda m: m >= 3, lambda m: 2 * m, lambda m: m, _dihedral),
+    "symmetric": (("m",), "1 <= m <= 5", lambda m: 1 <= m <= 5, math.factorial, lambda m: m,
                   _symmetric),
-    "heisenberg": (("p",), lambda p: p ** 3, lambda p: p ** 3, _heisenberg),
-    "modular": (("p",), lambda p: p ** 3, lambda p: p * p, _modular),
-    "affine": (("p", "k"), lambda p, k: p ** k * (p ** k - 1) if p > 1 and k > 0 else 0,
-               lambda p, k: p ** k if p > 1 and k > 0 else 0, _affine),
+    "heisenberg": (("p",), "an odd prime p", _odd_prime, lambda p: p ** 3, lambda p: p ** 3,
+                   _heisenberg),
+    "modular": (("p",), "an odd prime p", _odd_prime, lambda p: p ** 3, lambda p: p * p,
+                _modular),
+    "affine": (("p", "k"), "a prime p and 1 <= k <= 64",
+               lambda p, k: is_prime(p) and 1 <= k <= 64,
+               lambda p, k: p ** k * (p ** k - 1), lambda p, k: p ** k, _affine),
 }
 
 
 def _parse(spec: dict, where: str) -> tuple:
     """(constructor, its arguments, order, degree, JSON path of the params) of a
     named group spec; ``where`` prefixes the JSON paths in errors."""
-    name = _field(spec, "name", where)
+    name = _field(spec, "name", where, str)
     params = _field(spec, "params", where, dict, {})
     if name == "direct_product":
         factors = _field(params, "factors", f"{where}params.", list)
@@ -181,9 +176,16 @@ def _parse(spec: dict, where: str) -> tuple:
         return (_direct_product, (factors, parsed), math.prod(f[2] for f in parsed),
                 sum(f[3] for f in parsed), f"{where}params")
     if name not in _NAMED:
-        raise UnknownSpec(f"unrecognized instance name {name!r}")
-    keys, order, degree, build = _NAMED[name]
+        raise UnknownSpec(f"{where}name: unrecognized instance name {name!r}")
+    keys, requirement, valid, order, degree, build = _NAMED[name]
     args = [_field(params, key, f"{where}params.", int) for key in keys]
+    for key, arg in zip(keys, args):
+        if arg > STORE_BUDGET:
+            raise CapExceeded(f"{where}params.{key}: {arg} is above {STORE_BUDGET}, and the "
+                              f"group's order is at least each of its parameters")
+    if not valid(*args):
+        raise UnknownSpec(f"{where}params: {name} needs {requirement}, "
+                          f"got {dict(zip(keys, args))}")
     return build, args, order(*args), degree(*args), f"{where}params"
 
 
@@ -192,20 +194,27 @@ def _build_group(parsed: tuple, cap: int) -> tuple:
     and the size of its element store against STORE_BUDGET."""
     build, args, order, degree, where = parsed
     if order > cap:
-        raise CapExceeded(f"order {order} exceeds cap={cap}")
+        raise CapExceeded(f"{where}: order {_decimal(order)} exceeds cap={cap}")
     size = order * element_bytes(degree)
     if size > STORE_BUDGET:
-        raise CapExceeded(f"{where}: order {order} on {degree} points needs about "
-                          f"{size // 10 ** 6} MB of elements, above the "
+        raise CapExceeded(f"{where}: order {_decimal(order)} on {degree} points needs about "
+                          f"{_decimal(size // 10 ** 6)} MB of elements, above the "
                           f"{STORE_BUDGET // 10 ** 6} MB budget")
     return build(*args, cap)
 
 
-def _power_word(G: FiniteGroup, gen_index: int, k: int) -> tuple:
+def _decimal(n: int) -> str:
+    """n in decimal, or its size in bits when the decimal is too long to print
+    (the product of many factors' orders can be)."""
+    return str(n) if n.bit_length() < 10 ** 4 else f"of {n.bit_length()} bits"
+
+
+def _power_word(G: FiniteGroup, gen_index: int, k: int, where: str) -> tuple:
     """Generator ``gen_index`` to the power k, spelled with |k| reduced modulo
-    the generator's order, so a huge exponent does not spell a huge word."""
-    if not isinstance(k, int) or k == 0:
-        raise UnknownSpec(f"power recipe needs a nonzero integer exponent, got {k!r}")
+    the generator's order, so a huge exponent does not spell a huge word;
+    ``where`` is the JSON path of k."""
+    if type(k) is not int or k == 0:
+        raise UnknownSpec(f"{where}: power recipe needs a nonzero integer exponent, got {k!r}")
     letter = gen_index + 1 if k > 0 else -(gen_index + 1)
     return (letter,) * (abs(k) % G.element_order(G.generator_indices[gen_index]))
 
@@ -229,23 +238,23 @@ def _recipe_images(G: FiniteGroup, spec: dict, meta: dict, recipe: dict) -> list
         return [(i + 1,) for i in range(ngens)]
     if kind == "power":
         k = _field(recipe, "k", "automorphism.", int)
-        return [_power_word(G, i, k) for i in range(ngens)]
+        return [_power_word(G, i, k, "automorphism.k") for i in range(ngens)]
     if kind == "gen_powers":
         powers = _field(recipe, "powers", "automorphism.", list)
         if len(powers) != ngens:
-            raise UnknownSpec(f"gen_powers needs {ngens} exponents")
-        return [_power_word(G, i, k) for i, k in enumerate(powers)]
+            raise UnknownSpec(f"automorphism.powers: gen_powers needs {ngens} exponents")
+        return [_power_word(G, i, k, f"automorphism.powers[{i}]") for i, k in enumerate(powers)]
     if kind == "swap":
         blocks = _field(recipe, "blocks", "automorphism.", list, [0, 1])
         specs = meta.get("factor_specs")
         if specs is None:
-            raise UnknownSpec("swap recipe applies to direct products only")
+            raise UnknownSpec("automorphism.recipe: swap applies to direct products only")
         if len(blocks) != 2 or not all(type(k) is int and 0 <= k < len(specs) for k in blocks):
             raise ParseError(f"automorphism.blocks: expected two factor positions "
                              f"below {len(specs)}, got {blocks!r}")
         a, b = blocks
         if specs[a] != specs[b]:
-            raise UnknownSpec("swap recipe needs identical factors")
+            raise UnknownSpec("automorphism.blocks: swap needs identical factors")
         offsets = meta["factor_gen_offsets"]
         counts = meta["factor_gen_counts"]
         mapping = list(range(len(G.generators)))
@@ -263,16 +272,16 @@ def _recipe_images(G: FiniteGroup, spec: dict, meta: dict, recipe: dict) -> list
         if name == "direct_product":
             specs = meta.get("factor_specs", [])
             if not specs or any(s.get("name") != "cyclic" for s in specs):
-                raise UnknownSpec("frobenius recipe needs cyclic(p)^k factors")
+                raise UnknownSpec("automorphism.recipe: frobenius needs cyclic(p)^k factors")
             ps = {int(s["params"]["m"]) for s in specs}
             if len(ps) != 1:
-                raise UnknownSpec("frobenius recipe needs equal cyclic factors")
+                raise UnknownSpec("automorphism.recipe: frobenius needs equal cyclic factors")
             p = ps.pop()
             if not is_prime(p):
-                raise UnknownSpec("frobenius recipe needs prime cyclic factors")
+                raise UnknownSpec("automorphism.recipe: frobenius needs prime cyclic factors")
             return _frobenius_images_additive(p, len(specs))
-        raise UnknownSpec(f"frobenius recipe does not apply to {name!r}")
-    raise UnknownSpec(f"unrecognized automorphism recipe {kind!r}")
+        raise UnknownSpec(f"automorphism.recipe: frobenius does not apply to {name!r}")
+    raise UnknownSpec(f"automorphism.recipe: unrecognized automorphism recipe {kind!r}")
 
 
 def _spec_automorphism(G: FiniteGroup, spec: dict, meta: Optional[dict]):
@@ -282,20 +291,33 @@ def _spec_automorphism(G: FiniteGroup, spec: dict, meta: Optional[dict]):
     if auto is None:
         return None
     if meta is not None and "images" not in auto:
-        return build_automorphism(G, _recipe_images(G, spec, meta, auto))
-    words = _field(auto, "images", "automorphism.", list)
-    n = len(G.generators)
-    if len(words) != n or not all(isinstance(w, list) and all(
-            type(k) is int and 0 < abs(k) <= n for k in w) for w in words):
-        raise ParseError(f"automorphism.images: expected {n} image words of generator "
-                         f"numbers from -{n} to {n} but 0, got {words!r}")
-    return build_automorphism(G, [tuple(w) for w in words])
+        words = _recipe_images(G, spec, meta, auto)
+    else:
+        words = _field(auto, "images", "automorphism.", list)
+        n = len(G.generators)
+        if len(words) != n or not all(isinstance(w, list) and all(
+                type(k) is int and 0 < abs(k) <= n for k in w) for w in words):
+            raise ParseError(f"automorphism.images: expected {n} image words of generator "
+                             f"numbers from -{n} to {n} but 0, got {words!r}")
+    try:
+        return build_automorphism(G, [tuple(w) for w in words])
+    except (NotBijective, NotHomomorphism) as exc:
+        raise type(exc)(f"automorphism: {exc}") from exc
+
+
+def _cap(spec: dict, cap: Optional[int]) -> int:
+    """The enumeration cap: the caller's, else the spec's own, else DEFAULT_CAP."""
+    if cap is not None:
+        return cap
+    cap = _field(spec, "cap", "", int, DEFAULT_CAP)
+    if cap < 1:
+        raise ParseError(f"cap: must be at least 1, got {cap}")
+    return cap
 
 
 def build_corpus_instance(spec: dict, cap: Optional[int] = None):
     """Build (group, automorphism-or-None) from a corpus instance spec."""
-    cap = cap if cap is not None else _field(spec, "cap", "", int, DEFAULT_CAP)
-    G, meta = _build_group(_parse(spec, ""), cap)
+    G, meta = _build_group(_parse(spec, ""), _cap(spec, cap))
     return G, _spec_automorphism(G, spec, meta)
 
 
@@ -322,7 +344,7 @@ def load_instance(data: dict, cap: Optional[int] = None):
     Returns (group, automorphism-or-None, instance id).
     """
     if "degree" in data:
-        cap = cap if cap is not None else _field(data, "cap", "", int, DEFAULT_CAP)
+        cap = _cap(data, cap)
         degree = _field(data, "degree", "", int)
         if degree < 0:
             raise ParseError(f"degree: expected a point count, got {degree}")
@@ -331,13 +353,16 @@ def load_instance(data: dict, cap: Optional[int] = None):
             raise CapExceeded(f"degree: one element on {degree} points needs about "
                               f"{size // 10 ** 6} MB, above the {STORE_BUDGET // 10 ** 6} MB "
                               f"budget")
-        G = generate_group(degree, _field(data, "generators", "", list, []),
-                           cap=min(cap, STORE_BUDGET // size))
+        try:
+            G = generate_group(degree, _field(data, "generators", "", list, []),
+                               cap=min(cap, STORE_BUDGET // size))
+        except InvalidPermutation as exc:
+            raise InvalidPermutation(f"generators: {exc}") from exc
         return G, _spec_automorphism(G, data, None), instance_id(data)
     if "name" in data:
         G, phi = build_corpus_instance(data, cap=cap)
         return G, phi, instance_id(data)
-    raise ParseError("input must carry either 'degree' or 'name'")
+    raise ParseError("name: missing, and no 'degree' of a raw group file either")
 
 
 def instance_id(spec: dict) -> str:

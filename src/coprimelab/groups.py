@@ -8,9 +8,10 @@ words and every downstream report are reproducible.
 At degree <= 256 each element is stored as ``bytes``, one byte per image
 (degree + 33 bytes against 8 * degree + 56 for a tuple), and enumeration
 composes with ``bytes.translate``, a byte-to-byte map done in C. Larger
-degrees store tuples. The store stays private: ``G.elements`` hands out
-tuples either way. Factorization words are not stored either: ``G.words[e]``
-walks up the enumeration tree from e and spells the word enumeration found.
+degrees store tuples and compose with ``operator.itemgetter``, also in C.
+The store stays private: ``G.elements`` hands out tuples either way.
+Factorization words are not stored either: ``G.words[e]`` walks up the
+enumeration tree from e and spells the word enumeration found.
 
 Elements are keyed by their images on a base, a short list of points whose
 images determine an element (Sims; Seress, *Permutation Group Algorithms*,
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import CapExceeded, InvalidPermutation, NotNormal
@@ -375,8 +377,10 @@ def generate_group(degree: int, generators: Sequence[Sequence[int]],
     gens = [validate_permutation(g, degree) for g in generators]
     # g.translate(base + pad) sends each image g[x] to base[g[x]], which is
     # base∘g; the pad fills out the 256-entry table that translate reads.
+    # Above that degree itemgetter(*g)(base) is the tuple base∘g.
     pad = bytes(256 - degree) if degree <= BYTES_MAX_DEGREE else None
-    letters = [bytes(g) for g in gens] if pad is not None else gens
+    letters = ([bytes(g) for g in gens] if pad is not None
+               else [itemgetter(*g) for g in gens])
     identity = bytes(range(degree)) if pad is not None else tuple(range(degree))
     store: list = [identity]
     index: dict = {identity: 0}
@@ -390,7 +394,7 @@ def generate_group(degree: int, generators: Sequence[Sequence[int]],
                 table = base + pad
                 images = [g.translate(table) for g in letters]
             else:
-                images = [tuple(map(base.__getitem__, g)) for g in letters]
+                images = [g(base) for g in letters]
             for gi, img in enumerate(images):
                 if img not in index:
                     if len(store) >= cap:

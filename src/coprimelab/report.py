@@ -17,7 +17,7 @@ from .automorphisms import (Automorphism, check_coprime_facts, decomposition_wit
                             default_normal_family, factorization_status, fixed_generation_S,
                             fixed_points_of_product, is_phi_invariant, orbit_representatives,
                             phi_invariant_closure, restrict_automorphism, soluble_exponent_probe,
-                            twisted_data)
+                            twisted_data, twisted_pair_closures)
 from .corpus import instance_id, load_instance
 from .errors import CapExceeded, GroupTheoryError, NotCoprime, NotSoluble, ParseError
 from .groups import FiniteGroup, center, is_normal, subgroup_generated
@@ -69,7 +69,10 @@ def theorem2_probe(phi: Automorphism, pair_cap: int = PAIR_CAP) -> dict:
 
     With m twisted elements, the pair loop runs in full while m * m is at
     most ``pair_cap`` and switches to deterministic stride sampling beyond
-    that, in which case the reported maximum is only a lower bound.
+    that, in which case the reported maximum is only a lower bound. The full
+    walk closes one pair per pair of <phi>-orbits (``twisted_pair_closures``)
+    and stops once d reaches the derived length of G, which no subgroup
+    exceeds; an insoluble G gives no bound, so every closure is checked.
     """
     if not phi.coprime:
         raise NotCoprime("probe requires a coprime action")
@@ -85,19 +88,23 @@ def theorem2_probe(phi: Automorphism, pair_cap: int = PAIR_CAP) -> dict:
     total = m * m
     sampled = total > pair_cap
     if sampled:
-        pairs = (divmod(k, m) for k in range(0, total, -(-total // pair_cap)))
+        closures = (phi_invariant_closure(phi, {tw[k // m], tw[k % m]})
+                    for k in range(0, total, -(-total // pair_cap)))
+        bound = None
     else:
-        pairs = ((i, j) for i in range(m) for j in range(i, m))
+        closures = twisted_pair_closures(phi)
+        bound = derived_series(G).derived_length
     d = 0
     length_cache: dict = {}
-    for i, j in pairs:
-        K = phi_invariant_closure(phi, {tw[i], tw[j]})
+    for K in closures:
         if K.member_set not in length_cache:
             length_cache[K.member_set] = derived_series(G, K).derived_length
         dl = length_cache[K.member_set]
         if dl is None:
             return {"skipped": "a twisted-pair closure is insoluble"}
         d = max(d, dl)
+        if d == bound:
+            break
     exp_comm = td.commutator_phi.exponent()
     exponent = G.exponent()
     return {"c": c, "d": d, "d_is_lower_bound": sampled, "e": e, "n": phi.order_n,

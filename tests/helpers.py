@@ -301,3 +301,38 @@ def per_element_decomposition_witness(phi):
         if G.mul(g, h) != x:
             return {"element": x, "error": "product mismatch"}
     return None
+
+
+def _all_twisted_pair_closures(phi):
+    """The invariant closure of every pair i <= j of twisted elements, in order,
+    with the twisted set computed here rather than by the library."""
+    from coprimelab.automorphisms import phi_invariant_closure
+    G = phi.group
+    tw = sorted({G.mul(G.inv(x), phi.table[x]) for x in range(G.order)})
+    for i, x1 in enumerate(tw):
+        for x2 in tw[i:]:
+            yield phi_invariant_closure(phi, {x1, x2})
+
+
+def all_pairs_fixed_generation_S(phi) -> dict:
+    """``fixed_generation_S`` as the unreduced walk: every twisted pair, no
+    early stop, and generation decided by breadth-first closure. The oracle for
+    ``automorphisms.fixed_generation_S``."""
+    G = phi.group
+    fixed = frozenset(x for x in range(G.order) if phi.table[x] == x)
+    S = {0}
+    for K in _all_twisted_pair_closures(phi):
+        S |= K.member_set & fixed
+    return {"S_size": len(S), "generates": generated_members(G, S) == fixed}
+
+
+def all_pairs_derived_length(phi):
+    """The largest derived length over the invariant closures of every twisted
+    pair, with no early stop; None when one of them is insoluble. The oracle
+    for the full mode of ``report.theorem2_probe``."""
+    from coprimelab.structure import derived_series
+    lengths = {}
+    for K in _all_twisted_pair_closures(phi):
+        if K.member_set not in lengths:
+            lengths[K.member_set] = derived_series(phi.group, K).derived_length
+    return None if None in lengths.values() else max(lengths.values())

@@ -398,3 +398,33 @@ def test_table_that_disagrees_with_its_generator_images_is_rejected(c3c3_swap):
     table[x], table[y] = table[y], table[x]
     with pytest.raises(NotHomomorphism, match=f"table breaks at element {x},"):
         automorphism_from_table(G, table)
+
+
+def test_centralizing_failure_carries_a_witness_that_replays(monkeypatch):
+    from coprimelab import automorphisms
+    spec = {"name": "heisenberg", "params": {"p": 3},
+            "automorphism": {"recipe": "power", "k": -1}}
+    G, phi = build_corpus_instance(spec)
+    assert all("witness" not in c for c in check_coprime_facts(phi)["centralizing"])
+    # a core that [G, phi] = G does not centralize, generated by a product of
+    # generators, so that its elements' words are not their indices
+    a, b = G.generator_indices
+    core = subgroup_generated(G, [G.mul(a, b)])
+    monkeypatch.setattr(automorphisms, "_core_of_fixed", lambda phi: core)
+    report = check_coprime_facts(phi)
+    assert report["verdict"] == "fail"
+    failed = [c for c in report["centralizing"] if c["verdict"] == "fail"]
+    assert [c["subgroup"] for c in failed] == ["core_of_fixed"]
+    assert all("witness" not in c for c in report["centralizing"] if c["verdict"] == "pass")
+    words = failed[0]["witness"]
+    assert set(words) == {"m", "x"}
+    assert all(type(k) is int for w in words.values() for k in w)
+    # the words spell the first non-commuting pair of the scan
+    first = next((m, x) for m in twisted_data(phi).commutator_phi.members
+                 for x in core.members if G.mul(m, x) != G.mul(x, m))
+    assert len(words["x"]) > 1
+    assert (G.evaluate_word(words["m"]), G.evaluate_word(words["x"])) == first
+    G2, phi2 = build_corpus_instance(spec)
+    m, x = G2.evaluate_word(words["m"]), G2.evaluate_word(words["x"])
+    assert m in twisted_data(phi2).commutator_phi.member_set
+    assert G2.mul(m, x) != G2.mul(x, m)

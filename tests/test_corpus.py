@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -199,3 +200,18 @@ def test_cli_raw_degree_over_the_store_budget_exits_2(tmp_path, capsys, monkeypa
     path.write_text(json.dumps({"degree": 10 ** 9, "generators": []}), encoding="utf-8")
     assert main(["info", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: degree: ")
+
+
+@pytest.mark.parametrize("spec, path", [
+    ({"name": "heisenberg", "params": {"p": 2 ** 61 - 1}}, "params.p"),
+    ({"name": "affine", "params": {"p": 2, "k": 10 ** 10}}, "params.k"),
+    ({"name": "cyclic", "params": {"m": 10 ** 4000}}, "params.m"),
+])
+def test_parameter_above_the_store_budget_is_refused_before_any_arithmetic(spec, path,
+                                                                             monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed with a parameter above the store budget")
+    _refuse_to_build(monkeypatch)
+    monkeypatch.setattr(corpus, "is_prime", refuse)
+    with pytest.raises(CapExceeded, match=rf"^{re.escape(path)}: "):
+        build_corpus_instance(spec)

@@ -5,7 +5,9 @@ import time
 
 import pytest
 
-from coprimelab.automorphisms import Automorphism, decomposition_witness
+from coprimelab.automorphisms import (Automorphism, build_automorphism, decomposition_witness,
+                                      fixed_generation_S, restrict_automorphism, twisted_data,
+                                      twisted_pair_closures)
 from coprimelab.cli import main
 from coprimelab.corpus import build_corpus_instance, build_glauberman_example, default_corpus
 from coprimelab import report
@@ -13,7 +15,8 @@ from coprimelab.errors import NotCoprime, NotSoluble
 from coprimelab.report import (analyze_instance, canonical_json, count_verdicts, run_suite,
                                theorem1_probe, theorem2_probe, thompson_probe)
 from coprimelab.structure import lower_central_series
-from helpers import per_element_decomposition_witness, unreduced_theorem1
+from helpers import (all_pairs_derived_length, all_pairs_fixed_generation_S, generated_members,
+                     per_element_decomposition_witness, quaternion_group, unreduced_theorem1)
 
 
 def c7_phi():
@@ -75,6 +78,122 @@ def test_theorem1_closes_one_subgroup_per_orbit_glauberman():
     assert not phi.closure_cache
     theorem1_probe(phi)
     assert len(phi.closure_cache) == 27
+
+
+def _corpus_spec(inst_id):
+    return next(s for s in default_corpus()["instances"] if s["id"] == inst_id)
+
+
+def _check_pair_walks(G, phi) -> bool:
+    """Compare ``fixed_generation_S`` and the full-mode ``theorem2_probe`` with
+    the all-pairs oracles wherever their preconditions hold; the oracles run on
+    an emptied closure cache. True if either walk was checked."""
+    if phi is None or not phi.coprime:
+        return False
+    td = twisted_data(phi)
+    theorem2 = theorem2_probe(phi)
+    nilpotent = lower_central_series(G).is_nilpotent
+    if nilpotent:
+        rphi = restrict_automorphism(phi, td.commutator_phi)[1]
+        generation = fixed_generation_S(rphi)
+        rphi.closure_cache.clear()
+        assert generation == all_pairs_fixed_generation_S(rphi)
+    phi.closure_cache.clear()
+    if theorem2 == {"skipped": "fixed-point subgroup is not nilpotent"}:
+        return nilpotent
+    d = all_pairs_derived_length(phi)
+    if d is None:
+        assert theorem2 == {"skipped": "a twisted-pair closure is insoluble"}
+    else:
+        assert (theorem2["d"], theorem2["d_is_lower_bound"]) == (d, False)
+    return True
+
+
+def test_pair_walks_match_all_pairs_oracle_on_corpus():
+    checked = [spec["id"] for spec in default_corpus()["instances"]
+               if _check_pair_walks(*build_corpus_instance(spec))]
+    assert len(checked) >= 20
+
+
+def _template(group, powers):
+    recipe = ({"recipe": "power", "k": powers} if isinstance(powers, int)
+              else {"recipe": "gen_powers", "powers": list(powers)})
+    return {**group, "automorphism": recipe}
+
+
+def _cyclic(m):
+    return {"name": "cyclic", "params": {"m": m}}
+
+
+def _heisenberg(p):
+    return {"name": "heisenberg", "params": {"p": p}}
+
+
+def _product(*factors):
+    return {"name": "direct_product", "params": {"factors": list(factors)}}
+
+
+MOD7_ORD3 = _template({"name": "modular", "params": {"p": 7}}, (30, 1))
+
+# The six groups of the benchmark's nilpotent_pairs corpus, each with the
+# automorphism its seeds generate the cyclic group of.
+NILPOTENT_PAIRS = {
+    "heis7_ord6": _template(_heisenberg(7), (3, 5)),
+    "heis5_ord4": _template(_heisenberg(5), 2),
+    "c125_ord4": _template(_cyclic(125), 57),
+    "mod7_ord3": MOD7_ORD3,
+    "heis3_c9_inv": _template(_product(_heisenberg(3), _cyclic(9)), -1),
+    "c25_c5_ord4": _template(_product(_cyclic(25), _cyclic(5)), (7, 2)),
+}
+
+
+@pytest.mark.parametrize("inst_id", NILPOTENT_PAIRS)
+def test_pair_walks_match_all_pairs_oracle_on_nilpotent_templates(inst_id):
+    assert _check_pair_walks(*build_corpus_instance(NILPOTENT_PAIRS[inst_id]))
+
+
+def test_theorem2_walks_every_orbit_pair_when_d_stays_below_the_derived_length():
+    # mod7_ord3 has d = 1 below the derived length 2, so nothing stops the walk
+    G, phi = build_corpus_instance(MOD7_ORD3)
+    orbits = set()
+    for t in {G.mul(G.inv(x), phi.table[x]) for x in range(G.order)}:
+        orbit, y = {t}, phi.table[t]
+        while y != t:
+            orbit.add(y)
+            y = phi.table[y]
+        orbits.add(frozenset(orbit))
+    r = len(orbits)
+    closures = [K.member_set for K in twisted_pair_closures(phi)]
+    assert len(closures) == r * (r + 1) // 2
+    assert set(closures) == {frozenset(generated_members(G, a | b))
+                             for a in orbits for b in orbits}
+    phi.closure_cache.clear()
+    assert theorem2_probe(phi)["d"] == 1
+    assert len(phi.closure_cache) == r * (r + 1) // 2
+
+
+def _q8_ord3():
+    G = quaternion_group()
+    return G, build_automorphism(G, [(2,), (1, 2)])  # i -> j -> k, fixing -1
+
+
+# Closures built by fixed_generation_S (None where G is not nilpotent) and then
+# by theorem2_probe, which reuses them: one per pair of <phi>-orbits until S is
+# all of C_G(phi) and d is the derived length of G.
+@pytest.mark.parametrize("build, after_generation, after_theorem2", [
+    (lambda: build_corpus_instance(_corpus_spec("heis3_inv")), 7, 7),
+    (lambda: build_corpus_instance(_corpus_spec("aff8_frob")), None, 3),
+    (lambda: build_corpus_instance(NILPOTENT_PAIRS["heis5_ord4"]), 0, 35),
+    (_q8_ord3, 2, 2),
+], ids=["heis3_inv", "aff8_frob", "heis5_ord4", "q8_ord3"])
+def test_pair_walks_close_a_pinned_number_of_subgroups(build, after_generation, after_theorem2):
+    G, phi = build()
+    assert not phi.closure_cache
+    if after_generation is not None:
+        assert fixed_generation_S(phi)["generates"] is True
+        assert len(phi.closure_cache) == after_generation
+    theorem2_probe(phi)
+    assert len(phi.closure_cache) == after_theorem2
 
 
 def test_theorem2_c7():
@@ -303,10 +422,6 @@ def test_cli_auto_skips_fixed_generation_above_the_pair_cap(tmp_path, capsys, mo
     assert main(["auto", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["fixed_generation"] == "skipped: 81 twisted pairs above the pair cap"
-
-
-def _cyclic(m):
-    return {"name": "cyclic", "params": {"m": m}}
 
 
 HEIS5_INV = {"name": "heisenberg", "params": {"p": 5},

@@ -152,6 +152,7 @@ class FiniteGroup:
     ``_base_images[i][e]`` is the image of ``base[i]`` under element e, and
     ``_key_index`` maps an element's key (see ``_key``) to its index: a list
     with -1 at unused keys when degree**len(base) <= 4*order, else a dict.
+    ``_orders`` and ``_inverses`` are the tables ``_power_walk`` builds.
     """
 
     def __init__(self, degree: int, generators: Sequence[Perm], store: list,
@@ -172,11 +173,8 @@ class FiniteGroup:
                 self._key_index[self._key(perm)] = i
         else:
             self._key_index = {self._key(perm): i for i, perm in enumerate(store)}
-        self._orders: list = [0] * len(store)
         self.generator_indices = tuple(self.element_index(g) for g in self.generators)
-        # y = parent * g along the enumeration tree, so y^-1 = g^-1 * parent^-1
-        self._inverses = self.extend_images([self.power(g, -1) for g in self.generator_indices],
-                                            lambda parent, g: self.mul(g, parent))
+        self._orders, self._inverses = self._power_walk()
         self._whole: Optional[Subgroup] = None
         self.cache: dict = {}
 
@@ -195,6 +193,28 @@ class FiniteGroup:
         for column in reversed(images):
             key = key * self.degree + perm[column[b]]
         return self._key_index[key]
+
+    def _power_walk(self) -> tuple:
+        """Order and inverse tables from one walk a, a^2, ... to the identity
+        for each element a whose order is still unknown: with o the order of
+        a, its power a^k has order o/gcd(k, o) and inverse a^(o-k)."""
+        mul = self.mul
+        orders, inverses = [0] * self.order, [0] * self.order
+        orders[0] = 1
+        # enumeration tends to reach the largest orders last, whose walks cover the rest
+        for a in range(self.order - 1, 0, -1):
+            if orders[a]:
+                continue
+            powers = [0, a]
+            x = mul(a, a)
+            while x:
+                powers.append(x)
+                x = mul(x, a)
+            o = len(powers)
+            for k in range(1, o):
+                orders[powers[k]] = o // math.gcd(k, o)
+                inverses[powers[k]] = powers[o - k]
+        return orders, inverses
 
     def extend_images(self, images: Sequence[int], mul) -> list:
         """out[0] = 0 and out[y] = mul(out[x], images[gi]) along every edge
@@ -230,23 +250,11 @@ class FiniteGroup:
         return self.mul(self.mul(self.mul(self._inverses[a], self._inverses[b]), a), b)
 
     def element_order(self, a: int) -> int:
-        """The lcm of the cycle lengths of the base points: a**k is the
-        identity exactly when it fixes every base point."""
-        order = self._orders[a]
-        if order == 0:
-            perm = self._store[a]
-            order = 1
-            for pt in self.base:
-                length, x = 1, perm[pt]
-                while x != pt:
-                    length, x = length + 1, perm[x]
-                order = math.lcm(order, length)
-            self._orders[a] = order
-        return order
+        return self._orders[a]
 
     def exponent_of(self, elems: Iterable[int]) -> int:
         """Least e with x^e = identity for every x in elems (lcm of orders)."""
-        return math.lcm(*map(self.element_order, elems))
+        return math.lcm(*map(self._orders.__getitem__, elems))
 
     def exponent(self) -> int:
         return self.whole_subgroup().exponent()
@@ -480,16 +488,14 @@ def centralizer(G: FiniteGroup, elems: Iterable[int]) -> Subgroup:
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    """Centralizer of the generators, which equals the center."""
-    return centralizer(G, G.generator_indices)
-
-
-def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    members = [g for g in range(G.order)
-               if all(G.conjugate(t, g) in H.member_set for t in H.gens)]
-    if len(members) == G.order:
-        return G.whole_subgroup()
-    return subgroup_generated(G, members)
+    """Centralizer of the generators, which equals the center. Scanned once per
+    group and cached as data: a cached Subgroup would hold G in a cycle."""
+    cached = G.cache.get("center")
+    if cached is None:
+        Z = centralizer(G, G.generator_indices)
+        G.cache["center"] = (Z.members, Z.gens)
+        return Z
+    return Subgroup(G, *cached)
 
 
 def normality_witness(G: FiniteGroup, gens: Iterable[int], members) -> Optional[tuple]:

@@ -19,7 +19,8 @@ from .automorphisms import (Automorphism, check_coprime_facts, decomposition_wit
                             phi_invariant_closure, restrict_automorphism, soluble_exponent_probe,
                             twisted_data, twisted_pair_closures)
 from .corpus import instance_id, load_instance
-from .errors import CapExceeded, GroupTheoryError, NotCoprime, NotSoluble, ParseError
+from .errors import (CapExceeded, GroupTheoryError, InvalidPermutation, NotBijective,
+                     NotCoprime, NotHomomorphism, NotSoluble, ParseError, UnknownSpec)
 from .groups import FiniteGroup, center, is_normal, subgroup_generated
 from .lie import (build_graded_lie, check_lazard_all, check_riley, extend_and_eigendecompose,
                   jlz_series, lie_fixed_points, subalgebra_LGH, verify_bracket_axioms,
@@ -292,8 +293,12 @@ def _probe_section(G: FiniteGroup, phi: Optional[Automorphism]) -> dict:
 
 
 def analyze_instance(spec: dict, cap: Optional[int] = None) -> dict:
-    """Full analysis report for one corpus instance spec."""
-    G, phi, inst_id = load_instance(spec, cap=cap)
+    """Full analysis report for one corpus instance spec. A spec that does not
+    load raises ParseError, except that CapExceeded passes through."""
+    try:
+        G, phi, inst_id = load_instance(spec, cap=cap)
+    except (UnknownSpec, InvalidPermutation, NotBijective, NotHomomorphism) as exc:
+        raise ParseError(str(exc)) from exc
     report = {"id": inst_id, "group": _group_section(G)}
     report["automorphism"] = _auto_section(G, phi) if phi is not None else None
     p = report["group"]["p"]

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotAPGroup, NotSoluble
-from .groups import (FiniteGroup, Subgroup, commutator_subgroup_pair, normality_witness,
-                     product_of_subgroups, quotient_group, subgroup_generated)
+from .groups import (FiniteGroup, Subgroup, commutator_subgroup_pair, product_of_subgroups,
+                     quotient_group, subgroup_generated)
 from .numutil import is_prime, p_part, prime_factors, prime_power_base
 
 
@@ -82,11 +82,12 @@ def lower_central_series(G: FiniteGroup, H: Optional[Subgroup] = None) -> Subgro
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
-    """A Sylow p-subgroup, built deterministically by normalizer extension.
+    """A Sylow p-subgroup, built deterministically by p-element extension.
 
-    Starting from the trivial subgroup, repeatedly adjoin the p-part of the
-    least normalizer element falling outside the current subgroup; each step
-    stays inside a p-group and strictly grows, so no retries are needed.
+    Starting from the trivial subgroup, repeatedly adjoin the least p-element
+    outside P that normalizes P. While P is below a Sylow subgroup S, the
+    normalizer of P in S is larger than P, so such an element exists, and
+    adjoining it gives a larger p-group; no normalizer is ever built.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -95,46 +96,34 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
         return G.trivial_subgroup()
     if pk == G.order:
         return G.whole_subgroup()
-    from .groups import normalizer
-
+    # an element order divides |G|, so it is a power of p iff it divides pk
+    p_elements = [x for x in range(1, G.order) if pk % G.element_order(x) == 0]
     P = G.trivial_subgroup()
     while P.order < pk:
-        N = normalizer(G, P)
-        z = None
-        for x in N.members:
-            if x in P.member_set:
-                continue
-            o = G.element_order(x)
-            power_of_p = p_part(o, p)
-            if power_of_p == 1:
-                continue
-            cand = G.power(x, o // power_of_p)
-            if cand not in P.member_set:
-                z = cand
-                break
+        z = next((x for x in p_elements if x not in P.member_set
+                  and all(G.conjugate(t, x) in P.member_set for t in P.gens)), None)
         if z is None:
             raise AssertionError("Sylow extension exhausted below the p-part")
-        P = subgroup_generated(G, set(P.gens) | {z})
+        P = subgroup_generated(G, P.gens + (z,))
     return P
 
 
 def p_core(G: FiniteGroup, p: int) -> Subgroup:
-    """O_p(G): intersection of all conjugates of one Sylow p-subgroup."""
+    """O_p(G), the core of a Sylow p-subgroup P.
+
+    Intersect the current set with its conjugates by the generators of G until
+    it is stable. Every step is a subgroup containing the core; the fixed
+    point C has C^g = C for every generator g, so it is normal and is the core.
+    """
     P = sylow_subgroup(G, p)
     if P.is_whole:
         return P
-    current = P.member_set
-    changed = True
-    for g in range(G.order):
-        if len(current) == 1:
-            break
-        if changed and normality_witness(G, current, current) is None:
-            break
-        conj = frozenset(G.conjugate(m, g) for m in P.members)
-        reduced = current & conj
-        changed = reduced != current
+    current, reduced = None, P.member_set
+    while reduced != current and len(reduced) > 1:
         current = reduced
-    return subgroup_generated(G, current)
+        for g in G.generator_indices:
+            reduced = reduced & {G.conjugate(m, g) for m in current}
+    return subgroup_generated(G, reduced)
 
 
 def fitting_subgroup(G: FiniteGroup) -> Subgroup:

@@ -59,6 +59,30 @@ def naive_element_order(G: FiniteGroup, x: int) -> int:
     return k
 
 
+def brute_center(G: FiniteGroup) -> frozenset:
+    """Elements that commute with every element, by all-pairs commutation."""
+    return frozenset(z for z in range(G.order)
+                     if all(G.mul(z, g) == G.mul(g, z) for g in range(G.order)))
+
+
+def brute_p_core(G: FiniteGroup, P) -> frozenset:
+    """O_p(G) as the intersection of all conjugates of a Sylow p-subgroup P.
+    P^(zg) = P^g for z in P, so one g from each coset Pg meets every conjugate."""
+    core = set(P.members)
+    covered = set()
+    for g in range(G.order):
+        if g not in covered:
+            covered.update(G.mul(z, g) for z in P.members)
+            core &= {G.conjugate(m, g) for m in P.members}
+    return frozenset(core)
+
+
+def scan_inverses(G: FiniteGroup) -> list:
+    """inverses[x] by looking up the inverse permutation in a scan of the elements."""
+    index = {perm: i for i, perm in enumerate(G.elements)}
+    return [index[tuple_inverse(perm)] for perm in G.elements]
+
+
 def naive_exponent(G: FiniteGroup) -> int:
     e = 1
     for x in range(G.order):
@@ -190,6 +214,19 @@ def tuple_order(a: tuple) -> int:
         y = tuple_compose(y, a)
         k += 1
     return k
+
+
+def cycle_order(a: tuple) -> int:
+    """The lcm of the cycle lengths of a permutation."""
+    seen, order = set(), 1
+    for start in range(len(a)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            length, x = length + 1, a[x]
+        if length:
+            order = math.lcm(order, length)
+    return order
 
 
 def tuple_power(a: tuple, k: int) -> tuple:

@@ -1,0 +1,120 @@
+"""The group layer against brute-force oracles on the whole corpus, and pinned
+operation counts that fail if the layer goes back to |G|-wide scans.
+
+The order and inverse tables come from one power walk per cyclic subgroup,
+Sylow subgroups grow by p-elements that normalize, O_p(G) intersects
+conjugates by the generators only, and the centre is scanned once per group.
+Each is checked here against an oracle that uses none of those shortcuts, on
+every corpus group and on one quotient of each nonabelian one.
+"""
+
+import functools
+
+import pytest
+
+from coprimelab import groups, report
+from coprimelab.corpus import build_corpus_instance, default_corpus, load_instance
+from coprimelab.groups import center, quotient_group
+from coprimelab.numutil import p_part, prime_factors
+from coprimelab.structure import derived_series, fitting_subgroup, p_core, sylow_subgroup
+from helpers import (brute_center, brute_p_core, brute_subgroup_members, cycle_order,
+                     naive_element_order, scan_inverses)
+
+# naive_element_order costs the sum of all element orders in products, about
+# 1.3M on Glauberman's group; above this order the cycle lengths are the oracle.
+NAIVE_ORDER_LIMIT = 1000
+
+
+SPECS = {spec["id"]: spec for spec in default_corpus()["instances"]}
+
+
+@functools.cache
+def _groups(spec_id: str) -> tuple:
+    """The corpus group, then, when it is nonabelian, its quotient by its last
+    nontrivial derived term."""
+    G = build_corpus_instance(SPECS[spec_id])[0]
+    terms = derived_series(G).terms
+    if len(terms) == 1 or terms[1].is_trivial:
+        return (G,)
+    N = next(t for t in reversed(terms) if not t.is_trivial)
+    return G, quotient_group(G, N).quotient
+
+
+def test_nonabelian_corpus_groups_bring_a_quotient():
+    for spec_id in ("s5", "d32", "heis5_inv", "glauberman"):
+        G, Q = _groups(spec_id)
+        assert 1 < Q.order < G.order, spec_id
+    assert len(_groups("c64")) == 1
+
+
+@pytest.mark.parametrize("spec_id", SPECS)
+def test_orders_and_inverses_match_oracles(spec_id):
+    for G in _groups(spec_id):
+        naive = G.order <= NAIVE_ORDER_LIMIT
+        for x in range(G.order):
+            expected = naive_element_order(G, x) if naive else cycle_order(G.elements[x])
+            assert G.element_order(x) == expected, (G, x)
+        assert [G.inv(x) for x in range(G.order)] == scan_inverses(G), G
+
+
+@pytest.mark.parametrize("spec_id", SPECS)
+def test_center_matches_all_pairs_commutation(spec_id):
+    for G in _groups(spec_id):
+        assert center(G).member_set == brute_center(G), G
+        # the second call reads the cache
+        assert center(G).member_set == brute_center(G), G
+
+
+@pytest.mark.parametrize("spec_id", SPECS)
+def test_sylow_core_and_fitting_match_oracles(spec_id):
+    for G in _groups(spec_id):
+        cores = []
+        for p in prime_factors(G.order):
+            P = sylow_subgroup(G, p)
+            assert P.order == p_part(G.order, p), (G, p)
+            assert brute_subgroup_members(G, P.gens) == P.member_set, (G, p)
+            core = p_core(G, p)
+            assert core.member_set == brute_p_core(G, P), (G, p)
+            cores.append(core)
+        fitting = brute_subgroup_members(G, [x for core in cores for x in core.members])
+        assert fitting_subgroup(G).member_set == fitting, G
+
+
+# _group_section on Glauberman's affine(5,3), |G| = 15,500: series, exponent
+# and Fitting height, the quotients' power walks included. A normalizer scan
+# of G per Sylow step and O_p conjugated by every g take it to 107,381.
+GLAUBERMAN_GROUP_SECTION_MULS = 35_340
+
+
+def test_glauberman_group_section_mul_count_is_pinned(monkeypatch):
+    G, _, _ = load_instance(SPECS["glauberman"])
+    count = [0]
+    mul = groups.FiniteGroup.mul
+
+    def counted(self, a, b):
+        count[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(groups.FiniteGroup, "mul", counted)
+    report._group_section(G)
+    assert count[0] == GLAUBERMAN_GROUP_SECTION_MULS
+
+
+def test_center_is_scanned_once_per_group(monkeypatch):
+    scanned = []
+    centralizer = groups.centralizer
+
+    def counted(G, elems):
+        scanned.append(G)
+        return centralizer(G, elems)
+
+    monkeypatch.setattr(groups, "centralizer", counted)
+    for spec_id, spec in SPECS.items():
+        scanned.clear()
+        report.analyze_instance(spec)
+        # the list keeps every group alive, so no two of them share an id
+        assert len(scanned) == len({id(G) for G in scanned}), spec_id
+        if spec_id == "glauberman":
+            # asked for three times: default_normal_family runs twice and
+            # check_coprime_facts asks once more
+            assert len(scanned) == 1

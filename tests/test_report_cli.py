@@ -495,6 +495,21 @@ def test_cli_missing_parameter_names_its_path(tmp_path, capsys):
     assert "instances[1].params.factors[0].params.m: missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [
+    {"name": "cyclic", "params": {"m": 0}},
+    {"degree": 3, "generators": [[0, 0, 1]]},
+    {"name": "cyclic", "params": {"m": 4}, "automorphism": {"recipe": "power", "k": 2}},
+], ids=["UnknownSpec", "InvalidPermutation", "NotBijective"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_suite_load_errors_are_input_errors(tmp_path, capsys, spec, jobs):
+    corpus = {"schema": 1, "instances": [{"name": "cyclic", "params": {"m": 3}}, spec]}
+    path = _write(tmp_path, "corpus.json", corpus)
+    assert main(["suite", path, "--jobs", jobs]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: instances[1]."), err
+
+
 def test_cli_info_and_auto_print_their_analysis_sections(tmp_path, capsys):
     for spec in default_corpus()["instances"]:
         report = analyze_instance(spec)

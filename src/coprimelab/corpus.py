@@ -17,11 +17,15 @@ from .automorphisms import build_automorphism
 from .errors import (CapExceeded, InvalidPermutation, NotBijective, NotHomomorphism,
                      ParseError, UnknownSpec)
 from .gf import FiniteField
-from .groups import DEFAULT_CAP, FiniteGroup, element_bytes, generate_group
+from .groups import (DEFAULT_CAP, FiniteGroup, column_bytes, degree_bytes, element_bytes,
+                     generate_group)
 from .numutil import is_prime
 
-# Bytes the element store of a group may take: a named group's is estimated from
-# its order and degree before anything is built, a raw group's bounds its cap.
+# Bytes the element store and Cayley columns of a group may take: a named
+# group's are estimated from its order, degree and generator count before
+# anything is built, a raw group's bound its cap.
+# A raw group's degree is refused first when one element and the per-point
+# structures of enumeration (``degree_bytes``) would take more.
 STORE_BUDGET = 10 ** 9
 
 
@@ -166,15 +170,17 @@ _NAMED = {
 
 
 def _parse(spec: dict, where: str) -> tuple:
-    """(constructor, its arguments, order, degree, JSON path of the params) of a
-    named group spec; ``where`` prefixes the JSON paths in errors."""
+    """(constructor, its arguments, order, degree, most generators, JSON path
+    of the params) of a named group spec; ``where`` prefixes the JSON paths in
+    errors. A named family has at most two generators, a direct product the
+    sum of its factors'."""
     name = _field(spec, "name", where, str)
     params = _field(spec, "params", where, dict, {})
     if name == "direct_product":
         factors = _field(params, "factors", f"{where}params.", list)
         parsed = [_parse(f, f"{where}params.factors[{i}].") for i, f in enumerate(factors)]
         return (_direct_product, (factors, parsed), math.prod(f[2] for f in parsed),
-                sum(f[3] for f in parsed), f"{where}params")
+                sum(f[3] for f in parsed), sum(f[4] for f in parsed), f"{where}params")
     if name not in _NAMED:
         raise UnknownSpec(f"{where}name: unrecognized instance name {name!r}")
     keys, requirement, valid, order, degree, build = _NAMED[name]
@@ -186,19 +192,21 @@ def _parse(spec: dict, where: str) -> tuple:
     if not valid(*args):
         raise UnknownSpec(f"{where}params: {name} needs {requirement}, "
                           f"got {dict(zip(keys, args))}")
-    return build, args, order(*args), degree(*args), f"{where}params"
+    return build, args, order(*args), degree(*args), 2, f"{where}params"
 
 
 def _build_group(parsed: tuple, cap: int) -> tuple:
     """Build a parsed spec's group, after checking its order against the cap
-    and the size of its element store against STORE_BUDGET."""
-    build, args, order, degree, where = parsed
+    and the size of its element store and Cayley columns against
+    STORE_BUDGET."""
+    build, args, order, degree, generators, where = parsed
     if order > cap:
         raise CapExceeded(f"{where}: order {_decimal(order)} exceeds cap={cap}")
-    size = order * element_bytes(degree)
-    if size > STORE_BUDGET:
+    size, columns = order * element_bytes(degree), order * column_bytes(generators)
+    if size + columns > STORE_BUDGET:
         raise CapExceeded(f"{where}: order {_decimal(order)} on {degree} points needs about "
-                          f"{_decimal(size // 10 ** 6)} MB of elements, above the "
+                          f"{_decimal(size // 10 ** 6)} MB of elements and "
+                          f"{_decimal(columns // 10 ** 6)} MB of Cayley columns, above the "
                           f"{STORE_BUDGET // 10 ** 6} MB budget")
     return build(*args, cap)
 
@@ -349,13 +357,15 @@ def load_instance(data: dict, cap: Optional[int] = None):
         if degree < 0:
             raise ParseError(f"degree: expected a point count, got {degree}")
         size = element_bytes(degree)
-        if size > STORE_BUDGET:
-            raise CapExceeded(f"degree: one element on {degree} points needs about "
-                              f"{size // 10 ** 6} MB, above the {STORE_BUDGET // 10 ** 6} MB "
-                              f"budget")
+        touched = size + degree_bytes(degree)
+        if touched > STORE_BUDGET:
+            raise CapExceeded(f"degree: one element on {degree} points and the points "
+                              f"themselves need about {touched // 10 ** 6} MB, above the "
+                              f"{STORE_BUDGET // 10 ** 6} MB budget")
+        generators = _field(data, "generators", "", list, [])
+        per_element = size + column_bytes(len(generators))
         try:
-            G = generate_group(degree, _field(data, "generators", "", list, []),
-                               cap=min(cap, STORE_BUDGET // size))
+            G = generate_group(degree, generators, cap=min(cap, STORE_BUDGET // per_element))
         except InvalidPermutation as exc:
             raise InvalidPermutation(f"generators: {exc}") from exc
         return G, _spec_automorphism(G, data, None), instance_id(data)

@@ -13,6 +13,14 @@ The store stays private: ``G.elements`` hands out tuples either way.
 Factorization words are not stored either: ``G.words[e]`` walks up the
 enumeration tree from e and spells the word enumeration found.
 
+Enumeration keeps the Cayley graph it walks: ``G._right[i][x]`` is the index
+of x times generator i. ``G.extend_images(columns, start)`` walks the tree
+over such columns with no ``mul`` call. Over ``G._right`` from s it gives
+s * x for every x, and x * t = (t⁻¹ x⁻¹)⁻¹ gives the right-multiplication
+column of any t (``right_column``). Automorphism tables and their
+homomorphism check, quotient projections and the centre's membership test
+are built that way.
+
 Elements are keyed by their images on a base, a short list of points whose
 images determine an element (Sims; Seress, *Permutation Group Algorithms*,
 ch. 4). ``mul`` composes on the base points only, so it costs O(len(base))
@@ -29,7 +37,10 @@ published by single attribute assignment.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from collections.abc import Sequence
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -61,6 +72,21 @@ def perm_order(a: Perm) -> int:
 def element_bytes(degree: int) -> int:
     """About how many bytes one stored element of this degree takes."""
     return degree + 33 if degree <= BYTES_MAX_DEGREE else 8 * degree + 56
+
+
+def column_bytes(generators: int) -> int:
+    """About how many bytes per element the Cayley columns that enumeration
+    keeps take: one list slot per generator."""
+    return 8 * generators
+
+
+def degree_bytes(degree: int) -> int:
+    """About how many bytes enumeration on this many points touches besides
+    its element store. Above BYTES_MAX_DEGREE, the identity holds one int
+    object per point (28 bytes, shared by every element), and checking a
+    generator sorts a copy of its images against a fresh list of the points
+    (about 52 bytes per point); at lower degrees the points are bytes."""
+    return 80 * degree if degree > BYTES_MAX_DEGREE else 0
 
 
 def find_base(degree: int, elements: Sequence) -> tuple:
@@ -123,21 +149,22 @@ class _Words(Sequence):
     tree: entry k > 0 means generator k-1, k < 0 its inverse (tree words use
     only k > 0)."""
 
-    __slots__ = ("_parents",)
+    __slots__ = ("_parent", "_gen")
 
-    def __init__(self, parents: list):
-        self._parents = parents
+    def __init__(self, parent: array, gen: array):
+        self._parent = parent
+        self._gen = gen
 
     def __len__(self) -> int:
-        return len(self._parents)
+        return len(self._parent)
 
     def __getitem__(self, e: int) -> tuple:
-        parents = self._parents
-        e = range(len(parents))[e]
+        parent, gen = self._parent, self._gen
+        e = range(len(parent))[e]
         word = []
         while e:
-            e, gi = parents[e]
-            word.append(gi + 1)
+            word.append(gen[e] + 1)
+            e = parent[e]
         return tuple(reversed(word))
 
 
@@ -145,10 +172,13 @@ class FiniteGroup:
     """Fully enumerated permutation group with 0-based element indices.
 
     ``_store[e]`` is element e as ``bytes`` at degree <= BYTES_MAX_DEGREE and
-    as a tuple above; ``elements`` is the tuple view of it. ``_parents[e]`` is
-    (parent, generator position) with e = parent * generator in the
-    enumeration tree; ``words`` reads factorizations off it and
-    ``extend_images`` extends generator images along it.
+    as a tuple above; ``elements`` is the tuple view of it. The enumeration
+    tree is two flat columns: e = ``_tree_parent[e]`` * generator
+    ``_tree_gen[e]``; ``words`` reads factorizations off it. ``_right[i][x]``
+    is the index of x * generator i for every element x: the Cayley graph
+    that enumeration walks, kept. ``extend_images`` walks the tree over such
+    columns, so automorphism tables, quotient projections and the centre's
+    membership test need no ``mul`` call.
     ``_base_images[i][e]`` is the image of ``base[i]`` under element e, and
     ``_key_index`` maps an element's key (see ``_key``) to its index: a list
     with -1 at unused keys when degree**len(base) <= 4*order, else a dict.
@@ -156,26 +186,33 @@ class FiniteGroup:
     """
 
     def __init__(self, degree: int, generators: Sequence[Perm], store: list,
-                 parents: list[tuple]):
+                 tree: tuple, right: list):
         self.degree = degree
         self.generators = tuple(generators)
         self._store = store
         self._encode = bytes if degree <= BYTES_MAX_DEGREE else tuple
         self.elements = _Elements(store, self._encode)
         self.order = len(store)
-        self._parents = parents
-        self.words = _Words(parents)
+        self._tree_parent, self._tree_gen = tree
+        self._right = right
+        self.words = _Words(*tree)
         self.base = find_base(degree, store)
         self._base_images = tuple([perm[pt] for perm in store] for pt in self.base)
+        # every element's key, from its base images as digits in radix degree
+        keys = repeat(0, self.order)
+        for column in reversed(self._base_images):
+            keys = map(operator.add, map(operator.mul, keys, repeat(degree)), column)
         if degree ** len(self.base) <= 4 * self.order:
             self._key_index = [-1] * degree ** len(self.base)
-            for i, perm in enumerate(store):
-                self._key_index[self._key(perm)] = i
+            for i, key in enumerate(keys):
+                self._key_index[key] = i
         else:
-            self._key_index = {self._key(perm): i for i, perm in enumerate(store)}
+            self._key_index = dict(zip(keys, range(self.order)))
         self.generator_indices = tuple(self.element_index(g) for g in self.generators)
         self._orders, self._inverses = self._power_walk()
-        self._whole: Optional[Subgroup] = None
+        self._exponent = 0
+        # data, not a Subgroup: a Subgroup kept here would hold the group in a cycle
+        self._whole: Optional[tuple] = None
         self.cache: dict = {}
 
     # arithmetic on element indices
@@ -197,34 +234,59 @@ class FiniteGroup:
     def _power_walk(self) -> tuple:
         """Order and inverse tables from one walk a, a^2, ... to the identity
         for each element a whose order is still unknown: with o the order of
-        a, its power a^k has order o/gcd(k, o) and inverse a^(o-k)."""
-        mul = self.mul
+        a, its power a^k has order o/gcd(k, o) and inverse a^(o-k). Each step
+        x -> x*a composes on the base images of a, as ``mul`` does, inline."""
+        store, key_index, degree = self._store, self._key_index, self.degree
+        images = self._base_images
         orders, inverses = [0] * self.order, [0] * self.order
         orders[0] = 1
+        power_orders: dict = {}
         # enumeration tends to reach the largest orders last, whose walks cover the rest
         for a in range(self.order - 1, 0, -1):
             if orders[a]:
                 continue
+            points = [column[a] for column in reversed(images)]
             powers = [0, a]
-            x = mul(a, a)
-            while x:
+            x = a
+            while True:
+                perm = store[x]
+                key = 0
+                for pt in points:
+                    key = key * degree + perm[pt]
+                x = key_index[key]
+                if not x:
+                    break
                 powers.append(x)
-                x = mul(x, a)
             o = len(powers)
+            ratios = power_orders.get(o)
+            if ratios is None:
+                ratios = power_orders[o] = [o // math.gcd(k, o) for k in range(o)]
             for k in range(1, o):
-                orders[powers[k]] = o // math.gcd(k, o)
+                orders[powers[k]] = ratios[k]
                 inverses[powers[k]] = powers[o - k]
         return orders, inverses
 
-    def extend_images(self, images: Sequence[int], mul) -> list:
-        """out[0] = 0 and out[y] = mul(out[x], images[gi]) along every edge
-        y = x * generator gi of the enumeration tree: the homomorphism with these
-        generator images into the group that ``mul`` multiplies, where one exists."""
-        out = [0] * self.order
-        for y in range(1, self.order):
-            x, gi = self._parents[y]
-            out[y] = mul(out[x], images[gi])
+    def extend_images(self, columns: Sequence[Sequence[int]], start: int = 0) -> list:
+        """out[0] = start and out[y] = columns[gi][out[x]] along every edge
+        y = x * generator gi of the enumeration tree. Over ``_right`` this is
+        out[x] = start * x; over the right-multiplication columns of generator
+        images (``right_column``) it is the homomorphism with those images,
+        where one exists, times ``start``."""
+        out = [start]
+        append = out.append
+        for x, gi in islice(zip(self._tree_parent, self._tree_gen), 1, None):
+            append(columns[gi][out[x]])
         return out
+
+    def right_column(self, t: int) -> Sequence[int]:
+        """[x * t for every element x]: ``_right`` for a generator, else
+        x * t = (t⁻¹ * x⁻¹)⁻¹, one walk from t⁻¹ and two gathers through the
+        inverse table."""
+        if t in self.generator_indices:
+            return self._right[self.generator_indices.index(t)]
+        inv = self._inverses
+        left = self.extend_images(self._right, inv[t])
+        return list(map(inv.__getitem__, map(left.__getitem__, inv)))
 
     def inv(self, a: int) -> int:
         return self._inverses[a]
@@ -257,7 +319,9 @@ class FiniteGroup:
         return math.lcm(*map(self._orders.__getitem__, elems))
 
     def exponent(self) -> int:
-        return self.whole_subgroup().exponent()
+        if self._exponent == 0:
+            self._exponent = self.exponent_of(range(self.order))
+        return self._exponent
 
     def _key(self, perm) -> int:
         """The images of the base points under perm, as digits in radix degree."""
@@ -306,8 +370,9 @@ class FiniteGroup:
 
     def whole_subgroup(self) -> "Subgroup":
         if self._whole is None:
-            self._whole = Subgroup(self, range(self.order), self.generator_indices)
-        return self._whole
+            members = tuple(range(self.order))
+            self._whole = (members, frozenset(members), self.generator_indices)
+        return Subgroup.from_data(self, self._whole)
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (0,), ())
@@ -337,6 +402,21 @@ class Subgroup:
         self._exponent = 0
         if not self.members or self.members[0] != 0:
             raise ValueError("a subgroup must contain the identity (index 0)")
+
+    @classmethod
+    def from_data(cls, parent: FiniteGroup, data: tuple) -> "Subgroup":
+        """The subgroup of ``parent`` whose ``data`` this is, without sorting again."""
+        H = cls.__new__(cls)
+        H.parent = parent
+        H.members, H.member_set, H.gens = data
+        H._exponent = 0
+        return H
+
+    @property
+    def data(self) -> tuple:
+        """(members, member_set, gens): what a group's caches keep of a
+        subgroup, because a cached Subgroup would hold the group in a cycle."""
+        return self.members, self.member_set, self.gens
 
     @property
     def order(self) -> int:
@@ -383,38 +463,41 @@ def generate_group(degree: int, generators: Sequence[Sequence[int]],
     if cap < 1:
         raise CapExceeded(f"cap={cap} leaves no room for the identity")
     gens = [validate_permutation(g, degree) for g in generators]
-    # g.translate(base + pad) sends each image g[x] to base[g[x]], which is
-    # base∘g; the pad fills out the 256-entry table that translate reads.
-    # Above that degree itemgetter(*g)(base) is the tuple base∘g.
-    pad = bytes(256 - degree) if degree <= BYTES_MAX_DEGREE else None
-    letters = ([bytes(g) for g in gens] if pad is not None
-               else [itemgetter(*g) for g in gens])
-    identity = bytes(range(degree)) if pad is not None else tuple(range(degree))
+    if degree <= BYTES_MAX_DEGREE:
+        # g.translate(base + pad) sends each image g[x] to base[g[x]], which is
+        # base∘g; the pad fills out the 256-entry table that translate reads.
+        pad = bytes(256 - degree)
+        letters = [bytes(g).translate for g in gens]
+        identity = bytes(range(degree))
+    else:
+        # itemgetter(*g)(base) is the tuple base∘g
+        pad = None
+        letters = [itemgetter(*g) for g in gens]
+        identity = tuple(range(degree))
     store: list = [identity]
     index: dict = {identity: 0}
-    parents: list[tuple] = [(-1, -1)]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for ei in frontier:
-            base = store[ei]
-            if pad is not None:
-                table = base + pad
-                images = [g.translate(table) for g in letters]
-            else:
-                images = [g(base) for g in letters]
-            for gi, img in enumerate(images):
-                if img not in index:
-                    if len(store) >= cap:
-                        raise CapExceeded(
-                            f"closure exceeded cap={cap} (degree {degree}, {len(gens)} generators)")
-                    index[img] = len(store)
-                    nxt.append(len(store))
-                    store.append(img)
-                    parents.append((ei, gi))
-        frontier = nxt
-    del index
-    return FiniteGroup(degree, gens, store, parents)
+    get = index.get
+    parent, gen = array("i", [-1]), array("i", [-1])
+    right: list = [[] for _ in gens]
+    steps = [(gi, letters[gi], right[gi].append) for gi in range(len(gens))]
+    # the store is the breadth-first queue: elements are expanded in index
+    # order, so each right[gi] grows by one entry per element in that order
+    for ei, base in enumerate(store):
+        table = base if pad is None else base + pad
+        for gi, compose, append in steps:
+            img = compose(table)
+            j = get(img)
+            if j is None:
+                if len(store) >= cap:
+                    raise CapExceeded(
+                        f"closure exceeded cap={cap} (degree {degree}, {len(gens)} generators)")
+                j = index[img] = len(store)
+                store.append(img)
+                parent.append(ei)
+                gen.append(gi)
+            append(j)
+    del index, get
+    return FiniteGroup(degree, gens, store, (parent, gen), right)
 
 
 def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
@@ -480,22 +563,24 @@ def are_conjugate(G: FiniteGroup, x: int, y: int) -> Optional[int]:
 
 
 def centralizer(G: FiniteGroup, elems: Iterable[int]) -> Subgroup:
-    """All g commuting with every element of ``elems`` (O(|G|*|S|) scan)."""
-    targets = sorted(set(elems))
-    members = [g for g in range(G.order)
-               if all(G.mul(g, s) == G.mul(s, g) for s in targets)]
+    """All g commuting with every element s of ``elems``: s * g for every g
+    from one walk from s, against g * s from s's ``right_column``."""
+    members = range(G.order)
+    for s in sorted(set(elems)):
+        left, right = G.extend_images(G._right, s), G.right_column(s)
+        members = [g for g in members if left[g] == right[g]]
     return subgroup_generated(G, members)
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    """Centralizer of the generators, which equals the center. Scanned once per
-    group and cached as data: a cached Subgroup would hold G in a cycle."""
+    """Centralizer of the generators, which equals the center. Computed once
+    per group and cached as ``Subgroup.data``."""
     cached = G.cache.get("center")
     if cached is None:
         Z = centralizer(G, G.generator_indices)
-        G.cache["center"] = (Z.members, Z.gens)
+        G.cache["center"] = Z.data
         return Z
-    return Subgroup(G, *cached)
+    return Subgroup.from_data(G, cached)
 
 
 def normality_witness(G: FiniteGroup, gens: Iterable[int], members) -> Optional[tuple]:
@@ -573,5 +658,5 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
     quotient = generate_group(num, qgens, cap=max(num, 1))
     if quotient.order * N.order != G.order:
         raise AssertionError("coset action has the wrong order; kernel is not normal")
-    to_q = G.extend_images(quotient.generator_indices, quotient.mul)
+    to_q = G.extend_images(quotient._right)
     return QuotientGroup(G, N, quotient, tuple(to_q))

@@ -50,11 +50,12 @@ class SubgroupSeries:
 
 def _commutator_series(G: FiniteGroup, H: Optional[Subgroup], kind: str) -> SubgroupSeries:
     """Commutate each term with itself ("derived") or with H ("lower-central")
-    until stable; the series of G itself (H None) is cached in G.cache[kind]."""
+    until stable; the series of G itself (H None) is cached in G.cache[kind]
+    as its terms' ``Subgroup.data``."""
     if H is None:
         cached = G.cache.get(kind)
         if cached is not None:
-            return cached
+            return SubgroupSeries(tuple(Subgroup.from_data(G, data) for data in cached), kind)
     top = cur = H if H is not None else G.whole_subgroup()
     terms = [cur]
     while True:
@@ -67,7 +68,7 @@ def _commutator_series(G: FiniteGroup, H: Optional[Subgroup], kind: str) -> Subg
             break
     series = SubgroupSeries(tuple(terms), kind)
     if H is None:
-        G.cache[kind] = series
+        G.cache[kind] = tuple(term.data for term in terms)
     return series
 
 

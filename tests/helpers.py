@@ -65,6 +65,31 @@ def brute_center(G: FiniteGroup) -> frozenset:
                      if all(G.mul(z, g) == G.mul(g, z) for g in range(G.order)))
 
 
+def mul_tree_walk(G: FiniteGroup, images, mul) -> list:
+    """out[0] = 0 and out[y] = mul(out[x], images[gi]) along every enumeration
+    tree edge y = x * generator gi: the walk that built automorphism tables and
+    quotient projections before the Cayley columns were kept."""
+    out = [0] * G.order
+    for y in range(1, G.order):
+        out[y] = mul(out[G._tree_parent[y]], images[G._tree_gen[y]])
+    return out
+
+
+def double_scan_outcome(G: FiniteGroup, images) -> tuple:
+    """("table", table), ("NotBijective",) or ("NotHomomorphism", message,
+    witness) for these generator images, by the ``mul`` tree walk and the scan
+    of every x and then every generator i for table[x * g_i] != table[x] * images[i]."""
+    table = mul_tree_walk(G, images, G.mul)
+    if len(set(table)) != G.order:
+        return ("NotBijective",)
+    for x in range(G.order):
+        for gi, s in enumerate(G.generator_indices):
+            if table[G.mul(x, s)] != G.mul(table[x], images[gi]):
+                return ("NotHomomorphism", f"map breaks at element {x} times generator {gi}",
+                        (x, s))
+    return ("table", tuple(table))
+
+
 def brute_p_core(G: FiniteGroup, P) -> frozenset:
     """O_p(G) as the intersection of all conjugates of a Sylow p-subgroup P.
     P^(zg) = P^g for z in P, so one g from each coset Pg meets every conjugate."""

@@ -1,0 +1,182 @@
+"""The Cayley columns that enumeration keeps, and the tree walks over them,
+against ``mul`` on the whole corpus.
+
+``G._right[i][x]`` is x * generator i. Automorphism tables, the homomorphism
+check, quotient projections and the centre's membership test are walks over
+such columns and make no ``mul`` call. Each is compared here with the ``mul``
+walk or scan it replaced, on every corpus group, on the quotient by its last
+nontrivial derived term (as in test_group_layer.py) and on the restriction
+of the corpus automorphism to [G, phi].
+"""
+
+import functools
+import random
+
+import pytest
+
+from coprimelab import groups
+from coprimelab.automorphisms import (automorphism_from_images, quotient_automorphism,
+                                      restrict_automorphism, twisted_data)
+from coprimelab.corpus import build_corpus_instance, default_corpus
+from coprimelab.errors import NotBijective, NotHomomorphism
+from coprimelab.groups import center, quotient_group, subgroup_generated
+from coprimelab.structure import derived_series
+from helpers import brute_center, double_scan_outcome, mul_tree_walk
+
+SPECS = {spec["id"]: spec for spec in default_corpus()["instances"]}
+
+
+def _last_derived(G):
+    """The last nontrivial derived term of a nonabelian G, else None."""
+    terms = derived_series(G).terms
+    if len(terms) == 1 or terms[1].is_trivial:
+        return None
+    return next(t for t in reversed(terms) if not t.is_trivial)
+
+
+@functools.cache
+def _cases(spec_id: str) -> tuple:
+    """(label, group, automorphism or None): the corpus group, its quotient by
+    the last nontrivial derived term and the restriction to [G, phi]."""
+    G, phi = build_corpus_instance(SPECS[spec_id])
+    out = [(spec_id, G, phi)]
+    N = _last_derived(G)
+    if N is not None:
+        Q = quotient_group(G, N)
+        # derived terms are characteristic, so phi induces a map on G/N
+        out.append((spec_id + "/derived", Q.quotient,
+                    quotient_automorphism(phi, Q) if phi is not None else None))
+    if phi is not None:
+        H, rphi, _ = restrict_automorphism(phi, twisted_data(phi).commutator_phi)
+        if H is not G:
+            out.append((spec_id + "/[G,phi]", H, rphi))
+    return tuple(out)
+
+
+def _images(G, phi) -> list:
+    return [phi.table[g] for g in G.generator_indices]
+
+
+class _Muls:
+    """Counts ``FiniteGroup.mul`` calls while installed."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        mul = groups.FiniteGroup.mul
+
+        def counted(group, a, b):
+            self.count += 1
+            return mul(group, a, b)
+
+        monkeypatch.setattr(groups.FiniteGroup, "mul", counted)
+
+
+def test_every_kind_of_case_is_covered():
+    labels = [label for spec_id in SPECS for label, _, _ in _cases(spec_id)]
+    assert sum(label.endswith("/derived") for label in labels) >= 10
+    assert sum(label.endswith("/[G,phi]") for label in labels) >= 10
+
+
+@pytest.mark.parametrize("spec_id", SPECS)
+def test_cayley_columns_and_tree_match_mul(spec_id):
+    for label, G, _ in _cases(spec_id):
+        assert len(G._right) == len(G.generators), label
+        for column, g in zip(G._right, G.generator_indices):
+            assert column == [G.mul(x, g) for x in range(G.order)], label
+        for y in range(1, G.order):
+            g = G.generator_indices[G._tree_gen[y]]
+            assert G.mul(G._tree_parent[y], g) == y, (label, y)
+
+
+@pytest.mark.parametrize("spec_id", SPECS)
+def test_left_walks_and_right_columns_match_mul(spec_id):
+    rng = random.Random(spec_id)
+    for label, G, _ in _cases(spec_id):
+        for t in {0, G.order - 1, *(rng.randrange(G.order) for _ in range(3))}:
+            assert G.extend_images(G._right, t) == [G.mul(t, x) for x in range(G.order)], label
+            assert list(G.right_column(t)) == [G.mul(x, t) for x in range(G.order)], label
+
+
+@pytest.mark.parametrize("spec_id", SPECS)
+def test_automorphism_tables_match_the_mul_walk(spec_id):
+    for label, G, phi in _cases(spec_id):
+        if phi is None:
+            continue
+        images = _images(G, phi)
+        assert phi.table == tuple(mul_tree_walk(G, images, G.mul)), label
+        assert automorphism_from_images(G, images).table == phi.table, label
+
+
+def _outcome(G, images) -> tuple:
+    try:
+        return ("table", automorphism_from_images(G, images).table)
+    except NotBijective:
+        return ("NotBijective",)
+    except NotHomomorphism as exc:
+        return ("NotHomomorphism", str(exc), exc.witness)
+
+
+def test_broken_images_fail_where_the_double_scan_fails():
+    kinds = []
+    for spec_id in SPECS:
+        rng = random.Random(spec_id)
+        for label, G, phi in _cases(spec_id):
+            k = len(G.generator_indices)
+            trials = [[rng.randrange(G.order) for _ in range(k)] for _ in range(6)]
+            # a generator image moved to the next generator's
+            trials += [list(G.generator_indices[1:] + G.generator_indices[:1])]
+            if phi is not None:
+                # phi with one image multiplied by another generator image
+                images = _images(G, phi)
+                trials.append([images[0] if i else G.mul(images[0], images[-1])
+                               for i in range(k)] if k else [])
+            for images in trials:
+                expected = double_scan_outcome(G, images)
+                assert _outcome(G, images) == expected, (label, images)
+                kinds.append(expected[0])
+    assert kinds.count("NotHomomorphism") >= 20, kinds.count("NotHomomorphism")
+    assert "table" in kinds and "NotBijective" in kinds
+
+
+@pytest.mark.parametrize("spec_id", SPECS)
+def test_quotient_projection_matches_the_mul_walk(spec_id):
+    G = _cases(spec_id)[0][1]
+    N = _last_derived(G)
+    for kernel in ([N] if N is not None else []) + [G.whole_subgroup()]:
+        Q = quotient_group(G, kernel)
+        expected = mul_tree_walk(G, Q.quotient.generator_indices, Q.quotient.mul)
+        assert Q.to_quotient == tuple(expected), spec_id
+
+
+@pytest.mark.parametrize("spec_id", SPECS)
+def test_center_of_the_restriction_matches_all_pairs_commutation(spec_id):
+    # the corpus groups and their quotients are in test_group_layer.py
+    for label, H, _ in _cases(spec_id):
+        if label.endswith("/[G,phi]"):
+            assert center(H).member_set == brute_center(H), label
+
+
+@pytest.mark.parametrize("spec_id", SPECS)
+def test_walks_make_no_mul_call(spec_id, monkeypatch):
+    G, phi = build_corpus_instance(SPECS[spec_id])
+    N = _last_derived(G)
+    images = _images(G, phi) if phi is not None else list(G.generator_indices)
+    muls = _Muls(monkeypatch)
+    assert automorphism_from_images(G, images).table == (
+        phi.table if phi is not None else tuple(range(G.order)))
+    assert muls.count == 0, spec_id
+    # the centre's membership walk makes none: its products are those of
+    # closing the members it finds
+    Z = center(G)
+    closure = muls.count
+    subgroup_generated(G, Z.members)
+    assert muls.count == 2 * closure, spec_id
+    if N is not None:
+        before = muls.count
+        Q = quotient_group(G, N)
+        # two products per conjugate of a kernel generator by a generator for
+        # the normality check, one per element for the cosets and one per
+        # generator and coset for the coset action: none for the projection
+        k = len(G.generators)
+        assert muls.count - before == (2 * k * len(N.gens) + G.order
+                                       + k * Q.quotient.order), spec_id

@@ -164,6 +164,17 @@ def test_store_budget_checked_before_anything_is_built(spec, path, megabytes, mo
         build_corpus_instance(spec)
 
 
+def test_named_groups_are_charged_for_their_cayley_columns(monkeypatch):
+    # 2^23 elements on 46 points fit the budget (about 662 MB); their columns,
+    # at most two generators per factor, take about 3087 MB more
+    _refuse_to_build(monkeypatch)
+    spec = {"name": "direct_product", "cap": 10 ** 7,
+            "params": {"factors": [{"name": "cyclic", "params": {"m": 2}}] * 23}}
+    with pytest.raises(CapExceeded, match=r"^params: order 8388608 on 46 points needs about "
+                                          r"662 MB of elements and 3087 MB of Cayley columns"):
+        build_corpus_instance(spec)
+
+
 def test_cli_store_budget_exits_2_with_the_path(tmp_path, capsys, monkeypatch):
     from coprimelab.cli import main
     _refuse_to_build(monkeypatch)
@@ -184,6 +195,17 @@ def test_raw_degree_over_the_store_budget_builds_nothing(monkeypatch):
         load_instance({"degree": -40, "generators": []})
 
 
+def test_raw_degree_is_charged_for_its_points_before_anything_is_built(monkeypatch):
+    # one element takes 160 MB, under the budget; the identity's 20M point ints
+    # and the sorted copies that check a generator take far more
+    _refuse_to_build(monkeypatch)
+    degree = 2 * 10 ** 7
+    assert element_bytes(degree) < corpus.STORE_BUDGET
+    with pytest.raises(CapExceeded, match=rf"^degree: one element on {degree} points and "
+                                          rf"the points themselves need about 1760 MB"):
+        load_instance({"degree": degree, "generators": []})
+
+
 def test_raw_degree_caps_enumeration_by_the_store_budget(monkeypatch):
     caps = []
     monkeypatch.setattr(corpus, "generate_group",
@@ -191,6 +213,25 @@ def test_raw_degree_caps_enumeration_by_the_store_budget(monkeypatch):
     load_instance({"degree": 3 * 10 ** 6, "generators": []})
     load_instance({"degree": 3, "generators": [], "cap": 7})
     assert caps == [corpus.STORE_BUDGET // element_bytes(3 * 10 ** 6), 7]
+
+
+def test_raw_generators_are_charged_for_their_cayley_columns(monkeypatch):
+    # each generator keeps one column entry (8 bytes) per element, so many
+    # copies of a generator shrink the cap instead of the free memory
+    caps = []
+    monkeypatch.setattr(corpus, "generate_group",
+                        lambda degree, gens, cap: caps.append(cap) or generate_group(1, []))
+    cycle, swap = list(range(1, 10)) + [0], [1, 0] + list(range(2, 10))
+    load_instance({"degree": 10, "generators": [cycle, swap] * 3000})
+    assert caps == [corpus.STORE_BUDGET // (10 + 33 + 8 * 6000)]
+    monkeypatch.undo()
+    # S_5 (order 120) fits a 1 MB budget with 2 generators; with 2000 their
+    # columns take 16,000 bytes per element and the cap falls to 62
+    monkeypatch.setattr(corpus, "STORE_BUDGET", 10 ** 6)
+    cycle, swap = [1, 2, 3, 4, 0], [1, 0, 2, 3, 4]
+    assert load_instance({"degree": 5, "generators": [cycle, swap]})[0].order == 120
+    with pytest.raises(CapExceeded, match="cap=62 "):
+        load_instance({"degree": 5, "generators": [cycle, swap] * 1000})
 
 
 def test_cli_raw_degree_over_the_store_budget_exits_2(tmp_path, capsys, monkeypatch):

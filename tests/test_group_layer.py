@@ -9,6 +9,8 @@ every corpus group and on one quotient of each nonabelian one.
 """
 
 import functools
+import gc
+import weakref
 
 import pytest
 
@@ -81,9 +83,10 @@ def test_sylow_core_and_fitting_match_oracles(spec_id):
 
 
 # _group_section on Glauberman's affine(5,3), |G| = 15,500: series, exponent
-# and Fitting height, the quotients' power walks included. A normalizer scan
-# of G per Sylow step and O_p conjugated by every g take it to 107,381.
-GLAUBERMAN_GROUP_SECTION_MULS = 35_340
+# and Fitting height, the quotients' builds included. A normalizer scan of G
+# per Sylow step and O_p conjugated by every g take it to 107,381; a power
+# walk and a quotient projection by ``mul`` to 35,340.
+GLAUBERMAN_GROUP_SECTION_MULS = 19_595
 
 
 def test_glauberman_group_section_mul_count_is_pinned(monkeypatch):
@@ -118,3 +121,26 @@ def test_center_is_scanned_once_per_group(monkeypatch):
             # asked for three times: default_normal_family runs twice and
             # check_coprime_facts asks once more
             assert len(scanned) == 1
+
+
+def test_groups_are_freed_without_the_cycle_collector(monkeypatch):
+    # the caches keep Subgroup.data, not Subgroups, whose parent is the group
+    refs = []
+    load = report.load_instance
+
+    def loaded(spec, cap=None):
+        out = load(spec, cap=cap)
+        refs.append((spec["id"], weakref.ref(out[0])))
+        return out
+
+    monkeypatch.setattr(report, "load_instance", loaded)
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in SPECS.values():
+            report.analyze_instance(spec)
+        alive = [spec_id for spec_id, ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(refs) == len(SPECS)
+    assert alive == []

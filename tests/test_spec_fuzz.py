@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from coprimelab import corpus
 from coprimelab.cli import main
-from coprimelab.groups import DEFAULT_CAP, element_bytes
+from coprimelab.groups import DEFAULT_CAP, column_bytes, degree_bytes, element_bytes
 
 # Small valid inputs; each example corrupts one of them in one place.
 BASES = {
@@ -141,10 +141,12 @@ BAD_VALUES = {
 
 def _over_the_estimates(name: str, *args) -> bool:
     """True when the program's order and store estimates for these valid
-    parameters are over the default cap or the store budget."""
+    parameters are over the default cap or the store budget (a named family
+    is charged Cayley columns for two generators)."""
     _, _, _, order, degree, _ = corpus._NAMED[name]
     n = order(*args)
-    return n > DEFAULT_CAP or n * element_bytes(degree(*args)) > corpus.STORE_BUDGET
+    return (n > DEFAULT_CAP
+            or n * (element_bytes(degree(*args)) + column_bytes(2)) > corpus.STORE_BUDGET)
 
 
 @st.composite
@@ -170,9 +172,10 @@ OVERSIZED = {
     "big_heisenberg": _cases("heisenberg", ("params", "p"), st.integers(59, 10 ** 30), "params"),
     "big_affine": _oversized_affine(),
     "big_product": _oversized_product(),
+    # one element and the per-point structures of enumeration over the budget
     "big_raw_degree": _cases("raw", ("degree",), st.integers(
-        corpus.STORE_BUDGET // 8, 10 ** 4000).filter(
-        lambda d: element_bytes(d) > corpus.STORE_BUDGET), "degree"),
+        corpus.STORE_BUDGET // 88, 10 ** 4000).filter(
+        lambda d: element_bytes(d) + degree_bytes(d) > corpus.STORE_BUDGET), "degree"),
 }
 
 CASES = {"wrong_type": wrong_types(), "missing": missing_fields(), **BAD_VALUES, **OVERSIZED}

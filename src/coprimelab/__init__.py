@@ -11,7 +11,7 @@ from .groups import (DEFAULT_CAP, FiniteGroup, Subgroup, QuotientGroup, are_conj
                      center, centralizer, commutator_subgroup_pair, generate_group,
                      quotient_group, subgroup_generated)
 from .lie import (GradedLieAlgebra, NpSeries, ad_nilpotency_index, build_graded_lie,
-                  check_lazard, check_riley, extend_and_eigendecompose, jlz_series,
+                  check_lazard_all, check_riley, extend_and_eigendecompose, jlz_series,
                   lie_fixed_points, subalgebra_LGH, verify_np_series)
 from .report import analyze_instance, run_suite, theorem1_probe, theorem2_probe, thompson_probe
 from .structure import (SubgroupSeries, derived_series, fitting_height, fitting_subgroup,

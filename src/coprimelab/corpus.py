@@ -23,9 +23,10 @@ from .numutil import is_prime
 
 # Bytes the element store and Cayley columns of a group may take: a named
 # group's are estimated from its order, degree and generator count before
-# anything is built, a raw group's bound its cap.
-# A raw group's degree is refused first when one element and the per-point
-# structures of enumeration (``degree_bytes``) would take more.
+# anything is built. A raw group's degree is refused first when one element
+# and the per-point structures of enumeration (``degree_bytes``) would take
+# more; its cap is what the budget leaves after those structures, divided by
+# the bytes of one element and its columns.
 STORE_BUDGET = 10 ** 9
 
 
@@ -365,7 +366,8 @@ def load_instance(data: dict, cap: Optional[int] = None):
         generators = _field(data, "generators", "", list, [])
         per_element = size + column_bytes(len(generators))
         try:
-            G = generate_group(degree, generators, cap=min(cap, STORE_BUDGET // per_element))
+            G = generate_group(degree, generators,
+                               cap=min(cap, (STORE_BUDGET - degree_bytes(degree)) // per_element))
         except InvalidPermutation as exc:
             raise InvalidPermutation(f"generators: {exc}") from exc
         return G, _spec_automorphism(G, data, None), instance_id(data)

@@ -182,7 +182,8 @@ class FiniteGroup:
     ``_base_images[i][e]`` is the image of ``base[i]`` under element e, and
     ``_key_index`` maps an element's key (see ``_key``) to its index: a list
     with -1 at unused keys when degree**len(base) <= 4*order, else a dict.
-    ``_orders`` and ``_inverses`` are the tables ``_power_walk`` builds.
+    ``_orders`` and ``_inverses`` are the tables ``_power_walk`` builds;
+    ``power_map(m)`` keeps x**m for every x in ``cache``, as an ``array``.
     """
 
     def __init__(self, degree: int, generators: Sequence[Perm], store: list,
@@ -231,13 +232,28 @@ class FiniteGroup:
             key = key * self.degree + perm[column[b]]
         return self._key_index[key]
 
-    def _power_walk(self) -> tuple:
-        """Order and inverse tables from one walk a, a^2, ... to the identity
-        for each element a whose order is still unknown: with o the order of
-        a, its power a^k has order o/gcd(k, o) and inverse a^(o-k). Each step
-        x -> x*a composes on the base images of a, as ``mul`` does, inline."""
+    def _cycle(self, a: int) -> list:
+        """[0, a, a^2, ..., a^(o-1)] (0 is the identity) for a nonidentity a of
+        order o, by one walk x -> x*a that composes on the base images of a,
+        as ``mul`` does, inline."""
         store, key_index, degree = self._store, self._key_index, self.degree
-        images = self._base_images
+        points = [column[a] for column in reversed(self._base_images)]
+        powers = [0, a]
+        x = a
+        while True:
+            perm = store[x]
+            key = 0
+            for pt in points:
+                key = key * degree + perm[pt]
+            x = key_index[key]
+            if not x:
+                return powers
+            powers.append(x)
+
+    def _power_walk(self) -> tuple:
+        """Order and inverse tables from one ``_cycle`` walk for each element a
+        whose order is still unknown: with o the order of a, its power a^k has
+        order o/gcd(k, o) and inverse a^(o-k)."""
         orders, inverses = [0] * self.order, [0] * self.order
         orders[0] = 1
         power_orders: dict = {}
@@ -245,18 +261,7 @@ class FiniteGroup:
         for a in range(self.order - 1, 0, -1):
             if orders[a]:
                 continue
-            points = [column[a] for column in reversed(images)]
-            powers = [0, a]
-            x = a
-            while True:
-                perm = store[x]
-                key = 0
-                for pt in points:
-                    key = key * degree + perm[pt]
-                x = key_index[key]
-                if not x:
-                    break
-                powers.append(x)
+            powers = self._cycle(a)
             o = len(powers)
             ratios = power_orders.get(o)
             if ratios is None:
@@ -287,6 +292,25 @@ class FiniteGroup:
         inv = self._inverses
         left = self.extend_images(self._right, inv[t])
         return list(map(inv.__getitem__, map(left.__getitem__, inv)))
+
+    def power_map(self, m: int) -> array:
+        """[x**m for every element x], built once per m and kept in ``cache``.
+        An element whose order divides m goes to the identity; the rest are
+        covered by one ``_cycle`` walk per cyclic subgroup, a^k -> a^(k*m mod o)."""
+        table = self.cache.get(("power", m))
+        if table is None:
+            table = array("i", bytes(4 * self.order))
+            done = bytearray(m % o == 0 for o in self._orders)
+            for a in range(self.order - 1, 0, -1):
+                if done[a]:
+                    continue
+                powers = self._cycle(a)
+                o = len(powers)
+                for k in range(1, o):
+                    table[powers[k]] = powers[k * m % o]
+                    done[powers[k]] = 1
+            self.cache[("power", m)] = table
+        return table
 
     def inv(self, a: int) -> int:
         return self._inverses[a]

@@ -161,7 +161,7 @@ def power_subgroup(G: FiniteGroup, m: int, within: Optional[Subgroup] = None) ->
     H = within if within is not None else G.whole_subgroup()
     if m == 1:
         return H
-    return subgroup_generated(G, {G.power(x, m) for x in H.members})
+    return subgroup_generated(G, set(map(G.power_map(m).__getitem__, H.members)))
 
 
 def is_powerful(G: FiniteGroup, p: int, subgroup: Optional[Subgroup] = None) -> bool:

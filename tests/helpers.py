@@ -217,6 +217,46 @@ def ad_index_by_matrix(A, i: int, v: tuple) -> int:
     return n
 
 
+def per_element_lazard(A, x: int) -> bool:
+    """p-fold bracketing by the class of x equals bracketing by the class of
+    x^p, with x^p by ``G.power`` and both sides bracketed out for x alone,
+    stopping at the first basis vector where they differ."""
+    G = A.group
+    p = A.p
+    if x == 0:
+        return True
+    i = A.depth(x)
+    v = A.coords(i, x)
+    xp = G.power(x, p)
+    ti = p * i
+    w = None  # past the top: bracket returns None before it reads w
+    if ti <= A.num_layers:
+        if xp not in A.series.term(ti).member_set:
+            return False
+        w = A.coords(ti, xp)
+    elif xp != 0:
+        return False
+    for j, units in enumerate(A.units, start=1):
+        for unit in units:
+            vec, layer_idx = unit, j
+            for _ in range(p):
+                vec = A.bracket(layer_idx, vec, i, v)
+                if vec is None:
+                    break
+                layer_idx += i
+            if vec != A.bracket(j, unit, ti, w):
+                return False
+    return True
+
+
+def per_element_lazard_all(A) -> dict:
+    """``per_element_lazard`` on every element: the oracle for
+    ``lie.check_lazard_all``, which works once per (layer, coordinate vector)."""
+    failures = [x for x in range(A.group.order) if not per_element_lazard(A, x)]
+    return {"verdict": "pass" if not failures else "fail",
+            "checked": A.group.order, "failures": failures[:5]}
+
+
 # Plain tuple oracles for the base-image kernel: no library arithmetic, and
 # element indices found by scanning the enumerated tuples.
 

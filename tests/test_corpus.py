@@ -212,7 +212,8 @@ def test_raw_degree_caps_enumeration_by_the_store_budget(monkeypatch):
                         lambda degree, gens, cap: caps.append(cap) or generate_group(1, []))
     load_instance({"degree": 3 * 10 ** 6, "generators": []})
     load_instance({"degree": 3, "generators": [], "cap": 7})
-    assert caps == [corpus.STORE_BUDGET // element_bytes(3 * 10 ** 6), 7]
+    # the 240 MB charged for the points leave room for 31 elements, not 41
+    assert caps == [31, 7]
 
 
 def test_raw_generators_are_charged_for_their_cayley_columns(monkeypatch):

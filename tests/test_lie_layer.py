@@ -1,0 +1,164 @@
+"""The Lie layer's shortcuts against per-element oracles, and pinned counts
+that fail if the layer goes back to per-element work.
+
+``check_lazard_all`` brackets once per (layer, coordinate vector), and not
+at all where x^p lies in the top layer or past it; it reads p-th powers off
+``FiniteGroup.power_map``, which walks each cyclic subgroup once. The oracle ``per_element_lazard_all`` redoes both sides for every
+element with ``G.power``; the power map is checked against ``G.power``.
+"""
+
+import functools
+
+import pytest
+
+from coprimelab import groups, lie
+from coprimelab.corpus import build_corpus_instance, default_corpus
+from coprimelab.lie import NpSeries, build_graded_lie, check_lazard_all, jlz_series
+from coprimelab.numutil import prime_factors, prime_power_base
+from coprimelab.structure import is_powerful, power_subgroup
+from helpers import per_element_lazard_all
+
+
+def _cyclic(m):
+    return {"name": "cyclic", "params": {"m": m}}
+
+
+def _heisenberg(p):
+    return {"name": "heisenberg", "params": {"p": p}}
+
+
+def _modular(p):
+    return {"name": "modular", "params": {"p": p}}
+
+
+def _product(*factors):
+    return {"name": "direct_product", "params": {"factors": list(factors)}}
+
+
+CORPUS = {spec["id"]: spec for spec in default_corpus()["instances"]}
+# The groups of the benchmark's nilpotent_pairs templates and cli_commands
+# files; the Lazard check does not read the automorphism.
+BENCH_GROUPS = {
+    "heis7": _heisenberg(7),
+    "heis5": _heisenberg(5),
+    "c125": _cyclic(125),
+    "mod7": _modular(7),
+    "heis3_c9": _product(_heisenberg(3), _cyclic(9)),
+    "c25_c5": _product(_cyclic(25), _cyclic(5)),
+    "heis5_c25": _product(_heisenberg(5), _cyclic(25)),
+    "c5x5": _product(*[_cyclic(5)] * 5),
+    "mod5_c25": _product(_modular(5), _cyclic(25)),
+}
+
+
+@functools.cache
+def _group(name: str):
+    return build_corpus_instance(CORPUS.get(name) or BENCH_GROUPS[name])[0]
+
+
+P_GROUPS = [spec_id for spec_id in CORPUS if prime_power_base(_group(spec_id).order)]
+
+
+def _algebra(name: str):
+    G = _group(name)
+    return build_graded_lie(jlz_series(G, prime_power_base(G.order)))
+
+
+class _Calls:
+    """Counts calls of ``owner.name`` while installed."""
+
+    def __init__(self, monkeypatch, owner, name):
+        self.count = 0
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            self.count += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+def test_every_corpus_p_group_is_covered():
+    assert len(P_GROUPS) == 22 and "trivial" not in P_GROUPS and "glauberman" not in P_GROUPS
+
+
+@pytest.mark.parametrize("name", P_GROUPS + list(BENCH_GROUPS))
+def test_check_lazard_all_matches_the_per_element_oracle(name):
+    A = _algebra(name)
+    out = check_lazard_all(A)
+    assert out == per_element_lazard_all(A)
+    assert out["verdict"] == "pass"
+
+
+def test_a_corrupted_structure_constant_fails_where_the_oracle_fails():
+    # [u, u] = u' for the basis vector u of layer 2 of D32 and u' of layer 4:
+    # the 16 elements whose class in layer 1 is (1, 0) now fail, and the
+    # report keeps the first five
+    A = _algebra("d32")
+    assert (2, 0, 2, 0) not in A.brackets and A.dims[3] == 1
+    A.brackets[(2, 0, 2, 0)] = (1,)
+    out = check_lazard_all(A)
+    assert out == per_element_lazard_all(A)
+    assert out["verdict"] == "fail" and out["failures"] == [1, 6, 9, 14, 17]
+
+
+def test_a_series_that_breaks_the_power_axiom_fails_where_the_oracle_fails():
+    # C16 > C8 > C4 > C2 > 1: x^2 of a generator of C8 (layer 2) generates
+    # C4, outside term 4, and x^2 of a generator of C16 lies past the top
+    G = _group("c16")
+    terms = tuple(power_subgroup(G, 2 ** k) for k in range(5))
+    A = build_graded_lie(NpSeries(G, 2, terms))
+    assert A.dims == (1, 1, 1, 1)
+    out = check_lazard_all(A)
+    assert out == per_element_lazard_all(A)
+    assert out["verdict"] == "fail" and len(out["failures"]) == 5
+
+
+def _exponents(G) -> set:
+    e = G.exponent()
+    out = {2, 3, 4, 5, e, e + 1}
+    for p in prime_factors(G.order):
+        out |= {p, p * p}
+    return out
+
+
+def test_heisenberg_7_is_stored_as_tuples():
+    assert _group("heis7").degree == 343 > groups.BYTES_MAX_DEGREE
+
+
+@pytest.mark.parametrize("name", list(CORPUS) + ["heis7"])
+def test_power_map_matches_power(name):
+    G = _group(name)
+    for m in sorted(_exponents(G)):
+        assert list(G.power_map(m)) == [G.power(x, m) for x in range(G.order)], (name, m)
+        assert G.power_map(m) is G.cache[("power", m)]
+
+
+def test_building_a_group_builds_no_power_map():
+    G = build_corpus_instance(BENCH_GROUPS["heis5_c25"])[0]
+    assert not [key for key in G.cache if isinstance(key, tuple) and key[0] == "power"]
+
+
+# Bracket calls of check_lazard_all. Per element, with both sides bracketed
+# out for every element, it made 36,240 on heisenberg(5) x C25 and 820 on D32.
+# On heisenberg(5) x C25 every x^p lies in the top layer or past it, so
+# both sides vanish without a bracket.
+LAZARD_BRACKETS = {"heis5_c25": 0, "d32": 58}
+
+
+@pytest.mark.parametrize("name", LAZARD_BRACKETS)
+def test_lazard_brackets_once_per_layer_and_coordinate_vector(name, monkeypatch):
+    A = _algebra(name)
+    calls = _Calls(monkeypatch, lie.GradedLieAlgebra, "bracket")
+    assert check_lazard_all(A)["verdict"] == "pass"
+    assert calls.count == LAZARD_BRACKETS[name]
+
+
+def test_power_subgroups_make_no_power_call(monkeypatch):
+    G = build_corpus_instance(BENCH_GROUPS["heis5_c25"])[0]
+    calls = _Calls(monkeypatch, groups.FiniteGroup, "power")
+    S = jlz_series(G, 5)
+    assert is_powerful(G, 5) is False
+    assert power_subgroup(G, 25).is_trivial and power_subgroup(G, 5).order == 5
+    assert [t.order for t in S.terms] == [3125, 25, 5, 5, 5, 1]
+    assert calls.count == 0

@@ -19,11 +19,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (GroupTheoryError, NotBijective, NotCoprime, NotHomomorphism, NotInvariant,
                      NotNilpotent, DecompositionNotFound, NonUniqueDecomposition,
-                     PreconditionViolated, SylowNotFound)
+                     PreconditionViolated)
 from .groups import (FiniteGroup, Subgroup, are_conjugate, center, is_normal,
                      perm_order, product_of_subgroups, quotient_group,
                      subgroup_as_group, subgroup_generated)
-from .structure import derived_series, lower_central_series, sylow_subgroup
+from .structure import derived_series, lower_central_series
 
 
 class Automorphism:
@@ -88,26 +88,10 @@ def build_automorphism(G: FiniteGroup, gen_images: Sequence[Iterable[int]]) -> A
     return automorphism_from_images(G, [G.evaluate_word(w) for w in gen_images])
 
 
-def automorphism_from_table(G: FiniteGroup, table: Sequence[int]) -> Automorphism:
-    """Wrap a raw element permutation, validating the homomorphism law."""
-    table = tuple(table)
-    if sorted(table) != list(range(G.order)):
-        raise NotBijective("table is not a permutation of the element indices")
-    phi = automorphism_from_images(G, [table[g] for g in G.generator_indices])
-    if phi.table != table:
-        x = next(x for x in range(G.order) if phi.table[x] != table[x])
-        raise NotHomomorphism(f"table breaks at element {x}, where the automorphism "
-                              f"its generator images define sends it to {phi.table[x]}")
-    return phi
-
-
-def identity_automorphism(G: FiniteGroup) -> Automorphism:
-    return Automorphism(G, tuple(range(G.order)))
-
-
 @dataclass
 class TwistedData:
-    """Fixed-point subgroup, twisted set and the subgroup it generates."""
+    """Fixed-point subgroup, twisted set and the subgroup it generates; the
+    <phi>-orbit representatives on the twisted set once they are asked for."""
 
     fixed: Subgroup
     twisted: tuple
@@ -115,6 +99,7 @@ class TwistedData:
     producers: dict
     commutator_phi: Subgroup
     coprime: bool
+    orbit_reps: Optional[list] = None
 
 
 def twisted_data(phi: Automorphism) -> TwistedData:
@@ -216,38 +201,6 @@ def orbit_representatives(phi: Automorphism, seeds: Iterable[int]) -> list[int]:
 
 def is_phi_invariant(phi: Automorphism, H: Subgroup) -> bool:
     return all(phi.table[t] in H.member_set for t in H.gens)
-
-
-def phi_invariant_sylow(phi: Automorphism, p: int,
-                        container: Optional[Subgroup] = None) -> Subgroup:
-    """A phi-invariant Sylow p-subgroup, found by scanning conjugates.
-
-    Coprimality guarantees existence; ``container``, when given, must be a
-    phi-invariant p-subgroup and the result contains it.
-    """
-    if not phi.coprime:
-        raise NotCoprime("phi-invariant Sylow subgroups need a coprime action")
-    G = phi.group
-    P = sylow_subgroup(G, p)
-    if container is not None and not is_phi_invariant(phi, container):
-        raise NotInvariant("container subgroup is not phi-invariant")
-
-    def good(members: frozenset) -> bool:
-        if container is not None and not container.member_set <= members:
-            return False
-        return all(phi.table[m] in members for m in members)
-
-    if good(P.member_set):
-        return P
-    seen = set()
-    for c in range(G.order):
-        conj = frozenset(G.conjugate(m, c) for m in P.members)
-        if conj in seen:
-            continue
-        seen.add(conj)
-        if good(conj):
-            return subgroup_generated(G, conj)
-    raise SylowNotFound(f"no phi-invariant Sylow {p}-subgroup (non-coprime input?)")
 
 
 @dataclass
@@ -499,14 +452,23 @@ def fixed_points_of_product(phi: Automorphism, family: Sequence[tuple]) -> dict:
             "verdict": "pass" if ok else "fail"}
 
 
+def twisted_orbit_representatives(phi: Automorphism) -> list[int]:
+    """Least element of each <phi>-orbit on the twisted set, which phi maps
+    onto itself; kept on the twisted data, so it is walked once."""
+    td = twisted_data(phi)
+    if td.orbit_reps is None:
+        td.orbit_reps = [orbit[0] for orbit in _orbits(td.twisted, lambda x: [phi.table[x]])]
+    return td.orbit_reps
+
+
 def twisted_pair_closures(phi: Automorphism) -> Iterator[Subgroup]:
     """The invariant closure of every pair of twisted elements, each once.
 
     The closure of {x, y} is generated by the <phi>-orbits of x and y, so
-    one representative per orbit on the twisted set (which phi maps onto
-    itself) gives every pair closure: r orbits give r(r+1)/2 closures.
+    one representative per orbit on the twisted set gives every pair
+    closure: r orbits give r(r+1)/2 closures.
     """
-    reps = [orbit[0] for orbit in _orbits(twisted_data(phi).twisted, lambda x: [phi.table[x]])]
+    reps = twisted_orbit_representatives(phi)
     for i, x in enumerate(reps):
         for y in reps[i:]:
             yield phi_invariant_closure(phi, {x, y})

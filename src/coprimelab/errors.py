@@ -69,10 +69,6 @@ class PreconditionViolated(GroupTheoryError):
     """A stated hypothesis of the requested check does not hold."""
 
 
-class SylowNotFound(GroupTheoryError):
-    """No invariant Sylow subgroup was found (possible only without coprimality)."""
-
-
 class UnknownSpec(GroupTheoryError):
     """Unrecognized corpus instance description."""
 

@@ -270,8 +270,8 @@ class GradedLieAlgebra:
     def bracket_steps(self, X: list, K: list) -> int:
         """Least s >= 0 such that bracketing the subspace X by K s times gives
         zero: X, [X, K], [[X, K], K], ... Each step raises the degree, so s is
-        at most the number of layers. The class of the generated subalgebra,
-        the u of `subalgebra_LGH` and `ad_nilpotency_index` all count this."""
+        at most the number of layers. The class of the generated subalgebra
+        and the u of `subalgebra_LGH` both count this."""
         steps = 0
         while any(X):
             if steps > self.num_layers:
@@ -307,15 +307,6 @@ def build_graded_lie(series: NpSeries) -> GradedLieAlgebra:
                     if any(vec):
                         brackets[(i, a, j, b)] = vec
     return GradedLieAlgebra(series, layers, brackets)
-
-
-def ad_nilpotency_index(A: GradedLieAlgebra, i: int, v: tuple) -> int:
-    """Least n >= 1 with (ad v)^n = 0 for v in layer i. ad v is linear, so
-    bracketing the span of the basis gives the span of the basis images."""
-    if not any(v):
-        raise ValueError("ad-nilpotency index is defined for nonzero elements")
-    K = [(v,) if k == i - 1 else () for k in range(A.num_layers)]
-    return max(A.bracket_steps(A.units, K), 1)
 
 
 def check_lazard_all(A: GradedLieAlgebra) -> dict:

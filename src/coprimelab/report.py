@@ -17,7 +17,7 @@ from .automorphisms import (Automorphism, check_coprime_facts, decomposition_wit
                             default_normal_family, factorization_status, fixed_generation_S,
                             fixed_points_of_product, is_phi_invariant, orbit_representatives,
                             phi_invariant_closure, restrict_automorphism, soluble_exponent_probe,
-                            twisted_data, twisted_pair_closures)
+                            twisted_data, twisted_orbit_representatives, twisted_pair_closures)
 from .corpus import instance_id, load_instance
 from .errors import (CapExceeded, GroupTheoryError, InvalidPermutation, NotBijective,
                      NotCoprime, NotHomomorphism, NotSoluble, ParseError, UnknownSpec)
@@ -29,7 +29,6 @@ from .numutil import big_omega, prime_power_base
 from .structure import derived_series, fitting_height, is_powerful, lower_central_series
 
 PAIR_CAP = 1_000_000
-LAZARD_FULL_LIMIT = 1024
 
 
 def _verdict(ok: bool) -> str:
@@ -42,6 +41,15 @@ def _skip(reason: str) -> str:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def _above_pair_cap(phi: Automorphism) -> Optional[str]:
+    """Why the walks over twisted pairs of phi are skipped, or None when
+    the r(r+1)/2 closures that ``twisted_pair_closures`` makes from r
+    <phi>-orbits on the twisted set are at most ``PAIR_CAP``."""
+    r = len(twisted_orbit_representatives(phi))
+    pairs = r * (r + 1) // 2
+    return f"{pairs} orbit pairs above the pair cap" if pairs > PAIR_CAP else None
 
 
 def theorem1_probe(phi: Automorphism) -> dict:
@@ -59,21 +67,18 @@ def theorem1_probe(phi: Automorphism) -> dict:
     for x in orbit_representatives(phi, set(td.fixed.members) | td.twisted_set):
         closure = phi_invariant_closure(phi, {x})
         e_star = max(e_star, closure.exponent())
-    exponent = G.exponent()
-    return {"e_star": e_star, "n": phi.order_n, "exponent": exponent,
-            "e_star_divides_exponent": _verdict(exponent % e_star == 0)}
+    return {"e_star": e_star, "n": phi.order_n, "exponent": G.exponent()}
 
 
-def theorem2_probe(phi: Automorphism, pair_cap: int = PAIR_CAP) -> dict:
+def theorem2_probe(phi: Automorphism) -> dict:
     """Class of the fixed subgroup, twisted exponent bound, and the largest
     derived length over invariant closures of twisted pairs.
 
-    With m twisted elements, the pair loop runs in full while m * m is at
-    most ``pair_cap`` and switches to deterministic stride sampling beyond
-    that, in which case the reported maximum is only a lower bound. The full
-    walk closes one pair per pair of <phi>-orbits (``twisted_pair_closures``)
-    and stops once d reaches the derived length of G, which no subgroup
-    exceeds; an insoluble G gives no bound, so every closure is checked.
+    The walk closes one pair per pair of <phi>-orbits on the twisted set
+    (``twisted_pair_closures``), so d is exact, and stops once d reaches the
+    derived length of G, which no subgroup exceeds; an insoluble G gives no
+    bound, so every closure is checked. Above the pair cap the probe is
+    skipped, and it is skipped first when the fixed subgroup is not nilpotent.
     """
     if not phi.coprime:
         raise NotCoprime("probe requires a coprime action")
@@ -82,22 +87,13 @@ def theorem2_probe(phi: Automorphism, pair_cap: int = PAIR_CAP) -> dict:
     fixed_lcs = lower_central_series(G, td.fixed)
     if not fixed_lcs.is_nilpotent:
         return {"skipped": "fixed-point subgroup is not nilpotent"}
-    c = fixed_lcs.nilpotency_class
-    tw = td.twisted
-    e = G.exponent_of(tw)
-    m = len(tw)
-    total = m * m
-    sampled = total > pair_cap
-    if sampled:
-        closures = (phi_invariant_closure(phi, {tw[k // m], tw[k % m]})
-                    for k in range(0, total, -(-total // pair_cap)))
-        bound = None
-    else:
-        closures = twisted_pair_closures(phi)
-        bound = derived_series(G).derived_length
+    reason = _above_pair_cap(phi)
+    if reason:
+        return {"skipped": reason}
+    bound = derived_series(G).derived_length
     d = 0
     length_cache: dict = {}
-    for K in closures:
+    for K in twisted_pair_closures(phi):
         if K.member_set not in length_cache:
             length_cache[K.member_set] = derived_series(G, K).derived_length
         dl = length_cache[K.member_set]
@@ -106,12 +102,8 @@ def theorem2_probe(phi: Automorphism, pair_cap: int = PAIR_CAP) -> dict:
         d = max(d, dl)
         if d == bound:
             break
-    exp_comm = td.commutator_phi.exponent()
-    exponent = G.exponent()
-    return {"c": c, "d": d, "d_is_lower_bound": sampled, "e": e, "n": phi.order_n,
-            "exponent_commutator": exp_comm,
-            "commutator_exponent_divides": _verdict(exponent % exp_comm == 0),
-            "e_divides_exponent": _verdict(exponent % e == 0)}
+    return {"c": fixed_lcs.nilpotency_class, "d": d, "e": G.exponent_of(td.twisted),
+            "n": phi.order_n, "exponent_commutator": td.commutator_phi.exponent()}
 
 
 def thompson_probe(phi: Automorphism) -> dict:
@@ -144,11 +136,9 @@ def _group_section(G: FiniteGroup) -> dict:
     }
     section["fitting_height"] = fitting_height(G) if ds.is_soluble else None
     if lcs.is_nilpotent:
-        section["nilpotent_implies_soluble"] = _verdict(ds.is_soluble)
         section["derived_length_class_bound"] = _verdict(
             ds.derived_length <= lcs.nilpotency_class + 1)
     else:
-        section["nilpotent_implies_soluble"] = _skip("group is not nilpotent")
         section["derived_length_class_bound"] = _skip("group is not nilpotent")
     return section
 
@@ -163,8 +153,6 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
         "twisted_size": len(td.twisted),
         "commutator_order": cp.order,
         "commutator_normal_invariant": _verdict(is_phi_invariant(phi, cp) and is_normal(G, cp)),
-        "order_product_identity": _verdict(
-            len(td.twisted) * td.fixed.order == G.order),
     }
     if not td.coprime:
         for key in ("factorization", "coprime_facts", "product_fixed_points",
@@ -200,10 +188,9 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
         section["unique_decomposition"] = _verdict(witness is None)
         if witness:
             section["unique_decomposition_witness"] = witness
-        # a sampled S can fail to generate, so above the cap the check is skipped
-        pairs = len(twisted_data(rphi).twisted) ** 2
-        if pairs > PAIR_CAP:
-            section["fixed_generation"] = _skip(f"{pairs} twisted pairs above the pair cap")
+        reason = _above_pair_cap(rphi)
+        if reason:
+            section["fixed_generation"] = _skip(reason)
         else:
             gen_report = fixed_generation_S(rphi)
             section["fixed_generation"] = {
@@ -216,9 +203,7 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
         section["fixed_generation"] = _skip("group is not nilpotent")
 
     if soluble:
-        probe = soluble_exponent_probe(rphi)
-        probe["exponent_consistent"] = _verdict(G.exponent() % probe["exponent"] == 0)
-        section["soluble_exponent"] = probe
+        section["soluble_exponent"] = soluble_exponent_probe(rphi)
     else:
         section["soluble_exponent"] = _skip("group is not soluble")
     return section
@@ -235,11 +220,8 @@ def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
         "np_series": np_report["verdict"],
         "bracket_axioms": verify_bracket_axioms(A)["verdict"],
         "lie_class": c,
+        "lazard": check_lazard_all(A)["verdict"],
     }
-    if G.order <= LAZARD_FULL_LIMIT:
-        section["lazard"] = check_lazard_all(A)["verdict"]
-    else:
-        section["lazard"] = _skip(f"order {G.order} above the full-scan limit")
     riley = check_riley(G, p, algebra=A)
     section["riley"] = riley["verdict"]
     section["riley_term_order"] = riley["term_order"]

@@ -8,7 +8,12 @@ repeated multiplication, so they stay independent of the paths they check.
 import math
 from functools import reduce
 
+from coprimelab.automorphisms import Automorphism
 from coprimelab.groups import FiniteGroup, generate_group
+
+
+def identity_automorphism(G: FiniteGroup) -> Automorphism:
+    return Automorphism(G, tuple(range(G.order)))
 
 
 def brute_closure(perms):
@@ -187,34 +192,7 @@ def unreduced_theorem1(phi) -> dict:
         members = generated_members(G, orbit)
         e_star = max(e_star, reduce(math.lcm, (G.element_order(m) for m in members)))
     exponent = reduce(math.lcm, (G.element_order(x) for x in range(G.order)))
-    return {"e_star": e_star, "n": phi.order_n, "exponent": exponent,
-            "e_star_divides_exponent": "pass" if exponent % e_star == 0 else "fail"}
-
-
-def ad_index_by_matrix(A, i: int, v: tuple) -> int:
-    """Least n >= 1 with (ad v)^n = 0, for x -> [x, v] and v in layer i.
-
-    The matrix of ad v on the whole algebra is read off the structure
-    constants ``A.brackets`` and raised to powers mod p by plain row-by-column
-    products, with neither ``linalg`` nor the algebra's span code: the oracle
-    for ``lie.ad_nilpotency_index``.
-    """
-    p, dims = A.p, A.dims
-    offset = [sum(dims[:j]) for j in range(len(dims))]
-    size = sum(dims)
-    M = [[0] * size for _ in range(size)]
-    for (j, b, k, a), cvec in A.brackets.items():
-        if k == i:
-            for t, c in enumerate(cvec):
-                M[offset[j + i - 1] + t][offset[j - 1] + b] += v[a] * c
-    M = [[c % p for c in row] for row in M]
-    power, n = M, 1
-    while any(any(row) for row in power):
-        power = [[sum(row[s] * M[s][col] for s in range(size)) % p for col in range(size)]
-                 for row in power]
-        n += 1
-        assert n <= size + 1, "ad v is not nilpotent"
-    return n
+    return {"e_star": e_star, "n": phi.order_n, "exponent": exponent}
 
 
 def per_element_lazard(A, x: int) -> bool:

@@ -2,20 +2,19 @@ import dataclasses
 
 import pytest
 
-from coprimelab.automorphisms import (automorphism_from_table, build_automorphism,
-                                      check_coprime_facts, commutator_with_automorphism,
-                                      decomposition_witness, factorization_status, fixed_generation_S,
-                                      fixed_points_of_product, identity_automorphism,
-                                      is_phi_invariant, nilpotent_decompose,
-                                      orbit_representatives, phi_invariant_closure, phi_invariant_sylow,
-                                      quotient_automorphism, restrict_automorphism,
-                                      soluble_exponent_probe, twisted_data)
+from coprimelab.automorphisms import (build_automorphism, check_coprime_facts,
+                                      commutator_with_automorphism, decomposition_witness,
+                                      factorization_status, fixed_generation_S,
+                                      fixed_points_of_product, is_phi_invariant,
+                                      nilpotent_decompose, orbit_representatives,
+                                      phi_invariant_closure, quotient_automorphism,
+                                      restrict_automorphism, soluble_exponent_probe, twisted_data)
 from coprimelab.corpus import build_corpus_instance
-from coprimelab.errors import (NotBijective, NotCoprime, NotHomomorphism, NotInvariant,
+from coprimelab.errors import (NotBijective, NotCoprime, NotInvariant,
                                NotNilpotent, PreconditionViolated)
 from coprimelab.groups import quotient_group, subgroup_generated, is_normal
 from coprimelab.structure import sylow_subgroup
-from helpers import per_element_decomposition_witness, quaternion_group
+from helpers import identity_automorphism, per_element_decomposition_witness, quaternion_group
 
 
 def c7_square():
@@ -45,15 +44,6 @@ def test_not_bijective_rejected():
     G, _ = build_corpus_instance({"name": "cyclic", "params": {"m": 4}})
     with pytest.raises(NotBijective):
         build_automorphism(G, [(1, 1)])  # t -> t^2 kills the order-2 element
-
-
-def test_not_homomorphism_rejected(s3):
-    f = s3.element_index((1, 0, 2))
-    rf = s3.mul(s3.element_index((1, 2, 0)), f)
-    table = list(range(6))
-    table[f], table[rf] = rf, f
-    with pytest.raises(NotHomomorphism):
-        automorphism_from_table(s3, table)
 
 
 def test_order_product_identity_everywhere(c3c3_swap):
@@ -154,30 +144,6 @@ def test_phi_invariant_closure(c3c3_swap, glauberman):
     td = twisted_data(phig)
     K = phi_invariant_closure(phig, set(td.fixed.members))
     assert K.member_set >= td.fixed.member_set
-
-
-def test_phi_invariant_sylow(glauberman, heis3):
-    G, phi = glauberman
-    A5 = phi_invariant_sylow(phi, 5)
-    assert A5.order == 125
-    assert is_phi_invariant(phi, A5)
-    P31 = phi_invariant_sylow(phi, 31)
-    assert P31.order == 31
-    assert is_phi_invariant(phi, P31)
-    phi3 = identity_automorphism(heis3)
-    assert phi_invariant_sylow(phi3, 3).order == 27
-
-
-def test_phi_invariant_sylow_with_container(glauberman):
-    G, phi = glauberman
-    s = G.generator_indices[1]
-    b31 = G.power(s, 4)  # scaling of order 31
-    assert G.element_order(b31) == 31
-    container = subgroup_generated(G, {b31})
-    assert is_phi_invariant(phi, container)
-    P = phi_invariant_sylow(phi, 31, container=container)
-    assert container.member_set <= P.member_set
-    assert P.order == 31 and is_phi_invariant(phi, P)
 
 
 def test_check_coprime_facts(glauberman, c3c3_swap):
@@ -364,7 +330,6 @@ def test_automorphism_walks_match_brute_force_on_corpus():
         meets_fixed = set().union(*classes)
         assert status.criterion_holds == all(x == 0 or x not in meets_fixed
                                              for x in td.twisted), name
-        assert automorphism_from_table(G, phi.table).table == phi.table, name
         H, rphi, to_parent = restrict_automorphism(phi, td.commutator_phi)
         assert all(to_parent[rphi.table[i]] == phi.table[to_parent[i]]
                    for i in range(H.order)), name
@@ -389,15 +354,6 @@ def test_quotient_check_fails_with_the_reason_of_the_induced_map(glauberman, mon
     for check in report["quotient_fixed_points"]:
         assert check["verdict"] == "fail"
         assert check["reason"] == "induced quotient map is not well defined"
-
-
-def test_table_that_disagrees_with_its_generator_images_is_rejected(c3c3_swap):
-    G, phi = c3c3_swap
-    table = list(phi.table)
-    x, y = [x for x in range(1, G.order) if x not in G.generator_indices][:2]
-    table[x], table[y] = table[y], table[x]
-    with pytest.raises(NotHomomorphism, match=f"table breaks at element {x},"):
-        automorphism_from_table(G, table)
 
 
 def test_centralizing_failure_carries_a_witness_that_replays(monkeypatch):

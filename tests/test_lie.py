@@ -2,18 +2,16 @@ import itertools
 
 import pytest
 
-from coprimelab.automorphisms import build_automorphism, identity_automorphism
-from coprimelab.corpus import build_corpus_instance, default_corpus
+from coprimelab.automorphisms import build_automorphism
+from coprimelab.corpus import build_corpus_instance
 from coprimelab.errors import (NotAPGroup, NotCoprimeToP, NotElementaryAbelianLayer,
                                PreconditionViolated)
 from coprimelab.groups import Subgroup, subgroup_generated, center
-from coprimelab.lie import (NpSeries, ad_nilpotency_index, build_graded_lie,
-                            check_lazard_all, check_riley, extend_and_eigendecompose,
-                            jlz_series, lie_fixed_points, subalgebra_LGH,
-                            verify_eigen_product_rule, verify_np_series)
-from coprimelab.numutil import prime_power_base
+from coprimelab.lie import (NpSeries, build_graded_lie, check_lazard_all, check_riley,
+                            extend_and_eigendecompose, jlz_series, lie_fixed_points,
+                            subalgebra_LGH, verify_eigen_product_rule, verify_np_series)
 from coprimelab.structure import lower_central_series, power_subgroup
-from helpers import (ad_index_by_matrix, brute_subgroup_members, per_element_lazard,
+from helpers import (brute_subgroup_members, identity_automorphism, per_element_lazard,
                      quaternion_group)
 
 
@@ -146,31 +144,6 @@ def test_bracket_well_defined_on_cosets(heis3):
             expected = A.bracket(1, u, 1, v)
             got = A.layers[1].coords_of(G.commutator(x, y))
             assert (got if any(got) else None) == expected
-
-
-def test_ad_nilpotency(heis3, c9):
-    A = build_graded_lie(jlz_series(c9, 3))
-    assert ad_nilpotency_index(A, 1, (1,)) == 1  # abelian
-    B = build_graded_lie(jlz_series(heis3, 3))
-    assert ad_nilpotency_index(B, 1, (1, 0)) == 2
-    assert ad_nilpotency_index(B, 2, (1,)) == 1  # top layer
-
-
-def test_ad_nilpotency_matches_matrix_powers_on_corpus():
-    # every basis vector and the sum of the layer-1 basis, on every corpus p-group
-    checked = 0
-    for spec in default_corpus()["instances"]:
-        G = build_corpus_instance(spec)[0]
-        p = prime_power_base(G.order)
-        if G.order == 1 or p is None:
-            continue
-        A = build_graded_lie(jlz_series(G, p))
-        vectors = [(i, u) for i, units in enumerate(A.units, start=1) for u in units]
-        vectors.append((1, (1,) * A.dims[0]))
-        for i, v in vectors:
-            assert ad_nilpotency_index(A, i, v) == ad_index_by_matrix(A, i, v), (spec["id"], i, v)
-            checked += 1
-    assert checked >= 50
 
 
 def test_lazard_all_small_p_groups(heis3, c9, d4):

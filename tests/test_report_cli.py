@@ -16,7 +16,8 @@ from coprimelab.report import (analyze_instance, canonical_json, count_verdicts,
                                theorem1_probe, theorem2_probe, thompson_probe)
 from coprimelab.structure import lower_central_series
 from helpers import (all_pairs_derived_length, all_pairs_fixed_generation_S, generated_members,
-                     per_element_decomposition_witness, quaternion_group, unreduced_theorem1)
+                     identity_automorphism, per_element_decomposition_witness, quaternion_group,
+                     unreduced_theorem1)
 
 
 def c7_phi():
@@ -25,9 +26,7 @@ def c7_phi():
 
 
 def test_theorem1_c7():
-    out = theorem1_probe(c7_phi())
-    assert out["e_star"] == 7 and out["exponent"] == 7 and out["n"] == 3
-    assert out["e_star_divides_exponent"] == "pass"
+    assert theorem1_probe(c7_phi()) == {"e_star": 7, "exponent": 7, "n": 3}
 
 
 def test_theorem1_exponent_p_group():
@@ -105,7 +104,7 @@ def _check_pair_walks(G, phi) -> bool:
     if d is None:
         assert theorem2 == {"skipped": "a twisted-pair closure is insoluble"}
     else:
-        assert (theorem2["d"], theorem2["d_is_lower_bound"]) == (d, False)
+        assert theorem2["d"] == d
     return True
 
 
@@ -202,34 +201,20 @@ def test_theorem2_c7():
     assert out["d"] == 1
     assert out["e"] == 7
     assert out["exponent_commutator"] == 7
-    assert out["d_is_lower_bound"] is False
 
 
 def test_theorem2_identity_phi(c9):
-    from coprimelab.automorphisms import identity_automorphism
     out = theorem2_probe(identity_automorphism(c9))
     assert out["exponent_commutator"] == 1
     assert out["e"] == 1
 
 
 def test_theorem2_skips_non_nilpotent_fixed(s5):
-    from coprimelab.automorphisms import identity_automorphism
     out = theorem2_probe(identity_automorphism(s5))
     assert out == {"skipped": "fixed-point subgroup is not nilpotent"}
 
 
-def test_theorem2_sampling_is_deterministic():
-    phi = build_corpus_instance({"name": "heisenberg", "params": {"p": 5},
-                                 "automorphism": {"recipe": "power", "k": -1}})[1]
-    full = theorem2_probe(phi)
-    sampled = theorem2_probe(phi, pair_cap=50)
-    assert sampled["d_is_lower_bound"] is True
-    assert sampled["d"] <= full["d"]
-    assert sampled == theorem2_probe(phi, pair_cap=50)
-
-
 def test_thompson_probe(s3, s5):
-    from coprimelab.automorphisms import identity_automorphism
     out = thompson_probe(identity_automorphism(s3))
     assert out == {"omega_n": 0, "n": 1, "fitting_height": 2}
     with pytest.raises(NotSoluble):
@@ -412,16 +397,17 @@ def test_cli_eigen(tmp_path, capsys):
 
 
 def test_cli_auto_skips_fixed_generation_above_the_pair_cap(tmp_path, capsys, monkeypatch):
-    # heisenberg(3) under inversion: [G, phi] = G has 9 twisted elements, 81 pairs
+    # heisenberg(3) under inversion: [G, phi] = G has 9 twisted elements in 5
+    # <phi>-orbits, so 15 orbit pairs
     path = _write(tmp_path, "h3.json", {"name": "heisenberg", "params": {"p": 3},
                                         "automorphism": {"recipe": "power", "k": -1}})
-    monkeypatch.setattr(report, "PAIR_CAP", 81)
+    monkeypatch.setattr(report, "PAIR_CAP", 15)
     assert main(["auto", path]) == 0
     assert json.loads(capsys.readouterr().out)["fixed_generation"]["generates"] == "pass"
-    monkeypatch.setattr(report, "PAIR_CAP", 80)
+    monkeypatch.setattr(report, "PAIR_CAP", 14)
     assert main(["auto", path]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["fixed_generation"] == "skipped: 81 twisted pairs above the pair cap"
+    assert out["fixed_generation"] == "skipped: 15 orbit pairs above the pair cap"
 
 
 HEIS5_INV = {"name": "heisenberg", "params": {"p": 5},
@@ -431,6 +417,51 @@ HEIS3_C9_INV = {"name": "direct_product",
                 "automorphism": {"recipe": "power", "k": -1}}
 C5_POW5 = {"name": "direct_product", "params": {"factors": [_cyclic(5)] * 5},
            "automorphism": {"recipe": "gen_powers", "powers": [2, 3, 4, 2, 3]}}
+
+
+def test_one_pair_cap_counts_orbit_pairs_for_theorem2_and_fixed_generation(monkeypatch):
+    # heisenberg(5) under inversion: [G, phi] = G, so the restriction is phi
+    # itself; its 25 twisted elements lie in 13 <phi>-orbits, 91 orbit pairs
+    monkeypatch.setattr(report, "PAIR_CAP", 91)
+    G, phi = build_corpus_instance(HEIS5_INV)
+    assert report._auto_section(G, phi)["fixed_generation"]["generates"] == "pass"
+    assert theorem2_probe(phi)["d"] == 2
+    monkeypatch.setattr(report, "PAIR_CAP", 90)
+    G, phi = build_corpus_instance(HEIS5_INV)
+    reason = "91 orbit pairs above the pair cap"
+    assert report._auto_section(G, phi)["fixed_generation"] == f"skipped: {reason}"
+    assert theorem2_probe(phi) == {"skipped": reason}
+    assert not phi.closure_cache
+
+
+def test_suite_on_c5_to_the_fifth_walks_its_pairs_exactly(tmp_path, capsys):
+    # 3125 twisted elements in 783 <phi>-orbits: m^2 is above the pair cap,
+    # the 306,936 orbit pairs are not, and both walks stop early
+    path = _write(tmp_path, "corpus.json", {"schema": 1, "instances": [C5_POW5]})
+    assert main(["suite", path]) == 0
+    rep = json.loads(capsys.readouterr().out)["instances"][0]
+    assert rep["probes"]["theorem2"]["d"] == 1
+    assert "d_is_lower_bound" not in rep["probes"]["theorem2"]
+    assert rep["automorphism"]["fixed_generation"]["generates"] == "pass"
+    # fixed_generation needs no closure (C_G(phi) is trivial); theorem 1
+    # closes one per orbit and theorem 2 adds one pair before d = 1 stops it
+    G, phi = build_corpus_instance(C5_POW5)
+    report._auto_section(G, phi)
+    assert len(phi.closure_cache) == 0
+    report._probe_section(G, phi)
+    assert len(phi.closure_cache) == 784
+
+
+def test_suite_and_lie_agree_on_lazard_at_order_3125(tmp_path, capsys):
+    spec = _product(_heisenberg(5), _cyclic(25))
+    path = _write(tmp_path, "heis5_c25.json", spec)
+    assert main(["lie", path]) == 0
+    lazard = json.loads(capsys.readouterr().out)["lazard"]
+    path = _write(tmp_path, "corpus.json", {"schema": 1, "instances": [spec]})
+    assert main(["suite", path]) == 0
+    rep = json.loads(capsys.readouterr().out)["instances"][0]
+    assert rep["group"]["order"] == 3125
+    assert rep["lie"]["lazard"] == lazard == "pass"
 
 
 # SHA-256 of the stdout of `lie` and `eigen`, structure constants and moduli

@@ -12,7 +12,6 @@ columns, pulled through the table, with the image columns: no ``mul`` call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
 from typing import Iterable, Iterator, Optional, Sequence
@@ -88,18 +87,20 @@ def build_automorphism(G: FiniteGroup, gen_images: Sequence[Iterable[int]]) -> A
     return automorphism_from_images(G, [G.evaluate_word(w) for w in gen_images])
 
 
-@dataclass
 class TwistedData:
     """Fixed-point subgroup, twisted set and the subgroup it generates; the
     <phi>-orbit representatives on the twisted set once they are asked for."""
 
-    fixed: Subgroup
-    twisted: tuple
-    twisted_set: frozenset
-    producers: dict
-    commutator_phi: Subgroup
-    coprime: bool
-    orbit_reps: Optional[list] = None
+    def __init__(self, fixed: Subgroup, twisted: tuple, twisted_set: frozenset,
+                 producers: dict, commutator_phi: Subgroup, coprime: bool,
+                 orbit_reps: Optional[list] = None):
+        self.fixed = fixed
+        self.twisted = twisted
+        self.twisted_set = twisted_set
+        self.producers = producers
+        self.commutator_phi = commutator_phi
+        self.coprime = coprime
+        self.orbit_reps = orbit_reps
 
 
 def twisted_data(phi: Automorphism) -> TwistedData:
@@ -203,13 +204,13 @@ def is_phi_invariant(phi: Automorphism, H: Subgroup) -> bool:
     return all(phi.table[t] in H.member_set for t in H.gens)
 
 
-@dataclass
 class FactorizationStatus:
     """Verdicts for the product-covering criterion with an optional witness."""
 
-    product_covers: bool
-    criterion_holds: bool
-    witness: Optional[dict]
+    def __init__(self, product_covers: bool, criterion_holds: bool, witness: Optional[dict]):
+        self.product_covers = product_covers
+        self.criterion_holds = criterion_holds
+        self.witness = witness
 
 
 def _factorization_counts(phi: Automorphism) -> list[int]:

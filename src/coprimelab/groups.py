@@ -18,8 +18,8 @@ of x times generator i. ``G.extend_images(columns, start)`` walks the tree
 over such columns with no ``mul`` call. Over ``G._right`` from s it gives
 s * x for every x, and x * t = (t⁻¹ x⁻¹)⁻¹ gives the right-multiplication
 column of any t (``right_column``). Automorphism tables and their
-homomorphism check, quotient projections and the centre's membership test
-are built that way.
+homomorphism check, quotient projections, the centre's membership test and
+the conjugacy search are built that way.
 
 Elements are keyed by their images on a base, a short list of points whose
 images determine an element (Sims; Seress, *Permutation Group Algorithms*,
@@ -40,7 +40,7 @@ import math
 import operator
 from array import array
 from collections.abc import Sequence
-from itertools import islice, repeat
+from itertools import compress, count, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -579,11 +579,11 @@ def commutator_subgroup_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgro
 
 
 def are_conjugate(G: FiniteGroup, x: int, y: int) -> Optional[int]:
-    """Least c with c⁻¹ x c = y, or None if x and y are not conjugate."""
-    for c in range(G.order):
-        if G.conjugate(x, c) == y:
-            return c
-    return None
+    """Least c with c⁻¹ x c = y, i.e. x * c = c * y, or None if x and y are
+    not conjugate: x * c for every c from one walk from x, against c * y
+    from y's ``right_column``."""
+    agree = map(operator.eq, G.extend_images(G._right, x), G.right_column(y))
+    return next(compress(count(), agree), None)
 
 
 def centralizer(G: FiniteGroup, elems: Iterable[int]) -> Subgroup:

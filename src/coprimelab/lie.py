@@ -11,7 +11,6 @@ eigenspace decomposition after extending scalars by a root of unity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (NotAPGroup, NotCoprime, NotCoprimeToP,
@@ -25,7 +24,6 @@ from .structure import (commutator_subgroup_pair, is_powerful, lower_central_ser
 from .numutil import factorization, multiplicative_order_mod, prime_power_base
 
 
-@dataclass
 class NpSeries:
     """Descending filtration with the commutator and p-power compatibilities.
 
@@ -33,9 +31,10 @@ class NpSeries:
     terms are kept because the position index carries meaning.
     """
 
-    group: FiniteGroup
-    p: int
-    terms: tuple
+    def __init__(self, group: FiniteGroup, p: int, terms: tuple):
+        self.group = group
+        self.p = p
+        self.terms = terms
 
     def term(self, i: int) -> Subgroup:
         """1-based term; indices past the end mean the trivial subgroup."""
@@ -129,15 +128,15 @@ def verify_np_series(S: NpSeries) -> dict:
             "power_failures": power_failures}
 
 
-@dataclass
 class Layer:
     """One elementary abelian quotient of the filtration, as an F_p space."""
 
-    index: int
-    dim: int
-    basis: tuple           # group element indices representing the basis cosets
-    rep: dict              # member -> canonical coset key (least coset element)
-    vectors: dict          # coset key -> coordinate tuple
+    def __init__(self, index: int, dim: int, basis: tuple, rep: dict, vectors: dict):
+        self.index = index
+        self.dim = dim
+        self.basis = basis        # group element indices representing the basis cosets
+        self.rep = rep            # member -> canonical coset key (least coset element)
+        self.vectors = vectors    # coset key -> coordinate tuple
 
     def coords_of(self, x: int) -> tuple:
         return self.vectors[self.rep[x]]
@@ -487,18 +486,19 @@ def lie_fixed_points(A: GradedLieAlgebra, phi) -> dict:
     return {"verdict": "pass" if all_ok else "fail", "layers": per_layer}
 
 
-@dataclass
 class ExtendedAlgebra:
     """Scalar extension of a graded algebra by a primitive root of unity,
     with per-layer eigenspace bases for the induced automorphism."""
 
-    base: GradedLieAlgebra
-    n: int
-    field: FiniteField
-    omega: int
-    matrices: list        # per layer, over F_p; its codes are valid in the field
-    eigenbases: list      # per layer: list over j of basis tuples
-    dims: list            # per layer: list over j of dimensions
+    def __init__(self, base: GradedLieAlgebra, n: int, field: FiniteField, omega: int,
+                 matrices: list, eigenbases: list, dims: list):
+        self.base = base
+        self.n = n
+        self.field = field
+        self.omega = omega
+        self.matrices = matrices      # per layer, over F_p; its codes are valid in the field
+        self.eigenbases = eigenbases  # per layer: list over j of basis tuples
+        self.dims = dims              # per layer: list over j of dimensions
 
 
 def _cyclotomic_modulus(n: int, p: int) -> tuple:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from .automorphisms import (Automorphism, check_coprime_facts, decomposition_witness,
@@ -356,6 +355,9 @@ def run_suite(corpus: dict, jobs: int = 1, cap: Optional[int] = None) -> tuple:
     if workers <= 1:
         reports = [_analyze_for_suite(w) for w in work]
     else:
+        # imported here: the pool module costs more to import than most
+        # commands take to run, and only a pool of two or more needs it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_analyze_for_suite, work))
     counts = count_verdicts(reports)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotAPGroup, NotSoluble
@@ -11,12 +10,12 @@ from .groups import (FiniteGroup, Subgroup, commutator_subgroup_pair, product_of
 from .numutil import is_prime, p_part, prime_factors, prime_power_base
 
 
-@dataclass(frozen=True)
 class SubgroupSeries:
     """Descending subgroup series with strict terms only."""
 
-    terms: tuple
-    kind: str
+    def __init__(self, terms: tuple, kind: str):
+        self.terms = terms
+        self.kind = kind
 
     @property
     def reaches_trivial(self) -> bool:

@@ -70,6 +70,15 @@ def brute_center(G: FiniteGroup) -> frozenset:
                      if all(G.mul(z, g) == G.mul(g, z) for g in range(G.order)))
 
 
+def least_conjugators_by_scan(G: FiniteGroup, x: int) -> dict:
+    """y -> least c with c⁻¹ x c = y, for every conjugate y of x: the full scan
+    of c in index order with two ``mul`` calls per c, for all y at once."""
+    least: dict = {}
+    for c in range(G.order):
+        least.setdefault(G.conjugate(x, c), c)
+    return least
+
+
 def mul_tree_walk(G: FiniteGroup, images, mul) -> list:
     """out[0] = 0 and out[y] = mul(out[x], images[gi]) along every enumeration
     tree edge y = x * generator gi: the walk that built automorphism tables and

@@ -1,8 +1,6 @@
-import dataclasses
-
 import pytest
 
-from coprimelab.automorphisms import (build_automorphism, check_coprime_facts,
+from coprimelab.automorphisms import (TwistedData, build_automorphism, check_coprime_facts,
                                       commutator_with_automorphism, decomposition_witness,
                                       factorization_status, fixed_generation_S,
                                       fixed_points_of_product, is_phi_invariant,
@@ -196,7 +194,8 @@ def test_decomposition_witness_names_an_element_without_factorization(c3c3_swap)
     assert decomposition_witness(phi) is None
     # a corrupted twisted set: its last member dropped, so the products miss
     # that member's coset of the fixed points
-    phi._twisted = dataclasses.replace(td, twisted=td.twisted[:-1])
+    phi._twisted = TwistedData(td.fixed, td.twisted[:-1], td.twisted_set, td.producers,
+                               td.commutator_phi, td.coprime, td.orbit_reps)
     witness = decomposition_witness(phi)
     assert witness == per_element_decomposition_witness(phi)
     x = witness["element"]

@@ -6,7 +6,9 @@ check, quotient projections and the centre's membership test are walks over
 such columns and make no ``mul`` call. Each is compared here with the ``mul``
 walk or scan it replaced, on every corpus group, on the quotient by its last
 nontrivial derived term (as in test_group_layer.py) and on the restriction
-of the corpus automorphism to [G, phi].
+of the corpus automorphism to [G, phi]. ``are_conjugate`` compares a walk
+from x with y's right column; it is compared with the full scan of
+conjugators on every corpus group.
 """
 
 import functools
@@ -21,7 +23,7 @@ from coprimelab.corpus import build_corpus_instance, default_corpus
 from coprimelab.errors import NotBijective, NotHomomorphism
 from coprimelab.groups import center, quotient_group, subgroup_generated
 from coprimelab.structure import derived_series
-from helpers import brute_center, double_scan_outcome, mul_tree_walk
+from helpers import brute_center, double_scan_outcome, least_conjugators_by_scan, mul_tree_walk
 
 SPECS = {spec["id"]: spec for spec in default_corpus()["instances"]}
 
@@ -95,6 +97,21 @@ def test_left_walks_and_right_columns_match_mul(spec_id):
         for t in {0, G.order - 1, *(rng.randrange(G.order) for _ in range(3))}:
             assert G.extend_images(G._right, t) == [G.mul(t, x) for x in range(G.order)], label
             assert list(G.right_column(t)) == [G.mul(x, t) for x in range(G.order)], label
+
+
+@pytest.mark.parametrize("spec_id", SPECS)
+def test_are_conjugate_matches_the_full_scan(spec_id):
+    """Every pair (x, y) up to order 200. Above it, three x, each against ten
+    random y and ten random conjugates of x."""
+    G = _cases(spec_id)[0][1]
+    rng = random.Random(spec_id)
+    small = G.order <= 200
+    for x in range(G.order) if small else rng.sample(range(G.order), 3):
+        least = least_conjugators_by_scan(G, x)
+        ys = range(G.order) if small else (rng.sample(range(G.order), 10)
+                                           + rng.sample(sorted(least), min(10, len(least))))
+        for y in ys:
+            assert groups.are_conjugate(G, x, y) == least.get(y), (spec_id, x, y)
 
 
 @pytest.mark.parametrize("spec_id", SPECS)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import re
@@ -314,7 +315,7 @@ class _RecordingPool:
 @pytest.mark.parametrize("jobs, cpus, workers", [
     (100000, 8, [3]), (2, 8, [2]), (100000, 2, [2]), (100000, 1, []), (1, 8, [])])
 def test_run_suite_pool_is_bounded_by_instances_and_cpus(jobs, cpus, workers, monkeypatch):
-    monkeypatch.setattr(report, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(report.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     corpus = {"schema": 1, "instances": [
@@ -326,7 +327,7 @@ def test_run_suite_pool_is_bounded_by_instances_and_cpus(jobs, cpus, workers, mo
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_cli_suite_rejects_jobs_below_one(jobs, capsys, monkeypatch):
-    monkeypatch.setattr(report, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     assert main(["suite", "--jobs", jobs]) == 2
     captured = capsys.readouterr()
     assert f"--jobs {jobs}" in captured.err and captured.out == ""

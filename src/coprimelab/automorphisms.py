@@ -37,7 +37,6 @@ class Automorphism:
         self.table = table
         self.order_n = perm_order(table)
         self._twisted: Optional[TwistedData] = None
-        self.closure_cache: dict = {}
 
     def orbit(self, x: int) -> list[int]:
         out = [x]
@@ -135,21 +134,9 @@ def commutator_with_automorphism(phi: Automorphism, H: Subgroup) -> Subgroup:
 
 
 def phi_invariant_closure(phi: Automorphism, seeds: Iterable[int]) -> Subgroup:
-    """Minimal phi-invariant subgroup containing the seeds.
-
-    Cached by the orbit-expanded seed set, so seed sets differing only by
-    powers of phi share one closure.
-    """
-    orbit_seeds: set[int] = set()
-    for s in set(seeds):
-        orbit_seeds.update(phi.orbit(s))
-    key = frozenset(orbit_seeds)
-    cached = phi.closure_cache.get(key)
-    if cached is not None:
-        return cached
-    out = subgroup_generated(phi.group, orbit_seeds)
-    phi.closure_cache[key] = out
-    return out
+    """Minimal phi-invariant subgroup containing the seeds: the subgroup
+    generated by their <phi>-orbits."""
+    return subgroup_generated(phi.group, {y for s in set(seeds) for y in phi.orbit(s)})
 
 
 def _orbits(starts: Iterable[int], moves) -> list[list[int]]:

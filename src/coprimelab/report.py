@@ -55,17 +55,22 @@ def theorem1_probe(phi: Automorphism) -> dict:
     """Largest exponent of a minimal invariant closure of a fixed or twisted
     element, recorded against the group exponent.
 
-    Both seed sets are unions of <phi> x C_G(phi) orbits and conjugate
-    closures share their exponent, so one closure per orbit suffices.
+    A fixed x is its own <phi>-orbit, so its closure is <x>, of exponent the
+    order of x. A twisted closure lies in the phi-invariant [G, phi], so its
+    exponent divides exp([G, phi]); the twisted set is a union of
+    <phi> x C_G(phi) orbits and conjugate closures share their exponent, so
+    one closure per orbit is walked, until e_star reaches exp([G, phi]).
     """
     if not phi.coprime:
         raise NotCoprime("probe requires a coprime action")
     G = phi.group
     td = twisted_data(phi)
-    e_star = 1
-    for x in orbit_representatives(phi, set(td.fixed.members) | td.twisted_set):
-        closure = phi_invariant_closure(phi, {x})
-        e_star = max(e_star, closure.exponent())
+    e_star = max(map(G.element_order, td.fixed.members))
+    bound = td.commutator_phi.exponent()
+    for x in orbit_representatives(phi, td.twisted_set):
+        if e_star >= bound:
+            break
+        e_star = max(e_star, phi_invariant_closure(phi, {x}).exponent())
     return {"e_star": e_star, "n": phi.order_n, "exponent": G.exponent()}
 
 
@@ -74,10 +79,11 @@ def theorem2_probe(phi: Automorphism) -> dict:
     derived length over invariant closures of twisted pairs.
 
     The walk closes one pair per pair of <phi>-orbits on the twisted set
-    (``twisted_pair_closures``), so d is exact, and stops once d reaches the
-    derived length of G, which no subgroup exceeds; an insoluble G gives no
-    bound, so every closure is checked. Above the pair cap the probe is
-    skipped, and it is skipped first when the fixed subgroup is not nilpotent.
+    (``twisted_pair_closures``), so d is exact. Every such closure lies in the
+    phi-invariant [G, phi], so the walk stops once d reaches the derived
+    length of [G, phi]; an insoluble [G, phi] gives no bound, so every closure
+    is checked. Above the pair cap the probe is skipped, and it is skipped
+    first when the fixed subgroup is not nilpotent.
     """
     if not phi.coprime:
         raise NotCoprime("probe requires a coprime action")
@@ -89,13 +95,10 @@ def theorem2_probe(phi: Automorphism) -> dict:
     reason = _above_pair_cap(phi)
     if reason:
         return {"skipped": reason}
-    bound = derived_series(G).derived_length
+    bound = derived_series(G, td.commutator_phi).derived_length
     d = 0
-    length_cache: dict = {}
     for K in twisted_pair_closures(phi):
-        if K.member_set not in length_cache:
-            length_cache[K.member_set] = derived_series(G, K).derived_length
-        dl = length_cache[K.member_set]
+        dl = derived_series(G, K).derived_length
         if dl is None:
             return {"skipped": "a twisted-pair closure is insoluble"}
         d = max(d, dl)

@@ -394,13 +394,19 @@ def per_element_decomposition_witness(phi):
 
 def _all_twisted_pair_closures(phi):
     """The invariant closure of every pair i <= j of twisted elements, in order,
-    with the twisted set computed here rather than by the library."""
+    with the twisted set computed here rather than by the library. Each
+    distinct orbit-expanded seed set is closed once."""
     from coprimelab.automorphisms import phi_invariant_closure
     G = phi.group
     tw = sorted({G.mul(G.inv(x), phi.table[x]) for x in range(G.order)})
+    orbit = {x: frozenset(phi.orbit(x)) for x in tw}
+    closures = {}
     for i, x1 in enumerate(tw):
         for x2 in tw[i:]:
-            yield phi_invariant_closure(phi, {x1, x2})
+            seeds = orbit[x1] | orbit[x2]
+            if seeds not in closures:
+                closures[seeds] = phi_invariant_closure(phi, seeds)
+            yield closures[seeds]
 
 
 def all_pairs_fixed_generation_S(phi) -> dict:

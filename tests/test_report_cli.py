@@ -6,9 +6,10 @@ import time
 
 import pytest
 
+from coprimelab import automorphisms
 from coprimelab.automorphisms import (Automorphism, build_automorphism, decomposition_witness,
-                                      fixed_generation_S, restrict_automorphism, twisted_data,
-                                      twisted_pair_closures)
+                                      fixed_generation_S, phi_invariant_closure,
+                                      restrict_automorphism, twisted_data, twisted_pair_closures)
 from coprimelab.cli import main
 from coprimelab.corpus import build_corpus_instance, build_glauberman_example, default_corpus
 from coprimelab import report
@@ -16,9 +17,26 @@ from coprimelab.errors import NotCoprime, NotSoluble
 from coprimelab.report import (analyze_instance, canonical_json, count_verdicts, run_suite,
                                theorem1_probe, theorem2_probe, thompson_probe)
 from coprimelab.structure import lower_central_series
-from helpers import (all_pairs_derived_length, all_pairs_fixed_generation_S, generated_members,
-                     identity_automorphism, per_element_decomposition_witness, quaternion_group,
-                     unreduced_theorem1)
+from helpers import (_all_twisted_pair_closures, all_pairs_derived_length,
+                     all_pairs_fixed_generation_S, generated_members, identity_automorphism,
+                     per_element_decomposition_witness, quaternion_group, unreduced_theorem1)
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """The seed sets of the invariant closures built from here on, one entry
+    per ``phi_invariant_closure`` call, whether made in automorphisms or in
+    report."""
+    built = []
+    inner = automorphisms.phi_invariant_closure
+
+    def counting(phi, seeds):
+        built.append(frozenset(seeds))
+        return inner(phi, seeds)
+
+    monkeypatch.setattr(automorphisms, "phi_invariant_closure", counting)
+    monkeypatch.setattr(report, "phi_invariant_closure", counting)
+    return built
 
 
 def c7_phi():
@@ -73,11 +91,12 @@ def test_forced_coprime_decomposition_witness_matches_per_element_loop(m, k, mon
     assert witness == per_element_decomposition_witness(phi)
 
 
-def test_theorem1_closes_one_subgroup_per_orbit_glauberman():
+def test_theorem1_closes_one_subgroup_per_orbit_glauberman(closures):
+    # fixed elements need no closure; one twisted orbit representative is
+    # closed at a time until e_star reaches exp([G, phi])
     _, phi = build_glauberman_example()
-    assert not phi.closure_cache
-    theorem1_probe(phi)
-    assert len(phi.closure_cache) == 27
+    assert theorem1_probe(phi)["e_star"] == twisted_data(phi).commutator_phi.exponent()
+    assert len(closures) == 3
 
 
 def _corpus_spec(inst_id):
@@ -86,8 +105,8 @@ def _corpus_spec(inst_id):
 
 def _check_pair_walks(G, phi) -> bool:
     """Compare ``fixed_generation_S`` and the full-mode ``theorem2_probe`` with
-    the all-pairs oracles wherever their preconditions hold; the oracles run on
-    an emptied closure cache. True if either walk was checked."""
+    the all-pairs oracles wherever their preconditions hold. True if either
+    walk was checked."""
     if phi is None or not phi.coprime:
         return False
     td = twisted_data(phi)
@@ -95,10 +114,7 @@ def _check_pair_walks(G, phi) -> bool:
     nilpotent = lower_central_series(G).is_nilpotent
     if nilpotent:
         rphi = restrict_automorphism(phi, td.commutator_phi)[1]
-        generation = fixed_generation_S(rphi)
-        rphi.closure_cache.clear()
-        assert generation == all_pairs_fixed_generation_S(rphi)
-    phi.closure_cache.clear()
+        assert fixed_generation_S(rphi) == all_pairs_fixed_generation_S(rphi)
     if theorem2 == {"skipped": "fixed-point subgroup is not nilpotent"}:
         return nilpotent
     d = all_pairs_derived_length(phi)
@@ -152,8 +168,41 @@ def test_pair_walks_match_all_pairs_oracle_on_nilpotent_templates(inst_id):
     assert _check_pair_walks(*build_corpus_instance(NILPOTENT_PAIRS[inst_id]))
 
 
-def test_theorem2_walks_every_orbit_pair_when_d_stays_below_the_derived_length():
-    # mod7_ord3 has d = 1 below the derived length 2, so nothing stops the walk
+def _check_probe_bounds(G, phi) -> bool:
+    """Check the facts the probe walks stop on: a fixed x closes to <x>, and
+    every twisted pair closure the all-pairs oracle builds lies in [G, phi];
+    the second wherever theorem 2 walks, that is where C_G(phi) is nilpotent.
+    True if phi is coprime, so that the facts were checked."""
+    if phi is None or not phi.coprime:
+        return False
+    td = twisted_data(phi)
+    for x in td.fixed.members:
+        assert phi_invariant_closure(phi, {x}).order == G.element_order(x)
+    if lower_central_series(G, td.fixed).is_nilpotent:
+        inside = td.commutator_phi.member_set
+        assert all(K.member_set <= inside for K in _all_twisted_pair_closures(phi))
+    return True
+
+
+def test_probe_bounds_hold_on_corpus():
+    checked = [spec["id"] for spec in default_corpus()["instances"]
+               if _check_probe_bounds(*build_corpus_instance(spec))]
+    assert len(checked) >= 20
+
+
+@pytest.mark.parametrize("inst_id", NILPOTENT_PAIRS)
+def test_probe_bounds_hold_on_nilpotent_templates(inst_id):
+    assert _check_probe_bounds(*build_corpus_instance(NILPOTENT_PAIRS[inst_id]))
+
+
+def test_one_corpus_pass_closes_a_pinned_number_of_subgroups(closures):
+    run_suite(default_corpus())
+    assert len(closures) == 118
+
+
+def test_theorem2_stops_at_the_derived_length_of_commutator_phi(closures):
+    # mod7_ord3 has derived length 2, but [G, phi] is abelian: the walk stops
+    # at d = 1, after the trivial pair closure and one more
     G, phi = build_corpus_instance(MOD7_ORD3)
     orbits = set()
     for t in {G.mul(G.inv(x), phi.table[x]) for x in range(G.order)}:
@@ -163,13 +212,13 @@ def test_theorem2_walks_every_orbit_pair_when_d_stays_below_the_derived_length()
             y = phi.table[y]
         orbits.add(frozenset(orbit))
     r = len(orbits)
-    closures = [K.member_set for K in twisted_pair_closures(phi)]
-    assert len(closures) == r * (r + 1) // 2
-    assert set(closures) == {frozenset(generated_members(G, a | b))
-                             for a in orbits for b in orbits}
-    phi.closure_cache.clear()
+    walked = [K.member_set for K in twisted_pair_closures(phi)]
+    assert len(walked) == r * (r + 1) // 2
+    assert set(walked) == {frozenset(generated_members(G, a | b))
+                           for a in orbits for b in orbits}
+    closures.clear()
     assert theorem2_probe(phi)["d"] == 1
-    assert len(phi.closure_cache) == r * (r + 1) // 2
+    assert len(closures) == 2
 
 
 def _q8_ord3():
@@ -178,22 +227,23 @@ def _q8_ord3():
 
 
 # Closures built by fixed_generation_S (None where G is not nilpotent) and then
-# by theorem2_probe, which reuses them: one per pair of <phi>-orbits until S is
-# all of C_G(phi) and d is the derived length of G.
-@pytest.mark.parametrize("build, after_generation, after_theorem2", [
+# by theorem2_probe, each walk on its own: one per pair of <phi>-orbits until S
+# is all of C_G(phi) and d is the derived length of [G, phi].
+@pytest.mark.parametrize("build, by_generation, by_theorem2", [
     (lambda: build_corpus_instance(_corpus_spec("heis3_inv")), 7, 7),
     (lambda: build_corpus_instance(_corpus_spec("aff8_frob")), None, 3),
     (lambda: build_corpus_instance(NILPOTENT_PAIRS["heis5_ord4"]), 0, 35),
     (_q8_ord3, 2, 2),
 ], ids=["heis3_inv", "aff8_frob", "heis5_ord4", "q8_ord3"])
-def test_pair_walks_close_a_pinned_number_of_subgroups(build, after_generation, after_theorem2):
+def test_pair_walks_close_a_pinned_number_of_subgroups(build, by_generation, by_theorem2,
+                                                       closures):
     G, phi = build()
-    assert not phi.closure_cache
-    if after_generation is not None:
+    if by_generation is not None:
         assert fixed_generation_S(phi)["generates"] is True
-        assert len(phi.closure_cache) == after_generation
+        assert len(closures) == by_generation
+        closures.clear()
     theorem2_probe(phi)
-    assert len(phi.closure_cache) == after_theorem2
+    assert len(closures) == by_theorem2
 
 
 def test_theorem2_c7():
@@ -420,7 +470,8 @@ C5_POW5 = {"name": "direct_product", "params": {"factors": [_cyclic(5)] * 5},
            "automorphism": {"recipe": "gen_powers", "powers": [2, 3, 4, 2, 3]}}
 
 
-def test_one_pair_cap_counts_orbit_pairs_for_theorem2_and_fixed_generation(monkeypatch):
+def test_one_pair_cap_counts_orbit_pairs_for_theorem2_and_fixed_generation(monkeypatch,
+                                                                           closures):
     # heisenberg(5) under inversion: [G, phi] = G, so the restriction is phi
     # itself; its 25 twisted elements lie in 13 <phi>-orbits, 91 orbit pairs
     monkeypatch.setattr(report, "PAIR_CAP", 91)
@@ -429,13 +480,14 @@ def test_one_pair_cap_counts_orbit_pairs_for_theorem2_and_fixed_generation(monke
     assert theorem2_probe(phi)["d"] == 2
     monkeypatch.setattr(report, "PAIR_CAP", 90)
     G, phi = build_corpus_instance(HEIS5_INV)
+    closures.clear()
     reason = "91 orbit pairs above the pair cap"
     assert report._auto_section(G, phi)["fixed_generation"] == f"skipped: {reason}"
     assert theorem2_probe(phi) == {"skipped": reason}
-    assert not phi.closure_cache
+    assert not closures
 
 
-def test_suite_on_c5_to_the_fifth_walks_its_pairs_exactly(tmp_path, capsys):
+def test_suite_on_c5_to_the_fifth_walks_its_pairs_exactly(tmp_path, capsys, closures):
     # 3125 twisted elements in 783 <phi>-orbits: m^2 is above the pair cap,
     # the 306,936 orbit pairs are not, and both walks stop early
     path = _write(tmp_path, "corpus.json", {"schema": 1, "instances": [C5_POW5]})
@@ -444,13 +496,41 @@ def test_suite_on_c5_to_the_fifth_walks_its_pairs_exactly(tmp_path, capsys):
     assert rep["probes"]["theorem2"]["d"] == 1
     assert "d_is_lower_bound" not in rep["probes"]["theorem2"]
     assert rep["automorphism"]["fixed_generation"]["generates"] == "pass"
-    # fixed_generation needs no closure (C_G(phi) is trivial); theorem 1
-    # closes one per orbit and theorem 2 adds one pair before d = 1 stops it
+    # fixed_generation needs no closure (C_G(phi) is trivial); each probe
+    # closes the trivial subgroup and one of order 5, which reaches its bound
+    G, phi = build_corpus_instance(C5_POW5)
+    closures.clear()
+    report._auto_section(G, phi)
+    assert len(closures) == 0
+    report._probe_section(G, phi)
+    assert len(closures) == 4
+
+
+# G has derived length 2, but [G, phi] is abelian of exponent 25. A theorem 2
+# walk bounded by G closes all 13,366 orbit pairs here.
+MOD5_C25 = _template(_product({"name": "modular", "params": {"p": 5}}, _cyclic(25)),
+                     (-7, 1, -1))
+
+
+def test_suite_on_mod5_c25_stops_both_walks_at_the_commutator_phi_bounds(tmp_path, capsys,
+                                                                         closures):
+    path = _write(tmp_path, "corpus.json", {"schema": 1, "instances": [MOD5_C25]})
+    assert main(["suite", path]) == 0
+    probes = json.loads(capsys.readouterr().out)["instances"][0]["probes"]
+    assert probes["theorem2"]["d"] == 1
+    assert probes["theorem1"]["e_star"] == 25
+    G, phi = build_corpus_instance(MOD5_C25)
+    for probe in (theorem1_probe, theorem2_probe):
+        closures.clear()
+        probe(phi)
+        assert len(closures) <= 2, probe.__name__
+
+
+def test_the_automorphism_keeps_no_memo_that_grows_with_the_walks():
     G, phi = build_corpus_instance(C5_POW5)
     report._auto_section(G, phi)
-    assert len(phi.closure_cache) == 0
     report._probe_section(G, phi)
-    assert len(phi.closure_cache) == 784
+    assert set(vars(phi)) == {"group", "table", "order_n", "_twisted"}
 
 
 def test_suite_and_lie_agree_on_lazard_at_order_3125(tmp_path, capsys):

@@ -2,8 +2,8 @@
 
 from .automorphisms import (Automorphism, build_automorphism, check_coprime_facts,
                             factorization_status, fixed_generation_S, fixed_points_of_product,
-                            nilpotent_decompose, phi_invariant_closure, restrict_automorphism,
-                            soluble_exponent_probe, twisted_data)
+                            nilpotent_decompose, phi_invariant_closure, soluble_exponent_probe,
+                            twisted_data)
 from .corpus import build_corpus_instance, build_glauberman_example, default_corpus, load_instance
 from .gf import FiniteField
 from .groups import (DEFAULT_CAP, FiniteGroup, Subgroup, QuotientGroup, are_conjugate,

@@ -12,16 +12,15 @@ columns, pulled through the table, with the image columns: no ``mul`` call.
 from __future__ import annotations
 
 import math
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import ne
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (GroupTheoryError, NotBijective, NotCoprime, NotHomomorphism, NotInvariant,
                      NotNilpotent, DecompositionNotFound, NonUniqueDecomposition,
                      PreconditionViolated)
-from .groups import (FiniteGroup, Subgroup, are_conjugate, center, is_normal,
-                     perm_order, product_of_subgroups, quotient_group,
-                     subgroup_as_group, subgroup_generated)
+from .groups import (FiniteGroup, Subgroup, are_conjugate, center, coset_labels, is_normal,
+                     product_of_subgroups, subgroup_generated)
 from .structure import derived_series, lower_central_series
 
 
@@ -29,13 +28,14 @@ class Automorphism:
     """Bijective endomorphism of an enumerated group.
 
     ``table[x]`` is the image of element x; ``order_n`` is the order of the
-    permutation the map induces on element indices.
+    map: phi^k is the identity iff it fixes every generator, so it is the lcm
+    of the lengths of the <phi>-orbits of the generators.
     """
 
     def __init__(self, group: FiniteGroup, table: tuple):
         self.group = group
         self.table = table
-        self.order_n = perm_order(table)
+        self.order_n = math.lcm(*(len(self.orbit(g)) for g in group.generator_indices))
         self._twisted: Optional[TwistedData] = None
 
     def orbit(self, x: int) -> list[int]:
@@ -87,8 +87,10 @@ def build_automorphism(G: FiniteGroup, gen_images: Sequence[Iterable[int]]) -> A
 
 
 class TwistedData:
-    """Fixed-point subgroup, twisted set and the subgroup it generates; the
-    <phi>-orbit representatives on the twisted set once they are asked for."""
+    """Fixed-point subgroup, twisted set and the subgroup it generates, of phi
+    on G or on a phi-invariant subgroup; the <phi>-orbit representatives on
+    the twisted set once they are asked for, and, on G, the same data on
+    [G, phi] once it is asked for (``commutator_twisted_data``)."""
 
     def __init__(self, fixed: Subgroup, twisted: tuple, twisted_set: frozenset,
                  producers: dict, commutator_phi: Subgroup, coprime: bool,
@@ -100,37 +102,54 @@ class TwistedData:
         self.commutator_phi = commutator_phi
         self.coprime = coprime
         self.orbit_reps = orbit_reps
+        self.inner: Optional[TwistedData] = None
+
+
+def _twisted_images(phi: Automorphism, elements: Sequence[int]) -> list:
+    """[x^-1 x^phi for x in elements], in one batch of products."""
+    G = phi.group
+    return G.products(map(G._inverses.__getitem__, elements), map(phi.table.__getitem__, elements))
+
+
+def _twisted_on(phi: Automorphism, elements: Sequence[int]) -> TwistedData:
+    """Twisted data of phi on the phi-invariant subgroup with these members,
+    in increasing order: its fixed points, its twisted set, the least x with
+    x^-1 x^phi = t for each twisted t, and the subgroup they generate."""
+    G = phi.group
+    table = phi.table
+    fixed = subgroup_generated(G, [x for x in elements if table[x] == x])
+    producers: dict[int, int] = {}
+    for x, t in zip(elements, _twisted_images(phi, elements)):
+        if t not in producers:
+            producers[t] = x
+    twisted = tuple(sorted(producers))
+    return TwistedData(fixed=fixed, twisted=twisted, twisted_set=frozenset(twisted),
+                       producers=producers, commutator_phi=subgroup_generated(G, twisted),
+                       coprime=phi.coprime)
 
 
 def twisted_data(phi: Automorphism) -> TwistedData:
     """Compute {x : x^phi = x}, {x^-1 x^phi} and the subgroup the latter generates."""
-    if phi._twisted is not None:
-        return phi._twisted
-    G = phi.group
-    fixed_members = [x for x in range(G.order) if phi.table[x] == x]
-    fixed = subgroup_generated(G, fixed_members)
-    producers: dict[int, int] = {}
-    for x in range(G.order):
-        t = G.mul(G.inv(x), phi.table[x])
-        if t not in producers:
-            producers[t] = x
-    twisted = tuple(sorted(producers))
-    data = TwistedData(
-        fixed=fixed,
-        twisted=twisted,
-        twisted_set=frozenset(twisted),
-        producers=producers,
-        commutator_phi=subgroup_generated(G, twisted),
-        coprime=phi.coprime,
-    )
-    phi._twisted = data
-    return data
+    if phi._twisted is None:
+        phi._twisted = _twisted_on(phi, range(phi.group.order))
+    return phi._twisted
+
+
+def commutator_twisted_data(phi: Automorphism) -> TwistedData:
+    """The twisted data of phi restricted to H = [G, phi], computed inside G:
+    C_H(phi) = H & C_G(phi), the twisted set of phi on H (|H| products) and
+    [H, phi]. Kept on ``twisted_data(phi)``, or that data itself when H = G."""
+    td = twisted_data(phi)
+    if td.commutator_phi.is_whole:
+        return td
+    if td.inner is None:
+        td.inner = _twisted_on(phi, td.commutator_phi.members)
+    return td.inner
 
 
 def commutator_with_automorphism(phi: Automorphism, H: Subgroup) -> Subgroup:
     """[H, phi] = subgroup generated by {h^-1 h^phi : h in H}."""
-    G = phi.group
-    return subgroup_generated(G, {G.mul(G.inv(h), phi.table[h]) for h in H.members})
+    return subgroup_generated(phi.group, _twisted_images(phi, H.members))
 
 
 def phi_invariant_closure(phi: Automorphism, seeds: Iterable[int]) -> Subgroup:
@@ -202,13 +221,13 @@ class FactorizationStatus:
 
 def _factorization_counts(phi: Automorphism) -> list[int]:
     """counts[x] is the number of pairs (g, h), g twisted and h fixed, with
-    g h = x: one walk of |twisted| * |fixed| = |G| products."""
+    g h = x: one batch of |twisted| products per fixed h, |G| in all."""
     G = phi.group
     td = twisted_data(phi)
     counts = [0] * G.order
-    for g in td.twisted:
-        for h in td.fixed.members:
-            counts[G.mul(g, h)] += 1
+    for h in td.fixed.members:
+        for x in G.products(td.twisted, repeat(h)):
+            counts[x] += 1
     return counts
 
 
@@ -286,35 +305,6 @@ def decomposition_witness(phi: Automorphism) -> Optional[dict]:
     return None
 
 
-def restrict_automorphism(phi: Automorphism, H: Subgroup):
-    """Restriction of phi to an invariant subgroup, as a standalone group.
-
-    Returns (group, automorphism, to_parent).
-    """
-    G = phi.group
-    if not is_phi_invariant(phi, H):
-        raise NotInvariant("cannot restrict to a non-invariant subgroup")
-    if H.is_whole:
-        return G, phi, tuple(range(G.order))
-    Hg, to_parent, from_parent = subgroup_as_group(G, H)
-    images = [from_parent[phi.table[to_parent[g]]] for g in Hg.generator_indices]
-    return Hg, automorphism_from_images(Hg, images), to_parent
-
-
-def quotient_automorphism(phi: Automorphism, Q) -> Automorphism:
-    """Automorphism induced on a quotient by a phi-invariant normal kernel."""
-    G = phi.group
-    if not is_phi_invariant(phi, Q.kernel):
-        raise NotInvariant("kernel is not phi-invariant")
-    to_q = Q.to_quotient
-    induced = automorphism_from_images(
-        Q.quotient, [to_q[phi.table[g]] for g in G.generator_indices])
-    if (list(map(to_q.__getitem__, phi.table))
-            != list(map(induced.table.__getitem__, to_q))):
-        raise NotInvariant("induced quotient map is not well defined")
-    return induced
-
-
 def default_normal_family(phi: Automorphism) -> list[tuple]:
     """Canonical nontrivial phi-invariant normal subgroups for the lemma checks."""
     G = phi.group
@@ -362,9 +352,11 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
 
     (a) twisting [G,phi] again reproduces it; (b) fixed points pass to
     quotients by invariant normal subgroups; (c) [G,phi] centralizes every
-    invariant normal subgroup inside the fixed points. A failed (c) check
-    carries a non-commuting pair m in [G,phi], x in the subgroup as generator
-    words under ``witness``.
+    invariant normal subgroup inside the fixed points. The (b) check reads
+    the fixed cosets off one ``coset_labels`` pass per subgroup, with no
+    quotient group. Failed checks carry generator words under ``witness``:
+    for (b) the least x whose coset is fixed but holds no fixed element, for
+    (c) a non-commuting pair m in [G,phi], x in the subgroup.
     """
     if not phi.coprime:
         raise NotCoprime("the coprime facts require gcd(|G|, |phi|) = 1")
@@ -378,17 +370,17 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
 
     quotient_checks = []
     for name, N in family:
-        Q = quotient_group(G, N)
-        try:
-            qphi = quotient_automorphism(phi, Q)
-        except (NotInvariant, NotBijective, NotHomomorphism) as exc:
-            quotient_checks.append({"subgroup": name, "verdict": "fail", "reason": str(exc)})
-            continue
-        quotient_fixed = {q for q, image in enumerate(qphi.table) if image == q}
-        image_of_fixed = {Q.to_quotient[x] for x in td.fixed.members}
-        ok = quotient_fixed == image_of_fixed
-        quotient_checks.append({"subgroup": name, "kernel_order": N.order,
-                                "verdict": "pass" if ok else "fail"})
+        labels, reps = coset_labels(G, N)
+        # N is phi-invariant, so phi(N x) = N x^phi: coset k is fixed iff its
+        # least element's image lies in it. A fixed element's coset is fixed.
+        meets_fixed = {labels[x] for x in td.fixed.members}
+        bare = next((x for k, x in enumerate(reps)
+                     if labels[phi.table[x]] == k and k not in meets_fixed), None)
+        check = {"subgroup": name, "kernel_order": N.order,
+                 "verdict": "pass" if bare is None else "fail"}
+        if bare is not None:
+            check["witness"] = {"x": list(G.words[bare])}
+        quotient_checks.append(check)
     report["quotient_fixed_points"] = quotient_checks
 
     central_candidates = [(name, N) for name, N in family
@@ -440,48 +432,59 @@ def fixed_points_of_product(phi: Automorphism, family: Sequence[tuple]) -> dict:
             "verdict": "pass" if ok else "fail"}
 
 
-def twisted_orbit_representatives(phi: Automorphism) -> list[int]:
-    """Least element of each <phi>-orbit on the twisted set, which phi maps
-    onto itself; kept on the twisted data, so it is walked once."""
-    td = twisted_data(phi)
+def twisted_orbit_representatives(phi: Automorphism, td: TwistedData) -> list[int]:
+    """Least element of each <phi>-orbit on the twisted set of ``td``, which
+    phi maps onto itself; kept on ``td``, so it is walked once."""
     if td.orbit_reps is None:
         td.orbit_reps = [orbit[0] for orbit in _orbits(td.twisted, lambda x: [phi.table[x]])]
     return td.orbit_reps
 
 
-def twisted_pair_closures(phi: Automorphism) -> Iterator[Subgroup]:
-    """The invariant closure of every pair of twisted elements, each once.
+def twisted_pair_closures(phi: Automorphism, td: TwistedData) -> Iterator[Subgroup]:
+    """The invariant closure of every pair of elements of the twisted set of
+    ``td``, each once.
 
     The closure of {x, y} is generated by the <phi>-orbits of x and y, so
     one representative per orbit on the twisted set gives every pair
     closure: r orbits give r(r+1)/2 closures.
     """
-    reps = twisted_orbit_representatives(phi)
+    reps = twisted_orbit_representatives(phi, td)
     for i, x in enumerate(reps):
         for y in reps[i:]:
             yield phi_invariant_closure(phi, {x, y})
 
 
-def fixed_generation_S(phi: Automorphism) -> dict:
-    """Fixed elements reachable inside invariant closures of twisted pairs.
+def _commutator_data(phi: Automorphism) -> tuple:
+    """(H, data of phi on H) for H = [G, phi]; PreconditionViolated unless
+    [H, phi] = H."""
+    H = twisted_data(phi).commutator_phi
+    inner = commutator_twisted_data(phi)
+    if inner.commutator_phi.order != H.order:
+        raise PreconditionViolated("[G, phi, phi] = [G, phi] required")
+    return H, inner
 
-    Requires a nilpotent group, coprime action and G = [G, phi]; under those
-    hypotheses the collected set S generates the whole fixed-point subgroup.
-    The walk takes one pair per pair of <phi>-orbits (``twisted_pair_closures``)
-    and stops once S is all of C_G(phi): S is a union of sets K & C_G(phi), so
-    it cannot grow further, and it then generates C_G(phi) without a closure.
+
+def fixed_generation_S(phi: Automorphism) -> dict:
+    """Fixed elements of H = [G, phi] reachable inside invariant closures of
+    pairs of twisted elements of phi on H, all found inside G.
+
+    Requires a nilpotent group and a coprime action, so that [H, phi] = H;
+    under those hypotheses the collected set S generates C_H(phi). The walk
+    takes one pair per pair of <phi>-orbits on the twisted set of H
+    (``twisted_pair_closures``) and stops once S is all of C_H(phi): S is a
+    union of sets K & C_H(phi), so it cannot grow further, and it then
+    generates C_H(phi) without a closure. So S either reaches C_H(phi) or is
+    the whole union, whatever the order of the pairs.
     """
     G = phi.group
     if not phi.coprime:
         raise PreconditionViolated("coprime action required")
     if not lower_central_series(G).is_nilpotent:
         raise PreconditionViolated("nilpotent group required")
-    td = twisted_data(phi)
-    if td.commutator_phi.order != G.order:
-        raise PreconditionViolated("G = [G, phi] required")
-    fixed = td.fixed.member_set
+    _, inner = _commutator_data(phi)
+    fixed = inner.fixed.member_set
     S: set[int] = {0}
-    closures = twisted_pair_closures(phi)
+    closures = twisted_pair_closures(phi, inner)
     while len(S) < len(fixed) and (K := next(closures, None)) is not None:
         S.update(K.member_set & fixed)
     return {"S_size": len(S),
@@ -490,15 +493,13 @@ def fixed_generation_S(phi: Automorphism) -> dict:
 
 
 def soluble_exponent_probe(phi: Automorphism) -> dict:
-    """Record (derived length, twisted exponent bound, group exponent)."""
+    """Record (derived length, twisted exponent bound, exponent) of H = [G, phi]
+    under phi, all found inside G; requires a soluble G and a coprime action."""
     G = phi.group
     if not phi.coprime:
         raise PreconditionViolated("coprime action required")
-    series = derived_series(G)
-    if not series.is_soluble:
+    if not derived_series(G).is_soluble:
         raise PreconditionViolated("soluble group required")
-    td = twisted_data(phi)
-    if td.commutator_phi.order != G.order:
-        raise PreconditionViolated("G = [G, phi] required")
-    return {"d": series.derived_length, "e": G.exponent_of(td.twisted),
-            "exponent": G.exponent()}
+    H, inner = _commutator_data(phi)
+    return {"d": derived_series(G, H).derived_length, "e": G.exponent_of(inner.twisted),
+            "exponent": H.exponent()}

@@ -24,7 +24,10 @@ the conjugacy search are built that way.
 Elements are keyed by their images on a base, a short list of points whose
 images determine an element (Sims; Seress, *Permutation Group Algorithms*,
 ch. 4). ``mul`` composes on the base points only, so it costs O(len(base))
-lookups instead of a degree-n tuple.
+lookups instead of a degree-n tuple. ``products`` applies the same rule to
+a whole batch of pairs in one comprehension; closures add whole cosets
+(``subgroup_generated``) and cosets are labelled (``coset_labels``) in such
+batches.
 
 Composition convention: ``mul(a, b)`` is the map "apply b, then a", i.e.
 ordinary function composition a∘b. Conjugation is ``x^g = g⁻¹ x g``.
@@ -51,22 +54,6 @@ DEFAULT_CAP = 200_000
 BYTES_MAX_DEGREE = 256
 
 Perm = tuple
-
-
-def perm_order(a: Perm) -> int:
-    seen = bytearray(len(a))
-    order = 1
-    for start in range(len(a)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = 1
-            length += 1
-            x = a[x]
-        order = math.lcm(order, length)
-    return order
 
 
 def element_bytes(degree: int) -> int:
@@ -205,10 +192,10 @@ class FiniteGroup:
             keys = map(operator.add, map(operator.mul, keys, repeat(degree)), column)
         if degree ** len(self.base) <= 4 * self.order:
             self._key_index = [-1] * degree ** len(self.base)
-            for i, key in enumerate(keys):
+            for key, i in zip(keys, self._indices()):
                 self._key_index[key] = i
         else:
-            self._key_index = dict(zip(keys, range(self.order)))
+            self._key_index = dict(zip(keys, self._indices()))
         self.generator_indices = tuple(self.element_index(g) for g in self.generators)
         self._orders, self._inverses = self._power_walk()
         self._exponent = 0
@@ -231,6 +218,32 @@ class FiniteGroup:
         for column in reversed(images):
             key = key * self.degree + perm[column[b]]
         return self._key_index[key]
+
+    def products(self, xs: Iterable[int], ys: Iterable[int]) -> list:
+        """[x*y for x, y in zip(xs, ys)] by ``mul``'s rule, composed inline over
+        the whole batch: no method call per pair, at any base length."""
+        store, key_index, degree = self._store, self._key_index, self.degree
+        images = self._base_images
+        perms = map(store.__getitem__, xs)
+        if len(images) == 1:
+            (column,) = images
+            return [key_index[perm[column[y]]] for perm, y in zip(perms, ys)]
+        if len(images) == 2:
+            low, high = images
+            return [key_index[perm[low[y]] + degree * perm[high[y]]]
+                    for perm, y in zip(perms, ys)]
+        pairs = list(zip(perms, ys))
+        keys = [0] * len(pairs)
+        for column in reversed(images):
+            keys = [key * degree + perm[column[y]] for key, (perm, y) in zip(keys, pairs)]
+        return list(map(key_index.__getitem__, keys))
+
+    def _indices(self) -> list:
+        """[0, 1, ..., order - 1] as the int objects that enumeration made and
+        the Cayley columns hold: element y is _right[gi][x] for its tree edge
+        y = x * generator gi. Tables built from them hold no second copy."""
+        return [0, *map(list.__getitem__, map(self._right.__getitem__, self._tree_gen[1:]),
+                        self._tree_parent[1:])]
 
     def _cycle(self, a: int) -> list:
         """[0, a, a^2, ..., a^(o-1)] (0 is the identity) for a nonidentity a of
@@ -394,7 +407,7 @@ class FiniteGroup:
 
     def whole_subgroup(self) -> "Subgroup":
         if self._whole is None:
-            members = tuple(range(self.order))
+            members = tuple(self._indices())
             self._whole = (members, frozenset(members), self.generator_indices)
         return Subgroup.from_data(self, self._whole)
 
@@ -529,8 +542,14 @@ def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
 
     Seeds are scanned in index order and only the ones that enlarge the
     current closure are kept as generators, which keeps ``gens`` short. Each
-    kept seed extends the closure incrementally: old members times the new
-    generator feed a worklist that is then closed under all generators.
+    kept seed closes by whole right cosets (Dimino's method; Butler,
+    *Fundamental Algorithms for Permutation Groups*, LNCS 559). The first
+    gives the cyclic group of its powers, one ``_cycle`` walk. Each later
+    seed s extends the closure H built so far: every coset representative r,
+    starting from the identity, is tried against every generator, and each
+    r * g outside the closure adds its coset H * (r * g) in one batch. The
+    union of the cosets is closed under right multiplication by the
+    generators, so it is <H, s>.
     """
     gens: list[int] = []
     members: set[int] = {0}
@@ -540,19 +559,16 @@ def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
         if s in members:
             continue
         gens.append(s)
-        queue = []
-        for m in list(members):
-            y = G.mul(m, s)
-            if y not in members:
-                members.add(y)
-                queue.append(y)
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = G.mul(x, g)
+        if len(gens) == 1:
+            members.update(G._cycle(s))
+            continue
+        old = list(members)
+        reps = [0]
+        for r in reps:
+            for y in G.products(repeat(r), gens):
                 if y not in members:
-                    members.add(y)
-                    queue.append(y)
+                    members.update(G.products(old, repeat(y)))
+                    reps.append(y)
     return Subgroup(G, members, gens)
 
 
@@ -629,19 +645,23 @@ def product_of_subgroups(G: FiniteGroup, subs: Sequence[Subgroup]) -> Subgroup:
     return subgroup_generated(G, seeds)
 
 
-def subgroup_as_group(G: FiniteGroup, H: Subgroup):
-    """Re-enumerate a subgroup as a standalone FiniteGroup.
-
-    Returns (group, to_parent, from_parent) where to_parent[i] is the parent
-    index of the standalone element i.
-    """
-    gen_perms = [G.elements[i] for i in H.gens]
-    Hg = generate_group(G.degree, gen_perms, cap=H.order)
-    if Hg.order != H.order:
-        raise AssertionError("subgroup re-enumeration produced a different order")
-    to_parent = tuple(G._find(perm) for perm in Hg._store)
-    from_parent = {pi: i for i, pi in enumerate(to_parent)}
-    return Hg, to_parent, from_parent
+def coset_labels(G: FiniteGroup, N: Subgroup, within: Optional[Subgroup] = None) -> tuple:
+    """(labels, reps) for the right cosets N * x of the members x of ``within``
+    (all of G by default), which must contain N: ``reps[k]`` is the least
+    element of coset k, cosets being numbered in the order of that element,
+    and ``labels[x]`` is the number of the coset of x, or -1 for x outside
+    ``within``. Each coset is one batch of |N| products, but a trivial N,
+    for which a batch of one costs more than its product, gives each x a
+    coset of its own. For a normal N, N * x is also the left coset x * N."""
+    labels = [-1] * G.order
+    reps: list[int] = []
+    for x in (range(G.order) if within is None else within.members):
+        if labels[x] < 0:
+            k = len(reps)
+            reps.append(x)
+            for y in G.products(N.members, repeat(x)) if N.order > 1 else (x,):
+                labels[y] = k
+    return labels, reps
 
 
 class QuotientGroup:
@@ -667,17 +687,9 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
     if witness is not None:
         raise NotNormal(f"subgroup of order {N.order} is not normal "
                         f"(generator witness {witness[0]}^{witness[1]})")
-    coset_index = [-1] * G.order
-    reps: list[int] = []
-    for x in range(G.order):
-        if coset_index[x] >= 0:
-            continue
-        ci = len(reps)
-        reps.append(x)
-        for m in N.members:
-            coset_index[G.mul(x, m)] = ci
+    coset_index, reps = coset_labels(G, N)
     num = len(reps)
-    qgens = [tuple(coset_index[G.mul(g, reps[j])] for j in range(num))
+    qgens = [tuple(map(coset_index.__getitem__, G.products(repeat(g), reps)))
              for g in G.generator_indices]
     quotient = generate_group(num, qgens, cap=max(num, 1))
     if quotient.order * N.order != G.order:

@@ -11,12 +11,13 @@ eigenspace decomposition after extending scalars by a root of unity.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Optional
 
 from .errors import (NotAPGroup, NotCoprime, NotCoprimeToP,
                      NotElementaryAbelianLayer, PreconditionViolated)
 from .gf import FiniteField, cyclotomic_polynomial, least_monic, poly_divmod
-from .groups import FiniteGroup, Subgroup, subgroup_generated
+from .groups import FiniteGroup, Subgroup, coset_labels, subgroup_generated
 from .linalg import (in_span, intersect_spans, mat_from_columns, mat_mul, identity_matrix,
                      mat_sub, mat_vec, nullspace, rref, span_basis, spans_equal)
 from .structure import (commutator_subgroup_pair, is_powerful, lower_central_series,
@@ -102,23 +103,35 @@ def jlz_series(G: FiniteGroup, p: int) -> NpSeries:
 
 
 def verify_np_series(S: NpSeries) -> dict:
-    """Check both filtration axioms for all index pairs; report witnesses."""
+    """Check both filtration axioms for all index pairs; report witnesses.
+
+    The series repeats terms, so each commutator subgroup is computed once
+    per distinct pair of terms and each p-th power subgroup once per
+    distinct term."""
     G = S.group
     p = S.p
     t = len(S.terms)
+    commutators: dict = {}
+    powers_of: dict = {}
     commutator_failures = []
     power_failures = []
     for i in range(1, t + 1):
-        if S.term(i).is_trivial:
+        top = S.term(i)
+        if top.is_trivial:
             continue
         for j in range(i, t + 1):
-            if S.term(j).is_trivial:
+            other = S.term(j)
+            if other.is_trivial:
                 continue
-            comm = commutator_subgroup_pair(G, S.term(i), S.term(j))
+            comm = commutators.get((top, other))
+            if comm is None:
+                comm = commutators[top, other] = commutator_subgroup_pair(G, top, other)
             if not comm.member_set <= S.term(i + j).member_set:
                 commutator_failures.append({"i": i, "j": j, "commutator_order": comm.order,
                                             "target_order": S.term(i + j).order})
-        powers = power_subgroup(G, p, within=S.term(i))
+        powers = powers_of.get(top)
+        if powers is None:
+            powers = powers_of[top] = power_subgroup(G, p, within=top)
         if not powers.member_set <= S.term(p * i).member_set:
             power_failures.append({"i": i, "power_order": powers.order,
                                    "target_order": S.term(p * i).order})
@@ -131,30 +144,26 @@ def verify_np_series(S: NpSeries) -> dict:
 class Layer:
     """One elementary abelian quotient of the filtration, as an F_p space."""
 
-    def __init__(self, index: int, dim: int, basis: tuple, rep: dict, vectors: dict):
+    def __init__(self, index: int, dim: int, basis: tuple, rep: list, vectors: dict):
         self.index = index
         self.dim = dim
         self.basis = basis        # group element indices representing the basis cosets
-        self.rep = rep            # member -> canonical coset key (least coset element)
-        self.vectors = vectors    # coset key -> coordinate tuple
+        self.rep = rep            # element -> coset number, -1 outside the upper term
+        self.vectors = vectors    # coset number -> coordinate tuple
 
     def coords_of(self, x: int) -> tuple:
         return self.vectors[self.rep[x]]
 
 
 def _build_layer(G: FiniteGroup, p: int, index: int, top: Subgroup, bottom: Subgroup) -> Layer:
-    rep: dict[int, int] = {}
-    for x in top.members:
-        if x in rep:
-            continue
-        coset = [G.mul(x, m) for m in bottom.members]
-        key = min(coset)
-        for y in coset:
-            rep[y] = key
+    """The layer top/bottom: its cosets labelled by ``coset_labels`` (bottom
+    is normal), a basis picked in index order, and the coordinates of every
+    coset from one batch of products per basis element and power."""
+    rep = coset_labels(G, bottom, top)[0]
     expected = top.order // bottom.order
     basis: list[int] = []
-    span: dict[int, tuple] = {rep[0]: ()}   # coset key -> coordinate vector so far
-    elems: dict[int, int] = {rep[0]: 0}     # coset key -> one group representative
+    span: dict[int, tuple] = {rep[0]: ()}   # coset number -> coordinate vector so far
+    elems: dict[int, int] = {rep[0]: 0}     # coset number -> one group representative
     for x in top.members:
         if rep[x] in span:
             continue
@@ -163,10 +172,9 @@ def _build_layer(G: FiniteGroup, p: int, index: int, top: Subgroup, bottom: Subg
         new_elems: dict[int, int] = {}
         for power in range(p):
             xj = G.power(x, power)
-            for key, vec in span.items():
-                e2 = G.mul(xj, elems[key])
-                k2 = rep.get(e2)
-                if k2 is None or k2 in new_span:
+            for vec, e2 in zip(span.values(), G.products(repeat(xj), elems.values())):
+                k2 = rep[e2]
+                if k2 < 0 or k2 in new_span:
                     raise NotElementaryAbelianLayer(
                         f"layer {index} quotient is not elementary abelian")
                 new_span[k2] = vec + (power,)
@@ -299,7 +307,7 @@ def build_graded_lie(series: NpSeries) -> GradedLieAlgebra:
             for a, xa in enumerate(layers[i - 1].basis):
                 for b, yb in enumerate(layers[j - 1].basis):
                     c = G.commutator(xa, yb)
-                    if c not in target.rep:
+                    if target.rep[c] < 0:
                         raise NotElementaryAbelianLayer(
                             f"commutator of layers {i},{j} escapes layer {i + j}")
                     vec = target.coords_of(c)
@@ -432,7 +440,7 @@ def layer_matrices(A: GradedLieAlgebra, phi) -> list[tuple]:
         cols = []
         for x in layer.basis:
             image = phi.table[x]
-            if image not in layer.rep:
+            if layer.rep[image] < 0:
                 raise PreconditionViolated(
                     f"automorphism does not preserve filtration term {i}")
             cols.append(layer.coords_of(image))

@@ -12,11 +12,12 @@ import json
 import os
 from typing import Optional
 
-from .automorphisms import (Automorphism, check_coprime_facts, decomposition_witness,
+from .automorphisms import (Automorphism, TwistedData, check_coprime_facts,
+                            commutator_twisted_data, decomposition_witness,
                             default_normal_family, factorization_status, fixed_generation_S,
                             fixed_points_of_product, is_phi_invariant, orbit_representatives,
-                            phi_invariant_closure, restrict_automorphism, soluble_exponent_probe,
-                            twisted_data, twisted_orbit_representatives, twisted_pair_closures)
+                            phi_invariant_closure, soluble_exponent_probe, twisted_data,
+                            twisted_orbit_representatives, twisted_pair_closures)
 from .corpus import instance_id, load_instance
 from .errors import (CapExceeded, GroupTheoryError, InvalidPermutation, NotBijective,
                      NotCoprime, NotHomomorphism, NotSoluble, ParseError, UnknownSpec)
@@ -42,11 +43,11 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def _above_pair_cap(phi: Automorphism) -> Optional[str]:
-    """Why the walks over twisted pairs of phi are skipped, or None when
+def _above_pair_cap(phi: Automorphism, td: TwistedData) -> Optional[str]:
+    """Why the walk over twisted pairs of ``td`` is skipped, or None when
     the r(r+1)/2 closures that ``twisted_pair_closures`` makes from r
-    <phi>-orbits on the twisted set are at most ``PAIR_CAP``."""
-    r = len(twisted_orbit_representatives(phi))
+    <phi>-orbits on its twisted set are at most ``PAIR_CAP``."""
+    r = len(twisted_orbit_representatives(phi, td))
     pairs = r * (r + 1) // 2
     return f"{pairs} orbit pairs above the pair cap" if pairs > PAIR_CAP else None
 
@@ -92,12 +93,12 @@ def theorem2_probe(phi: Automorphism) -> dict:
     fixed_lcs = lower_central_series(G, td.fixed)
     if not fixed_lcs.is_nilpotent:
         return {"skipped": "fixed-point subgroup is not nilpotent"}
-    reason = _above_pair_cap(phi)
+    reason = _above_pair_cap(phi, td)
     if reason:
         return {"skipped": reason}
     bound = derived_series(G, td.commutator_phi).derived_length
     d = 0
-    for K in twisted_pair_closures(phi):
+    for K in twisted_pair_closures(phi, td):
         dl = derived_series(G, K).derived_length
         if dl is None:
             return {"skipped": "a twisted-pair closure is insoluble"}
@@ -181,22 +182,20 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
     else:
         section["soluble_when_fixed_nilpotent"] = _skip("fixed-point subgroup not nilpotent")
 
+    # fixed_generation and soluble_exponent analyse phi on [G, phi] inside G
     nilpotent = lower_central_series(G).is_nilpotent
-    soluble = derived_series(G).is_soluble
-    if nilpotent or soluble:
-        Hg, rphi, _ = restrict_automorphism(phi, cp)
     if nilpotent:
         witness = decomposition_witness(phi)
         section["unique_decomposition"] = _verdict(witness is None)
         if witness:
             section["unique_decomposition_witness"] = witness
-        reason = _above_pair_cap(rphi)
+        reason = _above_pair_cap(phi, commutator_twisted_data(phi))
         if reason:
             section["fixed_generation"] = _skip(reason)
         else:
-            gen_report = fixed_generation_S(rphi)
+            gen_report = fixed_generation_S(phi)
             section["fixed_generation"] = {
-                "restricted_to_commutator_order": Hg.order,
+                "restricted_to_commutator_order": cp.order,
                 "S_size": gen_report["S_size"],
                 "generates": _verdict(gen_report["generates"]),
             }
@@ -204,8 +203,8 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
         section["unique_decomposition"] = _skip("group is not nilpotent")
         section["fixed_generation"] = _skip("group is not nilpotent")
 
-    if soluble:
-        section["soluble_exponent"] = soluble_exponent_probe(rphi)
+    if derived_series(G).is_soluble:
+        section["soluble_exponent"] = soluble_exponent_probe(phi)
     else:
         section["soluble_exponent"] = _skip("group is not soluble")
     return section

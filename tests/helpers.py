@@ -8,7 +8,8 @@ repeated multiplication, so they stay independent of the paths they check.
 import math
 from functools import reduce
 
-from coprimelab.automorphisms import Automorphism
+from coprimelab.automorphisms import Automorphism, automorphism_from_images, is_phi_invariant
+from coprimelab.errors import NotInvariant
 from coprimelab.groups import FiniteGroup, generate_group
 
 
@@ -431,3 +432,137 @@ def all_pairs_derived_length(phi):
         if K.member_set not in lengths:
             lengths[K.member_set] = derived_series(phi.group, K).derived_length
     return None if None in lengths.values() else max(lengths.values())
+
+
+# A subgroup as a group of its own, and the automorphisms phi induces on an
+# invariant subgroup and on a quotient: the second enumerations the library
+# no longer makes, kept as oracles for the analyses it now makes inside G.
+
+def subgroup_as_group(G: FiniteGroup, H):
+    """Re-enumerate a subgroup as a standalone FiniteGroup.
+
+    Returns (group, to_parent, from_parent) where to_parent[i] is the parent
+    index of the standalone element i.
+    """
+    gen_perms = [G.elements[i] for i in H.gens]
+    Hg = generate_group(G.degree, gen_perms, cap=H.order)
+    if Hg.order != H.order:
+        raise AssertionError("subgroup re-enumeration produced a different order")
+    to_parent = tuple(G._find(perm) for perm in Hg._store)
+    from_parent = {pi: i for i, pi in enumerate(to_parent)}
+    return Hg, to_parent, from_parent
+
+
+def restrict_automorphism(phi, H):
+    """Restriction of phi to an invariant subgroup, as a standalone group.
+
+    Returns (group, automorphism, to_parent).
+    """
+    G = phi.group
+    if not is_phi_invariant(phi, H):
+        raise NotInvariant("cannot restrict to a non-invariant subgroup")
+    if H.is_whole:
+        return G, phi, tuple(range(G.order))
+    Hg, to_parent, from_parent = subgroup_as_group(G, H)
+    images = [from_parent[phi.table[to_parent[g]]] for g in Hg.generator_indices]
+    return Hg, automorphism_from_images(Hg, images), to_parent
+
+
+def quotient_automorphism(phi, Q) -> Automorphism:
+    """Automorphism induced on a quotient by a phi-invariant normal kernel."""
+    G = phi.group
+    if not is_phi_invariant(phi, Q.kernel):
+        raise NotInvariant("kernel is not phi-invariant")
+    to_q = Q.to_quotient
+    induced = automorphism_from_images(
+        Q.quotient, [to_q[phi.table[g]] for g in G.generator_indices])
+    if (list(map(to_q.__getitem__, phi.table))
+            != list(map(induced.table.__getitem__, to_q))):
+        raise NotInvariant("induced quotient map is not well defined")
+    return induced
+
+
+def quotient_fixed_points_by_group(phi, N) -> bool:
+    """Whether the fixed points of the map phi induces on G/N are the image of
+    the fixed points of phi, by the quotient group and its induced
+    automorphism: the oracle for the ``quotient_fixed_points`` check."""
+    from coprimelab.groups import quotient_group
+    Q = quotient_group(phi.group, N)
+    qphi = quotient_automorphism(phi, Q)
+    fixed = {q for q, image in enumerate(qphi.table) if image == q}
+    return fixed == {Q.to_quotient[x] for x in range(phi.group.order) if phi.table[x] == x}
+
+
+class ProductCounter:
+    """Counts products while installed: one per ``FiniteGroup.mul`` call and
+    one per pair of a ``FiniteGroup.products`` batch."""
+
+    def __init__(self, monkeypatch):
+        from coprimelab import groups
+        self.muls = self.batched = 0
+        mul, products = groups.FiniteGroup.mul, groups.FiniteGroup.products
+
+        def counted_mul(group, a, b):
+            self.muls += 1
+            return mul(group, a, b)
+
+        def counted_products(group, xs, ys):
+            out = products(group, xs, ys)
+            self.batched += len(out)
+            return out
+
+        monkeypatch.setattr(groups.FiniteGroup, "mul", counted_mul)
+        monkeypatch.setattr(groups.FiniteGroup, "products", counted_products)
+
+    @property
+    def count(self) -> int:
+        return self.muls + self.batched
+
+
+def closure_by_elements(G: FiniteGroup, seeds) -> tuple:
+    """(members, gens) of <seeds> by the closure ``subgroup_generated`` made
+    before it closed by whole cosets: seeds in index order, each one outside
+    the closure kept as a generator and closed in element by element with
+    ``mul``. The oracle for its ``gens``."""
+    gens, members = [], {0}
+    for s in sorted(set(seeds)):
+        if s in members:
+            continue
+        gens.append(s)
+        queue = [y for y in (G.mul(m, s) for m in list(members)) if y not in members]
+        members.update(queue)
+        while queue:
+            x = queue.pop()
+            for g in gens:
+                y = G.mul(x, g)
+                if y not in members:
+                    members.add(y)
+                    queue.append(y)
+    return frozenset(members), tuple(gens)
+
+
+def per_pair_np_series(S) -> dict:
+    """``lie.verify_np_series`` with one commutator subgroup per index pair
+    and one power subgroup per index, repeated terms and all: the oracle for
+    its deduplicated walk."""
+    from coprimelab.structure import commutator_subgroup_pair, power_subgroup
+    G, p, t = S.group, S.p, len(S.terms)
+    commutator_failures, power_failures = [], []
+    for i in range(1, t + 1):
+        if S.term(i).is_trivial:
+            continue
+        for j in range(i, t + 1):
+            if S.term(j).is_trivial:
+                continue
+            comm = commutator_subgroup_pair(G, S.term(i), S.term(j))
+            if not comm.member_set <= S.term(i + j).member_set:
+                commutator_failures.append({"i": i, "j": j, "commutator_order": comm.order,
+                                            "target_order": S.term(i + j).order})
+        powers = power_subgroup(G, p, within=S.term(i))
+        if not powers.member_set <= S.term(p * i).member_set:
+            power_failures.append({"i": i, "power_order": powers.order,
+                                   "target_order": S.term(p * i).order})
+    ok = not commutator_failures and not power_failures
+    return {"verdict": "pass" if ok else "fail",
+            "commutator_failures": commutator_failures,
+            "power_failures": power_failures}

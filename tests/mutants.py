@@ -1,0 +1,168 @@
+"""Mutants of src/ and the tests that must catch each one.
+
+A mutant is a small deliberate fault: in ``file``, the one occurrence of
+``old`` is replaced by ``new``, and at least one of the tests named in
+``tests`` must fail on the result. A change that moves or
+rewrites the mutated code must restate its mutants here;
+``tests/test_mutants.py`` checks in tier-1 that each ``old`` text occurs
+exactly once and that each named test exists.
+
+Run every mutant with
+
+    python tests/mutants.py
+
+from the root of a checkout. Each mutant is applied to a copy of src/,
+tests/ and pyproject.toml in a temporary directory, and only its named tests
+run there, one pytest process at a time. The run fails if a mutant survives
+(its tests pass), if its tests cannot run (a collection or usage error
+instead of a test failure), or if its ``old`` text does not occur exactly
+once.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MUTANTS = [
+    # theorem 1 probe: the walk stops once e* reaches exp([G, phi])
+    {"name": "theorem 1 walks every orbit",
+     "file": "src/coprimelab/report.py",
+     "old": "        if e_star >= bound:\n            break\n",
+     "new": "",
+     "tests": ["tests/test_report_cli.py::test_theorem1_closes_one_subgroup_per_orbit_glauberman"]},
+    {"name": "theorem 1 bounded by the exponent of G",
+     "file": "src/coprimelab/report.py",
+     "old": "    bound = td.commutator_phi.exponent()\n",
+     "new": "    bound = G.exponent()\n",
+     "tests": ["tests/test_report_cli.py::test_theorem1_closes_one_subgroup_per_orbit_glauberman"]},
+    {"name": "theorem 1 stops at exp([G, phi]) / 5",
+     "file": "src/coprimelab/report.py",
+     "old": "    bound = td.commutator_phi.exponent()\n",
+     "new": "    bound = td.commutator_phi.exponent() // 5\n",
+     "tests": ["tests/test_report_cli.py::test_theorem1_matches_unreduced_oracle_on_corpus"]},
+    {"name": "theorem 1 ignores fixed elements",
+     "file": "src/coprimelab/report.py",
+     "old": "    e_star = max(map(G.element_order, td.fixed.members))\n",
+     "new": "    e_star = 1\n",
+     "tests": ["tests/test_report_cli.py::test_theorem1_matches_unreduced_oracle_on_corpus"]},
+    # theorem 2 probe: the walk stops at the derived length of [G, phi]
+    {"name": "theorem 2 bounded by the derived length of G",
+     "file": "src/coprimelab/report.py",
+     "old": "    bound = derived_series(G, td.commutator_phi).derived_length\n",
+     "new": "    bound = derived_series(G).derived_length\n",
+     "tests": ["tests/test_report_cli.py::test_one_corpus_pass_closes_a_pinned_number_of_subgroups"]},
+    {"name": "theorem 2 bounded by 1",
+     "file": "src/coprimelab/report.py",
+     "old": "    bound = derived_series(G, td.commutator_phi).derived_length\n",
+     "new": "    bound = 1\n",
+     "tests": ["tests/test_report_cli.py::test_pair_walks_match_all_pairs_oracle_on_corpus"]},
+    {"name": "a memo kept on the automorphism",
+     "file": "src/coprimelab/automorphisms.py",
+     "old": "        self._twisted: Optional[TwistedData] = None\n",
+     "new": "        self._twisted: Optional[TwistedData] = None\n        self.closure_cache: dict = {}\n",
+     "tests": ["tests/test_report_cli.py::test_the_automorphism_keeps_no_memo_that_grows_with_the_walks"]},
+    # the batched kernel and the coset helpers
+    {"name": "products composes the base columns in the wrong order",
+     "file": "src/coprimelab/groups.py",
+     "old": "        for column in reversed(images):\n            keys = [key * degree",
+     "new": "        for column in images:\n            keys = [key * degree",
+     "tests": ["tests/test_in_place.py::test_products_match_mul"]},
+    {"name": "coset closure tries the new generator only",
+     "file": "src/coprimelab/groups.py",
+     "old": "            for y in G.products(repeat(r), gens):\n",
+     "new": "            for y in G.products(repeat(r), [s]):\n",
+     "tests": ["tests/test_in_place.py::test_subgroup_generated_matches_the_oracles"]},
+    {"name": "coset labels by x * m",
+     "file": "src/coprimelab/groups.py",
+     "old": "            for y in G.products(N.members, repeat(x)) if N.order > 1 else (x,):\n",
+     "new": "            for y in G.products(repeat(x), N.members) if N.order > 1 else (x,):\n",
+     "tests": ["tests/test_in_place.py::test_coset_labels_number_right_cosets"]},
+    # the automorphism section inside G
+    {"name": "the order of phi from its first generator only",
+     "file": "src/coprimelab/automorphisms.py",
+     "old": "for g in group.generator_indices))\n",
+     "new": "for g in group.generator_indices[:1]))\n",
+     "tests": ["tests/test_in_place.py::test_automorphism_order_is_the_order_of_its_element_permutation"]},
+    {"name": "fixed_generation walks the twisted set of phi on G",
+     "file": "src/coprimelab/automorphisms.py",
+     "old": "    closures = twisted_pair_closures(phi, inner)\n",
+     "new": "    closures = twisted_pair_closures(phi, twisted_data(phi))\n",
+     "tests": ["tests/test_in_place.py::test_fixed_generation_walks_the_twisted_set_of_commutator_phi"]},
+    {"name": "fixed_generation reads the fixed points of phi on G",
+     "file": "src/coprimelab/automorphisms.py",
+     "old": "    fixed = inner.fixed.member_set\n",
+     "new": "    fixed = twisted_data(phi).fixed.member_set\n",
+     "tests": ["tests/test_in_place.py::test_auto_section_matches_the_restriction_and_quotient_oracles"]},
+    {"name": "a fixed coset counts as meeting the fixed points",
+     "file": "src/coprimelab/automorphisms.py",
+     "old": "                     if labels[phi.table[x]] == k and k not in meets_fixed), None)\n",
+     "new": "                     if labels[phi.table[x]] == k and k in meets_fixed), None)\n",
+     "tests": ["tests/test_automorphisms.py::test_quotient_check_failure_carries_a_witness_that_replays"]},
+    {"name": "the np-series check keys commutators by the first term only",
+     "file": "src/coprimelab/lie.py",
+     "old": "            comm = commutators.get((top, other))\n",
+     "new": "            comm = commutators.get((top, top))\n",
+     "tests": ["tests/test_in_place.py::test_np_series_check_matches_the_per_pair_walk"]},
+]
+
+
+def text_problems(mutant: dict) -> list:
+    """Why this mutant cannot be applied as written; empty when it can."""
+    path = ROOT / mutant["file"]
+    if not path.is_file():
+        return [f"{mutant['file']} does not exist"]
+    found = path.read_text(encoding="utf-8").count(mutant["old"])
+    problems = [] if found == 1 else [f"old text occurs {found} times in {mutant['file']}"]
+    if mutant["old"] == mutant["new"]:
+        problems.append("old and new text are the same")
+    return problems
+
+
+def run(mutant: dict) -> str:
+    """'caught', 'SURVIVED', or why the named tests could not decide."""
+    problems = text_problems(mutant)
+    if problems:
+        return "; ".join(problems)
+    with tempfile.TemporaryDirectory() as tmp:
+        ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, Path(tmp) / name, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        target = Path(tmp) / mutant["file"]
+        text = target.read_text(encoding="utf-8")
+        target.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src"),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant["tests"]], cwd=tmp, env=env, capture_output=True, text=True)
+    if done.returncode == 0:
+        return "SURVIVED"
+    if done.returncode == 1:
+        return "caught"
+    return f"pytest exit {done.returncode}: {done.stdout.strip().splitlines()[-1:]}"
+
+
+def main() -> int:
+    failures = 0
+    start = time.perf_counter()
+    for mutant in MUTANTS:
+        t0 = time.perf_counter()
+        outcome = run(mutant)
+        failures += outcome != "caught"
+        print(f"{outcome:10s} {time.perf_counter() - t0:5.1f}s  {mutant['name']}")
+    print(f"{len(MUTANTS) - failures}/{len(MUTANTS)} mutants caught "
+          f"in {time.perf_counter() - start:.1f}s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,14 +5,15 @@ from coprimelab.automorphisms import (TwistedData, build_automorphism, check_cop
                                       factorization_status, fixed_generation_S,
                                       fixed_points_of_product, is_phi_invariant,
                                       nilpotent_decompose, orbit_representatives,
-                                      phi_invariant_closure, quotient_automorphism,
-                                      restrict_automorphism, soluble_exponent_probe, twisted_data)
+                                      phi_invariant_closure, soluble_exponent_probe, twisted_data)
 from coprimelab.corpus import build_corpus_instance
 from coprimelab.errors import (NotBijective, NotCoprime, NotInvariant,
                                NotNilpotent, PreconditionViolated)
 from coprimelab.groups import quotient_group, subgroup_generated, is_normal
 from coprimelab.structure import sylow_subgroup
-from helpers import identity_automorphism, per_element_decomposition_witness, quaternion_group
+from helpers import (identity_automorphism, per_element_decomposition_witness,
+                     quaternion_group, quotient_automorphism, quotient_fixed_points_by_group,
+                     restrict_automorphism)
 
 
 def c7_square():
@@ -341,18 +342,47 @@ def test_automorphism_walks_match_brute_force_on_corpus():
     assert checked >= 10
 
 
-def test_quotient_check_fails_with_the_reason_of_the_induced_map(glauberman, monkeypatch):
-    from coprimelab import automorphisms
-    _, phi = glauberman
+def _bare_fixed_coset(phi, N):
+    """The least x whose coset N x phi maps onto itself while no element of it
+    is fixed, by comparing the coset sets; None if there is none."""
+    G = phi.group
+    for x in range(G.order):
+        coset = {G.mul(n, x) for n in N.members}
+        if ({phi.table[y] for y in coset} == coset
+                and all(phi.table[y] != y for y in coset)):
+            return x
+    return None
 
-    def refuse(phi, Q):
-        raise NotInvariant("induced quotient map is not well defined")
-    monkeypatch.setattr(automorphisms, "quotient_automorphism", refuse)
+
+def test_quotient_check_failure_carries_a_witness_that_replays(monkeypatch):
+    from coprimelab import automorphisms
+    # the Frobenius map of order 2 on aff(9) is not coprime to |G| = 72;
+    # forced coprime, it has a fixed coset of [G, phi] with no fixed element
+    spec = {"name": "affine", "params": {"p": 3, "k": 2}, "automorphism": {"recipe": "frobenius"}}
+    monkeypatch.setattr(automorphisms.Automorphism, "coprime", property(lambda self: True))
+    G, phi = build_corpus_instance(spec)
+    family = dict(automorphisms.default_normal_family(phi))
     report = check_coprime_facts(phi)
-    assert report["verdict"] == "fail" and report["quotient_fixed_points"]
-    for check in report["quotient_fixed_points"]:
-        assert check["verdict"] == "fail"
-        assert check["reason"] == "induced quotient map is not well defined"
+    assert report["verdict"] == "fail"
+    checks = report["quotient_fixed_points"]
+    assert [c["verdict"] for c in checks] == ["fail", "pass"]
+    for check in checks:
+        N = family[check["subgroup"]]
+        assert quotient_fixed_points_by_group(phi, N) == (check["verdict"] == "pass")
+        bare = _bare_fixed_coset(phi, N)
+        if check["verdict"] == "pass":
+            assert bare is None and "witness" not in check
+        else:
+            assert set(check["witness"]) == {"x"}
+            assert G.evaluate_word(check["witness"]["x"]) == bare
+    # the word replays on a fresh enumeration
+    words = checks[0]["witness"]["x"]
+    G2, phi2 = build_corpus_instance(spec)
+    N2 = dict(automorphisms.default_normal_family(phi2))[checks[0]["subgroup"]]
+    x = G2.evaluate_word(words)
+    coset = {G2.mul(n, x) for n in N2.members}
+    assert {phi2.table[y] for y in coset} == coset
+    assert all(phi2.table[y] != y for y in coset)
 
 
 def test_centralizing_failure_carries_a_witness_that_replays(monkeypatch):

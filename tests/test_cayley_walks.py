@@ -17,13 +17,14 @@ import random
 import pytest
 
 from coprimelab import groups
-from coprimelab.automorphisms import (automorphism_from_images, quotient_automorphism,
-                                      restrict_automorphism, twisted_data)
+from coprimelab.automorphisms import automorphism_from_images, twisted_data
 from coprimelab.corpus import build_corpus_instance, default_corpus
 from coprimelab.errors import NotBijective, NotHomomorphism
 from coprimelab.groups import center, quotient_group, subgroup_generated
 from coprimelab.structure import derived_series
-from helpers import brute_center, double_scan_outcome, least_conjugators_by_scan, mul_tree_walk
+from helpers import (ProductCounter, brute_center, double_scan_outcome,
+                     least_conjugators_by_scan, mul_tree_walk, quotient_automorphism,
+                     restrict_automorphism)
 
 SPECS = {spec["id"]: spec for spec in default_corpus()["instances"]}
 
@@ -57,20 +58,6 @@ def _cases(spec_id: str) -> tuple:
 
 def _images(G, phi) -> list:
     return [phi.table[g] for g in G.generator_indices]
-
-
-class _Muls:
-    """Counts ``FiniteGroup.mul`` calls while installed."""
-
-    def __init__(self, monkeypatch):
-        self.count = 0
-        mul = groups.FiniteGroup.mul
-
-        def counted(group, a, b):
-            self.count += 1
-            return mul(group, a, b)
-
-        monkeypatch.setattr(groups.FiniteGroup, "mul", counted)
 
 
 def test_every_kind_of_case_is_covered():
@@ -178,22 +165,25 @@ def test_walks_make_no_mul_call(spec_id, monkeypatch):
     G, phi = build_corpus_instance(SPECS[spec_id])
     N = _last_derived(G)
     images = _images(G, phi) if phi is not None else list(G.generator_indices)
-    muls = _Muls(monkeypatch)
+    products = ProductCounter(monkeypatch)
     assert automorphism_from_images(G, images).table == (
         phi.table if phi is not None else tuple(range(G.order)))
-    assert muls.count == 0, spec_id
+    assert products.count == 0, spec_id
     # the centre's membership walk makes none: its products are those of
-    # closing the members it finds
+    # closing the members it finds, all in batches
     Z = center(G)
-    closure = muls.count
+    closure = products.count
     subgroup_generated(G, Z.members)
-    assert muls.count == 2 * closure, spec_id
+    assert products.count == 2 * closure, spec_id
+    assert products.muls == 0, spec_id
     if N is not None:
-        before = muls.count
+        before, muls_before = products.count, products.muls
         Q = quotient_group(G, N)
         # two products per conjugate of a kernel generator by a generator for
-        # the normality check, one per element for the cosets and one per
-        # generator and coset for the coset action: none for the projection
+        # the normality check, the only ``mul`` calls; in batches, one per
+        # element for the coset labels and one per generator and coset for
+        # the coset action; none for the projection
         k = len(G.generators)
-        assert muls.count - before == (2 * k * len(N.gens) + G.order
-                                       + k * Q.quotient.order), spec_id
+        assert products.muls - muls_before == 2 * k * len(N.gens), spec_id
+        assert products.count - before == (2 * k * len(N.gens) + G.order
+                                           + k * Q.quotient.order), spec_id

@@ -19,8 +19,8 @@ from coprimelab.corpus import build_corpus_instance, default_corpus, load_instan
 from coprimelab.groups import center, quotient_group
 from coprimelab.numutil import p_part, prime_factors
 from coprimelab.structure import derived_series, fitting_subgroup, p_core, sylow_subgroup
-from helpers import (brute_center, brute_p_core, brute_subgroup_members, cycle_order,
-                     naive_element_order, scan_inverses)
+from helpers import (ProductCounter, brute_center, brute_p_core, brute_subgroup_members,
+                     cycle_order, naive_element_order, scan_inverses)
 
 # naive_element_order costs the sum of all element orders in products, about
 # 1.3M on Glauberman's group; above this order the cycle lengths are the oracle.
@@ -83,24 +83,24 @@ def test_sylow_core_and_fitting_match_oracles(spec_id):
 
 
 # _group_section on Glauberman's affine(5,3), |G| = 15,500: series, exponent
-# and Fitting height, the quotients' builds included. A normalizer scan of G
-# per Sylow step and O_p conjugated by every g take it to 107,381; a power
-# walk and a quotient projection by ``mul`` to 35,340.
-GLAUBERMAN_GROUP_SECTION_MULS = 19_595
+# and Fitting height, the quotients' builds included, counting ``mul`` calls
+# and the pairs of ``products`` batches alike. A normalizer scan of G per
+# Sylow step and O_p conjugated by every g take it to 107,381; a power walk
+# and a quotient projection by ``mul`` to 35,340; closures by elements and
+# coset labels by ``mul`` to 19,595. Closure by whole cosets makes it 17,888,
+# of which 953 are ``mul`` calls in conjugates and commutators and the rest
+# are in batches; the powers of each closure's first generator come from a
+# ``_cycle`` walk, which is not counted.
+GLAUBERMAN_GROUP_SECTION_MULS = 17_888
+GLAUBERMAN_GROUP_SECTION_SCALAR_MULS = 953
 
 
 def test_glauberman_group_section_mul_count_is_pinned(monkeypatch):
     G, _, _ = load_instance(SPECS["glauberman"])
-    count = [0]
-    mul = groups.FiniteGroup.mul
-
-    def counted(self, a, b):
-        count[0] += 1
-        return mul(self, a, b)
-
-    monkeypatch.setattr(groups.FiniteGroup, "mul", counted)
+    products = ProductCounter(monkeypatch)
     report._group_section(G)
-    assert count[0] == GLAUBERMAN_GROUP_SECTION_MULS
+    assert products.count == GLAUBERMAN_GROUP_SECTION_MULS
+    assert products.muls == GLAUBERMAN_GROUP_SECTION_SCALAR_MULS
 
 
 def test_center_is_scanned_once_per_group(monkeypatch):

@@ -86,11 +86,16 @@ def build_automorphism(G: FiniteGroup, gen_images: Sequence[Iterable[int]]) -> A
     return automorphism_from_images(G, [G.evaluate_word(w) for w in gen_images])
 
 
+# what TwistedData.commutator_derived_length holds until it is asked for
+_NOT_COMPUTED = object()
+
+
 class TwistedData:
     """Fixed-point subgroup, twisted set and the subgroup it generates, of phi
     on G or on a phi-invariant subgroup; the <phi>-orbit representatives on
     the twisted set once they are asked for, and, on G, the same data on
-    [G, phi] once it is asked for (``commutator_twisted_data``)."""
+    [G, phi] (``commutator_twisted_data``) and the derived length of [G, phi]
+    (``commutator_derived_length``) once they are asked for."""
 
     def __init__(self, fixed: Subgroup, twisted: tuple, twisted_set: frozenset,
                  producers: dict, commutator_phi: Subgroup, coprime: bool,
@@ -103,6 +108,7 @@ class TwistedData:
         self.coprime = coprime
         self.orbit_reps = orbit_reps
         self.inner: Optional[TwistedData] = None
+        self.commutator_derived_length = _NOT_COMPUTED
 
 
 def _twisted_images(phi: Automorphism, elements: Sequence[int]) -> list:
@@ -147,9 +153,14 @@ def commutator_twisted_data(phi: Automorphism) -> TwistedData:
     return td.inner
 
 
-def commutator_with_automorphism(phi: Automorphism, H: Subgroup) -> Subgroup:
-    """[H, phi] = subgroup generated by {h^-1 h^phi : h in H}."""
-    return subgroup_generated(phi.group, _twisted_images(phi, H.members))
+def commutator_derived_length(phi: Automorphism) -> Optional[int]:
+    """The derived length of [G, phi], None when it is insoluble: one derived
+    series per automorphism, its length kept on ``twisted_data(phi)``."""
+    td = twisted_data(phi)
+    if td.commutator_derived_length is _NOT_COMPUTED:
+        td.commutator_derived_length = derived_series(phi.group,
+                                                      td.commutator_phi).derived_length
+    return td.commutator_derived_length
 
 
 def phi_invariant_closure(phi: Automorphism, seeds: Iterable[int]) -> Subgroup:
@@ -352,7 +363,8 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
 
     (a) twisting [G,phi] again reproduces it; (b) fixed points pass to
     quotients by invariant normal subgroups; (c) [G,phi] centralizes every
-    invariant normal subgroup inside the fixed points. The (b) check reads
+    invariant normal subgroup inside the fixed points. The (a) check reads
+    [[G,phi],phi] off ``commutator_twisted_data``. The (b) check reads
     the fixed cosets off one ``coset_labels`` pass per subgroup, with no
     quotient group. Failed checks carry generator words under ``witness``:
     for (b) the least x whose coset is fixed but holds no fixed element, for
@@ -365,7 +377,7 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
     family = default_normal_family(phi) if family is None else _checked_family(phi, family)
 
     report: dict = {}
-    twice = commutator_with_automorphism(phi, td.commutator_phi)
+    twice = commutator_twisted_data(phi).commutator_phi
     report["commutator_stable"] = "pass" if twice == td.commutator_phi else "fail"
 
     quotient_checks = []
@@ -501,5 +513,5 @@ def soluble_exponent_probe(phi: Automorphism) -> dict:
     if not derived_series(G).is_soluble:
         raise PreconditionViolated("soluble group required")
     H, inner = _commutator_data(phi)
-    return {"d": derived_series(G, H).derived_length, "e": G.exponent_of(inner.twisted),
+    return {"d": commutator_derived_length(phi), "e": G.exponent_of(inner.twisted),
             "exponent": H.exponent()}

@@ -17,8 +17,8 @@ from .automorphisms import build_automorphism
 from .errors import (CapExceeded, InvalidPermutation, NotBijective, NotHomomorphism,
                      ParseError, UnknownSpec)
 from .gf import FiniteField
-from .groups import (DEFAULT_CAP, FiniteGroup, column_bytes, degree_bytes, element_bytes,
-                     generate_group)
+from .groups import (BYTES_MAX_DEGREE, DEFAULT_CAP, FiniteGroup, column_bytes, degree_bytes,
+                     element_bytes, generate_group)
 from .numutil import is_prime
 
 # Bytes the element store and Cayley columns of a group may take: a named
@@ -30,101 +30,87 @@ from .numutil import is_prime
 STORE_BUDGET = 10 ** 9
 
 
-def _left_regular(elems: list, mul, g) -> tuple:
-    index = {e: i for i, e in enumerate(elems)}
-    return tuple(index[mul(g, x)] for x in elems)
-
-
-def _cyclic(m: int, cap: int) -> tuple:
+def _cyclic(m: int) -> tuple:
     if m == 1:
-        return generate_group(1, [], cap=cap), {}
-    gen = tuple((i + 1) % m for i in range(m))
-    return generate_group(m, [gen], cap=cap), {}
+        return 1, [], {}
+    return m, [tuple((i + 1) % m for i in range(m))], {}
 
 
-def _dihedral(m: int, cap: int) -> tuple:
+def _dihedral(m: int) -> tuple:
     rot = tuple((i + 1) % m for i in range(m))
     flip = tuple((-i) % m for i in range(m))
-    G = generate_group(m, [rot, flip], cap=cap)
-    if G.order != 2 * m:
-        raise AssertionError("dihedral construction has wrong order")
-    return G, {}
+    return m, [rot, flip], {}
 
 
-def _symmetric(m: int, cap: int) -> tuple:
+def _symmetric(m: int) -> tuple:
     if m == 1:
-        return generate_group(1, [], cap=cap), {}
+        return 1, [], {}
     cycle = tuple((i + 1) % m for i in range(m))
     swap = tuple([1, 0] + list(range(2, m)))
-    return generate_group(m, [cycle, swap] if m > 2 else [swap], cap=cap), {}
+    return m, [cycle, swap] if m > 2 else [swap], {}
 
 
-def _heisenberg(p: int, cap: int) -> tuple:
-    """Upper unitriangular 3x3 matrices over F_p, acting on themselves."""
-    F = FiniteField(p, 1)
-    elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-
-    def mul(u, v):
-        return (F.add(u[0], v[0]), F.add(u[1], v[1]),
-                F.add(F.add(u[2], v[2]), F.mul(u[0], v[1])))
-
-    gens = [_left_regular(elems, mul, (1, 0, 0)), _left_regular(elems, mul, (0, 1, 0))]
-    G = generate_group(p ** 3, gens, cap=cap)
-    if G.order != p ** 3:
-        raise AssertionError("heisenberg construction has wrong order")
-    return G, {}
+def _heisenberg_degree(p: int) -> int:
+    """p^3 points for the regular action while its elements fit the bytes
+    store, else the p^2 points of ``_heisenberg``'s matrix action."""
+    return p ** 3 if p ** 3 <= BYTES_MAX_DEGREE else p * p
 
 
-def _modular(p: int, cap: int) -> tuple:
+def _heisenberg(p: int) -> tuple:
+    """Upper unitriangular 3x3 matrices (a, b, c) over F_p, with
+    (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a b'), generated by
+    (1, 0, 0) and (0, 1, 0). Up to degree BYTES_MAX_DEGREE they act on
+    themselves by left multiplication. Above it they act on the p^2 column
+    vectors (x, y, 1), point x + p y, which (a, b, c) sends to
+    (x + a y + c) + p (y + b): a faithful action on fewer points, and
+    enumeration over the same generators walks the same Cayley graph."""
+    if p ** 3 <= BYTES_MAX_DEGREE:
+        elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+        index = {e: i for i, e in enumerate(elems)}
+
+        def left(a, b, c):
+            return tuple(index[(a + x) % p, (b + y) % p, (c + z + a * y) % p]
+                         for x, y, z in elems)
+
+        return p ** 3, [left(1, 0, 0), left(0, 1, 0)], {}
+    points = [(x, y) for y in range(p) for x in range(p)]
+    return p * p, [tuple((x + y) % p + p * y for x, y in points),
+                   tuple(x + p * ((y + 1) % p) for x, y in points)], {}
+
+
+def _modular(p: int) -> tuple:
     """Order p^3 with a cyclic maximal subgroup: x+1 and x*(1+p) on Z/p^2."""
     m = p * p
     add = tuple((i + 1) % m for i in range(m))
     scale = tuple((i * (1 + p)) % m for i in range(m))
-    G = generate_group(m, [add, scale], cap=cap)
-    if G.order != p ** 3:
-        raise AssertionError("modular construction has wrong order")
-    return G, {}
+    return m, [add, scale], {}
 
 
-def _affine(p: int, k: int, cap: int) -> tuple:
+def _affine(p: int, k: int) -> tuple:
     """Full affine group x -> b*x + a of GF(p^k) on the field elements."""
     field = FiniteField(p, k)
     q = field.order
     g = field.multiplicative_generator()
     translate = tuple(field.add(x, 1) for x in range(q))
     scale = tuple(field.mul(g, x) for x in range(q))
-    gens = [translate, scale] if q > 2 else [translate]
-    G = generate_group(q, gens, cap=cap)
-    if G.order != q * (q - 1):
-        raise AssertionError("affine construction has wrong order")
-    return G, {}
+    return q, [translate, scale] if q > 2 else [translate], {}
 
 
-def _direct_product(factors: list, parsed: list, cap: int) -> tuple:
-    built = [_build_group(factor, cap)[0] for factor in parsed]
-    degree = sum(g.degree for g in built)
-    gens = []
-    gen_offsets = []
-    pos = 0
-    gcount = 0
-    for g in built:
-        gen_offsets.append(gcount)
-        for perm in g.generators:
-            full = list(range(degree))
-            for i, img in enumerate(perm):
-                full[pos + i] = pos + img
-            gens.append(tuple(full))
-        pos += g.degree
-        gcount += len(g.generators)
-    G = generate_group(degree, gens, cap=cap)
-    expected = 1
-    for g in built:
-        expected *= g.order
-    if G.order != expected:
-        raise AssertionError("direct product construction has wrong order")
+def _direct_product(factors: list, parsed: list) -> tuple:
+    """The factors side by side: each factor's generators move its own block
+    of points, which follows the blocks of the factors before it."""
+    built = [build(*args) for build, args, *_ in parsed]
+    degree = sum(factor[0] for factor in built)
+    gens, gen_offsets, pos = [], [], 0
+    for factor_degree, factor_gens, _ in built:
+        gen_offsets.append(len(gens))
+        for perm in factor_gens:
+            gens.append(tuple(range(pos)) + tuple(pos + img for img in perm)
+                        + tuple(range(pos + factor_degree, degree)))
+        pos += factor_degree
     meta = {"factor_specs": factors, "factor_gen_offsets": gen_offsets,
-            "factor_gen_counts": [len(g.generators) for g in built]}
-    return G, meta
+            "factor_gen_counts": [len(factor[1]) for factor in built]}
+    return degree, gens, meta
 
 
 _REQUIRED = object()
@@ -152,15 +138,17 @@ def _odd_prime(p: int) -> bool:
 # Name -> (parameter keys, what they must satisfy, test of it, order, degree,
 # constructor). Order and degree are read from valid parameters before the
 # constructor runs, so a group above the cap or the store budget allocates
-# nothing. Every group here has order at least each of its parameters, so a
-# parameter above STORE_BUDGET is refused before anything is computed from it;
-# the bound on k keeps p ** k quick to compute.
+# nothing; the constructor returns the degree, the generator permutations and
+# the metadata the automorphism recipes read. Every group here has order at
+# least each of its parameters, so a parameter above STORE_BUDGET is refused
+# before anything is computed from it; the bound on k keeps p ** k quick to
+# compute.
 _NAMED = {
     "cyclic": (("m",), "m >= 1", lambda m: m >= 1, lambda m: m, lambda m: m, _cyclic),
     "dihedral": (("m",), "m >= 3", lambda m: m >= 3, lambda m: 2 * m, lambda m: m, _dihedral),
     "symmetric": (("m",), "1 <= m <= 5", lambda m: 1 <= m <= 5, math.factorial, lambda m: m,
                   _symmetric),
-    "heisenberg": (("p",), "an odd prime p", _odd_prime, lambda p: p ** 3, lambda p: p ** 3,
+    "heisenberg": (("p",), "an odd prime p", _odd_prime, lambda p: p ** 3, _heisenberg_degree,
                    _heisenberg),
     "modular": (("p",), "an odd prime p", _odd_prime, lambda p: p ** 3, lambda p: p * p,
                 _modular),
@@ -197,9 +185,10 @@ def _parse(spec: dict, where: str) -> tuple:
 
 
 def _build_group(parsed: tuple, cap: int) -> tuple:
-    """Build a parsed spec's group, after checking its order against the cap
-    and the size of its element store and Cayley columns against
-    STORE_BUDGET."""
+    """(group, recipe metadata) of a parsed spec: its generators enumerated
+    once, after checking its order against the cap and the size of its
+    element store and Cayley columns against STORE_BUDGET. A construction
+    whose degree or order is not the parsed one is a bug: AssertionError."""
     build, args, order, degree, generators, where = parsed
     if order > cap:
         raise CapExceeded(f"{where}: order {_decimal(order)} exceeds cap={cap}")
@@ -209,7 +198,13 @@ def _build_group(parsed: tuple, cap: int) -> tuple:
                           f"{_decimal(size // 10 ** 6)} MB of elements and "
                           f"{_decimal(columns // 10 ** 6)} MB of Cayley columns, above the "
                           f"{STORE_BUDGET // 10 ** 6} MB budget")
-    return build(*args, cap)
+    built_degree, gens, meta = build(*args)
+    if built_degree != degree:
+        raise AssertionError(f"{where}: construction has degree {built_degree}, not {degree}")
+    G = generate_group(degree, gens, cap=cap)
+    if G.order != order:
+        raise AssertionError(f"{where}: construction has order {G.order}, not {order}")
+    return G, meta
 
 
 def _decimal(n: int) -> str:
@@ -338,7 +333,7 @@ def build_glauberman_example(cap: Optional[int] = None):
     raises the scaling to its fifth power.
     """
     cap = cap if cap is not None else DEFAULT_CAP
-    G, meta = _affine(5, 3, cap)
+    G, _ = _build_group(_parse({"name": "affine", "params": {"p": 5, "k": 3}}, ""), cap)
     if G.order != 15500:
         raise AssertionError(f"expected order 15500, got {G.order}")
     phi = build_automorphism(G, [(1,), (2, 2, 2, 2, 2)])

@@ -13,8 +13,9 @@ import os
 from typing import Optional
 
 from .automorphisms import (Automorphism, TwistedData, check_coprime_facts,
-                            commutator_twisted_data, decomposition_witness,
-                            default_normal_family, factorization_status, fixed_generation_S,
+                            commutator_derived_length, commutator_twisted_data,
+                            decomposition_witness, default_normal_family,
+                            factorization_status, fixed_generation_S,
                             fixed_points_of_product, is_phi_invariant, orbit_representatives,
                             phi_invariant_closure, soluble_exponent_probe, twisted_data,
                             twisted_orbit_representatives, twisted_pair_closures)
@@ -82,8 +83,9 @@ def theorem2_probe(phi: Automorphism) -> dict:
     The walk closes one pair per pair of <phi>-orbits on the twisted set
     (``twisted_pair_closures``), so d is exact. Every such closure lies in the
     phi-invariant [G, phi], so the walk stops once d reaches the derived
-    length of [G, phi]; an insoluble [G, phi] gives no bound, so every closure
-    is checked. Above the pair cap the probe is skipped, and it is skipped
+    length of [G, phi], which is computed once (``commutator_derived_length``)
+    and read again for a closure equal to [G, phi]; an insoluble [G, phi]
+    gives no bound, so every closure is checked. Above the pair cap the probe is skipped, and it is skipped
     first when the fixed subgroup is not nilpotent.
     """
     if not phi.coprime:
@@ -96,10 +98,10 @@ def theorem2_probe(phi: Automorphism) -> dict:
     reason = _above_pair_cap(phi, td)
     if reason:
         return {"skipped": reason}
-    bound = derived_series(G, td.commutator_phi).derived_length
+    bound = commutator_derived_length(phi)
     d = 0
     for K in twisted_pair_closures(phi, td):
-        dl = derived_series(G, K).derived_length
+        dl = bound if K == td.commutator_phi else derived_series(G, K).derived_length
         if dl is None:
             return {"skipped": "a twisted-pair closure is insoluble"}
         d = max(d, dl)

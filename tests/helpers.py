@@ -165,6 +165,23 @@ def quaternion_group() -> FiniteGroup:
     return G
 
 
+def regular_heisenberg(p: int) -> FiniteGroup:
+    """heisenberg(p) acting on its own p^3 elements (a, b, c) by left
+    multiplication, generated by (1, 0, 0) and (0, 1, 0): the construction
+    the corpus uses for heisenberg(p) up to degree 256, here at any p, and
+    the oracle for its action on p^2 points above that degree."""
+    elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+    index = {e: i for i, e in enumerate(elems)}
+
+    def mul(u, v):
+        return (u[0] + v[0]) % p, (u[1] + v[1]) % p, (u[2] + v[2] + u[0] * v[1]) % p
+
+    def left(g):
+        return tuple(index[mul(g, x)] for x in elems)
+
+    return generate_group(p ** 3, [left((1, 0, 0)), left((0, 1, 0))], cap=p ** 3)
+
+
 def generated_members(G: FiniteGroup, seeds) -> frozenset:
     """Member indices of <seeds> by breadth-first right multiplication."""
     members = {0}
@@ -539,6 +556,13 @@ def closure_by_elements(G: FiniteGroup, seeds) -> tuple:
                     members.add(y)
                     queue.append(y)
     return frozenset(members), tuple(gens)
+
+
+def commutator_with_automorphism(phi, H) -> frozenset:
+    """Members of [H, phi], the subgroup generated by h^-1 h^phi for every h
+    in H: each one by ``mul``, closed by ``closure_by_elements``."""
+    G = phi.group
+    return closure_by_elements(G, {G.mul(G.inv(h), phi.table[h]) for h in H.members})[0]
 
 
 def per_pair_np_series(S) -> dict:

@@ -12,7 +12,8 @@ Run every mutant with
     python tests/mutants.py
 
 from the root of a checkout. Each mutant is applied to a copy of src/,
-tests/ and pyproject.toml in a temporary directory, and only its named tests
+tests/, perfbench/ (whose workload templates tests read) and pyproject.toml
+in a temporary directory, and only its named tests
 run there, one pytest process at a time. The run fails if a mutant survives
 (its tests pass), if its tests cannot run (a collection or usage error
 instead of a test failure), or if its ``old`` text does not occur exactly
@@ -53,17 +54,29 @@ MUTANTS = [
      "old": "    e_star = max(map(G.element_order, td.fixed.members))\n",
      "new": "    e_star = 1\n",
      "tests": ["tests/test_report_cli.py::test_theorem1_matches_unreduced_oracle_on_corpus"]},
-    # theorem 2 probe: the walk stops at the derived length of [G, phi]
+    # theorem 2 probe: the walk stops at the derived length of [G, phi],
+    # which is computed once per automorphism
     {"name": "theorem 2 bounded by the derived length of G",
      "file": "src/coprimelab/report.py",
-     "old": "    bound = derived_series(G, td.commutator_phi).derived_length\n",
+     "old": "    bound = commutator_derived_length(phi)\n",
      "new": "    bound = derived_series(G).derived_length\n",
-     "tests": ["tests/test_report_cli.py::test_one_corpus_pass_closes_a_pinned_number_of_subgroups"]},
+     "tests": ["tests/test_report_cli.py::test_one_corpus_pass_closes_a_pinned_number_of_subgroups",
+               "tests/test_report_cli.py::test_pair_walks_match_all_pairs_oracle_on_corpus"]},
     {"name": "theorem 2 bounded by 1",
      "file": "src/coprimelab/report.py",
-     "old": "    bound = derived_series(G, td.commutator_phi).derived_length\n",
+     "old": "    bound = commutator_derived_length(phi)\n",
      "new": "    bound = 1\n",
      "tests": ["tests/test_report_cli.py::test_pair_walks_match_all_pairs_oracle_on_corpus"]},
+    {"name": "the derived length of [G, phi] is not kept",
+     "file": "src/coprimelab/automorphisms.py",
+     "old": "    if td.commutator_derived_length is _NOT_COMPUTED:\n",
+     "new": "    if True:\n",
+     "tests": ["tests/test_report_cli.py::test_one_derived_series_of_commutator_phi_per_instance"]},
+    {"name": "theorem 2 recomputes a pair closure equal to [G, phi]",
+     "file": "src/coprimelab/report.py",
+     "old": "        dl = bound if K == td.commutator_phi else derived_series(G, K).derived_length\n",
+     "new": "        dl = derived_series(G, K).derived_length\n",
+     "tests": ["tests/test_report_cli.py::test_one_derived_series_of_commutator_phi_per_instance"]},
     {"name": "a memo kept on the automorphism",
      "file": "src/coprimelab/automorphisms.py",
      "old": "        self._twisted: Optional[TwistedData] = None\n",
@@ -111,6 +124,27 @@ MUTANTS = [
      "old": "            comm = commutators.get((top, other))\n",
      "new": "            comm = commutators.get((top, top))\n",
      "tests": ["tests/test_in_place.py::test_np_series_check_matches_the_per_pair_walk"]},
+    # the constructions: generators only, enumerated once
+    {"name": "a heisenberg generator indexes points as p * x + y",
+     "file": "src/coprimelab/corpus.py",
+     "old": "    return p * p, [tuple((x + y) % p + p * y for x, y in points),\n",
+     "new": "    return p * p, [tuple(p * ((x + y) % p) + y for x, y in points),\n",
+     "tests": ["tests/test_corpus.py::test_heisenberg_on_p_squared_points_matches_the_regular_action"]},
+    {"name": "heisenberg is charged for p^3 points",
+     "file": "src/coprimelab/corpus.py",
+     "old": "_odd_prime, lambda p: p ** 3, _heisenberg_degree,",
+     "new": "_odd_prime, lambda p: p ** 3, lambda p: p ** 3,",
+     "tests": ["tests/test_corpus.py::test_store_budget_checked_before_anything_is_built"]},
+    {"name": "the order of a construction is not checked",
+     "file": "src/coprimelab/corpus.py",
+     "old": "    if G.order != order:\n",
+     "new": "    if False:\n",
+     "tests": ["tests/test_corpus.py::test_a_construction_of_the_wrong_order_or_degree_is_a_bug"]},
+    {"name": "direct product blocks start one point late",
+     "file": "src/coprimelab/corpus.py",
+     "old": "        pos += factor_degree\n",
+     "new": "        pos += factor_degree + 1\n",
+     "tests": ["tests/test_corpus.py::test_factory_orders"]},
 ]
 
 
@@ -132,8 +166,8 @@ def run(mutant: dict) -> str:
     if problems:
         return "; ".join(problems)
     with tempfile.TemporaryDirectory() as tmp:
-        ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
-        for name in ("src", "tests"):
+        ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis", "out")
+        for name in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / name, Path(tmp) / name, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", tmp)
         target = Path(tmp) / mutant["file"]

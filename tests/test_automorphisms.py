@@ -1,17 +1,18 @@
 import pytest
 
 from coprimelab.automorphisms import (TwistedData, build_automorphism, check_coprime_facts,
-                                      commutator_with_automorphism, decomposition_witness,
+                                      commutator_twisted_data, decomposition_witness,
                                       factorization_status, fixed_generation_S,
                                       fixed_points_of_product, is_phi_invariant,
                                       nilpotent_decompose, orbit_representatives,
                                       phi_invariant_closure, soluble_exponent_probe, twisted_data)
-from coprimelab.corpus import build_corpus_instance
+from coprimelab.corpus import build_corpus_instance, default_corpus
 from coprimelab.errors import (NotBijective, NotCoprime, NotInvariant,
                                NotNilpotent, PreconditionViolated)
 from coprimelab.groups import quotient_group, subgroup_generated, is_normal
 from coprimelab.structure import sylow_subgroup
-from helpers import (identity_automorphism, per_element_decomposition_witness,
+from helpers import (commutator_with_automorphism, identity_automorphism,
+                     per_element_decomposition_witness,
                      quaternion_group, quotient_automorphism, quotient_fixed_points_by_group,
                      restrict_automorphism)
 
@@ -161,7 +162,24 @@ def test_check_coprime_facts(glauberman, c3c3_swap):
 def test_commutator_stable_under_twisting(glauberman):
     _, phi = glauberman
     td = twisted_data(phi)
-    assert commutator_with_automorphism(phi, td.commutator_phi) == td.commutator_phi
+    assert commutator_with_automorphism(phi, td.commutator_phi) == td.commutator_phi.member_set
+
+
+def test_commutator_stable_check_reads_the_twice_twisted_subgroup():
+    # [[G, phi], phi], as check_coprime_facts reads it, against the oracle on
+    # every corpus automorphism, coprime or not
+    proper = 0
+    for spec in default_corpus()["instances"]:
+        G, phi = build_corpus_instance(spec)
+        if phi is None:
+            continue
+        H = twisted_data(phi).commutator_phi
+        twice = commutator_twisted_data(phi).commutator_phi
+        assert twice.member_set == commutator_with_automorphism(phi, H), spec["id"]
+        proper += twice != H
+        if phi.coprime:
+            assert check_coprime_facts(phi)["commutator_stable"] == "pass", spec["id"]
+    assert proper
 
 
 def test_nilpotent_decompose_c3c3(c3c3_swap):

@@ -1,6 +1,9 @@
+import importlib.util
 import json
+import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +11,21 @@ from coprimelab.corpus import (build_corpus_instance, build_glauberman_example,
                                default_corpus, instance_id, load_instance)
 from coprimelab import corpus
 from coprimelab.errors import CapExceeded, NotBijective, ParseError, UnknownSpec
-from coprimelab.groups import element_bytes, generate_group
+from coprimelab.groups import BYTES_MAX_DEGREE, element_bytes, generate_group
 from coprimelab.structure import lower_central_series
+from helpers import regular_heisenberg
+
+
+def _load_workloads():
+    """perfbench/workloads.py: the benchmark's group templates and specs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
 
 
 @pytest.mark.parametrize("spec, order", [
@@ -36,6 +52,85 @@ def test_heisenberg_shape():
     G, _ = build_corpus_instance({"name": "heisenberg", "params": {"p": 3}})
     assert G.exponent() == 3
     assert lower_central_series(G).nilpotency_class == 2
+
+
+def _factors(spec: dict) -> list:
+    """A group spec's direct factors, products flattened; [spec] for a named group."""
+    if spec["name"] != "direct_product":
+        return [spec]
+    return [f for factor in spec["params"]["factors"] for f in _factors(factor)]
+
+
+def _heisenberg_7_templates() -> dict:
+    """The benchmark templates with a heisenberg(7) factor, instantiated."""
+    heis7 = {"name": "heisenberg", "params": {"p": 7}}
+    rng = random.Random(7)
+    found = {}
+    for name, template in WORKLOADS.TEMPLATES.items():
+        if heis7 in _factors(template[1]):
+            # a product with a heisenberg(7) factor would need a product oracle
+            assert template[1] == heis7, name
+            found[name] = WORKLOADS.instantiate(template, rng)
+    return found
+
+
+HEIS7_TEMPLATES = _heisenberg_7_templates()
+REGULAR_CASES = {
+    "heisenberg(7)": {"name": "heisenberg", "params": {"p": 7},
+                      "automorphism": {"recipe": "gen_powers", "powers": [2, 3]}},
+    "heisenberg(11)": {"name": "heisenberg", "params": {"p": 11},
+                       "automorphism": {"recipe": "gen_powers", "powers": [2, 3]}},
+    **HEIS7_TEMPLATES,
+}
+
+
+def test_the_heisenberg_7_templates_are_covered():
+    assert sorted(HEIS7_TEMPLATES) == ["heis7_inv", "heis7_ord6"]
+
+
+@pytest.mark.parametrize("name", REGULAR_CASES)
+def test_heisenberg_on_p_squared_points_matches_the_regular_action(name):
+    # the same generators of the same group: enumeration walks the same
+    # Cayley graph, whatever points the group acts on
+    spec = REGULAR_CASES[name]
+    p = spec["params"]["p"]
+    G, phi = build_corpus_instance(spec)
+    R = regular_heisenberg(p)
+    assert (G.degree, R.degree) == (p * p, p ** 3)
+    assert G.order == R.order == p ** 3
+    assert G._tree_parent == R._tree_parent and G._tree_gen == R._tree_gen
+    assert G._right == R._right
+    assert G._orders == R._orders and G._inverses == R._inverses
+    assert list(G.words) == list(R.words)
+    assert phi.table == corpus._spec_automorphism(R, spec, {}).table
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_heisenberg_keeps_the_regular_action_up_to_the_bytes_degree(p):
+    G = build_corpus_instance({"name": "heisenberg", "params": {"p": p}})[0]
+    assert G.degree == p ** 3 <= BYTES_MAX_DEGREE
+    assert G.generators == regular_heisenberg(p).generators
+
+
+def test_every_corpus_and_benchmark_group_is_stored_as_bytes():
+    specs = (default_corpus()["instances"] + [t[1] for t in WORKLOADS.TEMPLATES.values()]
+             + [WORKLOADS.GLAUBERMAN_SPEC, WORKLOADS.MUL_SMALL_SPEC])
+    for spec in specs:
+        G = build_corpus_instance(spec)[0]
+        assert G.degree <= BYTES_MAX_DEGREE and type(G._store[0]) is bytes, spec
+
+
+def test_a_construction_of_the_wrong_order_or_degree_is_a_bug(monkeypatch):
+    keys, requirement, valid, order, degree, build = corpus._NAMED["dihedral"]
+    # the rotation alone: order m, not 2m
+    monkeypatch.setitem(corpus._NAMED, "dihedral", (
+        keys, requirement, valid, order, degree, lambda m: (m, build(m)[1][:1], {})))
+    with pytest.raises(AssertionError, match="^params: construction has order 5, not 10"):
+        build_corpus_instance({"name": "dihedral", "params": {"m": 5}})
+    monkeypatch.setitem(corpus._NAMED, "dihedral", (
+        keys, requirement, valid, order, lambda m: m + 1, build))
+    with pytest.raises(AssertionError, match="^params: construction has degree 5, not 6"):
+        build_corpus_instance({"name": "dihedral", "params": {"m": 5}})
 
 
 def test_unknown_spec():
@@ -153,7 +248,7 @@ def _refuse_to_build(monkeypatch):
 @pytest.mark.parametrize("spec, path, megabytes", [
     ({"name": "cyclic", "params": {"m": 199999}}, "params", 320007),
     ({"name": "dihedral", "params": {"m": 99999}}, "params", 160007),
-    ({"name": "heisenberg", "params": {"p": 61}, "cap": 10 ** 6}, "params", 412175),
+    ({"name": "heisenberg", "params": {"p": 61}, "cap": 10 ** 6}, "params", 6769),
     ({"name": "direct_product",
       "params": {"factors": [{"name": "cyclic", "params": {"m": 500}},
                              {"name": "cyclic", "params": {"m": 399}}]}}, "params", 1445),

@@ -12,12 +12,13 @@ from helpers import (scan_index, tuple_compose, tuple_enumeration, tuple_inverse
                      tuple_power)
 
 SAMPLES = 60
-# degree 343 > BYTES_MAX_DEGREE: elements are stored as tuples
-TUPLE_STORE_SPEC = {"id": "heisenberg(7)", "name": "heisenberg", "params": {"p": 7}}
+# degree 300 > BYTES_MAX_DEGREE: elements are stored as tuples. No corpus or
+# benchmark group is; heisenberg(p) acts on p^2 points above that degree.
+TUPLE_STORE_SPEC = {"id": "dihedral(300)", "name": "dihedral", "params": {"m": 300}}
 
 
 def _corpus_groups():
-    """Every shipped corpus group and heisenberg(7), and G/G' for each
+    """Every shipped corpus group and dihedral(300), and G/G' for each
     nonabelian one."""
     out = []
     for spec in default_corpus()["instances"] + [TUPLE_STORE_SPEC]:

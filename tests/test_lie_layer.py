@@ -51,9 +51,13 @@ BENCH_GROUPS = {
 }
 
 
+# degree 300 > BYTES_MAX_DEGREE: elements are stored as tuples
+TUPLE_STORE = {"d300": {"name": "dihedral", "params": {"m": 300}}}
+
+
 @functools.cache
 def _group(name: str):
-    return build_corpus_instance(CORPUS.get(name) or BENCH_GROUPS[name])[0]
+    return build_corpus_instance({**CORPUS, **BENCH_GROUPS, **TUPLE_STORE}[name])[0]
 
 
 P_GROUPS = [spec_id for spec_id in CORPUS if prime_power_base(_group(spec_id).order)]
@@ -122,11 +126,12 @@ def _exponents(G) -> set:
     return out
 
 
-def test_heisenberg_7_is_stored_as_tuples():
-    assert _group("heis7").degree == 343 > groups.BYTES_MAX_DEGREE
+def test_dihedral_300_is_stored_as_tuples():
+    G = _group("d300")
+    assert G.degree == 300 > groups.BYTES_MAX_DEGREE and type(G._store[1]) is tuple
 
 
-@pytest.mark.parametrize("name", list(CORPUS) + ["heis7"])
+@pytest.mark.parametrize("name", list(CORPUS) + ["heis7", "d300"])
 def test_power_map_matches_power(name):
     G = _group(name)
     for m in sorted(_exponents(G)):

@@ -16,6 +16,7 @@ from coprimelab import report
 from coprimelab.errors import NotCoprime, NotSoluble
 from coprimelab.report import (analyze_instance, canonical_json, count_verdicts, run_suite,
                                theorem1_probe, theorem2_probe, thompson_probe)
+from coprimelab import structure
 from coprimelab.structure import lower_central_series
 from helpers import (_all_twisted_pair_closures, all_pairs_derived_length,
                      all_pairs_fixed_generation_S, generated_members, identity_automorphism,
@@ -200,6 +201,29 @@ def test_probe_bounds_hold_on_nilpotent_templates(inst_id):
 def test_one_corpus_pass_closes_a_pinned_number_of_subgroups(closures):
     run_suite(default_corpus())
     assert len(closures) == 118
+
+
+def test_one_derived_series_of_commutator_phi_per_instance(monkeypatch):
+    # soluble_exponent and theorem 2 both read the derived length of
+    # [G, phi], and so does a theorem-2 pair closure equal to [G, phi]
+    seen = []
+    inner = structure.derived_series
+
+    def counting(G, H=None):
+        if H is not None:
+            seen.append(H.member_set)
+        return inner(G, H)
+
+    monkeypatch.setattr(automorphisms, "derived_series", counting)
+    monkeypatch.setattr(report, "derived_series", counting)
+    counts = {}
+    for spec in default_corpus()["instances"]:
+        seen.clear()
+        analyze_instance(spec)
+        phi = build_corpus_instance(spec)[1]
+        if phi is not None:
+            counts[spec["id"]] = seen.count(twisted_data(phi).commutator_phi.member_set)
+    assert set(counts.values()) == {0, 1} and sum(counts.values()) == 27
 
 
 def test_theorem2_stops_at_the_derived_length_of_commutator_phi(closures):

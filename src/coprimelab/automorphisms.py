@@ -98,7 +98,7 @@ class TwistedData:
     (``commutator_derived_length``) once they are asked for."""
 
     def __init__(self, fixed: Subgroup, twisted: tuple, twisted_set: frozenset,
-                 producers: dict, commutator_phi: Subgroup, coprime: bool,
+                 producers: Optional[dict], commutator_phi: Subgroup, coprime: bool,
                  orbit_reps: Optional[list] = None):
         self.fixed = fixed
         self.twisted = twisted
@@ -119,16 +119,17 @@ def _twisted_images(phi: Automorphism, elements: Sequence[int]) -> list:
 
 def _twisted_on(phi: Automorphism, elements: Sequence[int]) -> TwistedData:
     """Twisted data of phi on the phi-invariant subgroup with these members,
-    in increasing order: its fixed points, its twisted set, the least x with
-    x^-1 x^phi = t for each twisted t, and the subgroup they generate."""
+    in increasing order: its fixed points, its twisted set and the subgroup it
+    generates; on G also the least x with x^-1 x^phi = t for each twisted t,
+    which only ``factorization_status`` reads (None on a proper subgroup)."""
     G = phi.group
     table = phi.table
     fixed = subgroup_generated(G, [x for x in elements if table[x] == x])
-    producers: dict[int, int] = {}
-    for x, t in zip(elements, _twisted_images(phi, elements)):
-        if t not in producers:
-            producers[t] = x
-    twisted = tuple(sorted(producers))
+    images = _twisted_images(phi, elements)
+    twisted = tuple(sorted(set(images)))
+    # walked backwards, so that the least x producing t is written last
+    producers = (dict(zip(reversed(images), reversed(elements)))
+                 if len(elements) == G.order else None)
     return TwistedData(fixed=fixed, twisted=twisted, twisted_set=frozenset(twisted),
                        producers=producers, commutator_phi=subgroup_generated(G, twisted),
                        coprime=phi.coprime)

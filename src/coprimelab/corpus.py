@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from importlib import resources
 from typing import Optional
 
 from .automorphisms import build_automorphism
 from .errors import (CapExceeded, InvalidPermutation, NotBijective, NotHomomorphism,
                      ParseError, UnknownSpec)
-from .gf import FiniteField
 from .groups import (BYTES_MAX_DEGREE, DEFAULT_CAP, FiniteGroup, column_bytes, degree_bytes,
                      element_bytes, generate_group)
 from .numutil import is_prime
@@ -88,6 +86,7 @@ def _modular(p: int) -> tuple:
 
 def _affine(p: int, k: int) -> tuple:
     """Full affine group x -> b*x + a of GF(p^k) on the field elements."""
+    from .gf import FiniteField  # on first use: only affine(p, k) and its Frobenius need a field
     field = FiniteField(p, k)
     q = field.order
     g = field.multiplicative_generator()
@@ -225,6 +224,7 @@ def _power_word(G: FiniteGroup, gen_index: int, k: int, where: str) -> tuple:
 
 def _frobenius_images_additive(p: int, k: int) -> list:
     """Images of the coordinate translations of GF(p^k) under x -> x^p."""
+    from .gf import FiniteField
     field = FiniteField(p, k)
     images = []
     for i in range(k):
@@ -384,5 +384,6 @@ def instance_id(spec: dict) -> str:
 
 def default_corpus() -> dict:
     """The versioned corpus shipped with the package."""
+    from importlib import resources  # on first use: only the shipped corpus is a resource
     text = resources.files("coprimelab").joinpath("data/corpus.json").read_text("utf-8")
     return json.loads(text)

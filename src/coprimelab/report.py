@@ -83,10 +83,12 @@ def theorem2_probe(phi: Automorphism) -> dict:
     The walk closes one pair per pair of <phi>-orbits on the twisted set
     (``twisted_pair_closures``), so d is exact. Every such closure lies in the
     phi-invariant [G, phi], so the walk stops once d reaches the derived
-    length of [G, phi], which is computed once (``commutator_derived_length``)
-    and read again for a closure equal to [G, phi]; an insoluble [G, phi]
-    gives no bound, so every closure is checked. Above the pair cap the probe is skipped, and it is skipped
-    first when the fixed subgroup is not nilpotent.
+    length of [G, phi], which is computed once (``commutator_derived_length``);
+    an insoluble [G, phi] gives no bound, so every closure is checked. Equal
+    closures from different pairs share one derived series: the walk keeps
+    one length per member set, [G, phi]'s among them. Above the pair cap the
+    probe is skipped, and it is skipped first when the fixed subgroup is not
+    nilpotent.
     """
     if not phi.coprime:
         raise NotCoprime("probe requires a coprime action")
@@ -99,9 +101,13 @@ def theorem2_probe(phi: Automorphism) -> dict:
     if reason:
         return {"skipped": reason}
     bound = commutator_derived_length(phi)
+    lengths = {td.commutator_phi.member_set: bound}  # derived length per distinct closure
     d = 0
     for K in twisted_pair_closures(phi, td):
-        dl = bound if K == td.commutator_phi else derived_series(G, K).derived_length
+        key = K.member_set
+        if key not in lengths:
+            lengths[key] = derived_series(G, K).derived_length
+        dl = lengths[key]
         if dl is None:
             return {"skipped": "a twisted-pair closure is insoluble"}
         d = max(d, dl)

@@ -74,9 +74,15 @@ MUTANTS = [
      "tests": ["tests/test_report_cli.py::test_one_derived_series_of_commutator_phi_per_instance"]},
     {"name": "theorem 2 recomputes a pair closure equal to [G, phi]",
      "file": "src/coprimelab/report.py",
-     "old": "        dl = bound if K == td.commutator_phi else derived_series(G, K).derived_length\n",
-     "new": "        dl = derived_series(G, K).derived_length\n",
+     "old": "    lengths = {td.commutator_phi.member_set: bound}",
+     "new": "    lengths = {}",
      "tests": ["tests/test_report_cli.py::test_one_derived_series_of_commutator_phi_per_instance"]},
+    {"name": "the theorem-2 memo keyed by the first pair element",
+     "file": "src/coprimelab/report.py",
+     "old": "        key = K.member_set\n",
+     "new": "        key = K.gens[:1]\n",
+     "tests": ["tests/test_report_cli.py::test_theorem2_derives_each_distinct_pair_closure_once",
+               "tests/test_report_cli.py::test_pair_walks_match_all_pairs_oracle_on_corpus"]},
     {"name": "a memo kept on the automorphism",
      "file": "src/coprimelab/automorphisms.py",
      "old": "        self._twisted: Optional[TwistedData] = None\n",
@@ -145,6 +151,37 @@ MUTANTS = [
      "old": "        pos += factor_degree\n",
      "new": "        pos += factor_degree + 1\n",
      "tests": ["tests/test_corpus.py::test_factory_orders"]},
+    # cold start: a process imports only what it runs
+    {"name": "the report imports the process pool at module level",
+     "file": "src/coprimelab/report.py",
+     "old": "\nfrom .automorphisms import (",
+     "new": "\nfrom concurrent.futures import ProcessPoolExecutor\nfrom .automorphisms import (",
+     "tests": ["tests/test_stdlib_only.py::test_cli_import_loads_no_pool_and_no_dataclasses"]},
+    {"name": "SubgroupSeries is a dataclass",
+     "file": "src/coprimelab/structure.py",
+     "old": "\nclass SubgroupSeries:",
+     "new": "\nfrom dataclasses import dataclass\n\n\n@dataclass\nclass SubgroupSeries:",
+     "tests": ["tests/test_stdlib_only.py::test_cli_import_loads_no_pool_and_no_dataclasses"]},
+    {"name": "are_conjugate with its two columns swapped",
+     "file": "src/coprimelab/groups.py",
+     "old": "map(operator.eq, G.extend_images(G._right, x), G.right_column(y))",
+     "new": "map(operator.eq, G.extend_images(G._right, y), G.right_column(x))",
+     "tests": ["tests/test_cayley_walks.py::test_are_conjugate_matches_the_full_scan"]},
+    {"name": "the package imports the Lie layer eagerly",
+     "file": "src/coprimelab/__init__.py",
+     "old": "from importlib import import_module\n",
+     "new": "from importlib import import_module\n\nfrom . import lie  # noqa: F401\n",
+     "tests": ["tests/test_stdlib_only.py::test_package_import_loads_no_submodule"]},
+    {"name": "the corpus imports the finite field at module level",
+     "file": "src/coprimelab/corpus.py",
+     "old": "from .numutil import is_prime\n",
+     "new": "from .numutil import is_prime\nfrom .gf import FiniteField  # noqa: F401\n",
+     "tests": ["tests/test_stdlib_only.py::test_building_a_group_loads_only_the_construction_modules"]},
+    {"name": "producers kept on the data of phi on [G, phi]",
+     "file": "src/coprimelab/automorphisms.py",
+     "old": "\n                 if len(elements) == G.order else None)",
+     "new": ")",
+     "tests": ["tests/test_automorphisms.py::test_producers_are_kept_on_the_data_of_phi_on_g_only"]},
 ]
 
 

@@ -165,6 +165,26 @@ def test_commutator_stable_under_twisting(glauberman):
     assert commutator_with_automorphism(phi, td.commutator_phi) == td.commutator_phi.member_set
 
 
+def test_producers_are_kept_on_the_data_of_phi_on_g_only():
+    # the least x with x^-1 x^phi = t, which factorization_status reads on
+    # G's data alone; the data of phi on a proper [G, phi] keeps none
+    proper = 0
+    for spec in default_corpus()["instances"]:
+        G, phi = build_corpus_instance(spec)
+        if phi is None:
+            continue
+        least = {}
+        for x in range(G.order):
+            least.setdefault(G.mul(G.inv(x), phi.table[x]), x)
+        td = twisted_data(phi)
+        assert td.producers == least, spec["id"]
+        inner = commutator_twisted_data(phi)
+        if inner is not td:
+            assert inner.producers is None, spec["id"]
+            proper += 1
+    assert proper
+
+
 def test_commutator_stable_check_reads_the_twice_twisted_subgroup():
     # [[G, phi], phi], as check_coprime_facts reads it, against the oracle on
     # every corpus automorphism, coprime or not

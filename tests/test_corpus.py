@@ -9,7 +9,7 @@ import pytest
 
 from coprimelab.corpus import (build_corpus_instance, build_glauberman_example,
                                default_corpus, instance_id, load_instance)
-from coprimelab import corpus
+from coprimelab import corpus, gf
 from coprimelab.errors import CapExceeded, NotBijective, ParseError, UnknownSpec
 from coprimelab.groups import BYTES_MAX_DEGREE, element_bytes, generate_group
 from coprimelab.structure import lower_central_series
@@ -232,7 +232,7 @@ def test_cap_checked_before_anything_is_built(spec, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a group above the cap")
     monkeypatch.setattr(corpus, "generate_group", refuse)
-    monkeypatch.setattr(corpus, "FiniteField", refuse)
+    monkeypatch.setattr(gf, "FiniteField", refuse)
     with pytest.raises(CapExceeded):
         build_corpus_instance(spec)
 
@@ -241,7 +241,7 @@ def _refuse_to_build(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a group above the store budget")
     monkeypatch.setattr(corpus, "generate_group", refuse)
-    monkeypatch.setattr(corpus, "FiniteField", refuse)
+    monkeypatch.setattr(gf, "FiniteField", refuse)
 
 
 # Each is within its cap; its elements would take about the given number of MB.

@@ -226,6 +226,29 @@ def test_one_derived_series_of_commutator_phi_per_instance(monkeypatch):
     assert set(counts.values()) == {0, 1} and sum(counts.values()) == 27
 
 
+def test_theorem2_derives_each_distinct_pair_closure_once(monkeypatch):
+    # heis5_inv's pair walk meets 7 of its closures twice, heis3_inv and
+    # heis3_c5_inv one each: 69 calls before the walk kept one derived length
+    # per distinct closure
+    seen = []
+    inner = structure.derived_series
+
+    def counting(G, H=None):
+        if H is not None:
+            seen.append(H.member_set)
+        return inner(G, H)
+
+    monkeypatch.setattr(automorphisms, "derived_series", counting)
+    monkeypatch.setattr(report, "derived_series", counting)
+    total = 0
+    for spec in default_corpus()["instances"]:
+        seen.clear()
+        analyze_instance(spec)
+        assert len(set(seen)) == len(seen), spec["id"]
+        total += len(seen)
+    assert total == 60
+
+
 def test_theorem2_stops_at_the_derived_length_of_commutator_phi(closures):
     # mod7_ord3 has derived length 2, but [G, phi] is abelian: the walk stops
     # at d = 1, after the trivial pair closure and one more

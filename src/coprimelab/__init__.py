@@ -15,7 +15,7 @@ _HOMES = {
     "corpus": ("build_corpus_instance", "build_glauberman_example", "default_corpus",
                "load_instance"),
     "gf": ("FiniteField",),
-    "groups": ("DEFAULT_CAP", "FiniteGroup", "Subgroup", "QuotientGroup", "are_conjugate",
+    "groups": ("DEFAULT_CAP", "FiniteGroup", "Subgroup", "are_conjugate",
                "center", "centralizer", "commutator_subgroup_pair", "generate_group",
                "quotient_group", "subgroup_generated"),
     "lie": ("GradedLieAlgebra", "NpSeries", "build_graded_lie", "check_lazard_all", "check_riley",

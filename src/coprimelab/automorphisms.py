@@ -50,9 +50,6 @@ class Automorphism:
     def coprime(self) -> bool:
         return math.gcd(self.group.order, self.order_n) == 1
 
-    def __repr__(self) -> str:
-        return f"Automorphism(order={self.order_n} on group of order {self.group.order})"
-
 
 def automorphism_from_images(G: FiniteGroup, images: Sequence[int]) -> Automorphism:
     """The automorphism that sends generator i to element ``images[i]``;

@@ -19,6 +19,7 @@ from .lie import (build_graded_lie, check_lazard_all, check_riley, extend_and_ei
                   verify_np_series)
 from .numutil import is_prime, prime_power_base
 from .report import _auto_section, _group_section, canonical_json, count_verdicts, run_suite
+from .structure import lower_central_series
 
 # Imported at module level, so that a command's time holds no import, and
 # after the package: argparse's modules alive while the package compiles
@@ -50,6 +51,14 @@ def _load_file(path: str) -> dict:
     return data
 
 
+def _load_pair(args) -> tuple:
+    """The group and automorphism of the input file, which must carry one."""
+    G, phi, _ = load_instance(_load_file(args.file), cap=args.cap)
+    if phi is None:
+        raise ParseError("automorphism: missing")
+    return G, phi
+
+
 def _emit(payload: dict) -> None:
     sys.stdout.write(canonical_json(payload) + "\n")
 
@@ -63,9 +72,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_auto(args) -> int:
-    G, phi, _ = load_instance(_load_file(args.file), cap=args.cap)
-    if phi is None:
-        raise ParseError("input carries no automorphism")
+    G, phi = _load_pair(args)
     section = _auto_section(G, phi)
     _emit(section)
     fails = count_verdicts(section)["fail"]
@@ -74,10 +81,12 @@ def cmd_auto(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    spec = _load_file(args.file)
-    G, phi, _ = load_instance(spec, cap=args.cap)
-    if phi is None:
-        raise ParseError("input carries no automorphism")
+    G, phi = _load_pair(args)
+    if not phi.coprime:
+        raise ParseError(f"automorphism: its order {phi.order_n} shares a factor "
+                         f"with the group order {G.order}")
+    if not lower_central_series(G).is_nilpotent:
+        raise ParseError(f"{args.file}: group of order {G.order} is not nilpotent")
     try:
         x = G.evaluate_word(int(tok) for tok in args.element.split(",") if tok.strip())
     except ValueError as exc:
@@ -95,8 +104,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_lie(args) -> int:
-    spec = _load_file(args.file)
-    G, phi, _ = load_instance(spec, cap=args.cap)
+    G, _, _ = load_instance(_load_file(args.file), cap=args.cap)
     p = prime_power_base(G.order)
     if args.p is not None:
         if not is_prime(args.p):
@@ -105,7 +113,7 @@ def cmd_lie(args) -> int:
             raise ParseError(f"--p {args.p}: group order {G.order} is not a power of it")
         p = args.p
     if p is None:
-        raise ParseError("group order is not a prime power; pass --p")
+        raise ParseError(f"--p: missing, and group order {G.order} is not a prime power")
     series = jlz_series(G, p)
     A = build_graded_lie(series)
     sparse = [[list(k), list(v)] for k, v in sorted(A.brackets.items())]
@@ -116,7 +124,7 @@ def cmd_lie(args) -> int:
         "lie_class": A.lie_class_of_generated(),
         "structure_constants": sparse,
         "lazard": check_lazard_all(A)["verdict"],
-        "riley": check_riley(G, p, algebra=A)["verdict"],
+        "riley": check_riley(A)["verdict"],
     }
     _emit(payload)
     print(f"lie: dims {payload['layer_dims']}, class {payload['lie_class']}", file=sys.stderr)
@@ -124,15 +132,16 @@ def cmd_lie(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    spec = _load_file(args.file)
-    G, phi, _ = load_instance(spec, cap=args.cap)
-    if phi is None:
-        raise ParseError("input carries no automorphism")
+    G, phi = _load_pair(args)
     p = prime_power_base(G.order)
     if p is None:
-        raise ParseError("group order is not a prime power")
+        raise ParseError(f"{args.file}: group order {G.order} is not a prime power")
     A = build_graded_lie(jlz_series(G, p))
-    if args.n is not None:
+    if args.n is None:
+        if phi.order_n % p == 0:
+            raise ParseError(f"automorphism: its order {phi.order_n} shares a factor "
+                             f"with the characteristic {p}")
+    else:
         if args.n < 1:
             raise ParseError(f"--n {args.n}: not a positive integer")
         if math.gcd(args.n, p) != 1:

@@ -68,55 +68,6 @@ def poly_mod(a, b, p):
     return poly_divmod(a, b, p)[1]
 
 
-def poly_gcd(a, b, p):
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        a, b = b, poly_mod(a, b, p)
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = poly_trim([(c * inv_lead) % p for c in a])
-    return a
-
-
-def poly_powmod(a, e, mod, p):
-    result = (1,)
-    base = poly_mod(a, mod, p)
-    while e > 0:
-        if e & 1:
-            result = poly_mod(poly_mul(result, base, p), mod, p)
-        base = poly_mod(poly_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def poly_is_irreducible(f, p) -> bool:
-    """Irreducibility over F_p: root scan up to degree 3, Rabin's test above."""
-    f = poly_trim(f)
-    deg = len(f) - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    if deg <= 3:
-        return all(_poly_eval(f, x, p) != 0 for x in range(p))
-    x = (0, 1)
-    # x^(p^deg) must equal x mod f, and x^(p^(deg/q)) - x must be coprime to f
-    if poly_sub(poly_powmod(x, p ** deg, f, p), x, p) != ():
-        return False
-    for q in factorization(deg):
-        g = poly_gcd(poly_sub(poly_powmod(x, p ** (deg // q), f, p), x, p), f, p)
-        if g != (1,):
-            return False
-    return True
-
-
-def _poly_eval(f, x, p) -> int:
-    out = 0
-    for c in reversed(f):
-        out = (out * x + c) % p
-    return out
-
-
 def digits(code: int, p: int, k: int) -> tuple:
     """The k base-p digits of code, least significant first."""
     out = []
@@ -134,6 +85,14 @@ def least_monic(p: int, k: int, accept) -> Optional[tuple]:
         if accept(f):
             return f
     return None
+
+
+def poly_is_irreducible(f, p) -> bool:
+    """Irreducibility over F_p by trial division: no monic polynomial of
+    degree 1 to deg/2 divides f."""
+    f = poly_trim(f)
+    return len(f) > 1 and all(least_monic(p, d, lambda g: not poly_mod(f, g, p)) is None
+                              for d in range(1, (len(f) - 1) // 2 + 1))
 
 
 def default_modulus(p: int, k: int) -> tuple:
@@ -232,7 +191,13 @@ class FiniteField:
             a, e = self.inv(a), -e
         if self.k == 1:
             return pow(a, e, self.p)
-        return self.code(poly_powmod(self.coeffs(a), e, self.modulus, self.p))
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
 
     def multiplicative_order(self, a: int) -> int:
         if a == 0:
@@ -256,6 +221,3 @@ class FiniteField:
             if self.multiplicative_order(a) == target:
                 return a
         raise AssertionError("no multiplicative generator found")
-
-    def __repr__(self):
-        return f"FiniteField(p={self.p}, k={self.k}, modulus={self.modulus})"

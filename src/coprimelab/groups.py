@@ -387,12 +387,6 @@ class FiniteGroup:
             raise KeyError(perm)
         return i
 
-    def __contains__(self, perm: Perm) -> bool:
-        try:
-            return self.element_index(perm) >= 0
-        except KeyError:
-            return False
-
     def evaluate_word(self, word: Iterable[int]) -> int:
         """Evaluate a signed 1-based generator word to an element index."""
         out = 0
@@ -414,11 +408,6 @@ class FiniteGroup:
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (0,), ())
 
-    def __len__(self) -> int:
-        return self.order
-
-    def __repr__(self) -> str:
-        return f"FiniteGroup(degree={self.degree}, order={self.order})"
 
 
 class Subgroup:
@@ -467,12 +456,6 @@ class Subgroup:
     def is_whole(self) -> bool:
         return len(self.members) == self.parent.order
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.member_set
-
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.member_set <= other.member_set
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subgroup) and self.parent is other.parent
                 and self.member_set == other.member_set)
@@ -484,9 +467,6 @@ class Subgroup:
         if self._exponent == 0:
             self._exponent = self.parent.exponent_of(self.members)
         return self._exponent
-
-    def __repr__(self) -> str:
-        return f"Subgroup(order={self.order} of {self.parent.order})"
 
 
 def generate_group(degree: int, generators: Sequence[Sequence[int]],
@@ -664,25 +644,10 @@ def coset_labels(G: FiniteGroup, N: Subgroup, within: Optional[Subgroup] = None)
     return labels, reps
 
 
-class QuotientGroup:
-    """Quotient G/N realized as permutations of coset indices.
-
-    ``quotient`` is the coset-permutation group itself and ``to_quotient``
-    maps a parent element to its image's element index there.
-    """
-
-    def __init__(self, parent, kernel, quotient, to_quotient):
-        self.parent = parent
-        self.kernel = kernel
-        self.quotient = quotient
-        self.to_quotient = to_quotient
-
-    def __repr__(self) -> str:
-        return f"QuotientGroup(order={self.quotient.order})"
-
-
-def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
-    """Quotient by a normal subgroup; raises NotNormal otherwise."""
+def quotient_group(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
+    """G/N as the permutations of the cosets of a normal subgroup N; raises
+    NotNormal otherwise. Generator i of the quotient is the image of generator
+    i of G, so ``G.extend_images(Q._right)`` is the projection onto Q."""
     witness = normality_witness(G, N.gens, N.member_set)
     if witness is not None:
         raise NotNormal(f"subgroup of order {N.order} is not normal "
@@ -694,5 +659,4 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
     quotient = generate_group(num, qgens, cap=max(num, 1))
     if quotient.order * N.order != G.order:
         raise AssertionError("coset action has the wrong order; kernel is not normal")
-    to_q = G.extend_images(quotient._right)
-    return QuotientGroup(G, N, quotient, tuple(to_q))
+    return quotient

@@ -1,7 +1,7 @@
 """Filtration series of p-groups and the associated graded Lie algebra over F_p.
 
-The canonical series is built from lower-central terms and their p-power
-subgroups; its layers are elementary abelian and carry a bracket induced by
+The canonical series is built by Jennings' recursion from commutators and
+p-th powers; its layers are elementary abelian and carry a bracket induced by
 group commutators. On top of that live the power-compatibility check of the
 graded bracket, the powerful-quotient criterion, span subalgebras attached
 to subgroups, fixed-point comparisons under a coprime automorphism, and the
@@ -19,9 +19,8 @@ from .errors import (NotAPGroup, NotCoprime, NotCoprimeToP,
 from .gf import FiniteField, cyclotomic_polynomial, least_monic, poly_divmod
 from .groups import FiniteGroup, Subgroup, coset_labels, subgroup_generated
 from .linalg import (in_span, intersect_spans, mat_from_columns, mat_mul, identity_matrix,
-                     mat_sub, mat_vec, nullspace, rref, span_basis, spans_equal)
-from .structure import (commutator_subgroup_pair, is_powerful, lower_central_series,
-                        power_subgroup)
+                     mat_sub, mat_vec, nullspace, rref)
+from .structure import commutator_subgroup_pair, is_powerful, power_subgroup
 from .numutil import factorization, multiplicative_order_mod, prime_power_base
 
 
@@ -45,60 +44,25 @@ class NpSeries:
 
 
 def jlz_series(G: FiniteGroup, p: int) -> NpSeries:
-    """Canonical filtration: term i is the product of the p^k-th power
-    subgroups of the j-th lower-central terms over all j * p^k >= i."""
-    base = prime_power_base(G.order)
-    if G.order > 1 and base != p:
+    """Canonical filtration by Jennings' recursion: D_1 = G and
+    D_i = [D_(i-1), G] (D_ceil(i/p))^p. By Jennings' theorem (Jennings 1941,
+    *Trans. AMS* 50; Dixon, du Sautoy, Mann and Segal, *Analytic pro-p Groups*,
+    ch. 11) term i is the product of the p^k-th power subgroups of the j-th
+    lower-central terms over all j * p^k >= i. Both factors are normal, so the
+    term is generated by their generators together. The series repeats terms,
+    so each p-th power subgroup is built once per distinct term."""
+    if G.order > 1 and prime_power_base(G.order) != p:
         raise NotAPGroup(f"order {G.order} is not a power of {p}")
-    if G.order == 1:
-        return NpSeries(G, p, (G.trivial_subgroup(),))
-    lcs = lower_central_series(G)
-    gammas = list(lcs.terms)  # strict; gamma_j trivial beyond
-
-    def gamma(j: int) -> Subgroup:
-        return gammas[j - 1] if j <= len(gammas) else G.trivial_subgroup()
-
-    max_j = len(gammas)
-    power_cache: dict[tuple, Subgroup] = {}
-
-    def gamma_power(j: int, k: int) -> Subgroup:
-        key = (j, k)
-        if key not in power_cache:
-            g = gamma(j)
-            if k == 0:
-                out = g
-            elif g.is_trivial or p ** k >= g.exponent():
-                # exponents in a p-group are p-powers, so p^k >= exp divides out
-                out = G.trivial_subgroup()
-            else:
-                out = power_subgroup(G, p ** k, within=g)
-            power_cache[key] = out
-        return power_cache[key]
-
-    max_k = 0
-    while p ** max_k < G.exponent():
-        max_k += 1
-    terms = [G.whole_subgroup()]
-    i = 2
+    whole = G.whole_subgroup()
+    terms = [whole]
+    powers: dict[Subgroup, Subgroup] = {}
     while not terms[-1].is_trivial:
-        pieces = []
-        for j in range(1, max_j + 1):
-            if gamma(j).is_trivial:
-                continue
-            for k in range(0, max_k + 1):
-                if j * p ** k >= i:
-                    piece = gamma_power(j, k)
-                    if not piece.is_trivial:
-                        pieces.append(piece)
-                    break  # larger k gives smaller subgroups, already covered
-        if pieces:
-            seeds: set[int] = set()
-            for piece in pieces:
-                seeds.update(piece.gens)
-            terms.append(subgroup_generated(G, seeds))
-        else:
-            terms.append(G.trivial_subgroup())
-        i += 1
+        i = len(terms) + 1
+        source = terms[(i - 1) // p]  # D_ceil(i/p)
+        if source not in powers:
+            powers[source] = power_subgroup(G, p, within=source)
+        commutators = commutator_subgroup_pair(G, terms[-1], whole)
+        terms.append(subgroup_generated(G, commutators.gens + powers[source].gens))
     return NpSeries(G, p, tuple(terms))
 
 
@@ -206,8 +170,6 @@ class GradedLieAlgebra:
         self.field = FiniteField(self.p, 1)
         self.units = [identity_matrix(layer.dim) for layer in layers]
         self.lp_layers = self._generate_from_first_layer()
-        self.lp_flags = [tuple(in_span(u, span, self.field) for u in units)
-                         for units, span in zip(self.units, self.lp_layers)]
 
     @property
     def dims(self) -> tuple:
@@ -397,14 +359,12 @@ def verify_bracket_axioms(A: GradedLieAlgebra) -> dict:
             "antisymmetry": anti_ok, "jacobi": jacobi_ok}
 
 
-def check_riley(G: FiniteGroup, p: int, algebra: Optional[GradedLieAlgebra] = None) -> dict:
+def check_riley(A: GradedLieAlgebra) -> dict:
     """With c the class of the layer-1-generated subalgebra, the (c+1)-st
     filtration term must be powerful."""
-    if algebra is None:
-        algebra = build_graded_lie(jlz_series(G, p))
-    c = algebra.lie_class_of_generated()
-    term = algebra.series.term(c + 1)
-    powerful = is_powerful(G, p, subgroup=term)
+    c = A.lie_class_of_generated()
+    term = A.series.term(c + 1)
+    powerful = is_powerful(A.group, A.p, subgroup=term)
     return {"lie_class": c, "term_order": term.order,
             "verdict": "pass" if powerful else "fail"}
 
@@ -416,7 +376,7 @@ def subalgebra_of_subgroup(A: GradedLieAlgebra, H: Subgroup) -> list[tuple]:
         term_members = A.series.term(i).member_set
         # the rref of a span is canonical, so each distinct vector is passed once
         vecs = dict.fromkeys(A.coords(i, h) for h in H.members if h in term_members)
-        spans.append(span_basis([v for v in vecs if any(v)], A.field))
+        spans.append(rref(vecs, A.field))
     return spans
 
 
@@ -487,7 +447,7 @@ def lie_fixed_points(A: GradedLieAlgebra, phi) -> dict:
         kernel = nullspace(delta, dim, F)
         lhs = intersect_spans(kernel, A.lp_layers[i - 1], F)
         rhs = intersect_spans(spans[i - 1], A.lp_layers[i - 1], F)
-        ok = spans_equal(lhs, rhs, F)
+        ok = lhs == rhs  # both are rref, which is canonical for a span
         all_ok = all_ok and ok
         per_layer.append({"layer": i, "fixed_dim": len(lhs),
                           "span_dim": len(rhs), "verdict": "pass" if ok else "fail"})

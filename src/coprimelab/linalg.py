@@ -42,10 +42,6 @@ def rref(rows: Sequence[tuple], F) -> tuple:
     return tuple(tuple(r) for r in mat[:pivot_row] if any(r))
 
 
-def span_basis(vectors, F) -> tuple:
-    return rref(list(vectors), F)
-
-
 def in_span(v, basis, F) -> bool:
     """Reduce v against an rref basis; True iff the remainder vanishes."""
     residue = list(v)
@@ -55,10 +51,6 @@ def in_span(v, basis, F) -> bool:
             factor = residue[lead]
             residue = [F.sub(a, F.mul(factor, b)) for a, b in zip(residue, row)]
     return not any(residue)
-
-
-def spans_equal(b1, b2, F) -> bool:
-    return rref(list(b1), F) == rref(list(b2), F)
 
 
 def nullspace(rows: Sequence[tuple], ncols: int, F) -> tuple:
@@ -119,7 +111,8 @@ def mat_mul(A, B, F):
 
 
 def intersect_spans(b1, b2, F) -> tuple:
-    """Zassenhaus intersection of two row spans (vectors of equal length)."""
+    """Zassenhaus intersection of two row spans (vectors of equal length), as
+    its rref, which is canonical."""
     if not b1 or not b2:
         return ()
     n = len(b1[0])

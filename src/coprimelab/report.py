@@ -231,7 +231,7 @@ def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
         "lie_class": c,
         "lazard": check_lazard_all(A)["verdict"],
     }
-    riley = check_riley(G, p, algebra=A)
+    riley = check_riley(A)
     section["riley"] = riley["verdict"]
     section["riley_term_order"] = riley["term_order"]
     term = A.series.term(c + 1)

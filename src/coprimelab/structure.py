@@ -13,9 +13,8 @@ from .numutil import is_prime, p_part, prime_factors, prime_power_base
 class SubgroupSeries:
     """Descending subgroup series with strict terms only."""
 
-    def __init__(self, terms: tuple, kind: str):
+    def __init__(self, terms: tuple):
         self.terms = terms
-        self.kind = kind
 
     @property
     def reaches_trivial(self) -> bool:
@@ -54,7 +53,7 @@ def _commutator_series(G: FiniteGroup, H: Optional[Subgroup], kind: str) -> Subg
     if H is None:
         cached = G.cache.get(kind)
         if cached is not None:
-            return SubgroupSeries(tuple(Subgroup.from_data(G, data) for data in cached), kind)
+            return SubgroupSeries(tuple(Subgroup.from_data(G, data) for data in cached))
     top = cur = H if H is not None else G.whole_subgroup()
     terms = [cur]
     while True:
@@ -65,7 +64,7 @@ def _commutator_series(G: FiniteGroup, H: Optional[Subgroup], kind: str) -> Subg
         cur = nxt
         if cur.is_trivial:
             break
-    series = SubgroupSeries(tuple(terms), kind)
+    series = SubgroupSeries(tuple(terms))
     if H is None:
         G.cache[kind] = tuple(term.data for term in terms)
     return series
@@ -147,7 +146,7 @@ def fitting_height(G: FiniteGroup) -> int:
         F = fitting_subgroup(cur)
         if F.is_trivial:
             raise AssertionError("nontrivial soluble group has trivial Fitting subgroup")
-        cur = quotient_group(cur, F).quotient
+        cur = quotient_group(cur, F)
         height += 1
     G.cache["fitting_height"] = height
     return height

@@ -5,12 +5,23 @@ done by repeated pairwise multiplication over whole member sets, orders by
 repeated multiplication, so they stay independent of the paths they check.
 """
 
+import importlib.util
 import math
 from functools import reduce
+from pathlib import Path
 
 from coprimelab.automorphisms import Automorphism, automorphism_from_images, is_phi_invariant
 from coprimelab.errors import NotInvariant
 from coprimelab.groups import FiniteGroup, generate_group
+
+
+def load_workloads():
+    """perfbench/workloads.py: the benchmark's group templates and specs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def identity_automorphism(G: FiniteGroup) -> Automorphism:
@@ -485,14 +496,20 @@ def restrict_automorphism(phi, H):
     return Hg, automorphism_from_images(Hg, images), to_parent
 
 
-def quotient_automorphism(phi, Q) -> Automorphism:
-    """Automorphism induced on a quotient by a phi-invariant normal kernel."""
+def quotient_projection(G: FiniteGroup, Q: FiniteGroup) -> list:
+    """The index in Q = ``quotient_group(G, N)`` of the image of every element
+    of G: generator i of Q is the image of generator i of G."""
+    return G.extend_images(Q._right)
+
+
+def quotient_automorphism(phi, N, Q) -> Automorphism:
+    """Automorphism induced on Q = ``quotient_group(G, N)`` by phi, whose
+    normal kernel N must be phi-invariant."""
     G = phi.group
-    if not is_phi_invariant(phi, Q.kernel):
+    if not is_phi_invariant(phi, N):
         raise NotInvariant("kernel is not phi-invariant")
-    to_q = Q.to_quotient
-    induced = automorphism_from_images(
-        Q.quotient, [to_q[phi.table[g]] for g in G.generator_indices])
+    to_q = quotient_projection(G, Q)
+    induced = automorphism_from_images(Q, [to_q[phi.table[g]] for g in G.generator_indices])
     if (list(map(to_q.__getitem__, phi.table))
             != list(map(induced.table.__getitem__, to_q))):
         raise NotInvariant("induced quotient map is not well defined")
@@ -505,9 +522,10 @@ def quotient_fixed_points_by_group(phi, N) -> bool:
     automorphism: the oracle for the ``quotient_fixed_points`` check."""
     from coprimelab.groups import quotient_group
     Q = quotient_group(phi.group, N)
-    qphi = quotient_automorphism(phi, Q)
+    qphi = quotient_automorphism(phi, N, Q)
     fixed = {q for q, image in enumerate(qphi.table) if image == q}
-    return fixed == {Q.to_quotient[x] for x in range(phi.group.order) if phi.table[x] == x}
+    to_q = quotient_projection(phi.group, Q)
+    return fixed == {to_q[x] for x in range(phi.group.order) if phi.table[x] == x}
 
 
 class ProductCounter:

@@ -182,6 +182,32 @@ MUTANTS = [
      "old": "\n                 if len(elements) == G.order else None)",
      "new": ")",
      "tests": ["tests/test_automorphisms.py::test_producers_are_kept_on_the_data_of_phi_on_g_only"]},
+    # the Lie and field layers from their defining recursions
+    {"name": "Jennings' recursion reads D_floor(i/p)",
+     "file": "src/coprimelab/lie.py",
+     "old": "        source = terms[(i - 1) // p]  # D_ceil(i/p)\n",
+     "new": "        source = terms[i // p - 1]  # D_ceil(i/p)\n",
+     "tests": ["tests/test_lie.py::test_jlz_terms_against_product_of_powers_oracle"]},
+    {"name": "Jennings' recursion commutates D_(i-1) with itself",
+     "file": "src/coprimelab/lie.py",
+     "old": "commutator_subgroup_pair(G, terms[-1], whole)",
+     "new": "commutator_subgroup_pair(G, terms[-1], terms[-1])",
+     "tests": ["tests/test_lie.py::test_jlz_terms_against_product_of_powers_oracle"]},
+    {"name": "trial division stops one degree short",
+     "file": "src/coprimelab/gf.py",
+     "old": "for d in range(1, (len(f) - 1) // 2 + 1))",
+     "new": "for d in range(1, (len(f) - 1) // 2))",
+     "tests": ["tests/test_gf.py::test_irreducibility_degree4_paths"]},
+    {"name": "field pow drops its last multiply",
+     "file": "src/coprimelab/gf.py",
+     "old": "        while e:\n            if e & 1:\n",
+     "new": "        while e > 1:\n            if e & 1:\n",
+     "tests": ["tests/test_gf.py::test_pow_matches_repeated_mul"]},
+    {"name": "a stored attribute that src never reads",
+     "file": "src/coprimelab/structure.py",
+     "old": "        self.terms = terms\n",
+     "new": "        self.terms = terms\n        self.kind = \"lower-central\"\n",
+     "tests": ["tests/test_no_dead_code.py::test_every_stored_attribute_is_read_in_src"]},
 ]
 
 

@@ -165,7 +165,7 @@ def test_criterion_5_lazard_identity(built_instances):
 def test_criterion_6_riley_criterion(built_instances):
     with criterion(6, "powerful filtration-term criterion"):
         for inst_id, G, phi, p in _corpus_p_groups(built_instances):
-            assert check_riley(G, p)["verdict"] == "pass", inst_id
+            assert check_riley(build_graded_lie(jlz_series(G, p)))["verdict"] == "pass", inst_id
 
 
 def test_criterion_7_eigen_decomposition(built_instances):

@@ -14,7 +14,7 @@ from coprimelab.structure import sylow_subgroup
 from helpers import (commutator_with_automorphism, identity_automorphism,
                      per_element_decomposition_witness,
                      quaternion_group, quotient_automorphism, quotient_fixed_points_by_group,
-                     restrict_automorphism)
+                     quotient_projection, restrict_automorphism)
 
 
 def c7_square():
@@ -261,8 +261,8 @@ def test_quotient_automorphism_glauberman(glauberman):
     G, phi = glauberman
     A = sylow_subgroup(G, 5)
     Q = quotient_group(G, A)
-    qphi = quotient_automorphism(phi, Q)
-    fixed_count = sum(1 for q in range(Q.quotient.order) if qphi.table[q] == q)
+    qphi = quotient_automorphism(phi, A, Q)
+    fixed_count = sum(1 for q in range(Q.order) if qphi.table[q] == q)
     assert fixed_count == 4  # image of the fixed subgroup: order 20 over kernel 5
 
 
@@ -373,9 +373,10 @@ def test_automorphism_walks_match_brute_force_on_corpus():
                    for i in range(H.order)), name
         for _, N in automorphisms.default_normal_family(phi):
             Q = quotient_group(G, N)
-            qphi = quotient_automorphism(phi, Q)
-            induced = {Q.to_quotient[x]: Q.to_quotient[phi.table[x]] for x in range(G.order)}
-            assert qphi.table == tuple(induced[q] for q in range(Q.quotient.order)), name
+            qphi = quotient_automorphism(phi, N, Q)
+            to_q = quotient_projection(G, Q)
+            induced = {to_q[x]: to_q[phi.table[x]] for x in range(G.order)}
+            assert qphi.table == tuple(induced[q] for q in range(Q.order)), name
         checked += 1
     assert checked >= 10
 

@@ -1,9 +1,7 @@
-import importlib.util
 import json
 import random
 import re
 import time
-from pathlib import Path
 
 import pytest
 
@@ -13,19 +11,10 @@ from coprimelab import corpus, gf
 from coprimelab.errors import CapExceeded, NotBijective, ParseError, UnknownSpec
 from coprimelab.groups import BYTES_MAX_DEGREE, element_bytes, generate_group
 from coprimelab.structure import lower_central_series
-from helpers import regular_heisenberg
+from helpers import load_workloads, regular_heisenberg
 
 
-def _load_workloads():
-    """perfbench/workloads.py: the benchmark's group templates and specs."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _load_workloads()
+WORKLOADS = load_workloads()
 
 
 @pytest.mark.parametrize("spec, order", [

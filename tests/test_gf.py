@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coprimelab.gf import (FiniteField, cyclotomic_polynomial, default_modulus,
-                           poly_divmod, poly_gcd, poly_is_irreducible, poly_mul)
+from coprimelab.gf import (FiniteField, cyclotomic_polynomial, default_modulus, digits,
+                           poly_divmod, poly_is_irreducible, poly_mul)
+from coprimelab.numutil import divisors, factorization
 
 GF125 = FiniteField(5, 3)
 GF8 = FiniteField(2, 3)
@@ -98,6 +99,33 @@ def test_cyclotomic_polynomials():
     assert q == (1, 0, 1, 1)  # x^3 + x^2 + 1
 
 
-def test_poly_gcd_and_mul():
+def test_poly_mul_and_divmod():
     f = poly_mul((1, 1), (2, 1), 5)
-    assert poly_gcd(f, (1, 1), 5) == (1, 1)
+    assert poly_divmod(f, (1, 1), 5) == ((2, 1), ())
+    assert poly_divmod(f, (0, 1), 5) == ((3, 1), (2,))
+
+
+def _mobius(n: int) -> int:
+    exponents = factorization(n).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+
+
+@pytest.mark.parametrize("p, k", [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+                                  for k in range(1, 11) if p ** k <= 3 ** 6 or p ** k <= 2 ** 10])
+def test_irreducible_count_is_gauss_count(p, k):
+    # Gauss: (1/k) * sum over d | k of mu(d) p^(k/d) monic irreducibles of degree k
+    expected = sum(_mobius(d) * p ** (k // d) for d in divisors(k)) // k
+    monics = (digits(code, p, k) + (1,) for code in range(p ** k))
+    assert sum(poly_is_irreducible(f, p) for f in monics) == expected
+
+
+@pytest.mark.parametrize("field", [GF125, FiniteField(2, 8)], ids=["gf125", "gf256"])
+def test_pow_matches_repeated_mul(field):
+    for a in range(field.order):
+        power = 1
+        for e in range(24):
+            assert field.pow(a, e) == power, (a, e)
+            power = field.mul(power, a)
+        if a:
+            assert field.pow(a, field.order - 1) == 1
+            assert field.pow(a, -1) == field.inv(a)

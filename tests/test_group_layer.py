@@ -39,7 +39,7 @@ def _groups(spec_id: str) -> tuple:
     if len(terms) == 1 or terms[1].is_trivial:
         return (G,)
     N = next(t for t in reversed(terms) if not t.is_trivial)
-    return G, quotient_group(G, N).quotient
+    return G, quotient_group(G, N)
 
 
 def test_nonabelian_corpus_groups_bring_a_quotient():

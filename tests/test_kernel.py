@@ -26,7 +26,7 @@ def _corpus_groups():
         out.append((spec["id"], G))
         derived = commutator_subgroup_pair(G, G.whole_subgroup(), G.whole_subgroup())
         if not derived.is_trivial:
-            out.append((spec["id"] + "/derived", quotient_group(G, derived).quotient))
+            out.append((spec["id"] + "/derived", quotient_group(G, derived)))
     return out
 
 
@@ -43,7 +43,7 @@ def test_kernel_matches_tuple_oracle_on_corpus():
             assert G.element_order(a) == tuple_order(pa), name
             k = rng.randrange(-2 * G.element_order(a) - 3, 2 * G.element_order(a) + 4)
             assert G.power(a, k) == scan_index(G, tuple_power(pa, k)), (name, k)
-            assert G.element_index(pa) == a and pa in G
+            assert G.element_index(pa) == a
 
 
 def test_non_member_with_member_base_images_is_rejected():
@@ -54,8 +54,8 @@ def test_non_member_with_member_base_images_is_rejected():
     assert G.elements[G.generator_indices[0]][0] == transposition[0]
     with pytest.raises(KeyError):
         G.element_index(transposition)
-    assert transposition not in G
-    assert (0, 1, 2) not in G
+    with pytest.raises(KeyError):
+        G.element_index((0, 1, 2))
 
 
 def test_base_lengths(glauberman):

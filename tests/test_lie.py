@@ -3,16 +3,19 @@ import itertools
 import pytest
 
 from coprimelab.automorphisms import build_automorphism
-from coprimelab.corpus import build_corpus_instance
+from coprimelab.corpus import build_corpus_instance, default_corpus
 from coprimelab.errors import (NotAPGroup, NotCoprimeToP, NotElementaryAbelianLayer,
                                PreconditionViolated)
-from coprimelab.groups import Subgroup, subgroup_generated, center
+from coprimelab.groups import center, generate_group
 from coprimelab.lie import (NpSeries, build_graded_lie, check_lazard_all, check_riley,
                             extend_and_eigendecompose, jlz_series, lie_fixed_points,
                             subalgebra_LGH, verify_eigen_product_rule, verify_np_series)
+from coprimelab.numutil import prime_power_base
 from coprimelab.structure import lower_central_series, power_subgroup
-from helpers import (brute_subgroup_members, identity_automorphism, per_element_lazard,
-                     quaternion_group)
+from helpers import (generated_members, identity_automorphism, load_workloads,
+                     per_element_lazard, quaternion_group)
+
+WORKLOADS = load_workloads()
 
 
 def algebra_for(spec, p):
@@ -51,19 +54,46 @@ def test_jlz_elementary_abelian():
     assert build_graded_lie(S).dims == (3,)
 
 
-def test_jlz_terms_against_product_of_powers_oracle(heis3, c9):
-    # independent recomputation: D_i = product of gamma_j^(p^k) over j*p^k >= i
-    for G, p in ((heis3, 3), (c9, 3)):
-        lcs = lower_central_series(G)
+def _oracle_groups():
+    """(label, group, p): every p-group of the shipped corpus, the groups of
+    the benchmark's nilpotent_pairs templates and of its cli_commands files
+    (seed 1), D8 and D16, and two 2-groups of class 3 whose term D_3 is not
+    covered by p-th powers: C2 wr C4 and C2 wr C2 wr C2, on 8 points."""
+    specs = [(spec["id"], spec) for spec in default_corpus()["instances"]]
+    specs += [(t[0], t[1]) for t in WORKLOADS.PAIR_TEMPLATES]
+    specs += sorted(WORKLOADS.cli_plan(1)["files"].items())
+    specs += [(f"d{2 * m}", {"name": "dihedral", "params": {"m": m}}) for m in (4, 8)]
+    for label, spec in specs:
+        G = build_corpus_instance(spec)[0]
+        p = prime_power_base(G.order)
+        if p is not None:
+            yield label, G, p
+    swap = (1, 0, 2, 3, 4, 5, 6, 7)
+    yield "c2_wr_c4", generate_group(8, [swap, (2, 3, 4, 5, 6, 7, 0, 1)]), 2
+    yield "c2_wr_c2_wr_c2", generate_group(8, [swap, (2, 3, 0, 1, 4, 5, 6, 7),
+                                               (4, 5, 6, 7, 0, 1, 2, 3)]), 2
+
+
+def test_jlz_terms_against_product_of_powers_oracle():
+    # independent recomputation: D_i = product of gamma_j^(p^k) over j*p^k >= i,
+    # where the least such k gives the largest factor for each j
+    checked = 0
+    for label, G, p in _oracle_groups():
+        lcs = lower_central_series(G).terms
         S = jlz_series(G, p)
-        for i in range(1, len(S.terms) + 1):
-            seeds = set()
-            for j, term in enumerate(lcs.terms, start=1):
+        pieces = {}
+        for i in range(1, len(S.terms) + 2):
+            gens = set()
+            for j, term in enumerate(lcs, start=1):
                 k = 0
                 while j * p ** k < i:
                     k += 1
-                seeds |= set(power_subgroup(G, p ** k, within=term).members)
-            assert S.term(i).member_set == brute_subgroup_members(G, seeds)
+                if (j, k) not in pieces:
+                    pieces[j, k] = power_subgroup(G, p ** k, within=term).gens
+                gens.update(pieces[j, k])
+            assert S.term(i).member_set == generated_members(G, gens), (label, i)
+        checked += 1
+    assert checked >= 39
 
 
 def test_verify_np_series_passes_for_jlz(heis3, c9, d4):
@@ -90,14 +120,14 @@ def test_graded_lie_heisenberg(heis3):
     w = A.bracket(1, (1, 0), 1, (0, 1))
     assert w is not None and any(w)
     assert A.lie_class_of_generated() == 2
-    assert all(all(flags) for flags in A.lp_flags)
+    assert A.lp_layers == A.units  # layer 1 generates every layer
 
 
 def test_graded_lie_c9_generated_flags(c9):
     A = build_graded_lie(jlz_series(c9, 3))
     assert A.dims == (1, 0, 1)
-    assert A.lp_flags[0] == (True,)
-    assert A.lp_flags[2] == (False,)  # the deep layer is not generated by layer 1
+    assert A.lp_layers[0] == ((1,),)
+    assert A.lp_layers[2] == ()  # the deep layer is not generated by layer 1
     assert A.lie_class_of_generated() == 1
 
 
@@ -160,11 +190,11 @@ def test_lazard_exponent_p_vanishes(heis3):
 
 
 def test_riley(heis3, c9, d4):
-    out = check_riley(heis3, 3)
+    out = check_riley(build_graded_lie(jlz_series(heis3, 3)))
     assert out["verdict"] == "pass" and out["lie_class"] == 2 and out["term_order"] == 1
-    out = check_riley(c9, 3)
+    out = check_riley(build_graded_lie(jlz_series(c9, 3)))
     assert out["verdict"] == "pass" and out["lie_class"] == 1 and out["term_order"] == 3
-    assert check_riley(d4, 2)["verdict"] == "pass"
+    assert check_riley(build_graded_lie(jlz_series(d4, 2)))["verdict"] == "pass"
 
 
 def test_subalgebra_lgh(heis3):

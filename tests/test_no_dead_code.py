@@ -1,4 +1,5 @@
-"""Every function and method of the package is used by the package itself.
+"""Every function, method and stored attribute of the package is used by the
+package itself.
 
 A re-export in ``__init__.py`` is not a use, so that file is not read."""
 
@@ -8,16 +9,23 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "coprimelab"
 # named by pyproject.toml as the console script, not by the package
 EXEMPT = {"entrypoint"}
+# ``FiniteGroup.elements`` is the tuple view of the element store for readers
+# outside the package: the benchmark's output checks index it
+EXEMPT_ATTRIBUTES = {"elements"}
+
+
+def _trees():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def test_every_function_is_referenced_in_src():
     defined, referenced = {}, set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for name, tree in _trees():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+                defined.setdefault(node.name, f"{name}:{node.lineno}")
             elif isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -28,3 +36,17 @@ def test_every_function_is_referenced_in_src():
                   if name not in referenced and name not in EXEMPT
                   and not (name.startswith("__") and name.endswith("__")))
     assert not dead, "defined but never referenced in src/: " + ", ".join(dead)
+
+
+def test_every_stored_attribute_is_read_in_src():
+    stored, loaded = {}, set()
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.attr, f"{name}:{node.lineno}")
+                else:
+                    loaded.add(node.attr)
+    unread = sorted(f"{where} {attr}" for attr, where in stored.items()
+                    if attr not in loaded and attr not in EXEMPT_ATTRIBUTES)
+    assert not unread, "stored but never read in src/: " + ", ".join(unread)

@@ -679,7 +679,7 @@ def test_cli_info_and_auto_print_their_analysis_sections(tmp_path, capsys):
         assert capsys.readouterr().out == canonical_json(report["group"]) + "\n", spec["id"]
         if report["automorphism"] is None:
             assert main(["auto", path]) == 2
-            assert "no automorphism" in capsys.readouterr().err
+            assert capsys.readouterr().err == "error: automorphism: missing\n"
             continue
         assert main(["auto", path]) == 0
         assert capsys.readouterr().out == canonical_json(report["automorphism"]) + "\n", \
@@ -712,6 +712,31 @@ def test_cli_malformed_input_names_its_location(tmp_path, capsys, spec, location
     assert main([path if arg == "FILE" else arg for arg in command]) == 2
     err = capsys.readouterr().err
     assert re.match(rf"error: {re.escape(location)}[: ]", err), err
+
+
+C4_CUBE = {"name": "cyclic", "params": {"m": 4}, "automorphism": {"recipe": "power", "k": 3}}
+D3_IDENTITY = {"name": "dihedral", "params": {"m": 3},
+               "automorphism": {"recipe": "power", "k": 1}}
+
+
+@pytest.mark.parametrize("spec, command, location", [
+    (C4_CUBE, ["eigen", "FILE"], "automorphism"),
+    (C4_CUBE, ["eigen", "FILE", "--n", "2"], "--n 2"),
+    (C4_CUBE, ["decompose", "FILE", "--element=1"], "automorphism"),
+    (D3_IDENTITY, ["decompose", "FILE", "--element=1"], "FILE"),
+    (D3_IDENTITY, ["eigen", "FILE"], "FILE"),
+    (C5, ["auto", "FILE"], "automorphism"),
+    ({"name": "symmetric", "params": {"m": 3}}, ["lie", "FILE"], "--p"),
+], ids=["eigen-p-divides-phi", "eigen-n", "decompose-not-coprime", "decompose-not-nilpotent",
+        "eigen-not-p-group", "auto-no-automorphism", "lie-not-p-group"])
+def test_cli_unmet_precondition_is_an_input_error(tmp_path, capsys, spec, command, location):
+    # a command whose hypotheses the input does not meet exits 2, naming the
+    # automorphism, the flag or the file; exit 1 is for a check that fails
+    path = _write(tmp_path, "spec.json", spec)
+    assert main([path if arg == "FILE" else arg for arg in command]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path if location == 'FILE' else location}: "), err
 
 
 def test_cli_suite(tmp_path, capsys):

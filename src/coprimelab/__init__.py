@@ -8,16 +8,15 @@ groups never compiles the Lie layer, linear algebra or the report.
 from importlib import import_module
 
 _HOMES = {
-    "automorphisms": ("Automorphism", "build_automorphism", "check_coprime_facts",
-                      "factorization_status", "fixed_generation_S", "fixed_points_of_product",
-                      "nilpotent_decompose", "phi_invariant_closure", "soluble_exponent_probe",
-                      "twisted_data"),
+    "automorphisms": ("check_coprime_facts", "factorization_status", "fixed_generation_S",
+                      "fixed_points_of_product", "nilpotent_decompose", "phi_invariant_closure",
+                      "soluble_exponent_probe", "twisted_data"),
     "corpus": ("build_corpus_instance", "build_glauberman_example", "default_corpus",
                "load_instance"),
     "gf": ("FiniteField",),
-    "groups": ("DEFAULT_CAP", "FiniteGroup", "Subgroup", "are_conjugate",
-               "center", "centralizer", "commutator_subgroup_pair", "generate_group",
-               "quotient_group", "subgroup_generated"),
+    "groups": ("Automorphism", "DEFAULT_CAP", "FiniteGroup", "Subgroup", "are_conjugate",
+               "build_automorphism", "center", "centralizer", "commutator_subgroup_pair",
+               "generate_group", "quotient_group", "subgroup_generated"),
     "lie": ("GradedLieAlgebra", "NpSeries", "build_graded_lie", "check_lazard_all", "check_riley",
             "extend_and_eigendecompose", "jlz_series", "lie_fixed_points", "subalgebra_LGH",
             "verify_np_series"),

@@ -1,86 +1,24 @@
-"""Automorphisms given by generator images; fixed/twisted sets and their checks.
+"""Fixed and twisted sets of an automorphism, and the checks built on them.
 
 The automorphism of an enumerated group is stored as a full element-index
-permutation (``table``). Every automorphism is built from the element indices
-of its generator images: ``FiniteGroup.extend_images`` walks the enumeration
-tree over the right-multiplication columns of the images, and the result is
-checked for bijectivity and for the generator-wise homomorphism law, which
-suffices for full multiplicativity. The check compares the group's Cayley
-columns, pulled through the table, with the image columns: no ``mul`` call.
+permutation (``table``). ``Automorphism`` and its construction from
+generator images (``automorphism_from_images``, ``build_automorphism``) live
+in ``groups``, next to the Cayley-graph walks that build the table, so that
+building an instance compiles none of the analysis here; they are
+re-exported from this module.
 """
 
 from __future__ import annotations
 
-import math
-from itertools import compress, count, repeat
-from operator import ne
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import (GroupTheoryError, NotBijective, NotCoprime, NotHomomorphism, NotInvariant,
-                     NotNilpotent, DecompositionNotFound, NonUniqueDecomposition,
-                     PreconditionViolated)
-from .groups import (FiniteGroup, Subgroup, are_conjugate, center, coset_labels, is_normal,
-                     product_of_subgroups, subgroup_generated)
+from .errors import (GroupTheoryError, NotCoprime, NotInvariant, NotNilpotent,
+                     DecompositionNotFound, NonUniqueDecomposition, PreconditionViolated)
+from .groups import (Automorphism, FiniteGroup, Subgroup, are_conjugate,  # noqa: F401
+                     automorphism_from_images, build_automorphism, center, coset_labels,
+                     is_normal, product_of_subgroups, subgroup_generated)
 from .structure import derived_series, lower_central_series
-
-
-class Automorphism:
-    """Bijective endomorphism of an enumerated group.
-
-    ``table[x]`` is the image of element x; ``order_n`` is the order of the
-    map: phi^k is the identity iff it fixes every generator, so it is the lcm
-    of the lengths of the <phi>-orbits of the generators.
-    """
-
-    def __init__(self, group: FiniteGroup, table: tuple):
-        self.group = group
-        self.table = table
-        self.order_n = math.lcm(*(len(self.orbit(g)) for g in group.generator_indices))
-        self._twisted: Optional[TwistedData] = None
-
-    def orbit(self, x: int) -> list[int]:
-        out = [x]
-        y = self.table[x]
-        while y != x:
-            out.append(y)
-            y = self.table[y]
-        return out
-
-    @property
-    def coprime(self) -> bool:
-        return math.gcd(self.group.order, self.order_n) == 1
-
-
-def automorphism_from_images(G: FiniteGroup, images: Sequence[int]) -> Automorphism:
-    """The automorphism that sends generator i to element ``images[i]``;
-    NotBijective or NotHomomorphism when these images define none.
-
-    The table is one tree walk over the right-multiplication columns of the
-    images, and the law table[x * g_i] = table[x] * images[i] is checked one
-    generator column at a time: no ``mul`` call."""
-    columns = [G.right_column(s) for s in images]
-    table = G.extend_images(columns)
-    if len(set(table)) != G.order:
-        raise NotBijective("generator images do not induce a bijection")
-    broken = []
-    for gi, (right, column) in enumerate(zip(G._right, columns)):
-        # the least x with table[x * g_i] != table[x] * images[i], if any
-        x = next(compress(count(), map(ne, map(table.__getitem__, right),
-                                       map(column.__getitem__, table))), None)
-        if x is not None:
-            broken.append((x, gi))
-    if broken:
-        x, gi = min(broken)
-        raise NotHomomorphism(f"map breaks at element {x} times generator {gi}",
-                              witness=(x, G.generator_indices[gi]))
-    return Automorphism(G, tuple(table))
-
-
-def build_automorphism(G: FiniteGroup, gen_images: Sequence[Iterable[int]]) -> Automorphism:
-    """Evaluate generator-image words and extend them to the whole group."""
-    if len(gen_images) != len(G.generators):
-        raise ValueError(f"expected {len(G.generators)} image words, got {len(gen_images)}")
-    return automorphism_from_images(G, [G.evaluate_word(w) for w in gen_images])
 
 
 # what TwistedData.commutator_derived_length holds until it is asked for
@@ -356,6 +294,36 @@ def _checked_family(phi: Automorphism, family: Sequence[tuple]) -> Sequence[tupl
     return family
 
 
+def _central_candidates(phi: Automorphism, family: Sequence[tuple]) -> list[tuple]:
+    """The (name, subgroup) pairs whose centralizing by [G, phi] fact (c)
+    checks, each subgroup once under its first name: the family members
+    inside the fixed points, then the core of the fixed points and the fixed
+    part of the centre when they are nontrivial."""
+    G = phi.group
+    fixed = twisted_data(phi).fixed.member_set
+    candidates = [(name, N) for name, N in family if N.member_set <= fixed]
+    core = _core_of_fixed(phi)
+    if not core.is_trivial:
+        candidates.append(("core_of_fixed", core))
+    z_fixed = subgroup_generated(G, center(G).member_set & fixed)
+    if not z_fixed.is_trivial:
+        candidates.append(("central_fixed", z_fixed))
+    unique: dict = {}
+    for name, N in candidates:
+        unique.setdefault(N.member_set, (name, N))
+    return list(unique.values())
+
+
+def _noncommuting_pair(G: FiniteGroup, H: Subgroup, N: Subgroup) -> Optional[tuple]:
+    """The first (m, x), m in H and x in N in member order, with m x != x m;
+    None when H centralizes N. Two subgroups commute elementwise iff their
+    generators do, so the members are walked only when some pair of
+    generators does not commute."""
+    if all(G.mul(m, x) == G.mul(x, m) for m in H.gens for x in N.gens):
+        return None
+    return next((m, x) for m in H.members for x in N.members if G.mul(m, x) != G.mul(x, m))
+
+
 def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dict:
     """Verify the three standard coprime-action facts.
 
@@ -364,9 +332,11 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
     invariant normal subgroup inside the fixed points. The (a) check reads
     [[G,phi],phi] off ``commutator_twisted_data``. The (b) check reads
     the fixed cosets off one ``coset_labels`` pass per subgroup, with no
-    quotient group. Failed checks carry generator words under ``witness``:
-    for (b) the least x whose coset is fixed but holds no fixed element, for
-    (c) a non-commuting pair m in [G,phi], x in the subgroup.
+    quotient group. The (c) check multiplies generators only, unless some
+    pair of them fails. Failed checks carry generator words under
+    ``witness``: for (b) the least x whose coset is fixed but holds no fixed
+    element, for (c) the first non-commuting pair m in [G,phi], x in the
+    subgroup, in member order.
     """
     if not phi.coprime:
         raise NotCoprime("the coprime facts require gcd(|G|, |phi|) = 1")
@@ -393,23 +363,9 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
         quotient_checks.append(check)
     report["quotient_fixed_points"] = quotient_checks
 
-    central_candidates = [(name, N) for name, N in family
-                          if N.member_set <= td.fixed.member_set]
-    core = _core_of_fixed(phi)
-    if not core.is_trivial:
-        central_candidates.append(("core_of_fixed", core))
-    z_fixed = subgroup_generated(
-        G, center(G).member_set & td.fixed.member_set)
-    if not z_fixed.is_trivial:
-        central_candidates.append(("central_fixed", z_fixed))
     central_checks = []
-    seen = set()
-    for name, N in central_candidates:
-        if N.member_set in seen:
-            continue
-        seen.add(N.member_set)
-        pair = next(((m, x) for m in td.commutator_phi.members for x in N.members
-                     if G.mul(m, x) != G.mul(x, m)), None)
+    for name, N in _central_candidates(phi, family):
+        pair = _noncommuting_pair(G, td.commutator_phi, N)
         check = {"subgroup": name, "order": N.order, "verdict": "pass" if pair is None else "fail"}
         if pair is not None:
             # generator words, so the pair replays on a fresh enumeration

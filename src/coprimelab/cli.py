@@ -258,9 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of this process, built by the first ``main`` call and reused by
+# every later one: building it takes about 1.5 ms, a third of a short
+# command run in-process. It is not built at import, so that a caller may
+# rebind the ``cmd_*`` functions before the first call and have them run.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.cap is not None and args.cap < 1:
             raise ParseError(f"--cap {args.cap}: must be at least 1")

@@ -12,11 +12,10 @@ import json
 import math
 from typing import Optional
 
-from .automorphisms import build_automorphism
 from .errors import (CapExceeded, InvalidPermutation, NotBijective, NotHomomorphism,
                      ParseError, UnknownSpec)
-from .groups import (BYTES_MAX_DEGREE, DEFAULT_CAP, FiniteGroup, column_bytes, degree_bytes,
-                     element_bytes, generate_group)
+from .groups import (BYTES_MAX_DEGREE, DEFAULT_CAP, FiniteGroup, build_automorphism,
+                     column_bytes, degree_bytes, element_bytes, generate_group)
 from .numutil import is_prime
 
 # Bytes the element store and Cayley columns of a group may take: a named

@@ -131,12 +131,13 @@ class FiniteField:
         self.k = k
         self.order = p ** k
         if modulus is None:
-            modulus = default_modulus(p, k)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {k}")
-        if not poly_is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+            modulus = default_modulus(p, k)  # irreducible by construction
+        else:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != k + 1 or modulus[-1] != 1:
+                raise ValueError(f"modulus must be monic of degree {k}")
+            if not poly_is_irreducible(modulus, p):
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
 
     def coeffs(self, a: int) -> tuple:

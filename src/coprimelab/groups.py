@@ -47,7 +47,7 @@ from itertools import compress, count, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .errors import CapExceeded, InvalidPermutation, NotNormal
+from .errors import CapExceeded, InvalidPermutation, NotBijective, NotHomomorphism, NotNormal
 
 DEFAULT_CAP = 200_000
 # The highest degree whose elements are stored as bytes.
@@ -601,6 +601,67 @@ def center(G: FiniteGroup) -> Subgroup:
         G.cache["center"] = Z.data
         return Z
     return Subgroup.from_data(G, cached)
+
+
+class Automorphism:
+    """Bijective endomorphism of an enumerated group.
+
+    ``table[x]`` is the image of element x; ``order_n`` is the order of the
+    map: phi^k is the identity iff it fixes every generator, so it is the lcm
+    of the lengths of the <phi>-orbits of the generators. The analysis in
+    ``automorphisms`` keeps its twisted data in ``_twisted``.
+    """
+
+    def __init__(self, group: FiniteGroup, table: tuple):
+        self.group = group
+        self.table = table
+        self.order_n = math.lcm(*(len(self.orbit(g)) for g in group.generator_indices))
+        self._twisted = None
+
+    def orbit(self, x: int) -> list[int]:
+        out = [x]
+        y = self.table[x]
+        while y != x:
+            out.append(y)
+            y = self.table[y]
+        return out
+
+    @property
+    def coprime(self) -> bool:
+        return math.gcd(self.group.order, self.order_n) == 1
+
+
+def automorphism_from_images(G: FiniteGroup, images: Sequence[int]) -> Automorphism:
+    """The automorphism that sends generator i to element ``images[i]``;
+    NotBijective or NotHomomorphism when these images define none.
+
+    The table is one tree walk over the right-multiplication columns of the
+    images, and the law table[x * g_i] = table[x] * images[i] is checked one
+    generator column at a time: no ``mul`` call. The generator-wise law
+    suffices for full multiplicativity."""
+    columns = [G.right_column(s) for s in images]
+    table = G.extend_images(columns)
+    if len(set(table)) != G.order:
+        raise NotBijective("generator images do not induce a bijection")
+    broken = []
+    for gi, (right, column) in enumerate(zip(G._right, columns)):
+        # the least x with table[x * g_i] != table[x] * images[i], if any
+        x = next(compress(count(), map(operator.ne, map(table.__getitem__, right),
+                                       map(column.__getitem__, table))), None)
+        if x is not None:
+            broken.append((x, gi))
+    if broken:
+        x, gi = min(broken)
+        raise NotHomomorphism(f"map breaks at element {x} times generator {gi}",
+                              witness=(x, G.generator_indices[gi]))
+    return Automorphism(G, tuple(table))
+
+
+def build_automorphism(G: FiniteGroup, gen_images: Sequence[Iterable[int]]) -> Automorphism:
+    """Evaluate generator-image words and extend them to the whole group."""
+    if len(gen_images) != len(G.generators):
+        raise ValueError(f"expected {len(G.generators)} image words, got {len(gen_images)}")
+    return automorphism_from_images(G, [G.evaluate_word(w) for w in gen_images])
 
 
 def normality_witness(G: FiniteGroup, gens: Iterable[int], members) -> Optional[tuple]:

@@ -13,8 +13,9 @@ Run every mutant with
 
 from the root of a checkout. Each mutant is applied to a copy of src/,
 tests/, perfbench/ (whose workload templates tests read) and pyproject.toml
-in a temporary directory, and only its named tests
-run there, one pytest process at a time. The run fails if a mutant survives
+in a temporary directory of its own, and only its named tests run there.
+Mutants run on min(2, CPU count) threads, each waiting on one pytest
+process, and print in table order. The run fails if a mutant survives
 (its tests pass), if its tests cannot run (a collection or usage error
 instead of a test failure), or if its ``old`` text does not occur exactly
 once.
@@ -28,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,9 +86,9 @@ MUTANTS = [
      "tests": ["tests/test_report_cli.py::test_theorem2_derives_each_distinct_pair_closure_once",
                "tests/test_report_cli.py::test_pair_walks_match_all_pairs_oracle_on_corpus"]},
     {"name": "a memo kept on the automorphism",
-     "file": "src/coprimelab/automorphisms.py",
-     "old": "        self._twisted: Optional[TwistedData] = None\n",
-     "new": "        self._twisted: Optional[TwistedData] = None\n        self.closure_cache: dict = {}\n",
+     "file": "src/coprimelab/groups.py",
+     "old": "        self._twisted = None\n",
+     "new": "        self._twisted = None\n        self.closure_cache: dict = {}\n",
      "tests": ["tests/test_report_cli.py::test_the_automorphism_keeps_no_memo_that_grows_with_the_walks"]},
     # the batched kernel and the coset helpers
     {"name": "products composes the base columns in the wrong order",
@@ -106,7 +108,7 @@ MUTANTS = [
      "tests": ["tests/test_in_place.py::test_coset_labels_number_right_cosets"]},
     # the automorphism section inside G
     {"name": "the order of phi from its first generator only",
-     "file": "src/coprimelab/automorphisms.py",
+     "file": "src/coprimelab/groups.py",
      "old": "for g in group.generator_indices))\n",
      "new": "for g in group.generator_indices[:1]))\n",
      "tests": ["tests/test_in_place.py::test_automorphism_order_is_the_order_of_its_element_permutation"]},
@@ -120,6 +122,11 @@ MUTANTS = [
      "old": "    fixed = inner.fixed.member_set\n",
      "new": "    fixed = twisted_data(phi).fixed.member_set\n",
      "tests": ["tests/test_in_place.py::test_auto_section_matches_the_restriction_and_quotient_oracles"]},
+    {"name": "the centralizing check reads the first generator of N only",
+     "file": "src/coprimelab/automorphisms.py",
+     "old": "for m in H.gens for x in N.gens):\n",
+     "new": "for m in H.gens for x in N.gens[:1]):\n",
+     "tests": ["tests/test_automorphisms.py::test_centralizing_by_generators_matches_all_pairs"]},
     {"name": "a fixed coset counts as meeting the fixed points",
      "file": "src/coprimelab/automorphisms.py",
      "old": "                     if labels[phi.table[x]] == k and k not in meets_fixed), None)\n",
@@ -182,6 +189,16 @@ MUTANTS = [
      "old": "\n                 if len(elements) == G.order else None)",
      "new": ")",
      "tests": ["tests/test_automorphisms.py::test_producers_are_kept_on_the_data_of_phi_on_g_only"]},
+    {"name": "the corpus imports the automorphism analysis at module level",
+     "file": "src/coprimelab/corpus.py",
+     "old": "from .numutil import is_prime\n",
+     "new": "from .numutil import is_prime\nfrom . import automorphisms  # noqa: F401\n",
+     "tests": ["tests/test_stdlib_only.py::test_building_a_group_loads_only_the_construction_modules"]},
+    {"name": "the parser is built again in every main call",
+     "file": "src/coprimelab/cli.py",
+     "old": "    if _parser is None:\n",
+     "new": "    if True:\n",
+     "tests": ["tests/test_report_cli.py::test_main_builds_its_parser_once_per_process"]},
     # the Lie and field layers from their defining recursions
     {"name": "Jennings' recursion reads D_floor(i/p)",
      "file": "src/coprimelab/lie.py",
@@ -248,14 +265,19 @@ def run(mutant: dict) -> str:
     return f"pytest exit {done.returncode}: {done.stdout.strip().splitlines()[-1:]}"
 
 
+def timed_run(mutant: dict) -> tuple:
+    """(``run(mutant)``, its wall time in seconds)."""
+    t0 = time.perf_counter()
+    return run(mutant), time.perf_counter() - t0
+
+
 def main() -> int:
     failures = 0
     start = time.perf_counter()
-    for mutant in MUTANTS:
-        t0 = time.perf_counter()
-        outcome = run(mutant)
-        failures += outcome != "caught"
-        print(f"{outcome:10s} {time.perf_counter() - t0:5.1f}s  {mutant['name']}")
+    with ThreadPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
+        for mutant, (outcome, seconds) in zip(MUTANTS, pool.map(timed_run, MUTANTS)):
+            failures += outcome != "caught"
+            print(f"{outcome:10s} {seconds:5.1f}s  {mutant['name']}", flush=True)
     print(f"{len(MUTANTS) - failures}/{len(MUTANTS)} mutants caught "
           f"in {time.perf_counter() - start:.1f}s")
     return 1 if failures else 0

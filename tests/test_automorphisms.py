@@ -11,7 +11,7 @@ from coprimelab.errors import (NotBijective, NotCoprime, NotInvariant,
                                NotNilpotent, PreconditionViolated)
 from coprimelab.groups import quotient_group, subgroup_generated, is_normal
 from coprimelab.structure import sylow_subgroup
-from helpers import (commutator_with_automorphism, identity_automorphism,
+from helpers import (commutator_with_automorphism, identity_automorphism, load_workloads,
                      per_element_decomposition_witness,
                      quaternion_group, quotient_automorphism, quotient_fixed_points_by_group,
                      quotient_projection, restrict_automorphism)
@@ -452,3 +452,33 @@ def test_centralizing_failure_carries_a_witness_that_replays(monkeypatch):
     m, x = G2.evaluate_word(words["m"]), G2.evaluate_word(words["x"])
     assert m in twisted_data(phi2).commutator_phi.member_set
     assert G2.mul(m, x) != G2.mul(x, m)
+
+
+def _first_noncommuting_pair(G, H, N):
+    """The first (m, x), m in H and x in N in member order, with m x != x m,
+    by a scan of all pairs; None when H centralizes N."""
+    return next(((m, x) for m in H.members for x in N.members
+                 if G.mul(m, x) != G.mul(x, m)), None)
+
+
+def test_centralizing_by_generators_matches_all_pairs():
+    from coprimelab import automorphisms
+    specs = default_corpus()["instances"] + load_workloads().nilpotent_corpus(1)["instances"]
+    candidates = failing = 0
+    for spec in specs:
+        G, phi = build_corpus_instance(spec)
+        if phi is None or not phi.coprime:
+            continue
+        td = twisted_data(phi)
+        family = automorphisms.default_normal_family(phi)
+        central = [N for _, N in automorphisms._central_candidates(phi, family)]
+        pairs = [(td.commutator_phi, N) for N in central]
+        # pairs that need not commute, so that failing verdicts are compared too
+        subgroups = [td.commutator_phi, td.fixed, G.whole_subgroup(), *(N for _, N in family)]
+        pairs += [(H, N) for H in subgroups for N in subgroups if H.order * N.order <= 50_000]
+        for H, N in pairs:
+            expected = _first_noncommuting_pair(G, H, N)
+            assert automorphisms._noncommuting_pair(G, H, N) == expected, spec["id"]
+            failing += expected is not None
+        candidates += len(central)
+    assert candidates >= 25 and failing >= 100, (candidates, failing)

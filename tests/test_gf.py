@@ -22,6 +22,26 @@ def test_default_modulus_gf8():
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         FiniteField(2, 2, modulus=(1, 0, 1))  # (x+1)^2 over F_2
+    with pytest.raises(ValueError):
+        FiniteField(3, 4, modulus=(1, 0, 1, 0, 1))  # x^4+x^2+1 = (x^2+2)^2 over F_3
+
+
+def test_default_modulus_is_tested_once(monkeypatch):
+    from coprimelab import gf
+    tested = []
+    inner = gf.poly_is_irreducible
+
+    def counting(f, p):
+        tested.append(f)
+        return inner(f, p)
+
+    monkeypatch.setattr(gf, "poly_is_irreducible", counting)
+    F = FiniteField(2, 8)
+    # the search tests each candidate once and stops at the modulus
+    assert tested[-1] == F.modulus and tested.count(F.modulus) == 1
+    tested.clear()
+    FiniteField(2, 8, modulus=F.modulus)
+    assert tested == [F.modulus]
 
 
 def test_irreducibility_degree4_paths():

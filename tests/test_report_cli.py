@@ -1,8 +1,12 @@
 import concurrent.futures
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -758,6 +762,55 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
     bad.write_text("{not json", encoding="utf-8")
     assert main(["info", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    from coprimelab import cli
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)  # earlier tests have built it
+    monkeypatch.setattr(cli, "build_parser", counting)
+    path = _write(tmp_path, "c9.json", {"name": "cyclic", "params": {"m": 9}})
+    assert main(["info", path]) == 0
+    assert main(["lie", path]) == 0
+    assert len(built) == 1
+    capsys.readouterr()
+
+
+def _fresh_process(argv) -> tuple:
+    """(exit code, stdout, stderr) of ``python -m coprimelab`` in a new interpreter."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "coprimelab", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_no_state_carries_over_between_main_calls(tmp_path, capsys):
+    # the trivial group takes any prime as --p, and without it has none
+    trivial = _write(tmp_path, "c1.json", {"name": "cyclic", "params": {"m": 1}})
+    assert main(["lie", trivial, "--p", "5"]) == 0
+    capsys.readouterr()
+    code = main(["lie", trivial])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == _fresh_process(["lie", trivial])
+    assert code == 2
+    # a usage error exits through argparse, and the next command still runs
+    with pytest.raises(SystemExit) as exc:
+        main(["lie", trivial, "--p", "five"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    heis = _write(tmp_path, "h3.json", {"name": "heisenberg", "params": {"p": 3}})
+    code = main(["lie", heis])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == _fresh_process(["lie", heis])
+    assert code == 0
 
 
 def test_canonical_json_is_sorted_and_compact():

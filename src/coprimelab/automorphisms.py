@@ -17,7 +17,7 @@ from .errors import (GroupTheoryError, NotCoprime, NotInvariant, NotNilpotent,
                      DecompositionNotFound, NonUniqueDecomposition, PreconditionViolated)
 from .groups import (Automorphism, FiniteGroup, Subgroup, are_conjugate,  # noqa: F401
                      automorphism_from_images, build_automorphism, center, coset_labels,
-                     is_normal, product_of_subgroups, subgroup_generated)
+                     is_normal, normal_core, product_of_subgroups, subgroup_generated)
 from .structure import derived_series, lower_central_series
 
 
@@ -33,14 +33,13 @@ class TwistedData:
     (``commutator_derived_length``) once they are asked for."""
 
     def __init__(self, fixed: Subgroup, twisted: tuple, twisted_set: frozenset,
-                 producers: Optional[dict], commutator_phi: Subgroup, coprime: bool,
+                 producers: Optional[dict], commutator_phi: Subgroup,
                  orbit_reps: Optional[list] = None):
         self.fixed = fixed
         self.twisted = twisted
         self.twisted_set = twisted_set
         self.producers = producers
         self.commutator_phi = commutator_phi
-        self.coprime = coprime
         self.orbit_reps = orbit_reps
         self.inner: Optional[TwistedData] = None
         self.commutator_derived_length = _NOT_COMPUTED
@@ -66,8 +65,7 @@ def _twisted_on(phi: Automorphism, elements: Sequence[int]) -> TwistedData:
     producers = (dict(zip(reversed(images), reversed(elements)))
                  if len(elements) == G.order else None)
     return TwistedData(fixed=fixed, twisted=twisted, twisted_set=frozenset(twisted),
-                       producers=producers, commutator_phi=subgroup_generated(G, twisted),
-                       coprime=phi.coprime)
+                       producers=producers, commutator_phi=subgroup_generated(G, twisted))
 
 
 def twisted_data(phi: Automorphism) -> TwistedData:
@@ -122,13 +120,6 @@ def _orbits(starts: Iterable[int], moves) -> list[list[int]]:
                     orbit.append(y)
         orbits.append(orbit)
     return orbits
-
-
-def _fixed_classes(phi: Automorphism) -> list[list[int]]:
-    """The conjugacy classes of G that meet the fixed-point subgroup."""
-    G = phi.group
-    return _orbits(twisted_data(phi).fixed.members,
-                   lambda x: [G.conjugate(x, g) for g in G.generator_indices])
 
 
 def orbit_representatives(phi: Automorphism, seeds: Iterable[int]) -> list[int]:
@@ -186,7 +177,9 @@ def factorization_status(phi: Automorphism) -> FactorizationStatus:
     G = phi.group
     td = twisted_data(phi)
     product_covers = 0 not in _factorization_counts(phi)
-    conj_union = set().union(*_fixed_classes(phi))
+    # the union of the conjugacy classes that meet the fixed points
+    conj_union = set().union(*_orbits(td.fixed.members,
+                                      lambda x: [G.conjugate(x, g) for g in G.generator_indices]))
     bad = [x for x in td.twisted if x != 0 and x in conj_union]
     criterion_holds = not bad
     witness = None
@@ -256,10 +249,10 @@ def default_normal_family(phi: Automorphism) -> list[tuple]:
     """Canonical nontrivial phi-invariant normal subgroups for the lemma checks."""
     G = phi.group
     td = twisted_data(phi)
+    derived = derived_series(G).terms
     candidates = [
         ("commutator_phi", td.commutator_phi),
-        ("derived", derived_series(G).terms[1] if len(derived_series(G).terms) > 1
-         else G.trivial_subgroup()),
+        ("derived", derived[1] if len(derived) > 1 else G.trivial_subgroup()),
         ("center", center(G)),
     ]
     family = []
@@ -271,16 +264,6 @@ def default_normal_family(phi: Automorphism) -> list[tuple]:
             seen.add(N.member_set)
             family.append((name, N))
     return family
-
-
-def _core_of_fixed(phi: Automorphism) -> Subgroup:
-    """Largest normal subgroup of G inside the fixed-point subgroup.
-
-    It is the union of the conjugacy classes that lie inside the fixed set.
-    """
-    fixed = twisted_data(phi).fixed.member_set
-    return subgroup_generated(phi.group, [x for cls in _fixed_classes(phi)
-                                          if fixed.issuperset(cls) for x in cls])
 
 
 def _checked_family(phi: Automorphism, family: Sequence[tuple]) -> Sequence[tuple]:
@@ -300,9 +283,10 @@ def _central_candidates(phi: Automorphism, family: Sequence[tuple]) -> list[tupl
     inside the fixed points, then the core of the fixed points and the fixed
     part of the centre when they are nontrivial."""
     G = phi.group
-    fixed = twisted_data(phi).fixed.member_set
+    td = twisted_data(phi)
+    fixed = td.fixed.member_set
     candidates = [(name, N) for name, N in family if N.member_set <= fixed]
-    core = _core_of_fixed(phi)
+    core = normal_core(G, td.fixed)
     if not core.is_trivial:
         candidates.append(("core_of_fixed", core))
     z_fixed = subgroup_generated(G, center(G).member_set & fixed)

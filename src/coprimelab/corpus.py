@@ -325,17 +325,17 @@ def build_corpus_instance(spec: dict, cap: Optional[int] = None):
 
 
 def build_glauberman_example(cap: Optional[int] = None):
-    """The affine group of GF(125) with the automorphism induced by x -> x^5.
+    """The affine group of GF(125) with the automorphism induced by x -> x^5,
+    the ``frobenius`` recipe on affine(5, 3).
 
     Generators are the translation by 1 and the scaling by the least
     multiplicative generator; the induced map fixes the translation and
     raises the scaling to its fifth power.
     """
-    cap = cap if cap is not None else DEFAULT_CAP
-    G, _ = _build_group(_parse({"name": "affine", "params": {"p": 5, "k": 3}}, ""), cap)
+    G, phi = build_corpus_instance({"name": "affine", "params": {"p": 5, "k": 3},
+                                    "automorphism": {"recipe": "frobenius"}}, cap)
     if G.order != 15500:
         raise AssertionError(f"expected order 15500, got {G.order}")
-    phi = build_automorphism(G, [(1,), (2, 2, 2, 2, 2)])
     if phi.order_n != 3 or not phi.coprime:
         raise AssertionError("Frobenius conjugation should be coprime of order 3")
     return G, phi
@@ -362,8 +362,8 @@ def load_instance(data: dict, cap: Optional[int] = None):
         try:
             G = generate_group(degree, generators,
                                cap=min(cap, (STORE_BUDGET - degree_bytes(degree)) // per_element))
-        except InvalidPermutation as exc:
-            raise InvalidPermutation(f"generators: {exc}") from exc
+        except (InvalidPermutation, CapExceeded) as exc:
+            raise type(exc)(f"generators: {exc}") from exc
         return G, _spec_automorphism(G, data, None), instance_id(data)
     if "name" in data:
         G, phi = build_corpus_instance(data, cap=cap)

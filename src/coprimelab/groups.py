@@ -664,10 +664,12 @@ def build_automorphism(G: FiniteGroup, gen_images: Sequence[Iterable[int]]) -> A
     return automorphism_from_images(G, [G.evaluate_word(w) for w in gen_images])
 
 
-def normality_witness(G: FiniteGroup, gens: Iterable[int], members) -> Optional[tuple]:
-    """The first (t, g), g a generator of G and t in ``gens``, with t^g outside
-    ``members``; None when conjugation by G keeps the generated subgroup inside."""
-    for g in G.generator_indices:
+def normality_witness(G: FiniteGroup, gens: Iterable[int], members,
+                      by: Optional[Sequence[int]] = None) -> Optional[tuple]:
+    """The first (t, g), g in ``by`` (the generators of G by default) and t
+    in ``gens``, with t^g outside ``members``; None when conjugation by ``by``
+    keeps the generated subgroup inside, that is, when ``by`` normalizes it."""
+    for g in G.generator_indices if by is None else by:
         for t in gens:
             if G.conjugate(t, g) not in members:
                 return t, g
@@ -676,6 +678,31 @@ def normality_witness(G: FiniteGroup, gens: Iterable[int], members) -> Optional[
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     return normality_witness(G, H.gens, H.member_set) is None
+
+
+def normal_core(G: FiniteGroup, H: Subgroup) -> Subgroup:
+    """The core of H in G: the largest normal subgroup of G inside H.
+
+    H itself when it is normal. Otherwise H is intersected with its
+    conjugates by the generators of G until the set is stable or trivial.
+    Every round is a subgroup containing the core, and the fixed point C has
+    C^g = C for every generator g, so it is normal and is the core. Each
+    round conjugates its members by every generator, x^g = g⁻¹ x g, in two
+    batches of products.
+    """
+    if normality_witness(G, H.gens, H.member_set) is None:
+        return H
+    gens = G.generator_indices
+    core = H.member_set
+    while True:
+        members = list(core)
+        n = len(members)
+        left = G.products([G._inverses[g] for g in gens for _ in range(n)], members * len(gens))
+        conjugates = G.products(left, [g for g in gens for _ in range(n)])
+        reduced = core.intersection(*(conjugates[k * n:(k + 1) * n] for k in range(len(gens))))
+        if reduced == core or len(reduced) == 1:
+            return subgroup_generated(G, reduced)
+        core = reduced
 
 
 def product_of_subgroups(G: FiniteGroup, subs: Sequence[Subgroup]) -> Subgroup:

@@ -159,13 +159,13 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
     cp = td.commutator_phi
     section: dict = {
         "order": phi.order_n,
-        "coprime": td.coprime,
+        "coprime": phi.coprime,
         "fixed_order": td.fixed.order,
         "twisted_size": len(td.twisted),
         "commutator_order": cp.order,
         "commutator_normal_invariant": _verdict(is_phi_invariant(phi, cp) and is_normal(G, cp)),
     }
-    if not td.coprime:
+    if not phi.coprime:
         for key in ("factorization", "coprime_facts", "product_fixed_points",
                     "unique_decomposition", "fixed_generation", "soluble_exponent",
                     "soluble_when_fixed_nilpotent"):
@@ -370,12 +370,10 @@ def run_suite(corpus: dict, jobs: int = 1, cap: Optional[int] = None) -> tuple:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_analyze_for_suite, work))
-    counts = count_verdicts(reports)
-    hard_failures = []
-    for rep in reports:
-        inst_counts = count_verdicts(rep)
-        if inst_counts["fail"] or "hard_error" in rep:
-            hard_failures.append(rep["id"])
+    per_instance = [count_verdicts(rep) for rep in reports]
+    hard_failures = [rep["id"] for rep, inst_counts in zip(reports, per_instance)
+                     if inst_counts["fail"] or "hard_error" in rep]
+    counts = {key: sum(c[key] for c in per_instance) for key in ("pass", "fail", "skipped")}
     bundle = {
         "schema": 1,
         "instances": reports,

@@ -5,8 +5,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import NotAPGroup, NotSoluble
-from .groups import (FiniteGroup, Subgroup, commutator_subgroup_pair, product_of_subgroups,
-                     quotient_group, subgroup_generated)
+from .groups import (FiniteGroup, Subgroup, commutator_subgroup_pair, normal_core,
+                     normality_witness, product_of_subgroups, quotient_group,
+                     subgroup_generated)
 from .numutil import is_prime, p_part, prime_factors, prime_power_base
 
 
@@ -100,34 +101,17 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     P = G.trivial_subgroup()
     while P.order < pk:
         z = next((x for x in p_elements if x not in P.member_set
-                  and all(G.conjugate(t, x) in P.member_set for t in P.gens)), None)
+                  and normality_witness(G, P.gens, P.member_set, (x,)) is None), None)
         if z is None:
             raise AssertionError("Sylow extension exhausted below the p-part")
         P = subgroup_generated(G, P.gens + (z,))
     return P
 
 
-def p_core(G: FiniteGroup, p: int) -> Subgroup:
-    """O_p(G), the core of a Sylow p-subgroup P.
-
-    Intersect the current set with its conjugates by the generators of G until
-    it is stable. Every step is a subgroup containing the core; the fixed
-    point C has C^g = C for every generator g, so it is normal and is the core.
-    """
-    P = sylow_subgroup(G, p)
-    if P.is_whole:
-        return P
-    current, reduced = None, P.member_set
-    while reduced != current and len(reduced) > 1:
-        current = reduced
-        for g in G.generator_indices:
-            reduced = reduced & {G.conjugate(m, g) for m in current}
-    return subgroup_generated(G, reduced)
-
-
 def fitting_subgroup(G: FiniteGroup) -> Subgroup:
-    """F(G): product of the p-cores over the primes dividing |G|."""
-    cores = [p_core(G, p) for p in prime_factors(G.order)]
+    """F(G): the join of the cores O_p(G) of the Sylow subgroups, over the
+    primes dividing |G|."""
+    cores = [normal_core(G, sylow_subgroup(G, p)) for p in prime_factors(G.order)]
     if not cores:
         return G.trivial_subgroup()
     return product_of_subgroups(G, cores)

@@ -116,15 +116,15 @@ def double_scan_outcome(G: FiniteGroup, images) -> tuple:
     return ("table", tuple(table))
 
 
-def brute_p_core(G: FiniteGroup, P) -> frozenset:
-    """O_p(G) as the intersection of all conjugates of a Sylow p-subgroup P.
-    P^(zg) = P^g for z in P, so one g from each coset Pg meets every conjugate."""
-    core = set(P.members)
+def brute_core(G: FiniteGroup, H) -> frozenset:
+    """The core of H in G as the intersection of all conjugates H^g, g in G.
+    H^(zg) = H^g for z in H, so one g from each coset Hg meets every conjugate."""
+    core = set(H.members)
     covered = set()
     for g in range(G.order):
         if g not in covered:
-            covered.update(G.mul(z, g) for z in P.members)
-            core &= {G.conjugate(m, g) for m in P.members}
+            covered.update(G.mul(z, g) for z in H.members)
+            core &= {G.conjugate(m, g) for m in H.members}
     return frozenset(core)
 
 

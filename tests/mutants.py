@@ -225,6 +225,27 @@ MUTANTS = [
      "old": "        self.terms = terms\n",
      "new": "        self.terms = terms\n        self.kind = \"lower-central\"\n",
      "tests": ["tests/test_no_dead_code.py::test_every_stored_attribute_is_read_in_src"]},
+    # one normal core (groups.normal_core) for O_p(G) and the core of C_G(phi)
+    {"name": "the core intersects with the first generator's conjugates only",
+     "file": "src/coprimelab/groups.py",
+     "old": "for k in range(len(gens))))",
+     "new": "for k in range(1)))",
+     "tests": ["tests/test_group_layer.py::test_normal_core_matches_intersection_of_all_conjugates"]},
+    {"name": "the core is H without a normality test",
+     "file": "src/coprimelab/groups.py",
+     "old": "    if normality_witness(G, H.gens, H.member_set) is None:\n        return H\n",
+     "new": "    return H\n",
+     "tests": ["tests/test_group_layer.py::test_normal_core_matches_intersection_of_all_conjugates"]},
+    {"name": "the Sylow normalizer test conjugates by the generators of G",
+     "file": "src/coprimelab/structure.py",
+     "old": "normality_witness(G, P.gens, P.member_set, (x,)) is None",
+     "new": "normality_witness(G, P.gens, P.member_set) is None",
+     "tests": ["tests/test_group_layer.py::test_sylow_core_and_fitting_match_oracles"]},
+    {"name": "a raw group over the cap names no place in the input",
+     "file": "src/coprimelab/corpus.py",
+     "old": "        except (InvalidPermutation, CapExceeded) as exc:\n",
+     "new": "        except InvalidPermutation as exc:\n",
+     "tests": ["tests/test_cli_fuzz.py::test_every_file_command_keeps_the_exit_code_contract"]},
 ]
 
 

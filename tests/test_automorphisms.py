@@ -234,7 +234,7 @@ def test_decomposition_witness_names_an_element_without_factorization(c3c3_swap)
     # a corrupted twisted set: its last member dropped, so the products miss
     # that member's coset of the fixed points
     phi._twisted = TwistedData(td.fixed, td.twisted[:-1], td.twisted_set, td.producers,
-                               td.commutator_phi, td.coprime, td.orbit_reps)
+                               td.commutator_phi, td.orbit_reps)
     witness = decomposition_witness(phi)
     assert witness == per_element_decomposition_witness(phi)
     x = witness["element"]
@@ -361,7 +361,7 @@ def test_automorphism_walks_match_brute_force_on_corpus():
         fixed = td.fixed.member_set
         classes = [{G.conjugate(x, c) for c in range(G.order)} for x in td.fixed.members]
         core = {x for cls in classes if cls <= fixed for x in cls}
-        assert automorphisms._core_of_fixed(phi).member_set == core, name
+        assert automorphisms.normal_core(G, td.fixed).member_set == core, name
         products = {G.mul(g, h) for g in td.twisted for h in td.fixed.members}
         status = factorization_status(phi)
         assert status.product_covers == (len(products) == G.order), name
@@ -434,7 +434,7 @@ def test_centralizing_failure_carries_a_witness_that_replays(monkeypatch):
     # generators, so that its elements' words are not their indices
     a, b = G.generator_indices
     core = subgroup_generated(G, [G.mul(a, b)])
-    monkeypatch.setattr(automorphisms, "_core_of_fixed", lambda phi: core)
+    monkeypatch.setattr(automorphisms, "normal_core", lambda G, H: core)
     report = check_coprime_facts(phi)
     assert report["verdict"] == "fail"
     failed = [c for c in report["centralizing"] if c["verdict"] == "fail"]

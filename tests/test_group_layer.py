@@ -2,8 +2,8 @@
 operation counts that fail if the layer goes back to |G|-wide scans.
 
 The order and inverse tables come from one power walk per cyclic subgroup,
-Sylow subgroups grow by p-elements that normalize, O_p(G) intersects
-conjugates by the generators only, and the centre is scanned once per group.
+Sylow subgroups grow by p-elements that normalize, the core O_p(G)
+intersects conjugates by the generators only, and the centre is scanned once per group.
 Each is checked here against an oracle that uses none of those shortcuts, on
 every corpus group and on one quotient of each nonabelian one.
 """
@@ -16,11 +16,12 @@ import pytest
 
 from coprimelab import groups, report
 from coprimelab.corpus import build_corpus_instance, default_corpus, load_instance
-from coprimelab.groups import center, quotient_group
+from coprimelab.automorphisms import twisted_data
+from coprimelab.groups import center, is_normal, normal_core, quotient_group, subgroup_generated
 from coprimelab.numutil import p_part, prime_factors
-from coprimelab.structure import derived_series, fitting_subgroup, p_core, sylow_subgroup
-from helpers import (ProductCounter, brute_center, brute_p_core, brute_subgroup_members,
-                     cycle_order, naive_element_order, scan_inverses)
+from coprimelab.structure import derived_series, fitting_subgroup, sylow_subgroup
+from helpers import (ProductCounter, brute_center, brute_core, brute_subgroup_members,
+                     cycle_order, load_workloads, naive_element_order, scan_inverses)
 
 # naive_element_order costs the sum of all element orders in products, about
 # 1.3M on Glauberman's group; above this order the cycle lengths are the oracle.
@@ -75,11 +76,36 @@ def test_sylow_core_and_fitting_match_oracles(spec_id):
             P = sylow_subgroup(G, p)
             assert P.order == p_part(G.order, p), (G, p)
             assert brute_subgroup_members(G, P.gens) == P.member_set, (G, p)
-            core = p_core(G, p)
-            assert core.member_set == brute_p_core(G, P), (G, p)
+            core = normal_core(G, P)
+            assert core.member_set == brute_core(G, P), (G, p)
             cores.append(core)
         fitting = brute_subgroup_members(G, [x for core in cores for x in core.members])
         assert fitting_subgroup(G).member_set == fitting, G
+
+
+def test_normal_core_matches_intersection_of_all_conjugates():
+    # every Sylow subgroup, C_G(phi), [G, phi], Z(G) and the first non-normal
+    # cyclic subgroup, on the corpus groups of order <= 2000 and the
+    # nilpotent_pairs templates
+    specs = list(SPECS.values()) + load_workloads().nilpotent_corpus(1)["instances"]
+    checked = proper = 0
+    for spec in specs:
+        G, phi = build_corpus_instance(spec)
+        if G.order > 2000:
+            continue
+        subgroups = [sylow_subgroup(G, p) for p in prime_factors(G.order)] + [center(G)]
+        if phi is not None:
+            td = twisted_data(phi)
+            subgroups += [td.fixed, td.commutator_phi]
+        cyclic = (subgroup_generated(G, [x]) for x in range(1, G.order))
+        subgroups += [next((C for C in cyclic if not is_normal(G, C)), center(G))]
+        for H in subgroups:
+            core = normal_core(G, H)
+            assert core.member_set == brute_core(G, H), (spec.get("id"), H.order)
+            assert brute_subgroup_members(G, core.gens) == core.member_set, spec.get("id")
+            proper += core.order < H.order
+            checked += 1
+    assert checked >= 180 and proper >= 30, (checked, proper)
 
 
 # _group_section on Glauberman's affine(5,3), |G| = 15,500: series, exponent
@@ -87,12 +113,13 @@ def test_sylow_core_and_fitting_match_oracles(spec_id):
 # and the pairs of ``products`` batches alike. A normalizer scan of G per
 # Sylow step and O_p conjugated by every g take it to 107,381; a power walk
 # and a quotient projection by ``mul`` to 35,340; closures by elements and
-# coset labels by ``mul`` to 19,595. Closure by whole cosets makes it 17,888,
-# of which 953 are ``mul`` calls in conjugates and commutators and the rest
-# are in batches; the powers of each closure's first generator come from a
+# coset labels by ``mul`` to 19,595; closure by whole cosets to 17,888. The
+# cores conjugate in batches (``normal_core``), which makes it 17,127, of
+# which 197 are ``mul`` calls in conjugates and commutators and the rest are
+# in batches; the powers of each closure's first generator come from a
 # ``_cycle`` walk, which is not counted.
-GLAUBERMAN_GROUP_SECTION_MULS = 17_888
-GLAUBERMAN_GROUP_SECTION_SCALAR_MULS = 953
+GLAUBERMAN_GROUP_SECTION_MULS = 17_127
+GLAUBERMAN_GROUP_SECTION_SCALAR_MULS = 197
 
 
 def test_glauberman_group_section_mul_count_is_pinned(monkeypatch):

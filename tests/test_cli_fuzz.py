@@ -38,20 +38,29 @@ PLACE = re.compile(r"error: ((instances\[0\]\.)?(degree|generators|automorphism|
                    r"(\.\w+|\[\d+\])*: |--(p|n|element|cap)[ :])")
 
 
-def _compose(a, b):
-    return tuple(a[x] for x in b)
+def _product(perms, degree):
+    """The composite of the permutations, the last applied first."""
+    out = tuple(range(degree))
+    for g in perms:
+        out = tuple(out[x] for x in g)
+    return out
+
+
+def _inverse(g):
+    return tuple(sorted(range(len(g)), key=g.__getitem__))
 
 
 def _conjugation_orbit(gens, c):
     """The generators and their images under x -> c x c⁻¹, repeated until
     the list is closed, without repeats; and the position of each one's image."""
-    c_inv = tuple(sorted(range(len(c)), key=c.__getitem__))
+    def image(g):
+        return _product([c, g, _inverse(c)], len(c))
+
     out = list(dict.fromkeys(gens))
     for g in out:
-        image = _compose(_compose(c, g), c_inv)
-        if image not in out:
-            out.append(image)
-    return out, [out.index(_compose(_compose(c, g), c_inv)) for g in out]
+        if image(g) not in out:
+            out.append(image(g))
+    return out, [out.index(image(g)) for g in out]
 
 
 def _small_enough(spec) -> bool:
@@ -60,20 +69,6 @@ def _small_enough(spec) -> bool:
     except CapExceeded:
         return False
     return True
-
-
-def _power(g, k):
-    out = tuple(range(len(g)))
-    for _ in range(k):
-        out = _compose(g, out)
-    return out
-
-
-def _product(perms, degree):
-    out = tuple(range(degree))
-    for g in perms:
-        out = _compose(out, g)
-    return out
 
 
 def _sylow2_levels(degree):
@@ -99,11 +94,11 @@ def raw_groups(draw):
     levels = _sylow2_levels(degree)
     if levels and draw(st.booleans()):
         frame = draw(perms)
-        frame_inv = tuple(sorted(range(degree), key=frame.__getitem__))
         elements = st.lists(st.sampled_from(levels), min_size=1, max_size=6).map(
-            lambda word: _product([frame, *word, frame_inv], degree))
+            lambda word: _product([frame, *word, _inverse(frame)], degree))
     else:
-        elements = st.tuples(perms, st.sampled_from(POWERS)).map(lambda gk: _power(*gk))
+        elements = st.tuples(perms, st.sampled_from(POWERS)).map(
+            lambda gk: _product([gk[0]] * gk[1], degree))
     gens = draw(st.lists(elements, min_size=1, max_size=3))
     c = draw(st.one_of(st.just(tuple(range(degree))), st.sampled_from(gens), perms))
     gens, images = _conjugation_orbit(gens, c)
@@ -111,9 +106,10 @@ def raw_groups(draw):
             "automorphism": {"images": [[i + 1] for i in images]}}
 
 
-def _flags(draw_p, draw_n, word, cap):
-    flags = {"lie": [] if draw_p is None else [f"--p={draw_p}"],
-             "eigen": [] if draw_n is None else [f"--n={draw_n}"],
+def _flags(p, n, word, cap):
+    """The flags of each file command."""
+    flags = {"lie": [] if p is None else [f"--p={p}"],
+             "eigen": [] if n is None else [f"--n={n}"],
              "decompose": ["--element=" + ",".join(map(str, word))]}
     common = [] if cap is None else [f"--cap={cap}"]
     return {cmd: flags.get(cmd, []) + common for cmd in

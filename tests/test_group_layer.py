@@ -2,10 +2,10 @@
 operation counts that fail if the layer goes back to |G|-wide scans.
 
 The order and inverse tables come from one power walk per cyclic subgroup,
-Sylow subgroups grow by p-elements that normalize, the core O_p(G)
-intersects conjugates by the generators only, and the centre is scanned once per group.
-Each is checked here against an oracle that uses none of those shortcuts, on
-every corpus group and on one quotient of each nonabelian one.
+Sylow subgroups grow by p-elements that normalize, cores such as O_p(G)
+intersect conjugates by the generators only, and the centre is scanned once
+per group. Each is checked here against an oracle that uses none of those
+shortcuts, on every corpus group and on one quotient of each nonabelian one.
 """
 
 import functools
@@ -98,14 +98,16 @@ def test_normal_core_matches_intersection_of_all_conjugates():
             td = twisted_data(phi)
             subgroups += [td.fixed, td.commutator_phi]
         cyclic = (subgroup_generated(G, [x]) for x in range(1, G.order))
-        subgroups += [next((C for C in cyclic if not is_normal(G, C)), center(G))]
+        non_normal = next((C for C in cyclic if not is_normal(G, C)), None)
+        if non_normal is not None:
+            subgroups.append(non_normal)
         for H in subgroups:
             core = normal_core(G, H)
             assert core.member_set == brute_core(G, H), (spec.get("id"), H.order)
             assert brute_subgroup_members(G, core.gens) == core.member_set, spec.get("id")
             proper += core.order < H.order
             checked += 1
-    assert checked >= 180 and proper >= 30, (checked, proper)
+    assert checked >= 160 and proper >= 30, (checked, proper)
 
 
 # _group_section on Glauberman's affine(5,3), |G| = 15,500: series, exponent

@@ -308,6 +308,18 @@ def _noncommuting_pair(G: FiniteGroup, H: Subgroup, N: Subgroup) -> Optional[tup
     return next((m, x) for m in H.members for x in N.members if G.mul(m, x) != G.mul(x, m))
 
 
+def _bare_fixed_coset(phi: Automorphism, N: Subgroup) -> Optional[int]:
+    """The least element of the first coset N x that phi fixes but that
+    holds no fixed element, or None. Its labels go when it returns, so one
+    family member's labels are alive at a time."""
+    labels, reps = coset_labels(phi.group, N)
+    # N is phi-invariant, so phi(N x) = N x^phi: coset k is fixed iff its
+    # least element's image lies in it. A fixed element's coset is fixed.
+    meets_fixed = {labels[x] for x in twisted_data(phi).fixed.members}
+    return next((x for k, x in enumerate(reps)
+                 if labels[phi.table[x]] == k and k not in meets_fixed), None)
+
+
 def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dict:
     """Verify the three standard coprime-action facts.
 
@@ -315,12 +327,12 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
     quotients by invariant normal subgroups; (c) [G,phi] centralizes every
     invariant normal subgroup inside the fixed points. The (a) check reads
     [[G,phi],phi] off ``commutator_twisted_data``. The (b) check reads
-    the fixed cosets off one ``coset_labels`` pass per subgroup, with no
-    quotient group. The (c) check multiplies generators only, unless some
-    pair of them fails. Failed checks carry generator words under
-    ``witness``: for (b) the least x whose coset is fixed but holds no fixed
-    element, for (c) the first non-commuting pair m in [G,phi], x in the
-    subgroup, in member order.
+    the fixed cosets off one ``coset_labels`` pass per subgroup
+    (``_bare_fixed_coset``), with no quotient group. The (c) check
+    multiplies generators only, unless some pair of them fails. Failed
+    checks carry generator words under ``witness``: for (b) the least x
+    whose coset is fixed but holds no fixed element, for (c) the first
+    non-commuting pair m in [G,phi], x in the subgroup, in member order.
     """
     if not phi.coprime:
         raise NotCoprime("the coprime facts require gcd(|G|, |phi|) = 1")
@@ -334,12 +346,7 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
 
     quotient_checks = []
     for name, N in family:
-        labels, reps = coset_labels(G, N)
-        # N is phi-invariant, so phi(N x) = N x^phi: coset k is fixed iff its
-        # least element's image lies in it. A fixed element's coset is fixed.
-        meets_fixed = {labels[x] for x in td.fixed.members}
-        bare = next((x for k, x in enumerate(reps)
-                     if labels[phi.table[x]] == k and k not in meets_fixed), None)
+        bare = _bare_fixed_coset(phi, N)
         check = {"subgroup": name, "kernel_order": N.order,
                  "verdict": "pass" if bare is None else "fail"}
         if bare is not None:

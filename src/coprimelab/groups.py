@@ -185,7 +185,8 @@ class FiniteGroup:
         self._right = right
         self.words = _Words(*tree)
         self.base = find_base(degree, store)
-        self._base_images = tuple([perm[pt] for perm in store] for pt in self.base)
+        # in the store's encoding: bytes at degree <= BYTES_MAX_DEGREE, else tuples
+        self._base_images = tuple(self._encode(map(itemgetter(pt), store)) for pt in self.base)
         # every element's key, from its base images as digits in radix degree
         keys = repeat(0, self.order)
         for column in reversed(self._base_images):
@@ -401,8 +402,7 @@ class FiniteGroup:
 
     def whole_subgroup(self) -> "Subgroup":
         if self._whole is None:
-            members = tuple(self._indices())
-            self._whole = (members, frozenset(members), self.generator_indices)
+            self._whole = (tuple(self._indices()), None, self.generator_indices)
         return Subgroup.from_data(self, self._whole)
 
     def trivial_subgroup(self) -> "Subgroup":
@@ -411,11 +411,13 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """Subgroup of an enumerated group, stored as a sorted member-index set.
+    """Subgroup of an enumerated group, stored as a sorted member-index tuple.
 
     ``gens`` is a generating set discovered during closure; series and
     commutator routines iterate over it, so it stays small even when the
-    member set is large.
+    member set is large. ``member_set``, the frozenset of the members, is
+    built on its first read and kept in its slot: the whole group of a large
+    instance is often never asked for it.
     """
 
     __slots__ = ("parent", "members", "member_set", "gens", "_exponent")
@@ -423,7 +425,6 @@ class Subgroup:
     def __init__(self, parent: FiniteGroup, members: Iterable[int], gens: Iterable[int]):
         self.parent = parent
         self.members = tuple(sorted(members))
-        self.member_set = frozenset(self.members)
         self.gens = tuple(gens)
         self._exponent = 0
         if not self.members or self.members[0] != 0:
@@ -434,15 +435,29 @@ class Subgroup:
         """The subgroup of ``parent`` whose ``data`` this is, without sorting again."""
         H = cls.__new__(cls)
         H.parent = parent
-        H.members, H.member_set, H.gens = data
+        H.members, member_set, H.gens = data
+        if member_set is not None:
+            H.member_set = member_set
         H._exponent = 0
         return H
 
+    def __getattr__(self, name: str):
+        # called only for a slot that is unset: member_set before its first read
+        if name != "member_set":
+            raise AttributeError(f"'Subgroup' object has no attribute {name!r}")
+        self.member_set = frozenset(self.members)
+        return self.member_set
+
     @property
     def data(self) -> tuple:
-        """(members, member_set, gens): what a group's caches keep of a
-        subgroup, because a cached Subgroup would hold the group in a cycle."""
-        return self.members, self.member_set, self.gens
+        """(members, member_set or None until it is built, gens): what a
+        group's caches keep of a subgroup, because a cached Subgroup would
+        hold the group in a cycle."""
+        try:
+            member_set = object.__getattribute__(self, "member_set")
+        except AttributeError:
+            member_set = None
+        return self.members, member_set, self.gens
 
     @property
     def order(self) -> int:
@@ -458,7 +473,7 @@ class Subgroup:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subgroup) and self.parent is other.parent
-                and self.member_set == other.member_set)
+                and self.order == other.order and self.member_set == other.member_set)
 
     def __hash__(self) -> int:
         return hash((id(self.parent), self.member_set))
@@ -638,11 +653,12 @@ def automorphism_from_images(G: FiniteGroup, images: Sequence[int]) -> Automorph
     The table is one tree walk over the right-multiplication columns of the
     images, and the law table[x * g_i] = table[x] * images[i] is checked one
     generator column at a time: no ``mul`` call. The generator-wise law
-    suffices for full multiplicativity."""
+    suffices for full multiplicativity. A homomorphism of a finite group is
+    bijective iff its kernel is trivial, so once the law holds bijectivity is
+    one count of the identity. A map that breaks the law is tested element
+    by element, so that one that is neither is NotBijective."""
     columns = [G.right_column(s) for s in images]
     table = G.extend_images(columns)
-    if len(set(table)) != G.order:
-        raise NotBijective("generator images do not induce a bijection")
     broken = []
     for gi, (right, column) in enumerate(zip(G._right, columns)):
         # the least x with table[x * g_i] != table[x] * images[i], if any
@@ -650,10 +666,12 @@ def automorphism_from_images(G: FiniteGroup, images: Sequence[int]) -> Automorph
                                        map(column.__getitem__, table))), None)
         if x is not None:
             broken.append((x, gi))
-    if broken:
+    if broken and len(set(table)) == G.order:
         x, gi = min(broken)
         raise NotHomomorphism(f"map breaks at element {x} times generator {gi}",
                               witness=(x, G.generator_indices[gi]))
+    if broken or table.count(0) != 1:
+        raise NotBijective("generator images do not induce a bijection")
     return Automorphism(G, tuple(table))
 
 

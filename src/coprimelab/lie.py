@@ -170,6 +170,7 @@ class GradedLieAlgebra:
         self.field = FiniteField(self.p, 1)
         self.units = [identity_matrix(layer.dim) for layer in layers]
         self.lp_layers = self._generate_from_first_layer()
+        self._lie_class: Optional[int] = None
 
     @property
     def dims(self) -> tuple:
@@ -250,8 +251,11 @@ class GradedLieAlgebra:
         return steps
 
     def lie_class_of_generated(self) -> int:
-        """Nilpotency class of the subalgebra generated by the first layer."""
-        return self.bracket_steps(self.lp_layers, self.lp_layers)
+        """Nilpotency class of the subalgebra generated by the first layer,
+        bracketed out on the first call and kept."""
+        if self._lie_class is None:
+            self._lie_class = self.bracket_steps(self.lp_layers, self.lp_layers)
+        return self._lie_class
 
 
 def build_graded_lie(series: NpSeries) -> GradedLieAlgebra:

@@ -50,7 +50,8 @@ class SubgroupSeries:
 def _commutator_series(G: FiniteGroup, H: Optional[Subgroup], kind: str) -> SubgroupSeries:
     """Commutate each term with itself ("derived") or with H ("lower-central")
     until stable; the series of G itself (H None) is cached in G.cache[kind]
-    as its terms' ``Subgroup.data``."""
+    as its terms' ``Subgroup.data``. Each term lies in the one before it, so
+    the series is stable once a term has the order of the one before it."""
     if H is None:
         cached = G.cache.get(kind)
         if cached is not None:
@@ -59,7 +60,7 @@ def _commutator_series(G: FiniteGroup, H: Optional[Subgroup], kind: str) -> Subg
     terms = [cur]
     while True:
         nxt = commutator_subgroup_pair(G, cur, cur if kind == "derived" else top)
-        if nxt.member_set == cur.member_set:
+        if nxt.order == cur.order:
             break
         terms.append(nxt)
         cur = nxt
@@ -96,11 +97,12 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
         return G.trivial_subgroup()
     if pk == G.order:
         return G.whole_subgroup()
-    # an element order divides |G|, so it is a power of p iff it divides pk
-    p_elements = [x for x in range(1, G.order) if pk % G.element_order(x) == 0]
+    # an element order divides |G|, so it is a power of p iff it divides pk;
+    # the scan stops at the first p-element that normalizes P
+    orders = G._orders
     P = G.trivial_subgroup()
     while P.order < pk:
-        z = next((x for x in p_elements if x not in P.member_set
+        z = next((x for x in range(1, G.order) if pk % orders[x] == 0 and x not in P.member_set
                   and normality_witness(G, P.gens, P.member_set, (x,)) is None), None)
         if z is None:
             raise AssertionError("Sylow extension exhausted below the p-part")

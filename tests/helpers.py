@@ -12,7 +12,7 @@ from pathlib import Path
 
 from coprimelab.automorphisms import Automorphism, automorphism_from_images, is_phi_invariant
 from coprimelab.errors import NotInvariant
-from coprimelab.groups import FiniteGroup, generate_group
+from coprimelab.groups import FiniteGroup, commutator_subgroup_pair, generate_group
 
 
 def load_workloads():
@@ -126,6 +126,21 @@ def brute_core(G: FiniteGroup, H) -> frozenset:
             covered.update(G.mul(z, g) for z in H.members)
             core &= {G.conjugate(m, g) for m in H.members}
     return frozenset(core)
+
+
+def series_orders_by_set(G: FiniteGroup, H, kind: str) -> tuple:
+    """Orders of the derived ("derived") or lower central ("lower-central")
+    series of H, stopped when a term's member set equals the one before it or
+    is trivial: the stop test by sets, where ``structure`` compares orders."""
+    orders = [len(H.members)]
+    cur = H
+    while len(cur.members) > 1:
+        nxt = commutator_subgroup_pair(G, cur, cur if kind == "derived" else H)
+        if frozenset(nxt.members) == frozenset(cur.members):
+            break
+        orders.append(len(nxt.members))
+        cur = nxt
+    return tuple(orders)
 
 
 def scan_inverses(G: FiniteGroup) -> list:

@@ -129,8 +129,8 @@ MUTANTS = [
      "tests": ["tests/test_automorphisms.py::test_centralizing_by_generators_matches_all_pairs"]},
     {"name": "a fixed coset counts as meeting the fixed points",
      "file": "src/coprimelab/automorphisms.py",
-     "old": "                     if labels[phi.table[x]] == k and k not in meets_fixed), None)\n",
-     "new": "                     if labels[phi.table[x]] == k and k in meets_fixed), None)\n",
+     "old": "                 if labels[phi.table[x]] == k and k not in meets_fixed), None)\n",
+     "new": "                 if labels[phi.table[x]] == k and k in meets_fixed), None)\n",
      "tests": ["tests/test_automorphisms.py::test_quotient_check_failure_carries_a_witness_that_replays"]},
     {"name": "the np-series check keys commutators by the first term only",
      "file": "src/coprimelab/lie.py",
@@ -241,6 +241,47 @@ MUTANTS = [
      "old": "normality_witness(G, P.gens, P.member_set, (x,)) is None",
      "new": "normality_witness(G, P.gens, P.member_set) is None",
      "tests": ["tests/test_group_layer.py::test_sylow_core_and_fitting_match_oracles"]},
+    # member sets on first read, byte base-image columns, bijectivity from the
+    # kernel: the traced peaks of the Glauberman instance
+    {"name": "the member set built on first read leaves out the identity",
+     "file": "src/coprimelab/groups.py",
+     "old": "        self.member_set = frozenset(self.members)\n",
+     "new": "        self.member_set = frozenset(self.members[1:])\n",
+     "tests": ["tests/test_group_layer.py::test_member_sets_built_on_first_read_keep_their_meaning"]},
+    {"name": "the commutator series stops one term early",
+     "file": "src/coprimelab/structure.py",
+     "old": "        if nxt.order == cur.order:\n",
+     "new": "        if nxt.order <= cur.order:\n",
+     "tests": ["tests/test_group_layer.py::test_member_sets_built_on_first_read_keep_their_meaning"]},
+    {"name": "a homomorphism is taken as bijective without counting its kernel",
+     "file": "src/coprimelab/groups.py",
+     "old": "    if broken or table.count(0) != 1:\n",
+     "new": "    if broken:\n",
+     "tests": ["tests/test_cayley_walks.py::test_a_homomorphism_with_a_kernel_is_not_bijective"]},
+    {"name": "a map that breaks the law is not checked for bijectivity",
+     "file": "src/coprimelab/groups.py",
+     "old": "    if broken and len(set(table)) == G.order:\n",
+     "new": "    if broken:\n",
+     "tests": ["tests/test_cayley_walks.py::"
+               "test_a_map_that_is_neither_bijective_nor_a_homomorphism_is_not_bijective"]},
+    {"name": "the whole group's member set is built up front",
+     "file": "src/coprimelab/groups.py",
+     "old": "            self._whole = (tuple(self._indices()), None, self.generator_indices)\n",
+     "new": "            members = tuple(self._indices())\n"
+            "            self._whole = (members, frozenset(members), self.generator_indices)\n",
+     "tests": ["tests/test_traced_peaks.py::"
+               "test_glauberman_build_and_analysis_stay_under_their_traced_peaks"]},
+    {"name": "base-image columns are lists",
+     "file": "src/coprimelab/groups.py",
+     "old": "self._encode(map(itemgetter(pt), store))",
+     "new": "list(map(itemgetter(pt), store))",
+     "tests": ["tests/test_traced_peaks.py::"
+               "test_glauberman_build_and_analysis_stay_under_their_traced_peaks"]},
+    {"name": "the Lie class is bracketed out on every call",
+     "file": "src/coprimelab/lie.py",
+     "old": "        if self._lie_class is None:\n",
+     "new": "        if True:\n",
+     "tests": ["tests/test_lie_layer.py::test_the_lie_class_is_bracketed_out_once_per_algebra"]},
     {"name": "a raw group over the cap names no place in the input",
      "file": "src/coprimelab/corpus.py",
      "old": "        except (InvalidPermutation, CapExceeded) as exc:\n",

@@ -8,7 +8,9 @@ walk or scan it replaced, on every corpus group, on the quotient by its last
 nontrivial derived term (as in test_group_layer.py) and on the restriction
 of the corpus automorphism to [G, phi]. ``are_conjugate`` compares a walk
 from x with y's right column; it is compared with the full scan of
-conjugators on every corpus group.
+conjugators on every corpus group. Three hand-picked maps pin the outcomes
+of the validation: a homomorphism with a kernel, a map that is neither
+bijective nor a homomorphism, and a bijective non-homomorphism.
 """
 
 import functools
@@ -187,3 +189,48 @@ def test_walks_make_no_mul_call(spec_id, monkeypatch):
         assert products.muls - muls_before == 2 * k * len(N.gens), spec_id
         assert products.count - before == (2 * k * len(N.gens) + G.order
                                            + k * Q.order), spec_id
+
+
+def _law_holds(G, table, images) -> bool:
+    """table[x * g_i] == table[x] * images[i] for every x and generator i, by ``mul``."""
+    return all(table[G.mul(x, s)] == G.mul(table[x], images[gi])
+               for x in range(G.order) for gi, s in enumerate(G.generator_indices))
+
+
+def test_a_homomorphism_with_a_kernel_is_not_bijective(monkeypatch):
+    # t -> t^2 on cyclic(4) keeps the law; its kernel {1, t^2} has order 2
+    G, _ = build_corpus_instance({"name": "cyclic", "params": {"m": 4}})
+    (t,) = G.generator_indices
+    images = [G.mul(t, t)]
+    table = mul_tree_walk(G, images, G.mul)
+    assert _law_holds(G, table, images)
+    assert table.count(0) == 2
+
+    def accepted(group, table):
+        # an Automorphism of this map would walk the orbit of t forever
+        raise AssertionError("a map with a kernel was accepted")
+
+    monkeypatch.setattr(groups, "Automorphism", accepted)
+    with pytest.raises(NotBijective):
+        automorphism_from_images(G, images)
+
+
+def test_a_map_that_is_neither_bijective_nor_a_homomorphism_is_not_bijective(s3):
+    # both generators of S3 to the 3-cycle: the image is <3-cycle>, and the
+    # transposition's square goes to the 3-cycle's square
+    a, b = s3.generator_indices
+    images = [a, a]
+    table = mul_tree_walk(s3, images, s3.mul)
+    assert len(set(table)) == 3 and not _law_holds(s3, table, images)
+    assert double_scan_outcome(s3, images) == ("NotBijective",)
+    with pytest.raises(NotBijective):
+        automorphism_from_images(s3, images)
+
+
+def test_a_bijective_non_homomorphism_names_the_least_broken_pair():
+    G, _ = build_corpus_instance(SPECS["heis3_c5_inv"])
+    images = [25, 47, 75]
+    assert len(set(mul_tree_walk(G, images, G.mul))) == G.order
+    expected = ("NotHomomorphism", "map breaks at element 3 times generator 0", (3, 1))
+    assert double_scan_outcome(G, images) == expected
+    assert _outcome(G, images) == expected

@@ -17,11 +17,14 @@ import pytest
 from coprimelab import groups, report
 from coprimelab.corpus import build_corpus_instance, default_corpus, load_instance
 from coprimelab.automorphisms import twisted_data
-from coprimelab.groups import center, is_normal, normal_core, quotient_group, subgroup_generated
+from coprimelab.groups import (Subgroup, center, is_normal, normal_core, quotient_group,
+                               subgroup_generated)
 from coprimelab.numutil import p_part, prime_factors
-from coprimelab.structure import derived_series, fitting_subgroup, sylow_subgroup
+from coprimelab.structure import (derived_series, fitting_subgroup, lower_central_series,
+                                  sylow_subgroup)
 from helpers import (ProductCounter, brute_center, brute_core, brute_subgroup_members,
-                     cycle_order, load_workloads, naive_element_order, scan_inverses)
+                     cycle_order, load_workloads, naive_element_order, scan_inverses,
+                     series_orders_by_set)
 
 # naive_element_order costs the sum of all element orders in products, about
 # 1.3M on Glauberman's group; above this order the cycle lengths are the oracle.
@@ -108,6 +111,57 @@ def test_normal_core_matches_intersection_of_all_conjugates():
             proper += core.order < H.order
             checked += 1
     assert checked >= 160 and proper >= 30, (checked, proper)
+
+
+def _report_subgroups(G, phi) -> list:
+    """(name, subgroup) for the subgroups of G that the report builds: the
+    derived and lower central terms read back from ``G.cache``, the Sylow
+    subgroups, the centre, the whole group, C_G(phi) and [G, phi]."""
+    derived_series(G)
+    lower_central_series(G)
+    out = [(f"{kind}[{i}]", Subgroup.from_data(G, data))
+           for kind in ("derived", "lower-central") for i, data in enumerate(G.cache[kind])]
+    out += [(f"sylow({p})", sylow_subgroup(G, p)) for p in prime_factors(G.order)]
+    out += [("center", center(G)), ("whole", G.whole_subgroup())]
+    if phi is not None:
+        td = twisted_data(phi)
+        out += [("fixed", td.fixed), ("commutator_phi", td.commutator_phi)]
+    return out
+
+
+def test_member_sets_built_on_first_read_keep_their_meaning():
+    # on the corpus groups of order <= 2000 and the nilpotent_pairs templates
+    specs = list(SPECS.values()) + load_workloads().nilpotent_corpus(1)["instances"]
+    checked = unbuilt = 0
+    for spec in specs:
+        G, phi = build_corpus_instance(spec)
+        if G.order > 2000:
+            continue
+        named = _report_subgroups(G, phi)
+        for name, H in named:
+            label = (spec.get("id"), name)
+            unbuilt += H.data[1] is None
+            assert H.member_set == frozenset(H.members), label
+            assert H.data[1] is H.member_set, label
+            eager = Subgroup(G, H.members, H.gens)
+            assert eager.member_set == H.member_set and eager.data[1] is not None, label
+            lazy = Subgroup.from_data(G, (H.members, None, H.gens))
+            assert lazy == eager and eager == lazy and hash(lazy) == hash(eager), label
+            checked += 1
+        # equal iff the member sets are equal, whatever has been built
+        for name, H in named:
+            lazy = Subgroup.from_data(G, (H.members, None, H.gens))
+            for other, K in named:
+                same = frozenset(H.members) == frozenset(K.members)
+                assert (lazy == K) == same and (K == lazy) == same, (spec.get("id"), name, other)
+        # the series of G (cached) and of [G, phi]
+        for H in [None] + ([twisted_data(phi).commutator_phi] if phi is not None else []):
+            for series, kind in ((derived_series, "derived"),
+                                 (lower_central_series, "lower-central")):
+                expected = series_orders_by_set(G, H or G.whole_subgroup(), kind)
+                assert series(G, H).orders == expected, (spec.get("id"), kind)
+    # 356 subgroups, 318 of them not yet asked for their member set
+    assert checked >= 300 and unbuilt >= 100, (checked, unbuilt)
 
 
 # _group_section on Glauberman's affine(5,3), |G| = 15,500: series, exponent

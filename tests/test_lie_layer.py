@@ -8,10 +8,11 @@ element with ``G.power``; the power map is checked against ``G.power``.
 """
 
 import functools
+import json
 
 import pytest
 
-from coprimelab import groups, lie
+from coprimelab import cli, groups, lie, report
 from coprimelab.corpus import build_corpus_instance, default_corpus
 from coprimelab.lie import NpSeries, build_graded_lie, check_lazard_all, jlz_series
 from coprimelab.numutil import prime_factors, prime_power_base
@@ -167,3 +168,25 @@ def test_power_subgroups_make_no_power_call(monkeypatch):
     assert power_subgroup(G, 25).is_trivial and power_subgroup(G, 5).order == 5
     assert [t.order for t in S.terms] == [3125, 25, 5, 5, 5, 1]
     assert calls.count == 0
+
+
+def test_the_lie_class_is_bracketed_out_once_per_algebra(monkeypatch, tmp_path, capsys):
+    # the report's Lie section and the ``lie`` command read the class, and
+    # check_riley reads it again
+    walks = []
+    steps = lie.GradedLieAlgebra.bracket_steps
+
+    def counted(self, X, K):
+        walks.append(X is self.lp_layers and K is self.lp_layers)
+        return steps(self, X, K)
+
+    monkeypatch.setattr(lie.GradedLieAlgebra, "bracket_steps", counted)
+    G = _group("heis5")
+    assert report._lie_section(G, None, 5)["lie_class"] == 2
+    assert walks.count(True) == 1
+    walks.clear()
+    path = tmp_path / "heis5.json"
+    path.write_text(json.dumps(BENCH_GROUPS["heis5"]), encoding="utf-8")
+    assert cli.main(["lie", str(path)]) == 0
+    assert '"lie_class":2' in capsys.readouterr().out
+    assert walks.count(True) == 1

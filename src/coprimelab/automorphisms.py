@@ -80,7 +80,7 @@ def commutator_twisted_data(phi: Automorphism) -> TwistedData:
     C_H(phi) = H & C_G(phi), the twisted set of phi on H (|H| products) and
     [H, phi]. Kept on ``twisted_data(phi)``, or that data itself when H = G."""
     td = twisted_data(phi)
-    if td.commutator_phi.is_whole:
+    if td.commutator_phi.order == phi.group.order:
         return td
     if td.inner is None:
         td.inner = _twisted_on(phi, td.commutator_phi.members)
@@ -459,4 +459,4 @@ def soluble_exponent_probe(phi: Automorphism) -> dict:
         raise PreconditionViolated("soluble group required")
     H, inner = _commutator_data(phi)
     return {"d": commutator_derived_length(phi), "e": G.exponent_of(inner.twisted),
-            "exponent": H.exponent()}
+            "exponent": G.exponent_of(H.members)}

@@ -200,8 +200,7 @@ class FiniteGroup:
         self.generator_indices = tuple(self.element_index(g) for g in self.generators)
         self._orders, self._inverses = self._power_walk()
         self._exponent = 0
-        # data, not a Subgroup: a Subgroup kept here would hold the group in a cycle
-        self._whole: Optional[tuple] = None
+        self._whole: Optional[Subgroup] = None
         self.cache: dict = {}
 
     # arithmetic on element indices
@@ -401,45 +400,35 @@ class FiniteGroup:
     # subgroup handles
 
     def whole_subgroup(self) -> "Subgroup":
+        """G as a subgroup of itself: one handle per group, made on first request."""
         if self._whole is None:
-            self._whole = (tuple(self._indices()), None, self.generator_indices)
-        return Subgroup.from_data(self, self._whole)
+            self._whole = Subgroup(self._indices(), self.generator_indices)
+        return self._whole
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (0,), ())
-
+        return Subgroup((0,), ())
 
 
 class Subgroup:
     """Subgroup of an enumerated group, stored as a sorted member-index tuple.
 
-    ``gens`` is a generating set discovered during closure; series and
-    commutator routines iterate over it, so it stays small even when the
-    member set is large. ``member_set``, the frozenset of the members, is
-    built on its first read and kept in its slot: the whole group of a large
-    instance is often never asked for it.
+    It holds no reference to its group: every function that reads a subgroup
+    is passed the group too, and a group's caches keep subgroups with no
+    cycle. Two subgroups are equal when their member sets are, so compare
+    only subgroups of one group. ``gens`` is a generating set discovered
+    during closure; series and commutator routines iterate over it, so it
+    stays small even when the member set is large. ``member_set``, the
+    frozenset of the members, is built on its first read and kept in its
+    slot: the whole group of a large instance is often never asked for it.
     """
 
-    __slots__ = ("parent", "members", "member_set", "gens", "_exponent")
+    __slots__ = ("members", "member_set", "gens")
 
-    def __init__(self, parent: FiniteGroup, members: Iterable[int], gens: Iterable[int]):
-        self.parent = parent
+    def __init__(self, members: Iterable[int], gens: Iterable[int]):
         self.members = tuple(sorted(members))
         self.gens = tuple(gens)
-        self._exponent = 0
         if not self.members or self.members[0] != 0:
             raise ValueError("a subgroup must contain the identity (index 0)")
-
-    @classmethod
-    def from_data(cls, parent: FiniteGroup, data: tuple) -> "Subgroup":
-        """The subgroup of ``parent`` whose ``data`` this is, without sorting again."""
-        H = cls.__new__(cls)
-        H.parent = parent
-        H.members, member_set, H.gens = data
-        if member_set is not None:
-            H.member_set = member_set
-        H._exponent = 0
-        return H
 
     def __getattr__(self, name: str):
         # called only for a slot that is unset: member_set before its first read
@@ -449,17 +438,6 @@ class Subgroup:
         return self.member_set
 
     @property
-    def data(self) -> tuple:
-        """(members, member_set or None until it is built, gens): what a
-        group's caches keep of a subgroup, because a cached Subgroup would
-        hold the group in a cycle."""
-        try:
-            member_set = object.__getattribute__(self, "member_set")
-        except AttributeError:
-            member_set = None
-        return self.members, member_set, self.gens
-
-    @property
     def order(self) -> int:
         return len(self.members)
 
@@ -467,21 +445,12 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return len(self.members) == 1
 
-    @property
-    def is_whole(self) -> bool:
-        return len(self.members) == self.parent.order
-
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Subgroup) and self.parent is other.parent
-                and self.order == other.order and self.member_set == other.member_set)
+        return (isinstance(other, Subgroup) and self.order == other.order
+                and self.member_set == other.member_set)
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.member_set))
-
-    def exponent(self) -> int:
-        if self._exponent == 0:
-            self._exponent = self.parent.exponent_of(self.members)
-        return self._exponent
+        return hash(self.member_set)
 
 
 def generate_group(degree: int, generators: Sequence[Sequence[int]],
@@ -564,7 +533,7 @@ def subgroup_generated(G: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
                 if y not in members:
                     members.update(G.products(old, repeat(y)))
                     reps.append(y)
-    return Subgroup(G, members, gens)
+    return Subgroup(members, gens)
 
 
 def commutator_subgroup_pair(G: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
@@ -609,13 +578,11 @@ def centralizer(G: FiniteGroup, elems: Iterable[int]) -> Subgroup:
 
 def center(G: FiniteGroup) -> Subgroup:
     """Centralizer of the generators, which equals the center. Computed once
-    per group and cached as ``Subgroup.data``."""
-    cached = G.cache.get("center")
-    if cached is None:
-        Z = centralizer(G, G.generator_indices)
-        G.cache["center"] = Z.data
-        return Z
-    return Subgroup.from_data(G, cached)
+    per group and kept in ``G.cache``."""
+    Z = G.cache.get("center")
+    if Z is None:
+        Z = G.cache["center"] = centralizer(G, G.generator_indices)
+    return Z
 
 
 class Automorphism:
@@ -623,11 +590,14 @@ class Automorphism:
 
     ``table[x]`` is the image of element x; ``order_n`` is the order of the
     map: phi^k is the identity iff it fixes every generator, so it is the lcm
-    of the lengths of the <phi>-orbits of the generators. The analysis in
-    ``automorphisms`` keeps its twisted data in ``_twisted``.
+    of the lengths of the <phi>-orbits of the generators; NotBijective when
+    the table has the wrong length or such an orbit does not close within |G|
+    steps. The analysis in ``automorphisms`` keeps its twisted data in ``_twisted``.
     """
 
     def __init__(self, group: FiniteGroup, table: tuple):
+        if len(table) != group.order:
+            raise NotBijective("generator images do not induce a bijection")
         self.group = group
         self.table = table
         self.order_n = math.lcm(*(len(self.orbit(g)) for g in group.generator_indices))
@@ -637,6 +607,8 @@ class Automorphism:
         out = [x]
         y = self.table[x]
         while y != x:
+            if len(out) == len(self.table):
+                raise NotBijective("generator images do not induce a bijection")
             out.append(y)
             y = self.table[y]
         return out

@@ -68,11 +68,11 @@ def theorem1_probe(phi: Automorphism) -> dict:
     G = phi.group
     td = twisted_data(phi)
     e_star = max(map(G.element_order, td.fixed.members))
-    bound = td.commutator_phi.exponent()
+    bound = G.exponent_of(td.commutator_phi.members)
     for x in orbit_representatives(phi, td.twisted_set):
         if e_star >= bound:
             break
-        e_star = max(e_star, phi_invariant_closure(phi, {x}).exponent())
+        e_star = max(e_star, G.exponent_of(phi_invariant_closure(phi, {x}).members))
     return {"e_star": e_star, "n": phi.order_n, "exponent": G.exponent()}
 
 
@@ -114,7 +114,7 @@ def theorem2_probe(phi: Automorphism) -> dict:
         if d == bound:
             break
     return {"c": fixed_lcs.nilpotency_class, "d": d, "e": G.exponent_of(td.twisted),
-            "n": phi.order_n, "exponent_commutator": td.commutator_phi.exponent()}
+            "n": phi.order_n, "exponent_commutator": G.exponent_of(td.commutator_phi.members)}
 
 
 def thompson_probe(phi: Automorphism) -> dict:
@@ -235,7 +235,7 @@ def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
     section["riley"] = riley["verdict"]
     section["riley_term_order"] = riley["term_order"]
     term = A.series.term(c + 1)
-    bound = term.exponent() * p ** c
+    bound = G.exponent_of(term.members) * p ** c
     section["exponent_split"] = _verdict(bound % G.exponent() == 0)
     if is_powerful(G, p):
         # powerful p-groups: elements of order dividing m generate exponent-m subgroups
@@ -243,7 +243,7 @@ def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
         m = p
         while m <= G.exponent():
             seeds = {x for x in range(G.order) if m % G.element_order(x) == 0}
-            if m % subgroup_generated(G, seeds).exponent() != 0:
+            if m % G.exponent_of(subgroup_generated(G, seeds).members) != 0:
                 ok = False
             m *= p
         section["powerful_generation"] = _verdict(ok)

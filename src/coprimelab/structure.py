@@ -49,13 +49,11 @@ class SubgroupSeries:
 
 def _commutator_series(G: FiniteGroup, H: Optional[Subgroup], kind: str) -> SubgroupSeries:
     """Commutate each term with itself ("derived") or with H ("lower-central")
-    until stable; the series of G itself (H None) is cached in G.cache[kind]
-    as its terms' ``Subgroup.data``. Each term lies in the one before it, so
-    the series is stable once a term has the order of the one before it."""
-    if H is None:
-        cached = G.cache.get(kind)
-        if cached is not None:
-            return SubgroupSeries(tuple(Subgroup.from_data(G, data) for data in cached))
+    until stable; the series of G itself (H None) is kept in G.cache[kind].
+    Each term lies in the one before it, so the series is stable once a term
+    has the order of the one before it."""
+    if H is None and kind in G.cache:
+        return G.cache[kind]
     top = cur = H if H is not None else G.whole_subgroup()
     terms = [cur]
     while True:
@@ -68,7 +66,7 @@ def _commutator_series(G: FiniteGroup, H: Optional[Subgroup], kind: str) -> Subg
             break
     series = SubgroupSeries(tuple(terms))
     if H is None:
-        G.cache[kind] = tuple(term.data for term in terms)
+        G.cache[kind] = series
     return series
 
 

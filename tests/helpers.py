@@ -504,7 +504,7 @@ def restrict_automorphism(phi, H):
     G = phi.group
     if not is_phi_invariant(phi, H):
         raise NotInvariant("cannot restrict to a non-invariant subgroup")
-    if H.is_whole:
+    if H.order == G.order:
         return G, phi, tuple(range(G.order))
     Hg, to_parent, from_parent = subgroup_as_group(G, H)
     images = [from_parent[phi.table[to_parent[g]]] for g in Hg.generator_indices]

@@ -43,13 +43,13 @@ MUTANTS = [
      "tests": ["tests/test_report_cli.py::test_theorem1_closes_one_subgroup_per_orbit_glauberman"]},
     {"name": "theorem 1 bounded by the exponent of G",
      "file": "src/coprimelab/report.py",
-     "old": "    bound = td.commutator_phi.exponent()\n",
+     "old": "    bound = G.exponent_of(td.commutator_phi.members)\n",
      "new": "    bound = G.exponent()\n",
      "tests": ["tests/test_report_cli.py::test_theorem1_closes_one_subgroup_per_orbit_glauberman"]},
     {"name": "theorem 1 stops at exp([G, phi]) / 5",
      "file": "src/coprimelab/report.py",
-     "old": "    bound = td.commutator_phi.exponent()\n",
-     "new": "    bound = td.commutator_phi.exponent() // 5\n",
+     "old": "    bound = G.exponent_of(td.commutator_phi.members)\n",
+     "new": "    bound = G.exponent_of(td.commutator_phi.members) // 5\n",
      "tests": ["tests/test_report_cli.py::test_theorem1_matches_unreduced_oracle_on_corpus"]},
     {"name": "theorem 1 ignores fixed elements",
      "file": "src/coprimelab/report.py",
@@ -266,11 +266,28 @@ MUTANTS = [
                "test_a_map_that_is_neither_bijective_nor_a_homomorphism_is_not_bijective"]},
     {"name": "the whole group's member set is built up front",
      "file": "src/coprimelab/groups.py",
-     "old": "            self._whole = (tuple(self._indices()), None, self.generator_indices)\n",
-     "new": "            members = tuple(self._indices())\n"
-            "            self._whole = (members, frozenset(members), self.generator_indices)\n",
+     "old": "            self._whole = Subgroup(self._indices(), self.generator_indices)\n",
+     "new": "            self._whole = Subgroup(self._indices(), self.generator_indices)\n"
+            "            self._whole.member_set = frozenset(self._whole.members)\n",
      "tests": ["tests/test_traced_peaks.py::"
                "test_glauberman_build_and_analysis_stay_under_their_traced_peaks"]},
+    {"name": "an automorphism table of the wrong length is accepted",
+     "file": "src/coprimelab/groups.py",
+     "old": "        if len(table) != group.order:\n",
+     "new": "        if False:\n",
+     "tests": ["tests/test_cayley_walks.py::"
+               "test_automorphism_of_a_table_that_is_no_bijection_is_not_bijective"]},
+    {"name": "an automorphism's orbit walk is unbounded",
+     "file": "src/coprimelab/groups.py",
+     "old": "            if len(out) == len(self.table):\n",
+     "new": "            if False:\n",
+     "tests": ["tests/test_cayley_walks.py::"
+               "test_automorphism_of_a_table_that_is_no_bijection_is_not_bijective"]},
+    {"name": "whole_subgroup hands out a fresh handle",
+     "file": "src/coprimelab/groups.py",
+     "old": "        return self._whole\n",
+     "new": "        return Subgroup(self._whole.members, self._whole.gens)\n",
+     "tests": ["tests/test_group_layer.py::test_one_whole_subgroup_handle_per_group"]},
     {"name": "base-image columns are lists",
      "file": "src/coprimelab/groups.py",
      "old": "self._encode(map(itemgetter(pt), store))",

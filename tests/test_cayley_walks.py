@@ -10,11 +10,17 @@ of the corpus automorphism to [G, phi]. ``are_conjugate`` compares a walk
 from x with y's right column; it is compared with the full scan of
 conjugators on every corpus group. Three hand-picked maps pin the outcomes
 of the validation: a homomorphism with a kernel, a map that is neither
-bijective nor a homomorphism, and a bijective non-homomorphism.
+bijective nor a homomorphism, and a bijective non-homomorphism. Two tables
+handed to ``Automorphism`` directly pin its own bounds.
 """
 
 import functools
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +219,45 @@ def test_a_homomorphism_with_a_kernel_is_not_bijective(monkeypatch):
     monkeypatch.setattr(groups, "Automorphism", accepted)
     with pytest.raises(NotBijective):
         automorphism_from_images(G, images)
+
+
+# Automorphism(G, table) in a child process under a timeout and this
+# address-space limit, so that an orbit walk that never ends fails the test
+# instead of filling the host's memory
+CHILD_ADDRESS_SPACE = 256 << 20
+AUTOMORPHISM_OF_TABLE = """
+import ast, sys
+from coprimelab.corpus import build_corpus_instance
+from coprimelab.errors import NotBijective
+from coprimelab.groups import Automorphism
+G, _ = build_corpus_instance({"name": "cyclic", "params": {"m": 4}})
+table = ast.literal_eval(sys.argv[1])
+try:
+    Automorphism(G, table)
+except NotBijective as exc:
+    print("NotBijective:", exc)
+"""
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("square", [True, False], ids=["t_to_t_squared", "short_table"])
+def test_automorphism_of_a_table_that_is_no_bijection_is_not_bijective(square):
+    # t -> t^2 on cyclic(4) walks t, t^2, 1, 1, ... and never meets t again;
+    # (0, 1) names two of the four elements
+    G, _ = build_corpus_instance({"name": "cyclic", "params": {"m": 4}})
+    (t,) = G.generator_indices
+    table = tuple(mul_tree_walk(G, [G.mul(t, t)], G.mul)) if square else (0, 1)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", AUTOMORPHISM_OF_TABLE, repr(table)], env=env,
+                         capture_output=True, text=True, timeout=60,
+                         preexec_fn=_limit_address_space)
+    assert (out.returncode, out.stdout) == (
+        0, "NotBijective: generator images do not induce a bijection\n"), out.stderr
 
 
 def test_a_map_that_is_neither_bijective_nor_a_homomorphism_is_not_bijective(s3):

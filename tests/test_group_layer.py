@@ -8,6 +8,7 @@ per group. Each is checked here against an oracle that uses none of those
 shortcuts, on every corpus group and on one quotient of each nonabelian one.
 """
 
+import collections
 import functools
 import gc
 import weakref
@@ -117,16 +118,27 @@ def _report_subgroups(G, phi) -> list:
     """(name, subgroup) for the subgroups of G that the report builds: the
     derived and lower central terms read back from ``G.cache``, the Sylow
     subgroups, the centre, the whole group, C_G(phi) and [G, phi]."""
-    derived_series(G)
-    lower_central_series(G)
-    out = [(f"{kind}[{i}]", Subgroup.from_data(G, data))
-           for kind in ("derived", "lower-central") for i, data in enumerate(G.cache[kind])]
+    # the caches hold the series themselves
+    assert derived_series(G) is G.cache["derived"] is derived_series(G)
+    assert lower_central_series(G) is G.cache["lower-central"] is lower_central_series(G)
+    out = [(f"{kind}[{i}]", term) for kind in ("derived", "lower-central")
+           for i, term in enumerate(G.cache[kind].terms)]
     out += [(f"sylow({p})", sylow_subgroup(G, p)) for p in prime_factors(G.order)]
     out += [("center", center(G)), ("whole", G.whole_subgroup())]
     if phi is not None:
         td = twisted_data(phi)
         out += [("fixed", td.fixed), ("commutator_phi", td.commutator_phi)]
     return out
+
+
+def _built(H) -> bool:
+    """Whether H's member set is in its slot, read past ``__getattr__``,
+    which would build it."""
+    try:
+        Subgroup.member_set.__get__(H)
+    except AttributeError:
+        return False
+    return True
 
 
 def test_member_sets_built_on_first_read_keep_their_meaning():
@@ -140,17 +152,18 @@ def test_member_sets_built_on_first_read_keep_their_meaning():
         named = _report_subgroups(G, phi)
         for name, H in named:
             label = (spec.get("id"), name)
-            unbuilt += H.data[1] is None
+            unbuilt += not _built(H)
             assert H.member_set == frozenset(H.members), label
-            assert H.data[1] is H.member_set, label
-            eager = Subgroup(G, H.members, H.gens)
-            assert eager.member_set == H.member_set and eager.data[1] is not None, label
-            lazy = Subgroup.from_data(G, (H.members, None, H.gens))
+            assert _built(H) and Subgroup.member_set.__get__(H) is H.member_set, label
+            eager = Subgroup(H.members, H.gens)
+            assert eager.member_set == H.member_set and _built(eager), label
+            lazy = Subgroup(H.members, H.gens)
+            assert not _built(lazy), label
             assert lazy == eager and eager == lazy and hash(lazy) == hash(eager), label
             checked += 1
         # equal iff the member sets are equal, whatever has been built
         for name, H in named:
-            lazy = Subgroup.from_data(G, (H.members, None, H.gens))
+            lazy = Subgroup(H.members, H.gens)
             for other, K in named:
                 same = frozenset(H.members) == frozenset(K.members)
                 assert (lazy == K) == same and (K == lazy) == same, (spec.get("id"), name, other)
@@ -206,8 +219,40 @@ def test_center_is_scanned_once_per_group(monkeypatch):
             assert len(scanned) == 1
 
 
+def test_one_whole_subgroup_handle_per_group(monkeypatch):
+    # over a corpus pass: which group each whole-subgroup handle came from,
+    # and how many times each handle's member set was built
+    handles = {}
+    builds = collections.Counter()
+    whole = groups.FiniteGroup.whole_subgroup
+    build = Subgroup.__getattr__
+
+    def recorded(G):
+        H = whole(G)
+        # the handle and its group stay alive, so no other object takes their ids
+        handles[id(H)] = (G, H)
+        return H
+
+    def counted(H, name):
+        if name == "member_set" and id(H) in handles:
+            builds[id(H)] += 1
+        return build(H, name)
+
+    monkeypatch.setattr(groups.FiniteGroup, "whole_subgroup", recorded)
+    monkeypatch.setattr(Subgroup, "__getattr__", counted)
+    for spec in SPECS.values():
+        report.analyze_instance(spec)
+    per_group = collections.Counter()
+    for G, H in handles.values():
+        per_group[id(G)] += builds[id(H)]
+    # 27 of the 36 groups build it once; fresh handles made 49 builds over 155 handles
+    assert max(per_group.values()) == 1 and sum(per_group.values()) >= 20, per_group
+    for G, H in list(handles.values()):
+        assert G.whole_subgroup() is G.whole_subgroup() is H
+
+
 def test_groups_are_freed_without_the_cycle_collector(monkeypatch):
-    # the caches keep Subgroup.data, not Subgroups, whose parent is the group
+    # the caches keep subgroups and series, which hold no reference to the group
     refs = []
     load = report.load_instance
 

@@ -1,11 +1,11 @@
 """Fixed and twisted sets of an automorphism, and the checks built on them.
 
 The automorphism of an enumerated group is stored as a full element-index
-permutation (``table``). ``Automorphism`` and its construction from
-generator images (``automorphism_from_images``, ``build_automorphism``) live
-in ``groups``, next to the Cayley-graph walks that build the table, so that
-building an instance compiles none of the analysis here; they are
-re-exported from this module.
+permutation (``table``). ``Automorphism(G, images)``, the one constructor,
+which checks its generator images, and ``build_automorphism``, which
+evaluates image words for it, live in ``groups``, next to the Cayley-graph
+walks that build the table, so that building an instance compiles none of
+the analysis here; they are re-exported from this module.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import (GroupTheoryError, NotCoprime, NotInvariant, NotNilpotent,
                      DecompositionNotFound, NonUniqueDecomposition, PreconditionViolated)
 from .groups import (Automorphism, FiniteGroup, Subgroup, are_conjugate,  # noqa: F401
-                     automorphism_from_images, build_automorphism, center, coset_labels,
-                     is_normal, normal_core, product_of_subgroups, subgroup_generated)
+                     build_automorphism, center, coset_labels, is_normal, normal_core,
+                     product_of_subgroups, subgroup_generated)
 from .structure import derived_series, lower_central_series
 
 

@@ -17,9 +17,9 @@ Enumeration keeps the Cayley graph it walks: ``G._right[i][x]`` is the index
 of x times generator i. ``G.extend_images(columns, start)`` walks the tree
 over such columns with no ``mul`` call. Over ``G._right`` from s it gives
 s * x for every x, and x * t = (t⁻¹ x⁻¹)⁻¹ gives the right-multiplication
-column of any t (``right_column``). Automorphism tables and their
-homomorphism check, quotient projections, the centre's membership test and
-the conjugacy search are built that way.
+column of any t (``right_column``). ``Automorphism(G, images)`` builds its
+table and checks the homomorphism law that way, as do quotient projections,
+the centre's membership test and the conjugacy search.
 
 Elements are keyed by their images on a base, a short list of points whose
 images determine an element (Sims; Seress, *Permutation Group Algorithms*,
@@ -391,8 +391,8 @@ class FiniteGroup:
         """Evaluate a signed 1-based generator word to an element index."""
         out = 0
         for k in word:
-            if k == 0 or abs(k) > len(self.generator_indices):
-                raise ValueError(f"word entry {k} does not name a generator")
+            if type(k) is not int or k == 0 or abs(k) > len(self.generator_indices):
+                raise ValueError(f"word entry {k!r} does not name a generator")
             g = self.generator_indices[abs(k) - 1]
             out = self.mul(out, g if k > 0 else self._inverses[g])
         return out
@@ -586,29 +586,49 @@ def center(G: FiniteGroup) -> Subgroup:
 
 
 class Automorphism:
-    """Bijective endomorphism of an enumerated group.
+    """The automorphism of an enumerated group that sends generator i to the
+    element of index ``images[i]``: the one way to build an automorphism.
 
-    ``table[x]`` is the image of element x; ``order_n`` is the order of the
-    map: phi^k is the identity iff it fixes every generator, so it is the lcm
-    of the lengths of the <phi>-orbits of the generators; NotBijective when
-    the table has the wrong length or such an orbit does not close within |G|
-    steps. The analysis in ``automorphisms`` keeps its twisted data in ``_twisted``.
+    ValueError, before any walk, unless ``images`` is a list or tuple of one
+    int (not ``bool``) in range(|G|) per generator. The table is one tree walk
+    over the right-multiplication columns of the images; the law
+    table[x * g_i] = table[x] * images[i] is checked one generator column at a
+    time, with no ``mul`` call. A map that breaks it is NotHomomorphism if
+    bijective, else NotBijective; a homomorphism is bijective iff its kernel,
+    counted in the table, is trivial. ``order_n`` is the lcm of the lengths of
+    the generators' <phi>-orbits, which close on a bijection. The analysis in
+    ``automorphisms`` keeps its twisted data in ``_twisted``.
     """
 
-    def __init__(self, group: FiniteGroup, table: tuple):
-        if len(table) != group.order:
+    def __init__(self, group: FiniteGroup, images: Sequence[int]):
+        self.group = G = group
+        if (not isinstance(images, (list, tuple)) or len(images) != len(G.generators)
+                or any(type(s) is not int or not 0 <= s < G.order for s in images)):
+            raise ValueError(f"expected one element index below {G.order} for each of the "
+                             f"{len(G.generators)} generators, got {images!r}")
+        columns = [G.right_column(s) for s in images]
+        table = G.extend_images(columns)
+        broken = []
+        for gi, (right, column) in enumerate(zip(G._right, columns)):
+            # the least x with table[x * g_i] != table[x] * images[i], if any
+            x = next(compress(count(), map(operator.ne, map(table.__getitem__, right),
+                                           map(column.__getitem__, table))), None)
+            if x is not None:
+                broken.append((x, gi))
+        if broken and len(set(table)) == G.order:
+            x, gi = min(broken)
+            raise NotHomomorphism(f"map breaks at element {x} times generator {gi}",
+                                  witness=(x, G.generator_indices[gi]))
+        if broken or table.count(0) != 1:
             raise NotBijective("generator images do not induce a bijection")
-        self.group = group
-        self.table = table
-        self.order_n = math.lcm(*(len(self.orbit(g)) for g in group.generator_indices))
+        self.table = tuple(table)
+        self.order_n = math.lcm(*(len(self.orbit(g)) for g in G.generator_indices))
         self._twisted = None
 
     def orbit(self, x: int) -> list[int]:
         out = [x]
         y = self.table[x]
         while y != x:
-            if len(out) == len(self.table):
-                raise NotBijective("generator images do not induce a bijection")
             out.append(y)
             y = self.table[y]
         return out
@@ -618,40 +638,13 @@ class Automorphism:
         return math.gcd(self.group.order, self.order_n) == 1
 
 
-def automorphism_from_images(G: FiniteGroup, images: Sequence[int]) -> Automorphism:
-    """The automorphism that sends generator i to element ``images[i]``;
-    NotBijective or NotHomomorphism when these images define none.
-
-    The table is one tree walk over the right-multiplication columns of the
-    images, and the law table[x * g_i] = table[x] * images[i] is checked one
-    generator column at a time: no ``mul`` call. The generator-wise law
-    suffices for full multiplicativity. A homomorphism of a finite group is
-    bijective iff its kernel is trivial, so once the law holds bijectivity is
-    one count of the identity. A map that breaks the law is tested element
-    by element, so that one that is neither is NotBijective."""
-    columns = [G.right_column(s) for s in images]
-    table = G.extend_images(columns)
-    broken = []
-    for gi, (right, column) in enumerate(zip(G._right, columns)):
-        # the least x with table[x * g_i] != table[x] * images[i], if any
-        x = next(compress(count(), map(operator.ne, map(table.__getitem__, right),
-                                       map(column.__getitem__, table))), None)
-        if x is not None:
-            broken.append((x, gi))
-    if broken and len(set(table)) == G.order:
-        x, gi = min(broken)
-        raise NotHomomorphism(f"map breaks at element {x} times generator {gi}",
-                              witness=(x, G.generator_indices[gi]))
-    if broken or table.count(0) != 1:
-        raise NotBijective("generator images do not induce a bijection")
-    return Automorphism(G, tuple(table))
-
-
-def build_automorphism(G: FiniteGroup, gen_images: Sequence[Iterable[int]]) -> Automorphism:
-    """Evaluate generator-image words and extend them to the whole group."""
-    if len(gen_images) != len(G.generators):
-        raise ValueError(f"expected {len(G.generators)} image words, got {len(gen_images)}")
-    return automorphism_from_images(G, [G.evaluate_word(w) for w in gen_images])
+def build_automorphism(G: FiniteGroup, gen_images: Sequence[Sequence[int]]) -> Automorphism:
+    """The automorphism whose generator images are these words, lists of
+    signed 1-based generator numbers (see ``evaluate_word``)."""
+    if not isinstance(gen_images, (list, tuple)) or not all(
+            isinstance(w, (list, tuple)) for w in gen_images):
+        raise ValueError(f"expected a list of image words, got {gen_images!r}")
+    return Automorphism(G, [G.evaluate_word(w) for w in gen_images])
 
 
 def normality_witness(G: FiniteGroup, gens: Iterable[int], members,

@@ -10,7 +10,7 @@ import math
 from functools import reduce
 from pathlib import Path
 
-from coprimelab.automorphisms import Automorphism, automorphism_from_images, is_phi_invariant
+from coprimelab.automorphisms import Automorphism, is_phi_invariant
 from coprimelab.errors import NotInvariant
 from coprimelab.groups import FiniteGroup, commutator_subgroup_pair, generate_group
 
@@ -25,7 +25,7 @@ def load_workloads():
 
 
 def identity_automorphism(G: FiniteGroup) -> Automorphism:
-    return Automorphism(G, tuple(range(G.order)))
+    return Automorphism(G, G.generator_indices)
 
 
 def brute_closure(perms):
@@ -508,7 +508,7 @@ def restrict_automorphism(phi, H):
         return G, phi, tuple(range(G.order))
     Hg, to_parent, from_parent = subgroup_as_group(G, H)
     images = [from_parent[phi.table[to_parent[g]]] for g in Hg.generator_indices]
-    return Hg, automorphism_from_images(Hg, images), to_parent
+    return Hg, Automorphism(Hg, images), to_parent
 
 
 def quotient_projection(G: FiniteGroup, Q: FiniteGroup) -> list:
@@ -524,7 +524,7 @@ def quotient_automorphism(phi, N, Q) -> Automorphism:
     if not is_phi_invariant(phi, N):
         raise NotInvariant("kernel is not phi-invariant")
     to_q = quotient_projection(G, Q)
-    induced = automorphism_from_images(Q, [to_q[phi.table[g]] for g in G.generator_indices])
+    induced = Automorphism(Q, [to_q[phi.table[g]] for g in G.generator_indices])
     if (list(map(to_q.__getitem__, phi.table))
             != list(map(induced.table.__getitem__, to_q))):
         raise NotInvariant("induced quotient map is not well defined")

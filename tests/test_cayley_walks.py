@@ -8,29 +8,30 @@ walk or scan it replaced, on every corpus group, on the quotient by its last
 nontrivial derived term (as in test_group_layer.py) and on the restriction
 of the corpus automorphism to [G, phi]. ``are_conjugate`` compares a walk
 from x with y's right column; it is compared with the full scan of
-conjugators on every corpus group. Three hand-picked maps pin the outcomes
-of the validation: a homomorphism with a kernel, a map that is neither
-bijective nor a homomorphism, and a bijective non-homomorphism. Two tables
-handed to ``Automorphism`` directly pin its own bounds.
+conjugators on every corpus group. ``Automorphism(G, images)`` is the one
+way to build an automorphism. Three hand-picked maps pin the outcomes of its
+validation: a homomorphism with a kernel, a map that is neither bijective
+nor a homomorphism, and a bijective non-homomorphism. Images that are no
+element indices, or too few or too many, are a ValueError before any walk,
+and a fuzz over the small corpus groups holds every outcome to the ``mul``
+double scan.
 """
 
 import functools
-import os
 import random
-import resource
-import subprocess
-import sys
-from pathlib import Path
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coprimelab import groups
-from coprimelab.automorphisms import automorphism_from_images, twisted_data
+from coprimelab.automorphisms import Automorphism, build_automorphism, twisted_data
 from coprimelab.corpus import build_corpus_instance, default_corpus
 from coprimelab.errors import NotBijective, NotHomomorphism
 from coprimelab.groups import center, quotient_group, subgroup_generated
 from coprimelab.structure import derived_series
-from helpers import (ProductCounter, brute_center, double_scan_outcome,
+from helpers import (ProductCounter, brute_center, cycle_order, double_scan_outcome,
                      least_conjugators_by_scan, mul_tree_walk, quotient_automorphism,
                      quotient_projection, restrict_automorphism)
 
@@ -116,12 +117,12 @@ def test_automorphism_tables_match_the_mul_walk(spec_id):
             continue
         images = _images(G, phi)
         assert phi.table == tuple(mul_tree_walk(G, images, G.mul)), label
-        assert automorphism_from_images(G, images).table == phi.table, label
+        assert Automorphism(G, images).table == phi.table, label
 
 
 def _outcome(G, images) -> tuple:
     try:
-        return ("table", automorphism_from_images(G, images).table)
+        return ("table", Automorphism(G, images).table)
     except NotBijective:
         return ("NotBijective",)
     except NotHomomorphism as exc:
@@ -174,7 +175,7 @@ def test_walks_make_no_mul_call(spec_id, monkeypatch):
     N = _last_derived(G)
     images = _images(G, phi) if phi is not None else list(G.generator_indices)
     products = ProductCounter(monkeypatch)
-    assert automorphism_from_images(G, images).table == (
+    assert Automorphism(G, images).table == (
         phi.table if phi is not None else tuple(range(G.order)))
     assert products.count == 0, spec_id
     # the centre's membership walk makes none: its products are those of
@@ -203,6 +204,16 @@ def _law_holds(G, table, images) -> bool:
                for x in range(G.order) for gi, s in enumerate(G.generator_indices))
 
 
+def _refuse_orbit_walks(monkeypatch):
+    """Make the orbit walk fail: on a table that is no bijection, the walk
+    from a generator never meets it again, so a map the constructor wrongly
+    accepted would fail here instead of filling the host's memory."""
+    def walk(phi, x):
+        raise AssertionError("an orbit walk ran on a map the checks did not refuse")
+
+    monkeypatch.setattr(groups.Automorphism, "orbit", walk)
+
+
 def test_a_homomorphism_with_a_kernel_is_not_bijective(monkeypatch):
     # t -> t^2 on cyclic(4) keeps the law; its kernel {1, t^2} has order 2
     G, _ = build_corpus_instance({"name": "cyclic", "params": {"m": 4}})
@@ -211,53 +222,22 @@ def test_a_homomorphism_with_a_kernel_is_not_bijective(monkeypatch):
     table = mul_tree_walk(G, images, G.mul)
     assert _law_holds(G, table, images)
     assert table.count(0) == 2
-
-    def accepted(group, table):
-        # an Automorphism of this map would walk the orbit of t forever
-        raise AssertionError("a map with a kernel was accepted")
-
-    monkeypatch.setattr(groups, "Automorphism", accepted)
+    _refuse_orbit_walks(monkeypatch)
     with pytest.raises(NotBijective):
-        automorphism_from_images(G, images)
-
-
-# Automorphism(G, table) in a child process under a timeout and this
-# address-space limit, so that an orbit walk that never ends fails the test
-# instead of filling the host's memory
-CHILD_ADDRESS_SPACE = 256 << 20
-AUTOMORPHISM_OF_TABLE = """
-import ast, sys
-from coprimelab.corpus import build_corpus_instance
-from coprimelab.errors import NotBijective
-from coprimelab.groups import Automorphism
-G, _ = build_corpus_instance({"name": "cyclic", "params": {"m": 4}})
-table = ast.literal_eval(sys.argv[1])
-try:
-    Automorphism(G, table)
-except NotBijective as exc:
-    print("NotBijective:", exc)
-"""
-
-
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+        Automorphism(G, images)
 
 
 @pytest.mark.parametrize("square", [True, False], ids=["t_to_t_squared", "short_table"])
-def test_automorphism_of_a_table_that_is_no_bijection_is_not_bijective(square):
-    # t -> t^2 on cyclic(4) walks t, t^2, 1, 1, ... and never meets t again;
-    # (0, 1) names two of the four elements
+def test_automorphism_of_a_table_that_is_no_bijection_is_not_bijective(square, monkeypatch):
+    # the table of t -> t^2 on cyclic(4), or (0, 1), which names two of its
+    # four elements, is no list of one image per generator: it is refused
+    # before any walk (t -> t^2 from its one image is the test above)
     G, _ = build_corpus_instance({"name": "cyclic", "params": {"m": 4}})
     (t,) = G.generator_indices
     table = tuple(mul_tree_walk(G, [G.mul(t, t)], G.mul)) if square else (0, 1)
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", AUTOMORPHISM_OF_TABLE, repr(table)], env=env,
-                         capture_output=True, text=True, timeout=60,
-                         preexec_fn=_limit_address_space)
-    assert (out.returncode, out.stdout) == (
-        0, "NotBijective: generator images do not induce a bijection\n"), out.stderr
+    _refuse_orbit_walks(monkeypatch)
+    with pytest.raises(ValueError, match="expected one element index"):
+        Automorphism(G, table)
 
 
 def test_a_map_that_is_neither_bijective_nor_a_homomorphism_is_not_bijective(s3):
@@ -269,7 +249,7 @@ def test_a_map_that_is_neither_bijective_nor_a_homomorphism_is_not_bijective(s3)
     assert len(set(table)) == 3 and not _law_holds(s3, table, images)
     assert double_scan_outcome(s3, images) == ("NotBijective",)
     with pytest.raises(NotBijective):
-        automorphism_from_images(s3, images)
+        Automorphism(s3, images)
 
 
 def test_a_bijective_non_homomorphism_names_the_least_broken_pair():
@@ -279,3 +259,130 @@ def test_a_bijective_non_homomorphism_names_the_least_broken_pair():
     expected = ("NotHomomorphism", "map breaks at element 3 times generator 0", (3, 1))
     assert double_scan_outcome(G, images) == expected
     assert _outcome(G, images) == expected
+
+
+def test_bad_images_get_an_honest_error_at_once(s3, monkeypatch):
+    c4, c5 = (build_corpus_instance({"name": "cyclic", "params": {"m": m}})[0] for m in (4, 5))
+    cases = []
+    for G in (c4, c5, s3):
+        # one bad entry in place of the first generator's image, none, one too many
+        good = list(G.generator_indices)
+        cases += [(G, [bad] + good[1:], ValueError) for bad in (max(5, G.order), -1, True, 2.0)]
+        cases += [(G, [], ValueError), (G, good + [0], ValueError)]
+    (t,) = c4.generator_indices
+    a, _ = s3.generator_indices
+    heis = _cases("heis3_c5_inv")[0][1]
+    cases += [(c4, [c4.mul(t, t)], NotBijective), (s3, [a, a], NotBijective),
+              (heis, [25, 47, 75], NotHomomorphism)]
+    _refuse_orbit_walks(monkeypatch)
+    for G, images, error in cases:
+        start = time.perf_counter()
+        with pytest.raises(error) as raised:
+            Automorphism(G, images)
+        assert time.perf_counter() - start < 1, (G.order, images)
+    assert raised.value.witness == (3, 1)
+
+
+@functools.cache
+def _small_groups() -> tuple:
+    """(group, its corpus automorphism's images or None) for every corpus
+    group of order at most 2000."""
+    return tuple((G, _images(G, phi) if phi is not None else None)
+                 for G, phi in (_cases(spec_id)[0][1:] for spec_id in SPECS) if G.order <= 2000)
+
+
+def _scan_outcome(G, images) -> tuple:
+    """What ``Automorphism(G, images)`` must do: ("ValueError",) unless the
+    images are a list or tuple of one element index per generator, else the
+    outcome of the ``mul`` double scan."""
+    if (not isinstance(images, (list, tuple)) or len(images) != len(G.generator_indices)
+            or any(type(s) is not int or not 0 <= s < G.order for s in images)):
+        return ("ValueError",)
+    return double_scan_outcome(G, images)
+
+
+def _word_by_mul(G, word) -> int:
+    out = 0
+    for k in word:
+        g = G.generator_indices[abs(k) - 1]
+        out = G.mul(out, g if k > 0 else G.inv(g))
+    return out
+
+
+def _call_outcome(call) -> tuple:
+    try:
+        phi = call()
+    except ValueError:
+        return ("ValueError",)
+    except NotBijective:
+        return ("NotBijective",)
+    except NotHomomorphism as exc:
+        return ("NotHomomorphism", str(exc), exc.witness)
+    assert phi.order_n == cycle_order(phi.table)
+    return ("table", phi.table)
+
+
+JUNK = st.sampled_from([True, False, 2.0, 1.5, "1", None, (0,)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_images_and_words_fuzz(data):
+    """Drawn generator images (in range, out of range, of the wrong type, too
+    few or too many, about the identity's and the corpus automorphism's) and
+    drawn image words: each call returns an automorphism that passes the
+    double scan, or raises ValueError, NotBijective or NotHomomorphism as
+    the double scan and the input's shape say."""
+    G, phi_images = data.draw(st.sampled_from(_small_groups()))
+    k, n = len(G.generator_indices), G.order
+    entry = st.one_of(st.integers(0, n - 1), st.integers(-2, -1), st.integers(n, n + 2), JUNK)
+    # the identity's images, the corpus automorphism's, that with one image
+    # times another (sometimes a bijection that breaks the law), or random
+    gens = list(G.generator_indices)
+    phi_images = phi_images or gens
+    broken = list(phi_images)
+    if k:
+        i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+        broken[i] = G.mul(broken[i], phi_images[j])
+    images = data.draw(st.sampled_from([gens, phi_images, broken, broken, broken,
+                                        [data.draw(st.integers(0, n - 1)) for _ in range(k)]]))
+    edit = data.draw(st.sampled_from(["keep"] * 4 + ["replace", "replace", "drop", "append",
+                                                     "tuple", "junk"]))
+    if edit == "replace" and images:
+        images = list(images)
+        images[data.draw(st.integers(0, len(images) - 1))] = data.draw(entry)
+    elif edit == "drop" and images:
+        images = images[:-1]
+    elif edit == "append":
+        images = images + [data.draw(entry)]
+    elif edit == "tuple":
+        images = tuple(images)
+    elif edit == "junk":
+        images = data.draw(st.one_of(JUNK, st.integers(0, n - 1), st.just(range(k))))
+    assert _call_outcome(lambda: Automorphism(G, images)) == _scan_outcome(G, images), images
+
+    # on the trivial group, whose words are all empty, the letter 1 names no generator
+    letter = st.sampled_from([x for x in range(-k, k + 1) if x] or [1])
+    words = data.draw(st.lists(st.lists(letter, max_size=3), min_size=k, max_size=k))
+    edit = data.draw(st.sampled_from(["keep", "keep", "replace", "drop", "append", "junk"]))
+    bad = st.one_of(st.sampled_from([0, -k - 1, k + 1]), JUNK)
+    if edit == "replace" and any(words):
+        w = data.draw(st.sampled_from([w for w in words if w]))
+        w[data.draw(st.integers(0, len(w) - 1))] = data.draw(bad)
+    elif edit == "drop" and words:
+        words.pop()
+    elif edit == "append":
+        words.append(data.draw(st.lists(letter, max_size=3)))
+    elif edit == "junk":
+        # a word, or the whole list of words, of the wrong type
+        if words and data.draw(st.booleans()):
+            words[data.draw(st.integers(0, len(words) - 1))] = data.draw(JUNK)
+        else:
+            words = data.draw(JUNK)
+    if isinstance(words, (list, tuple)) and all(
+            isinstance(w, (list, tuple)) and all(type(x) is int and 0 < abs(x) <= k for x in w)
+            for w in words):
+        expected = _scan_outcome(G, [_word_by_mul(G, w) for w in words])
+    else:
+        expected = ("ValueError",)
+    assert _call_outcome(lambda: build_automorphism(G, words)) == expected, words

@@ -1,9 +1,13 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coprimelab.gf import (FiniteField, cyclotomic_polynomial, default_modulus, digits,
-                           poly_divmod, poly_is_irreducible, poly_mul)
+from coprimelab import corpus, gf
+from coprimelab.errors import CapExceeded
+from coprimelab.gf import (MAX_DEGREE, FiniteField, cyclotomic_polynomial, default_modulus,
+                           digits, poly_divmod, poly_is_irreducible, poly_mul)
 from coprimelab.numutil import divisors, factorization
 
 GF125 = FiniteField(5, 3)
@@ -27,7 +31,6 @@ def test_reducible_modulus_rejected():
 
 
 def test_default_modulus_is_tested_once(monkeypatch):
-    from coprimelab import gf
     tested = []
     inner = gf.poly_is_irreducible
 
@@ -149,3 +152,54 @@ def test_pow_matches_repeated_mul(field):
         if a:
             assert field.pow(a, field.order - 1) == 1
             assert field.pow(a, -1) == field.inv(a)
+
+
+def test_a_degree_above_the_bound_is_refused_before_any_search(monkeypatch):
+    def search(*args):
+        raise AssertionError("the modulus search started")
+
+    monkeypatch.setattr(gf, "least_monic", search)
+    for p in (2, 3, 5):
+        for modulus in (None, (1,) * (MAX_DEGREE + 2)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"from 1 to {MAX_DEGREE}, got {MAX_DEGREE + 1}"):
+                FiniteField(p, MAX_DEGREE + 1, modulus)
+            assert time.perf_counter() - start < 0.1
+
+
+class _Accepted(Exception):
+    pass
+
+
+def _corpus_accepts(p: int, k: int) -> bool:
+    """Whether the corpus's order and store-budget checks, under any cap,
+    accept cyclic(p)^k; the group itself is not enumerated."""
+    spec = {"name": "direct_product",
+            "params": {"factors": [{"name": "cyclic", "params": {"m": p}}] * k}}
+    try:
+        corpus._build_group(corpus._parse(spec, ""), cap=10 ** 30)
+    except CapExceeded:
+        return False
+    except _Accepted:
+        return True
+    raise AssertionError("generate_group was not reached")
+
+
+def test_the_largest_frobenius_spec_the_corpus_accepts_builds_its_field(monkeypatch):
+    """The frobenius recipe on cyclic(p)^k needs GF(p^k). For each small prime
+    the largest k that the corpus accepts is within MAX_DEGREE, with equality
+    at p = 2, and its field and recipe images build."""
+    def stop(*args, **kwargs):
+        raise _Accepted
+
+    monkeypatch.setattr(corpus, "generate_group", stop)
+    largest = {}
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        k = 1
+        while _corpus_accepts(p, k + 1):
+            k += 1
+        largest[p] = k
+        assert k <= MAX_DEGREE, (p, k)
+        words = corpus._frobenius_images_additive(p, k)
+        assert len(words) == k and all(0 < x <= k for w in words for x in w), (p, k)
+    assert largest[2] == MAX_DEGREE, largest

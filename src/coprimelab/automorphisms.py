@@ -32,12 +32,10 @@ class TwistedData:
     [G, phi] (``commutator_twisted_data``) and the derived length of [G, phi]
     (``commutator_derived_length``) once they are asked for."""
 
-    def __init__(self, fixed: Subgroup, twisted: tuple, twisted_set: frozenset,
-                 producers: Optional[dict], commutator_phi: Subgroup,
-                 orbit_reps: Optional[list] = None):
+    def __init__(self, fixed: Subgroup, twisted: tuple, producers: Optional[dict],
+                 commutator_phi: Subgroup, orbit_reps: Optional[list] = None):
         self.fixed = fixed
         self.twisted = twisted
-        self.twisted_set = twisted_set
         self.producers = producers
         self.commutator_phi = commutator_phi
         self.orbit_reps = orbit_reps
@@ -64,8 +62,8 @@ def _twisted_on(phi: Automorphism, elements: Sequence[int]) -> TwistedData:
     # walked backwards, so that the least x producing t is written last
     producers = (dict(zip(reversed(images), reversed(elements)))
                  if len(elements) == G.order else None)
-    return TwistedData(fixed=fixed, twisted=twisted, twisted_set=frozenset(twisted),
-                       producers=producers, commutator_phi=subgroup_generated(G, twisted))
+    return TwistedData(fixed=fixed, twisted=twisted, producers=producers,
+                       commutator_phi=subgroup_generated(G, twisted))
 
 
 def twisted_data(phi: Automorphism) -> TwistedData:
@@ -120,28 +118,6 @@ def _orbits(starts: Iterable[int], moves) -> list[list[int]]:
                     orbit.append(y)
         orbits.append(orbit)
     return orbits
-
-
-def orbit_representatives(phi: Automorphism, seeds: Iterable[int]) -> list[int]:
-    """Least element of each orbit of <phi> x C_G(phi) on the seed set.
-
-    The group acts by phi and by conjugation with the fixed-point subgroup.
-    Conjugation by a fixed c commutes with phi, so closure(x^c) is
-    closure(x)^c and one invariant closure per orbit decides any
-    conjugation-invariant property of them all. The seed set must be a union
-    of orbits; an orbit that leaves it raises NotInvariant.
-    """
-    G = phi.group
-    fixed_gens = twisted_data(phi).fixed.gens
-    seed_set = set(seeds)
-    orbits = _orbits(sorted(seed_set), lambda x: [phi.table[x],
-                                                  *(G.conjugate(x, c) for c in fixed_gens)])
-    for orbit in orbits:
-        outside = [y for y in orbit if y not in seed_set]
-        if outside:
-            raise NotInvariant(f"element {outside[0]} of the orbit of seed {orbit[0]} "
-                               f"is not a seed")
-    return [orbit[0] for orbit in orbits]
 
 
 def is_phi_invariant(phi: Automorphism, H: Subgroup) -> bool:

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 invariant failure, 2 usage or input error.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -14,10 +13,11 @@ from .automorphisms import factorization_status, nilpotent_decompose, twisted_da
 from .corpus import build_glauberman_example, default_corpus, load_instance
 from .errors import (CapExceeded, GroupTheoryError, InvalidPermutation, NotBijective,
                      NotHomomorphism, ParseError, UnknownSpec)
+from .gf import MAX_DEGREE
 from .lie import (build_graded_lie, check_lazard_all, check_riley, extend_and_eigendecompose,
-                  induced_action_order, jlz_series, verify_eigen_product_rule,
+                  jlz_series, power_acts_trivially, verify_eigen_product_rule,
                   verify_np_series)
-from .numutil import is_prime, prime_power_base
+from .numutil import is_prime, prime_power_base, root_field_degree
 from .report import _auto_section, _group_section, canonical_json, count_verdicts, run_suite
 from .structure import lower_central_series
 
@@ -136,25 +136,21 @@ def cmd_eigen(args) -> int:
     p = prime_power_base(G.order)
     if p is None:
         raise ParseError(f"{args.file}: group order {G.order} is not a prime power")
-    A = build_graded_lie(jlz_series(G, p))
     if args.n is None:
-        if phi.order_n % p == 0:
-            raise ParseError(f"automorphism: its order {phi.order_n} shares a factor "
-                             f"with the characteristic {p}")
+        n, where, bound = phi.order_n, f"automorphism: its order {phi.order_n}", MAX_DEGREE
+    elif args.n < 1:
+        raise ParseError(f"--n {args.n}: not a positive integer")
     else:
-        if args.n < 1:
-            raise ParseError(f"--n {args.n}: not a positive integer")
-        if math.gcd(args.n, p) != 1:
-            raise ParseError(f"--n {args.n}: shares a factor with the characteristic {p}")
-        # the field degree is the multiplicative order of p mod n
-        if all(pow(p, d, args.n) != 1 % args.n for d in range(1, MAX_FIELD_DEGREE + 1)):
-            raise ParseError(f"--n {args.n}: its roots of unity need an extension of F_{p} "
-                             f"of degree above {MAX_FIELD_DEGREE}")
-        m = induced_action_order(A, phi)
-        if args.n % m:
-            raise ParseError(f"--n {args.n}: the induced action has order {m}, "
-                             f"which does not divide it")
-    ext = extend_and_eigendecompose(A, phi, n=args.n)
+        n, where, bound = args.n, f"--n {args.n}: the root order", MAX_FIELD_DEGREE
+    if n % p == 0:
+        raise ParseError(f"{where} shares a factor with the characteristic {p}")
+    if root_field_degree(p, n, bound) is None:
+        raise ParseError(f"{where} needs roots of unity in an extension of F_{p} "
+                         f"of degree above {bound}")
+    A = build_graded_lie(jlz_series(G, p))
+    if not power_acts_trivially(A, phi, n):
+        raise ParseError(f"{where} is not a multiple of the order of phi on some layer")
+    ext = extend_and_eigendecompose(A, phi, n=n)
     payload = {
         "p": p, "n": ext.n, "field_degree": ext.field.k,
         "modulus": list(ext.field.modulus),

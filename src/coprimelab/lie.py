@@ -16,12 +16,12 @@ from typing import Optional
 
 from .errors import (NotAPGroup, NotCoprime, NotCoprimeToP,
                      NotElementaryAbelianLayer, PreconditionViolated)
-from .gf import FiniteField, cyclotomic_polynomial, least_monic, poly_divmod
+from .gf import MAX_DEGREE, FiniteField, cyclotomic_polynomial, least_monic, poly_divmod
 from .groups import FiniteGroup, Subgroup, coset_labels, subgroup_generated
-from .linalg import (in_span, intersect_spans, mat_from_columns, mat_mul, identity_matrix,
-                     mat_sub, mat_vec, nullspace, rref)
+from .linalg import (in_span, intersect_spans, mat_from_columns, identity_matrix, mat_sub,
+                     mat_vec, nullspace, rref)
 from .structure import commutator_subgroup_pair, is_powerful, power_subgroup
-from .numutil import factorization, multiplicative_order_mod, prime_power_base
+from .numutil import factorization, prime_power_base, root_field_degree
 
 
 class NpSeries:
@@ -412,20 +412,16 @@ def layer_matrices(A: GradedLieAlgebra, phi) -> list[tuple]:
     return mats
 
 
-def induced_action_order(A: GradedLieAlgebra, phi) -> int:
-    """Least m with phi^m acting trivially on every layer; it divides the
-    order of phi, and a root order n suits the eigen split iff m divides n."""
-    order = 1
-    for M in layer_matrices(A, phi):
-        if not M:
-            continue
-        identity = identity_matrix(len(M))
-        power, k = M, 1
-        while power != identity:
-            power = mat_mul(power, M, A.field)
-            k += 1
-        order = math.lcm(order, k)
-    return order
+def power_acts_trivially(A: GradedLieAlgebra, phi, n: int) -> bool:
+    """Whether phi^n induces the identity on every layer. phi acts linearly
+    on each layer, so it is enough that phi^n keeps the coset of each basis
+    element x; phi^n(x) is read off the <phi>-orbit of x."""
+    for layer in A.layers:
+        for x in layer.basis:
+            orbit = phi.orbit(x)
+            if layer.rep[orbit[n % len(orbit)]] != layer.rep[x]:
+                return False
+    return True
 
 
 def lie_fixed_points(A: GradedLieAlgebra, phi) -> dict:
@@ -473,11 +469,10 @@ class ExtendedAlgebra:
         self.dims = dims              # per layer: list over j of dimensions
 
 
-def _cyclotomic_modulus(n: int, p: int) -> tuple:
+def _cyclotomic_modulus(n: int, p: int, d: int) -> tuple:
     """Lexicographically least monic irreducible factor of the n-th
-    cyclotomic polynomial over F_p, found by trial division."""
+    cyclotomic polynomial over F_p, of degree d, found by trial division."""
     phi_n = cyclotomic_polynomial(n, p)
-    d = 1 if n == 1 else multiplicative_order_mod(p, n)
     f = least_monic(p, d, lambda f: not poly_divmod(phi_n, f, p)[1])
     if f is None:
         raise AssertionError("cyclotomic polynomial had no factor of the expected degree")
@@ -486,17 +481,27 @@ def _cyclotomic_modulus(n: int, p: int) -> tuple:
 
 def extend_and_eigendecompose(A: GradedLieAlgebra, phi, n: Optional[int] = None) -> ExtendedAlgebra:
     """Extend scalars so a primitive n-th root of unity exists, then split
-    every layer into eigenspaces of the induced action."""
+    every layer into eigenspaces of the induced action.
+
+    The root order n defaults to the order of phi. Before any field search
+    it must be coprime to p (else NotCoprimeToP), phi^n must act trivially
+    on every layer (``power_acts_trivially``), which the order of phi always
+    does, and the field degree (``root_field_degree``) must be at most
+    ``gf.MAX_DEGREE``; else PreconditionViolated.
+    """
     p = A.p
     if n is None:
         n = phi.order_n
     if math.gcd(n, p) != 1:
         raise NotCoprimeToP(f"root order {n} is divisible by the characteristic {p}")
-    m = induced_action_order(A, phi)
-    if n % m:
-        raise PreconditionViolated(f"induced action has order {m}, which does not divide {n}")
-    modulus = _cyclotomic_modulus(n, p)
-    field = FiniteField(p, len(modulus) - 1, modulus)
+    if not power_acts_trivially(A, phi, n):
+        raise PreconditionViolated(f"phi^{n} does not act trivially on every layer")
+    degree = root_field_degree(p, n, MAX_DEGREE)
+    if degree is None:
+        raise PreconditionViolated(f"the {n}-th roots of unity need an extension of F_{p} "
+                                   f"of degree above {MAX_DEGREE}")
+    modulus = _cyclotomic_modulus(n, p, degree)
+    field = FiniteField(p, degree, modulus)
     omega = field.generator_element()   # the modulus root; 1 when n = 1
     if field.pow(omega, n) != 1:
         raise AssertionError("modulus root is not an n-th root of unity")

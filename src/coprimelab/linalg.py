@@ -94,22 +94,6 @@ def mat_sub(A, B, F):
     return tuple(tuple(F.sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def mat_mul(A, B, F):
-    if not B:
-        return ()
-    out = []
-    for row in A:
-        new = []
-        for j in range(len(B[0])):
-            acc = 0
-            for k, a in enumerate(row):
-                if a:
-                    acc = F.add(acc, F.mul(a, B[k][j]))
-            new.append(acc)
-        out.append(tuple(new))
-    return tuple(out)
-
-
 def intersect_spans(b1, b2, F) -> tuple:
     """Zassenhaus intersection of two row spans (vectors of equal length), as
     its rref, which is canonical."""

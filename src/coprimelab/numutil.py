@@ -73,18 +73,11 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def multiplicative_order_mod(a: int, n: int) -> int:
-    """Order of a in (Z/n)*; a must be coprime to n."""
-    if n == 1:
-        return 1
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"{a} is not invertible mod {n}")
-    order = 1
-    x = a % n
-    while x != 1:
-        x = (x * a) % n
-        order += 1
-    return order
+def root_field_degree(p: int, n: int, bound: int) -> Optional[int]:
+    """Degree over F_p of the field of the n-th roots of unity, the least
+    d >= 1 with p^d = 1 mod n, when it is at most ``bound``; else None.
+    At most ``bound`` modular powers, whatever the size of n."""
+    return next((d for d in range(1, bound + 1) if pow(p, d, n) == 1 % n), None)
 
 
 def big_omega(n: int) -> int:

@@ -16,17 +16,18 @@ from .automorphisms import (Automorphism, TwistedData, check_coprime_facts,
                             commutator_derived_length, commutator_twisted_data,
                             decomposition_witness, default_normal_family,
                             factorization_status, fixed_generation_S,
-                            fixed_points_of_product, is_phi_invariant, orbit_representatives,
-                            phi_invariant_closure, soluble_exponent_probe, twisted_data,
+                            fixed_points_of_product, is_phi_invariant, phi_invariant_closure,
+                            soluble_exponent_probe, twisted_data,
                             twisted_orbit_representatives, twisted_pair_closures)
 from .corpus import instance_id, load_instance
 from .errors import (CapExceeded, GroupTheoryError, InvalidPermutation, NotBijective,
                      NotCoprime, NotHomomorphism, NotSoluble, ParseError, UnknownSpec)
+from .gf import MAX_DEGREE
 from .groups import FiniteGroup, center, is_normal, subgroup_generated
 from .lie import (build_graded_lie, check_lazard_all, check_riley, extend_and_eigendecompose,
                   jlz_series, lie_fixed_points, subalgebra_LGH, verify_bracket_axioms,
                   verify_eigen_product_rule, verify_np_series)
-from .numutil import big_omega, prime_power_base
+from .numutil import big_omega, prime_power_base, root_field_degree
 from .structure import derived_series, fitting_height, is_powerful, lower_central_series
 
 PAIR_CAP = 1_000_000
@@ -58,10 +59,11 @@ def theorem1_probe(phi: Automorphism) -> dict:
     element, recorded against the group exponent.
 
     A fixed x is its own <phi>-orbit, so its closure is <x>, of exponent the
-    order of x. A twisted closure lies in the phi-invariant [G, phi], so its
-    exponent divides exp([G, phi]); the twisted set is a union of
-    <phi> x C_G(phi) orbits and conjugate closures share their exponent, so
-    one closure per orbit is walked, until e_star reaches exp([G, phi]).
+    order of x. The closure of a twisted x is generated by its <phi>-orbit,
+    so one closure per <phi>-orbit on the twisted set is walked, from the
+    list the pair walks keep (``twisted_orbit_representatives``). Each lies
+    in the phi-invariant [G, phi], so its exponent divides exp([G, phi]),
+    and the walk stops once e_star reaches it.
     """
     if not phi.coprime:
         raise NotCoprime("probe requires a coprime action")
@@ -69,7 +71,7 @@ def theorem1_probe(phi: Automorphism) -> dict:
     td = twisted_data(phi)
     e_star = max(map(G.element_order, td.fixed.members))
     bound = G.exponent_of(td.commutator_phi.members)
-    for x in orbit_representatives(phi, td.twisted_set):
+    for x in twisted_orbit_representatives(phi, td):
         if e_star >= bound:
             break
         e_star = max(e_star, G.exponent_of(phi_invariant_closure(phi, {x}).members))
@@ -257,13 +259,17 @@ def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
     section["span_subalgebras"] = lgh
     if phi is not None and phi.coprime:
         section["fixed_subalgebra"] = lie_fixed_points(A, phi)["verdict"]
-        ext = extend_and_eigendecompose(A, phi)
-        section["eigen"] = {
-            "n": ext.n,
-            "field_degree": ext.field.k,
-            "dims": [list(d) for d in ext.dims],
-            "product_rule": verify_eigen_product_rule(ext)["verdict"],
-        }
+        if root_field_degree(p, phi.order_n, MAX_DEGREE) is None:
+            section["eigen"] = _skip(f"roots of unity of order {phi.order_n} need an "
+                                     f"extension of F_{p} of degree above {MAX_DEGREE}")
+        else:
+            ext = extend_and_eigendecompose(A, phi)
+            section["eigen"] = {
+                "n": ext.n,
+                "field_degree": ext.field.k,
+                "dims": [list(d) for d in ext.dims],
+                "product_rule": verify_eigen_product_rule(ext)["verdict"],
+            }
     else:
         reason = "no automorphism supplied" if phi is None else "action is not coprime"
         for key in ("fixed_subalgebra", "eigen"):

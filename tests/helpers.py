@@ -13,6 +13,7 @@ from pathlib import Path
 from coprimelab.automorphisms import Automorphism, is_phi_invariant
 from coprimelab.errors import NotInvariant
 from coprimelab.groups import FiniteGroup, commutator_subgroup_pair, generate_group
+from coprimelab.lie import layer_matrices
 
 
 def load_workloads():
@@ -224,7 +225,7 @@ def generated_members(G: FiniteGroup, seeds) -> frozenset:
 def unreduced_theorem1(phi) -> dict:
     """The theorem 1 probe with one invariant closure per phi-orbit of seeds.
 
-    No conjugation reduction and no library closure or twisted-set code: the
+    No stop at exp([G, phi]) and no library closure or twisted-set code: the
     oracle for ``report.theorem1_probe``.
     """
     G = phi.group
@@ -246,6 +247,40 @@ def unreduced_theorem1(phi) -> dict:
         e_star = max(e_star, reduce(math.lcm, (G.element_order(m) for m in members)))
     exponent = reduce(math.lcm, (G.element_order(x) for x in range(G.order)))
     return {"e_star": e_star, "n": phi.order_n, "exponent": exponent}
+
+
+def _c2_power(images) -> dict:
+    """C2^k for k = len(images), with phi mapping generator i to the product
+    of the generators listed in images[i - 1]."""
+    return {"name": "direct_product",
+            "params": {"factors": [{"name": "cyclic", "params": {"m": 2}}] * len(images)},
+            "automorphism": {"images": images}}
+
+
+# phi is the block sum of the companion matrices of x^3 + x + 1 and
+# x^7 + x + 1, of order 889 = 7 * 127: its roots of unity need GF(2^21), the
+# largest field that ``gf.MAX_DEGREE`` allows.
+C2_10_ORDER_889 = _c2_power([[2], [3], [1, 2], [5], [6], [7], [8], [9], [10], [4, 5]])
+# Companions of x^2 + x + 1 and x^11 + x^2 + 1, of order 6141 = 3 * 23 * 89:
+# its roots of unity need GF(2^22).
+C2_13_ORDER_6141 = _c2_power([[2], [1, 2], *([k] for k in range(4, 14)), [3, 5]])
+
+
+def induced_action_order(A, phi) -> int:
+    """Least m with phi^m acting trivially on every layer of A: the lcm over
+    the layers of the order of ``lie.layer_matrices``, found by powering
+    each matrix over F_p. The oracle for ``lie.power_acts_trivially``."""
+    F = A.field
+    order = 1
+    for M in layer_matrices(A, phi):
+        identity = tuple(tuple(int(i == r) for i in range(len(M))) for r in range(len(M)))
+        power, k = M, 1
+        while power != identity:
+            power = tuple(tuple(reduce(F.add, map(F.mul, row, col), 0) for col in zip(*M))
+                          for row in power)
+            k += 1
+        order = math.lcm(order, k)
+    return order
 
 
 def per_element_lazard(A, x: int) -> bool:

@@ -285,13 +285,47 @@ MUTANTS = [
      "file": "src/coprimelab/groups.py",
      "old": "self._encode(map(itemgetter(pt), store))",
      "new": "list(map(itemgetter(pt), store))",
-     "tests": ["tests/test_traced_peaks.py::"
-               "test_glauberman_build_and_analysis_stay_under_their_traced_peaks"]},
+     "tests": ["tests/test_kernel.py::test_store_type_follows_degree"]},
     {"name": "the Lie class is bracketed out on every call",
      "file": "src/coprimelab/lie.py",
      "old": "        if self._lie_class is None:\n",
      "new": "        if True:\n",
      "tests": ["tests/test_lie_layer.py::test_the_lie_class_is_bracketed_out_once_per_algebra"]},
+    # phi's action read off its <phi>-orbits: phi^n on the layer bases, and
+    # the field degree of the eigen split bounded before any search
+    {"name": "the layer check reads phi^(n - 1)",
+     "file": "src/coprimelab/lie.py",
+     "old": "            if layer.rep[orbit[n % len(orbit)]] != layer.rep[x]:\n",
+     "new": "            if layer.rep[orbit[(n - 1) % len(orbit)]] != layer.rep[x]:\n",
+     "tests": ["tests/test_lie.py::test_power_acts_trivially_matches_matrix_power_oracle"]},
+    {"name": "the layer check skips the last layer",
+     "file": "src/coprimelab/lie.py",
+     "old": "    for layer in A.layers:\n        for x in layer.basis:\n",
+     "new": "    for layer in A.layers[:-1]:\n        for x in layer.basis:\n",
+     "tests": ["tests/test_lie.py::test_power_acts_trivially_matches_matrix_power_oracle"]},
+    {"name": "the field degree bound is off by one",
+     "file": "src/coprimelab/numutil.py",
+     "old": "for d in range(1, bound + 1)",
+     "new": "for d in range(1, bound)",
+     "tests": ["tests/test_gf.py::test_root_field_degree_is_the_order_of_p_up_to_its_bound"]},
+    {"name": "the default-n degree bound of eigen is off by one",
+     "file": "src/coprimelab/cli.py",
+     "old": "f\"automorphism: its order {phi.order_n}\", MAX_DEGREE\n",
+     "new": "f\"automorphism: its order {phi.order_n}\", MAX_DEGREE - 1\n",
+     "tests": ["tests/test_report_cli.py::"
+               "test_default_root_order_of_field_degree_21_reaches_the_split"]},
+    {"name": "the default-n degree bound of the report is off by one",
+     "file": "src/coprimelab/report.py",
+     "old": "root_field_degree(p, phi.order_n, MAX_DEGREE)",
+     "new": "root_field_degree(p, phi.order_n, MAX_DEGREE - 1)",
+     "tests": ["tests/test_report_cli.py::"
+               "test_default_root_order_of_field_degree_21_reaches_the_split"]},
+    {"name": "the degree bound of the eigen split is off by one",
+     "file": "src/coprimelab/lie.py",
+     "old": "    degree = root_field_degree(p, n, MAX_DEGREE)\n",
+     "new": "    degree = root_field_degree(p, n, MAX_DEGREE - 1)\n",
+     "tests": ["tests/test_lie.py::"
+               "test_eigen_refuses_a_field_degree_above_the_bound_before_any_search"]},
     {"name": "a raw group over the cap names no place in the input",
      "file": "src/coprimelab/corpus.py",
      "old": "        except (InvalidPermutation, CapExceeded) as exc:\n",

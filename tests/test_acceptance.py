@@ -113,10 +113,11 @@ def test_criterion_3_unique_decomposition(built_instances):
             if not lower_central_series(G).is_nilpotent:
                 continue
             td = twisted_data(phi)
+            twisted = set(td.twisted)
             for x in range(G.order):
                 g, h = nilpotent_decompose(phi, x)
                 assert G.mul(g, h) == x, (inst_id, x)
-                assert g in td.twisted_set and h in td.fixed.member_set
+                assert g in twisted and h in td.fixed.member_set
             checked_instances += 1
         elapsed = time.time() - t0
         assert checked_instances >= 10

@@ -8,7 +8,7 @@ from coprimelab import corpus, gf
 from coprimelab.errors import CapExceeded
 from coprimelab.gf import (MAX_DEGREE, FiniteField, cyclotomic_polynomial, default_modulus,
                            digits, poly_divmod, poly_is_irreducible, poly_mul)
-from coprimelab.numutil import divisors, factorization
+from coprimelab.numutil import divisors, factorization, root_field_degree
 
 GF125 = FiniteField(5, 3)
 GF8 = FiniteField(2, 3)
@@ -152,6 +152,25 @@ def test_pow_matches_repeated_mul(field):
         if a:
             assert field.pow(a, field.order - 1) == 1
             assert field.pow(a, -1) == field.inv(a)
+
+
+def test_root_field_degree_is_the_order_of_p_up_to_its_bound():
+    # 2 has order 21 mod 889 = 7 * 127 and order 22 mod 6141 = 3 * 23 * 89
+    assert root_field_degree(2, 889, MAX_DEGREE) == 21
+    assert root_field_degree(2, 889, 20) is None
+    assert root_field_degree(2, 6141, MAX_DEGREE) is None
+    assert root_field_degree(2, 6141, 22) == 22
+    start = time.perf_counter()
+    assert root_field_degree(3, 10 ** 400 + 1, MAX_DEGREE) is None
+    assert time.perf_counter() - start < 0.1
+    for p in (2, 3, 5, 7):
+        for n in range(1, 120):
+            if n % p:
+                order, x = 1, p % n
+                while x != 1 % n:
+                    x, order = x * p % n, order + 1
+                assert root_field_degree(p, n, 200) == order, (p, n)
+                assert root_field_degree(p, n, order - 1) is None, (p, n)
 
 
 def test_a_degree_above_the_bound_is_refused_before_any_search(monkeypatch):

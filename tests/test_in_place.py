@@ -170,8 +170,7 @@ def test_fixed_generation_walks_the_twisted_set_of_commutator_phi(monkeypatch):
     assert inner.commutator_phi == td.commutator_phi and inner.fixed.order < td.fixed.order
     orbit = phi.orbit(inner.twisted[1])
     cut = tuple(sorted({0, *orbit}))
-    substitute = automorphisms.TwistedData(inner.fixed, cut, frozenset(cut), {},
-                                           inner.commutator_phi)
+    substitute = automorphisms.TwistedData(inner.fixed, cut, {}, inner.commutator_phi)
     monkeypatch.setattr(automorphisms, "commutator_twisted_data", lambda phi: substitute)
     seeds = []
     closure = automorphisms.phi_invariant_closure

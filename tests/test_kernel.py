@@ -64,9 +64,13 @@ def test_base_lengths(glauberman):
 
 
 def test_store_type_follows_degree(glauberman):
-    assert type(glauberman[0]._store[1]) is bytes
+    # the base-image columns too: a byte column holds one byte per element
+    G = glauberman[0]
+    assert type(G._store[1]) is bytes
+    assert {type(column) for column in G._base_images} == {bytes}
     G = build_corpus_instance(TUPLE_STORE_SPEC)[0]
     assert G.degree > BYTES_MAX_DEGREE and type(G._store[1]) is tuple
+    assert {type(column) for column in G._base_images} == {tuple}
 
 
 def test_elements_and_words_match_tuple_enumeration_on_corpus():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -7,12 +8,15 @@ from coprimelab.corpus import build_corpus_instance, default_corpus
 from coprimelab.errors import (NotAPGroup, NotCoprimeToP, NotElementaryAbelianLayer,
                                PreconditionViolated)
 from coprimelab.groups import center, generate_group
+from coprimelab import lie
 from coprimelab.lie import (NpSeries, build_graded_lie, check_lazard_all, check_riley,
                             extend_and_eigendecompose, jlz_series, lie_fixed_points,
-                            subalgebra_LGH, verify_eigen_product_rule, verify_np_series)
+                            power_acts_trivially, subalgebra_LGH, verify_eigen_product_rule,
+                            verify_np_series)
 from coprimelab.numutil import prime_power_base
 from coprimelab.structure import lower_central_series, power_subgroup
-from helpers import (generated_members, identity_automorphism, load_workloads,
+from helpers import (C2_10_ORDER_889, C2_13_ORDER_6141, generated_members,
+                     identity_automorphism, induced_action_order, load_workloads,
                      per_element_lazard, quaternion_group)
 
 WORKLOADS = load_workloads()
@@ -277,8 +281,48 @@ def test_eigen_rejects_root_order_the_induced_order_does_not_divide():
     G, phi = build_corpus_instance({"name": "heisenberg", "params": {"p": 5},
                                     "automorphism": {"recipe": "power", "k": -1}})
     A = build_graded_lie(jlz_series(G, 5))
-    with pytest.raises(PreconditionViolated, match="order 2, which does not divide 3"):
+    with pytest.raises(PreconditionViolated, match=r"phi\^3 does not act trivially"):
         extend_and_eigendecompose(A, phi, n=3)
+
+
+def test_power_acts_trivially_matches_matrix_power_oracle():
+    # every p-group of the shipped corpus with an automorphism and the
+    # cli_commands files of seed 1, for every root order n <= 39 coprime to p
+    start = time.perf_counter()
+    specs = default_corpus()["instances"] + list(WORKLOADS.cli_plan(1)["files"].values())
+    checked = refused = 0
+    for spec in specs:
+        G, phi = build_corpus_instance(spec)
+        p = prime_power_base(G.order)
+        if phi is None or p is None:
+            continue
+        A = build_graded_lie(jlz_series(G, p))
+        m = induced_action_order(A, phi)
+        for n in range(1, 40):
+            if n % p:
+                trivial = power_acts_trivially(A, phi, n)
+                assert trivial == (n % m == 0), (spec["id"], n)
+                checked += 1
+                refused += not trivial
+    assert checked >= 700 and refused >= 400
+    assert time.perf_counter() - start < 2.0
+
+
+class _SearchReached(Exception):
+    """Raised in place of the modulus search."""
+
+
+def test_eigen_refuses_a_field_degree_above_the_bound_before_any_search(monkeypatch):
+    def reached(n, p, d):
+        raise _SearchReached(d)
+
+    monkeypatch.setattr(lie, "_cyclotomic_modulus", reached)
+    G, phi = build_corpus_instance(C2_10_ORDER_889)
+    with pytest.raises(_SearchReached, match="21"):
+        extend_and_eigendecompose(build_graded_lie(jlz_series(G, 2)), phi)
+    G, phi = build_corpus_instance(C2_13_ORDER_6141)
+    with pytest.raises(PreconditionViolated, match="degree above 21"):
+        extend_and_eigendecompose(build_graded_lie(jlz_series(G, 2)), phi)
 
 
 def test_eigen_heisenberg_inversion_product_rule():

@@ -14,6 +14,7 @@ from coprimelab import automorphisms
 from coprimelab.automorphisms import (Automorphism, build_automorphism, decomposition_witness,
                                       fixed_generation_S, phi_invariant_closure,
                                       twisted_data, twisted_pair_closures)
+from coprimelab import cli
 from coprimelab.cli import main
 from coprimelab.corpus import build_corpus_instance, build_glauberman_example, default_corpus
 from coprimelab import report
@@ -22,10 +23,10 @@ from coprimelab.report import (analyze_instance, canonical_json, count_verdicts,
                                theorem1_probe, theorem2_probe, thompson_probe)
 from coprimelab import structure
 from coprimelab.structure import lower_central_series
-from helpers import (_all_twisted_pair_closures, all_pairs_derived_length,
-                     all_pairs_fixed_generation_S, generated_members, identity_automorphism,
-                     per_element_decomposition_witness, quaternion_group, restrict_automorphism,
-                     unreduced_theorem1)
+from helpers import (C2_10_ORDER_889, C2_13_ORDER_6141, _all_twisted_pair_closures,
+                     all_pairs_derived_length, all_pairs_fixed_generation_S, generated_members,
+                     identity_automorphism, load_workloads, per_element_decomposition_witness,
+                     quaternion_group, restrict_automorphism, unreduced_theorem1)
 
 
 @pytest.fixture
@@ -62,14 +63,19 @@ def test_theorem1_exponent_p_group():
 
 
 def test_theorem1_matches_unreduced_oracle_on_corpus():
+    # the shipped corpus, the benchmark's nilpotent_pairs corpus and its
+    # cli_commands files, both of seed 1
+    workloads = load_workloads()
+    specs = (default_corpus()["instances"] + workloads.nilpotent_corpus(1)["instances"]
+             + list(workloads.cli_plan(1)["files"].values()))
     checked = 0
-    for spec in default_corpus()["instances"]:
+    for spec in specs:
         phi = build_corpus_instance(spec)[1]
         if phi is None or not phi.coprime:
             continue
         assert theorem1_probe(phi) == unreduced_theorem1(phi), spec["id"]
         checked += 1
-    assert checked >= 20
+    assert checked >= 33
 
 
 def test_unique_decomposition_matches_per_element_loop_on_corpus():
@@ -646,6 +652,41 @@ def test_cli_eigen_rejects_large_field_degree(tmp_path, capsys):
     assert main(["eigen", path, "--n", "202"]) == 2  # 5 has order 25 mod 202
     assert time.perf_counter() - start < 0.5
     assert "--n 202" in capsys.readouterr().err
+
+
+def test_default_root_order_above_the_field_degree_bound_is_refused(tmp_path, capsys):
+    # phi of order 6141 needs GF(2^22): eigen names the automorphism at once,
+    # and the suite skips the eigen split and keeps the rest of its report
+    path = _write(tmp_path, "deg22.json", C2_13_ORDER_6141)
+    start = time.perf_counter()
+    assert main(["eigen", path]) == 2
+    assert time.perf_counter() - start < 2.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: automorphism: its order 6141 needs"), err
+    path = _write(tmp_path, "corpus.json", {"schema": 1, "instances": [C2_13_ORDER_6141]})
+    assert main(["suite", path]) == 0
+    lie = json.loads(capsys.readouterr().out)["instances"][0]["lie"]
+    assert lie["eigen"] == ("skipped: roots of unity of order 6141 need an "
+                            "extension of F_2 of degree above 21")
+    assert lie["fixed_subalgebra"] == "pass"
+
+
+class _SplitReached(Exception):
+    """Raised in place of the eigen split."""
+
+
+def test_default_root_order_of_field_degree_21_reaches_the_split(tmp_path, monkeypatch):
+    # phi of order 889 needs GF(2^21), the largest field allowed: the
+    # command and the report both go on to the split
+    def split(A, phi, n=None):
+        raise _SplitReached
+
+    monkeypatch.setattr(report, "extend_and_eigendecompose", split)
+    monkeypatch.setattr(cli, "extend_and_eigendecompose", split)
+    with pytest.raises(_SplitReached):
+        main(["eigen", _write(tmp_path, "deg21.json", C2_10_ORDER_889)])
+    with pytest.raises(_SplitReached):
+        analyze_instance(C2_10_ORDER_889)
 
 
 def test_cli_missing_parameter_names_its_path(tmp_path, capsys):

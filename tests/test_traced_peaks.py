@@ -6,10 +6,11 @@ pass.
 exactly from run to run on one interpreter and do not move with the byte
 size of the sources, as a process's resident set does. The element store
 takes 2.39 MB of each. The bounds fail if the build goes back to checking
-bijectivity with a set of the automorphism table, to list base-image
-columns or to building the whole group's member set up front (4.77 MiB to
-build and 5.40 MiB to analyse on CPython 3.11, where they now read 4.03 and
-4.58 MiB).
+bijectivity with a set of the automorphism table or to building the whole
+group's member set up front (4.77 MiB to build and 5.40 MiB to analyse on
+CPython 3.11, where they now read 4.03 and 4.55 MiB). List base-image
+columns read 4.26 and 4.78 MiB, under both bounds, so
+``test_kernel.py::test_store_type_follows_degree`` checks their type.
 """
 
 import gc

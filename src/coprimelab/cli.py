@@ -15,9 +15,8 @@ from .errors import (CapExceeded, GroupTheoryError, InvalidPermutation, NotBijec
                      NotHomomorphism, ParseError, UnknownSpec)
 from .gf import MAX_DEGREE
 from .lie import (build_graded_lie, check_lazard_all, check_riley, extend_and_eigendecompose,
-                  jlz_series, power_acts_trivially, verify_eigen_product_rule,
-                  verify_np_series)
-from .numutil import is_prime, prime_power_base, root_field_degree
+                  jlz_series, verify_eigen_product_rule, verify_np_series)
+from .numutil import prime_power_base, root_field_degree
 from .report import _auto_section, _group_section, canonical_json, count_verdicts, run_suite
 from .structure import lower_central_series
 
@@ -28,10 +27,6 @@ import argparse  # noqa: E402
 
 _INPUT_ERRORS = (ParseError, UnknownSpec, InvalidPermutation, NotBijective,
                  NotHomomorphism, CapExceeded)
-
-# `eigen --n` finds its field's modulus by trial division over up to p**degree
-# polynomials: on heisenberg(5), degree 6 took 0.09 s and degree 10 took 81 s.
-MAX_FIELD_DEGREE = 6
 
 
 def _load_file(path: str) -> dict:
@@ -57,6 +52,14 @@ def _load_pair(args) -> tuple:
     if phi is None:
         raise ParseError("automorphism: missing")
     return G, phi
+
+
+def _characteristic(G, path: str) -> int:
+    """The prime p of a p-group; any other order, 1 included, is an input error."""
+    p = prime_power_base(G.order)
+    if p is None:
+        raise ParseError(f"{path}: group order {G.order} is not a prime power")
+    return p
 
 
 def _emit(payload: dict) -> None:
@@ -105,15 +108,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_lie(args) -> int:
     G, _, _ = load_instance(_load_file(args.file), cap=args.cap)
-    p = prime_power_base(G.order)
-    if args.p is not None:
-        if not is_prime(args.p):
-            raise ParseError(f"--p {args.p}: not a prime")
-        if G.order > 1 and p != args.p:
-            raise ParseError(f"--p {args.p}: group order {G.order} is not a power of it")
-        p = args.p
-    if p is None:
-        raise ParseError(f"--p: missing, and group order {G.order} is not a prime power")
+    p = _characteristic(G, args.file)
     series = jlz_series(G, p)
     A = build_graded_lie(series)
     sparse = [[list(k), list(v)] for k, v in sorted(A.brackets.items())]
@@ -133,24 +128,15 @@ def cmd_lie(args) -> int:
 
 def cmd_eigen(args) -> int:
     G, phi = _load_pair(args)
-    p = prime_power_base(G.order)
-    if p is None:
-        raise ParseError(f"{args.file}: group order {G.order} is not a prime power")
-    if args.n is None:
-        n, where, bound = phi.order_n, f"automorphism: its order {phi.order_n}", MAX_DEGREE
-    elif args.n < 1:
-        raise ParseError(f"--n {args.n}: not a positive integer")
-    else:
-        n, where, bound = args.n, f"--n {args.n}: the root order", MAX_FIELD_DEGREE
+    p = _characteristic(G, args.file)
+    n = phi.order_n
     if n % p == 0:
-        raise ParseError(f"{where} shares a factor with the characteristic {p}")
-    if root_field_degree(p, n, bound) is None:
-        raise ParseError(f"{where} needs roots of unity in an extension of F_{p} "
-                         f"of degree above {bound}")
-    A = build_graded_lie(jlz_series(G, p))
-    if not power_acts_trivially(A, phi, n):
-        raise ParseError(f"{where} is not a multiple of the order of phi on some layer")
-    ext = extend_and_eigendecompose(A, phi, n=n)
+        raise ParseError(f"automorphism: its order {n} shares a factor with the "
+                         f"characteristic {p}")
+    if root_field_degree(p, n, MAX_DEGREE) is None:
+        raise ParseError(f"automorphism: its order {n} needs roots of unity in an extension "
+                         f"of F_{p} of degree above {MAX_DEGREE}")
+    ext = extend_and_eigendecompose(build_graded_lie(jlz_series(G, p)), phi)
     payload = {
         "p": p, "n": ext.n, "field_degree": ext.field.k,
         "modulus": list(ext.field.modulus),
@@ -231,13 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lie", help="graded Lie algebra of a p-group instance")
     p.add_argument("file")
-    p.add_argument("--p", type=int, default=None)
     add_cap(p)
     p.set_defaults(func=cmd_lie)
 
     p = sub.add_parser("eigen", help="eigenspace decomposition after scalar extension")
     p.add_argument("file")
-    p.add_argument("--n", type=int, default=None)
     add_cap(p)
     p.set_defaults(func=cmd_eigen)
 

@@ -57,10 +57,6 @@ class NotElementaryAbelianLayer(GroupTheoryError):
     """A filtration quotient is not an elementary abelian p-group."""
 
 
-class NotCoprimeToP(GroupTheoryError):
-    """Scalar extension needs the root order coprime to the characteristic."""
-
-
 class NotInvariant(GroupTheoryError):
     """A subgroup expected to be automorphism-invariant is not."""
 

@@ -10,12 +10,10 @@ eigenspace decomposition after extending scalars by a root of unity.
 
 from __future__ import annotations
 
-import math
 from itertools import repeat
 from typing import Optional
 
-from .errors import (NotAPGroup, NotCoprime, NotCoprimeToP,
-                     NotElementaryAbelianLayer, PreconditionViolated)
+from .errors import NotAPGroup, NotCoprime, NotElementaryAbelianLayer, PreconditionViolated
 from .gf import MAX_DEGREE, FiniteField, cyclotomic_polynomial, least_monic, poly_divmod
 from .groups import FiniteGroup, Subgroup, coset_labels, subgroup_generated
 from .linalg import (in_span, intersect_spans, mat_from_columns, identity_matrix, mat_sub,
@@ -412,18 +410,6 @@ def layer_matrices(A: GradedLieAlgebra, phi) -> list[tuple]:
     return mats
 
 
-def power_acts_trivially(A: GradedLieAlgebra, phi, n: int) -> bool:
-    """Whether phi^n induces the identity on every layer. phi acts linearly
-    on each layer, so it is enough that phi^n keeps the coset of each basis
-    element x; phi^n(x) is read off the <phi>-orbit of x."""
-    for layer in A.layers:
-        for x in layer.basis:
-            orbit = phi.orbit(x)
-            if layer.rep[orbit[n % len(orbit)]] != layer.rep[x]:
-                return False
-    return True
-
-
 def lie_fixed_points(A: GradedLieAlgebra, phi) -> dict:
     """Fixed subspace of the generated subalgebra versus the span coming from
     the fixed-point subgroup; they must agree layer by layer."""
@@ -479,23 +465,18 @@ def _cyclotomic_modulus(n: int, p: int, d: int) -> tuple:
     return f
 
 
-def extend_and_eigendecompose(A: GradedLieAlgebra, phi, n: Optional[int] = None) -> ExtendedAlgebra:
-    """Extend scalars so a primitive n-th root of unity exists, then split
-    every layer into eigenspaces of the induced action.
+def extend_and_eigendecompose(A: GradedLieAlgebra, phi) -> ExtendedAlgebra:
+    """Extend scalars so a primitive n-th root of unity exists, n the order
+    of phi, then split every layer into eigenspaces of the induced action.
 
-    The root order n defaults to the order of phi. Before any field search
-    it must be coprime to p (else NotCoprimeToP), phi^n must act trivially
-    on every layer (``power_acts_trivially``), which the order of phi always
-    does, and the field degree (``root_field_degree``) must be at most
-    ``gf.MAX_DEGREE``; else PreconditionViolated.
+    Before any field search, phi must be coprime (else NotCoprime), and the
+    field degree (``root_field_degree``) must be at most ``gf.MAX_DEGREE``
+    (else PreconditionViolated).
     """
     p = A.p
-    if n is None:
-        n = phi.order_n
-    if math.gcd(n, p) != 1:
-        raise NotCoprimeToP(f"root order {n} is divisible by the characteristic {p}")
-    if not power_acts_trivially(A, phi, n):
-        raise PreconditionViolated(f"phi^{n} does not act trivially on every layer")
+    n = phi.order_n
+    if not phi.coprime:
+        raise NotCoprime(f"automorphism order {n} is divisible by the characteristic {p}")
     degree = root_field_degree(p, n, MAX_DEGREE)
     if degree is None:
         raise PreconditionViolated(f"the {n}-th roots of unity need an extension of F_{p} "

@@ -13,7 +13,6 @@ from pathlib import Path
 from coprimelab.automorphisms import Automorphism, is_phi_invariant
 from coprimelab.errors import NotInvariant
 from coprimelab.groups import FiniteGroup, commutator_subgroup_pair, generate_group
-from coprimelab.lie import layer_matrices
 
 
 def load_workloads():
@@ -264,23 +263,6 @@ C2_10_ORDER_889 = _c2_power([[2], [3], [1, 2], [5], [6], [7], [8], [9], [10], [4
 # Companions of x^2 + x + 1 and x^11 + x^2 + 1, of order 6141 = 3 * 23 * 89:
 # its roots of unity need GF(2^22).
 C2_13_ORDER_6141 = _c2_power([[2], [1, 2], *([k] for k in range(4, 14)), [3, 5]])
-
-
-def induced_action_order(A, phi) -> int:
-    """Least m with phi^m acting trivially on every layer of A: the lcm over
-    the layers of the order of ``lie.layer_matrices``, found by powering
-    each matrix over F_p. The oracle for ``lie.power_acts_trivially``."""
-    F = A.field
-    order = 1
-    for M in layer_matrices(A, phi):
-        identity = tuple(tuple(int(i == r) for i in range(len(M))) for r in range(len(M)))
-        power, k = M, 1
-        while power != identity:
-            power = tuple(tuple(reduce(F.add, map(F.mul, row, col), 0) for col in zip(*M))
-                          for row in power)
-            k += 1
-        order = math.lcm(order, k)
-    return order
 
 
 def per_element_lazard(A, x: int) -> bool:

@@ -291,18 +291,8 @@ MUTANTS = [
      "old": "        if self._lie_class is None:\n",
      "new": "        if True:\n",
      "tests": ["tests/test_lie_layer.py::test_the_lie_class_is_bracketed_out_once_per_algebra"]},
-    # phi's action read off its <phi>-orbits: phi^n on the layer bases, and
-    # the field degree of the eigen split bounded before any search
-    {"name": "the layer check reads phi^(n - 1)",
-     "file": "src/coprimelab/lie.py",
-     "old": "            if layer.rep[orbit[n % len(orbit)]] != layer.rep[x]:\n",
-     "new": "            if layer.rep[orbit[(n - 1) % len(orbit)]] != layer.rep[x]:\n",
-     "tests": ["tests/test_lie.py::test_power_acts_trivially_matches_matrix_power_oracle"]},
-    {"name": "the layer check skips the last layer",
-     "file": "src/coprimelab/lie.py",
-     "old": "    for layer in A.layers:\n        for x in layer.basis:\n",
-     "new": "    for layer in A.layers[:-1]:\n        for x in layer.basis:\n",
-     "tests": ["tests/test_lie.py::test_power_acts_trivially_matches_matrix_power_oracle"]},
+    # the eigen split by the order of phi: phi coprime, and the field degree
+    # bounded before any search; lie and eigen take p from the group order
     {"name": "the field degree bound is off by one",
      "file": "src/coprimelab/numutil.py",
      "old": "for d in range(1, bound + 1)",
@@ -310,8 +300,8 @@ MUTANTS = [
      "tests": ["tests/test_gf.py::test_root_field_degree_is_the_order_of_p_up_to_its_bound"]},
     {"name": "the default-n degree bound of eigen is off by one",
      "file": "src/coprimelab/cli.py",
-     "old": "f\"automorphism: its order {phi.order_n}\", MAX_DEGREE\n",
-     "new": "f\"automorphism: its order {phi.order_n}\", MAX_DEGREE - 1\n",
+     "old": "root_field_degree(p, n, MAX_DEGREE) is None",
+     "new": "root_field_degree(p, n, MAX_DEGREE - 1) is None",
      "tests": ["tests/test_report_cli.py::"
                "test_default_root_order_of_field_degree_21_reaches_the_split"]},
     {"name": "the default-n degree bound of the report is off by one",
@@ -326,6 +316,16 @@ MUTANTS = [
      "new": "    degree = root_field_degree(p, n, MAX_DEGREE - 1)\n",
      "tests": ["tests/test_lie.py::"
                "test_eigen_refuses_a_field_degree_above_the_bound_before_any_search"]},
+    {"name": "the eigen split accepts a non-coprime phi",
+     "file": "src/coprimelab/lie.py",
+     "old": "    if not phi.coprime:\n        raise NotCoprime(f\"automorphism order",
+     "new": "    if False:\n        raise NotCoprime(f\"automorphism order",
+     "tests": ["tests/test_lie.py::test_eigen_rejects_characteristic_divisor"]},
+    {"name": "lie accepts an order that is not a prime power",
+     "file": "src/coprimelab/cli.py",
+     "old": "    p = _characteristic(G, args.file)\n    series = jlz_series(G, p)\n",
+     "new": "    p = prime_power_base(G.order)\n    series = jlz_series(G, p)\n",
+     "tests": ["tests/test_report_cli.py::test_cli_unmet_precondition_is_an_input_error"]},
     {"name": "a raw group over the cap names no place in the input",
      "file": "src/coprimelab/corpus.py",
      "old": "        except (InvalidPermutation, CapExceeded) as exc:\n",

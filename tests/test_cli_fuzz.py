@@ -4,11 +4,10 @@ Each example is a subgroup of S_n, n <= 8, of order at most 1500, whose
 generating set is closed under conjugation by a drawn permutation c, so that
 x -> c x c⁻¹ is an automorphism of it; its image words are single generator
 letters. Every command that reads an instance file runs on it (``suite``
-on a one-instance corpus), with random ``--p``, ``--n``, ``--element`` and
-``--cap``. Whatever the input, no exception escapes ``main``, exit 1 comes
-only with a ``fail`` verdict in stdout, and every exit-2 message starts
-with its place in the input or with a flag, as the README "Command line"
-section promises.
+on a one-instance corpus), with random ``--element`` and ``--cap``.
+Whatever the input, no exception escapes ``main``, exit 1 comes only with a
+``fail`` verdict in stdout, and every exit-2 message starts with its place
+in the input or with a flag, as the README "Command line" section promises.
 """
 
 import contextlib
@@ -35,7 +34,7 @@ CAPS = (None, None, None, MAX_ORDER, MAX_ORDER, -1, 0, 1, 3, 8, 24, 60)
 # an input error's place: a field of the raw file as a JSON path (in a
 # corpus, under its position), or a flag
 PLACE = re.compile(r"error: ((instances\[0\]\.)?(degree|generators|automorphism|cap)"
-                   r"(\.\w+|\[\d+\])*: |--(p|n|element|cap)[ :])")
+                   r"(\.\w+|\[\d+\])*: |--(element|cap)[ :])")
 
 
 def _product(perms, degree):
@@ -106,11 +105,9 @@ def raw_groups(draw):
             "automorphism": {"images": [[i + 1] for i in images]}}
 
 
-def _flags(p, n, word, cap):
+def _flags(word, cap):
     """The flags of each file command."""
-    flags = {"lie": [] if p is None else [f"--p={p}"],
-             "eigen": [] if n is None else [f"--n={n}"],
-             "decompose": ["--element=" + ",".join(map(str, word))]}
+    flags = {"decompose": ["--element=" + ",".join(map(str, word))]}
     common = [] if cap is None else [f"--cap={cap}"]
     return {cmd: flags.get(cmd, []) + common for cmd in
             ("info", "auto", "decompose", "lie", "eigen", "suite")}
@@ -124,11 +121,10 @@ def _run(argv):
 
 
 @given(raw_groups().filter(_small_enough),
-       st.one_of(st.none(), st.integers(-2, 12)), st.one_of(st.none(), st.integers(-2, 40)),
        st.lists(st.integers(-4, 4), max_size=6),
        st.sampled_from(CAPS))
 @settings(max_examples=300, derandomize=True, deadline=None)
-def test_every_file_command_keeps_the_exit_code_contract(spec, p, n, word, cap):
+def test_every_file_command_keeps_the_exit_code_contract(spec, word, cap):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "group.json")
         corpus_path = os.path.join(tmp, "corpus.json")
@@ -136,7 +132,7 @@ def test_every_file_command_keeps_the_exit_code_contract(spec, p, n, word, cap):
             json.dump(spec, f)
         with open(corpus_path, "w", encoding="utf-8") as f:
             json.dump({"schema": 1, "instances": [spec]}, f)
-        for cmd, flags in _flags(p, n, word, cap).items():
+        for cmd, flags in _flags(word, cap).items():
             code, out, err = _run([cmd, corpus_path if cmd == "suite" else path, *flags])
             where = (cmd, flags, spec)
             assert code in (0, 1, 2), where

@@ -1,5 +1,5 @@
-"""Every function, method and stored attribute of the package is used by the
-package itself.
+"""Every class, function, method and stored attribute of the package is used
+by the package itself.
 
 A re-export in ``__init__.py`` is not a use, so that file is not read."""
 
@@ -24,7 +24,7 @@ def test_every_function_is_referenced_in_src():
     defined, referenced = {}, set()
     for name, tree in _trees():
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.setdefault(node.name, f"{name}:{node.lineno}")
             elif isinstance(node, ast.Name):
                 referenced.add(node.id)

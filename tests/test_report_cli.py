@@ -19,6 +19,7 @@ from coprimelab.cli import main
 from coprimelab.corpus import build_corpus_instance, build_glauberman_example, default_corpus
 from coprimelab import report
 from coprimelab.errors import NotCoprime, NotSoluble
+from coprimelab.numutil import prime_power_base
 from coprimelab.report import (analyze_instance, canonical_json, count_verdicts, run_suite,
                                theorem1_probe, theorem2_probe, thompson_probe)
 from coprimelab import structure
@@ -609,49 +610,44 @@ def test_suite_and_lie_agree_on_lazard_at_order_3125(tmp_path, capsys):
 @pytest.mark.parametrize("spec, argv, digest", [
     (HEIS5_INV, ["lie"], "89a7443ec6df7f5d3ddd4a1f7276110f3bed3e9d7c91ec7d089089a21aaf0426"),
     (HEIS5_INV, ["eigen"], "fda4e81672a1920cadc52a74fd6c775ac9d270249c925c0b1be3e5eff600f913"),
-    (HEIS5_INV, ["eigen", "--n", "8"],
-     "8cf381f0aa163af497594b413dc02699e4dc1411d686b816d2daf960a587e8ab"),
     (HEIS3_C9_INV, ["lie"], "dd5b84e2079c7f96e925fc07c217321a0c3af9353d8b6fabd0b0b81be9480c68"),
     (HEIS3_C9_INV, ["eigen"], "29d21c3abb2367bc64aaa2389e2ead7be3e0ad24bcadcadda82c03c2cc09477c"),
     (C5_POW5, ["lie"], "098de2fe9934c5beb17acdbc91203d81485f6cb2c1c29d7c19c61f54f8546a0f"),
     (C5_POW5, ["eigen"], "3a6aaa2f25394f9ebdb2b604ea4d15cc600efdb71c6c79c484a3148aed5cdb06"),
-], ids=["heis5-lie", "heis5-eigen", "heis5-eigen-n8", "heis3xc9-lie", "heis3xc9-eigen",
-        "c5^5-lie", "c5^5-eigen"])
+    # the two pins whose fields are extensions: GF(2^4), modulus [1,1,1,1,1],
+    # and GF(2^3)
+    (_corpus_spec("c2quad_m5"), ["eigen"],
+     "407c1d1a6d343ba6ed9aa7321fcfa5cd9a36153fad31932cec15cdca51099686"),
+    (_corpus_spec("c2cube_m7"), ["eigen"],
+     "8dcfdf8bbf2fbe8aa3a0e99852449aef529a1010e884e26928a572f4a445d46b"),
+], ids=["heis5-lie", "heis5-eigen", "heis3xc9-lie", "heis3xc9-eigen",
+        "c5^5-lie", "c5^5-eigen", "c2quad_m5-eigen", "c2cube_m7-eigen"])
 def test_cli_lie_eigen_stdout_pins(tmp_path, capsys, spec, argv, digest):
     path = _write(tmp_path, "spec.json", spec)
     assert main([argv[0], path] + argv[1:]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def _usage_error(argv, capsys) -> str:
+    """The stderr of an argparse usage error, which exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_cli_lie_rejects_bad_p(tmp_path, capsys):
-    path = _write(tmp_path, "s3.json", {"name": "symmetric", "params": {"m": 3}})
-    for p in ("3", "4", "0"):
-        assert main(["lie", path, "--p", p]) == 2
-        assert "--p" in capsys.readouterr().err
+    # lie takes p from the group order: --p is no option of it
+    path = _write(tmp_path, "c9.json", {"name": "cyclic", "params": {"m": 9}})
+    for p in ("3", "5", "0"):
+        assert "unrecognized arguments: --p" in _usage_error(["lie", path, "--p", p], capsys)
 
 
 def test_cli_eigen_rejects_bad_n(tmp_path, capsys):
-    path = _write(tmp_path, "h5.json", {"name": "heisenberg", "params": {"p": 5},
-                                        "automorphism": {"recipe": "power", "k": -1}})
-    for n in ("3", "0", "-2", "5"):
-        assert main(["eigen", path, "--n", n]) == 2
-        assert "--n" in capsys.readouterr().err
-    assert main(["eigen", path, "--n", "4"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["n"] == 4
-    assert main(["eigen", path, "--n", "8"]) == 0  # 8-th roots of unity need GF(25)
-    assert capsys.readouterr().out == (
-        '{"dims":[[0,0,0,0,2,0,0,0],[1,0,0,0,0,0,0,0]],"field_degree":2,'
-        '"modulus":[2,0,1],"n":8,"p":5,"product_rule":"pass"}\n')
-
-
-def test_cli_eigen_rejects_large_field_degree(tmp_path, capsys):
-    path = _write(tmp_path, "h5.json", {"name": "heisenberg", "params": {"p": 5},
-                                        "automorphism": {"recipe": "power", "k": -1}})
-    start = time.perf_counter()
-    assert main(["eigen", path, "--n", "202"]) == 2  # 5 has order 25 mod 202
-    assert time.perf_counter() - start < 0.5
-    assert "--n 202" in capsys.readouterr().err
+    # eigen splits by the order of phi: --n is no option of it
+    path = _write(tmp_path, "h5.json", HEIS5_INV)
+    for n in ("2", "4", "8"):
+        assert "unrecognized arguments: --n" in _usage_error(["eigen", path, "--n", n], capsys)
 
 
 def test_default_root_order_above_the_field_degree_bound_is_refused(tmp_path, capsys):
@@ -678,7 +674,7 @@ class _SplitReached(Exception):
 def test_default_root_order_of_field_degree_21_reaches_the_split(tmp_path, monkeypatch):
     # phi of order 889 needs GF(2^21), the largest field allowed: the
     # command and the report both go on to the split
-    def split(A, phi, n=None):
+    def split(A, phi):
         raise _SplitReached
 
     monkeypatch.setattr(report, "extend_and_eigendecompose", split)
@@ -687,6 +683,28 @@ def test_default_root_order_of_field_degree_21_reaches_the_split(tmp_path, monke
         main(["eigen", _write(tmp_path, "deg21.json", C2_10_ORDER_889)])
     with pytest.raises(_SplitReached):
         analyze_instance(C2_10_ORDER_889)
+
+
+def test_eigen_and_the_suite_split_alike(tmp_path, capsys):
+    # cmd_eigen and the report's lie section each apply the default root
+    # order and its field-degree bound: every p-group here with a coprime
+    # phi gets the same split from both
+    workloads = load_workloads()
+    specs = (default_corpus()["instances"] + workloads.nilpotent_corpus(1)["instances"]
+             + list(workloads.cli_plan(1)["files"].values()))
+    path = str(tmp_path / "spec.json")
+    checked = 0
+    for spec in specs:
+        G, phi = build_corpus_instance(spec)
+        if phi is None or not phi.coprime or prime_power_base(G.order) is None:
+            continue
+        _write(tmp_path, "spec.json", spec)
+        assert main(["eigen", path]) == 0, spec["id"]
+        out = json.loads(capsys.readouterr().out)
+        expected = analyze_instance(spec)["lie"]["eigen"]
+        assert {k: out[k] for k in expected} == expected, spec["id"]
+        checked += 1
+    assert checked >= 30
 
 
 def test_cli_missing_parameter_names_its_path(tmp_path, capsys):
@@ -766,17 +784,16 @@ D3_IDENTITY = {"name": "dihedral", "params": {"m": 3},
 
 @pytest.mark.parametrize("spec, command, location", [
     (C4_CUBE, ["eigen", "FILE"], "automorphism"),
-    (C4_CUBE, ["eigen", "FILE", "--n", "2"], "--n 2"),
     (C4_CUBE, ["decompose", "FILE", "--element=1"], "automorphism"),
     (D3_IDENTITY, ["decompose", "FILE", "--element=1"], "FILE"),
     (D3_IDENTITY, ["eigen", "FILE"], "FILE"),
     (C5, ["auto", "FILE"], "automorphism"),
-    ({"name": "symmetric", "params": {"m": 3}}, ["lie", "FILE"], "--p"),
-], ids=["eigen-p-divides-phi", "eigen-n", "decompose-not-coprime", "decompose-not-nilpotent",
+    ({"name": "symmetric", "params": {"m": 3}}, ["lie", "FILE"], "FILE"),
+], ids=["eigen-p-divides-phi", "decompose-not-coprime", "decompose-not-nilpotent",
         "eigen-not-p-group", "auto-no-automorphism", "lie-not-p-group"])
 def test_cli_unmet_precondition_is_an_input_error(tmp_path, capsys, spec, command, location):
     # a command whose hypotheses the input does not meet exits 2, naming the
-    # automorphism, the flag or the file; exit 1 is for a check that fails
+    # automorphism or the file; exit 1 is for a check that fails
     path = _write(tmp_path, "spec.json", spec)
     assert main([path if arg == "FILE" else arg for arg in command]) == 2
     out, err = capsys.readouterr()
@@ -834,17 +851,17 @@ def _fresh_process(argv) -> tuple:
 
 
 def test_no_state_carries_over_between_main_calls(tmp_path, capsys):
-    # the trivial group takes any prime as --p, and without it has none
+    # the trivial group has no characteristic: refused alike in-process and
+    # in a fresh process
     trivial = _write(tmp_path, "c1.json", {"name": "cyclic", "params": {"m": 1}})
-    assert main(["lie", trivial, "--p", "5"]) == 0
-    capsys.readouterr()
     code = main(["lie", trivial])
     out = capsys.readouterr()
     assert (code, out.out, out.err) == _fresh_process(["lie", trivial])
     assert code == 2
+    assert out.err == f"error: {trivial}: group order 1 is not a prime power\n"
     # a usage error exits through argparse, and the next command still runs
     with pytest.raises(SystemExit) as exc:
-        main(["lie", trivial, "--p", "five"])
+        main(["lie", trivial, "--p", "5"])
     assert exc.value.code == 2
     capsys.readouterr()
     heis = _write(tmp_path, "h3.json", {"name": "heisenberg", "params": {"p": 3}})

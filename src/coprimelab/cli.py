@@ -12,12 +12,11 @@ from pathlib import Path
 from .automorphisms import factorization_status, nilpotent_decompose, twisted_data
 from .corpus import build_glauberman_example, default_corpus, load_instance
 from .errors import (CapExceeded, GroupTheoryError, InvalidPermutation, NotBijective,
-                     NotHomomorphism, ParseError, UnknownSpec)
-from .gf import MAX_DEGREE
-from .lie import (build_graded_lie, check_lazard_all, check_riley, extend_and_eigendecompose,
-                  jlz_series, verify_eigen_product_rule, verify_np_series)
-from .numutil import prime_power_base, root_field_degree
-from .report import _auto_section, _group_section, canonical_json, count_verdicts, run_suite
+                     NotHomomorphism, ParseError, PreconditionViolated, UnknownSpec)
+from .lie import build_graded_lie, jlz_series, split_field_degree
+from .numutil import prime_power_base
+from .report import (_auto_section, _eigen_fields, _group_section, _lie_fields, canonical_json,
+                     count_verdicts, run_suite)
 from .structure import lower_central_series
 
 # Imported at module level, so that a command's time holds no import, and
@@ -54,6 +53,15 @@ def _load_pair(args) -> tuple:
     return G, phi
 
 
+def _load_coprime_pair(args) -> tuple:
+    """``_load_pair``, refused when the order of phi shares a factor with |G|."""
+    G, phi = _load_pair(args)
+    if not phi.coprime:
+        raise ParseError(f"automorphism: its order {phi.order_n} shares a factor "
+                         f"with the group order {G.order}")
+    return G, phi
+
+
 def _characteristic(G, path: str) -> int:
     """The prime p of a p-group; any other order, 1 included, is an input error."""
     p = prime_power_base(G.order)
@@ -84,10 +92,7 @@ def cmd_auto(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    G, phi = _load_pair(args)
-    if not phi.coprime:
-        raise ParseError(f"automorphism: its order {phi.order_n} shares a factor "
-                         f"with the group order {G.order}")
+    G, phi = _load_coprime_pair(args)
     if not lower_central_series(G).is_nilpotent:
         raise ParseError(f"{args.file}: group of order {G.order} is not nilpotent")
     try:
@@ -108,41 +113,22 @@ def cmd_decompose(args) -> int:
 
 def cmd_lie(args) -> int:
     G, _, _ = load_instance(_load_file(args.file), cap=args.cap)
-    p = _characteristic(G, args.file)
-    series = jlz_series(G, p)
-    A = build_graded_lie(series)
-    sparse = [[list(k), list(v)] for k, v in sorted(A.brackets.items())]
-    payload = {
-        "p": p,
-        "layer_dims": list(A.dims),
-        "np_series": verify_np_series(series)["verdict"],
-        "lie_class": A.lie_class_of_generated(),
-        "structure_constants": sparse,
-        "lazard": check_lazard_all(A)["verdict"],
-        "riley": check_riley(A)["verdict"],
-    }
+    A, payload = _lie_fields(G, _characteristic(G, args.file))
+    payload["structure_constants"] = [[list(k), list(v)] for k, v in sorted(A.brackets.items())]
     _emit(payload)
     print(f"lie: dims {payload['layer_dims']}, class {payload['lie_class']}", file=sys.stderr)
     return 0 if payload["lazard"] == "pass" and payload["riley"] == "pass" else 1
 
 
 def cmd_eigen(args) -> int:
-    G, phi = _load_pair(args)
+    G, phi = _load_coprime_pair(args)
     p = _characteristic(G, args.file)
-    n = phi.order_n
-    if n % p == 0:
-        raise ParseError(f"automorphism: its order {n} shares a factor with the "
-                         f"characteristic {p}")
-    if root_field_degree(p, n, MAX_DEGREE) is None:
-        raise ParseError(f"automorphism: its order {n} needs roots of unity in an extension "
-                         f"of F_{p} of degree above {MAX_DEGREE}")
-    ext = extend_and_eigendecompose(build_graded_lie(jlz_series(G, p)), phi)
-    payload = {
-        "p": p, "n": ext.n, "field_degree": ext.field.k,
-        "modulus": list(ext.field.modulus),
-        "dims": [list(d) for d in ext.dims],
-        "product_rule": verify_eigen_product_rule(ext)["verdict"],
-    }
+    try:
+        split_field_degree(p, phi.order_n)
+    except PreconditionViolated as exc:
+        raise ParseError(f"automorphism: {exc}") from exc
+    ext, payload = _eigen_fields(build_graded_lie(jlz_series(G, p)), phi)
+    payload.update(p=p, modulus=list(ext.field.modulus))
     _emit(payload)
     print(f"eigen: dims {payload['dims']}", file=sys.stderr)
     return 0 if payload["product_rule"] == "pass" else 1

@@ -465,22 +465,31 @@ def _cyclotomic_modulus(n: int, p: int, d: int) -> tuple:
     return f
 
 
+def split_field_degree(p: int, n: int) -> int:
+    """Degree over F_p of the n-th roots of unity, the field of the eigen split
+    by phi of order n. p must not divide n (else NotCoprime), and the degree must
+    be at most ``gf.MAX_DEGREE`` (else PreconditionViolated; its text is the reason)."""
+    if not (type(p) is type(n) is int and p > 1 and n > 0):
+        raise ValueError(f"need a characteristic p > 1 and a root order n > 0, got {p!r}, {n!r}")
+    if n % p == 0:
+        raise NotCoprime(f"automorphism order {n} is divisible by the characteristic {p}")
+    degree = root_field_degree(p, n, MAX_DEGREE)
+    if degree is None:
+        raise PreconditionViolated(f"roots of unity of order {n} need an extension of F_{p} "
+                                   f"of degree above {MAX_DEGREE}")
+    return degree
+
+
 def extend_and_eigendecompose(A: GradedLieAlgebra, phi) -> ExtendedAlgebra:
     """Extend scalars so a primitive n-th root of unity exists, n the order
     of phi, then split every layer into eigenspaces of the induced action.
 
-    Before any field search, phi must be coprime (else NotCoprime), and the
-    field degree (``root_field_degree``) must be at most ``gf.MAX_DEGREE``
-    (else PreconditionViolated).
+    Before any field search, the field degree passes ``split_field_degree``
+    and phi must act on the group of A (else ValueError).
     """
-    p = A.p
-    n = phi.order_n
-    if not phi.coprime:
-        raise NotCoprime(f"automorphism order {n} is divisible by the characteristic {p}")
-    degree = root_field_degree(p, n, MAX_DEGREE)
-    if degree is None:
-        raise PreconditionViolated(f"the {n}-th roots of unity need an extension of F_{p} "
-                                   f"of degree above {MAX_DEGREE}")
+    p, n = A.p, phi.order_n
+    degree = split_field_degree(p, n)
+    mats = layer_matrices(A, phi)
     modulus = _cyclotomic_modulus(n, p, degree)
     field = FiniteField(p, degree, modulus)
     omega = field.generator_element()   # the modulus root; 1 when n = 1
@@ -489,7 +498,6 @@ def extend_and_eigendecompose(A: GradedLieAlgebra, phi) -> ExtendedAlgebra:
     for q in factorization(n):
         if field.pow(omega, n // q) == 1:
             raise AssertionError("modulus root is not primitive")
-    mats = layer_matrices(A, phi)
     omega_powers = [field.pow(omega, j) for j in range(n)]
     eigenbases = []
     dims = []

@@ -21,13 +21,14 @@ from .automorphisms import (Automorphism, TwistedData, check_coprime_facts,
                             twisted_orbit_representatives, twisted_pair_closures)
 from .corpus import instance_id, load_instance
 from .errors import (CapExceeded, GroupTheoryError, InvalidPermutation, NotBijective,
-                     NotCoprime, NotHomomorphism, NotSoluble, ParseError, UnknownSpec)
-from .gf import MAX_DEGREE
+                     NotCoprime, NotHomomorphism, NotSoluble, ParseError,
+                     PreconditionViolated, UnknownSpec)
 from .groups import FiniteGroup, center, is_normal, subgroup_generated
-from .lie import (build_graded_lie, check_lazard_all, check_riley, extend_and_eigendecompose,
-                  jlz_series, lie_fixed_points, subalgebra_LGH, verify_bracket_axioms,
-                  verify_eigen_product_rule, verify_np_series)
-from .numutil import big_omega, prime_power_base, root_field_degree
+from .lie import (GradedLieAlgebra, build_graded_lie, check_lazard_all, check_riley,
+                  extend_and_eigendecompose, jlz_series, lie_fixed_points, split_field_degree,
+                  subalgebra_LGH, verify_bracket_axioms, verify_eigen_product_rule,
+                  verify_np_series)
+from .numutil import big_omega, prime_power_base
 from .structure import derived_series, fitting_height, is_powerful, lower_central_series
 
 PAIR_CAP = 1_000_000
@@ -220,23 +221,36 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
     return section
 
 
-def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
+def _lie_fields(G: FiniteGroup, p: int) -> tuple:
+    """The graded Lie algebra of the Jennings series of the p-group G, and
+    the six fields of it that ``lie`` and the suite's Lie section share."""
     series = jlz_series(G, p)
-    np_report = verify_np_series(series)
+    np_series = verify_np_series(series)["verdict"]  # its caches freed before A is built
     A = build_graded_lie(series)
-    c = A.lie_class_of_generated()
-    section: dict = {
-        "p": p,
-        "layer_dims": list(A.dims),
-        "np_series": np_report["verdict"],
-        "bracket_axioms": verify_bracket_axioms(A)["verdict"],
-        "lie_class": c,
-        "lazard": check_lazard_all(A)["verdict"],
-    }
-    riley = check_riley(A)
-    section["riley"] = riley["verdict"]
-    section["riley_term_order"] = riley["term_order"]
+    return A, {"p": p, "layer_dims": list(A.dims), "np_series": np_series,
+               "lie_class": A.lie_class_of_generated(),
+               "lazard": check_lazard_all(A)["verdict"], "riley": check_riley(A)["verdict"]}
+
+
+def _eigen_fields(A: GradedLieAlgebra, phi: Automorphism) -> tuple:
+    """The eigen split of A by the coprime phi and the four fields of it that
+    ``eigen`` and the suite share; None and the skip string when its field is
+    too large (``split_field_degree``)."""
+    try:
+        split_field_degree(A.p, phi.order_n)
+    except PreconditionViolated as exc:
+        return None, _skip(str(exc))
+    ext = extend_and_eigendecompose(A, phi)
+    return ext, {"n": ext.n, "field_degree": ext.field.k, "dims": [list(d) for d in ext.dims],
+                 "product_rule": verify_eigen_product_rule(ext)["verdict"]}
+
+
+def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
+    A, section = _lie_fields(G, p)
+    section["bracket_axioms"] = verify_bracket_axioms(A)["verdict"]
+    c = section["lie_class"]
     term = A.series.term(c + 1)
+    section["riley_term_order"] = term.order
     bound = G.exponent_of(term.members) * p ** c
     section["exponent_split"] = _verdict(bound % G.exponent() == 0)
     if is_powerful(G, p):
@@ -259,17 +273,7 @@ def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
     section["span_subalgebras"] = lgh
     if phi is not None and phi.coprime:
         section["fixed_subalgebra"] = lie_fixed_points(A, phi)["verdict"]
-        if root_field_degree(p, phi.order_n, MAX_DEGREE) is None:
-            section["eigen"] = _skip(f"roots of unity of order {phi.order_n} need an "
-                                     f"extension of F_{p} of degree above {MAX_DEGREE}")
-        else:
-            ext = extend_and_eigendecompose(A, phi)
-            section["eigen"] = {
-                "n": ext.n,
-                "field_degree": ext.field.k,
-                "dims": [list(d) for d in ext.dims],
-                "product_rule": verify_eigen_product_rule(ext)["verdict"],
-            }
+        section["eigen"] = _eigen_fields(A, phi)[1]
     else:
         reason = "no automorphism supplied" if phi is None else "action is not coprime"
         for key in ("fixed_subalgebra", "eigen"):

@@ -291,40 +291,36 @@ MUTANTS = [
      "old": "        if self._lie_class is None:\n",
      "new": "        if True:\n",
      "tests": ["tests/test_lie_layer.py::test_the_lie_class_is_bracketed_out_once_per_algebra"]},
-    # the eigen split by the order of phi: phi coprime, and the field degree
-    # bounded before any search; lie and eigen take p from the group order
+    # the eigen split by the order of phi: one rule (lie.split_field_degree),
+    # phi coprime and the field degree bounded before any search, read by the
+    # split, the suite and eigen alike; lie and eigen take p from the group order
     {"name": "the field degree bound is off by one",
      "file": "src/coprimelab/numutil.py",
      "old": "for d in range(1, bound + 1)",
      "new": "for d in range(1, bound)",
      "tests": ["tests/test_gf.py::test_root_field_degree_is_the_order_of_p_up_to_its_bound"]},
-    {"name": "the default-n degree bound of eigen is off by one",
-     "file": "src/coprimelab/cli.py",
-     "old": "root_field_degree(p, n, MAX_DEGREE) is None",
-     "new": "root_field_degree(p, n, MAX_DEGREE - 1) is None",
-     "tests": ["tests/test_report_cli.py::"
-               "test_default_root_order_of_field_degree_21_reaches_the_split"]},
-    {"name": "the default-n degree bound of the report is off by one",
-     "file": "src/coprimelab/report.py",
-     "old": "root_field_degree(p, phi.order_n, MAX_DEGREE)",
-     "new": "root_field_degree(p, phi.order_n, MAX_DEGREE - 1)",
-     "tests": ["tests/test_report_cli.py::"
-               "test_default_root_order_of_field_degree_21_reaches_the_split"]},
     {"name": "the degree bound of the eigen split is off by one",
      "file": "src/coprimelab/lie.py",
      "old": "    degree = root_field_degree(p, n, MAX_DEGREE)\n",
      "new": "    degree = root_field_degree(p, n, MAX_DEGREE - 1)\n",
      "tests": ["tests/test_lie.py::"
-               "test_eigen_refuses_a_field_degree_above_the_bound_before_any_search"]},
+               "test_eigen_refuses_a_field_degree_above_the_bound_before_any_search",
+               "tests/test_report_cli.py::"
+               "test_default_root_order_of_field_degree_21_reaches_the_split"]},
     {"name": "the eigen split accepts a non-coprime phi",
      "file": "src/coprimelab/lie.py",
-     "old": "    if not phi.coprime:\n        raise NotCoprime(f\"automorphism order",
-     "new": "    if False:\n        raise NotCoprime(f\"automorphism order",
+     "old": "    if n % p == 0:\n        raise NotCoprime(",
+     "new": "    if False:\n        raise NotCoprime(",
      "tests": ["tests/test_lie.py::test_eigen_rejects_characteristic_divisor"]},
+    {"name": "decompose and eigen accept a non-coprime phi",
+     "file": "src/coprimelab/cli.py",
+     "old": "    if not phi.coprime:\n",
+     "new": "    if False:\n",
+     "tests": ["tests/test_report_cli.py::test_cli_unmet_precondition_is_an_input_error"]},
     {"name": "lie accepts an order that is not a prime power",
      "file": "src/coprimelab/cli.py",
-     "old": "    p = _characteristic(G, args.file)\n    series = jlz_series(G, p)\n",
-     "new": "    p = prime_power_base(G.order)\n    series = jlz_series(G, p)\n",
+     "old": "    A, payload = _lie_fields(G, _characteristic(G, args.file))\n",
+     "new": "    A, payload = _lie_fields(G, prime_power_base(G.order))\n",
      "tests": ["tests/test_report_cli.py::test_cli_unmet_precondition_is_an_input_error"]},
     {"name": "a raw group over the cap names no place in the input",
      "file": "src/coprimelab/corpus.py",

@@ -658,7 +658,8 @@ def test_default_root_order_above_the_field_degree_bound_is_refused(tmp_path, ca
     assert main(["eigen", path]) == 2
     assert time.perf_counter() - start < 2.0
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: automorphism: its order 6141 needs"), err
+    assert out == "" and err == ("error: automorphism: roots of unity of order 6141 need an "
+                                 "extension of F_2 of degree above 21\n"), err
     path = _write(tmp_path, "corpus.json", {"schema": 1, "instances": [C2_13_ORDER_6141]})
     assert main(["suite", path]) == 0
     lie = json.loads(capsys.readouterr().out)["instances"][0]["lie"]
@@ -673,12 +674,12 @@ class _SplitReached(Exception):
 
 def test_default_root_order_of_field_degree_21_reaches_the_split(tmp_path, monkeypatch):
     # phi of order 889 needs GF(2^21), the largest field allowed: the
-    # command and the report both go on to the split
+    # command and the report both go on to the split, which they both reach
+    # through the report's eigen fields
     def split(A, phi):
         raise _SplitReached
 
     monkeypatch.setattr(report, "extend_and_eigendecompose", split)
-    monkeypatch.setattr(cli, "extend_and_eigendecompose", split)
     with pytest.raises(_SplitReached):
         main(["eigen", _write(tmp_path, "deg21.json", C2_10_ORDER_889)])
     with pytest.raises(_SplitReached):
@@ -686,9 +687,8 @@ def test_default_root_order_of_field_degree_21_reaches_the_split(tmp_path, monke
 
 
 def test_eigen_and_the_suite_split_alike(tmp_path, capsys):
-    # cmd_eigen and the report's lie section each apply the default root
-    # order and its field-degree bound: every p-group here with a coprime
-    # phi gets the same split from both
+    # every p-group here with a coprime phi gets the same split from eigen as
+    # from the report's lie section, and the same six shared fields from lie
     workloads = load_workloads()
     specs = (default_corpus()["instances"] + workloads.nilpotent_corpus(1)["instances"]
              + list(workloads.cli_plan(1)["files"].values()))
@@ -699,10 +699,14 @@ def test_eigen_and_the_suite_split_alike(tmp_path, capsys):
         if phi is None or not phi.coprime or prime_power_base(G.order) is None:
             continue
         _write(tmp_path, "spec.json", spec)
+        section = analyze_instance(spec)["lie"]
         assert main(["eigen", path]) == 0, spec["id"]
         out = json.loads(capsys.readouterr().out)
-        expected = analyze_instance(spec)["lie"]["eigen"]
-        assert {k: out[k] for k in expected} == expected, spec["id"]
+        assert {k: out[k] for k in section["eigen"]} == section["eigen"], spec["id"]
+        assert main(["lie", path]) == 0, spec["id"]
+        out = json.loads(capsys.readouterr().out)
+        del out["structure_constants"]
+        assert len(out) == 6 and out == {k: section[k] for k in out}, spec["id"]
         checked += 1
     assert checked >= 30
 

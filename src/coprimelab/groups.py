@@ -328,18 +328,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self._inverses[a]
 
-    def power(self, a: int, k: int) -> int:
-        """a**k by binary powering; k may be negative."""
-        k %= self.element_order(a)
-        out = 0
-        while k:
-            if k & 1:
-                out = self.mul(out, a)
-            k >>= 1
-            if k:
-                a = self.mul(a, a)
-        return out
-
     def conjugate(self, a: int, g: int) -> int:
         """x^g = g⁻¹ x g."""
         return self.mul(self.mul(self._inverses[g], a), g)

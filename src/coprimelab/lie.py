@@ -2,10 +2,12 @@
 
 The canonical series is built by Jennings' recursion from commutators and
 p-th powers; its layers are elementary abelian and carry a bracket induced by
-group commutators. On top of that live the power-compatibility check of the
-graded bracket, the powerful-quotient criterion, span subalgebras attached
-to subgroups, fixed-point comparisons under a coprime automorphism, and the
-eigenspace decomposition after extending scalars by a root of unity.
+group commutators. ``NpSeries.weight`` and ``GradedLieAlgebra.log`` give each
+element's deepest term and its coordinates there. On top of that live the
+power-compatibility check of the graded bracket, the powerful-quotient
+criterion, span subalgebras attached to subgroups, fixed-point comparisons
+under a coprime automorphism, and the eigenspace decomposition after
+extending scalars by a root of unity.
 """
 
 from __future__ import annotations
@@ -26,13 +28,20 @@ class NpSeries:
     """Descending filtration with the commutator and p-power compatibilities.
 
     ``terms[0]`` is the whole group and the last term is trivial; repeated
-    terms are kept because the position index carries meaning.
+    terms are kept because the position index carries meaning. ``weight[x]``
+    is the largest i with x in term i (the last term written over x, as the
+    series descends), so x lies in term i iff ``weight[x] >= i``; the
+    identity's weight is ``len(terms)``.
     """
 
     def __init__(self, group: FiniteGroup, p: int, terms: tuple):
         self.group = group
         self.p = p
         self.terms = terms
+        self.weight = weight = [0] * group.order
+        for i, term in enumerate(terms, start=1):
+            for x in term.members:
+                weight[x] = i
 
     def term(self, i: int) -> Subgroup:
         """1-based term; indices past the end mean the trivial subgroup."""
@@ -69,10 +78,13 @@ def verify_np_series(S: NpSeries) -> dict:
 
     The series repeats terms, so each commutator subgroup is computed once
     per distinct pair of terms and each p-th power subgroup once per
-    distinct term."""
+    distinct term. A subgroup lies in term k iff its generators do, which
+    ``weight`` tells; generators are never the identity, so past the last
+    term, where term k is trivial, every generator fails."""
     G = S.group
     p = S.p
     t = len(S.terms)
+    weight = S.weight
     commutators: dict = {}
     powers_of: dict = {}
     commutator_failures = []
@@ -88,13 +100,13 @@ def verify_np_series(S: NpSeries) -> dict:
             comm = commutators.get((top, other))
             if comm is None:
                 comm = commutators[top, other] = commutator_subgroup_pair(G, top, other)
-            if not comm.member_set <= S.term(i + j).member_set:
+            if any(weight[g] < i + j for g in comm.gens):
                 commutator_failures.append({"i": i, "j": j, "commutator_order": comm.order,
                                             "target_order": S.term(i + j).order})
         powers = powers_of.get(top)
         if powers is None:
             powers = powers_of[top] = power_subgroup(G, p, within=top)
-        if not powers.member_set <= S.term(p * i).member_set:
+        if any(weight[g] < p * i for g in powers.gens):
             power_failures.append({"i": i, "power_order": powers.order,
                                    "target_order": S.term(p * i).order})
     ok = not commutator_failures and not power_failures
@@ -103,38 +115,29 @@ def verify_np_series(S: NpSeries) -> dict:
             "power_failures": power_failures}
 
 
-class Layer:
-    """One elementary abelian quotient of the filtration, as an F_p space."""
-
-    def __init__(self, index: int, dim: int, basis: tuple, rep: list, vectors: dict):
-        self.index = index
-        self.dim = dim
-        self.basis = basis        # group element indices representing the basis cosets
-        self.rep = rep            # element -> coset number, -1 outside the upper term
-        self.vectors = vectors    # coset number -> coordinate tuple
-
-    def coords_of(self, x: int) -> tuple:
-        return self.vectors[self.rep[x]]
-
-
-def _build_layer(G: FiniteGroup, p: int, index: int, top: Subgroup, bottom: Subgroup) -> Layer:
+def _build_layer(G: FiniteGroup, p: int, index: int, top: Subgroup, bottom: Subgroup,
+                 log: list) -> tuple:
     """The layer top/bottom: its cosets labelled by ``coset_labels`` (bottom
-    is normal), a basis picked in index order, and the coordinates of every
-    coset from one batch of products per basis element and power."""
+    is normal, coset 0), a basis picked in index order, and the coordinates
+    of every coset from one batch of products per basis element and nonzero
+    power. Writes ``log[x]`` for each x of top outside bottom and returns the
+    basis."""
     rep = coset_labels(G, bottom, top)[0]
     expected = top.order // bottom.order
     basis: list[int] = []
-    span: dict[int, tuple] = {rep[0]: ()}   # coset number -> coordinate vector so far
-    elems: dict[int, int] = {rep[0]: 0}     # coset number -> one group representative
+    span: dict[int, tuple] = {0: ()}   # coset number -> coordinate vector so far
+    elems: dict[int, int] = {0: 0}     # coset number -> one group representative
     for x in top.members:
         if rep[x] in span:
             continue
         basis.append(x)
         new_span: dict[int, tuple] = {}
         new_elems: dict[int, int] = {}
+        row = list(elems.values())   # x^power times each representative
         for power in range(p):
-            xj = G.power(x, power)
-            for vec, e2 in zip(span.values(), G.products(repeat(xj), elems.values())):
+            if power:
+                row = G.products(repeat(x), row)
+            for vec, e2 in zip(span.values(), row):
                 k2 = rep[e2]
                 if k2 < 0 or k2 in new_span:
                     raise NotElementaryAbelianLayer(
@@ -145,46 +148,51 @@ def _build_layer(G: FiniteGroup, p: int, index: int, top: Subgroup, bottom: Subg
     if len(span) != expected:
         raise NotElementaryAbelianLayer(
             f"layer {index} has index {expected} but spans {len(span)} cosets")
-    return Layer(index=index, dim=len(basis), basis=tuple(basis), rep=rep, vectors=span)
+    for x in top.members:
+        k = rep[x]
+        if k:
+            log[x] = span[k]
+    return tuple(basis)
 
 
 class GradedLieAlgebra:
     """Direct sum of the filtration layers with the commutator-induced bracket.
 
-    A subspace is given per layer, as a list whose entry i - 1 holds vectors
-    of layer i. ``units[i - 1]`` is the standard basis of layer i (the rows of
-    the identity matrix), built once and shared by every caller. Structure
+    Layer i is term i over term i + 1. ``bases[i - 1]`` holds the group
+    elements whose cosets form its basis and ``dims[i - 1]`` its dimension.
+    ``weight`` is the series' table and ``log[x]`` the coordinates of x in
+    layer ``weight[x]`` (unset for the identity). A subspace is given per
+    layer, as a list whose entry i - 1 holds vectors of layer i.
+    ``units[i - 1]`` is the standard basis of layer i (the rows of the
+    identity matrix), built once and shared by every caller. Structure
     constants are stored sparsely per basis pair; the subalgebra generated by
     the first layer is tracked as per-layer echelon bases.
     """
 
-    def __init__(self, series: NpSeries, layers: list[Layer], brackets: dict):
+    def __init__(self, series: NpSeries, bases: list[tuple], log: list, brackets: dict):
         self.series = series
         self.group = series.group
         self.p = series.p
-        self.layers = layers
-        self.num_layers = len(layers)
+        self.bases = bases
+        self.dims = tuple(map(len, bases))
+        self.weight = series.weight
+        self.log = log
+        self.num_layers = len(bases)
         self.brackets = brackets
         self.field = FiniteField(self.p, 1)
-        self.units = [identity_matrix(layer.dim) for layer in layers]
+        self.units = [identity_matrix(dim) for dim in self.dims]
         self.lp_layers = self._generate_from_first_layer()
         self._lie_class: Optional[int] = None
 
-    @property
-    def dims(self) -> tuple:
-        return tuple(layer.dim for layer in self.layers)
-
-    def depth(self, x: int) -> int:
-        """Largest i with x in term i; the identity sinks past every layer."""
-        d = 1
-        while d <= self.num_layers and x in self.series.term(d + 1).member_set:
-            d += 1
-        if d > self.num_layers and x != 0:
-            raise ValueError(f"element {x} is not in the filtration tail")
-        return d if x != 0 else self.num_layers + 1
-
     def coords(self, i: int, x: int) -> tuple:
-        return self.layers[i - 1].coords_of(x)
+        """Coordinates of the coset of x in layer i, for x in term i: zero
+        when x lies in term i + 1; ValueError when x is outside term i."""
+        weight = self.weight[x]
+        if weight == i:
+            return self.log[x]
+        if weight > i:
+            return (0,) * self.dims[i - 1]
+        raise ValueError(f"element {x} is not in filtration term {i}")
 
     def bracket(self, i: int, u: tuple, j: int, v: tuple,
                 F: Optional[FiniteField] = None) -> Optional[tuple]:
@@ -197,7 +205,7 @@ class GradedLieAlgebra:
         if i + j > self.num_layers:
             return None
         F = F or self.field
-        out = [0] * self.layers[i + j - 1].dim
+        out = [0] * self.dims[i + j - 1]
         for a, ua in enumerate(u):
             if not ua:
                 continue
@@ -257,27 +265,30 @@ class GradedLieAlgebra:
 
 
 def build_graded_lie(series: NpSeries) -> GradedLieAlgebra:
-    """Layers, bases, log maps and structure constants from a verified series."""
+    """Layer bases, the log table and structure constants from a verified
+    series. The layers are built from the last one up and each writes ``log``
+    only outside its bottom term, so no layer overwrites the coordinates a
+    deeper one wrote."""
     G = series.group
     p = series.p
-    layers = []
-    for i in range(1, len(series.terms)):
-        layers.append(_build_layer(G, p, i, series.terms[i - 1], series.term(i + 1)))
+    weight = series.weight
+    num = len(series.terms) - 1
+    log: list = [None] * G.order
+    bases = [()] * num
+    for i in range(num, 0, -1):
+        bases[i - 1] = _build_layer(G, p, i, series.term(i), series.term(i + 1), log)
     brackets = {}
-    num = len(layers)
     for i in range(1, num + 1):
         for j in range(1, num + 1 - i):
-            target = layers[i + j - 1]
-            for a, xa in enumerate(layers[i - 1].basis):
-                for b, yb in enumerate(layers[j - 1].basis):
+            for a, xa in enumerate(bases[i - 1]):
+                for b, yb in enumerate(bases[j - 1]):
                     c = G.commutator(xa, yb)
-                    if target.rep[c] < 0:
+                    if weight[c] < i + j:
                         raise NotElementaryAbelianLayer(
                             f"commutator of layers {i},{j} escapes layer {i + j}")
-                    vec = target.coords_of(c)
-                    if any(vec):
-                        brackets[(i, a, j, b)] = vec
-    return GradedLieAlgebra(series, layers, brackets)
+                    if weight[c] == i + j:   # a deeper c has zero coordinates
+                        brackets[(i, a, j, b)] = log[c]
+    return GradedLieAlgebra(series, bases, log, brackets)
 
 
 def check_lazard_all(A: GradedLieAlgebra) -> dict:
@@ -288,17 +299,17 @@ def check_lazard_all(A: GradedLieAlgebra) -> dict:
     whole basis, and the two are compared as tuples. When p*i is the top layer
     or past it, every bracket of both sides lands past the top and is zero, so
     only the place of x^p is checked."""
-    G, p, top = A.group, A.p, A.num_layers
+    G, p, top, weight = A.group, A.p, A.num_layers, A.weight
     powers = G.power_map(p)
     basis = [(j, unit) for j, units in enumerate(A.units, start=1) for unit in units]
     folded: dict = {}   # (i, v) -> [... [unit, v] ..., v], p brackets, per basis vector
     lifted: dict = {}   # (p*i, w) -> [unit, w] per basis vector
     failures = []
     for x in range(1, G.order):
-        i = A.depth(x)
+        i = weight[x]
         ti = p * i
         if ti <= top:
-            if powers[x] not in A.series.term(ti).member_set:
+            if weight[powers[x]] < ti:
                 failures.append(x)
                 continue
         elif powers[x] != 0:
@@ -375,9 +386,8 @@ def subalgebra_of_subgroup(A: GradedLieAlgebra, H: Subgroup) -> list[tuple]:
     """Per-layer spans of the homogeneous images of H intersected with each term."""
     spans = []
     for i in range(1, A.num_layers + 1):
-        term_members = A.series.term(i).member_set
         # the rref of a span is canonical, so each distinct vector is passed once
-        vecs = dict.fromkeys(A.coords(i, h) for h in H.members if h in term_members)
+        vecs = dict.fromkeys(A.coords(i, h) for h in H.members if A.weight[h] >= i)
         spans.append(rref(vecs, A.field))
     return spans
 
@@ -397,15 +407,14 @@ def layer_matrices(A: GradedLieAlgebra, phi) -> list[tuple]:
     if phi.group is not A.group:
         raise ValueError("automorphism acts on a different group")
     mats = []
-    for i in range(1, A.num_layers + 1):
-        layer = A.layers[i - 1]
+    for i, basis in enumerate(A.bases, start=1):
         cols = []
-        for x in layer.basis:
+        for x in basis:
             image = phi.table[x]
-            if layer.rep[image] < 0:
+            if A.weight[image] < i:
                 raise PreconditionViolated(
                     f"automorphism does not preserve filtration term {i}")
-            cols.append(layer.coords_of(image))
+            cols.append(A.coords(i, image))
         mats.append(mat_from_columns(cols))
     return mats
 
@@ -424,7 +433,7 @@ def lie_fixed_points(A: GradedLieAlgebra, phi) -> dict:
     per_layer = []
     all_ok = True
     for i in range(1, A.num_layers + 1):
-        dim = A.layers[i - 1].dim
+        dim = A.dims[i - 1]
         if dim == 0:
             per_layer.append({"layer": i, "dim": 0, "verdict": "pass"})
             continue
@@ -502,7 +511,7 @@ def extend_and_eigendecompose(A: GradedLieAlgebra, phi) -> ExtendedAlgebra:
     eigenbases = []
     dims = []
     for idx, M in enumerate(mats):
-        dim = A.layers[idx].dim
+        dim = A.dims[idx]
         if dim == 0:
             eigenbases.append([() for _ in range(n)])
             dims.append([0] * n)

@@ -157,7 +157,7 @@ def naive_exponent(G: FiniteGroup) -> int:
 
 
 def brute_power_members(G: FiniteGroup, m: int) -> frozenset:
-    return brute_subgroup_members(G, {G.power(x, m) for x in range(G.order)})
+    return brute_subgroup_members(G, tuple_powers(G, m))
 
 
 _QUAT_MUL = {
@@ -265,17 +265,16 @@ C2_10_ORDER_889 = _c2_power([[2], [3], [1, 2], [5], [6], [7], [8], [9], [10], [4
 C2_13_ORDER_6141 = _c2_power([[2], [1, 2], *([k] for k in range(4, 14)), [3, 5]])
 
 
-def per_element_lazard(A, x: int) -> bool:
+def per_element_lazard(A, x: int, xp: int) -> bool:
     """p-fold bracketing by the class of x equals bracketing by the class of
-    x^p, with x^p by ``G.power`` and both sides bracketed out for x alone,
-    stopping at the first basis vector where they differ."""
-    G = A.group
+    xp = x^p, with the layer of x found by scanning the terms' member sets
+    and both sides bracketed out for x alone, stopping at the first basis
+    vector where they differ."""
     p = A.p
     if x == 0:
         return True
-    i = A.depth(x)
+    i = max(k for k in range(1, A.num_layers + 1) if x in A.series.term(k).member_set)
     v = A.coords(i, x)
-    xp = G.power(x, p)
     ti = p * i
     w = None  # past the top: bracket returns None before it reads w
     if ti <= A.num_layers:
@@ -298,9 +297,11 @@ def per_element_lazard(A, x: int) -> bool:
 
 
 def per_element_lazard_all(A) -> dict:
-    """``per_element_lazard`` on every element: the oracle for
-    ``lie.check_lazard_all``, which works once per (layer, coordinate vector)."""
-    failures = [x for x in range(A.group.order) if not per_element_lazard(A, x)]
+    """``per_element_lazard`` on every element, with x^p by ``tuple_powers``:
+    the oracle for ``lie.check_lazard_all``, which works once per (layer,
+    coordinate vector) and reads x^p off ``G.power_map``."""
+    powers = tuple_powers(A.group, A.p)
+    failures = [x for x in range(A.group.order) if not per_element_lazard(A, x, powers[x])]
     return {"verdict": "pass" if not failures else "fail",
             "checked": A.group.order, "failures": failures[:5]}
 
@@ -343,12 +344,23 @@ def cycle_order(a: tuple) -> int:
 
 
 def tuple_power(a: tuple, k: int) -> tuple:
-    if k < 0:
-        a, k = tuple_inverse(a), -k
+    """a^k for k >= 0 by square-and-multiply."""
     out = tuple(range(len(a)))
-    for _ in range(k):
-        out = tuple_compose(out, a)
+    while k:
+        if k & 1:
+            out = tuple_compose(out, a)
+        k >>= 1
+        if k:
+            a = tuple_compose(a, a)
     return out
+
+
+def tuple_powers(G: FiniteGroup, m: int) -> list:
+    """[x^m for every element x], each by ``tuple_power`` and its index found
+    in a dict of the enumerated tuples."""
+    elements = list(G.elements)
+    index = {perm: k for k, perm in enumerate(elements)}
+    return [index[tuple_power(perm, m)] for perm in elements]
 
 
 def scan_index(G: FiniteGroup, perm: tuple) -> int:

@@ -137,6 +137,11 @@ MUTANTS = [
      "old": "            comm = commutators.get((top, other))\n",
      "new": "            comm = commutators.get((top, top))\n",
      "tests": ["tests/test_in_place.py::test_np_series_check_matches_the_per_pair_walk"]},
+    {"name": "the np-series check fails a commutator generator of weight i + j",
+     "file": "src/coprimelab/lie.py",
+     "old": "            if any(weight[g] < i + j for g in comm.gens):\n",
+     "new": "            if any(weight[g] <= i + j for g in comm.gens):\n",
+     "tests": ["tests/test_in_place.py::test_np_series_check_matches_the_per_pair_walk"]},
     # the constructions: generators only, enumerated once
     {"name": "a heisenberg generator indexes points as p * x + y",
      "file": "src/coprimelab/corpus.py",
@@ -210,6 +215,17 @@ MUTANTS = [
      "old": "commutator_subgroup_pair(G, terms[-1], whole)",
      "new": "commutator_subgroup_pair(G, terms[-1], terms[-1])",
      "tests": ["tests/test_lie.py::test_jlz_terms_against_product_of_powers_oracle"]},
+    # the weight and coordinate tables, from their definitions
+    {"name": "the weight fill stops one term early",
+     "file": "src/coprimelab/lie.py",
+     "old": "        for i, term in enumerate(terms, start=1):\n",
+     "new": "        for i, term in enumerate(terms[:-1], start=1):\n",
+     "tests": ["tests/test_lie.py::test_weight_and_coordinate_tables_match_the_terms"]},
+    {"name": "a layer also writes log for its bottom coset",
+     "file": "src/coprimelab/lie.py",
+     "old": "        if k:\n            log[x] = span[k]\n",
+     "new": "        log[x] = span[k]\n",
+     "tests": ["tests/test_lie.py::test_weight_and_coordinate_tables_match_the_terms"]},
     {"name": "trial division stops one degree short",
      "file": "src/coprimelab/gf.py",
      "old": "for d in range(1, (len(f) - 1) // 2 + 1))",

@@ -184,8 +184,8 @@ def test_criterion_7_eigen_decomposition(built_instances):
                 continue
             extp = extend_and_eigendecompose(build_graded_lie(jlz_series(Gp, p)), phip)
             assert verify_eigen_product_rule(extp)["verdict"] == "pass", inst_id
-            for layer_dims, layer in zip(extp.dims, extp.base.layers):
-                assert sum(layer_dims) == layer.dim
+            for layer_dims, dim in zip(extp.dims, extp.base.dims):
+                assert sum(layer_dims) == dim
 
 
 def test_criterion_8_coprime_facts_suite(suite_runs):

@@ -41,8 +41,8 @@ def test_kernel_matches_tuple_oracle_on_corpus():
             assert G.mul(a, b) == scan_index(G, tuple_compose(pa, pb)), name
             assert G.inv(a) == scan_index(G, tuple_inverse(pa)), name
             assert G.element_order(a) == tuple_order(pa), name
-            k = rng.randrange(-2 * G.element_order(a) - 3, 2 * G.element_order(a) + 4)
-            assert G.power(a, k) == scan_index(G, tuple_power(pa, k)), (name, k)
+            m = rng.randrange(2, 6)
+            assert G.power_map(m)[a] == scan_index(G, tuple_power(pa, m)), (name, m)
             assert G.element_index(pa) == a
 
 

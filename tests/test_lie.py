@@ -13,7 +13,7 @@ from coprimelab.lie import (NpSeries, build_graded_lie, check_lazard_all, check_
 from coprimelab.numutil import prime_power_base
 from coprimelab.structure import lower_central_series, power_subgroup
 from helpers import (C2_10_ORDER_889, C2_13_ORDER_6141, generated_members,
-                     identity_automorphism, load_workloads, per_element_lazard,
+                     identity_automorphism, load_workloads, per_element_lazard_all,
                      quaternion_group)
 
 WORKLOADS = load_workloads()
@@ -97,6 +97,35 @@ def test_jlz_terms_against_product_of_powers_oracle():
     assert checked >= 39
 
 
+def test_weight_and_coordinate_tables_match_the_terms():
+    # by definition, on the oracle groups: x lies in term i iff its weight is
+    # at least i, and coords(i, .) is the quotient map of term i onto layer i
+    checked = 0
+    for label, G, p in _oracle_groups():
+        S = jlz_series(G, p)
+        A = build_graded_lie(S)
+        for i in range(1, len(S.terms) + 1):
+            inside = [x in S.term(i).member_set for x in range(G.order)]
+            assert [S.weight[x] >= i for x in range(G.order)] == inside, (label, i)
+        for i in range(1, A.num_layers + 1):
+            term, below = S.term(i), S.term(i + 1).member_set
+            # additive on all of term i, as it is so on x * g for every
+            # generator g and vanishes on the identity
+            for x in term.members:
+                u = A.coords(i, x)
+                assert (not any(u)) == (x in below), (label, i, x)
+                for g in term.gens:
+                    v, w = A.coords(i, g), A.coords(i, G.mul(x, g))
+                    assert w == tuple((a + b) % p for a, b in zip(u, v)), (label, i, x, g)
+            assert [A.coords(i, b) for b in A.bases[i - 1]] == list(A.units[i - 1]), (label, i)
+            outside = next((x for x in range(G.order) if x not in term.member_set), None)
+            if outside is not None:
+                with pytest.raises(ValueError):
+                    A.coords(i, outside)
+        checked += 1
+    assert checked >= 39
+
+
 def test_verify_np_series_passes_for_jlz(heis3, c9, d4):
     for G, p in ((heis3, 3), (c9, 3), (d4, 2)):
         assert verify_np_series(jlz_series(G, p))["verdict"] == "pass"
@@ -167,13 +196,11 @@ def test_bracket_well_defined_on_cosets(heis3):
     # the bracket of arbitrary coset representatives matches the bilinear value
     A = build_graded_lie(jlz_series(heis3, 3))
     G = heis3
-    layer1 = A.layers[0]
-    term2 = A.series.term(2).member_set
     for x in A.series.term(1).members:
         for y in A.series.term(1).members:
-            u, v = layer1.coords_of(x), layer1.coords_of(y)
+            u, v = A.coords(1, x), A.coords(1, y)
             expected = A.bracket(1, u, 1, v)
-            got = A.layers[1].coords_of(G.commutator(x, y))
+            got = A.coords(2, G.commutator(x, y))
             assert (got if any(got) else None) == expected
 
 
@@ -187,7 +214,7 @@ def test_lazard_exponent_p_vanishes(heis3):
     # x^p = 1, so both sides must be the zero map on every element
     A = build_graded_lie(jlz_series(heis3, 3))
     assert check_lazard_all(A) == {"verdict": "pass", "checked": 27, "failures": []}
-    assert all(per_element_lazard(A, x) for x in range(heis3.order))
+    assert per_element_lazard_all(A) == {"verdict": "pass", "checked": 27, "failures": []}
 
 
 def test_riley(heis3, c9, d4):

@@ -124,15 +124,6 @@ def is_phi_invariant(phi: Automorphism, H: Subgroup) -> bool:
     return all(phi.table[t] in H.member_set for t in H.gens)
 
 
-class FactorizationStatus:
-    """Verdicts for the product-covering criterion with an optional witness."""
-
-    def __init__(self, product_covers: bool, criterion_holds: bool, witness: Optional[dict]):
-        self.product_covers = product_covers
-        self.criterion_holds = criterion_holds
-        self.witness = witness
-
-
 def _factorization_counts(phi: Automorphism) -> list[int]:
     """counts[x] is the number of pairs (g, h), g twisted and h fixed, with
     g h = x: one batch of |twisted| products per fixed h, |G| in all."""
@@ -145,9 +136,10 @@ def _factorization_counts(phi: Automorphism) -> list[int]:
     return counts
 
 
-def factorization_status(phi: Automorphism) -> FactorizationStatus:
-    """Whether the twisted-times-fixed product covers G, and the conjugacy
-    criterion that is equivalent to it; returns a witness triple on failure."""
+def factorization_status(phi: Automorphism) -> tuple:
+    """(product_covers, criterion_holds, witness): whether the twisted-times-fixed
+    product covers G, whether the conjugacy criterion that is equivalent to it
+    holds, and a witness triple when it fails, else None."""
     if not phi.coprime:
         raise NotCoprime("factorization criterion is stated for coprime actions")
     G = phi.group
@@ -168,7 +160,7 @@ def factorization_status(phi: Automorphism) -> FactorizationStatus:
             if c is not None:
                 witness = {"a": a, "b": td.producers[x], "c": c, "twisted_element": x}
                 break
-    return FactorizationStatus(product_covers, criterion_holds, witness)
+    return product_covers, criterion_holds, witness
 
 
 def _decomposition_data(phi: Automorphism) -> TwistedData:
@@ -326,7 +318,7 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
         check = {"subgroup": name, "kernel_order": N.order,
                  "verdict": "pass" if bare is None else "fail"}
         if bare is not None:
-            check["witness"] = {"x": list(G.words[bare])}
+            check["witness"] = {"x": list(G.word(bare))}
         quotient_checks.append(check)
     report["quotient_fixed_points"] = quotient_checks
 
@@ -336,7 +328,7 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
         check = {"subgroup": name, "order": N.order, "verdict": "pass" if pair is None else "fail"}
         if pair is not None:
             # generator words, so the pair replays on a fresh enumeration
-            check["witness"] = {"m": list(G.words[pair[0]]), "x": list(G.words[pair[1]])}
+            check["witness"] = {"m": list(G.word(pair[0])), "x": list(G.word(pair[1]))}
         central_checks.append(check)
     report["centralizing"] = central_checks
     report["verdict"] = ("pass" if report["commutator_stable"] == "pass"

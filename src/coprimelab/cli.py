@@ -101,9 +101,9 @@ def cmd_decompose(args) -> int:
         raise ParseError(f"--element {args.element}: {exc}") from exc
     g, h = nilpotent_decompose(phi, x)
     payload = {
-        "element": x, "element_word": list(G.words[x]),
-        "twisted_part": g, "twisted_word": list(G.words[g]),
-        "fixed_part": h, "fixed_word": list(G.words[h]),
+        "element": x, "element_word": list(G.word(x)),
+        "twisted_part": g, "twisted_word": list(G.word(g)),
+        "fixed_part": h, "fixed_word": list(G.word(h)),
         "verified": "pass" if G.mul(g, h) == x else "fail",
     }
     _emit(payload)
@@ -137,10 +137,9 @@ def cmd_eigen(args) -> int:
 def cmd_glauberman(args) -> int:
     G, phi = build_glauberman_example(cap=args.cap)
     td = twisted_data(phi)
-    status = factorization_status(phi)
+    product_covers, criterion_holds, w = factorization_status(phi)
     verified = "fail"
-    if status.witness:
-        w = status.witness
+    if w:
         lhs = G.mul(G.inv(w["b"]), phi.table[w["b"]])
         rhs = G.conjugate(w["a"], w["c"])
         verified = "pass" if lhs == rhs == w["twisted_element"] else "fail"
@@ -151,14 +150,14 @@ def cmd_glauberman(args) -> int:
         "fixed_order": td.fixed.order,
         "twisted_size": len(td.twisted),
         "commutator_order": td.commutator_phi.order,
-        "product_covers": status.product_covers,
-        "criterion_holds": status.criterion_holds,
-        "witness": status.witness,
+        "product_covers": product_covers,
+        "criterion_holds": criterion_holds,
+        "witness": w,
         "witness_verified": verified,
     }
     _emit(payload)
     print(f"glauberman: |G|={G.order}, |fixed|={td.fixed.order}, "
-          f"covers={status.product_covers}", file=sys.stderr)
+          f"covers={product_covers}", file=sys.stderr)
     return 0 if verified == "pass" else 1
 
 

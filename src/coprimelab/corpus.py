@@ -304,8 +304,10 @@ def _spec_automorphism(G: FiniteGroup, spec: dict, meta: Optional[dict]):
                              f"numbers from -{n} to {n} but 0, got {words!r}")
     try:
         return build_automorphism(G, [tuple(w) for w in words])
-    except (NotBijective, NotHomomorphism) as exc:
-        raise type(exc)(f"automorphism: {exc}") from exc
+    except NotBijective as exc:
+        raise NotBijective(f"automorphism: {exc}") from exc
+    except NotHomomorphism as exc:
+        raise NotHomomorphism(f"automorphism: {exc}", exc.witness) from exc
 
 
 def _cap(spec: dict, cap: Optional[int]) -> int:

@@ -17,11 +17,15 @@ from typing import Optional, Sequence
 
 from .numutil import divisors, factorization, is_prime
 
-# The highest extension degree FiniteField takes. Finding or checking a modulus
-# takes about p^(k/2) polynomial divisions: GF(2^21) 0.04 s, GF(2^28) 0.9 s. The
-# corpus asks for GF(2^21) at most, by the frobenius recipe on cyclic(2)^21,
-# the largest power of cyclic(p) under its STORE_BUDGET.
+# The highest extension degree FiniteField takes. The corpus asks for GF(2^21)
+# at most, by the frobenius recipe on cyclic(2)^21, the largest power of
+# cyclic(p) under its STORE_BUDGET.
 MAX_DEGREE = 21
+# The largest p^(k // 2) it takes: about that many divisions find or check a
+# modulus. On a 2-core Xeon GF(3^21) took 2.9 s and GF(7^21) over 25 s, while the
+# largest field admitted for each p builds in under 0.05 s: GF(2^21), GF(3^15),
+# GF(5^11), GF(7^9), GF(13^7), GF(61^5), GF(4093^3).
+MAX_SEARCH = 4096
 
 # polynomial helpers over F_p
 
@@ -132,6 +136,9 @@ class FiniteField:
             raise ValueError(f"{p} is not prime")
         if not 1 <= k <= MAX_DEGREE:
             raise ValueError(f"extension degree must be from 1 to {MAX_DEGREE}, got {k}")
+        if p ** (k // 2) > MAX_SEARCH:
+            raise ValueError(f"GF({p}^{k}) is too large: finding or checking its modulus "
+                             f"takes {p}^{k // 2} divisions, above {MAX_SEARCH}")
         self.p = p
         self.k = k
         self.order = p ** k

@@ -10,12 +10,13 @@ At degree <= 256 each element is stored as ``bytes``, one byte per image
 composes with ``bytes.translate``, a byte-to-byte map done in C. Larger
 degrees store tuples and compose with ``operator.itemgetter``, also in C.
 The store stays private: ``G.elements`` hands out tuples either way.
-Factorization words are not stored either: ``G.words[e]`` walks up the
+Factorization words are not stored either: ``G.word(e)`` walks up the
 enumeration tree from e and spells the word enumeration found.
 
 Enumeration keeps the Cayley graph it walks: ``G._right[i][x]`` is the index
-of x times generator i. ``G.extend_images(columns, start)`` walks the tree
-over such columns with no ``mul`` call. Over ``G._right`` from s it gives
+of x times generator i, so ``G._right[i][0]`` is the index of generator i and
+no permutation is looked up. ``G.extend_images(columns, start)`` walks the
+tree over such columns with no ``mul`` call. Over ``G._right`` from s it gives
 s * x for every x, and x * t = (t⁻¹ x⁻¹)⁻¹ gives the right-multiplication
 column of any t (``right_column``). ``Automorphism(G, images)`` builds its
 table and checks the homomorphism law that way, as do quotient projections,
@@ -131,44 +132,22 @@ class _Elements(Sequence):
     __hash__ = None
 
 
-class _Words(Sequence):
-    """``words[e]`` spells element e over the generators along the enumeration
-    tree: entry k > 0 means generator k-1, k < 0 its inverse (tree words use
-    only k > 0)."""
-
-    __slots__ = ("_parent", "_gen")
-
-    def __init__(self, parent: array, gen: array):
-        self._parent = parent
-        self._gen = gen
-
-    def __len__(self) -> int:
-        return len(self._parent)
-
-    def __getitem__(self, e: int) -> tuple:
-        parent, gen = self._parent, self._gen
-        e = range(len(parent))[e]
-        word = []
-        while e:
-            word.append(gen[e] + 1)
-            e = parent[e]
-        return tuple(reversed(word))
-
-
 class FiniteGroup:
     """Fully enumerated permutation group with 0-based element indices.
 
     ``_store[e]`` is element e as ``bytes`` at degree <= BYTES_MAX_DEGREE and
     as a tuple above; ``elements`` is the tuple view of it. The enumeration
     tree is two flat columns: e = ``_tree_parent[e]`` * generator
-    ``_tree_gen[e]``; ``words`` reads factorizations off it. ``_right[i][x]``
+    ``_tree_gen[e]``; ``word`` reads factorizations off it. ``_right[i][x]``
     is the index of x * generator i for every element x: the Cayley graph
-    that enumeration walks, kept. ``extend_images`` walks the tree over such
+    that enumeration walks, kept, whose first entries are the
+    ``generator_indices``. ``extend_images`` walks the tree over such
     columns, so automorphism tables, quotient projections and the centre's
     membership test need no ``mul`` call.
     ``_base_images[i][e]`` is the image of ``base[i]`` under element e, and
-    ``_key_index`` maps an element's key (see ``_key``) to its index: a list
-    with -1 at unused keys when degree**len(base) <= 4*order, else a dict.
+    ``_key_index`` maps an element's key (its base images, digits in radix
+    degree) to its index: a list with -1 at unused keys when
+    degree**len(base) <= 4*order, else a dict.
     ``_orders`` and ``_inverses`` are the tables ``_power_walk`` builds;
     ``power_map(m)`` keeps x**m for every x in ``cache``, as an ``array``.
     """
@@ -178,15 +157,15 @@ class FiniteGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self._store = store
-        self._encode = bytes if degree <= BYTES_MAX_DEGREE else tuple
-        self.elements = _Elements(store, self._encode)
+        encode = bytes if degree <= BYTES_MAX_DEGREE else tuple
+        self.elements = _Elements(store, encode)
         self.order = len(store)
         self._tree_parent, self._tree_gen = tree
         self._right = right
-        self.words = _Words(*tree)
+        self.generator_indices = tuple(column[0] for column in right)
         self.base = find_base(degree, store)
         # in the store's encoding: bytes at degree <= BYTES_MAX_DEGREE, else tuples
-        self._base_images = tuple(self._encode(map(itemgetter(pt), store)) for pt in self.base)
+        self._base_images = tuple(encode(map(itemgetter(pt), store)) for pt in self.base)
         # every element's key, from its base images as digits in radix degree
         keys = repeat(0, self.order)
         for column in reversed(self._base_images):
@@ -197,7 +176,6 @@ class FiniteGroup:
                 self._key_index[key] = i
         else:
             self._key_index = dict(zip(keys, self._indices()))
-        self.generator_indices = tuple(self.element_index(g) for g in self.generators)
         self._orders, self._inverses = self._power_walk()
         self._exponent = 0
         self._whole: Optional[Subgroup] = None
@@ -348,32 +326,16 @@ class FiniteGroup:
             self._exponent = self.exponent_of(range(self.order))
         return self._exponent
 
-    def _key(self, perm) -> int:
-        """The images of the base points under perm, as digits in radix degree."""
-        key = 0
-        for pt in reversed(self.base):
-            key = key * self.degree + perm[pt]
-        return key
-
-    def _find(self, perm) -> int:
-        """Index of a permutation given in the store's type, or -1."""
-        try:
-            i = self._key_index[self._key(perm)]
-        except (IndexError, KeyError):
-            return -1
-        return i if i >= 0 and self._store[i] == perm else -1
-
-    def element_index(self, perm: Perm) -> int:
-        """Index of a member permutation; KeyError for anything else, also for a
-        permutation that agrees with a member on the base only."""
-        perm = tuple(perm)
-        try:
-            i = self._find(self._encode(perm))
-        except (TypeError, ValueError):
-            i = -1
-        if i < 0:
-            raise KeyError(perm)
-        return i
+    def word(self, e: int) -> tuple:
+        """Element e spelled over the generators along the enumeration tree:
+        entry k means generator k-1. IndexError outside range(order)."""
+        if not 0 <= e < self.order:
+            raise IndexError(f"element index {e} out of range")
+        word = []
+        while e:
+            word.append(self._tree_gen[e] + 1)
+            e = self._tree_parent[e]
+        return tuple(reversed(word))
 
     def evaluate_word(self, word: Iterable[int]) -> int:
         """Evaluate a signed 1-based generator word to an element index."""
@@ -402,10 +364,10 @@ class Subgroup:
 
     It holds no reference to its group: every function that reads a subgroup
     is passed the group too, and a group's caches keep subgroups with no
-    cycle. Two subgroups are equal when their member sets are, so compare
-    only subgroups of one group. ``gens`` is a generating set discovered
-    during closure; series and commutator routines iterate over it, so it
-    stays small even when the member set is large. ``member_set``, the
+    cycle. Two subgroups are equal when their sorted member tuples are, so
+    compare only subgroups of one group. ``gens`` is a generating set
+    discovered during closure; series and commutator routines iterate over
+    it, so it stays small even when the member set is large. ``member_set``, the
     frozenset of the members, is built on its first read and kept in its
     slot: the whole group of a large instance is often never asked for it.
     """
@@ -434,8 +396,7 @@ class Subgroup:
         return len(self.members) == 1
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Subgroup) and self.order == other.order
-                and self.member_set == other.member_set)
+        return isinstance(other, Subgroup) and self.members == other.members
 
     def __hash__(self) -> int:
         return hash(self.member_set)

@@ -16,7 +16,7 @@ from itertools import repeat
 from typing import Optional
 
 from .errors import NotAPGroup, NotCoprime, NotElementaryAbelianLayer, PreconditionViolated
-from .gf import MAX_DEGREE, FiniteField, cyclotomic_polynomial, least_monic, poly_divmod
+from .gf import MAX_DEGREE, MAX_SEARCH, FiniteField, cyclotomic_polynomial, least_monic, poly_divmod
 from .groups import FiniteGroup, Subgroup, coset_labels, subgroup_generated
 from .linalg import (in_span, intersect_spans, mat_from_columns, identity_matrix, mat_sub,
                      mat_vec, nullspace, rref)
@@ -476,8 +476,8 @@ def _cyclotomic_modulus(n: int, p: int, d: int) -> tuple:
 
 def split_field_degree(p: int, n: int) -> int:
     """Degree over F_p of the n-th roots of unity, the field of the eigen split
-    by phi of order n. p must not divide n (else NotCoprime), and the degree must
-    be at most ``gf.MAX_DEGREE`` (else PreconditionViolated; its text is the reason)."""
+    by phi of order n. p must not divide n (else NotCoprime), and ``FiniteField``
+    must take the field (else PreconditionViolated; its text is the reason)."""
     if not (type(p) is type(n) is int and p > 1 and n > 0):
         raise ValueError(f"need a characteristic p > 1 and a root order n > 0, got {p!r}, {n!r}")
     if n % p == 0:
@@ -486,6 +486,9 @@ def split_field_degree(p: int, n: int) -> int:
     if degree is None:
         raise PreconditionViolated(f"roots of unity of order {n} need an extension of F_{p} "
                                    f"of degree above {MAX_DEGREE}")
+    if p ** (degree // 2) > MAX_SEARCH:
+        raise PreconditionViolated(f"roots of unity of order {n} need GF({p}^{degree}), "
+                                   f"and {p}^{degree // 2} is above {MAX_SEARCH}")
     return degree
 
 

@@ -175,12 +175,12 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
             section[key] = _skip("action is not coprime")
         return section
 
-    status = factorization_status(phi)
+    product_covers, criterion_holds, witness = factorization_status(phi)
     section["factorization"] = {
-        "product_covers": status.product_covers,
-        "criterion_holds": status.criterion_holds,
-        "equivalence": _verdict(status.product_covers == status.criterion_holds),
-        "witness": status.witness,
+        "product_covers": product_covers,
+        "criterion_holds": criterion_holds,
+        "equivalence": _verdict(product_covers == criterion_holds),
+        "witness": witness,
     }
     section["coprime_facts"] = check_coprime_facts(phi)
     family = default_normal_family(phi)

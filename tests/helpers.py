@@ -514,13 +514,15 @@ def subgroup_as_group(G: FiniteGroup, H):
     """Re-enumerate a subgroup as a standalone FiniteGroup.
 
     Returns (group, to_parent, from_parent) where to_parent[i] is the parent
-    index of the standalone element i.
+    index of the standalone element i: one walk of the re-enumeration's tree
+    over G's right-multiplication columns of the generators of H, the way
+    ``Automorphism`` builds its table.
     """
     gen_perms = [G.elements[i] for i in H.gens]
     Hg = generate_group(G.degree, gen_perms, cap=H.order)
     if Hg.order != H.order:
         raise AssertionError("subgroup re-enumeration produced a different order")
-    to_parent = tuple(G._find(perm) for perm in Hg._store)
+    to_parent = tuple(Hg.extend_images([G.right_column(t) for t in H.gens]))
     from_parent = {pi: i for i, pi in enumerate(to_parent)}
     return Hg, to_parent, from_parent
 

@@ -299,9 +299,21 @@ MUTANTS = [
      "tests": ["tests/test_group_layer.py::test_one_whole_subgroup_handle_per_group"]},
     {"name": "base-image columns are lists",
      "file": "src/coprimelab/groups.py",
-     "old": "self._encode(map(itemgetter(pt), store))",
+     "old": "encode(map(itemgetter(pt), store))",
      "new": "list(map(itemgetter(pt), store))",
      "tests": ["tests/test_kernel.py::test_store_type_follows_degree"]},
+    {"name": "generator indices read a later column entry",
+     "file": "src/coprimelab/groups.py",
+     "old": "tuple(column[0] for column in right)",
+     "new": "tuple(column[-1] for column in right)",
+     "tests": ["tests/test_kernel.py::"
+               "test_generator_indices_are_the_first_entries_of_the_cayley_columns"]},
+    {"name": "subgroup equality drops the last member",
+     "file": "src/coprimelab/groups.py",
+     "old": "self.members == other.members",
+     "new": "self.members[:-1] == other.members[:-1]",
+     "tests": ["tests/test_group_layer.py::"
+               "test_member_sets_built_on_first_read_keep_their_meaning"]},
     {"name": "the Lie class is bracketed out on every call",
      "file": "src/coprimelab/lie.py",
      "old": "        if self._lie_class is None:\n",
@@ -315,6 +327,12 @@ MUTANTS = [
      "old": "for d in range(1, bound + 1)",
      "new": "for d in range(1, bound)",
      "tests": ["tests/test_gf.py::test_root_field_degree_is_the_order_of_p_up_to_its_bound"]},
+    {"name": "the field bound check is skipped",
+     "file": "src/coprimelab/gf.py",
+     "old": "        if p ** (k // 2) > MAX_SEARCH:\n",
+     "new": "        if False:\n",
+     "tests": ["tests/test_gf.py::"
+               "test_a_field_above_the_search_bound_is_refused_before_any_search"]},
     {"name": "the degree bound of the eigen split is off by one",
      "file": "src/coprimelab/lie.py",
      "old": "    degree = root_field_degree(p, n, MAX_DEGREE)\n",

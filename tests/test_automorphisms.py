@@ -102,10 +102,9 @@ def test_glauberman_twisted_translations_conjugate_into_fixed(glauberman):
 
 def test_factorization_status_glauberman(glauberman):
     G, phi = glauberman
-    st = factorization_status(phi)
-    assert st.product_covers is False
-    assert st.criterion_holds is False
-    w = st.witness
+    product_covers, criterion_holds, w = factorization_status(phi)
+    assert product_covers is False
+    assert criterion_holds is False
     assert w is not None
     lhs = G.mul(G.inv(w["b"]), phi.table[w["b"]])
     assert lhs == w["twisted_element"]
@@ -115,13 +114,12 @@ def test_factorization_status_glauberman(glauberman):
 
 def test_factorization_status_nilpotent(c3c3_swap):
     _, phi = c3c3_swap
-    st = factorization_status(phi)
-    assert st.product_covers and st.criterion_holds and st.witness is None
+    assert factorization_status(phi) == (True, True, None)
 
 
 def test_factorization_status_identity(s3):
-    st = factorization_status(identity_automorphism(s3))
-    assert st.product_covers and st.criterion_holds
+    product_covers, criterion_holds, _ = factorization_status(identity_automorphism(s3))
+    assert product_covers and criterion_holds
 
 
 def test_factorization_requires_coprime():
@@ -350,10 +348,10 @@ def test_automorphism_walks_match_brute_force_on_corpus():
         core = {x for cls in classes if cls <= fixed for x in cls}
         assert automorphisms.normal_core(G, td.fixed).member_set == core, name
         products = {G.mul(g, h) for g in td.twisted for h in td.fixed.members}
-        status = factorization_status(phi)
-        assert status.product_covers == (len(products) == G.order), name
+        product_covers, criterion_holds, _ = factorization_status(phi)
+        assert product_covers == (len(products) == G.order), name
         meets_fixed = set().union(*classes)
-        assert status.criterion_holds == all(x == 0 or x not in meets_fixed
+        assert criterion_holds == all(x == 0 or x not in meets_fixed
                                              for x in td.twisted), name
         H, rphi, to_parent = restrict_automorphism(phi, td.commutator_phi)
         assert all(to_parent[rphi.table[i]] == phi.table[to_parent[i]]

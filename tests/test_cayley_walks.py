@@ -261,6 +261,16 @@ def test_a_bijective_non_homomorphism_names_the_least_broken_pair():
     assert _outcome(G, images) == expected
 
 
+def test_a_spec_automorphism_keeps_its_witness():
+    G, _ = build_corpus_instance(SPECS["heis3_c5_inv"])
+    spec = dict(SPECS["heis3_c5_inv"], automorphism={"images": [list(G.word(x))
+                                                                for x in (25, 47, 75)]})
+    with pytest.raises(NotHomomorphism, match="^automorphism: map breaks at element 3 times "
+                                              "generator 0$") as raised:
+        build_corpus_instance(spec)
+    assert raised.value.witness == (3, 1)
+
+
 def test_bad_images_get_an_honest_error_at_once(s3, monkeypatch):
     c4, c5 = (build_corpus_instance({"name": "cyclic", "params": {"m": m}})[0] for m in (4, 5))
     cases = []

@@ -1,3 +1,4 @@
+import signal
 import time
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from coprimelab import corpus, gf
 from coprimelab.errors import CapExceeded
-from coprimelab.gf import (MAX_DEGREE, FiniteField, cyclotomic_polynomial, default_modulus,
-                           digits, poly_divmod, poly_is_irreducible, poly_mul)
+from coprimelab.gf import (MAX_DEGREE, MAX_SEARCH, FiniteField, cyclotomic_polynomial,
+                           default_modulus, digits, poly_divmod, poly_is_irreducible, poly_mul)
 from coprimelab.numutil import divisors, factorization, root_field_degree
 
 GF125 = FiniteField(5, 3)
@@ -184,6 +185,53 @@ def test_a_degree_above_the_bound_is_refused_before_any_search(monkeypatch):
             with pytest.raises(ValueError, match=f"from 1 to {MAX_DEGREE}, got {MAX_DEGREE + 1}"):
                 FiniteField(p, MAX_DEGREE + 1, modulus)
             assert time.perf_counter() - start < 0.1
+
+
+class _Hung(Exception):
+    pass
+
+
+def _raise_hung(signum, frame):
+    raise _Hung
+
+
+def test_a_field_above_the_search_bound_is_refused_before_any_search(monkeypatch):
+    # without the bound each takes seconds or more: GF(3^21) 2.9 s, GF(7^21)
+    # over 25 s and GF(1000003^2) 5.6 s on a 2-core Xeon
+    def search(*args):
+        raise AssertionError("the modulus search or check started")
+
+    monkeypatch.setattr(gf, "least_monic", search)
+    previous = signal.signal(signal.SIGALRM, _raise_hung)
+    signal.alarm(1)
+    try:
+        for p, k in ((3, 21), (7, 21), (1000003, 2), (4099, 2)):
+            assert p ** (k // 2) > MAX_SEARCH
+            for modulus in (None, (1,) * (k + 1)):
+                start = time.perf_counter()
+                with pytest.raises(ValueError, match=fr"GF\({p}\^{k}\) is too large"):
+                    FiniteField(p, k, modulus)
+                assert time.perf_counter() - start < 0.1, (p, k)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_the_largest_fields_under_the_search_bound_build():
+    # the largest two k under the bound for p up to 13 (at most MAX_DEGREE), and
+    # GF(61^5) and GF(4093^3), just under it
+    cases = [(2, 21), (3, 14), (3, 15), (5, 10), (5, 11), (7, 8), (7, 9), (13, 6), (13, 7),
+             (61, 5), (4093, 3)]
+    previous = signal.signal(signal.SIGALRM, _raise_hung)
+    signal.alarm(10)
+    try:
+        for p, k in cases:
+            assert p ** (k // 2) <= MAX_SEARCH
+            F = FiniteField(p, k)
+            assert FiniteField(p, k, F.modulus).modulus == F.modulus
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class _Accepted(Exception):

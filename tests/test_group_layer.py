@@ -161,12 +161,20 @@ def test_member_sets_built_on_first_read_keep_their_meaning():
             assert not _built(lazy), label
             assert lazy == eager and eager == lazy and hash(lazy) == hash(eager), label
             checked += 1
-        # equal iff the member sets are equal, whatever has been built
-        for name, H in named:
+        # equal iff the member sets are equal, whatever has been built, and
+        # comparing two fresh subgroups builds neither member set; the first
+        # few subgroups of order 2 differ from each other in one member only
+        involutions = [x for x in range(G.order) if G.element_order(x) == 2][:8]
+        pool = named + [(f"<{x}>", Subgroup((0, x), (x,))) for x in involutions]
+        for name, H in pool:
             lazy = Subgroup(H.members, H.gens)
-            for other, K in named:
+            for other, K in pool:
+                label = (spec.get("id"), name, other)
                 same = frozenset(H.members) == frozenset(K.members)
-                assert (lazy == K) == same and (K == lazy) == same, (spec.get("id"), name, other)
+                assert (lazy == K) == same and (K == lazy) == same, label
+                fresh = Subgroup(K.members, K.gens)
+                assert (lazy == fresh) == same and (fresh == lazy) == same, label
+                assert not _built(lazy) and not _built(fresh), label
         # the series of G (cached) and of [G, phi]
         for H in [None] + ([twisted_data(phi).commutator_phi] if phi is not None else []):
             for series, kind in ((derived_series, "derived"),

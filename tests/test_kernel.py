@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from coprimelab.corpus import build_corpus_instance, default_corpus
+from coprimelab.corpus import build_corpus_instance, default_corpus, load_instance
 from coprimelab.groups import (BYTES_MAX_DEGREE, commutator_subgroup_pair, generate_group,
                                quotient_group)
-from helpers import (scan_index, tuple_compose, tuple_enumeration, tuple_inverse, tuple_order,
-                     tuple_power)
+from helpers import (load_workloads, scan_index, tuple_compose, tuple_enumeration, tuple_inverse,
+                     tuple_order, tuple_power)
 
 SAMPLES = 60
 # degree 300 > BYTES_MAX_DEGREE: elements are stored as tuples. No corpus or
@@ -43,19 +43,22 @@ def test_kernel_matches_tuple_oracle_on_corpus():
             assert G.element_order(a) == tuple_order(pa), name
             m = rng.randrange(2, 6)
             assert G.power_map(m)[a] == scan_index(G, tuple_power(pa, m)), (name, m)
-            assert G.element_index(pa) == a
 
 
-def test_non_member_with_member_base_images_is_rejected():
-    G = build_corpus_instance({"name": "cyclic", "params": {"m": 5}})[0]
-    assert G.base == (0,)
-    transposition = (1, 0, 2, 3, 4)
-    # it sends the base point 0 where the generator does
-    assert G.elements[G.generator_indices[0]][0] == transposition[0]
-    with pytest.raises(KeyError):
-        G.element_index(transposition)
-    with pytest.raises(KeyError):
-        G.element_index((0, 1, 2))
+def test_generator_indices_are_the_first_entries_of_the_cayley_columns():
+    # against a scan of the elements, on every corpus group, the benchmark's
+    # nilpotent_pairs templates and cli_commands files (seed 1), and a raw
+    # group with an identity generator and a repeated generator
+    workloads = load_workloads()
+    specs = default_corpus()["instances"] + [t[1] for t in workloads.PAIR_TEMPLATES]
+    specs += workloads.cli_plan(1)["files"].values()
+    assert len(specs) == 31 + 6 + 7
+    groups = [build_corpus_instance(spec)[0] for spec in specs]
+    raw = {"degree": 4, "generators": [[0, 1, 2, 3], [1, 2, 3, 0], [1, 0, 2, 3], [1, 2, 3, 0]]}
+    groups.append(load_instance(raw)[0])
+    assert groups[-1].generator_indices == (0, 1, 2, 1)
+    for G in groups:
+        assert G.generator_indices == tuple(scan_index(G, g) for g in G.generators)
 
 
 def test_base_lengths(glauberman):
@@ -78,19 +81,21 @@ def test_elements_and_words_match_tuple_enumeration_on_corpus():
     assert any(G.degree > BYTES_MAX_DEGREE for _, G in groups)
     for name, G in groups:
         elements, words = tuple_enumeration(G.degree, G.generators)
-        assert len(G.elements) == len(G.words) == G.order == len(elements), name
+        assert len(G.elements) == G.order == len(elements), name
         assert list(G.elements) == elements, name
         for e in range(G.order):
-            assert G.elements[e] == elements[e] and G.words[e] == words[e], (name, e)
-        assert G.words[-1] == words[-1], name
+            assert G.elements[e] == elements[e] and G.word(e) == words[e], (name, e)
+        for e in (-1, G.order):
+            with pytest.raises(IndexError):
+                G.word(e)
 
 
 @pytest.mark.parametrize("m", [BYTES_MAX_DEGREE, BYTES_MAX_DEGREE + 1])
 def test_cyclic_group_either_side_of_the_bytes_degree(m):
     gen = tuple((i + 1) % m for i in range(m))
     G = generate_group(m, [gen])
-    assert (G.elements, list(G.words)) == tuple_enumeration(m, [gen])
+    assert (G.elements, list(map(G.word, range(m)))) == tuple_enumeration(m, [gen])
     for a in (1, m // 2, m - 1):
         pa = G.elements[a]
         assert G.mul(a, a) == scan_index(G, tuple_compose(pa, pa))
-        assert G.element_index(pa) == a and G.inv(a) == m - a
+        assert scan_index(G, pa) == a and G.inv(a) == m - a

@@ -321,6 +321,13 @@ def test_eigen_refuses_a_field_degree_above_the_bound_before_any_search(monkeypa
         extend_and_eigendecompose(build_graded_lie(jlz_series(G, 2)), phi)
 
 
+def test_eigen_refuses_a_field_above_the_search_bound():
+    # F_17 has its 7th roots of unity in degree 6, and 17^3 > gf.MAX_SEARCH
+    assert lie.split_field_degree(13, 7) == 2
+    with pytest.raises(PreconditionViolated, match=r"order 7 need GF\(17\^6\)"):
+        lie.split_field_degree(17, 7)
+
+
 def test_eigen_heisenberg_inversion_product_rule():
     G, phi = build_corpus_instance({"name": "heisenberg", "params": {"p": 5},
                                     "automorphism": {"recipe": "power", "k": -1}})

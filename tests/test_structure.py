@@ -7,7 +7,7 @@ from coprimelab.numutil import p_part
 from coprimelab.structure import (derived_series, fitting_height, fitting_subgroup,
                                   is_powerful, lower_central_series, power_subgroup,
                                   sylow_subgroup)
-from helpers import brute_power_members, quaternion_group
+from helpers import brute_power_members, quaternion_group, scan_index
 
 
 def test_derived_series_abelian(c9):
@@ -73,7 +73,7 @@ def test_sylow_order_is_exact_p_part(s4, s5, d4):
 
 def test_sylow_s3_is_a3(s3):
     P = sylow_subgroup(s3, 3)
-    assert P.member_set == subgroup_generated(s3, {s3.element_index((1, 2, 0))}).member_set
+    assert P.member_set == subgroup_generated(s3, {scan_index(s3, (1, 2, 0))}).member_set
 
 
 def test_fitting_subgroup_and_height(s3, s4, heis3):

@@ -18,7 +18,8 @@ from .errors import (GroupTheoryError, NotCoprime, NotInvariant, NotNilpotent,
 from .groups import (Automorphism, FiniteGroup, Subgroup, are_conjugate,  # noqa: F401
                      build_automorphism, center, coset_labels, is_normal, normal_core,
                      product_of_subgroups, subgroup_generated)
-from .structure import derived_series, lower_central_series
+from .structure import (SubgroupSeries, derived_series, lower_central_series,
+                        require_nilpotent, require_soluble)
 
 
 # what TwistedData.commutator_derived_length holds until it is asked for
@@ -71,6 +72,23 @@ def twisted_data(phi: Automorphism) -> TwistedData:
     if phi._twisted is None:
         phi._twisted = _twisted_on(phi, range(phi.group.order))
     return phi._twisted
+
+
+def require_coprime(phi: Automorphism) -> None:
+    """NotCoprime unless the order of phi is prime to |G|: the first guard of
+    every check here. Its message, like every guard's, is the report's skip."""
+    if not phi.coprime:
+        raise NotCoprime("action is not coprime")
+
+
+def nilpotent_fixed_series(phi: Automorphism) -> SubgroupSeries:
+    """The lower central series of C_G(phi), under the hypotheses of
+    theorem 2: NotCoprime, then NotNilpotent unless C_G(phi) is nilpotent."""
+    require_coprime(phi)
+    lcs = lower_central_series(phi.group, twisted_data(phi).fixed)
+    if not lcs.is_nilpotent:
+        raise NotNilpotent("fixed-point subgroup is not nilpotent")
+    return lcs
 
 
 def commutator_twisted_data(phi: Automorphism) -> TwistedData:
@@ -140,8 +158,7 @@ def factorization_status(phi: Automorphism) -> tuple:
     """(product_covers, criterion_holds, witness): whether the twisted-times-fixed
     product covers G, whether the conjugacy criterion that is equivalent to it
     holds, and a witness triple when it fails, else None."""
-    if not phi.coprime:
-        raise NotCoprime("factorization criterion is stated for coprime actions")
+    require_coprime(phi)
     G = phi.group
     td = twisted_data(phi)
     product_covers = 0 not in _factorization_counts(phi)
@@ -163,16 +180,6 @@ def factorization_status(phi: Automorphism) -> tuple:
     return product_covers, criterion_holds, witness
 
 
-def _decomposition_data(phi: Automorphism) -> TwistedData:
-    """Twisted data of phi, after checking that unique decomposition applies."""
-    G = phi.group
-    if not phi.coprime:
-        raise NotCoprime("unique decomposition needs a coprime action")
-    if not lower_central_series(G).is_nilpotent:
-        raise NotNilpotent(f"group of order {G.order} is not nilpotent")
-    return twisted_data(phi)
-
-
 def _decomposition_error(x: int, count: int) -> GroupTheoryError:
     if count == 0:
         return DecompositionNotFound(f"element {x} admits no twisted*fixed factorization")
@@ -185,8 +192,10 @@ def nilpotent_decompose(phi: Automorphism, x: int) -> tuple:
     Valid for nilpotent groups under coprime actions; a missing or ambiguous
     answer means the input violates those hypotheses and is a hard error.
     """
+    require_coprime(phi)
+    require_nilpotent(phi.group)
     G = phi.group
-    td = _decomposition_data(phi)
+    td = twisted_data(phi)
     solutions = []
     for g in td.twisted:
         h = G.mul(G.inv(g), x)
@@ -206,7 +215,8 @@ def decomposition_witness(phi: Automorphism) -> Optional[dict]:
     at once, where asking ``nilpotent_decompose`` element by element costs
     |G| * |twisted| products.
     """
-    _decomposition_data(phi)
+    require_coprime(phi)
+    require_nilpotent(phi.group)
     for x, count in enumerate(_factorization_counts(phi)):
         if count != 1:
             return {"element": x, "error": str(_decomposition_error(x, count))}
@@ -214,7 +224,9 @@ def decomposition_witness(phi: Automorphism) -> Optional[dict]:
 
 
 def default_normal_family(phi: Automorphism) -> list[tuple]:
-    """Canonical nontrivial phi-invariant normal subgroups for the lemma checks."""
+    """Canonical nontrivial phi-invariant normal subgroups for the lemma
+    checks, which need a coprime phi (else NotCoprime)."""
+    require_coprime(phi)
     G = phi.group
     td = twisted_data(phi)
     derived = derived_series(G).terms
@@ -302,8 +314,7 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
     whose coset is fixed but holds no fixed element, for (c) the first
     non-commuting pair m in [G,phi], x in the subgroup, in member order.
     """
-    if not phi.coprime:
-        raise NotCoprime("the coprime facts require gcd(|G|, |phi|) = 1")
+    require_coprime(phi)
     G = phi.group
     td = twisted_data(phi)
     family = default_normal_family(phi) if family is None else _checked_family(phi, family)
@@ -341,8 +352,7 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dic
 def fixed_points_of_product(phi: Automorphism, family: Sequence[tuple]) -> dict:
     """Check that fixed points of a product of invariant normal subgroups are
     generated by the factors' fixed points."""
-    if not phi.coprime:
-        raise NotCoprime("the product formula requires a coprime action")
+    require_coprime(phi)
     G = phi.group
     td = twisted_data(phi)
     _checked_family(phi, family)
@@ -393,19 +403,18 @@ def fixed_generation_S(phi: Automorphism) -> dict:
     """Fixed elements of H = [G, phi] reachable inside invariant closures of
     pairs of twisted elements of phi on H, all found inside G.
 
-    Requires a nilpotent group and a coprime action, so that [H, phi] = H;
-    under those hypotheses the collected set S generates C_H(phi). The walk
-    takes one pair per pair of <phi>-orbits on the twisted set of H
+    Raises NotCoprime unless phi is coprime, then NotNilpotent unless G is
+    nilpotent. Under those hypotheses [H, phi] = H (PreconditionViolated if
+    not, an invariant failure) and the collected set S generates C_H(phi).
+    The walk takes one pair per pair of <phi>-orbits on the twisted set of H
     (``twisted_pair_closures``) and stops once S is all of C_H(phi): S is a
     union of sets K & C_H(phi), so it cannot grow further, and it then
     generates C_H(phi) without a closure. So S either reaches C_H(phi) or is
     the whole union, whatever the order of the pairs.
     """
     G = phi.group
-    if not phi.coprime:
-        raise PreconditionViolated("coprime action required")
-    if not lower_central_series(G).is_nilpotent:
-        raise PreconditionViolated("nilpotent group required")
+    require_coprime(phi)
+    require_nilpotent(G)
     _, inner = _commutator_data(phi)
     fixed = inner.fixed.member_set
     S: set[int] = {0}
@@ -419,12 +428,12 @@ def fixed_generation_S(phi: Automorphism) -> dict:
 
 def soluble_exponent_probe(phi: Automorphism) -> dict:
     """Record (derived length, twisted exponent bound, exponent) of H = [G, phi]
-    under phi, all found inside G; requires a soluble G and a coprime action."""
+    under phi, all found inside G. Raises NotCoprime unless phi is coprime,
+    then NotSoluble unless G is soluble; PreconditionViolated if the
+    invariant [H, phi] = H fails."""
     G = phi.group
-    if not phi.coprime:
-        raise PreconditionViolated("coprime action required")
-    if not derived_series(G).is_soluble:
-        raise PreconditionViolated("soluble group required")
+    require_coprime(phi)
+    require_soluble(G)
     H, inner = _commutator_data(phi)
     return {"d": commutator_derived_length(phi), "e": G.exponent_of(inner.twisted),
             "exponent": G.exponent_of(H.members)}

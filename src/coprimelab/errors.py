@@ -62,7 +62,7 @@ class NotInvariant(GroupTheoryError):
 
 
 class PreconditionViolated(GroupTheoryError):
-    """A stated hypothesis of the requested check does not hold."""
+    """A bound or an invariant the requested computation needs does not hold."""
 
 
 class UnknownSpec(GroupTheoryError):

@@ -421,11 +421,11 @@ def layer_matrices(A: GradedLieAlgebra, phi) -> list[tuple]:
 
 def lie_fixed_points(A: GradedLieAlgebra, phi) -> dict:
     """Fixed subspace of the generated subalgebra versus the span coming from
-    the fixed-point subgroup; they must agree layer by layer."""
-    if not phi.coprime:
-        raise NotCoprime("fixed-point comparison requires a coprime action")
-    from .automorphisms import twisted_data
+    the fixed-point subgroup; they must agree layer by layer. NotCoprime
+    unless phi is coprime."""
+    from .automorphisms import require_coprime, twisted_data
 
+    require_coprime(phi)
     F = A.field
     mats = layer_matrices(A, phi)
     C = twisted_data(phi).fixed
@@ -481,7 +481,7 @@ def split_field_degree(p: int, n: int) -> int:
     if not (type(p) is type(n) is int and p > 1 and n > 0):
         raise ValueError(f"need a characteristic p > 1 and a root order n > 0, got {p!r}, {n!r}")
     if n % p == 0:
-        raise NotCoprime(f"automorphism order {n} is divisible by the characteristic {p}")
+        raise NotCoprime("action is not coprime")
     degree = root_field_degree(p, n, MAX_DEGREE)
     if degree is None:
         raise PreconditionViolated(f"roots of unity of order {n} need an extension of F_{p} "

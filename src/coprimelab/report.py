@@ -16,12 +16,12 @@ from .automorphisms import (Automorphism, TwistedData, check_coprime_facts,
                             commutator_derived_length, commutator_twisted_data,
                             decomposition_witness, default_normal_family,
                             factorization_status, fixed_generation_S,
-                            fixed_points_of_product, is_phi_invariant, phi_invariant_closure,
-                            soluble_exponent_probe, twisted_data,
-                            twisted_orbit_representatives, twisted_pair_closures)
+                            fixed_points_of_product, is_phi_invariant, nilpotent_fixed_series,
+                            phi_invariant_closure, require_coprime, soluble_exponent_probe,
+                            twisted_data, twisted_orbit_representatives, twisted_pair_closures)
 from .corpus import instance_id, load_instance
 from .errors import (CapExceeded, GroupTheoryError, InvalidPermutation, NotBijective,
-                     NotCoprime, NotHomomorphism, NotSoluble, ParseError,
+                     NotCoprime, NotHomomorphism, NotNilpotent, NotSoluble, ParseError,
                      PreconditionViolated, UnknownSpec)
 from .groups import FiniteGroup, center, is_normal, subgroup_generated
 from .lie import (GradedLieAlgebra, build_graded_lie, check_lazard_all, check_riley,
@@ -29,7 +29,8 @@ from .lie import (GradedLieAlgebra, build_graded_lie, check_lazard_all, check_ri
                   subalgebra_LGH, verify_bracket_axioms, verify_eigen_product_rule,
                   verify_np_series)
 from .numutil import big_omega, prime_power_base
-from .structure import derived_series, fitting_height, is_powerful, lower_central_series
+from .structure import (derived_series, fitting_height, is_powerful, lower_central_series,
+                        require_nilpotent)
 
 PAIR_CAP = 1_000_000
 
@@ -40,6 +41,15 @@ def _verdict(ok: bool) -> str:
 
 def _skip(reason: str) -> str:
     return f"skipped: {reason}"
+
+
+def _or_skip(f, *args):
+    """f(*args), or "skipped: <message>" when f refuses an input that is not
+    coprime, nilpotent or soluble; any other error passes through."""
+    try:
+        return f(*args)
+    except (NotCoprime, NotNilpotent, NotSoluble) as exc:
+        return _skip(str(exc))
 
 
 def canonical_json(obj) -> str:
@@ -64,10 +74,10 @@ def theorem1_probe(phi: Automorphism) -> dict:
     so one closure per <phi>-orbit on the twisted set is walked, from the
     list the pair walks keep (``twisted_orbit_representatives``). Each lies
     in the phi-invariant [G, phi], so its exponent divides exp([G, phi]),
-    and the walk stops once e_star reaches it.
+    and the walk stops once e_star reaches it. NotCoprime unless phi is
+    coprime.
     """
-    if not phi.coprime:
-        raise NotCoprime("probe requires a coprime action")
+    require_coprime(phi)
     G = phi.group
     td = twisted_data(phi)
     e_star = max(map(G.element_order, td.fixed.members))
@@ -79,7 +89,7 @@ def theorem1_probe(phi: Automorphism) -> dict:
     return {"e_star": e_star, "n": phi.order_n, "exponent": G.exponent()}
 
 
-def theorem2_probe(phi: Automorphism) -> dict:
+def theorem2_probe(phi: Automorphism) -> dict | str:
     """Class of the fixed subgroup, twisted exponent bound, and the largest
     derived length over invariant closures of twisted pairs.
 
@@ -89,20 +99,18 @@ def theorem2_probe(phi: Automorphism) -> dict:
     length of [G, phi], which is computed once (``commutator_derived_length``);
     an insoluble [G, phi] gives no bound, so every closure is checked. Equal
     closures from different pairs share one derived series: the walk keeps
-    one length per member set, [G, phi]'s among them. Above the pair cap the
-    probe is skipped, and it is skipped first when the fixed subgroup is not
-    nilpotent.
+    one length per member set, [G, phi]'s among them.
+
+    Raises NotCoprime unless phi is coprime, then NotNilpotent unless the
+    fixed subgroup is nilpotent (``nilpotent_fixed_series``). Above the pair
+    cap, and if a pair closure is insoluble, it returns the skip string.
     """
-    if not phi.coprime:
-        raise NotCoprime("probe requires a coprime action")
+    fixed_lcs = nilpotent_fixed_series(phi)
     G = phi.group
     td = twisted_data(phi)
-    fixed_lcs = lower_central_series(G, td.fixed)
-    if not fixed_lcs.is_nilpotent:
-        return {"skipped": "fixed-point subgroup is not nilpotent"}
     reason = _above_pair_cap(phi, td)
     if reason:
-        return {"skipped": reason}
+        return _skip(reason)
     bound = commutator_derived_length(phi)
     lengths = {td.commutator_phi.member_set: bound}  # derived length per distinct closure
     d = 0
@@ -112,7 +120,7 @@ def theorem2_probe(phi: Automorphism) -> dict:
             lengths[key] = derived_series(G, K).derived_length
         dl = lengths[key]
         if dl is None:
-            return {"skipped": "a twisted-pair closure is insoluble"}
+            return _skip("a twisted-pair closure is insoluble")
         d = max(d, dl)
         if d == bound:
             break
@@ -121,14 +129,12 @@ def theorem2_probe(phi: Automorphism) -> dict:
 
 
 def thompson_probe(phi: Automorphism) -> dict:
-    """Record (prime divisor count of the automorphism order, Fitting height)."""
-    if not phi.coprime:
-        raise NotCoprime("probe requires a coprime action")
-    G = phi.group
-    if not derived_series(G).is_soluble:
-        raise NotSoluble("Fitting height needs a soluble group")
+    """Record (prime divisor count of the automorphism order, Fitting height);
+    NotCoprime unless phi is coprime, then NotSoluble unless G is soluble
+    (``fitting_height``)."""
+    require_coprime(phi)
     return {"omega_n": big_omega(phi.order_n), "n": phi.order_n,
-            "fitting_height": fitting_height(G)}
+            "fitting_height": fitting_height(phi.group)}
 
 
 def _group_section(G: FiniteGroup) -> dict:
@@ -149,12 +155,47 @@ def _group_section(G: FiniteGroup) -> dict:
         "p": p,
     }
     section["fitting_height"] = fitting_height(G) if ds.is_soluble else None
-    if lcs.is_nilpotent:
-        section["derived_length_class_bound"] = _verdict(
-            ds.derived_length <= lcs.nilpotency_class + 1)
-    else:
-        section["derived_length_class_bound"] = _skip("group is not nilpotent")
+    section["derived_length_class_bound"] = _or_skip(
+        lambda: _verdict(ds.derived_length <= require_nilpotent(G).nilpotency_class + 1))
     return section
+
+
+def _factorization(phi: Automorphism) -> dict:
+    product_covers, criterion_holds, witness = factorization_status(phi)
+    return {"product_covers": product_covers, "criterion_holds": criterion_holds,
+            "equivalence": _verdict(product_covers == criterion_holds), "witness": witness}
+
+
+def _product_fixed_points(phi: Automorphism) -> dict | str:
+    family = default_normal_family(phi)
+    return fixed_points_of_product(phi, family) if family else _skip(
+        "no nontrivial invariant normals")
+
+
+def _soluble_when_fixed_nilpotent(phi: Automorphism) -> str:
+    nilpotent_fixed_series(phi)
+    return _verdict(derived_series(phi.group).is_soluble)
+
+
+def _unique_decomposition(phi: Automorphism, section: dict) -> str:
+    """The verdict; a failure also writes its witness into ``section``."""
+    witness = decomposition_witness(phi)
+    if witness:
+        section["unique_decomposition_witness"] = witness
+    return _verdict(witness is None)
+
+
+def _fixed_generation(phi: Automorphism) -> dict | str:
+    """``fixed_generation_S`` on [G, phi] as the section prints it, or the
+    skip of the pair cap, which is counted once its hypotheses hold."""
+    require_coprime(phi)
+    require_nilpotent(phi.group)
+    reason = _above_pair_cap(phi, commutator_twisted_data(phi))
+    if reason:
+        return _skip(reason)
+    gen_report = fixed_generation_S(phi)
+    return {"restricted_to_commutator_order": twisted_data(phi).commutator_phi.order,
+            "S_size": gen_report["S_size"], "generates": _verdict(gen_report["generates"])}
 
 
 def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
@@ -168,56 +209,14 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
         "commutator_order": cp.order,
         "commutator_normal_invariant": _verdict(is_phi_invariant(phi, cp) and is_normal(G, cp)),
     }
-    if not phi.coprime:
-        for key in ("factorization", "coprime_facts", "product_fixed_points",
-                    "unique_decomposition", "fixed_generation", "soluble_exponent",
-                    "soluble_when_fixed_nilpotent"):
-            section[key] = _skip("action is not coprime")
-        return section
-
-    product_covers, criterion_holds, witness = factorization_status(phi)
-    section["factorization"] = {
-        "product_covers": product_covers,
-        "criterion_holds": criterion_holds,
-        "equivalence": _verdict(product_covers == criterion_holds),
-        "witness": witness,
-    }
-    section["coprime_facts"] = check_coprime_facts(phi)
-    family = default_normal_family(phi)
-    section["product_fixed_points"] = (fixed_points_of_product(phi, family)
-                                       if family else _skip("no nontrivial invariant normals"))
-
-    fixed_nilpotent = lower_central_series(G, td.fixed).is_nilpotent
-    if fixed_nilpotent:
-        section["soluble_when_fixed_nilpotent"] = _verdict(derived_series(G).is_soluble)
-    else:
-        section["soluble_when_fixed_nilpotent"] = _skip("fixed-point subgroup not nilpotent")
-
+    section["factorization"] = _or_skip(_factorization, phi)
+    section["coprime_facts"] = _or_skip(check_coprime_facts, phi)
+    section["product_fixed_points"] = _or_skip(_product_fixed_points, phi)
+    section["soluble_when_fixed_nilpotent"] = _or_skip(_soluble_when_fixed_nilpotent, phi)
     # fixed_generation and soluble_exponent analyse phi on [G, phi] inside G
-    nilpotent = lower_central_series(G).is_nilpotent
-    if nilpotent:
-        witness = decomposition_witness(phi)
-        section["unique_decomposition"] = _verdict(witness is None)
-        if witness:
-            section["unique_decomposition_witness"] = witness
-        reason = _above_pair_cap(phi, commutator_twisted_data(phi))
-        if reason:
-            section["fixed_generation"] = _skip(reason)
-        else:
-            gen_report = fixed_generation_S(phi)
-            section["fixed_generation"] = {
-                "restricted_to_commutator_order": cp.order,
-                "S_size": gen_report["S_size"],
-                "generates": _verdict(gen_report["generates"]),
-            }
-    else:
-        section["unique_decomposition"] = _skip("group is not nilpotent")
-        section["fixed_generation"] = _skip("group is not nilpotent")
-
-    if derived_series(G).is_soluble:
-        section["soluble_exponent"] = soluble_exponent_probe(phi)
-    else:
-        section["soluble_exponent"] = _skip("group is not soluble")
+    section["unique_decomposition"] = _or_skip(_unique_decomposition, phi, section)
+    section["fixed_generation"] = _or_skip(_fixed_generation, phi)
+    section["soluble_exponent"] = _or_skip(soluble_exponent_probe, phi)
     return section
 
 
@@ -271,26 +270,19 @@ def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
         lgh.append({"subgroup": name, "u": res["u"], "dims": list(res["dims"]),
                     "closed": _verdict(res["closed"])})
     section["span_subalgebras"] = lgh
-    if phi is not None and phi.coprime:
-        section["fixed_subalgebra"] = lie_fixed_points(A, phi)["verdict"]
-        section["eigen"] = _eigen_fields(A, phi)[1]
+    if phi is None:
+        section["fixed_subalgebra"] = section["eigen"] = _skip("no automorphism supplied")
     else:
-        reason = "no automorphism supplied" if phi is None else "action is not coprime"
-        for key in ("fixed_subalgebra", "eigen"):
-            section[key] = _skip(reason)
+        section["fixed_subalgebra"] = _or_skip(lambda: lie_fixed_points(A, phi)["verdict"])
+        section["eigen"] = _or_skip(lambda: _eigen_fields(A, phi)[1])
     return section
 
 
-def _probe_section(G: FiniteGroup, phi: Optional[Automorphism]) -> dict:
-    if phi is None or not phi.coprime:
-        reason = "no automorphism supplied" if phi is None else "action is not coprime"
-        return {key: _skip(reason) for key in ("theorem1", "theorem2", "thompson")}
-    section = {"theorem1": theorem1_probe(phi), "theorem2": theorem2_probe(phi)}
-    if derived_series(G).is_soluble:
-        section["thompson"] = thompson_probe(phi)
-    else:
-        section["thompson"] = _skip("group is not soluble")
-    return section
+def _probe_section(phi: Optional[Automorphism]) -> dict:
+    probes = {"theorem1": theorem1_probe, "theorem2": theorem2_probe, "thompson": thompson_probe}
+    if phi is None:
+        return dict.fromkeys(probes, _skip("no automorphism supplied"))
+    return {key: _or_skip(probe, phi) for key, probe in probes.items()}
 
 
 def analyze_instance(spec: dict, cap: Optional[int] = None) -> dict:
@@ -308,7 +300,7 @@ def analyze_instance(spec: dict, cap: Optional[int] = None) -> dict:
     else:
         reason = "trivial group" if G.order == 1 else "order is not a prime power"
         report["lie"] = _skip(reason)
-    report["probes"] = _probe_section(G, phi)
+    report["probes"] = _probe_section(phi)
     return report
 
 
@@ -329,20 +321,12 @@ def count_verdicts(obj) -> dict:
     counts = {"pass": 0, "fail": 0, "skipped": 0}
 
     def walk(node):
-        if isinstance(node, str):
-            if node == "pass":
-                counts["pass"] += 1
-            elif node == "fail":
-                counts["fail"] += 1
-            elif node.startswith("skipped:"):
-                counts["skipped"] += 1
-        elif isinstance(node, dict):
-            if "skipped" in node:
-                counts["skipped"] += 1
-            for v in node.values():
-                walk(v)
-        elif isinstance(node, list):
-            for v in node:
+        if node in ("pass", "fail"):
+            counts[node] += 1
+        elif isinstance(node, str) and node.startswith("skipped:"):
+            counts["skipped"] += 1
+        elif isinstance(node, (dict, list)):
+            for v in node.values() if isinstance(node, dict) else node:
                 walk(v)
 
     walk(obj)
@@ -380,7 +364,9 @@ def run_suite(corpus: dict, jobs: int = 1, cap: Optional[int] = None) -> tuple:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_analyze_for_suite, work))
-    per_instance = [count_verdicts(rep) for rep in reports]
+    # a cap-exceeded instance record counts as one skip
+    per_instance = [count_verdicts(_skip(rep["skipped"]) if "skipped" in rep else rep)
+                    for rep in reports]
     hard_failures = [rep["id"] for rep, inst_counts in zip(reports, per_instance)
                      if inst_counts["fail"] or "hard_error" in rep]
     counts = {key: sum(c[key] for c in per_instance) for key in ("pass", "fail", "skipped")}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import NotAPGroup, NotSoluble
+from .errors import NotAPGroup, NotNilpotent, NotSoluble
 from .groups import (FiniteGroup, Subgroup, commutator_subgroup_pair, normal_core,
                      normality_witness, product_of_subgroups, quotient_group,
                      subgroup_generated)
@@ -12,19 +12,13 @@ from .numutil import is_prime, p_part, prime_factors, prime_power_base
 
 
 class SubgroupSeries:
-    """Descending subgroup series with strict terms only."""
+    """Descending subgroup series with strict terms only. The derived series
+    of H reaches the trivial group iff H is soluble, its lower central series
+    iff H is nilpotent; the number of steps is then the derived length or the
+    nilpotency class, else None."""
 
     def __init__(self, terms: tuple):
         self.terms = terms
-
-    @property
-    def reaches_trivial(self) -> bool:
-        return self.terms[-1].is_trivial
-
-    @property
-    def length(self) -> int:
-        """Number of strict steps."""
-        return len(self.terms) - 1
 
     @property
     def orders(self) -> tuple:
@@ -32,19 +26,14 @@ class SubgroupSeries:
 
     @property
     def is_soluble(self) -> bool:
-        return self.reaches_trivial
-
-    @property
-    def is_nilpotent(self) -> bool:
-        return self.reaches_trivial
+        return self.terms[-1].is_trivial
 
     @property
     def derived_length(self) -> Optional[int]:
-        return self.length if self.reaches_trivial else None
+        return len(self.terms) - 1 if self.is_soluble else None
 
-    @property
-    def nilpotency_class(self) -> Optional[int]:
-        return self.length if self.reaches_trivial else None
+    is_nilpotent = is_soluble
+    nilpotency_class = derived_length
 
 
 def _commutator_series(G: FiniteGroup, H: Optional[Subgroup], kind: str) -> SubgroupSeries:
@@ -78,6 +67,20 @@ def derived_series(G: FiniteGroup, H: Optional[Subgroup] = None) -> SubgroupSeri
 def lower_central_series(G: FiniteGroup, H: Optional[Subgroup] = None) -> SubgroupSeries:
     """H = γ1 >= γ2 = [H,H] >= γ3 = [γ2,H] >= ... until stable."""
     return _commutator_series(G, H, "lower-central")
+
+
+def require_nilpotent(G: FiniteGroup) -> SubgroupSeries:
+    """The lower central series of G; NotNilpotent unless G is nilpotent."""
+    lcs = lower_central_series(G)
+    if not lcs.is_nilpotent:
+        raise NotNilpotent("group is not nilpotent")
+    return lcs
+
+
+def require_soluble(G: FiniteGroup) -> None:
+    """NotSoluble unless G is soluble."""
+    if not derived_series(G).is_soluble:
+        raise NotSoluble("group is not soluble")
 
 
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
@@ -122,8 +125,7 @@ def fitting_height(G: FiniteGroup) -> int:
     cached = G.cache.get("fitting_height")
     if cached is not None:
         return cached
-    if not derived_series(G).is_soluble:
-        raise NotSoluble(f"group of order {G.order} is not soluble")
+    require_soluble(G)
     height = 0
     cur = G
     while cur.order > 1:

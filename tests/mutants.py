@@ -356,6 +356,28 @@ MUTANTS = [
      "old": "    A, payload = _lie_fields(G, _characteristic(G, args.file))\n",
      "new": "    A, payload = _lie_fields(G, prime_power_base(G.order))\n",
      "tests": ["tests/test_report_cli.py::test_cli_unmet_precondition_is_an_input_error"]},
+    # one rule per hypothesis: each guard raises its hypothesis' class with
+    # the wording the bundle prints, and only those classes become skips
+    {"name": "theorem 2 returns its refusal as a dict again",
+     "file": "src/coprimelab/report.py",
+     "old": "    fixed_lcs = nilpotent_fixed_series(phi)\n",
+     "new": "    require_coprime(phi)\n"
+            "    fixed_lcs = lower_central_series(phi.group, twisted_data(phi).fixed)\n"
+            "    if not fixed_lcs.is_nilpotent:\n"
+            "        return {\"skipped\": \"fixed-point subgroup is not nilpotent\"}\n",
+     "tests": ["tests/test_report_cli.py::test_theorem2_skips_non_nilpotent_fixed",
+               "tests/test_acceptance.py::test_suite_bundle_is_pinned"]},
+    {"name": "the skip helper also catches PreconditionViolated",
+     "file": "src/coprimelab/report.py",
+     "old": "    except (NotCoprime, NotNilpotent, NotSoluble) as exc:\n",
+     "new": "    except (NotCoprime, NotNilpotent, NotSoluble, PreconditionViolated) as exc:\n",
+     "tests": ["tests/test_guards.py::test_a_commutator_invariant_failure_is_a_hard_error"]},
+    {"name": "the coprime guard's message drops 'is'",
+     "file": "src/coprimelab/automorphisms.py",
+     "old": "        raise NotCoprime(\"action is not coprime\")\n",
+     "new": "        raise NotCoprime(\"action not coprime\")\n",
+     "tests": ["tests/test_guards.py::"
+               "test_every_guard_raises_its_class_with_the_wording_the_bundle_prints"]},
     {"name": "a raw group over the cap names no place in the input",
      "file": "src/coprimelab/corpus.py",
      "old": "        except (InvalidPermutation, CapExceeded) as exc:\n",

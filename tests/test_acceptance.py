@@ -4,11 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 """
 
 import hashlib
+import json
 import time
 from contextlib import contextmanager
 
 import pytest
 
+from coprimelab import cli
 from coprimelab.automorphisms import (check_coprime_facts, factorization_status,
                                       nilpotent_decompose, twisted_data)
 from coprimelab.corpus import build_corpus_instance, build_glauberman_example, default_corpus
@@ -17,6 +19,7 @@ from coprimelab.lie import (build_graded_lie, check_lazard_all, check_riley,
                             verify_eigen_product_rule, verify_np_series)
 from coprimelab.report import canonical_json, count_verdicts, run_suite
 from coprimelab.structure import lower_central_series
+from regen_golden import GOLDEN, bundle_of, suite_lines
 
 
 @contextmanager
@@ -55,17 +58,55 @@ def suite_runs(corpus):
             "bundle2": bundle2, "code2": code2, "t2": t2}
 
 
-# SHA-256 of the shipped-corpus suite bundle as `coprimelab suite` prints it. A
-# change that alters the bundle must update this pin and say why.
-SUITE_BUNDLE_SHA256 = "2e3354d13878b8baebaac63ac937f9afc505ea5b04c5515230474c97986897b9"
+# SHA-256 of the shipped-corpus suite bundle as `coprimelab suite` prints it,
+# and of the `coprimelab glauberman` stdout. ``tests/golden/`` holds both,
+# written by ``tests/regen_golden.py``; a change that alters either must
+# update its pin and say why.
+SUITE_BUNDLE_SHA256 = "df015c30f2ca8c80fe0876af9e06ce1ec16cbde21a2d0efc5c6c9307a3ddbc0b"
+GLAUBERMAN_SHA256 = "b1f9b92b31c41fa56d06b253c1cc3631555c6b2b9246b3bff1b94097740a54b1"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def _differences(old, new, path: str):
+    """'path: old -> new' for each JSON path at which old and new differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from _differences(old.get(key, "<absent>"), new.get(key, "<absent>"),
+                                    f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _differences(a, b, f"{path}[{i}]")
+    elif canonical_json(old) != canonical_json(new):
+        yield f"{path}: {canonical_json(old)} -> {canonical_json(new)}"
 
 
 def test_suite_bundle_is_pinned(suite_runs):
+    golden = (GOLDEN / "suite.jsonl").read_text(encoding="ascii").splitlines(keepends=True)
+    assert _sha256(canonical_json(bundle_of(golden)) + "\n") == SUITE_BUNDLE_SHA256
     for bundle in (suite_runs["bundle1"], suite_runs["bundle2"]):
         summary = bundle["summary"]
         assert (summary["pass"], summary["fail"], summary["skipped"]) == (514, 0, 63)
-        text = canonical_json(bundle) + "\n"
-        assert hashlib.sha256(text.encode("ascii")).hexdigest() == SUITE_BUNDLE_SHA256
+        lines = suite_lines(bundle)
+        if lines == golden:
+            continue
+        assert len(lines) == len(golden), f"{len(lines)} lines, golden has {len(golden)}"
+        diffs = []
+        for old, new in zip(golden, lines):
+            old, new = json.loads(old), json.loads(new)
+            diffs += _differences(old, new, old.get("id", "summary"))
+        pytest.fail("suite bundle differs from tests/golden/suite.jsonl:\n" + "\n".join(diffs))
+
+
+def test_glauberman_stdout_is_pinned(capsys):
+    assert cli.main(["glauberman"]) == 0
+    out = capsys.readouterr().out
+    golden = (GOLDEN / "glauberman.json").read_text(encoding="ascii")
+    assert _sha256(golden) == GLAUBERMAN_SHA256
+    assert out == golden, "\n".join(_differences(json.loads(golden), json.loads(out),
+                                                 "glauberman"))
 
 
 def test_criterion_1_glauberman_counterexample():
@@ -222,7 +263,7 @@ def test_criterion_9_suite_determinism_and_probes(suite_runs):
                 assert exponent % t1["e_star"] == 0, inst["id"]
                 coprime_with_auto += 1
             t2 = probes.get("theorem2")
-            if isinstance(t2, dict) and "skipped" not in t2:
+            if isinstance(t2, dict):
                 assert exponent % t2["exponent_commutator"] == 0, inst["id"]
                 assert exponent % t2["e"] == 0, inst["id"]
         assert coprime_with_auto >= 20

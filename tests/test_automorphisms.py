@@ -7,7 +7,7 @@ from coprimelab.automorphisms import (TwistedData, build_automorphism, check_cop
                                       nilpotent_decompose, phi_invariant_closure,
                                       soluble_exponent_probe, twisted_data)
 from coprimelab.corpus import build_corpus_instance, default_corpus
-from coprimelab.errors import NotBijective, NotCoprime, NotNilpotent, PreconditionViolated
+from coprimelab.errors import NotBijective, NotCoprime, NotNilpotent
 from coprimelab.groups import quotient_group, subgroup_generated, is_normal
 from coprimelab.structure import sylow_subgroup
 from helpers import (commutator_with_automorphism, identity_automorphism, load_workloads,
@@ -289,7 +289,7 @@ def test_fixed_generation_heisenberg():
 
 
 def test_fixed_generation_precondition(s3):
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(NotNilpotent, match="^group is not nilpotent$"):
         fixed_generation_S(identity_automorphism(s3))
 
 

@@ -18,7 +18,7 @@ from coprimelab import cli
 from coprimelab.cli import main
 from coprimelab.corpus import build_corpus_instance, build_glauberman_example, default_corpus
 from coprimelab import report
-from coprimelab.errors import NotCoprime, NotSoluble
+from coprimelab.errors import NotCoprime, NotNilpotent, NotSoluble
 from coprimelab.numutil import prime_power_base
 from coprimelab.report import (analyze_instance, canonical_json, count_verdicts, run_suite,
                                theorem1_probe, theorem2_probe, thompson_probe)
@@ -123,17 +123,17 @@ def _check_pair_walks(G, phi) -> bool:
     if phi is None or not phi.coprime:
         return False
     td = twisted_data(phi)
-    theorem2 = theorem2_probe(phi)
+    theorem2 = report._or_skip(theorem2_probe, phi)
     nilpotent = lower_central_series(G).is_nilpotent
     if nilpotent:
         # in place on [G, phi], against the unreduced walk on its re-enumeration
         rphi = restrict_automorphism(phi, td.commutator_phi)[1]
         assert fixed_generation_S(phi) == all_pairs_fixed_generation_S(rphi)
-    if theorem2 == {"skipped": "fixed-point subgroup is not nilpotent"}:
+    if theorem2 == "skipped: fixed-point subgroup is not nilpotent":
         return nilpotent
     d = all_pairs_derived_length(phi)
     if d is None:
-        assert theorem2 == {"skipped": "a twisted-pair closure is insoluble"}
+        assert theorem2 == "skipped: a twisted-pair closure is insoluble"
     else:
         assert theorem2["d"] == d
     return True
@@ -321,8 +321,11 @@ def test_theorem2_identity_phi(c9):
 
 
 def test_theorem2_skips_non_nilpotent_fixed(s5):
-    out = theorem2_probe(identity_automorphism(s5))
-    assert out == {"skipped": "fixed-point subgroup is not nilpotent"}
+    with pytest.raises(NotNilpotent, match="^fixed-point subgroup is not nilpotent$"):
+        theorem2_probe(identity_automorphism(s5))
+    rep = analyze_instance({"name": "symmetric", "params": {"m": 5},
+                            "automorphism": {"recipe": "identity"}})
+    assert rep["probes"]["theorem2"] == "skipped: fixed-point subgroup is not nilpotent"
 
 
 def test_thompson_probe(s3, s5):
@@ -543,7 +546,7 @@ def test_one_pair_cap_counts_orbit_pairs_for_theorem2_and_fixed_generation(monke
     closures.clear()
     reason = "91 orbit pairs above the pair cap"
     assert report._auto_section(G, phi)["fixed_generation"] == f"skipped: {reason}"
-    assert theorem2_probe(phi) == {"skipped": reason}
+    assert theorem2_probe(phi) == f"skipped: {reason}"
     assert not closures
 
 
@@ -562,7 +565,7 @@ def test_suite_on_c5_to_the_fifth_walks_its_pairs_exactly(tmp_path, capsys, clos
     closures.clear()
     report._auto_section(G, phi)
     assert len(closures) == 0
-    report._probe_section(G, phi)
+    report._probe_section(phi)
     assert len(closures) == 4
 
 
@@ -589,7 +592,7 @@ def test_suite_on_mod5_c25_stops_both_walks_at_the_commutator_phi_bounds(tmp_pat
 def test_the_automorphism_keeps_no_memo_that_grows_with_the_walks():
     G, phi = build_corpus_instance(C5_POW5)
     report._auto_section(G, phi)
-    report._probe_section(G, phi)
+    report._probe_section(phi)
     assert set(vars(phi)) == {"group", "table", "order_n", "_twisted"}
 
 

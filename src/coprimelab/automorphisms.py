@@ -34,12 +34,12 @@ class TwistedData:
     (``commutator_derived_length``) once they are asked for."""
 
     def __init__(self, fixed: Subgroup, twisted: tuple, producers: Optional[dict],
-                 commutator_phi: Subgroup, orbit_reps: Optional[list] = None):
+                 commutator_phi: Subgroup):
         self.fixed = fixed
         self.twisted = twisted
         self.producers = producers
         self.commutator_phi = commutator_phi
-        self.orbit_reps = orbit_reps
+        self.orbit_reps: Optional[list] = None
         self.inner: Optional[TwistedData] = None
         self.commutator_derived_length = _NOT_COMPUTED
 

@@ -47,7 +47,7 @@ def _load_file(path: str) -> dict:
 
 def _load_pair(args) -> tuple:
     """The group and automorphism of the input file, which must carry one."""
-    G, phi, _ = load_instance(_load_file(args.file), cap=args.cap)
+    G, phi, _ = load_instance(_load_file(args.file))
     if phi is None:
         raise ParseError("automorphism: missing")
     return G, phi
@@ -75,7 +75,7 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_info(args) -> int:
-    G, _, _ = load_instance(_load_file(args.file), cap=args.cap)
+    G, _, _ = load_instance(_load_file(args.file))
     section = _group_section(G)
     _emit(section)
     print(f"info: order {section['order']}, exponent {section['exponent']}", file=sys.stderr)
@@ -112,7 +112,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_lie(args) -> int:
-    G, _, _ = load_instance(_load_file(args.file), cap=args.cap)
+    G, _, _ = load_instance(_load_file(args.file))
     A, payload = _lie_fields(G, _characteristic(G, args.file))
     payload["structure_constants"] = [[list(k), list(v)] for k, v in sorted(A.brackets.items())]
     _emit(payload)
@@ -135,7 +135,7 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_glauberman(args) -> int:
-    G, phi = build_glauberman_example(cap=args.cap)
+    G, phi = build_glauberman_example()
     td = twisted_data(phi)
     product_covers, criterion_holds, w = factorization_status(phi)
     verified = "fail"
@@ -165,7 +165,7 @@ def cmd_suite(args) -> int:
     if args.jobs < 1:
         raise ParseError(f"--jobs {args.jobs}: must be at least 1")
     corpus = _load_file(args.file) if args.file else default_corpus()
-    bundle, code = run_suite(corpus, jobs=args.jobs, cap=args.cap)
+    bundle, code = run_suite(corpus, jobs=args.jobs)
     _emit(bundle)
     s = bundle["summary"]
     print(f"suite: {s['instance_count']} instances, {s['pass']} pass, "
@@ -179,46 +179,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite groups with coprime automorphisms: analysis toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cap(p):
-        p.add_argument("--cap", type=int, default=None,
-                       help="enumeration cap (default 200000)")
-
     p = sub.add_parser("info", help="group statistics for an instance file")
     p.add_argument("file")
-    add_cap(p)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("auto", help="automorphism analysis for an instance file")
     p.add_argument("file")
-    add_cap(p)
     p.set_defaults(func=cmd_auto)
 
     p = sub.add_parser("decompose", help="twisted*fixed factorization of one element")
     p.add_argument("file")
     p.add_argument("--element", required=True,
                    help="comma-separated signed generator word, e.g. 1,2,-1")
-    add_cap(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("lie", help="graded Lie algebra of a p-group instance")
     p.add_argument("file")
-    add_cap(p)
     p.set_defaults(func=cmd_lie)
 
     p = sub.add_parser("eigen", help="eigenspace decomposition after scalar extension")
     p.add_argument("file")
-    add_cap(p)
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("glauberman", help="the affine GF(125) counterexample report")
-    add_cap(p)
     p.set_defaults(func=cmd_glauberman)
 
     p = sub.add_parser("suite", help="run the corpus suite")
     p.add_argument("file", nargs="?", default=None,
                    help="corpus JSON (defaults to the shipped corpus)")
     p.add_argument("--jobs", type=int, default=1)
-    add_cap(p)
     p.set_defaults(func=cmd_suite)
     return parser
 
@@ -236,8 +225,6 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        if args.cap is not None and args.cap < 1:
-            raise ParseError(f"--cap {args.cap}: must be at least 1")
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

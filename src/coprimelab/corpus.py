@@ -22,8 +22,8 @@ from .numutil import is_prime
 # group's are estimated from its order, degree and generator count before
 # anything is built. A raw group's degree is refused first when one element
 # and the per-point structures of enumeration (``degree_bytes``) would take
-# more; its cap is what the budget leaves after those structures, divided by
-# the bytes of one element and its columns.
+# more; its cap is DEFAULT_CAP, or less when the budget left after those
+# structures, divided by the bytes of one element and its columns, is less.
 STORE_BUDGET = 10 ** 9
 
 
@@ -182,14 +182,14 @@ def _parse(spec: dict, where: str) -> tuple:
     return build, args, order(*args), degree(*args), 2, f"{where}params"
 
 
-def _build_group(parsed: tuple, cap: int) -> tuple:
+def _build_group(parsed: tuple) -> tuple:
     """(group, recipe metadata) of a parsed spec: its generators enumerated
-    once, after checking its order against the cap and the size of its
+    once, after checking its order against DEFAULT_CAP and the size of its
     element store and Cayley columns against STORE_BUDGET. A construction
     whose degree or order is not the parsed one is a bug: AssertionError."""
     build, args, order, degree, generators, where = parsed
-    if order > cap:
-        raise CapExceeded(f"{where}: order {_decimal(order)} exceeds cap={cap}")
+    if order > DEFAULT_CAP:
+        raise CapExceeded(f"{where}: order {_decimal(order)} exceeds cap={DEFAULT_CAP}")
     size, columns = order * element_bytes(degree), order * column_bytes(generators)
     if size + columns > STORE_BUDGET:
         raise CapExceeded(f"{where}: order {_decimal(order)} on {degree} points needs about "
@@ -199,7 +199,7 @@ def _build_group(parsed: tuple, cap: int) -> tuple:
     built_degree, gens, meta = build(*args)
     if built_degree != degree:
         raise AssertionError(f"{where}: construction has degree {built_degree}, not {degree}")
-    G = generate_group(degree, gens, cap=cap)
+    G = generate_group(degree, gens)
     if G.order != order:
         raise AssertionError(f"{where}: construction has order {G.order}, not {order}")
     return G, meta
@@ -310,23 +310,13 @@ def _spec_automorphism(G: FiniteGroup, spec: dict, meta: Optional[dict]):
         raise NotHomomorphism(f"automorphism: {exc}", exc.witness) from exc
 
 
-def _cap(spec: dict, cap: Optional[int]) -> int:
-    """The enumeration cap: the caller's, else the spec's own, else DEFAULT_CAP."""
-    if cap is not None:
-        return cap
-    cap = _field(spec, "cap", "", int, DEFAULT_CAP)
-    if cap < 1:
-        raise ParseError(f"cap: must be at least 1, got {cap}")
-    return cap
-
-
-def build_corpus_instance(spec: dict, cap: Optional[int] = None):
+def build_corpus_instance(spec: dict):
     """Build (group, automorphism-or-None) from a corpus instance spec."""
-    G, meta = _build_group(_parse(spec, ""), _cap(spec, cap))
+    G, meta = _build_group(_parse(spec, ""))
     return G, _spec_automorphism(G, spec, meta)
 
 
-def build_glauberman_example(cap: Optional[int] = None):
+def build_glauberman_example():
     """The affine group of GF(125) with the automorphism induced by x -> x^5,
     the ``frobenius`` recipe on affine(5, 3).
 
@@ -335,7 +325,7 @@ def build_glauberman_example(cap: Optional[int] = None):
     raises the scaling to its fifth power.
     """
     G, phi = build_corpus_instance({"name": "affine", "params": {"p": 5, "k": 3},
-                                    "automorphism": {"recipe": "frobenius"}}, cap)
+                                    "automorphism": {"recipe": "frobenius"}})
     if G.order != 15500:
         raise AssertionError(f"expected order 15500, got {G.order}")
     if phi.order_n != 3 or not phi.coprime:
@@ -343,13 +333,12 @@ def build_glauberman_example(cap: Optional[int] = None):
     return G, phi
 
 
-def load_instance(data: dict, cap: Optional[int] = None):
+def load_instance(data: dict):
     """Accept either a raw group file or a corpus instance spec.
 
     Returns (group, automorphism-or-None, instance id).
     """
     if "degree" in data:
-        cap = _cap(data, cap)
         degree = _field(data, "degree", "", int)
         if degree < 0:
             raise ParseError(f"degree: expected a point count, got {degree}")
@@ -360,15 +349,14 @@ def load_instance(data: dict, cap: Optional[int] = None):
                               f"themselves need about {touched // 10 ** 6} MB, above the "
                               f"{STORE_BUDGET // 10 ** 6} MB budget")
         generators = _field(data, "generators", "", list, [])
-        per_element = size + column_bytes(len(generators))
+        room = (STORE_BUDGET - degree_bytes(degree)) // (size + column_bytes(len(generators)))
         try:
-            G = generate_group(degree, generators,
-                               cap=min(cap, (STORE_BUDGET - degree_bytes(degree)) // per_element))
+            G = generate_group(degree, generators, cap=min(DEFAULT_CAP, room))
         except (InvalidPermutation, CapExceeded) as exc:
             raise type(exc)(f"generators: {exc}") from exc
         return G, _spec_automorphism(G, data, None), instance_id(data)
     if "name" in data:
-        G, phi = build_corpus_instance(data, cap=cap)
+        G, phi = build_corpus_instance(data)
         return G, phi, instance_id(data)
     raise ParseError("name: missing, and no 'degree' of a raw group file either")
 

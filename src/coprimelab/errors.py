@@ -10,7 +10,7 @@ class InvalidPermutation(GroupTheoryError):
 
 
 class CapExceeded(GroupTheoryError):
-    """Group closure grew past the configured enumeration cap."""
+    """Group closure grew past the enumeration cap."""
 
 
 class NotNormal(GroupTheoryError):

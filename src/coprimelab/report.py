@@ -19,7 +19,7 @@ from .automorphisms import (Automorphism, TwistedData, check_coprime_facts,
                             fixed_points_of_product, is_phi_invariant, nilpotent_fixed_series,
                             phi_invariant_closure, require_coprime, soluble_exponent_probe,
                             twisted_data, twisted_orbit_representatives, twisted_pair_closures)
-from .corpus import instance_id, load_instance
+from .corpus import _field, instance_id, load_instance
 from .errors import (CapExceeded, GroupTheoryError, InvalidPermutation, NotBijective,
                      NotCoprime, NotHomomorphism, NotNilpotent, NotSoluble, ParseError,
                      PreconditionViolated, UnknownSpec)
@@ -285,11 +285,11 @@ def _probe_section(phi: Optional[Automorphism]) -> dict:
     return {key: _or_skip(probe, phi) for key, probe in probes.items()}
 
 
-def analyze_instance(spec: dict, cap: Optional[int] = None) -> dict:
+def analyze_instance(spec: dict) -> dict:
     """Full analysis report for one corpus instance spec. A spec that does not
     load raises ParseError, except that CapExceeded passes through."""
     try:
-        G, phi, inst_id = load_instance(spec, cap=cap)
+        G, phi, inst_id = load_instance(spec)
     except (UnknownSpec, InvalidPermutation, NotBijective, NotHomomorphism) as exc:
         raise ParseError(str(exc)) from exc
     report = {"id": inst_id, "group": _group_section(G)}
@@ -305,9 +305,9 @@ def analyze_instance(spec: dict, cap: Optional[int] = None) -> dict:
 
 
 def _analyze_for_suite(args) -> dict:
-    pos, spec, cap = args
+    pos, spec = args
     try:
-        return analyze_instance(spec, cap=cap)
+        return analyze_instance(spec)
     except ParseError as exc:
         raise ParseError(f"instances[{pos}].{exc}") from exc
     except CapExceeded as exc:
@@ -334,36 +334,37 @@ def count_verdicts(obj) -> dict:
 
 
 def validate_corpus(corpus: dict) -> list:
+    """The corpus's instances; a ParseError names the first place where the
+    corpus is not schema 1 with a list of objects, each with a 'name' or a
+    'degree'."""
     if not isinstance(corpus, dict):
         raise ParseError("corpus must be a JSON object")
-    if corpus.get("schema") != 1:
-        raise ParseError(f"unsupported corpus schema {corpus.get('schema')!r}")
-    instances = corpus.get("instances")
-    if not isinstance(instances, list):
-        raise ParseError("corpus.instances must be a list")
+    schema = _field(corpus, "schema", "", int)
+    if schema != 1:
+        raise ParseError(f"schema: unsupported corpus schema {schema}")
+    instances = _field(corpus, "instances", "", list)
     for pos, inst in enumerate(instances):
         if not isinstance(inst, dict) or ("name" not in inst and "degree" not in inst):
-            raise ParseError(f"corpus.instances[{pos}] lacks a 'name' or 'degree'")
+            raise ParseError(f"instances[{pos}]: lacks a 'name' or 'degree'")
     return instances
 
 
-def run_suite(corpus: dict, jobs: int = 1, cap: Optional[int] = None) -> tuple:
+def run_suite(corpus: dict, jobs: int = 1) -> tuple:
     """Analyze every corpus instance; deterministic output independent of jobs.
 
     Returns (bundle, exit_code); exit code 1 iff any hard invariant failed.
     """
     instances = validate_corpus(corpus)
-    work = [(pos, spec, cap) for pos, spec in enumerate(instances)]
     # a fork pool starts all its workers at once, so never more than can be busy
-    workers = min(jobs, len(work), os.cpu_count() or 1)
+    workers = min(jobs, len(instances), os.cpu_count() or 1)
     if workers <= 1:
-        reports = [_analyze_for_suite(w) for w in work]
+        reports = list(map(_analyze_for_suite, enumerate(instances)))
     else:
         # imported here: the pool module costs more to import than most
         # commands take to run, and only a pool of two or more needs it
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_analyze_for_suite, work))
+            reports = list(pool.map(_analyze_for_suite, enumerate(instances)))
     # a cap-exceeded instance record counts as one skip
     per_instance = [count_verdicts(_skip(rep["skipped"]) if "skipped" in rep else rep)
                     for rep in reports]

@@ -382,7 +382,9 @@ MUTANTS = [
      "file": "src/coprimelab/corpus.py",
      "old": "        except (InvalidPermutation, CapExceeded) as exc:\n",
      "new": "        except InvalidPermutation as exc:\n",
-     "tests": ["tests/test_cli_fuzz.py::test_every_file_command_keeps_the_exit_code_contract"]},
+     "tests": ["tests/test_corpus.py::"
+               "test_cli_raw_group_over_the_cap_exits_2_naming_its_generators",
+               "tests/test_cli_fuzz.py::test_every_file_command_keeps_the_exit_code_contract"]},
 ]
 
 

@@ -19,7 +19,7 @@ from coprimelab.lie import (build_graded_lie, check_lazard_all, check_riley,
                             verify_eigen_product_rule, verify_np_series)
 from coprimelab.report import canonical_json, count_verdicts, run_suite
 from coprimelab.structure import lower_central_series
-from regen_golden import GOLDEN, bundle_of, suite_lines
+from regen_golden import GOLDEN, bundle_of, json_differences, suite_lines
 
 
 @contextmanager
@@ -70,19 +70,6 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def _differences(old, new, path: str):
-    """'path: old -> new' for each JSON path at which old and new differ."""
-    if isinstance(old, dict) and isinstance(new, dict):
-        for key in sorted(old.keys() | new.keys()):
-            yield from _differences(old.get(key, "<absent>"), new.get(key, "<absent>"),
-                                    f"{path}.{key}")
-    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        for i, (a, b) in enumerate(zip(old, new)):
-            yield from _differences(a, b, f"{path}[{i}]")
-    elif canonical_json(old) != canonical_json(new):
-        yield f"{path}: {canonical_json(old)} -> {canonical_json(new)}"
-
-
 def test_suite_bundle_is_pinned(suite_runs):
     golden = (GOLDEN / "suite.jsonl").read_text(encoding="ascii").splitlines(keepends=True)
     assert _sha256(canonical_json(bundle_of(golden)) + "\n") == SUITE_BUNDLE_SHA256
@@ -96,7 +83,7 @@ def test_suite_bundle_is_pinned(suite_runs):
         diffs = []
         for old, new in zip(golden, lines):
             old, new = json.loads(old), json.loads(new)
-            diffs += _differences(old, new, old.get("id", "summary"))
+            diffs += json_differences(old, new, old.get("id", "summary"))
         pytest.fail("suite bundle differs from tests/golden/suite.jsonl:\n" + "\n".join(diffs))
 
 
@@ -105,8 +92,8 @@ def test_glauberman_stdout_is_pinned(capsys):
     out = capsys.readouterr().out
     golden = (GOLDEN / "glauberman.json").read_text(encoding="ascii")
     assert _sha256(golden) == GLAUBERMAN_SHA256
-    assert out == golden, "\n".join(_differences(json.loads(golden), json.loads(out),
-                                                 "glauberman"))
+    assert out == golden, "\n".join(json_differences(json.loads(golden), json.loads(out),
+                                                     "glauberman"))
 
 
 def test_criterion_1_glauberman_counterexample():

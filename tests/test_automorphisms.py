@@ -231,8 +231,7 @@ def test_decomposition_witness_names_an_element_without_factorization(c3c3_swap)
     assert decomposition_witness(phi) is None
     # a corrupted twisted set: its last member dropped, so the products miss
     # that member's coset of the fixed points
-    phi._twisted = TwistedData(td.fixed, td.twisted[:-1], td.producers, td.commutator_phi,
-                               td.orbit_reps)
+    phi._twisted = TwistedData(td.fixed, td.twisted[:-1], td.producers, td.commutator_phi)
     witness = decomposition_witness(phi)
     assert witness == per_element_decomposition_witness(phi)
     x = witness["element"]

@@ -4,10 +4,11 @@ Each example is a subgroup of S_n, n <= 8, of order at most 1500, whose
 generating set is closed under conjugation by a drawn permutation c, so that
 x -> c x c⁻¹ is an automorphism of it; its image words are single generator
 letters. Every command that reads an instance file runs on it (``suite``
-on a one-instance corpus), with random ``--element`` and ``--cap``.
-Whatever the input, no exception escapes ``main``, exit 1 comes only with a
-``fail`` verdict in stdout, and every exit-2 message starts with its place
-in the input or with a flag, as the README "Command line" section promises.
+on a one-instance corpus), with a random ``--element`` and under a random
+``corpus.DEFAULT_CAP``. Whatever the input, no exception escapes ``main``,
+exit 1 comes only with a ``fail`` verdict in stdout, and every exit-2
+message starts with its place in the input or with a flag, as the README
+"Command line" section promises.
 """
 
 import contextlib
@@ -16,10 +17,12 @@ import json
 import os
 import re
 import tempfile
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coprimelab import corpus
 from coprimelab.cli import main
 from coprimelab.errors import CapExceeded
 from coprimelab.groups import generate_group
@@ -27,14 +30,14 @@ from coprimelab.groups import generate_group
 MAX_ORDER = 1500
 # the exponents that generators are powers of random permutations by
 POWERS = (1, 1, 2, 3, 4, 6)
-# --cap values: none, one above every group here, two the program refuses,
-# and caps that some of the groups exceed
-CAPS = (None, None, None, MAX_ORDER, MAX_ORDER, -1, 0, 1, 3, 8, 24, 60)
+# enumeration caps: the default, one above every group here, and caps that
+# some of the groups exceed
+CAPS = (corpus.DEFAULT_CAP,) * 3 + (MAX_ORDER, MAX_ORDER, 1, 3, 8, 24, 60)
 
 # an input error's place: a field of the raw file as a JSON path (in a
-# corpus, under its position), or a flag
-PLACE = re.compile(r"error: ((instances\[0\]\.)?(degree|generators|automorphism|cap)"
-                   r"(\.\w+|\[\d+\])*: |--(element|cap)[ :])")
+# corpus, under its position), or the flag
+PLACE = re.compile(r"error: ((instances\[0\]\.)?(degree|generators|automorphism)"
+                   r"(\.\w+|\[\d+\])*: |--element[ :])")
 
 
 def _product(perms, degree):
@@ -105,11 +108,10 @@ def raw_groups(draw):
             "automorphism": {"images": [[i + 1] for i in images]}}
 
 
-def _flags(word, cap):
+def _flags(word):
     """The flags of each file command."""
     flags = {"decompose": ["--element=" + ",".join(map(str, word))]}
-    common = [] if cap is None else [f"--cap={cap}"]
-    return {cmd: flags.get(cmd, []) + common for cmd in
+    return {cmd: flags.get(cmd, []) for cmd in
             ("info", "auto", "decompose", "lie", "eigen", "suite")}
 
 
@@ -132,9 +134,10 @@ def test_every_file_command_keeps_the_exit_code_contract(spec, word, cap):
             json.dump(spec, f)
         with open(corpus_path, "w", encoding="utf-8") as f:
             json.dump({"schema": 1, "instances": [spec]}, f)
-        for cmd, flags in _flags(word, cap).items():
-            code, out, err = _run([cmd, corpus_path if cmd == "suite" else path, *flags])
-            where = (cmd, flags, spec)
+        for cmd, flags in _flags(word).items():
+            with mock.patch.object(corpus, "DEFAULT_CAP", cap):
+                code, out, err = _run([cmd, corpus_path if cmd == "suite" else path, *flags])
+            where = (cmd, flags, cap, spec)
             assert code in (0, 1, 2), where
             if code == 1:
                 assert '"fail"' in out, where

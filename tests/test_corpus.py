@@ -222,7 +222,7 @@ def test_cap_checked_before_anything_is_built(spec, monkeypatch):
         raise AssertionError("built a group above the cap")
     monkeypatch.setattr(corpus, "generate_group", refuse)
     monkeypatch.setattr(gf, "FiniteField", refuse)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^params: order \d+ exceeds cap=200000$"):
         build_corpus_instance(spec)
 
 
@@ -233,17 +233,18 @@ def _refuse_to_build(monkeypatch):
     monkeypatch.setattr(gf, "FiniteField", refuse)
 
 
-# Each is within its cap; its elements would take about the given number of MB.
+# Each is within a cap of 10^6; its elements would take about the given number of MB.
 @pytest.mark.parametrize("spec, path, megabytes", [
     ({"name": "cyclic", "params": {"m": 199999}}, "params", 320007),
     ({"name": "dihedral", "params": {"m": 99999}}, "params", 160007),
-    ({"name": "heisenberg", "params": {"p": 61}, "cap": 10 ** 6}, "params", 6769),
+    ({"name": "heisenberg", "params": {"p": 61}}, "params", 6769),
     ({"name": "direct_product",
       "params": {"factors": [{"name": "cyclic", "params": {"m": 500}},
                              {"name": "cyclic", "params": {"m": 399}}]}}, "params", 1445),
 ])
 def test_store_budget_checked_before_anything_is_built(spec, path, megabytes, monkeypatch):
     _refuse_to_build(monkeypatch)
+    monkeypatch.setattr(corpus, "DEFAULT_CAP", 10 ** 6)
     with pytest.raises(CapExceeded, match=rf"^{path}: .* about {megabytes} MB of elements"):
         build_corpus_instance(spec)
 
@@ -252,7 +253,8 @@ def test_named_groups_are_charged_for_their_cayley_columns(monkeypatch):
     # 2^23 elements on 46 points fit the budget (about 662 MB); their columns,
     # at most two generators per factor, take about 3087 MB more
     _refuse_to_build(monkeypatch)
-    spec = {"name": "direct_product", "cap": 10 ** 7,
+    monkeypatch.setattr(corpus, "DEFAULT_CAP", 10 ** 7)
+    spec = {"name": "direct_product",
             "params": {"factors": [{"name": "cyclic", "params": {"m": 2}}] * 23}}
     with pytest.raises(CapExceeded, match=r"^params: order 8388608 on 46 points needs about "
                                           r"662 MB of elements and 3087 MB of Cayley columns"):
@@ -262,10 +264,11 @@ def test_named_groups_are_charged_for_their_cayley_columns(monkeypatch):
 def test_cli_store_budget_exits_2_with_the_path(tmp_path, capsys, monkeypatch):
     from coprimelab.cli import main
     _refuse_to_build(monkeypatch)
+    monkeypatch.setattr(corpus, "DEFAULT_CAP", 10 ** 6)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"name": "direct_product", "params": {"factors": [
         {"name": "cyclic", "params": {"m": 3}},
-        {"name": "cyclic", "params": {"m": 199999}}]}, "cap": 10 ** 6}), encoding="utf-8")
+        {"name": "cyclic", "params": {"m": 199999}}]}}), encoding="utf-8")
     assert main(["info", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: params: order 599997 on 200002 points")
 
@@ -295,9 +298,12 @@ def test_raw_degree_caps_enumeration_by_the_store_budget(monkeypatch):
     monkeypatch.setattr(corpus, "generate_group",
                         lambda degree, gens, cap: caps.append(cap) or generate_group(1, []))
     load_instance({"degree": 3 * 10 ** 6, "generators": []})
+    # a "cap" key is not read: the cap is DEFAULT_CAP unless the budget lowers it
     load_instance({"degree": 3, "generators": [], "cap": 7})
+    monkeypatch.setattr(corpus, "DEFAULT_CAP", 7)
+    load_instance({"degree": 3, "generators": []})
     # the 240 MB charged for the points leave room for 31 elements, not 41
-    assert caps == [31, 7]
+    assert caps == [31, 200000, 7]
 
 
 def test_raw_generators_are_charged_for_their_cayley_columns(monkeypatch):
@@ -317,6 +323,18 @@ def test_raw_generators_are_charged_for_their_cayley_columns(monkeypatch):
     assert load_instance({"degree": 5, "generators": [cycle, swap]})[0].order == 120
     with pytest.raises(CapExceeded, match="cap=62 "):
         load_instance({"degree": 5, "generators": [cycle, swap] * 1000})
+
+
+def test_cli_raw_group_over_the_cap_exits_2_naming_its_generators(tmp_path, capsys,
+                                                                  monkeypatch):
+    from coprimelab.cli import main
+    monkeypatch.setattr(corpus, "DEFAULT_CAP", 3)
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({"degree": 5, "generators": [[1, 2, 3, 4, 0]]}),
+                    encoding="utf-8")
+    assert main(["info", str(path)]) == 2
+    assert capsys.readouterr().err == ("error: generators: closure exceeded cap=3 "
+                                       "(degree 5, 1 generators)\n")
 
 
 def test_cli_raw_degree_over_the_store_budget_exits_2(tmp_path, capsys, monkeypatch):

@@ -264,8 +264,8 @@ def test_groups_are_freed_without_the_cycle_collector(monkeypatch):
     refs = []
     load = report.load_instance
 
-    def loaded(spec, cap=None):
-        out = load(spec, cap=cap)
+    def loaded(spec):
+        out = load(spec)
         refs.append((spec["id"], weakref.ref(out[0])))
         return out
 

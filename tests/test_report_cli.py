@@ -18,7 +18,7 @@ from coprimelab import cli
 from coprimelab.cli import main
 from coprimelab.corpus import build_corpus_instance, build_glauberman_example, default_corpus
 from coprimelab import report
-from coprimelab.errors import NotCoprime, NotNilpotent, NotSoluble
+from coprimelab.errors import NotCoprime, NotNilpotent, NotSoluble, ParseError
 from coprimelab.numutil import prime_power_base
 from coprimelab.report import (analyze_instance, canonical_json, count_verdicts, run_suite,
                                theorem1_probe, theorem2_probe, thompson_probe)
@@ -28,6 +28,8 @@ from helpers import (C2_10_ORDER_889, C2_13_ORDER_6141, _all_twisted_pair_closur
                      all_pairs_derived_length, all_pairs_fixed_generation_S, generated_members,
                      identity_automorphism, load_workloads, per_element_decomposition_witness,
                      quaternion_group, restrict_automorphism, unreduced_theorem1)
+from regen_golden import (C5_POW5, GOLDEN, HEIS5_INV, STDOUT_PINS, json_differences,
+                          pinned_spec)
 
 
 @pytest.fixture
@@ -365,6 +367,33 @@ def test_run_suite_empty():
     assert bundle["summary"]["instance_count"] == 0
 
 
+@pytest.mark.parametrize("corpus, err", [
+    ({"schema": True, "instances": []}, "schema: expected int, got True"),
+    ({"schema": 1.0, "instances": []}, "schema: expected int, got 1.0"),
+    ({"instances": []}, "schema: missing"),
+    ({"schema": 2, "instances": []}, "schema: unsupported corpus schema 2"),
+    ({"schema": 1, "instances": {"name": "cyclic"}},
+     "instances: expected list, got {'name': 'cyclic'}"),
+    ({"schema": 1, "instances": [{"name": "cyclic", "params": {"m": 3}}, {"id": "x"}]},
+     "instances[1]: lacks a 'name' or 'degree'"),
+    ({"schema": 1, "instances": [7]}, "instances[0]: lacks a 'name' or 'degree'"),
+], ids=["schema-true", "schema-float", "schema-missing", "schema-2", "instances-object",
+        "instance-unnamed", "instance-int"])
+def test_cli_suite_refuses_a_malformed_corpus_naming_its_path(tmp_path, capsys, corpus, err):
+    assert main(["suite", _write(tmp_path, "corpus.json", corpus)]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_corpus_that_is_no_object_is_refused(tmp_path, capsys):
+    # the command refuses the file before the suite sees it
+    path = _write(tmp_path, "corpus.json", [{"name": "cyclic", "params": {"m": 3}}])
+    assert main(["suite", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: top-level JSON value must be an "
+                                       f"object\n")
+    with pytest.raises(ParseError, match="^corpus must be a JSON object$"):
+        run_suite([{"name": "cyclic", "params": {"m": 3}}])
+
+
 def test_run_suite_mini_and_determinism():
     corpus = {"schema": 1, "instances": [
         {"id": "a", "name": "cyclic", "params": {"m": 7},
@@ -383,9 +412,10 @@ def test_run_suite_mini_and_determinism():
     assert b1["instances"][0]["id"] == "a"
 
 
-def test_run_suite_cap_exceeded_marks_skip():
+def test_run_suite_cap_exceeded_marks_skip(monkeypatch):
+    monkeypatch.setattr("coprimelab.corpus.DEFAULT_CAP", 3)
     corpus = {"schema": 1, "instances": [
-        {"id": "big", "name": "cyclic", "params": {"m": 7}, "cap": 3}]}
+        {"id": "big", "name": "cyclic", "params": {"m": 7}}]}
     bundle, code = run_suite(corpus)
     assert code == 0
     assert bundle["instances"][0]["skipped"].startswith("cap exceeded")
@@ -446,12 +476,13 @@ def test_cli_suite_rejects_jobs_below_one(jobs, capsys, monkeypatch):
     assert f"--jobs {jobs}" in captured.err and captured.out == ""
 
 
-def test_raw_spec_id_is_a_string_analysed_and_skipped():
+def test_raw_spec_id_is_a_string_analysed_and_skipped(monkeypatch):
     spec = {"degree": 3, "generators": [[1, 2, 0]], "id": 5}
     assert analyze_instance(spec)["id"] == "5"
     corpus = {"schema": 1, "instances": [spec]}
-    for cap, key in ((None, "group"), (2, "skipped")):
-        bundle, _ = run_suite(corpus, cap=cap)
+    for cap, key in ((3, "group"), (2, "skipped")):
+        monkeypatch.setattr("coprimelab.corpus.DEFAULT_CAP", cap)
+        bundle, _ = run_suite(corpus)
         assert bundle["instances"][0]["id"] == "5" and key in bundle["instances"][0]
 
 
@@ -522,15 +553,6 @@ def test_cli_auto_skips_fixed_generation_above_the_pair_cap(tmp_path, capsys, mo
     assert main(["auto", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["fixed_generation"] == "skipped: 15 orbit pairs above the pair cap"
-
-
-HEIS5_INV = {"name": "heisenberg", "params": {"p": 5},
-             "automorphism": {"recipe": "power", "k": -1}}
-HEIS3_C9_INV = {"name": "direct_product",
-                "params": {"factors": [{"name": "heisenberg", "params": {"p": 3}}, _cyclic(9)]},
-                "automorphism": {"recipe": "power", "k": -1}}
-C5_POW5 = {"name": "direct_product", "params": {"factors": [_cyclic(5)] * 5},
-           "automorphism": {"recipe": "gen_powers", "powers": [2, 3, 4, 2, 3]}}
 
 
 def test_one_pair_cap_counts_orbit_pairs_for_theorem2_and_fixed_generation(monkeypatch,
@@ -608,27 +630,28 @@ def test_suite_and_lie_agree_on_lazard_at_order_3125(tmp_path, capsys):
     assert rep["lie"]["lazard"] == lazard == "pass"
 
 
-# SHA-256 of the stdout of `lie` and `eigen`, structure constants and moduli
-# included, which the suite bundle does not carry.
-@pytest.mark.parametrize("spec, argv, digest", [
-    (HEIS5_INV, ["lie"], "89a7443ec6df7f5d3ddd4a1f7276110f3bed3e9d7c91ec7d089089a21aaf0426"),
-    (HEIS5_INV, ["eigen"], "fda4e81672a1920cadc52a74fd6c775ac9d270249c925c0b1be3e5eff600f913"),
-    (HEIS3_C9_INV, ["lie"], "dd5b84e2079c7f96e925fc07c217321a0c3af9353d8b6fabd0b0b81be9480c68"),
-    (HEIS3_C9_INV, ["eigen"], "29d21c3abb2367bc64aaa2389e2ead7be3e0ad24bcadcadda82c03c2cc09477c"),
-    (C5_POW5, ["lie"], "098de2fe9934c5beb17acdbc91203d81485f6cb2c1c29d7c19c61f54f8546a0f"),
-    (C5_POW5, ["eigen"], "3a6aaa2f25394f9ebdb2b604ea4d15cc600efdb71c6c79c484a3148aed5cdb06"),
-    # the two pins whose fields are extensions: GF(2^4), modulus [1,1,1,1,1],
-    # and GF(2^3)
-    (_corpus_spec("c2quad_m5"), ["eigen"],
-     "407c1d1a6d343ba6ed9aa7321fcfa5cd9a36153fad31932cec15cdca51099686"),
-    (_corpus_spec("c2cube_m7"), ["eigen"],
-     "8dcfdf8bbf2fbe8aa3a0e99852449aef529a1010e884e26928a572f4a445d46b"),
-], ids=["heis5-lie", "heis5-eigen", "heis3xc9-lie", "heis3xc9-eigen",
-        "c5^5-lie", "c5^5-eigen", "c2quad_m5-eigen", "c2cube_m7-eigen"])
-def test_cli_lie_eigen_stdout_pins(tmp_path, capsys, spec, argv, digest):
-    path = _write(tmp_path, "spec.json", spec)
-    assert main([argv[0], path] + argv[1:]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+# SHA-256 of each `lie` and `eigen` stdout kept in tests/golden/, structure
+# constants and moduli included, which the suite bundle does not carry.
+STDOUT_SHA256 = {
+    "heis5-lie": "89a7443ec6df7f5d3ddd4a1f7276110f3bed3e9d7c91ec7d089089a21aaf0426",
+    "heis5-eigen": "fda4e81672a1920cadc52a74fd6c775ac9d270249c925c0b1be3e5eff600f913",
+    "heis3xc9-lie": "dd5b84e2079c7f96e925fc07c217321a0c3af9353d8b6fabd0b0b81be9480c68",
+    "heis3xc9-eigen": "29d21c3abb2367bc64aaa2389e2ead7be3e0ad24bcadcadda82c03c2cc09477c",
+    "c5^5-lie": "098de2fe9934c5beb17acdbc91203d81485f6cb2c1c29d7c19c61f54f8546a0f",
+    "c5^5-eigen": "3a6aaa2f25394f9ebdb2b604ea4d15cc600efdb71c6c79c484a3148aed5cdb06",
+    "c2quad_m5-eigen": "407c1d1a6d343ba6ed9aa7321fcfa5cd9a36153fad31932cec15cdca51099686",
+    "c2cube_m7-eigen": "8dcfdf8bbf2fbe8aa3a0e99852449aef529a1010e884e26928a572f4a445d46b",
+}
+
+
+@pytest.mark.parametrize("stem", STDOUT_PINS)
+def test_cli_lie_eigen_stdout_pins(tmp_path, capsys, stem):
+    golden = (GOLDEN / f"{stem}.json").read_text(encoding="ascii")
+    assert hashlib.sha256(golden.encode("ascii")).hexdigest() == STDOUT_SHA256[stem]
+    command, spec = STDOUT_PINS[stem]
+    assert main([command, _write(tmp_path, "spec.json", pinned_spec(spec))]) == 0
+    out = capsys.readouterr().out
+    assert out == golden, "\n".join(json_differences(json.loads(golden), json.loads(out), stem))
 
 
 def _usage_error(argv, capsys) -> str:
@@ -644,6 +667,33 @@ def test_cli_lie_rejects_bad_p(tmp_path, capsys):
     path = _write(tmp_path, "c9.json", {"name": "cyclic", "params": {"m": 9}})
     for p in ("3", "5", "0"):
         assert "unrecognized arguments: --p" in _usage_error(["lie", path, "--p", p], capsys)
+
+
+def _readme_commands() -> dict:
+    """Command -> the flags its line in README's command block shows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = {}
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        commands[words[1]] = {w.strip("[]").split("=")[0] for w in words[2:]
+                              if w.strip("[]").startswith("--")}
+    return commands
+
+
+def test_readme_command_block_shows_every_flag_of_the_parser():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    flags = {name: {opt for action in sub._actions for opt in action.option_strings
+                    if opt not in ("-h", "--help")} for name, sub in subparsers.items()}
+    assert flags == _readme_commands()
+
+
+def test_cli_takes_no_cap(tmp_path, capsys):
+    # the enumeration cap is the constant groups.DEFAULT_CAP: --cap is no option
+    path = _write(tmp_path, "c5.json", C5)
+    assert "unrecognized arguments: --cap 5" in _usage_error(["info", path, "--cap", "5"],
+                                                              capsys)
 
 
 def test_cli_eigen_rejects_bad_n(tmp_path, capsys):
@@ -773,10 +823,9 @@ INFO = ["info", "FILE"]
     ({"degree": "a", "generators": []}, "degree", INFO),
     ({**C5, "automorphism": {"images": [[1], [1]]}}, "automorphism.images", INFO),
     ({**C5, "automorphism": {"images": [[7]]}}, "automorphism.images", INFO),
-    (C5, "--cap", INFO + ["--cap", "0"]),
     (C5_AUTO, "--element", ["decompose", "FILE", "--element", "3"]),
 ], ids=["params", "factors", "automorphism", "blocks", "m", "k", "degree", "image-count",
-        "image-entry", "cap", "element"])
+        "image-entry", "element"])
 def test_cli_malformed_input_names_its_location(tmp_path, capsys, spec, location, command):
     path = _write(tmp_path, "bad.json", spec)
     assert main([path if arg == "FILE" else arg for arg in command]) == 2

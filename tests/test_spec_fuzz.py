@@ -43,11 +43,11 @@ BASES = {
 TYPED_FIELDS = [
     ("cyclic", ("name",), str), ("cyclic", ("params",), dict), ("cyclic", ("params", "m"), int),
     ("cyclic", ("automorphism",), dict), ("cyclic", ("automorphism", "k"), int),
-    ("cyclic", ("cap",), int), ("heisenberg", ("automorphism", "powers"), list),
+    ("heisenberg", ("automorphism", "powers"), list),
     ("heisenberg", ("automorphism", "powers", 0), int), ("affine", ("params", "k"), int),
     ("product", ("params", "factors"), list), ("product", ("params", "factors", 1), dict),
     ("product", ("params", "factors", 0, "params", "m"), int),
-    ("raw", ("degree",), int), ("raw", ("generators",), list), ("raw", ("cap",), int),
+    ("raw", ("degree",), int), ("raw", ("generators",), list),
     ("raw", ("automorphism", "images"), list),
 ]
 
@@ -120,7 +120,6 @@ BAD_VALUES = {
     "zero_power": _cases("cyclic", ("automorphism", "k"), st.just(0), "automorphism.k"),
     "non_unit_power": _cases("cyclic", ("automorphism", "k"),
                              SMALL.filter(lambda k: k and math.gcd(k, 6) > 1), "automorphism"),
-    "cap": _cases("cyclic", ("cap",), SMALL.filter(lambda c: c < 1), "cap"),
     "raw_degree": _cases("raw", ("degree",), SMALL.filter(lambda d: d < 0), "degree"),
     "raw_generator": _cases("raw", ("generators", 0), st.lists(SMALL, min_size=3, max_size=3)
                             .filter(lambda g: sorted(g) != [0, 1, 2]), "generators"),
@@ -218,13 +217,15 @@ def test_malformed_or_oversized_spec_exits_2_naming_its_path(case, data):
     _check_refused(*data.draw(CASES[case]))
 
 
-# Inputs that once raised, exited 0 or named no path.
+# Inputs that once raised, exited 0 or named no path, and the two refusals of
+# a named group's size: heisenberg(53) is within the cap and over the store
+# budget, heisenberg(59) over the cap.
 @pytest.mark.parametrize("spec, where", [
     (_edit("cyclic", ("name",), None), "name"),
     (_edit("cyclic", ("name",), ["cyclic"]), "name"),
     (_edit("cyclic", ("params", "m"), True), "params.m"),
-    (_edit("raw", ("cap",), False), "cap"),
-    (_edit("cyclic", ("cap",), 0), "cap"),
+    (_edit("heisenberg", ("params", "p"), 53), "params"),
+    (_edit("heisenberg", ("params", "p"), 59), "params"),
     (_edit("cyclic", ("params", "m"), 0), "params"),
     (_edit("affine", ("params",), {"p": 2, "k": 20000}), "params"),
     (_edit("cyclic", ("automorphism", "k"), 2), "automorphism"),

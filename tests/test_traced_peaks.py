@@ -31,8 +31,8 @@ def test_glauberman_build_and_analysis_stay_under_their_traced_peaks(monkeypatch
     peaks = []
     load = report.load_instance
 
-    def traced_load(data, cap=None):
-        out = load(data, cap=cap)
+    def traced_load(data):
+        out = load(data)
         peaks.append(tracemalloc.get_traced_memory()[1] / MIB)
         tracemalloc.reset_peak()
         return out

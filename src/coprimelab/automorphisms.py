@@ -10,6 +10,7 @@ the analysis here; they are re-exported from this module.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -22,55 +23,49 @@ from .structure import (SubgroupSeries, derived_series, lower_central_series,
                         require_nilpotent, require_soluble)
 
 
-# what TwistedData.commutator_derived_length holds until it is asked for
-_NOT_COMPUTED = object()
-
-
 class TwistedData:
-    """Fixed-point subgroup, twisted set and the subgroup it generates, of phi
-    on G or on a phi-invariant subgroup; the <phi>-orbit representatives on
-    the twisted set once they are asked for, and, on G, the same data on
-    [G, phi] (``commutator_twisted_data``) and the derived length of [G, phi]
-    (``commutator_derived_length``) once they are asked for."""
+    """Of phi, given by its element ``table``, on the phi-invariant subgroup of
+    G whose members are ``elements``, in increasing order: the fixed-point
+    subgroup, the twisted set and the subgroup it generates; on G also the
+    least x with x^-1 x^phi = t for each twisted t, which only
+    ``factorization_status`` reads (None on a proper subgroup). The orbit
+    representatives, the same data on [G, phi] (``inner``) and the derived
+    length of [G, phi] are computed on first read and kept. It holds G and
+    the table, never phi, so dropping phi frees it by reference counting."""
 
-    def __init__(self, fixed: Subgroup, twisted: tuple, producers: Optional[dict],
-                 commutator_phi: Subgroup):
-        self.fixed = fixed
-        self.twisted = twisted
-        self.producers = producers
-        self.commutator_phi = commutator_phi
-        self.orbit_reps: Optional[list] = None
-        self.inner: Optional[TwistedData] = None
-        self.commutator_derived_length = _NOT_COMPUTED
+    def __init__(self, group: FiniteGroup, table: tuple, elements: Sequence[int]):
+        self.group = G = group
+        self.table = table
+        self.fixed = subgroup_generated(G, [x for x in elements if table[x] == x])
+        images = G.products(map(G._inverses.__getitem__, elements),
+                            map(table.__getitem__, elements))
+        self.twisted = tuple(sorted(set(images)))
+        # walked backwards, so that the least x producing t is written last
+        self.producers = (dict(zip(reversed(images), reversed(elements)))
+                          if len(elements) == G.order else None)
+        self.commutator_phi = subgroup_generated(G, self.twisted)
 
+    @cached_property
+    def orbit_reps(self) -> list[int]:
+        """Least element of each <phi>-orbit on the twisted set, which phi
+        maps onto itself."""
+        return [orbit[0] for orbit in _orbits(self.twisted, lambda x: [self.table[x]])]
 
-def _twisted_images(phi: Automorphism, elements: Sequence[int]) -> list:
-    """[x^-1 x^phi for x in elements], in one batch of products."""
-    G = phi.group
-    return G.products(map(G._inverses.__getitem__, elements), map(phi.table.__getitem__, elements))
+    @cached_property
+    def inner(self) -> TwistedData:
+        """The same data of phi on [G, phi]."""
+        return TwistedData(self.group, self.table, self.commutator_phi.members)
 
-
-def _twisted_on(phi: Automorphism, elements: Sequence[int]) -> TwistedData:
-    """Twisted data of phi on the phi-invariant subgroup with these members,
-    in increasing order: its fixed points, its twisted set and the subgroup it
-    generates; on G also the least x with x^-1 x^phi = t for each twisted t,
-    which only ``factorization_status`` reads (None on a proper subgroup)."""
-    G = phi.group
-    table = phi.table
-    fixed = subgroup_generated(G, [x for x in elements if table[x] == x])
-    images = _twisted_images(phi, elements)
-    twisted = tuple(sorted(set(images)))
-    # walked backwards, so that the least x producing t is written last
-    producers = (dict(zip(reversed(images), reversed(elements)))
-                 if len(elements) == G.order else None)
-    return TwistedData(fixed=fixed, twisted=twisted, producers=producers,
-                       commutator_phi=subgroup_generated(G, twisted))
+    @cached_property
+    def commutator_derived_length(self) -> Optional[int]:
+        """The derived length of [G, phi], None when it is insoluble."""
+        return derived_series(self.group, self.commutator_phi).derived_length
 
 
 def twisted_data(phi: Automorphism) -> TwistedData:
     """Compute {x : x^phi = x}, {x^-1 x^phi} and the subgroup the latter generates."""
     if phi._twisted is None:
-        phi._twisted = _twisted_on(phi, range(phi.group.order))
+        phi._twisted = TwistedData(phi.group, phi.table, range(phi.group.order))
     return phi._twisted
 
 
@@ -94,23 +89,10 @@ def nilpotent_fixed_series(phi: Automorphism) -> SubgroupSeries:
 def commutator_twisted_data(phi: Automorphism) -> TwistedData:
     """The twisted data of phi restricted to H = [G, phi], computed inside G:
     C_H(phi) = H & C_G(phi), the twisted set of phi on H (|H| products) and
-    [H, phi]. Kept on ``twisted_data(phi)``, or that data itself when H = G."""
+    [H, phi]. That is ``twisted_data(phi).inner``, or the data itself when
+    H = G, which is never stored as its own ``inner``."""
     td = twisted_data(phi)
-    if td.commutator_phi.order == phi.group.order:
-        return td
-    if td.inner is None:
-        td.inner = _twisted_on(phi, td.commutator_phi.members)
-    return td.inner
-
-
-def commutator_derived_length(phi: Automorphism) -> Optional[int]:
-    """The derived length of [G, phi], None when it is insoluble: one derived
-    series per automorphism, its length kept on ``twisted_data(phi)``."""
-    td = twisted_data(phi)
-    if td.commutator_derived_length is _NOT_COMPUTED:
-        td.commutator_derived_length = derived_series(phi.group,
-                                                      td.commutator_phi).derived_length
-    return td.commutator_derived_length
+    return td if td.commutator_phi.order == phi.group.order else td.inner
 
 
 def phi_invariant_closure(phi: Automorphism, seeds: Iterable[int]) -> Subgroup:
@@ -367,14 +349,6 @@ def fixed_points_of_product(phi: Automorphism, family: Sequence[tuple]) -> dict:
             "verdict": "pass" if ok else "fail"}
 
 
-def twisted_orbit_representatives(phi: Automorphism, td: TwistedData) -> list[int]:
-    """Least element of each <phi>-orbit on the twisted set of ``td``, which
-    phi maps onto itself; kept on ``td``, so it is walked once."""
-    if td.orbit_reps is None:
-        td.orbit_reps = [orbit[0] for orbit in _orbits(td.twisted, lambda x: [phi.table[x]])]
-    return td.orbit_reps
-
-
 def twisted_pair_closures(phi: Automorphism, td: TwistedData) -> Iterator[Subgroup]:
     """The invariant closure of every pair of elements of the twisted set of
     ``td``, each once.
@@ -383,7 +357,7 @@ def twisted_pair_closures(phi: Automorphism, td: TwistedData) -> Iterator[Subgro
     one representative per orbit on the twisted set gives every pair
     closure: r orbits give r(r+1)/2 closures.
     """
-    reps = twisted_orbit_representatives(phi, td)
+    reps = td.orbit_reps
     for i, x in enumerate(reps):
         for y in reps[i:]:
             yield phi_invariant_closure(phi, {x, y})
@@ -435,5 +409,5 @@ def soluble_exponent_probe(phi: Automorphism) -> dict:
     require_coprime(phi)
     require_soluble(G)
     H, inner = _commutator_data(phi)
-    return {"d": commutator_derived_length(phi), "e": G.exponent_of(inner.twisted),
+    return {"d": twisted_data(phi).commutator_derived_length, "e": G.exponent_of(inner.twisted),
             "exponent": G.exponent_of(H.members)}

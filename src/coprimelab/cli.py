@@ -11,8 +11,7 @@ from pathlib import Path
 
 from .automorphisms import factorization_status, nilpotent_decompose, twisted_data
 from .corpus import build_glauberman_example, default_corpus, load_instance
-from .errors import (CapExceeded, GroupTheoryError, InvalidPermutation, NotBijective,
-                     NotHomomorphism, ParseError, PreconditionViolated, UnknownSpec)
+from .errors import GroupTheoryError, InputError, ParseError, PreconditionViolated
 from .lie import build_graded_lie, jlz_series, split_field_degree
 from .numutil import prime_power_base
 from .report import (_auto_section, _eigen_fields, _group_section, _lie_fields, canonical_json,
@@ -23,9 +22,6 @@ from .structure import lower_central_series
 # after the package: argparse's modules alive while the package compiles
 # raised the import's memory peak by 0.3 MB.
 import argparse  # noqa: E402
-
-_INPUT_ERRORS = (ParseError, UnknownSpec, InvalidPermutation, NotBijective,
-                 NotHomomorphism, CapExceeded)
 
 
 def _load_file(path: str) -> dict:
@@ -226,7 +222,7 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GroupTheoryError as exc:

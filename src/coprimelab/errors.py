@@ -5,11 +5,15 @@ class GroupTheoryError(Exception):
     """Base class for all structured errors raised by coprimelab."""
 
 
-class InvalidPermutation(GroupTheoryError):
+class InputError(GroupTheoryError):
+    """The input is refused, its message naming where: the CLI exits 2."""
+
+
+class InvalidPermutation(InputError):
     """An image list is not a bijection of the point set."""
 
 
-class CapExceeded(GroupTheoryError):
+class CapExceeded(InputError):
     """Group closure grew past the enumeration cap."""
 
 
@@ -17,11 +21,11 @@ class NotNormal(GroupTheoryError):
     """A quotient was requested by a non-normal subgroup."""
 
 
-class NotBijective(GroupTheoryError):
+class NotBijective(InputError):
     """Generator images induce a non-bijective map."""
 
 
-class NotHomomorphism(GroupTheoryError):
+class NotHomomorphism(InputError):
     """Generator images violate the homomorphism law; carries a witness pair."""
 
     def __init__(self, message, witness=None):
@@ -65,9 +69,9 @@ class PreconditionViolated(GroupTheoryError):
     """A bound or an invariant the requested computation needs does not hold."""
 
 
-class UnknownSpec(GroupTheoryError):
+class UnknownSpec(InputError):
     """Unrecognized corpus instance description."""
 
 
-class ParseError(GroupTheoryError):
+class ParseError(InputError):
     """Malformed input file; message carries the location."""

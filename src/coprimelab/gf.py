@@ -17,9 +17,10 @@ from typing import Optional, Sequence
 
 from .numutil import divisors, factorization, is_prime
 
-# The highest extension degree FiniteField takes. The corpus asks for GF(2^21)
-# at most, by the frobenius recipe on cyclic(2)^21, the largest power of
-# cyclic(p) under its STORE_BUDGET.
+# The highest extension degree FiniteField takes, set by the eigen split: a phi
+# of order 889 = 7 * 127 on cyclic(2)^10 (C2_10_ORDER_889 in tests/helpers.py)
+# needs GF(2^21). The frobenius recipe on cyclic(p)^k asks for GF(p^k), which
+# DEFAULT_CAP stops at GF(2^17): cyclic(2)^18 has order 262144.
 MAX_DEGREE = 21
 # The largest p^(k // 2) it takes: about that many divisions find or check a
 # modulus. On a 2-core Xeon GF(3^21) took 2.9 s and GF(7^21) over 25 s, while the

@@ -12,6 +12,7 @@ extending scalars by a root of unity.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import repeat
 from typing import Optional
 
@@ -165,8 +166,9 @@ class GradedLieAlgebra:
     layer, as a list whose entry i - 1 holds vectors of layer i.
     ``units[i - 1]`` is the standard basis of layer i (the rows of the
     identity matrix), built once and shared by every caller. Structure
-    constants are stored sparsely per basis pair; the subalgebra generated by
-    the first layer is tracked as per-layer echelon bases.
+    constants are stored sparsely per basis pair. The subalgebra generated by
+    the first layer (``lp_layers``, per-layer echelon bases) and its class
+    (``lie_class``) are bracketed out on first read and kept.
     """
 
     def __init__(self, series: NpSeries, bases: list[tuple], log: list, brackets: dict):
@@ -181,8 +183,6 @@ class GradedLieAlgebra:
         self.brackets = brackets
         self.field = FiniteField(self.p, 1)
         self.units = [identity_matrix(dim) for dim in self.dims]
-        self.lp_layers = self._generate_from_first_layer()
-        self._lie_class: Optional[int] = None
 
     def coords(self, i: int, x: int) -> tuple:
         """Coordinates of the coset of x in layer i, for x in term i: zero
@@ -234,7 +234,9 @@ class GradedLieAlgebra:
                             out[i + j - 1].append(w)
         return [rref(vecs, self.field) if vecs else () for vecs in out]
 
-    def _generate_from_first_layer(self) -> list[tuple]:
+    @cached_property
+    def lp_layers(self) -> list[tuple]:
+        """Layer 1 and the brackets it generates, grown until no layer grows."""
         spans = [self.units[0] if k == 0 else () for k in range(self.num_layers)]
         while True:
             grown = [rref(s + b, self.field) if b else s
@@ -256,12 +258,10 @@ class GradedLieAlgebra:
             steps += 1
         return steps
 
-    def lie_class_of_generated(self) -> int:
-        """Nilpotency class of the subalgebra generated by the first layer,
-        bracketed out on the first call and kept."""
-        if self._lie_class is None:
-            self._lie_class = self.bracket_steps(self.lp_layers, self.lp_layers)
-        return self._lie_class
+    @cached_property
+    def lie_class(self) -> int:
+        """Nilpotency class of the subalgebra generated by the first layer."""
+        return self.bracket_steps(self.lp_layers, self.lp_layers)
 
 
 def build_graded_lie(series: NpSeries) -> GradedLieAlgebra:
@@ -375,7 +375,7 @@ def verify_bracket_axioms(A: GradedLieAlgebra) -> dict:
 def check_riley(A: GradedLieAlgebra) -> dict:
     """With c the class of the layer-1-generated subalgebra, the (c+1)-st
     filtration term must be powerful."""
-    c = A.lie_class_of_generated()
+    c = A.lie_class
     term = A.series.term(c + 1)
     powerful = is_powerful(A.group, A.p, subgroup=term)
     return {"lie_class": c, "term_order": term.order,

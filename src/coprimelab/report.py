@@ -13,16 +13,14 @@ import os
 from typing import Optional
 
 from .automorphisms import (Automorphism, TwistedData, check_coprime_facts,
-                            commutator_derived_length, commutator_twisted_data,
-                            decomposition_witness, default_normal_family,
-                            factorization_status, fixed_generation_S,
+                            commutator_twisted_data, decomposition_witness,
+                            default_normal_family, factorization_status, fixed_generation_S,
                             fixed_points_of_product, is_phi_invariant, nilpotent_fixed_series,
                             phi_invariant_closure, require_coprime, soluble_exponent_probe,
-                            twisted_data, twisted_orbit_representatives, twisted_pair_closures)
+                            twisted_data, twisted_pair_closures)
 from .corpus import _field, instance_id, load_instance
-from .errors import (CapExceeded, GroupTheoryError, InvalidPermutation, NotBijective,
-                     NotCoprime, NotHomomorphism, NotNilpotent, NotSoluble, ParseError,
-                     PreconditionViolated, UnknownSpec)
+from .errors import (CapExceeded, GroupTheoryError, InputError, NotCoprime, NotNilpotent,
+                     NotSoluble, ParseError, PreconditionViolated)
 from .groups import FiniteGroup, center, is_normal, subgroup_generated
 from .lie import (GradedLieAlgebra, build_graded_lie, check_lazard_all, check_riley,
                   extend_and_eigendecompose, jlz_series, lie_fixed_points, split_field_degree,
@@ -56,11 +54,12 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def _above_pair_cap(phi: Automorphism, td: TwistedData) -> Optional[str]:
+def _above_pair_cap(td: TwistedData) -> Optional[str]:
     """Why the walk over twisted pairs of ``td`` is skipped, or None when
-    the r(r+1)/2 closures that ``twisted_pair_closures`` makes from r
-    <phi>-orbits on its twisted set are at most ``PAIR_CAP``."""
-    r = len(twisted_orbit_representatives(phi, td))
+    the r(r+1)/2 closures that ``twisted_pair_closures`` makes from the r
+    <phi>-orbits on its twisted set (``td.orbit_reps``) are at most
+    ``PAIR_CAP``."""
+    r = len(td.orbit_reps)
     pairs = r * (r + 1) // 2
     return f"{pairs} orbit pairs above the pair cap" if pairs > PAIR_CAP else None
 
@@ -72,7 +71,7 @@ def theorem1_probe(phi: Automorphism) -> dict:
     A fixed x is its own <phi>-orbit, so its closure is <x>, of exponent the
     order of x. The closure of a twisted x is generated by its <phi>-orbit,
     so one closure per <phi>-orbit on the twisted set is walked, from the
-    list the pair walks keep (``twisted_orbit_representatives``). Each lies
+    list the pair walks read (``TwistedData.orbit_reps``). Each lies
     in the phi-invariant [G, phi], so its exponent divides exp([G, phi]),
     and the walk stops once e_star reaches it. NotCoprime unless phi is
     coprime.
@@ -82,7 +81,7 @@ def theorem1_probe(phi: Automorphism) -> dict:
     td = twisted_data(phi)
     e_star = max(map(G.element_order, td.fixed.members))
     bound = G.exponent_of(td.commutator_phi.members)
-    for x in twisted_orbit_representatives(phi, td):
+    for x in td.orbit_reps:
         if e_star >= bound:
             break
         e_star = max(e_star, G.exponent_of(phi_invariant_closure(phi, {x}).members))
@@ -96,7 +95,7 @@ def theorem2_probe(phi: Automorphism) -> dict | str:
     The walk closes one pair per pair of <phi>-orbits on the twisted set
     (``twisted_pair_closures``), so d is exact. Every such closure lies in the
     phi-invariant [G, phi], so the walk stops once d reaches the derived
-    length of [G, phi], which is computed once (``commutator_derived_length``);
+    length of [G, phi], computed once (``TwistedData.commutator_derived_length``);
     an insoluble [G, phi] gives no bound, so every closure is checked. Equal
     closures from different pairs share one derived series: the walk keeps
     one length per member set, [G, phi]'s among them.
@@ -108,10 +107,10 @@ def theorem2_probe(phi: Automorphism) -> dict | str:
     fixed_lcs = nilpotent_fixed_series(phi)
     G = phi.group
     td = twisted_data(phi)
-    reason = _above_pair_cap(phi, td)
+    reason = _above_pair_cap(td)
     if reason:
         return _skip(reason)
-    bound = commutator_derived_length(phi)
+    bound = td.commutator_derived_length
     lengths = {td.commutator_phi.member_set: bound}  # derived length per distinct closure
     d = 0
     for K in twisted_pair_closures(phi, td):
@@ -190,7 +189,7 @@ def _fixed_generation(phi: Automorphism) -> dict | str:
     skip of the pair cap, which is counted once its hypotheses hold."""
     require_coprime(phi)
     require_nilpotent(phi.group)
-    reason = _above_pair_cap(phi, commutator_twisted_data(phi))
+    reason = _above_pair_cap(commutator_twisted_data(phi))
     if reason:
         return _skip(reason)
     gen_report = fixed_generation_S(phi)
@@ -227,7 +226,7 @@ def _lie_fields(G: FiniteGroup, p: int) -> tuple:
     np_series = verify_np_series(series)["verdict"]  # its caches freed before A is built
     A = build_graded_lie(series)
     return A, {"p": p, "layer_dims": list(A.dims), "np_series": np_series,
-               "lie_class": A.lie_class_of_generated(),
+               "lie_class": A.lie_class,
                "lazard": check_lazard_all(A)["verdict"], "riley": check_riley(A)["verdict"]}
 
 
@@ -287,11 +286,8 @@ def _probe_section(phi: Optional[Automorphism]) -> dict:
 
 def analyze_instance(spec: dict) -> dict:
     """Full analysis report for one corpus instance spec. A spec that does not
-    load raises ParseError, except that CapExceeded passes through."""
-    try:
-        G, phi, inst_id = load_instance(spec)
-    except (UnknownSpec, InvalidPermutation, NotBijective, NotHomomorphism) as exc:
-        raise ParseError(str(exc)) from exc
+    load raises its InputError."""
+    G, phi, inst_id = load_instance(spec)
     report = {"id": inst_id, "group": _group_section(G)}
     report["automorphism"] = _auto_section(G, phi) if phi is not None else None
     p = report["group"]["p"]
@@ -308,10 +304,10 @@ def _analyze_for_suite(args) -> dict:
     pos, spec = args
     try:
         return analyze_instance(spec)
-    except ParseError as exc:
-        raise ParseError(f"instances[{pos}].{exc}") from exc
     except CapExceeded as exc:
         return {"id": instance_id(spec), "skipped": f"cap exceeded: {exc}"}
+    except InputError as exc:
+        raise ParseError(f"instances[{pos}].{exc}") from exc
     except GroupTheoryError as exc:
         return {"id": instance_id(spec),
                 "hard_error": f"{type(exc).__name__}: {exc}", "verdict": "fail"}

@@ -60,19 +60,19 @@ MUTANTS = [
     # which is computed once per automorphism
     {"name": "theorem 2 bounded by the derived length of G",
      "file": "src/coprimelab/report.py",
-     "old": "    bound = commutator_derived_length(phi)\n",
+     "old": "    bound = td.commutator_derived_length\n",
      "new": "    bound = derived_series(G).derived_length\n",
      "tests": ["tests/test_report_cli.py::test_one_corpus_pass_closes_a_pinned_number_of_subgroups",
                "tests/test_report_cli.py::test_pair_walks_match_all_pairs_oracle_on_corpus"]},
     {"name": "theorem 2 bounded by 1",
      "file": "src/coprimelab/report.py",
-     "old": "    bound = commutator_derived_length(phi)\n",
+     "old": "    bound = td.commutator_derived_length\n",
      "new": "    bound = 1\n",
      "tests": ["tests/test_report_cli.py::test_pair_walks_match_all_pairs_oracle_on_corpus"]},
     {"name": "the derived length of [G, phi] is not kept",
      "file": "src/coprimelab/automorphisms.py",
-     "old": "    if td.commutator_derived_length is _NOT_COMPUTED:\n",
-     "new": "    if True:\n",
+     "old": "    @cached_property\n    def commutator_derived_length(self)",
+     "new": "    @property\n    def commutator_derived_length(self)",
      "tests": ["tests/test_report_cli.py::test_one_derived_series_of_commutator_phi_per_instance"]},
     {"name": "theorem 2 recomputes a pair closure equal to [G, phi]",
      "file": "src/coprimelab/report.py",
@@ -191,9 +191,17 @@ MUTANTS = [
      "tests": ["tests/test_stdlib_only.py::test_building_a_group_loads_only_the_construction_modules"]},
     {"name": "producers kept on the data of phi on [G, phi]",
      "file": "src/coprimelab/automorphisms.py",
-     "old": "\n                 if len(elements) == G.order else None)",
+     "old": "\n                          if len(elements) == G.order else None)",
      "new": ")",
      "tests": ["tests/test_automorphisms.py::test_producers_are_kept_on_the_data_of_phi_on_g_only"]},
+    {"name": "the data of phi on G stored as its own inner data",
+     "file": "src/coprimelab/automorphisms.py",
+     "old": "    return td if td.commutator_phi.order == phi.group.order else td.inner\n",
+     "new": ("    if td.commutator_phi.order == phi.group.order:\n"
+             "        td.inner = td\n"
+             "    return td.inner\n"),
+     "tests": ["tests/test_report_cli.py::"
+               "test_dropping_phi_frees_its_twisted_data_without_the_cycle_collector"]},
     {"name": "the corpus imports the automorphism analysis at module level",
      "file": "src/coprimelab/corpus.py",
      "old": "from .numutil import is_prime\n",
@@ -316,8 +324,8 @@ MUTANTS = [
                "test_member_sets_built_on_first_read_keep_their_meaning"]},
     {"name": "the Lie class is bracketed out on every call",
      "file": "src/coprimelab/lie.py",
-     "old": "        if self._lie_class is None:\n",
-     "new": "        if True:\n",
+     "old": "    @cached_property\n    def lie_class(self)",
+     "new": "    @property\n    def lie_class(self)",
      "tests": ["tests/test_lie_layer.py::test_the_lie_class_is_bracketed_out_once_per_algebra"]},
     # the eigen split by the order of phi: one rule (lie.split_field_degree),
     # phi coprime and the field degree bounded before any search, read by the

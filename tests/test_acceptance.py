@@ -5,8 +5,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +24,7 @@ from coprimelab.lie import (build_graded_lie, check_lazard_all, check_riley,
                             verify_eigen_product_rule, verify_np_series)
 from coprimelab.report import canonical_json, count_verdicts, run_suite
 from coprimelab.structure import lower_central_series
-from regen_golden import GOLDEN, bundle_of, json_differences, suite_lines
+from regen_golden import GOLDEN, ROOT, bundle_of, json_differences, suite_lines
 
 
 @contextmanager
@@ -85,6 +90,43 @@ def test_suite_bundle_is_pinned(suite_runs):
             old, new = json.loads(old), json.loads(new)
             diffs += json_differences(old, new, old.get("id", "summary"))
         pytest.fail("suite bundle differs from tests/golden/suite.jsonl:\n" + "\n".join(diffs))
+
+
+def _other_cpythons() -> dict:
+    """Version -> interpreter, for each CPython of at least 3.10 other than
+    this one found beside ``sys.executable`` or among the pyenv versions."""
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    candidates = [path for path in Path(sys.executable).parent.glob("python3.*")
+                  if re.fullmatch(r"python3\.\d+", path.name)]
+    candidates += pyenv.glob("*/bin/python3")
+    found = {}
+    for exe in sorted(candidates):
+        try:
+            done = subprocess.run([str(exe), "-c", "import sys; print(sys.implementation.name, "
+                                   "*sys.version_info[:3])"],
+                                  capture_output=True, text=True, timeout=30)
+        except OSError:
+            continue
+        name, *version = done.stdout.split() or ["none"]
+        version = tuple(map(int, version))
+        if name == "cpython" and version >= (3, 10) and version != sys.version_info[:3]:
+            found.setdefault(version, exe)
+    return found
+
+
+def test_suite_bundle_is_the_same_under_other_cpythons():
+    # -B, so that no interpreter writes bytecode into src/
+    interpreters = _other_cpythons()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 found")
+    golden = (GOLDEN / "suite.jsonl").read_text(encoding="ascii").splitlines(keepends=True)
+    expected = canonical_json(bundle_of(golden)) + "\n"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for version, exe in interpreters.items():
+        done = subprocess.run([str(exe), "-B", "-m", "coprimelab", "suite"], env=env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, (version, done.stderr)
+        assert done.stdout == expected, f"{exe} ({version}) prints another suite bundle"
 
 
 def test_glauberman_stdout_is_pinned(capsys):
@@ -160,7 +202,7 @@ def test_criterion_4_jlz_golden_values():
         assert A.dims == (2, 1)
         w = A.bracket(1, (1, 0), 1, (0, 1))
         assert w is not None and any(w)
-        assert A.lie_class_of_generated() == 2
+        assert A.lie_class == 2
         m27 = build_corpus_instance({"name": "modular", "params": {"p": 3}})[0]
         assert build_graded_lie(jlz_series(m27, 3)).dims == (2, 0, 1)
 

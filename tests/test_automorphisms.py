@@ -1,13 +1,15 @@
+import copy
+
 import pytest
 
-from coprimelab.automorphisms import (TwistedData, build_automorphism, check_coprime_facts,
+from coprimelab.automorphisms import (build_automorphism, check_coprime_facts,
                                       commutator_twisted_data, decomposition_witness,
                                       factorization_status, fixed_generation_S,
                                       fixed_points_of_product, is_phi_invariant,
                                       nilpotent_decompose, phi_invariant_closure,
                                       soluble_exponent_probe, twisted_data)
 from coprimelab.corpus import build_corpus_instance, default_corpus
-from coprimelab.errors import NotBijective, NotCoprime, NotNilpotent
+from coprimelab.errors import NotBijective, NotCoprime, NotInvariant, NotNilpotent
 from coprimelab.groups import quotient_group, subgroup_generated, is_normal
 from coprimelab.structure import sylow_subgroup
 from helpers import (commutator_with_automorphism, identity_automorphism, load_workloads,
@@ -231,11 +233,24 @@ def test_decomposition_witness_names_an_element_without_factorization(c3c3_swap)
     assert decomposition_witness(phi) is None
     # a corrupted twisted set: its last member dropped, so the products miss
     # that member's coset of the fixed points
-    phi._twisted = TwistedData(td.fixed, td.twisted[:-1], td.producers, td.commutator_phi)
+    phi._twisted = copy.copy(td)
+    phi._twisted.twisted = td.twisted[:-1]
     witness = decomposition_witness(phi)
     assert witness == per_element_decomposition_witness(phi)
     x = witness["element"]
     assert witness["error"] == f"element {x} admits no twisted*fixed factorization"
+
+
+@pytest.mark.parametrize("check", [check_coprime_facts, fixed_points_of_product])
+def test_a_family_member_that_is_no_invariant_normal_subgroup_is_refused(check, s3, c3c3_swap):
+    swap = subgroup_generated(s3, [s3.generator_indices[1]])  # <(0 1)>, not normal in S3
+    with pytest.raises(NotInvariant, match="^family member swap is not normal$"):
+        check(identity_automorphism(s3), [("swap", swap)])
+    G, phi = c3c3_swap
+    factor = subgroup_generated(G, [G.generator_indices[0]])  # normal; phi swaps the factors
+    assert is_normal(G, factor)
+    with pytest.raises(NotInvariant, match="^family member factor is not phi-invariant$"):
+        check(phi, [("factor", factor)])
 
 
 def test_nilpotent_decompose_rejects_insoluble_shape(s3):

@@ -10,6 +10,7 @@ automorphism. ``FiniteGroup.products`` is compared with ``mul``, and
 closure for its members and with the closure by elements for its ``gens``.
 """
 
+import copy
 import functools
 import random
 
@@ -17,8 +18,7 @@ import pytest
 
 from coprimelab import groups, lie, report
 from coprimelab.automorphisms import (default_normal_family, fixed_generation_S,
-                                      soluble_exponent_probe, twisted_data,
-                                      twisted_orbit_representatives)
+                                      soluble_exponent_probe, twisted_data)
 from coprimelab.corpus import build_corpus_instance, default_corpus
 from coprimelab.groups import coset_labels, subgroup_generated
 from coprimelab.lie import NpSeries, jlz_series, verify_np_series
@@ -79,7 +79,7 @@ def _restricted_sections(G, phi) -> dict:
     Hg, rphi, _ = restrict_automorphism(phi, td.commutator_phi)
     out = {}
     if lower_central_series(G).is_nilpotent:
-        r = len(twisted_orbit_representatives(rphi, twisted_data(rphi)))
+        r = len(twisted_data(rphi).orbit_reps)
         if r * (r + 1) // 2 > report.PAIR_CAP:
             out["fixed_generation"] = f"skipped: {r * (r + 1) // 2} orbit pairs above the pair cap"
         else:
@@ -170,7 +170,9 @@ def test_fixed_generation_walks_the_twisted_set_of_commutator_phi(monkeypatch):
     assert inner.commutator_phi == td.commutator_phi and inner.fixed.order < td.fixed.order
     orbit = phi.orbit(inner.twisted[1])
     cut = tuple(sorted({0, *orbit}))
-    substitute = automorphisms.TwistedData(inner.fixed, cut, {}, inner.commutator_phi)
+    substitute = copy.copy(inner)
+    substitute.twisted = cut
+    vars(substitute).pop("orbit_reps", None)  # read off the cut set on first read
     monkeypatch.setattr(automorphisms, "commutator_twisted_data", lambda phi: substitute)
     seeds = []
     closure = automorphisms.phi_invariant_closure

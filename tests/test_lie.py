@@ -149,7 +149,7 @@ def test_graded_lie_heisenberg(heis3):
     assert A.dims == (2, 1)
     w = A.bracket(1, (1, 0), 1, (0, 1))
     assert w is not None and any(w)
-    assert A.lie_class_of_generated() == 2
+    assert A.lie_class == 2
     assert A.lp_layers == A.units  # layer 1 generates every layer
 
 
@@ -158,7 +158,7 @@ def test_graded_lie_c9_generated_flags(c9):
     assert A.dims == (1, 0, 1)
     assert A.lp_layers[0] == ((1,),)
     assert A.lp_layers[2] == ()  # the deep layer is not generated by layer 1
-    assert A.lie_class_of_generated() == 1
+    assert A.lie_class == 1
 
 
 def test_antisymmetry_and_jacobi():

@@ -1,46 +1,99 @@
 """A report does not depend on how its instance is written.
 
-Each corpus instance of order at most 5000 is rewritten as a raw group file:
-its points relabelled by a random permutation and its generators shuffled,
-with the automorphism's image words rewritten to match. The result is an
-isomorphic (group, automorphism) pair, so ``analyze_instance`` must give the
-same report, except for the instance id and the witnesses, whose element
-indices depend on the presentation.
+Each corpus instance is rewritten as a raw group file in another
+presentation of an isomorphic (group, automorphism) pair:
+
+- its points relabelled by a random permutation and its generators
+  shuffled, with the automorphism's image words rewritten to match (the
+  instances of order at most 5000);
+- a redundant generator appended, the product of two others;
+- phi replaced by psi = i_g^-1 phi i_g for the inner automorphism i_g of a
+  random word g: i_g maps (G, phi) onto (G, psi), and psi's twisted set is
+  the image of phi's.
+
+So ``analyze_instance`` must give the same report, except for the instance
+id and the witnesses, whose element indices depend on the presentation.
+Each change works on the generators as point lists and on phi's image
+words, never through the group's own multiplication.
 """
 
+import functools
 import random
 
 import pytest
 
 from coprimelab import corpus
+from coprimelab.automorphisms import twisted_data
 from coprimelab.corpus import default_corpus, load_instance
 from coprimelab.report import analyze_instance
 
 MAX_ORDER = 5000
-SPECS = [s for s in default_corpus()["instances"] if corpus._parse(s, "")[2] <= MAX_ORDER]
+CORPUS = {s["id"]: s for s in default_corpus()["instances"]}
+SPECS = [s for s in CORPUS.values() if corpus._parse(s, "")[2] <= MAX_ORDER]
+AUTO_SPECS = [s for s in CORPUS.values() if "automorphism" in s]
+
+
+def _presentation(spec: dict) -> tuple:
+    """(degree, generators as point lists, phi's image of each generator as
+    a word in them, or None without phi) of the instance."""
+    G, phi, _ = load_instance(spec)
+    words = None if phi is None else [list(G.word(phi.table[g])) for g in G.generator_indices]
+    return G.degree, [list(g) for g in G.generators], words
+
+
+def _raw(degree: int, generators: list, words) -> dict:
+    raw = {"degree": degree, "generators": generators}
+    if words is not None:
+        raw["automorphism"] = {"images": words}
+    return raw
+
+
+def _inverse(word: list) -> list:
+    return [-k for k in reversed(word)]
 
 
 def _rewritten(spec: dict, rng: random.Random) -> dict:
-    """The instance as a raw group file with its points relabelled by a
-    random sigma (point x becomes sigma[x]) and its generators in a random
-    order; the image words name each generator by its new position."""
-    G, phi, _ = load_instance(spec)
-    sigma = list(range(G.degree))
+    """The instance with its points relabelled by a random sigma (point x
+    becomes sigma[x]) and its generators in a random order; the image words
+    name each generator by its new position."""
+    degree, gens, words = _presentation(spec)
+    sigma = list(range(degree))
     rng.shuffle(sigma)
-    order = list(range(len(G.generators)))
+    order = list(range(len(gens)))
     rng.shuffle(order)
     position = {old: new for new, old in enumerate(order)}
     generators = []
     for old in order:
-        g = [0] * G.degree
-        for x, y in enumerate(G.generators[old]):
+        g = [0] * degree
+        for x, y in enumerate(gens[old]):
             g[sigma[x]] = sigma[y]
         generators.append(g)
-    raw = {"degree": G.degree, "generators": generators}
-    if phi is not None:
-        words = [G.word(phi.table[G.generator_indices[old]]) for old in order]
-        raw["automorphism"] = {"images": [[position[k - 1] + 1 for k in w] for w in words]}
-    return raw
+    if words is not None:
+        words = [[position[k - 1] + 1 for k in words[old]] for old in order]
+    return _raw(degree, generators, words)
+
+
+def _with_redundant_generator(spec: dict, rng: random.Random) -> dict:
+    """The instance with g_a g_b appended to its generators, for random a and
+    b, and phi's image of it the image words of g_a and g_b in turn. The
+    product x -> g_a[g_b[x]] is the one that words evaluate."""
+    degree, gens, words = _presentation(spec)
+    a, b = rng.randrange(len(gens)), rng.randrange(len(gens))
+    gens.append([gens[a][y] for y in gens[b]])
+    words.append(words[a] + words[b])
+    return _raw(degree, gens, words)
+
+
+def _with_inner_conjugate(spec: dict, rng: random.Random) -> dict:
+    """The instance with phi replaced by psi: x -> g^-1 (g x g^-1)^phi g for a
+    random word g of three signed letters, that is, psi(x) = g^-1 phi(g)
+    phi(x) phi(g)^-1 g on each generator x."""
+    degree, gens, words = _presentation(spec)
+    g = [rng.choice((1, -1)) * rng.randrange(1, len(gens) + 1) for _ in range(3)]
+    phi_g = [k for letter in g
+             for k in (words[letter - 1] if letter > 0 else _inverse(words[-letter - 1]))]
+    words = [_inverse(g) + phi_g + word + _inverse(phi_g) + g for word in words]
+    return _raw(degree, gens, words)
 
 
 def _paths(node, path=""):
@@ -56,10 +109,43 @@ def _paths(node, path=""):
         yield path, node
 
 
+@functools.cache
+def _report_paths(spec_id: str) -> dict:
+    """The leaf paths of the shipped instance's report, without its id."""
+    paths = dict(_paths(analyze_instance(CORPUS[spec_id])))
+    del paths[".id"]
+    return paths
+
+
+def _assert_same_report(spec: dict, rewritten: dict) -> None:
+    paths = dict(_paths(analyze_instance(rewritten)))
+    del paths[".id"]
+    assert paths == _report_paths(spec["id"])
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=[s["id"] for s in SPECS])
 def test_relabelled_points_and_shuffled_generators_give_the_same_report(spec):
-    rng = random.Random(spec["id"])
-    report = dict(_paths(analyze_instance(spec)))
-    rewritten = dict(_paths(analyze_instance(_rewritten(spec, rng))))
-    del report[".id"], rewritten[".id"]
-    assert rewritten == report
+    _assert_same_report(spec, _rewritten(spec, random.Random(spec["id"])))
+
+
+@pytest.mark.parametrize("spec", AUTO_SPECS, ids=[s["id"] for s in AUTO_SPECS])
+def test_a_redundant_generator_gives_the_same_report(spec):
+    _assert_same_report(spec, _with_redundant_generator(spec, random.Random(spec["id"])))
+
+
+@pytest.mark.parametrize("spec", AUTO_SPECS, ids=[s["id"] for s in AUTO_SPECS])
+def test_an_inner_conjugate_of_phi_gives_the_same_report(spec):
+    _assert_same_report(spec, _with_inner_conjugate(spec, random.Random(spec["id"])))
+
+
+def test_the_inner_conjugates_move_the_twisted_set():
+    # the same generators enumerate the same element indices, so a moved
+    # twisted set shows that psi is not phi written another way
+    moved = []
+    for spec in AUTO_SPECS:
+        _, phi, _ = load_instance(spec)
+        _, psi, _ = load_instance(_with_inner_conjugate(spec, random.Random(spec["id"])))
+        if twisted_data(psi).twisted != twisted_data(phi).twisted:
+            moved.append(spec["id"])
+    assert moved == ["heis3_inv", "heis5_inv", "heis3_c5_inv", "aff8_frob", "aff9_frob",
+                     "glauberman"]

@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -618,6 +620,34 @@ def test_the_automorphism_keeps_no_memo_that_grows_with_the_walks():
     assert set(vars(phi)) == {"group", "table", "order_n", "_twisted"}
 
 
+@pytest.mark.parametrize("spec_id, proper", [("mod27_inv", True), ("heis3_inv", False)])
+def test_dropping_phi_frees_its_twisted_data_without_the_cycle_collector(monkeypatch, spec_id,
+                                                                          proper):
+    # the twisted data holds G and phi's table, never phi, and the data of
+    # phi on [G, phi] = G is the data itself, never stored as its own inner
+    # data: reference counting alone frees all of it once phi and G go
+    loaded = []
+    load = report.load_instance
+
+    def kept(spec):
+        loaded.append(load(spec))
+        return loaded[-1]
+
+    monkeypatch.setattr(report, "load_instance", kept)
+    gc.disable()
+    try:
+        analyze_instance(_corpus_spec(spec_id))
+        G, phi, _ = loaded.pop()
+        td = twisted_data(phi)
+        inner = automorphisms.commutator_twisted_data(phi)
+        assert (inner is not td) == proper == (td.commutator_phi.order < G.order)
+        refs = [weakref.ref(obj) for obj in (td, inner, G)]
+        del G, phi, td, inner
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()
+
+
 def test_suite_and_lie_agree_on_lazard_at_order_3125(tmp_path, capsys):
     spec = _product(_heisenberg(5), _cyclic(25))
     path = _write(tmp_path, "heis5_c25.json", spec)
@@ -855,6 +885,30 @@ def test_cli_unmet_precondition_is_an_input_error(tmp_path, capsys, spec, comman
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {path if location == 'FILE' else location}: "), err
+
+
+@pytest.mark.parametrize("spec, err", [
+    ({"name": "heisenberg", "params": {"p": 3},
+      "automorphism": {"recipe": "gen_powers", "powers": [2]}},
+     "automorphism.powers: gen_powers needs 2 exponents"),
+    ({"name": "direct_product",
+      "params": {"factors": [C3, {"name": "dihedral", "params": {"m": 3}}]},
+      "automorphism": {"recipe": "frobenius"}},
+     "automorphism.recipe: frobenius needs cyclic(p)^k factors"),
+    ({"name": "direct_product", "params": {"factors": [_cyclic(4), _cyclic(4)]},
+      "automorphism": {"recipe": "frobenius"}},
+     "automorphism.recipe: frobenius needs prime cyclic factors"),
+], ids=["gen_powers-count", "frobenius-not-cyclic", "frobenius-not-prime"])
+def test_cli_auto_refuses_a_recipe_that_does_not_apply(tmp_path, capsys, spec, err):
+    path = _write(tmp_path, "spec.json", spec)
+    assert main(["auto", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_cli_info_on_the_trivial_symmetric_group(tmp_path, capsys):
+    path = _write(tmp_path, "s1.json", {"name": "symmetric", "params": {"m": 1}})
+    assert main(["info", path]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 1
 
 
 def test_cli_suite(tmp_path, capsys):

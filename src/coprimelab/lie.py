@@ -74,8 +74,11 @@ def jlz_series(G: FiniteGroup, p: int) -> NpSeries:
     return NpSeries(G, p, tuple(terms))
 
 
-def verify_np_series(S: NpSeries) -> dict:
-    """Check both filtration axioms for all index pairs; report witnesses.
+def verify_np_series(S: NpSeries) -> Optional[tuple]:
+    """None when both filtration axioms hold for all index pairs, else the
+    first failing one: ("commutator", i, j) when [D_i, D_j] is not in
+    D_(i+j), or ("power", i) when D_i^p is not in D_(p i). i runs up, and
+    at each i the commutators with j >= i come before the power.
 
     The series repeats terms, so each commutator subgroup is computed once
     per distinct pair of terms and each p-th power subgroup once per
@@ -88,8 +91,6 @@ def verify_np_series(S: NpSeries) -> dict:
     weight = S.weight
     commutators: dict = {}
     powers_of: dict = {}
-    commutator_failures = []
-    power_failures = []
     for i in range(1, t + 1):
         top = S.term(i)
         if top.is_trivial:
@@ -102,18 +103,13 @@ def verify_np_series(S: NpSeries) -> dict:
             if comm is None:
                 comm = commutators[top, other] = commutator_subgroup_pair(G, top, other)
             if any(weight[g] < i + j for g in comm.gens):
-                commutator_failures.append({"i": i, "j": j, "commutator_order": comm.order,
-                                            "target_order": S.term(i + j).order})
+                return ("commutator", i, j)
         powers = powers_of.get(top)
         if powers is None:
             powers = powers_of[top] = power_subgroup(G, p, within=top)
         if any(weight[g] < p * i for g in powers.gens):
-            power_failures.append({"i": i, "power_order": powers.order,
-                                   "target_order": S.term(p * i).order})
-    ok = not commutator_failures and not power_failures
-    return {"verdict": "pass" if ok else "fail",
-            "commutator_failures": commutator_failures,
-            "power_failures": power_failures}
+            return ("power", i)
+    return None
 
 
 def _build_layer(G: FiniteGroup, p: int, index: int, top: Subgroup, bottom: Subgroup,
@@ -291,30 +287,25 @@ def build_graded_lie(series: NpSeries) -> GradedLieAlgebra:
     return GradedLieAlgebra(series, bases, log, brackets)
 
 
-def check_lazard_all(A: GradedLieAlgebra) -> dict:
-    """For every x, p-fold bracketing by the class of x equals bracketing by
-    the class of x^p. With i the layer of x, v its coordinates there and w
-    those of x^p in layer p*i, the first side depends on (i, v) only and the
-    second on (p*i, w) only, so each is bracketed out once per key, for the
-    whole basis, and the two are compared as tuples. When p*i is the top layer
-    or past it, every bracket of both sides lands past the top and is zero, so
-    only the place of x^p is checked."""
+def check_lazard_all(A: GradedLieAlgebra) -> Optional[int]:
+    """None when every x has x^p in term p*i, i the layer of x, and p-fold
+    bracketing by the class of x equals bracketing by the class of x^p, else
+    the least x for which either fails. With v the coordinates of x in layer
+    i and w those of x^p in layer p*i, the first side depends on (i, v) only
+    and the second on (p*i, w) only, so each is bracketed out once per key,
+    for the whole basis, and the two are compared as tuples. When p*i is the
+    top layer or past it, every bracket of both sides lands past the top and
+    is zero, so only the place of x^p is checked."""
     G, p, top, weight = A.group, A.p, A.num_layers, A.weight
     powers = G.power_map(p)
     basis = [(j, unit) for j, units in enumerate(A.units, start=1) for unit in units]
     folded: dict = {}   # (i, v) -> [... [unit, v] ..., v], p brackets, per basis vector
     lifted: dict = {}   # (p*i, w) -> [unit, w] per basis vector
-    failures = []
     for x in range(1, G.order):
         i = weight[x]
         ti = p * i
-        if ti <= top:
-            if weight[powers[x]] < ti:
-                failures.append(x)
-                continue
-        elif powers[x] != 0:
-            failures.append(x)
-            continue
+        if weight[powers[x]] < min(ti, top + 1):   # past the top, x^p = 1 of weight top + 1
+            return x
         if ti >= top:
             continue
         v, w = A.coords(i, x), A.coords(ti, powers[x])
@@ -325,9 +316,8 @@ def check_lazard_all(A: GradedLieAlgebra) -> dict:
         if right is None:
             right = lifted[(ti, w)] = tuple(A.bracket(j, unit, ti, w) for j, unit in basis)
         if left != right:
-            failures.append(x)
-    return {"verdict": "pass" if not failures else "fail",
-            "checked": G.order, "failures": failures[:5]}
+            return x
+    return None
 
 
 def _fold(A: GradedLieAlgebra, j: int, unit: tuple, i: int, v: tuple) -> Optional[tuple]:
@@ -340,18 +330,19 @@ def _fold(A: GradedLieAlgebra, j: int, unit: tuple, i: int, v: tuple) -> Optiona
     return unit
 
 
-def verify_bracket_axioms(A: GradedLieAlgebra) -> dict:
-    """Antisymmetry and the Jacobi identity on all homogeneous basis triples."""
+def verify_bracket_axioms(A: GradedLieAlgebra) -> Optional[tuple]:
+    """None when antisymmetry holds on all homogeneous basis pairs and the
+    Jacobi identity on all triples, else the first failing pair
+    ((i, u), (j, v)) or, once every pair holds, triple ((i, u), (j, v),
+    (k, w)) of basis vectors u of layer i, v of layer j and w of layer k."""
     F = A.field
     homog = [(i, u) for i, units in enumerate(A.units, start=1) for u in units]
-    anti_ok = True
     for (i, u) in homog:
         for (j, v) in homog:
             uv = A.bracket(i, u, j, v)
             minus_uv = None if uv is None else tuple(map(F.neg, uv))
             if minus_uv != A.bracket(j, v, i, u):
-                anti_ok = False
-    jacobi_ok = True
+                return ((i, u), (j, v))
     for (i, u) in homog:
         for (j, v) in homog:
             for (k, w) in homog:
@@ -367,19 +358,15 @@ def verify_bracket_axioms(A: GradedLieAlgebra) -> dict:
                         continue
                     acc = outer if acc is None else tuple(map(F.add, acc, outer))
                 if acc is not None and any(acc):
-                    jacobi_ok = False
-    return {"verdict": "pass" if anti_ok and jacobi_ok else "fail",
-            "antisymmetry": anti_ok, "jacobi": jacobi_ok}
+                    return ((i, u), (j, v), (k, w))
+    return None
 
 
-def check_riley(A: GradedLieAlgebra) -> dict:
-    """With c the class of the layer-1-generated subalgebra, the (c+1)-st
-    filtration term must be powerful."""
+def check_riley(A: GradedLieAlgebra) -> Optional[int]:
+    """None when the (c+1)-st filtration term is powerful, c the class of the
+    layer-1-generated subalgebra, else the index c + 1."""
     c = A.lie_class
-    term = A.series.term(c + 1)
-    powerful = is_powerful(A.group, A.p, subgroup=term)
-    return {"lie_class": c, "term_order": term.order,
-            "verdict": "pass" if powerful else "fail"}
+    return None if is_powerful(A.group, A.p, subgroup=A.series.term(c + 1)) else c + 1
 
 
 def subalgebra_of_subgroup(A: GradedLieAlgebra, H: Subgroup) -> list[tuple]:
@@ -419,10 +406,10 @@ def layer_matrices(A: GradedLieAlgebra, phi) -> list[tuple]:
     return mats
 
 
-def lie_fixed_points(A: GradedLieAlgebra, phi) -> dict:
-    """Fixed subspace of the generated subalgebra versus the span coming from
-    the fixed-point subgroup; they must agree layer by layer. NotCoprime
-    unless phi is coprime."""
+def lie_fixed_points(A: GradedLieAlgebra, phi) -> Optional[int]:
+    """None when the fixed subspace of the generated subalgebra and the span
+    coming from the fixed-point subgroup agree on every layer, else the first
+    layer i where they differ. NotCoprime unless phi is coprime."""
     from .automorphisms import require_coprime, twisted_data
 
     require_coprime(phi)
@@ -430,23 +417,16 @@ def lie_fixed_points(A: GradedLieAlgebra, phi) -> dict:
     mats = layer_matrices(A, phi)
     C = twisted_data(phi).fixed
     spans = subalgebra_of_subgroup(A, C)
-    per_layer = []
-    all_ok = True
     for i in range(1, A.num_layers + 1):
         dim = A.dims[i - 1]
         if dim == 0:
-            per_layer.append({"layer": i, "dim": 0, "verdict": "pass"})
             continue
-        M = mats[i - 1]
-        delta = mat_sub(M, identity_matrix(dim), F)
-        kernel = nullspace(delta, dim, F)
+        kernel = nullspace(mat_sub(mats[i - 1], A.units[i - 1], F), dim, F)
         lhs = intersect_spans(kernel, A.lp_layers[i - 1], F)
         rhs = intersect_spans(spans[i - 1], A.lp_layers[i - 1], F)
-        ok = lhs == rhs  # both are rref, which is canonical for a span
-        all_ok = all_ok and ok
-        per_layer.append({"layer": i, "fixed_dim": len(lhs),
-                          "span_dim": len(rhs), "verdict": "pass" if ok else "fail"})
-    return {"verdict": "pass" if all_ok else "fail", "layers": per_layer}
+        if lhs != rhs:  # both are rref, which is canonical for a span
+            return i
+    return None
 
 
 class ExtendedAlgebra:
@@ -539,12 +519,13 @@ def extend_and_eigendecompose(A: GradedLieAlgebra, phi) -> ExtendedAlgebra:
                            matrices=mats, eigenbases=eigenbases, dims=dims)
 
 
-def verify_eigen_product_rule(ext: ExtendedAlgebra) -> dict:
-    """Brackets of eigenvectors land in the eigenspace of the eigenvalue product."""
+def verify_eigen_product_rule(ext: ExtendedAlgebra) -> Optional[tuple]:
+    """None when every bracket of two eigenbasis vectors lands in the
+    eigenspace of the product of their eigenvalues, else the first failing
+    pair ((i, ji, u), (j, jj, v)): u in layer i with eigenvalue omega^ji and
+    v in layer j with eigenvalue omega^jj."""
     A = ext.base
     F = ext.field
-    checked = 0
-    failures = 0
     for i in range(1, A.num_layers + 1):
         for j in range(1, A.num_layers + 1 - i):
             for ji, basis_i in enumerate(ext.eigenbases[i - 1]):
@@ -554,11 +535,9 @@ def verify_eigen_product_rule(ext: ExtendedAlgebra) -> dict:
                             w = A.bracket(i, u, j, v, F)
                             if w is None:
                                 continue
-                            checked += 1
                             image = mat_vec(ext.matrices[i + j - 1], w, F)
                             lam = F.pow(ext.omega, (ji + jj) % ext.n)
                             expected = tuple(F.mul(lam, c) for c in w)
                             if image != expected:
-                                failures += 1
-    return {"verdict": "pass" if failures == 0 else "fail",
-            "nonzero_brackets_checked": checked}
+                                return ((i, ji, u), (j, jj, v))
+    return None

@@ -223,11 +223,12 @@ def _lie_fields(G: FiniteGroup, p: int) -> tuple:
     """The graded Lie algebra of the Jennings series of the p-group G, and
     the six fields of it that ``lie`` and the suite's Lie section share."""
     series = jlz_series(G, p)
-    np_series = verify_np_series(series)["verdict"]  # its caches freed before A is built
+    np_series = _verdict(verify_np_series(series) is None)  # its caches freed before A is built
     A = build_graded_lie(series)
     return A, {"p": p, "layer_dims": list(A.dims), "np_series": np_series,
                "lie_class": A.lie_class,
-               "lazard": check_lazard_all(A)["verdict"], "riley": check_riley(A)["verdict"]}
+               "lazard": _verdict(check_lazard_all(A) is None),
+               "riley": _verdict(check_riley(A) is None)}
 
 
 def _eigen_fields(A: GradedLieAlgebra, phi: Automorphism) -> tuple:
@@ -240,12 +241,12 @@ def _eigen_fields(A: GradedLieAlgebra, phi: Automorphism) -> tuple:
         return None, _skip(str(exc))
     ext = extend_and_eigendecompose(A, phi)
     return ext, {"n": ext.n, "field_degree": ext.field.k, "dims": [list(d) for d in ext.dims],
-                 "product_rule": verify_eigen_product_rule(ext)["verdict"]}
+                 "product_rule": _verdict(verify_eigen_product_rule(ext) is None)}
 
 
 def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
     A, section = _lie_fields(G, p)
-    section["bracket_axioms"] = verify_bracket_axioms(A)["verdict"]
+    section["bracket_axioms"] = _verdict(verify_bracket_axioms(A) is None)
     c = section["lie_class"]
     term = A.series.term(c + 1)
     section["riley_term_order"] = term.order
@@ -272,7 +273,8 @@ def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
     if phi is None:
         section["fixed_subalgebra"] = section["eigen"] = _skip("no automorphism supplied")
     else:
-        section["fixed_subalgebra"] = _or_skip(lambda: lie_fixed_points(A, phi)["verdict"])
+        section["fixed_subalgebra"] = _or_skip(
+            lambda: _verdict(lie_fixed_points(A, phi) is None))
         section["eigen"] = _or_skip(lambda: _eigen_fields(A, phi)[1])
     return section
 

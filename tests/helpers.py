@@ -248,6 +248,23 @@ def unreduced_theorem1(phi) -> dict:
     return {"e_star": e_star, "n": phi.order_n, "exponent": exponent}
 
 
+# Corpus specs of the named families, as the corpus file writes them.
+def cyclic_spec(m: int) -> dict:
+    return {"name": "cyclic", "params": {"m": m}}
+
+
+def heisenberg_spec(p: int) -> dict:
+    return {"name": "heisenberg", "params": {"p": p}}
+
+
+def modular_spec(p: int) -> dict:
+    return {"name": "modular", "params": {"p": p}}
+
+
+def product_spec(*factors) -> dict:
+    return {"name": "direct_product", "params": {"factors": list(factors)}}
+
+
 def _c2_power(images) -> dict:
     """C2^k for k = len(images), with phi mapping generator i to the product
     of the generators listed in images[i - 1]."""
@@ -296,14 +313,14 @@ def per_element_lazard(A, x: int, xp: int) -> bool:
     return True
 
 
-def per_element_lazard_all(A) -> dict:
-    """``per_element_lazard`` on every element, with x^p by ``tuple_powers``:
-    the oracle for ``lie.check_lazard_all``, which works once per (layer,
-    coordinate vector) and reads x^p off ``G.power_map``."""
+def per_element_lazard_all(A):
+    """The least element that fails ``per_element_lazard``, with x^p by
+    ``tuple_powers``, or None: the oracle for ``lie.check_lazard_all``,
+    which works once per (layer, coordinate vector) and reads x^p off
+    ``G.power_map``."""
     powers = tuple_powers(A.group, A.p)
-    failures = [x for x in range(A.group.order) if not per_element_lazard(A, x, powers[x])]
-    return {"verdict": "pass" if not failures else "fail",
-            "checked": A.group.order, "failures": failures[:5]}
+    return next((x for x in range(A.group.order) if not per_element_lazard(A, x, powers[x])),
+                None)
 
 
 # Plain tuple oracles for the base-image kernel: no library arithmetic, and
@@ -629,13 +646,13 @@ def commutator_with_automorphism(phi, H) -> frozenset:
     return closure_by_elements(G, {G.mul(G.inv(h), phi.table[h]) for h in H.members})[0]
 
 
-def per_pair_np_series(S) -> dict:
+def per_pair_np_series(S):
     """``lie.verify_np_series`` with one commutator subgroup per index pair
-    and one power subgroup per index, repeated terms and all: the oracle for
-    its deduplicated walk."""
+    and one power subgroup per index, repeated terms and all, and member
+    sets in place of weights: the oracle for its deduplicated walk, with the
+    same first witness in the same scan order, or None."""
     from coprimelab.structure import commutator_subgroup_pair, power_subgroup
     G, p, t = S.group, S.p, len(S.terms)
-    commutator_failures, power_failures = [], []
     for i in range(1, t + 1):
         if S.term(i).is_trivial:
             continue
@@ -644,13 +661,8 @@ def per_pair_np_series(S) -> dict:
                 continue
             comm = commutator_subgroup_pair(G, S.term(i), S.term(j))
             if not comm.member_set <= S.term(i + j).member_set:
-                commutator_failures.append({"i": i, "j": j, "commutator_order": comm.order,
-                                            "target_order": S.term(i + j).order})
+                return ("commutator", i, j)
         powers = power_subgroup(G, p, within=S.term(i))
         if not powers.member_set <= S.term(p * i).member_set:
-            power_failures.append({"i": i, "power_order": powers.order,
-                                   "target_order": S.term(p * i).order})
-    ok = not commutator_failures and not power_failures
-    return {"verdict": "pass" if ok else "fail",
-            "commutator_failures": commutator_failures,
-            "power_failures": power_failures}
+            return ("power", i)
+    return None

@@ -142,6 +142,39 @@ MUTANTS = [
      "old": "            if any(weight[g] < i + j for g in comm.gens):\n",
      "new": "            if any(weight[g] <= i + j for g in comm.gens):\n",
      "tests": ["tests/test_in_place.py::test_np_series_check_matches_the_per_pair_walk"]},
+    # the Lie checks return None or their first witness
+    {"name": "the np-series check drops its power-axiom return",
+     "file": "src/coprimelab/lie.py",
+     "old": "            return (\"power\", i)\n",
+     "new": "            pass\n",
+     "tests": ["tests/test_lie.py::test_verify_np_series_detects_violation"]},
+    {"name": "the bracket-axiom check returns None after its antisymmetry loop",
+     "file": "src/coprimelab/lie.py",
+     "old": "                return ((i, u), (j, v))\n",
+     "new": "                return ((i, u), (j, v))\n    return None\n",
+     "tests": ["tests/test_lie.py::test_a_consistent_pair_of_structure_constants_breaks_jacobi"]},
+    {"name": "the Lazard check passes elements whose brackets differ",
+     "file": "src/coprimelab/lie.py",
+     "old": "        if left != right:\n            return x\n",
+     "new": "        if left != right:\n            continue\n",
+     "tests": ["tests/test_lie_layer.py::"
+               "test_a_corrupted_structure_constant_fails_where_the_oracle_fails"]},
+    {"name": "the fixed-point check names the layer after the one that fails",
+     "file": "src/coprimelab/lie.py",
+     "old": "            return i\n    return None\n",
+     "new": "            return i + 1\n    return None\n",
+     "tests": ["tests/test_lie.py::"
+               "test_lie_fixed_points_fail_where_the_fixed_subgroup_misses_a_fixed_layer"]},
+    {"name": "the Riley check names term c",
+     "file": "src/coprimelab/lie.py",
+     "old": "subgroup=A.series.term(c + 1)) else c + 1\n",
+     "new": "subgroup=A.series.term(c + 1)) else c\n",
+     "tests": ["tests/test_lie.py::test_riley_fails_on_a_series_with_an_empty_first_layer"]},
+    {"name": "the eigen product rule check never fails",
+     "file": "src/coprimelab/lie.py",
+     "old": "                                return ((i, ji, u), (j, jj, v))\n",
+     "new": "                                continue\n",
+     "tests": ["tests/test_lie.py::test_a_changed_layer_matrix_breaks_the_eigen_product_rule"]},
     # the constructions: generators only, enumerated once
     {"name": "a heisenberg generator indexes points as p * x + y",
      "file": "src/coprimelab/corpus.py",

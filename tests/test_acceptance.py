@@ -226,16 +226,14 @@ def test_criterion_5_lazard_identity(built_instances):
         for inst_id, G, phi, p in groups:
             assert G.order <= max(3 ** 5, 2 ** 6) or G.order <= 1024
             A = build_graded_lie(jlz_series(G, p))
-            assert verify_np_series(A.series)["verdict"] == "pass", inst_id
-            out = check_lazard_all(A)
-            assert out["verdict"] == "pass", (inst_id, out)
-            assert out["checked"] == G.order
+            assert verify_np_series(A.series) is None, inst_id
+            assert check_lazard_all(A) is None, inst_id
 
 
 def test_criterion_6_riley_criterion(built_instances):
     with criterion(6, "powerful filtration-term criterion"):
         for inst_id, G, phi, p in _corpus_p_groups(built_instances):
-            assert check_riley(build_graded_lie(jlz_series(G, p)))["verdict"] == "pass", inst_id
+            assert check_riley(build_graded_lie(jlz_series(G, p))) is None, inst_id
 
 
 def test_criterion_7_eigen_decomposition(built_instances):
@@ -252,7 +250,7 @@ def test_criterion_7_eigen_decomposition(built_instances):
             if phip is None or not phip.coprime:
                 continue
             extp = extend_and_eigendecompose(build_graded_lie(jlz_series(Gp, p)), phip)
-            assert verify_eigen_product_rule(extp)["verdict"] == "pass", inst_id
+            assert verify_eigen_product_rule(extp) is None, inst_id
             for layer_dims, dim in zip(extp.dims, extp.base.dims):
                 assert sum(layer_dims) == dim
 

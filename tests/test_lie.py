@@ -2,19 +2,21 @@ import itertools
 
 import pytest
 
-from coprimelab.automorphisms import build_automorphism
+from coprimelab.automorphisms import twisted_data
 from coprimelab.corpus import build_corpus_instance, default_corpus
 from coprimelab.errors import NotAPGroup, NotCoprime, PreconditionViolated
-from coprimelab.groups import Automorphism, center, generate_group
+from coprimelab.groups import Automorphism, center, commutator_subgroup_pair, generate_group
 from coprimelab import lie
 from coprimelab.lie import (NpSeries, build_graded_lie, check_lazard_all, check_riley,
-                            extend_and_eigendecompose, jlz_series, lie_fixed_points,
-                            subalgebra_LGH, verify_eigen_product_rule, verify_np_series)
+                            extend_and_eigendecompose, jlz_series, layer_matrices,
+                            lie_fixed_points, subalgebra_LGH, subalgebra_of_subgroup,
+                            verify_bracket_axioms, verify_eigen_product_rule, verify_np_series)
+from coprimelab.linalg import in_span, mat_vec
 from coprimelab.numutil import prime_power_base
-from coprimelab.structure import lower_central_series, power_subgroup
-from helpers import (C2_10_ORDER_889, C2_13_ORDER_6141, generated_members,
-                     identity_automorphism, load_workloads, per_element_lazard_all,
-                     quaternion_group)
+from coprimelab.structure import is_powerful, lower_central_series, power_subgroup
+from helpers import (C2_10_ORDER_889, C2_13_ORDER_6141, cyclic_spec, generated_members,
+                     heisenberg_spec, identity_automorphism, load_workloads,
+                     per_element_lazard_all, product_spec, quaternion_group)
 
 WORKLOADS = load_workloads()
 
@@ -128,20 +130,25 @@ def test_weight_and_coordinate_tables_match_the_terms():
 
 def test_verify_np_series_passes_for_jlz(heis3, c9, d4):
     for G, p in ((heis3, 3), (c9, 3), (d4, 2)):
-        assert verify_np_series(jlz_series(G, p))["verdict"] == "pass"
+        assert verify_np_series(jlz_series(G, p)) is None
 
 
-def test_verify_np_series_detects_violation(heis3):
+def test_verify_np_series_detects_violation(heis3, c9):
+    # [G, G] is the centre, outside term 2; x^3 of a generator of C9 lies
+    # outside term 3. Each witness replays on the subgroups it names.
     bad = NpSeries(heis3, 3, (heis3.whole_subgroup(), heis3.trivial_subgroup()))
-    out = verify_np_series(bad)
-    assert out["verdict"] == "fail"
-    assert out["commutator_failures"]
+    assert verify_np_series(bad) == ("commutator", 1, 1)
+    comm = commutator_subgroup_pair(heis3, bad.term(1), bad.term(1))
+    assert not comm.member_set <= bad.term(2).member_set
+    bad = NpSeries(c9, 3, (c9.whole_subgroup(), c9.whole_subgroup(), c9.trivial_subgroup()))
+    assert verify_np_series(bad) == ("power", 1)
+    assert not power_subgroup(c9, 3).member_set <= bad.term(3).member_set
 
 
 def test_lcs_of_exponent_p_group_is_np(heis3):
     lcs = lower_central_series(heis3)
     series = NpSeries(heis3, 3, tuple(lcs.terms))
-    assert verify_np_series(series)["verdict"] == "pass"
+    assert verify_np_series(series) is None
 
 
 def test_graded_lie_heisenberg(heis3):
@@ -207,22 +214,60 @@ def test_bracket_well_defined_on_cosets(heis3):
 def test_lazard_all_small_p_groups(heis3, c9, d4):
     for G, p in ((heis3, 3), (c9, 3), (d4, 2), (quaternion_group(), 2)):
         A = build_graded_lie(jlz_series(G, p))
-        assert check_lazard_all(A)["verdict"] == "pass"
+        assert check_lazard_all(A) is None
 
 
 def test_lazard_exponent_p_vanishes(heis3):
     # x^p = 1, so both sides must be the zero map on every element
     A = build_graded_lie(jlz_series(heis3, 3))
-    assert check_lazard_all(A) == {"verdict": "pass", "checked": 27, "failures": []}
-    assert per_element_lazard_all(A) == {"verdict": "pass", "checked": 27, "failures": []}
+    assert check_lazard_all(A) is None
+    assert per_element_lazard_all(A) is None
 
 
 def test_riley(heis3, c9, d4):
-    out = check_riley(build_graded_lie(jlz_series(heis3, 3)))
-    assert out["verdict"] == "pass" and out["lie_class"] == 2 and out["term_order"] == 1
-    out = check_riley(build_graded_lie(jlz_series(c9, 3)))
-    assert out["verdict"] == "pass" and out["lie_class"] == 1 and out["term_order"] == 3
-    assert check_riley(build_graded_lie(jlz_series(d4, 2)))["verdict"] == "pass"
+    A = build_graded_lie(jlz_series(heis3, 3))
+    assert check_riley(A) is None and A.lie_class == 2 and A.series.term(3).order == 1
+    A = build_graded_lie(jlz_series(c9, 3))
+    assert check_riley(A) is None and A.lie_class == 1 and A.series.term(2).order == 3
+    assert check_riley(build_graded_lie(jlz_series(d4, 2))) is None
+
+
+def test_riley_fails_on_a_series_with_an_empty_first_layer(d4):
+    # G, G, Z(G), 1: layer 1 is zero, so it generates the zero subalgebra, of
+    # class 0, and term 1 is D8 itself, which is not powerful
+    Z = lower_central_series(d4).terms[1]
+    A = build_graded_lie(NpSeries(d4, 2, (d4.whole_subgroup(), d4.whole_subgroup(), Z,
+                                          d4.trivial_subgroup())))
+    assert A.dims == (0, 2, 1) and A.lie_class == 0
+    witness = check_riley(A)
+    assert witness == 1
+    assert not is_powerful(d4, 2, subgroup=A.series.term(witness))
+
+
+def test_a_one_sided_structure_constant_breaks_antisymmetry(heis3):
+    A = build_graded_lie(jlz_series(heis3, 3))
+    assert A.brackets[(1, 0, 1, 1)] == (2,) and A.brackets[(1, 1, 1, 0)] == (1,)
+    A.brackets[(1, 1, 1, 0)] = (2,)
+    witness = verify_bracket_axioms(A)
+    assert witness == ((1, (1, 0)), (1, (0, 1)))
+    (i, u), (j, v) = witness
+    assert [(a + b) % 3 for a, b in zip(A.bracket(i, u, j, v), A.bracket(j, v, i, u))] == [1]
+
+
+def test_a_consistent_pair_of_structure_constants_breaks_jacobi():
+    # heisenberg(3) x C9 has layers of dimension 3, 1, 1 and [e0, e1] = 2f;
+    # setting [e2, f] = g and [f, e2] = -g keeps antisymmetry and makes the
+    # generated subalgebra of class 3, where [[e0, e1], e2] = g and the other
+    # two terms of the Jacobi sum vanish
+    G, A = algebra_for(product_spec(heisenberg_spec(3), cyclic_spec(9)), 3)
+    assert A.dims == (3, 1, 1) and (1, 2, 2, 0) not in A.brackets
+    A.brackets[(1, 2, 2, 0)], A.brackets[(2, 0, 1, 2)] = (1,), (2,)
+    witness = verify_bracket_axioms(A)
+    assert witness == ((1, (1, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1)))
+    x, y, z = witness
+    assert A.bracket(*y, *z) is None and A.bracket(*z, *x) is None
+    assert A.bracket(x[0] + y[0], A.bracket(*x, *y), *z) == (1,)
+    assert A.lie_class == 3
 
 
 def test_subalgebra_lgh(heis3):
@@ -238,8 +283,7 @@ def test_subalgebra_lgh(heis3):
 
 def test_lie_fixed_points_identity(heis3):
     A = build_graded_lie(jlz_series(heis3, 3))
-    out = lie_fixed_points(A, identity_automorphism(heis3))
-    assert out["verdict"] == "pass"
+    assert lie_fixed_points(A, identity_automorphism(heis3)) is None
 
 
 def test_lie_fixed_points_frobenius_on_additive_gf125():
@@ -248,19 +292,34 @@ def test_lie_fixed_points_frobenius_on_additive_gf125():
          "params": {"factors": [{"name": "cyclic", "params": {"m": 5}}] * 3},
          "automorphism": {"recipe": "frobenius"}})
     A = build_graded_lie(jlz_series(G, 5))
-    out = lie_fixed_points(A, phi)
-    assert out["verdict"] == "pass"
-    assert out["layers"][0]["fixed_dim"] == 1  # the prime subfield
+    assert lie_fixed_points(A, phi) is None
+    # eigenvalue 1 (j = 0) is the fixed space: the prime subfield
+    assert extend_and_eigendecompose(A, phi).dims[0][0] == 1
 
 
 def test_lie_fixed_points_heisenberg_inversion(heis3):
     G, phi = build_corpus_instance({"name": "heisenberg", "params": {"p": 3},
                                     "automorphism": {"recipe": "power", "k": -1}})
     A = build_graded_lie(jlz_series(G, 3))
-    out = lie_fixed_points(A, phi)
-    assert out["verdict"] == "pass"
-    assert out["layers"][0]["fixed_dim"] == 0
-    assert out["layers"][1]["fixed_dim"] == 1  # the central layer is fixed
+    assert lie_fixed_points(A, phi) is None
+    dims = extend_and_eigendecompose(A, phi).dims
+    assert [layer[0] for layer in dims] == [0, 1]  # the central layer is fixed
+
+
+def test_lie_fixed_points_fail_where_the_fixed_subgroup_misses_a_fixed_layer():
+    # phi inverts the generators of heisenberg(3) and fixes its centre, the
+    # layer-2 unit; with C_G(phi) replaced by the trivial group, no fixed
+    # element spans it
+    G, phi = build_corpus_instance({"name": "heisenberg", "params": {"p": 3},
+                                    "automorphism": {"recipe": "power", "k": -1}})
+    A = build_graded_lie(jlz_series(G, 3))
+    twisted_data(phi).fixed = G.trivial_subgroup()
+    witness = lie_fixed_points(A, phi)
+    assert witness == 2
+    unit = A.units[witness - 1][0]
+    assert mat_vec(layer_matrices(A, phi)[witness - 1], unit, A.field) == unit
+    assert in_span(unit, A.lp_layers[witness - 1], A.field)
+    assert not subalgebra_of_subgroup(A, twisted_data(phi).fixed)[witness - 1]
 
 
 def test_eigen_gf125_frobenius():
@@ -273,7 +332,7 @@ def test_eigen_gf125_frobenius():
     assert ext.field.k == 2                 # needs GF(25)
     assert ext.field.modulus == (1, 1, 1)   # t^2 + t + 1
     assert ext.dims == [[1, 1, 1]]
-    assert verify_eigen_product_rule(ext)["verdict"] == "pass"
+    assert verify_eigen_product_rule(ext) is None
 
 
 def test_eigen_c7_power2():
@@ -334,9 +393,29 @@ def test_eigen_heisenberg_inversion_product_rule():
     A = build_graded_lie(jlz_series(G, 5))
     ext = extend_and_eigendecompose(A, phi)
     assert ext.dims == [[0, 2], [1, 0]]
-    out = verify_eigen_product_rule(ext)
-    assert out["verdict"] == "pass"
-    assert out["nonzero_brackets_checked"] > 0
+    assert verify_eigen_product_rule(ext) is None
+
+
+def test_a_changed_layer_matrix_breaks_the_eigen_product_rule():
+    # layer 1 of heisenberg(5) is the eigenvalue -1 = omega, so brackets of
+    # its eigenvectors must be fixed in layer 2; doubling the layer-2 matrix
+    # breaks that for the first pair with a nonzero bracket
+    G, phi = build_corpus_instance({"name": "heisenberg", "params": {"p": 5},
+                                    "automorphism": {"recipe": "power", "k": -1}})
+    A = build_graded_lie(jlz_series(G, 5))
+    ext = extend_and_eigendecompose(A, phi)
+    assert ext.matrices[1] == ((1,),)
+    ext.matrices[1] = ((2,),)
+    witness = verify_eigen_product_rule(ext)
+    assert witness is not None
+    (i, ji, u), (j, jj, v) = witness
+    assert (i, ji, j, jj) == (1, 1, 1, 1)
+    assert u in ext.eigenbases[i - 1][ji] and v in ext.eigenbases[j - 1][jj]
+    F = ext.field
+    w = A.bracket(i, u, j, v, F)
+    lam = F.pow(ext.omega, (ji + jj) % ext.n)
+    assert w is not None
+    assert mat_vec(ext.matrices[i + j - 1], w, F) != tuple(F.mul(lam, c) for c in w)
 
 
 def test_eigen_companion_order7_on_elementary_abelian():

@@ -13,11 +13,16 @@ presentation of an isomorphic (group, automorphism) pair:
 
 So ``analyze_instance`` must give the same report, except for the instance
 id and the witnesses, whose element indices depend on the presentation.
-Each change works on the generators as point lists and on phi's image
-words, never through the group's own multiplication.
+Replacing phi by phi^k, k prime to the order n of phi, keeps <phi> but is
+not an isomorphism of pairs: theory fixes only the group and Lie sections,
+C_G(phi), [G, phi] and the size of the twisted set, and the eigenspace of
+omega^j under phi is that of omega^(jk) under phi^k. Each change works on
+the generators as point lists and on phi's image words, never through the
+group's own multiplication.
 """
 
 import functools
+import math
 import random
 
 import pytest
@@ -84,16 +89,31 @@ def _with_redundant_generator(spec: dict, rng: random.Random) -> dict:
     return _raw(degree, gens, words)
 
 
+def _substituted(word: list, words: list) -> list:
+    """The word with each letter k replaced by words[k - 1], inverted where
+    k < 0: the image of the word under phi when ``words`` are phi's."""
+    return [m for k in word for m in (words[k - 1] if k > 0 else _inverse(words[-k - 1]))]
+
+
 def _with_inner_conjugate(spec: dict, rng: random.Random) -> dict:
     """The instance with phi replaced by psi: x -> g^-1 (g x g^-1)^phi g for a
     random word g of three signed letters, that is, psi(x) = g^-1 phi(g)
     phi(x) phi(g)^-1 g on each generator x."""
     degree, gens, words = _presentation(spec)
     g = [rng.choice((1, -1)) * rng.randrange(1, len(gens) + 1) for _ in range(3)]
-    phi_g = [k for letter in g
-             for k in (words[letter - 1] if letter > 0 else _inverse(words[-letter - 1]))]
+    phi_g = _substituted(g, words)
     words = [_inverse(g) + phi_g + word + _inverse(phi_g) + g for word in words]
     return _raw(degree, gens, words)
+
+
+def _with_power_of_phi(spec: dict, k: int) -> dict:
+    """The instance with phi replaced by phi^k: the image word of a generator
+    under phi^(m+1) is its word under phi^m with phi applied to each letter."""
+    degree, gens, words = _presentation(spec)
+    powers = words
+    for _ in range(k - 1):
+        powers = [_substituted(word, words) for word in powers]
+    return _raw(degree, gens, powers)
 
 
 def _paths(node, path=""):
@@ -110,9 +130,14 @@ def _paths(node, path=""):
 
 
 @functools.cache
+def _report(spec_id: str) -> dict:
+    return analyze_instance(CORPUS[spec_id])
+
+
+@functools.cache
 def _report_paths(spec_id: str) -> dict:
     """The leaf paths of the shipped instance's report, without its id."""
-    paths = dict(_paths(analyze_instance(CORPUS[spec_id])))
+    paths = dict(_paths(_report(spec_id)))
     del paths[".id"]
     return paths
 
@@ -149,3 +174,35 @@ def test_the_inner_conjugates_move_the_twisted_set():
             moved.append(spec["id"])
     assert moved == ["heis3_inv", "heis5_inv", "heis3_c5_inv", "aff8_frob", "aff9_frob",
                      "glauberman"]
+
+
+def _fixed_by_theory(report: dict, k: int) -> dict:
+    """The fields of the report of phi^k that theory fixes when k is prime to
+    the order n of phi, with the eigen dims of each layer read at jk mod n
+    in place of j, so that they are phi's own at k = 1."""
+    auto, lie = report["automorphism"], report["lie"]
+    if isinstance(lie, dict) and isinstance(lie["eigen"], dict):
+        n = lie["eigen"]["n"]
+        dims = [[layer[j * k % n] for j in range(n)] for layer in lie["eigen"]["dims"]]
+        lie = {**lie, "eigen": {**lie["eigen"], "dims": dims}}
+    return {"group": report["group"], "lie": lie,
+            **{key: auto[key] for key in ("order", "fixed_order", "commutator_order",
+                                          "twisted_size")}}
+
+
+def test_a_power_of_phi_prime_to_its_order_keeps_what_theory_fixes():
+    # 17 pairs (instance, k) with n >= 3; on 8 of them the eigen dims are
+    # permuted, so the test reads them at jk mod n
+    pairs, moved = [], []
+    for spec in AUTO_SPECS:
+        expected = _fixed_by_theory(_report(spec["id"]), 1)
+        n = expected["order"]
+        for k in (k for k in range(2, n) if math.gcd(k, n) == 1):
+            report = analyze_instance(_with_power_of_phi(spec, k))
+            assert _fixed_by_theory(report, k) == expected, (spec["id"], k)
+            pairs.append((spec["id"], k))
+            if _fixed_by_theory(report, 1) != expected:
+                moved.append((spec["id"], k))
+    assert len(pairs) == 17
+    assert moved == [("c7_pow2", 2), ("c5_pow2", 3), ("c11_pow3", 2), ("c11_pow3", 3),
+                     ("c11_pow3", 4), ("c2cube_m7", 3), ("c2cube_m7", 5), ("c2cube_m7", 6)]

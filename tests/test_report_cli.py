@@ -27,8 +27,9 @@ from coprimelab.report import (analyze_instance, canonical_json, count_verdicts,
 from coprimelab import structure
 from coprimelab.structure import lower_central_series
 from helpers import (C2_10_ORDER_889, C2_13_ORDER_6141, _all_twisted_pair_closures,
-                     all_pairs_derived_length, all_pairs_fixed_generation_S, generated_members,
-                     identity_automorphism, load_workloads, per_element_decomposition_witness,
+                     all_pairs_derived_length, all_pairs_fixed_generation_S, cyclic_spec,
+                     generated_members, heisenberg_spec, identity_automorphism, load_workloads,
+                     modular_spec, per_element_decomposition_witness, product_spec,
                      quaternion_group, restrict_automorphism, unreduced_theorem1)
 from regen_golden import (C5_POW5, GOLDEN, HEIS5_INV, STDOUT_PINS, json_differences,
                           pinned_spec)
@@ -155,29 +156,17 @@ def _template(group, powers):
     return {**group, "automorphism": recipe}
 
 
-def _cyclic(m):
-    return {"name": "cyclic", "params": {"m": m}}
-
-
-def _heisenberg(p):
-    return {"name": "heisenberg", "params": {"p": p}}
-
-
-def _product(*factors):
-    return {"name": "direct_product", "params": {"factors": list(factors)}}
-
-
-MOD7_ORD3 = _template({"name": "modular", "params": {"p": 7}}, (30, 1))
+MOD7_ORD3 = _template(modular_spec(7), (30, 1))
 
 # The six groups of the benchmark's nilpotent_pairs corpus, each with the
 # automorphism its seeds generate the cyclic group of.
 NILPOTENT_PAIRS = {
-    "heis7_ord6": _template(_heisenberg(7), (3, 5)),
-    "heis5_ord4": _template(_heisenberg(5), 2),
-    "c125_ord4": _template(_cyclic(125), 57),
+    "heis7_ord6": _template(heisenberg_spec(7), (3, 5)),
+    "heis5_ord4": _template(heisenberg_spec(5), 2),
+    "c125_ord4": _template(cyclic_spec(125), 57),
     "mod7_ord3": MOD7_ORD3,
-    "heis3_c9_inv": _template(_product(_heisenberg(3), _cyclic(9)), -1),
-    "c25_c5_ord4": _template(_product(_cyclic(25), _cyclic(5)), (7, 2)),
+    "heis3_c9_inv": _template(product_spec(heisenberg_spec(3), cyclic_spec(9)), -1),
+    "c25_c5_ord4": _template(product_spec(cyclic_spec(25), cyclic_spec(5)), (7, 2)),
 }
 
 
@@ -595,8 +584,7 @@ def test_suite_on_c5_to_the_fifth_walks_its_pairs_exactly(tmp_path, capsys, clos
 
 # G has derived length 2, but [G, phi] is abelian of exponent 25. A theorem 2
 # walk bounded by G closes all 13,366 orbit pairs here.
-MOD5_C25 = _template(_product({"name": "modular", "params": {"p": 5}}, _cyclic(25)),
-                     (-7, 1, -1))
+MOD5_C25 = _template(product_spec(modular_spec(5), cyclic_spec(25)), (-7, 1, -1))
 
 
 def test_suite_on_mod5_c25_stops_both_walks_at_the_commutator_phi_bounds(tmp_path, capsys,
@@ -649,7 +637,7 @@ def test_dropping_phi_frees_its_twisted_data_without_the_cycle_collector(monkeyp
 
 
 def test_suite_and_lie_agree_on_lazard_at_order_3125(tmp_path, capsys):
-    spec = _product(_heisenberg(5), _cyclic(25))
+    spec = product_spec(heisenberg_spec(5), cyclic_spec(25))
     path = _write(tmp_path, "heis5_c25.json", spec)
     assert main(["lie", path]) == 0
     lazard = json.loads(capsys.readouterr().out)["lazard"]
@@ -895,7 +883,7 @@ def test_cli_unmet_precondition_is_an_input_error(tmp_path, capsys, spec, comman
       "params": {"factors": [C3, {"name": "dihedral", "params": {"m": 3}}]},
       "automorphism": {"recipe": "frobenius"}},
      "automorphism.recipe: frobenius needs cyclic(p)^k factors"),
-    ({"name": "direct_product", "params": {"factors": [_cyclic(4), _cyclic(4)]},
+    ({"name": "direct_product", "params": {"factors": [cyclic_spec(4), cyclic_spec(4)]},
       "automorphism": {"recipe": "frobenius"}},
      "automorphism.recipe: frobenius needs prime cyclic factors"),
 ], ids=["gen_powers-count", "frobenius-not-cyclic", "frobenius-not-prime"])

@@ -18,8 +18,7 @@ _HOMES = {
                "build_automorphism", "center", "centralizer", "commutator_subgroup_pair",
                "generate_group", "quotient_group", "subgroup_generated"),
     "lie": ("GradedLieAlgebra", "NpSeries", "build_graded_lie", "check_lazard_all", "check_riley",
-            "extend_and_eigendecompose", "jlz_series", "lie_fixed_points", "subalgebra_LGH",
-            "verify_np_series"),
+            "extend_and_eigendecompose", "jlz_series", "lie_fixed_points", "verify_np_series"),
     "report": ("analyze_instance", "run_suite", "theorem1_probe", "theorem2_probe",
                "thompson_probe"),
     "structure": ("SubgroupSeries", "derived_series", "fitting_height", "fitting_subgroup",

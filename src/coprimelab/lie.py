@@ -5,9 +5,8 @@ p-th powers; its layers are elementary abelian and carry a bracket induced by
 group commutators. ``NpSeries.weight`` and ``GradedLieAlgebra.log`` give each
 element's deepest term and its coordinates there. On top of that live the
 power-compatibility check of the graded bracket, the powerful-quotient
-criterion, span subalgebras attached to subgroups, fixed-point comparisons
-under a coprime automorphism, and the eigenspace decomposition after
-extending scalars by a root of unity.
+criterion, fixed-point comparisons under a coprime automorphism, and the
+eigenspace decomposition after extending scalars by a root of unity.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from typing import Optional
 from .errors import NotAPGroup, NotCoprime, NotElementaryAbelianLayer, PreconditionViolated
 from .gf import MAX_DEGREE, MAX_SEARCH, FiniteField, cyclotomic_polynomial, least_monic, poly_divmod
 from .groups import FiniteGroup, Subgroup, coset_labels, subgroup_generated
-from .linalg import (in_span, intersect_spans, mat_from_columns, identity_matrix, mat_sub,
-                     mat_vec, nullspace, rref)
+from .linalg import (intersect_spans, mat_from_columns, identity_matrix, mat_sub, mat_vec,
+                     nullspace, rref)
 from .structure import commutator_subgroup_pair, is_powerful, power_subgroup
 from .numutil import factorization, prime_power_base, root_field_degree
 
@@ -241,23 +240,17 @@ class GradedLieAlgebra:
                 return spans
             spans = grown
 
-    def bracket_steps(self, X: list, K: list) -> int:
-        """Least s >= 0 such that bracketing the subspace X by K s times gives
-        zero: X, [X, K], [[X, K], K], ... Each step raises the degree, so s is
-        at most the number of layers. The class of the generated subalgebra
-        and the u of `subalgebra_LGH` both count this."""
-        steps = 0
-        while any(X):
-            if steps > self.num_layers:
-                raise AssertionError("span bracketing failed to terminate")
-            X = self.bracket_spans(X, K)
-            steps += 1
-        return steps
-
     @cached_property
     def lie_class(self) -> int:
-        """Nilpotency class of the subalgebra generated by the first layer."""
-        return self.bracket_steps(self.lp_layers, self.lp_layers)
+        """Nilpotency class of the subalgebra generated by the first layer: the
+        least s >= 0 such that bracketing it s times by itself gives zero. Each
+        step raises the least nonzero layer, so s is at most the number of
+        layers."""
+        X, steps = self.lp_layers, 0
+        while any(X):
+            X = self.bracket_spans(X, self.lp_layers)
+            steps += 1
+        return steps
 
 
 def build_graded_lie(series: NpSeries) -> GradedLieAlgebra:
@@ -377,16 +370,6 @@ def subalgebra_of_subgroup(A: GradedLieAlgebra, H: Subgroup) -> list[tuple]:
         vecs = dict.fromkeys(A.coords(i, h) for h in H.members if A.weight[h] >= i)
         spans.append(rref(vecs, A.field))
     return spans
-
-
-def subalgebra_LGH(A: GradedLieAlgebra, H: Subgroup) -> dict:
-    """Span subalgebra attached to a subgroup, with the least u such that
-    bracketing the whole algebra u times by it vanishes."""
-    K = subalgebra_of_subgroup(A, H)
-    closed = all(in_span(w, K[k], A.field)
-                 for k, span in enumerate(A.bracket_spans(K, K)) for w in span)
-    return {"dims": tuple(len(b) for b in K), "closed": closed,
-            "u": max(A.bracket_steps(A.units, K), 1)}
 
 
 def layer_matrices(A: GradedLieAlgebra, phi) -> list[tuple]:

@@ -42,17 +42,6 @@ def rref(rows: Sequence[tuple], F) -> tuple:
     return tuple(tuple(r) for r in mat[:pivot_row] if any(r))
 
 
-def in_span(v, basis, F) -> bool:
-    """Reduce v against an rref basis; True iff the remainder vanishes."""
-    residue = list(v)
-    for row in basis:
-        lead = next(i for i, c in enumerate(row) if c)
-        if residue[lead]:
-            factor = residue[lead]
-            residue = [F.sub(a, F.mul(factor, b)) for a, b in zip(residue, row)]
-    return not any(residue)
-
-
 def nullspace(rows: Sequence[tuple], ncols: int, F) -> tuple:
     """Basis of {v : M v = 0} for the matrix with the given rows."""
     reduced = rref(rows, F)

@@ -21,11 +21,10 @@ from .automorphisms import (Automorphism, TwistedData, check_coprime_facts,
 from .corpus import _field, instance_id, load_instance
 from .errors import (CapExceeded, GroupTheoryError, InputError, NotCoprime, NotNilpotent,
                      NotSoluble, ParseError, PreconditionViolated)
-from .groups import FiniteGroup, center, is_normal, subgroup_generated
+from .groups import FiniteGroup, is_normal, subgroup_generated
 from .lie import (GradedLieAlgebra, build_graded_lie, check_lazard_all, check_riley,
                   extend_and_eigendecompose, jlz_series, lie_fixed_points, split_field_degree,
-                  subalgebra_LGH, verify_bracket_axioms, verify_eigen_product_rule,
-                  verify_np_series)
+                  verify_bracket_axioms, verify_eigen_product_rule, verify_np_series)
 from .numutil import big_omega, prime_power_base
 from .structure import (derived_series, fitting_height, is_powerful, lower_central_series,
                         require_nilpotent)
@@ -253,23 +252,21 @@ def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
     bound = G.exponent_of(term.members) * p ** c
     section["exponent_split"] = _verdict(bound % G.exponent() == 0)
     if is_powerful(G, p):
-        # powerful p-groups: elements of order dividing m generate exponent-m subgroups
+        # in a powerful p-group the elements of order dividing m = p^i generate
+        # a subgroup of exponent dividing m for odd p, and 2m for p = 2
+        # (L. Wilson, J. Group Theory 5, 2002; for m = p also Hethelyi and
+        # Levai, J. Algebra 270, 2003)
         ok = True
         m = p
         while m <= G.exponent():
             seeds = {x for x in range(G.order) if m % G.element_order(x) == 0}
-            if m % G.exponent_of(subgroup_generated(G, seeds).members) != 0:
+            bound = 2 * m if p == 2 else m
+            if bound % G.exponent_of(subgroup_generated(G, seeds).members) != 0:
                 ok = False
             m *= p
         section["powerful_generation"] = _verdict(ok)
     else:
         section["powerful_generation"] = _skip("group is not powerful")
-    lgh = []
-    for name, H in (("center", center(G)), ("whole", G.whole_subgroup())):
-        res = subalgebra_LGH(A, H)
-        lgh.append({"subgroup": name, "u": res["u"], "dims": list(res["dims"]),
-                    "closed": _verdict(res["closed"])})
-    section["span_subalgebras"] = lgh
     if phi is None:
         section["fixed_subalgebra"] = section["eigen"] = _skip("no automorphism supplied")
     else:

@@ -282,6 +282,68 @@ C2_10_ORDER_889 = _c2_power([[2], [3], [1, 2], [5], [6], [7], [8], [9], [10], [4
 C2_13_ORDER_6141 = _c2_power([[2], [1, 2], *([k] for k in range(4, 14)), [3, 5]])
 
 
+def unitriangular_spec(p: int, n: int, images=None) -> dict:
+    """A raw spec of UT_n(p), the upper unitriangular n x n matrices over F_p,
+    acting on the p^(n-1) column vectors (x_1, ..., x_(n-1), 1), the point
+    sum of x_i p^(i-1). Generator i is the elementary matrix 1 + E_(i,i+1),
+    which adds x_(i+1) (1 for i = n - 1) to x_i. ``images``, when given, are
+    phi's generator images as words."""
+    vectors = [tuple((point // p ** i) % p for i in range(n - 1)) for point in range(p ** (n - 1))]
+    generators = []
+    for i in range(n - 1):
+        perm = []
+        for x in vectors:
+            y = list(x)
+            y[i] = (x[i] + (x[i + 1] if i + 1 < n - 1 else 1)) % p
+            perm.append(sum(c * p ** k for k, c in enumerate(y)))
+        generators.append(perm)
+    spec = {"degree": p ** (n - 1), "generators": generators}
+    if images is not None:
+        spec["automorphism"] = {"images": images}
+    return spec
+
+
+def wreath_spec(p: int, k: int) -> dict:
+    """A raw spec of the subgroup <t, f> of C_p wr C_p of order p^(k + 1), for
+    1 <= k <= p, on the p^2 points (b, o), numbered p b + o: t moves the
+    blocks, (b, o) -> (b + 1, o), and f shifts block b by the coefficient of
+    x^b in (x - 1)^(p - k), so that its conjugates by t span the submodule
+    (x - 1)^(p - k) F_p[x]/(x^p - 1) of the base group. For k = p that is
+    C_p wr C_p itself, and every k gives maximal class. phi is conjugation
+    by the point map (b, o) -> (-b, -o), which normalizes the subgroup, with
+    its generator images as words read off ``tuple_enumeration``."""
+    coeffs = [math.comb(p - k, b) * (-1) ** (p - k - b) % p if b <= p - k else 0
+              for b in range(p)]
+    points = [(b, o) for b in range(p) for o in range(p)]
+    t = tuple(p * ((b + 1) % p) + o for b, o in points)
+    f = tuple(p * b + (o + coeffs[b]) % p for b, o in points)
+    flip = tuple(p * (-b % p) + (-o % p) for b, o in points)
+    elements, words = tuple_enumeration(p * p, [t, f])
+    index = dict(zip(elements, words))
+    images = [list(index[tuple_compose(flip, tuple_compose(g, flip))]) for g in (t, f)]
+    return {"degree": p * p, "generators": [list(t), list(f)],
+            "automorphism": {"images": images}}
+
+
+def algebra_class(A) -> int:
+    """Nilpotency class of the whole graded algebra A: how many times the
+    units of every layer are bracketed by all of them, with ``A.bracket``,
+    before every bracket vanishes."""
+    from coprimelab.linalg import rref
+    X, steps = A.units, 0
+    while any(X):
+        out = [[] for _ in A.units]
+        for i, xs in enumerate(X, start=1):
+            for j, units in enumerate(A.units, start=1):
+                for u in xs:
+                    for v in units:
+                        w = A.bracket(i, u, j, v)
+                        if w is not None:
+                            out[i + j - 1].append(w)
+        X, steps = [rref(vecs, A.field) for vecs in out], steps + 1
+    return steps
+
+
 def per_element_lazard(A, x: int, xp: int) -> bool:
     """p-fold bracketing by the class of x equals bracketing by the class of
     xp = x^p, with the layer of x found by scanning the terms' member sets

@@ -355,6 +355,19 @@ MUTANTS = [
      "new": "self.members[:-1] == other.members[:-1]",
      "tests": ["tests/test_group_layer.py::"
                "test_member_sets_built_on_first_read_keep_their_meaning"]},
+    {"name": "the Lie class stops one bracketing early",
+     "file": "src/coprimelab/lie.py",
+     "old": "        while any(X):\n",
+     "new": "        while any(self.bracket_spans(X, self.lp_layers)):\n",
+     "tests": ["tests/test_lie.py::test_graded_lie_heisenberg",
+               "tests/test_lie_layer.py::"
+               "test_the_first_layer_algebra_has_the_class_of_the_whole_algebra"]},
+    {"name": "powerful_generation bounds a 2-group's omega by m, not 2m",
+     "file": "src/coprimelab/report.py",
+     "old": "            bound = 2 * m if p == 2 else m\n",
+     "new": "            bound = m\n",
+     "tests": ["tests/test_small_p_groups.py::"
+               "test_powerful_generation_holds_on_a_powerful_2_group_of_exponent_8"]},
     {"name": "the Lie class is bracketed out on every call",
      "file": "src/coprimelab/lie.py",
      "old": "    @cached_property\n    def lie_class(self)",

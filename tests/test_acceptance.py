@@ -67,7 +67,7 @@ def suite_runs(corpus):
 # and of the `coprimelab glauberman` stdout. ``tests/golden/`` holds both,
 # written by ``tests/regen_golden.py``; a change that alters either must
 # update its pin and say why.
-SUITE_BUNDLE_SHA256 = "df015c30f2ca8c80fe0876af9e06ce1ec16cbde21a2d0efc5c6c9307a3ddbc0b"
+SUITE_BUNDLE_SHA256 = "b6a6aad2b29230fd0b87b0b237a9288cd1d11bdfc1c6c82bc829075ed45c21d7"
 GLAUBERMAN_SHA256 = "b1f9b92b31c41fa56d06b253c1cc3631555c6b2b9246b3bff1b94097740a54b1"
 
 
@@ -80,7 +80,7 @@ def test_suite_bundle_is_pinned(suite_runs):
     assert _sha256(canonical_json(bundle_of(golden)) + "\n") == SUITE_BUNDLE_SHA256
     for bundle in (suite_runs["bundle1"], suite_runs["bundle2"]):
         summary = bundle["summary"]
-        assert (summary["pass"], summary["fail"], summary["skipped"]) == (514, 0, 63)
+        assert (summary["pass"], summary["fail"], summary["skipped"]) == (470, 0, 63)
         lines = suite_lines(bundle)
         if lines == golden:
             continue

@@ -3,20 +3,19 @@ import itertools
 import pytest
 
 from coprimelab.automorphisms import twisted_data
-from coprimelab.corpus import build_corpus_instance, default_corpus
+from coprimelab.corpus import build_corpus_instance, default_corpus, load_instance
 from coprimelab.errors import NotAPGroup, NotCoprime, PreconditionViolated
-from coprimelab.groups import Automorphism, center, commutator_subgroup_pair, generate_group
+from coprimelab.groups import Automorphism, commutator_subgroup_pair, generate_group
 from coprimelab import lie
 from coprimelab.lie import (NpSeries, build_graded_lie, check_lazard_all, check_riley,
                             extend_and_eigendecompose, jlz_series, layer_matrices,
-                            lie_fixed_points, subalgebra_LGH, subalgebra_of_subgroup,
-                            verify_bracket_axioms, verify_eigen_product_rule, verify_np_series)
-from coprimelab.linalg import in_span, mat_vec
+                            lie_fixed_points, subalgebra_of_subgroup, verify_bracket_axioms,
+                            verify_eigen_product_rule, verify_np_series)
+from coprimelab.linalg import mat_vec, rref
 from coprimelab.numutil import prime_power_base
 from coprimelab.structure import is_powerful, lower_central_series, power_subgroup
-from helpers import (C2_10_ORDER_889, C2_13_ORDER_6141, cyclic_spec, generated_members,
-                     heisenberg_spec, identity_automorphism, load_workloads,
-                     per_element_lazard_all, product_spec, quaternion_group)
+from helpers import (C2_10_ORDER_889, C2_13_ORDER_6141, generated_members, identity_automorphism,
+                     load_workloads, per_element_lazard_all, quaternion_group, unitriangular_spec)
 
 WORKLOADS = load_workloads()
 
@@ -255,30 +254,22 @@ def test_a_one_sided_structure_constant_breaks_antisymmetry(heis3):
 
 
 def test_a_consistent_pair_of_structure_constants_breaks_jacobi():
-    # heisenberg(3) x C9 has layers of dimension 3, 1, 1 and [e0, e1] = 2f;
-    # setting [e2, f] = g and [f, e2] = -g keeps antisymmetry and makes the
-    # generated subalgebra of class 3, where [[e0, e1], e2] = g and the other
-    # two terms of the Jacobi sum vanish
-    G, A = algebra_for(product_spec(heisenberg_spec(3), cyclic_spec(9)), 3)
-    assert A.dims == (3, 1, 1) and (1, 2, 2, 0) not in A.brackets
-    A.brackets[(1, 2, 2, 0)], A.brackets[(2, 0, 1, 2)] = (1,), (2,)
+    # UT_4(3) has layers of dimension 3, 2, 1 and class 3: [e0, e1] = 2 f0,
+    # [e1, e2] = 2 f1, [f0, e2] = 2 g and [f1, e0] = g, while e2 and e0
+    # commute, so the Jacobi sum of (e0, e1, e2) is g + 2g = 0. Doubling
+    # [e0, f1] together with its antisymmetric partner [f1, e0] keeps
+    # antisymmetry and makes the sum g + g
+    G = load_instance(unitriangular_spec(3, 4))[0]
+    A = build_graded_lie(jlz_series(G, 3))
+    assert A.dims == (3, 2, 1) and A.lie_class == 3 and verify_bracket_axioms(A) is None
+    assert A.brackets[(1, 0, 2, 1)] == (2,) and A.brackets[(2, 1, 1, 0)] == (1,)
+    A.brackets[(1, 0, 2, 1)], A.brackets[(2, 1, 1, 0)] = (1,), (2,)
     witness = verify_bracket_axioms(A)
     assert witness == ((1, (1, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1)))
     x, y, z = witness
-    assert A.bracket(*y, *z) is None and A.bracket(*z, *x) is None
-    assert A.bracket(x[0] + y[0], A.bracket(*x, *y), *z) == (1,)
-    assert A.lie_class == 3
-
-
-def test_subalgebra_lgh(heis3):
-    A = build_graded_lie(jlz_series(heis3, 3))
-    trivial = subalgebra_LGH(A, heis3.trivial_subgroup())
-    assert trivial["u"] == 1 and trivial["closed"]
-    central = subalgebra_LGH(A, center(heis3))
-    assert central["u"] == 1 and central["dims"] == (0, 1)
-    whole = subalgebra_LGH(A, heis3.whole_subgroup())
-    assert whole["u"] == 2 and whole["closed"]
-    assert whole["u"] <= A.num_layers
+    assert A.bracket(*z, *x) is None
+    outer = [A.bracket(a[0] + b[0], A.bracket(*a, *b), *c) for a, b, c in ((x, y, z), (y, z, x))]
+    assert outer == [(1,), (1,)]
 
 
 def test_lie_fixed_points_identity(heis3):
@@ -318,7 +309,7 @@ def test_lie_fixed_points_fail_where_the_fixed_subgroup_misses_a_fixed_layer():
     assert witness == 2
     unit = A.units[witness - 1][0]
     assert mat_vec(layer_matrices(A, phi)[witness - 1], unit, A.field) == unit
-    assert in_span(unit, A.lp_layers[witness - 1], A.field)
+    assert rref(A.lp_layers[witness - 1] + (unit,), A.field) == A.lp_layers[witness - 1]
     assert not subalgebra_of_subgroup(A, twisted_data(phi).fixed)[witness - 1]
 
 

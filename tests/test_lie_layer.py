@@ -17,12 +17,17 @@ import random
 import pytest
 
 from coprimelab import cli, groups, lie, report
-from coprimelab.corpus import build_corpus_instance, default_corpus
-from coprimelab.lie import NpSeries, build_graded_lie, check_lazard_all, jlz_series
+from coprimelab.automorphisms import phi_invariant_closure, twisted_data
+from coprimelab.corpus import build_corpus_instance, default_corpus, load_instance
+from coprimelab.groups import center
+from coprimelab.lie import (NpSeries, build_graded_lie, check_lazard_all, jlz_series,
+                            subalgebra_of_subgroup)
+from coprimelab.linalg import rref
 from coprimelab.numutil import prime_factors, prime_power_base
 from coprimelab.structure import is_powerful, power_subgroup
-from helpers import (cyclic_spec, heisenberg_spec, modular_spec, per_element_lazard,
-                     per_element_lazard_all, product_spec, tuple_power)
+from helpers import (algebra_class, cyclic_spec, heisenberg_spec, modular_spec,
+                     per_element_lazard, per_element_lazard_all, product_spec, tuple_power,
+                     unitriangular_spec, wreath_spec)
 
 
 CORPUS = {spec["id"]: spec for spec in default_corpus()["instances"]}
@@ -162,15 +167,17 @@ def test_power_subgroups_and_jennings_terms_of_heis5_c25():
 
 def test_the_lie_class_is_bracketed_out_once_per_algebra(monkeypatch, tmp_path, capsys):
     # the report's Lie section and the ``lie`` command read the class, and
-    # check_riley reads it again
+    # check_riley reads it again; the walk of ``lie_class`` starts with the
+    # one bracketing of the kept ``lp_layers`` by themselves, which
+    # ``lp_layers`` itself never makes, as it is not kept while it grows
     walks = []
-    steps = lie.GradedLieAlgebra.bracket_steps
+    spans = lie.GradedLieAlgebra.bracket_spans
 
     def counted(self, X, K):
-        walks.append(X is self.lp_layers and K is self.lp_layers)
-        return steps(self, X, K)
+        walks.append(X is K is self.__dict__.get("lp_layers"))
+        return spans(self, X, K)
 
-    monkeypatch.setattr(lie.GradedLieAlgebra, "bracket_steps", counted)
+    monkeypatch.setattr(lie.GradedLieAlgebra, "bracket_spans", counted)
     G = _group("heis5")
     assert report._lie_section(G, None, 5)["lie_class"] == 2
     assert walks.count(True) == 1
@@ -180,3 +187,78 @@ def test_the_lie_class_is_bracketed_out_once_per_algebra(monkeypatch, tmp_path, 
     assert cli.main(["lie", str(path)]) == 0
     assert '"lie_class":2' in capsys.readouterr().out
     assert walks.count(True) == 1
+
+
+# Inputs whose algebras bracket above layer 1, so that Jacobi, Lazard's
+# deeper brackets, Riley's term and the product rule have something to
+# test: UT_4(p) with phi inverting its third elementary generator, of class
+# 3, and the maximal-class subgroups of C_p wr C_p of order p^(k+1), of
+# class k, with phi of order 2 (the identity for p = 2). Raw specs written
+# from tuples; none is in the shipped corpus. name -> (spec maker, its
+# arguments, the Lie class).
+DEEP = {"ut4_3": (unitriangular_spec, (3, 4, [[1], [2], [-3]]), 3),
+        "ut4_5": (unitriangular_spec, (5, 4, [[1], [2], [-3]]), 3),
+        **{f"c{p}_wr_c{p}_{k}": (wreath_spec, (p, k), k) for p in (2, 3, 5)
+           for k in range(2, p + 1)}}
+
+
+@functools.cache
+def _deep(name: str) -> tuple:
+    make, args, _ = DEEP[name]
+    return load_instance(make(*args))[:2]
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_every_lie_verdict_passes_on_deep_layer_inputs(name):
+    G, phi = _deep(name)
+    section = report._lie_section(G, phi, prime_power_base(G.order))
+    assert section["lie_class"] == DEEP[name][2] == len(section["layer_dims"])
+    verdicts = {key: section[key] for key in ("np_series", "lazard", "riley", "bracket_axioms",
+                                              "exponent_split", "fixed_subalgebra")}
+    verdicts["product_rule"] = section["eigen"]["product_rule"]
+    assert set(verdicts.values()) == {"pass"}, verdicts
+    assert section["powerful_generation"] == "skipped: group is not powerful"
+
+
+def test_theorem_1_has_something_to_bound_on_ut4_3():
+    # the closures of fixed and twisted elements have exponent 3, and G has 9
+    make, args, _ = DEEP["ut4_3"]
+    out = report.analyze_instance(make(*args))
+    assert out["probes"]["theorem1"]["e_star"] == 3
+    assert out["group"]["exponent"] == out["probes"]["theorem1"]["exponent"] == 9
+
+
+CLOSURE_INPUTS = [*P_GROUPS, *DEEP]
+
+
+def _instance(name: str) -> tuple:
+    return _deep(name) if name in DEEP else build_corpus_instance(CORPUS[name])
+
+
+@pytest.mark.parametrize("name", CLOSURE_INPUTS)
+def test_the_span_of_a_subgroup_is_closed_under_the_bracket(name):
+    # [H & D_i, H & D_j] <= H & D_(i+j) for every subgroup H, so the images
+    # of H span a subalgebra: checked on the centre, and for phi on C_G(phi),
+    # [G, phi] and the closures theorem 1 walks
+    G, phi = _instance(name)
+    A = build_graded_lie(jlz_series(G, prime_power_base(G.order)))
+    subgroups = [center(G)]
+    if phi is not None:
+        td = twisted_data(phi)
+        subgroups += [td.fixed, td.commutator_phi]
+        if phi.coprime:
+            subgroups += [phi_invariant_closure(phi, {x}) for x in td.orbit_reps]
+    for H in {H.member_set: H for H in subgroups}.values():
+        K = subalgebra_of_subgroup(A, H)
+        for k, span in enumerate(A.bracket_spans(K, K)):
+            assert rref(K[k] + span, A.field) == K[k], (name, H.order, k + 1)
+
+
+@pytest.mark.parametrize("name", CLOSURE_INPUTS)
+def test_the_first_layer_algebra_has_the_class_of_the_whole_algebra(name):
+    # Jennings: layer 1 generates the algebra as a restricted algebra, and
+    # by Lazard's identity [x^p, y] = ad(x)^p y (the ``lazard`` verdict) the
+    # p-th powers add no bracket that layer 1 does not make
+    G, _ = _instance(name)
+    A = build_graded_lie(jlz_series(G, prime_power_base(G.order)))
+    assert algebra_class(A) == A.lie_class

@@ -21,8 +21,8 @@ _HOMES = {
             "extend_and_eigendecompose", "jlz_series", "lie_fixed_points", "verify_np_series"),
     "report": ("analyze_instance", "run_suite", "theorem1_probe", "theorem2_probe",
                "thompson_probe"),
-    "structure": ("SubgroupSeries", "derived_series", "fitting_height", "fitting_subgroup",
-                  "is_powerful", "lower_central_series", "power_subgroup", "sylow_subgroup"),
+    "structure": ("SubgroupSeries", "derived_series", "fitting_height", "is_powerful",
+                  "lower_central_series", "power_subgroup"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 # submodules read as attributes, such as ``coprimelab.groups``, load on first use too

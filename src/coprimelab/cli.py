@@ -66,25 +66,26 @@ def _characteristic(G, path: str) -> int:
     return p
 
 
-def _emit(payload: dict) -> None:
+def _emit(payload: dict) -> int:
+    """Write the payload to stdout; the command's exit code, 1 iff it holds a
+    ``fail`` verdict."""
     sys.stdout.write(canonical_json(payload) + "\n")
+    return 1 if count_verdicts(payload)["fail"] else 0
 
 
 def cmd_info(args) -> int:
     G, _, _ = load_instance(_load_file(args.file))
     section = _group_section(G)
-    _emit(section)
     print(f"info: order {section['order']}, exponent {section['exponent']}", file=sys.stderr)
-    return 0
+    return _emit(section)
 
 
 def cmd_auto(args) -> int:
     G, phi = _load_pair(args)
     section = _auto_section(G, phi)
-    _emit(section)
     fails = count_verdicts(section)["fail"]
     print(f"auto: {'ok' if not fails else f'{fails} failing checks'}", file=sys.stderr)
-    return 1 if fails else 0
+    return _emit(section)
 
 
 def cmd_decompose(args) -> int:
@@ -102,18 +103,16 @@ def cmd_decompose(args) -> int:
         "fixed_part": h, "fixed_word": list(G.word(h)),
         "verified": "pass" if G.mul(g, h) == x else "fail",
     }
-    _emit(payload)
     print(f"decompose: {x} = {g} * {h}", file=sys.stderr)
-    return 0 if payload["verified"] == "pass" else 1
+    return _emit(payload)
 
 
 def cmd_lie(args) -> int:
     G, _, _ = load_instance(_load_file(args.file))
     A, payload = _lie_fields(G, _characteristic(G, args.file))
     payload["structure_constants"] = [[list(k), list(v)] for k, v in sorted(A.brackets.items())]
-    _emit(payload)
     print(f"lie: dims {payload['layer_dims']}, class {payload['lie_class']}", file=sys.stderr)
-    return 0 if payload["lazard"] == "pass" and payload["riley"] == "pass" else 1
+    return _emit(payload)
 
 
 def cmd_eigen(args) -> int:
@@ -125,9 +124,8 @@ def cmd_eigen(args) -> int:
         raise ParseError(f"automorphism: {exc}") from exc
     ext, payload = _eigen_fields(build_graded_lie(jlz_series(G, p)), phi)
     payload.update(p=p, modulus=list(ext.field.modulus))
-    _emit(payload)
     print(f"eigen: dims {payload['dims']}", file=sys.stderr)
-    return 0 if payload["product_rule"] == "pass" else 1
+    return _emit(payload)
 
 
 def cmd_glauberman(args) -> int:
@@ -151,22 +149,20 @@ def cmd_glauberman(args) -> int:
         "witness": w,
         "witness_verified": verified,
     }
-    _emit(payload)
     print(f"glauberman: |G|={G.order}, |fixed|={td.fixed.order}, "
           f"covers={product_covers}", file=sys.stderr)
-    return 0 if verified == "pass" else 1
+    return _emit(payload)
 
 
 def cmd_suite(args) -> int:
     if args.jobs < 1:
         raise ParseError(f"--jobs {args.jobs}: must be at least 1")
     corpus = _load_file(args.file) if args.file else default_corpus()
-    bundle, code = run_suite(corpus, jobs=args.jobs)
-    _emit(bundle)
+    bundle, _ = run_suite(corpus, jobs=args.jobs)
     s = bundle["summary"]
     print(f"suite: {s['instance_count']} instances, {s['pass']} pass, "
           f"{s['fail']} fail, {s['skipped']} skipped", file=sys.stderr)
-    return code
+    return _emit(bundle)
 
 
 def build_parser() -> argparse.ArgumentParser:

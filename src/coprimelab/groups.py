@@ -596,12 +596,10 @@ def build_automorphism(G: FiniteGroup, gen_images: Sequence[Sequence[int]]) -> A
     return Automorphism(G, [G.evaluate_word(w) for w in gen_images])
 
 
-def normality_witness(G: FiniteGroup, gens: Iterable[int], members,
-                      by: Optional[Sequence[int]] = None) -> Optional[tuple]:
-    """The first (t, g), g in ``by`` (the generators of G by default) and t
-    in ``gens``, with t^g outside ``members``; None when conjugation by ``by``
-    keeps the generated subgroup inside, that is, when ``by`` normalizes it."""
-    for g in G.generator_indices if by is None else by:
+def normality_witness(G: FiniteGroup, gens: Iterable[int], members) -> Optional[tuple]:
+    """The first (t, g), g a generator of G and t in ``gens``, with t^g
+    outside ``members``; None when the generated subgroup is normal."""
+    for g in G.generator_indices:
         for t in gens:
             if G.conjugate(t, g) not in members:
                 return t, g

@@ -1,4 +1,4 @@
-"""Small number-theory helpers: primality, factorization, p-parts."""
+"""Small number-theory helpers: primality, factorization, divisors."""
 
 from __future__ import annotations
 
@@ -47,19 +47,6 @@ def prime_power_base(n: int) -> Optional[int]:
     """The prime p with n a power of p, or None (also for n = 1)."""
     fac = factorization(n) if n > 1 else {}
     return next(iter(fac)) if len(fac) == 1 else None
-
-
-def prime_factors(n: int) -> list[int]:
-    return sorted(factorization(n))
-
-
-def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n."""
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
 
 
 def divisors(n: int) -> list[int]:

@@ -1,14 +1,12 @@
-"""Classical structure theory: series, Sylow subgroups, Fitting, powerful p-groups."""
+"""Classical structure theory: series, Fitting height, powerful p-groups."""
 
 from __future__ import annotations
 
 from typing import Optional
 
 from .errors import NotAPGroup, NotNilpotent, NotSoluble
-from .groups import (FiniteGroup, Subgroup, commutator_subgroup_pair, normal_core,
-                     normality_witness, product_of_subgroups, quotient_group,
-                     subgroup_generated)
-from .numutil import is_prime, p_part, prime_factors, prime_power_base
+from .groups import FiniteGroup, Subgroup, commutator_subgroup_pair, subgroup_generated
+from .numutil import prime_power_base
 
 
 class SubgroupSeries:
@@ -83,58 +81,19 @@ def require_soluble(G: FiniteGroup) -> None:
         raise NotSoluble("group is not soluble")
 
 
-def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
-    """A Sylow p-subgroup, built deterministically by p-element extension.
-
-    Starting from the trivial subgroup, repeatedly adjoin the least p-element
-    outside P that normalizes P. While P is below a Sylow subgroup S, the
-    normalizer of P in S is larger than P, so such an element exists, and
-    adjoining it gives a larger p-group; no normalizer is ever built.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    pk = p_part(G.order, p)
-    if pk == 1:
-        return G.trivial_subgroup()
-    if pk == G.order:
-        return G.whole_subgroup()
-    # an element order divides |G|, so it is a power of p iff it divides pk;
-    # the scan stops at the first p-element that normalizes P
-    orders = G._orders
-    P = G.trivial_subgroup()
-    while P.order < pk:
-        z = next((x for x in range(1, G.order) if pk % orders[x] == 0 and x not in P.member_set
-                  and normality_witness(G, P.gens, P.member_set, (x,)) is None), None)
-        if z is None:
-            raise AssertionError("Sylow extension exhausted below the p-part")
-        P = subgroup_generated(G, P.gens + (z,))
-    return P
-
-
-def fitting_subgroup(G: FiniteGroup) -> Subgroup:
-    """F(G): the join of the cores O_p(G) of the Sylow subgroups, over the
-    primes dividing |G|."""
-    cores = [normal_core(G, sylow_subgroup(G, p)) for p in prime_factors(G.order)]
-    if not cores:
-        return G.trivial_subgroup()
-    return product_of_subgroups(G, cores)
-
-
 def fitting_height(G: FiniteGroup) -> int:
-    """Number of iterations of G <- G/F(G) until trivial; requires solubility."""
-    cached = G.cache.get("fitting_height")
-    if cached is not None:
-        return cached
+    """Length of the lower nilpotent series G = L_0 > L_1 > ... > L_h = 1, in
+    which L_(i+1), the nilpotent residual of L_i, is the last term of the
+    lower central series of L_i; NotSoluble unless G is soluble, since the
+    series of an insoluble group stops above 1. For a soluble group h is the
+    Fitting height, the length of the upper Fitting series (Huppert,
+    *Endliche Gruppen I*, ch. VI). The first step reads the cached series of G."""
     require_soluble(G)
-    height = 0
-    cur = G
-    while cur.order > 1:
-        F = fitting_subgroup(cur)
-        if F.is_trivial:
-            raise AssertionError("nontrivial soluble group has trivial Fitting subgroup")
-        cur = quotient_group(cur, F)
-        height += 1
-    G.cache["fitting_height"] = height
+    if G.order == 1:
+        return 0
+    height, residual = 1, lower_central_series(G).terms[-1]
+    while not residual.is_trivial:
+        height, residual = height + 1, lower_central_series(G, residual).terms[-1]
     return height
 
 

@@ -12,7 +12,9 @@ from pathlib import Path
 
 from coprimelab.automorphisms import Automorphism, is_phi_invariant
 from coprimelab.errors import NotInvariant
-from coprimelab.groups import FiniteGroup, commutator_subgroup_pair, generate_group
+from coprimelab.groups import (FiniteGroup, Subgroup, commutator_subgroup_pair, generate_group,
+                               quotient_group)
+from coprimelab.numutil import factorization, prime_power_base
 
 
 def load_workloads():
@@ -645,7 +647,6 @@ def quotient_fixed_points_by_group(phi, N) -> bool:
     """Whether the fixed points of the map phi induces on G/N are the image of
     the fixed points of phi, by the quotient group and its induced
     automorphism: the oracle for the ``quotient_fixed_points`` check."""
-    from coprimelab.groups import quotient_group
     Q = quotient_group(phi.group, N)
     qphi = quotient_automorphism(phi, N, Q)
     fixed = {q for q, image in enumerate(qphi.table) if image == q}
@@ -699,6 +700,87 @@ def closure_by_elements(G: FiniteGroup, seeds) -> tuple:
                     members.add(y)
                     queue.append(y)
     return frozenset(members), tuple(gens)
+
+
+def _p_part(G: FiniteGroup, p: int) -> int:
+    return p ** factorization(G.order).get(p, 0)
+
+
+def _p_closure(G: FiniteGroup, seeds, p: int):
+    """Member indices of <seeds> by breadth-first right multiplication, or
+    None as soon as it has more elements than the p-part of |G| or meets an
+    element whose order is not a power of p: a group has an element of order
+    q for every prime q dividing its order, so <seeds> is a p-group iff all
+    its elements have p-power order."""
+    bound = _p_part(G, p)
+    members = {0}
+    queue = [0]
+    for x in queue:
+        for s in seeds:
+            y = G.mul(x, s)
+            if y not in members:
+                if len(members) == bound or prime_power_base(G.element_order(y)) != p:
+                    return None
+                members.add(y)
+                queue.append(y)
+    return frozenset(members)
+
+
+def brute_sylow(G: FiniteGroup, p: int) -> Subgroup:
+    """A Sylow p-subgroup: the elements in index order, each one adjoined
+    when it and the subgroup so far generate a p-group. A p-subgroup below a
+    Sylow subgroup S is extended by an element of S, and a refused element
+    stays refused as the subgroup grows, so the scan ends at a maximal
+    p-subgroup, which is a Sylow subgroup."""
+    order = _p_part(G, p)
+    members, gens = frozenset((0,)), []
+    for x in range(1, G.order):
+        if len(members) == order:
+            break
+        if x not in members:
+            grown = _p_closure(G, gens + [x], p)
+            if grown is not None:
+                members, gens = grown, gens + [x]
+    return Subgroup(members, gens)
+
+
+def brute_fitting(G: FiniteGroup) -> Subgroup:
+    """F(G), the subgroup the O_p(G) generate. x lies in O_p(G) iff its
+    normal closure, the subgroup its conjugacy class generates, is a p-group;
+    the classes are the orbits of conjugation by the generators. A group of
+    prime-power order is nilpotent, so it is its own F(G)."""
+    if G.order == 1 or prime_power_base(G.order) is not None:
+        return G.whole_subgroup()
+    seeds, seen = [], {0}
+    for x in range(1, G.order):
+        p = prime_power_base(G.element_order(x))
+        if x in seen or p is None:
+            continue
+        conj_class = [x]
+        seen.add(x)
+        for y in conj_class:
+            for g in G.generator_indices:
+                z = G.conjugate(y, g)
+                if z not in seen:
+                    seen.add(z)
+                    conj_class.append(z)
+        if _p_closure(G, conj_class, p) is not None:
+            seeds += conj_class
+    return Subgroup(*closure_by_elements(G, seeds))
+
+
+def fitting_height_by_quotients(G: FiniteGroup) -> int:
+    """The Fitting height as the length of the upper Fitting series: how
+    many times G is replaced by G/F(G), built with ``quotient_group``, until
+    it is trivial. F(G) is trivial only for a trivial or insoluble G."""
+    height = 0
+    while G.order > 1:
+        F = brute_fitting(G)
+        if F.is_trivial:
+            raise AssertionError("a nontrivial group with trivial Fitting subgroup is insoluble")
+        G = quotient_group(G, F)
+        height += 1
+    return height
 
 
 def commutator_with_automorphism(phi, H) -> frozenset:

@@ -293,11 +293,19 @@ MUTANTS = [
      "old": "    if normality_witness(G, H.gens, H.member_set) is None:\n        return H\n",
      "new": "    return H\n",
      "tests": ["tests/test_group_layer.py::test_normal_core_matches_intersection_of_all_conjugates"]},
-    {"name": "the Sylow normalizer test conjugates by the generators of G",
+    # the Fitting height walks the lower nilpotent series from the cached
+    # lower central series of G
+    {"name": "the Fitting height walks the derived series",
      "file": "src/coprimelab/structure.py",
-     "old": "normality_witness(G, P.gens, P.member_set, (x,)) is None",
-     "new": "normality_witness(G, P.gens, P.member_set) is None",
-     "tests": ["tests/test_group_layer.py::test_sylow_core_and_fitting_match_oracles"]},
+     "old": "height, residual = 1, lower_central_series(G).terms[-1]",
+     "new": "height, residual = 1, derived_series(G).terms[1]",
+     "tests": ["tests/test_structure.py::test_fitting_subgroup_and_height",
+               "tests/test_structure.py::test_fitting_height_matches_the_quotient_oracle"]},
+    {"name": "the Fitting height recomputes the lower central series of G",
+     "file": "src/coprimelab/structure.py",
+     "old": "height, residual = 1, lower_central_series(G).terms[-1]",
+     "new": "height, residual = 1, lower_central_series(G, G.whole_subgroup()).terms[-1]",
+     "tests": ["tests/test_group_layer.py::test_glauberman_group_section_mul_count_is_pinned"]},
     # member sets on first read, byte base-image columns, bijectivity from the
     # kernel: the traced peaks of the Glauberman instance
     {"name": "the member set built on first read leaves out the identity",
@@ -432,6 +440,13 @@ MUTANTS = [
      "new": "        raise NotCoprime(\"action not coprime\")\n",
      "tests": ["tests/test_guards.py::"
                "test_every_guard_raises_its_class_with_the_wording_the_bundle_prints"]},
+    # every command's exit code is 1 iff its payload holds a fail verdict
+    {"name": "a command exits 0 whatever its verdicts",
+     "file": "src/coprimelab/cli.py",
+     "old": "    return 1 if count_verdicts(payload)[\"fail\"] else 0\n",
+     "new": "    return 0\n",
+     "tests": ["tests/test_report_cli.py::test_cli_info_exits_1_on_a_failing_class_bound",
+               "tests/test_report_cli.py::test_cli_lie_exits_1_on_a_failing_np_series"]},
     {"name": "a raw group over the cap names no place in the input",
      "file": "src/coprimelab/corpus.py",
      "old": "        except (InvalidPermutation, CapExceeded) as exc:\n",

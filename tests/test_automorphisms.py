@@ -11,7 +11,7 @@ from coprimelab.automorphisms import (build_automorphism, check_coprime_facts,
 from coprimelab.corpus import build_corpus_instance, default_corpus
 from coprimelab.errors import NotBijective, NotCoprime, NotInvariant, NotNilpotent
 from coprimelab.groups import quotient_group, subgroup_generated, is_normal
-from coprimelab.structure import sylow_subgroup
+from coprimelab.structure import lower_central_series
 from helpers import (commutator_with_automorphism, identity_automorphism, load_workloads,
                      per_element_decomposition_witness,
                      quaternion_group, quotient_automorphism, quotient_fixed_points_by_group,
@@ -76,7 +76,7 @@ def test_glauberman_scaling_orbit(glauberman):
 
 def test_glauberman_translations_subgroup(glauberman):
     G, phi = glauberman
-    A = sylow_subgroup(G, 5)
+    A = lower_central_series(G).terms[-1]  # the translations
     assert A.order == 125
     assert is_normal(G, A)
     assert all(G.element_order(x) == 5 for x in A.members if x != 0)
@@ -86,7 +86,7 @@ def test_glauberman_translations_subgroup(glauberman):
 
 def test_glauberman_twisted_translations_conjugate_into_fixed(glauberman):
     G, phi = glauberman
-    A = sylow_subgroup(G, 5)
+    A = lower_central_series(G).terms[-1]  # the translations
     a_fixed = {x for x in A.members if phi.table[x] == x}
     a_twisted = {G.mul(G.inv(x), phi.table[x]) for x in A.members}
     # conjugates of the fixed translations, walked through generator conjugation
@@ -271,7 +271,7 @@ def test_restrict_automorphism(c3c3_swap):
 
 def test_quotient_automorphism_glauberman(glauberman):
     G, phi = glauberman
-    A = sylow_subgroup(G, 5)
+    A = lower_central_series(G).terms[-1]  # the translations
     Q = quotient_group(G, A)
     qphi = quotient_automorphism(phi, A, Q)
     fixed_count = sum(1 for q in range(Q.order) if qphi.table[q] == q)
@@ -309,7 +309,7 @@ def test_fixed_generation_precondition(s3):
 
 def test_fixed_points_of_product(glauberman):
     G, phi = glauberman
-    A = sylow_subgroup(G, 5)
+    A = lower_central_series(G).terms[-1]  # the translations
     whole = G.whole_subgroup()
     out = fixed_points_of_product(phi, [("translations", A), ("whole", whole)])
     assert out["verdict"] == "pass"

@@ -2,10 +2,11 @@
 operation counts that fail if the layer goes back to |G|-wide scans.
 
 The order and inverse tables come from one power walk per cyclic subgroup,
-Sylow subgroups grow by p-elements that normalize, cores such as O_p(G)
-intersect conjugates by the generators only, and the centre is scanned once
-per group. Each is checked here against an oracle that uses none of those
-shortcuts, on every corpus group and on one quotient of each nonabelian one.
+cores such as O_p(G) intersect conjugates by the generators only, the
+Fitting height walks the lower nilpotent series inside G, and the centre is
+scanned once per group. Each is checked here against an oracle that uses
+none of those shortcuts, on every corpus group and on one quotient of each
+nonabelian one.
 """
 
 import collections
@@ -20,12 +21,11 @@ from coprimelab.corpus import build_corpus_instance, default_corpus, load_instan
 from coprimelab.automorphisms import twisted_data
 from coprimelab.groups import (Subgroup, center, is_normal, normal_core, quotient_group,
                                subgroup_generated)
-from coprimelab.numutil import p_part, prime_factors
-from coprimelab.structure import (derived_series, fitting_subgroup, lower_central_series,
-                                  sylow_subgroup)
-from helpers import (ProductCounter, brute_center, brute_core, brute_subgroup_members,
-                     cycle_order, load_workloads, naive_element_order, scan_inverses,
-                     series_orders_by_set)
+from coprimelab.numutil import factorization
+from coprimelab.structure import derived_series, fitting_height, lower_central_series
+from helpers import (ProductCounter, brute_center, brute_core, brute_fitting,
+                     brute_subgroup_members, brute_sylow, cycle_order, fitting_height_by_quotients,
+                     load_workloads, naive_element_order, scan_inverses, series_orders_by_set)
 
 # naive_element_order costs the sum of all element orders in products, about
 # 1.3M on Glauberman's group; above this order the cycle lengths are the oracle.
@@ -74,17 +74,21 @@ def test_center_matches_all_pairs_commutation(spec_id):
 
 @pytest.mark.parametrize("spec_id", SPECS)
 def test_sylow_core_and_fitting_match_oracles(spec_id):
+    # the core of a Sylow p-subgroup is O_p(G), and F(G) is the join of the
+    # O_p(G); the Fitting height walks the lower nilpotent series
     for G in _groups(spec_id):
         cores = []
-        for p in prime_factors(G.order):
-            P = sylow_subgroup(G, p)
-            assert P.order == p_part(G.order, p), (G, p)
+        for p, k in factorization(G.order).items():
+            P = brute_sylow(G, p)
+            assert P.order == p ** k, (G, p)
             assert brute_subgroup_members(G, P.gens) == P.member_set, (G, p)
             core = normal_core(G, P)
             assert core.member_set == brute_core(G, P), (G, p)
             cores.append(core)
         fitting = brute_subgroup_members(G, [x for core in cores for x in core.members])
-        assert fitting_subgroup(G).member_set == fitting, G
+        assert brute_fitting(G).member_set == fitting, G
+        if derived_series(G).is_soluble:
+            assert fitting_height(G) == fitting_height_by_quotients(G), G
 
 
 def test_normal_core_matches_intersection_of_all_conjugates():
@@ -97,7 +101,7 @@ def test_normal_core_matches_intersection_of_all_conjugates():
         G, phi = build_corpus_instance(spec)
         if G.order > 2000:
             continue
-        subgroups = [sylow_subgroup(G, p) for p in prime_factors(G.order)] + [center(G)]
+        subgroups = [brute_sylow(G, p) for p in factorization(G.order)] + [center(G)]
         if phi is not None:
             td = twisted_data(phi)
             subgroups += [td.fixed, td.commutator_phi]
@@ -116,14 +120,13 @@ def test_normal_core_matches_intersection_of_all_conjugates():
 
 def _report_subgroups(G, phi) -> list:
     """(name, subgroup) for the subgroups of G that the report builds: the
-    derived and lower central terms read back from ``G.cache``, the Sylow
-    subgroups, the centre, the whole group, C_G(phi) and [G, phi]."""
+    derived and lower central terms read back from ``G.cache``, the centre,
+    the whole group, C_G(phi) and [G, phi]."""
     # the caches hold the series themselves
     assert derived_series(G) is G.cache["derived"] is derived_series(G)
     assert lower_central_series(G) is G.cache["lower-central"] is lower_central_series(G)
     out = [(f"{kind}[{i}]", term) for kind in ("derived", "lower-central")
            for i, term in enumerate(G.cache[kind].terms)]
-    out += [(f"sylow({p})", sylow_subgroup(G, p)) for p in prime_factors(G.order)]
     out += [("center", center(G)), ("whole", G.whole_subgroup())]
     if phi is not None:
         td = twisted_data(phi)
@@ -181,22 +184,19 @@ def test_member_sets_built_on_first_read_keep_their_meaning():
                                  (lower_central_series, "lower-central")):
                 expected = series_orders_by_set(G, H or G.whole_subgroup(), kind)
                 assert series(G, H).orders == expected, (spec.get("id"), kind)
-    # 356 subgroups, 318 of them not yet asked for their member set
+    # 313 subgroups, 203 of them not yet asked for their member set
     assert checked >= 300 and unbuilt >= 100, (checked, unbuilt)
 
 
 # _group_section on Glauberman's affine(5,3), |G| = 15,500: series, exponent
-# and Fitting height, the quotients' builds included, counting ``mul`` calls
-# and the pairs of ``products`` batches alike. A normalizer scan of G per
-# Sylow step and O_p conjugated by every g take it to 107,381; a power walk
-# and a quotient projection by ``mul`` to 35,340; closures by elements and
-# coset labels by ``mul`` to 19,595; closure by whole cosets to 17,888. The
-# cores conjugate in batches (``normal_core``), which makes it 17,127, of
-# which 197 are ``mul`` calls in conjugates and commutators and the rest are
-# in batches; the powers of each closure's first generator come from a
-# ``_cycle`` walk, which is not counted.
-GLAUBERMAN_GROUP_SECTION_MULS = 17_127
-GLAUBERMAN_GROUP_SECTION_SCALAR_MULS = 197
+# and Fitting height, counting ``mul`` calls and the pairs of ``products``
+# batches alike. The height walks the lower nilpotent series inside G from
+# the cached lower central series, with no Sylow subgroup, core or quotient
+# group (with them it was 17,127). Of the 669, 174 are ``mul`` calls in
+# conjugates and commutators and the rest are in batches; the powers of each
+# closure's first generator come from a ``_cycle`` walk, which is not counted.
+GLAUBERMAN_GROUP_SECTION_MULS = 669
+GLAUBERMAN_GROUP_SECTION_SCALAR_MULS = 174
 
 
 def test_glauberman_group_section_mul_count_is_pinned(monkeypatch):
@@ -253,7 +253,7 @@ def test_one_whole_subgroup_handle_per_group(monkeypatch):
     per_group = collections.Counter()
     for G, H in handles.values():
         per_group[id(G)] += builds[id(H)]
-    # 27 of the 36 groups build it once; fresh handles made 49 builds over 155 handles
+    # 22 of the 31 groups build it once; fresh handles made 49 builds over 155 handles
     assert max(per_group.values()) == 1 and sum(per_group.values()) >= 20, per_group
     for G, H in list(handles.values()):
         assert G.whole_subgroup() is G.whole_subgroup() is H

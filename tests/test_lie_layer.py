@@ -23,7 +23,7 @@ from coprimelab.groups import center
 from coprimelab.lie import (NpSeries, build_graded_lie, check_lazard_all, jlz_series,
                             subalgebra_of_subgroup)
 from coprimelab.linalg import rref
-from coprimelab.numutil import prime_factors, prime_power_base
+from coprimelab.numutil import factorization, prime_power_base
 from coprimelab.structure import is_powerful, power_subgroup
 from helpers import (algebra_class, cyclic_spec, heisenberg_spec, modular_spec,
                      per_element_lazard, per_element_lazard_all, product_spec, tuple_power,
@@ -116,7 +116,7 @@ def test_a_series_that_breaks_the_power_axiom_fails_where_the_oracle_fails():
 def _exponents(G) -> set:
     e = G.exponent()
     out = {2, 3, 4, 5, e, e + 1}
-    for p in prime_factors(G.order):
+    for p in factorization(G.order):
         out |= {p, p * p}
     return out
 

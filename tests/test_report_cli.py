@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import types
 import weakref
 from pathlib import Path
 
@@ -530,6 +531,26 @@ def test_cli_eigen(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["dims"] == [[1, 1, 1]]
     assert out["field_degree"] == 2
+
+
+def test_cli_info_exits_1_on_a_failing_class_bound(tmp_path, capsys, monkeypatch):
+    # G^(k) <= gamma_(2^k) makes the bound hold on every nilpotent group, so
+    # only a patched class can fail it: heis3 has derived length 2 > 0 + 1
+    path = _write(tmp_path, "h3.json", heisenberg_spec(3))
+    monkeypatch.setattr(report, "require_nilpotent",
+                        lambda G: types.SimpleNamespace(nilpotency_class=0))
+    assert main(["info", path]) == 1
+    assert json.loads(capsys.readouterr().out)["derived_length_class_bound"] == "fail"
+
+
+def test_cli_lie_exits_1_on_a_failing_np_series(tmp_path, capsys, monkeypatch):
+    # lazard and riley pass; the np_series verdict alone decides the exit
+    path = _write(tmp_path, "h3.json", heisenberg_spec(3))
+    monkeypatch.setattr(report, "verify_np_series", lambda series: ("power", 1))
+    assert main(["lie", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["np_series"] == "fail"
+    assert out["lazard"] == "pass" and out["riley"] == "pass"
 
 
 def test_cli_auto_skips_fixed_generation_above_the_pair_cap(tmp_path, capsys, monkeypatch):

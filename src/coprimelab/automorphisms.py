@@ -5,7 +5,8 @@ permutation (``table``). ``Automorphism(G, images)``, the one constructor,
 which checks its generator images, and ``build_automorphism``, which
 evaluates image words for it, live in ``groups``, next to the Cayley-graph
 walks that build the table, so that building an instance compiles none of
-the analysis here; they are re-exported from this module.
+the analysis here; they are re-exported from this module. The checks here
+return None or their first witness; ``report`` alone spells verdicts.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ class TwistedData:
     subgroup, the twisted set and the subgroup it generates; on G also the
     least x with x^-1 x^phi = t for each twisted t, which only
     ``factorization_status`` reads (None on a proper subgroup). The orbit
-    representatives, the same data on [G, phi] (``inner``) and the derived
-    length of [G, phi] are computed on first read and kept. It holds G and
-    the table, never phi, so dropping phi frees it by reference counting."""
+    representatives, the same data on [G, phi] (``inner``), the derived
+    length of [G, phi] and ``product_covers`` are computed on first read and
+    kept. It holds G and the table, never phi, so dropping phi frees it."""
 
     def __init__(self, group: FiniteGroup, table: tuple, elements: Sequence[int]):
         self.group = G = group
@@ -60,6 +61,13 @@ class TwistedData:
     def commutator_derived_length(self) -> Optional[int]:
         """The derived length of [G, phi], None when it is insoluble."""
         return derived_series(self.group, self.commutator_phi).derived_length
+
+    @cached_property
+    def product_covers(self) -> bool:
+        """Whether twisted times fixed is all of G (data on G only). As
+        x^-1 x^phi = y^-1 y^phi iff y x^-1 is fixed, |twisted| |fixed| = |G|,
+        so it covers G iff each element is such a product exactly once."""
+        return 0 not in _factorization_counts(self)
 
 
 def twisted_data(phi: Automorphism) -> TwistedData:
@@ -124,11 +132,10 @@ def is_phi_invariant(phi: Automorphism, H: Subgroup) -> bool:
     return all(phi.table[t] in H.member_set for t in H.gens)
 
 
-def _factorization_counts(phi: Automorphism) -> list[int]:
+def _factorization_counts(td: TwistedData) -> list[int]:
     """counts[x] is the number of pairs (g, h), g twisted and h fixed, with
-    g h = x: one batch of |twisted| products per fixed h, |G| in all."""
-    G = phi.group
-    td = twisted_data(phi)
+    g h = x, on G: one batch of |twisted| products per fixed h, |G| in all."""
+    G = td.group
     counts = [0] * G.order
     for h in td.fixed.members:
         for x in G.products(td.twisted, repeat(h)):
@@ -143,7 +150,6 @@ def factorization_status(phi: Automorphism) -> tuple:
     require_coprime(phi)
     G = phi.group
     td = twisted_data(phi)
-    product_covers = 0 not in _factorization_counts(phi)
     # the union of the conjugacy classes that meet the fixed points
     conj_union = set().union(*_orbits(td.fixed.members,
                                       lambda x: [G.conjugate(x, g) for g in G.generator_indices]))
@@ -159,7 +165,7 @@ def factorization_status(phi: Automorphism) -> tuple:
             if c is not None:
                 witness = {"a": a, "b": td.producers[x], "c": c, "twisted_element": x}
                 break
-    return product_covers, criterion_holds, witness
+    return td.product_covers, criterion_holds, witness
 
 
 def _decomposition_error(x: int, count: int) -> GroupTheoryError:
@@ -193,16 +199,17 @@ def decomposition_witness(phi: Automorphism) -> Optional[dict]:
     factorization; else the first element that has not, with the error
     ``nilpotent_decompose`` raises for it.
 
-    One walk over twisted x fixed counts the factorizations of every element
-    at once, where asking ``nilpotent_decompose`` element by element costs
-    |G| * |twisted| products.
+    Every element has one iff the product covers G (``product_covers``, as
+    ``factorization_status`` reads it), so they are counted only to find
+    the witness of a product that does not cover.
     """
     require_coprime(phi)
     require_nilpotent(phi.group)
-    for x, count in enumerate(_factorization_counts(phi)):
-        if count != 1:
-            return {"element": x, "error": str(_decomposition_error(x, count))}
-    return None
+    td = twisted_data(phi)
+    if td.product_covers:
+        return None
+    x, count = next((x, c) for x, c in enumerate(_factorization_counts(td)) if c != 1)
+    return {"element": x, "error": str(_decomposition_error(x, count))}
 
 
 def default_normal_family(phi: Automorphism) -> list[tuple]:
@@ -282,71 +289,40 @@ def _bare_fixed_coset(phi: Automorphism, N: Subgroup) -> Optional[int]:
                  if labels[phi.table[x]] == k and k not in meets_fixed), None)
 
 
-def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> dict:
-    """Verify the three standard coprime-action facts.
-
-    (a) twisting [G,phi] again reproduces it; (b) fixed points pass to
-    quotients by invariant normal subgroups; (c) [G,phi] centralizes every
-    invariant normal subgroup inside the fixed points. The (a) check reads
-    [[G,phi],phi] off ``commutator_twisted_data``. The (b) check reads
-    the fixed cosets off one ``coset_labels`` pass per subgroup
-    (``_bare_fixed_coset``), with no quotient group. The (c) check
-    multiplies generators only, unless some pair of them fails. Failed
-    checks carry generator words under ``witness``: for (b) the least x
-    whose coset is fixed but holds no fixed element, for (c) the first
-    non-commuting pair m in [G,phi], x in the subgroup, in member order.
-    """
+def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> tuple:
+    """The three standard coprime-action facts, (a, b, c), with None where
+    each holds. (a) [[G,phi],phi] = [G,phi]: None or the least element of
+    [G,phi] outside it. (b) Fixed points pass to quotients by invariant
+    normal subgroups: per family member (name, N, x), x the least element of
+    a coset N x that phi fixes and that holds no fixed element, read off one
+    ``coset_labels`` pass (``_bare_fixed_coset``). (c) [G,phi] centralizes
+    every invariant normal subgroup inside the fixed points: per candidate
+    (name, N, pair), pair the first non-commuting (m, x), m in [G,phi] and x
+    in N, in member order, found by generators unless some pair fails."""
     require_coprime(phi)
     G = phi.group
-    td = twisted_data(phi)
+    H = twisted_data(phi).commutator_phi
     family = default_normal_family(phi) if family is None else _checked_family(phi, family)
-
-    report: dict = {}
     twice = commutator_twisted_data(phi).commutator_phi
-    report["commutator_stable"] = "pass" if twice == td.commutator_phi else "fail"
-
-    quotient_checks = []
-    for name, N in family:
-        bare = _bare_fixed_coset(phi, N)
-        check = {"subgroup": name, "kernel_order": N.order,
-                 "verdict": "pass" if bare is None else "fail"}
-        if bare is not None:
-            check["witness"] = {"x": list(G.word(bare))}
-        quotient_checks.append(check)
-    report["quotient_fixed_points"] = quotient_checks
-
-    central_checks = []
-    for name, N in _central_candidates(phi, family):
-        pair = _noncommuting_pair(G, td.commutator_phi, N)
-        check = {"subgroup": name, "order": N.order, "verdict": "pass" if pair is None else "fail"}
-        if pair is not None:
-            # generator words, so the pair replays on a fresh enumeration
-            check["witness"] = {"m": list(G.word(pair[0])), "x": list(G.word(pair[1]))}
-        central_checks.append(check)
-    report["centralizing"] = central_checks
-    report["verdict"] = ("pass" if report["commutator_stable"] == "pass"
-                         and all(c["verdict"] == "pass" for c in quotient_checks)
-                         and all(c["verdict"] == "pass" for c in central_checks)
-                         else "fail")
-    return report
+    unstable = None if twice == H else min(H.member_set - twice.member_set)
+    return (unstable,
+            [(name, N, _bare_fixed_coset(phi, N)) for name, N in family],
+            [(name, N, _noncommuting_pair(G, H, N)) for name, N in _central_candidates(phi, family)])
 
 
-def fixed_points_of_product(phi: Automorphism, family: Sequence[tuple]) -> dict:
-    """Check that fixed points of a product of invariant normal subgroups are
-    generated by the factors' fixed points."""
+def fixed_points_of_product(phi: Automorphism, family: Sequence[tuple]) -> tuple:
+    """The fixed points of a product of invariant normal subgroups are
+    generated by the factors' fixed points: the orders of the product, its
+    fixed points and the subgroup they generate, and None or the least fixed
+    element of the product outside that subgroup."""
     require_coprime(phi)
     G = phi.group
-    td = twisted_data(phi)
+    fixed = twisted_data(phi).fixed.member_set
     _checked_family(phi, family)
     product = product_of_subgroups(G, [N for _, N in family])
-    lhs = product.member_set & td.fixed.member_set
-    rhs = subgroup_generated(
-        G, set().union(*(N.member_set & td.fixed.member_set for _, N in family))
-        if family else {0})
-    ok = lhs == rhs.member_set
-    return {"product_order": product.order, "fixed_in_product": len(lhs),
-            "generated_by_factor_fixed": rhs.order,
-            "verdict": "pass" if ok else "fail"}
+    lhs = product.member_set & fixed
+    rhs = subgroup_generated(G, {0}.union(*(N.member_set & fixed for _, N in family)))
+    return product.order, len(lhs), rhs.order, min(lhs - rhs.member_set, default=None)
 
 
 def twisted_pair_closures(phi: Automorphism, td: TwistedData) -> Iterator[Subgroup]:

@@ -14,8 +14,8 @@ from .corpus import build_glauberman_example, default_corpus, load_instance
 from .errors import GroupTheoryError, InputError, ParseError, PreconditionViolated
 from .lie import build_graded_lie, jlz_series, split_field_degree
 from .numutil import prime_power_base
-from .report import (_auto_section, _eigen_fields, _group_section, _lie_fields, canonical_json,
-                     count_verdicts, run_suite)
+from .report import (_auto_section, _eigen_fields, _group_section, _lie_fields, _verdict,
+                     canonical_json, outcome, run_suite)
 from .structure import lower_central_series
 
 # Imported at module level, so that a command's time holds no import, and
@@ -67,10 +67,9 @@ def _characteristic(G, path: str) -> int:
 
 
 def _emit(payload: dict) -> int:
-    """Write the payload to stdout; the command's exit code, 1 iff it holds a
-    ``fail`` verdict."""
+    """Write the payload to stdout; the command's exit code (``report.outcome``)."""
     sys.stdout.write(canonical_json(payload) + "\n")
-    return 1 if count_verdicts(payload)["fail"] else 0
+    return outcome(payload)[0]
 
 
 def cmd_info(args) -> int:
@@ -83,8 +82,7 @@ def cmd_info(args) -> int:
 def cmd_auto(args) -> int:
     G, phi = _load_pair(args)
     section = _auto_section(G, phi)
-    fails = count_verdicts(section)["fail"]
-    print(f"auto: {'ok' if not fails else f'{fails} failing checks'}", file=sys.stderr)
+    print(f"auto: {outcome(section)[1]}", file=sys.stderr)
     return _emit(section)
 
 
@@ -101,7 +99,7 @@ def cmd_decompose(args) -> int:
         "element": x, "element_word": list(G.word(x)),
         "twisted_part": g, "twisted_word": list(G.word(g)),
         "fixed_part": h, "fixed_word": list(G.word(h)),
-        "verified": "pass" if G.mul(g, h) == x else "fail",
+        "verified": _verdict(G.mul(g, h) == x),
     }
     print(f"decompose: {x} = {g} * {h}", file=sys.stderr)
     return _emit(payload)
@@ -132,11 +130,8 @@ def cmd_glauberman(args) -> int:
     G, phi = build_glauberman_example()
     td = twisted_data(phi)
     product_covers, criterion_holds, w = factorization_status(phi)
-    verified = "fail"
-    if w:
-        lhs = G.mul(G.inv(w["b"]), phi.table[w["b"]])
-        rhs = G.conjugate(w["a"], w["c"])
-        verified = "pass" if lhs == rhs == w["twisted_element"] else "fail"
+    verified = w is not None and (G.mul(G.inv(w["b"]), phi.table[w["b"]])
+                                  == G.conjugate(w["a"], w["c"]) == w["twisted_element"])
     payload = {
         "group_order": G.order,
         "automorphism_order": phi.order_n,
@@ -147,7 +142,7 @@ def cmd_glauberman(args) -> int:
         "product_covers": product_covers,
         "criterion_holds": criterion_holds,
         "witness": w,
-        "witness_verified": verified,
+        "witness_verified": _verdict(verified),
     }
     print(f"glauberman: |G|={G.order}, |fixed|={td.fixed.order}, "
           f"covers={product_covers}", file=sys.stderr)
@@ -159,9 +154,8 @@ def cmd_suite(args) -> int:
         raise ParseError(f"--jobs {args.jobs}: must be at least 1")
     corpus = _load_file(args.file) if args.file else default_corpus()
     bundle, _ = run_suite(corpus, jobs=args.jobs)
-    s = bundle["summary"]
-    print(f"suite: {s['instance_count']} instances, {s['pass']} pass, "
-          f"{s['fail']} fail, {s['skipped']} skipped", file=sys.stderr)
+    print(f"suite: {bundle['summary']['instance_count']} instances, {outcome(bundle)[1]}",
+          file=sys.stderr)
     return _emit(bundle)
 
 

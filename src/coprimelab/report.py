@@ -1,9 +1,9 @@
 """Per-instance analysis reports, exponent probes, and the suite runner.
 
-Every verdict field is exactly "pass", "fail" or "skipped: <reason>"; reports
-contain only ints, strings, bools, lists and dicts, and serialize to
-byte-identical canonical JSON (sorted keys, no whitespace) across runs and
-across worker counts.
+Every verdict field is exactly "pass", "fail" or "skipped: <reason>", spelled
+here only: the checks return None or their first witness. Reports contain
+only ints, strings, bools, lists and dicts, and serialize to byte-identical
+canonical JSON (sorted keys, no whitespace) across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -34,6 +34,16 @@ PAIR_CAP = 1_000_000
 
 def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
+
+
+def _witnessed(G: FiniteGroup, witness, *keys: str) -> dict:
+    """{"verdict": "pass"} for no witness, else "fail" and the witness (one
+    element per key) as generator words, which replay on a fresh enumeration."""
+    check = {"verdict": _verdict(witness is None)}
+    if witness is not None:
+        elements = witness if len(keys) > 1 else (witness,)
+        check["witness"] = {key: list(G.word(x)) for key, x in zip(keys, elements)}
+    return check
 
 
 def _skip(reason: str) -> str:
@@ -164,10 +174,25 @@ def _factorization(phi: Automorphism) -> dict:
             "equivalence": _verdict(product_covers == criterion_holds), "witness": witness}
 
 
+def _coprime_facts(phi: Automorphism) -> dict:
+    G = phi.group
+    unstable, quotients, central = check_coprime_facts(phi)
+    return {"commutator_stable": _verdict(unstable is None),
+            "quotient_fixed_points": [{"subgroup": name, "kernel_order": N.order,
+                                       **_witnessed(G, x, "x")} for name, N, x in quotients],
+            "centralizing": [{"subgroup": name, "order": N.order, **_witnessed(G, pair, "m", "x")}
+                             for name, N, pair in central],
+            "verdict": _verdict(unstable is None
+                                and all(w is None for _, _, w in quotients + central))}
+
+
 def _product_fixed_points(phi: Automorphism) -> dict | str:
     family = default_normal_family(phi)
-    return fixed_points_of_product(phi, family) if family else _skip(
-        "no nontrivial invariant normals")
+    if not family:
+        return _skip("no nontrivial invariant normals")
+    product, fixed, generated, x = fixed_points_of_product(phi, family)
+    return {"product_order": product, "fixed_in_product": fixed,
+            "generated_by_factor_fixed": generated, **_witnessed(phi.group, x, "x")}
 
 
 def _soluble_when_fixed_nilpotent(phi: Automorphism) -> str:
@@ -208,7 +233,7 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
         "commutator_normal_invariant": _verdict(is_phi_invariant(phi, cp) and is_normal(G, cp)),
     }
     section["factorization"] = _or_skip(_factorization, phi)
-    section["coprime_facts"] = _or_skip(check_coprime_facts, phi)
+    section["coprime_facts"] = _or_skip(_coprime_facts, phi)
     section["product_fixed_points"] = _or_skip(_product_fixed_points, phi)
     section["soluble_when_fixed_nilpotent"] = _or_skip(_soluble_when_fixed_nilpotent, phi)
     # fixed_generation and soluble_exponent analyse phi on [G, phi] inside G
@@ -313,6 +338,7 @@ def _analyze_for_suite(args) -> dict:
 
 
 def count_verdicts(obj) -> dict:
+    """The verdicts in a report by kind; an ``id`` is no verdict, whatever it spells."""
     counts = {"pass": 0, "fail": 0, "skipped": 0}
 
     def walk(node):
@@ -320,12 +346,23 @@ def count_verdicts(obj) -> dict:
             counts[node] += 1
         elif isinstance(node, str) and node.startswith("skipped:"):
             counts["skipped"] += 1
-        elif isinstance(node, (dict, list)):
-            for v in node.values() if isinstance(node, dict) else node:
+        elif isinstance(node, dict):
+            walk([v for key, v in node.items() if key != "id"])
+        elif isinstance(node, list):
+            for v in node:
                 walk(v)
 
     walk(obj)
     return counts
+
+
+def outcome(payload: dict) -> tuple:
+    """(exit code, verdict counts in words) of a command printing ``payload``:
+    1 iff it holds a fail verdict, every command's rule. A suite bundle is
+    counted by its summary, where an instance over the cap is one skip."""
+    counts = payload.get("summary") or count_verdicts(payload)
+    return (1 if counts["fail"] else 0,
+            f"{counts['pass']} pass, {counts['fail']} fail, {counts['skipped']} skipped")
 
 
 def validate_corpus(corpus: dict) -> list:
@@ -366,15 +403,6 @@ def run_suite(corpus: dict, jobs: int = 1) -> tuple:
     hard_failures = [rep["id"] for rep, inst_counts in zip(reports, per_instance)
                      if inst_counts["fail"] or "hard_error" in rep]
     counts = {key: sum(c[key] for c in per_instance) for key in ("pass", "fail", "skipped")}
-    bundle = {
-        "schema": 1,
-        "instances": reports,
-        "summary": {
-            "instance_count": len(reports),
-            "pass": counts["pass"],
-            "fail": counts["fail"],
-            "skipped": counts["skipped"],
-            "hard_failures": hard_failures,
-        },
-    }
+    bundle = {"schema": 1, "instances": reports,
+              "summary": {"instance_count": len(reports), **counts, "hard_failures": hard_failures}}
     return bundle, (1 if hard_failures else 0)

@@ -441,12 +441,37 @@ MUTANTS = [
      "tests": ["tests/test_guards.py::"
                "test_every_guard_raises_its_class_with_the_wording_the_bundle_prints"]},
     # every command's exit code is 1 iff its payload holds a fail verdict
+    # (report.outcome), and an instance's id is never counted as a verdict
     {"name": "a command exits 0 whatever its verdicts",
-     "file": "src/coprimelab/cli.py",
-     "old": "    return 1 if count_verdicts(payload)[\"fail\"] else 0\n",
-     "new": "    return 0\n",
+     "file": "src/coprimelab/report.py",
+     "old": "    return (1 if counts[\"fail\"] else 0,\n",
+     "new": "    return (0,\n",
      "tests": ["tests/test_report_cli.py::test_cli_info_exits_1_on_a_failing_class_bound",
                "tests/test_report_cli.py::test_cli_lie_exits_1_on_a_failing_np_series"]},
+    {"name": "an id that spells a verdict is counted",
+     "file": "src/coprimelab/report.py",
+     "old": "            walk([v for key, v in node.items() if key != \"id\"])\n",
+     "new": "            walk(list(node.values()))\n",
+     "tests": ["tests/test_report_cli.py::test_an_id_that_spells_a_verdict_is_not_counted"]},
+    # the automorphism checks return witnesses, and the report alone turns
+    # them into verdicts
+    {"name": "the report passes a quotient check whose witness is set",
+     "file": "src/coprimelab/report.py",
+     "old": "**_witnessed(G, x, \"x\")} for name, N, x in quotients],",
+     "new": "**_witnessed(G, None, \"x\")} for name, N, x in quotients],",
+     "tests": ["tests/test_automorphisms.py::"
+               "test_quotient_check_failure_carries_a_witness_that_replays"]},
+    {"name": "the product check never names a witness",
+     "file": "src/coprimelab/automorphisms.py",
+     "old": "min(lhs - rhs.member_set, default=None)",
+     "new": "None",
+     "tests": ["tests/test_automorphisms.py::test_product_failure_carries_a_witness_that_replays"]},
+    {"name": "the decomposition check counts factorizations when the product covers",
+     "file": "src/coprimelab/automorphisms.py",
+     "old": "    if td.product_covers:\n        return None\n",
+     "new": "",
+     "tests": ["tests/test_report_cli.py::"
+               "test_a_corpus_pass_counts_factorizations_once_per_automorphism"]},
     {"name": "a raw group over the cap names no place in the input",
      "file": "src/coprimelab/corpus.py",
      "old": "        except (InvalidPermutation, CapExceeded) as exc:\n",

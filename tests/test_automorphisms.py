@@ -2,6 +2,7 @@ import copy
 
 import pytest
 
+from coprimelab import report
 from coprimelab.automorphisms import (build_automorphism, check_coprime_facts,
                                       commutator_twisted_data, decomposition_witness,
                                       factorization_status, fixed_generation_S,
@@ -147,15 +148,17 @@ def test_phi_invariant_closure(c3c3_swap, glauberman):
 
 def test_check_coprime_facts(glauberman, c3c3_swap):
     G, phi = glauberman
-    report = check_coprime_facts(phi)
-    assert report["verdict"] == "pass"
-    assert report["commutator_stable"] == "pass"
-    assert any(c["verdict"] == "pass" for c in report["quotient_fixed_points"])
+    unstable, quotients, central = check_coprime_facts(phi)
+    assert unstable is None
+    assert quotients and all(x is None for _, _, x in quotients)
+    assert all(pair is None for _, _, pair in central)
     G2, phi2 = c3c3_swap
     diag = subgroup_generated(G2, {G2.mul(G2.generator_indices[0], G2.generator_indices[1])})
-    report2 = check_coprime_facts(phi2, family=[("diagonal", diag)])
-    assert report2["verdict"] == "pass"
-    assert any(c["subgroup"] == "diagonal" for c in report2["centralizing"])
+    unstable, quotients, central = check_coprime_facts(phi2, family=[("diagonal", diag)])
+    assert unstable is None
+    assert quotients == [("diagonal", diag, None)]
+    assert ("diagonal", diag, None) in central
+    assert all(pair is None for _, _, pair in central)
 
 
 def test_commutator_stable_under_twisting(glauberman):
@@ -197,8 +200,24 @@ def test_commutator_stable_check_reads_the_twice_twisted_subgroup():
         assert twice.member_set == commutator_with_automorphism(phi, H), spec["id"]
         proper += twice != H
         if phi.coprime:
-            assert check_coprime_facts(phi)["commutator_stable"] == "pass", spec["id"]
+            assert check_coprime_facts(phi)[0] is None, spec["id"]
     assert proper
+
+
+def test_commutator_stable_failure_names_the_least_element_outside(monkeypatch):
+    # [[G, phi], phi] = [G, phi] under coprime action, so only a patched
+    # twice-twisted subgroup, the centre of heisenberg(3), can fail it
+    from coprimelab import automorphisms
+    G, phi = build_corpus_instance({"name": "heisenberg", "params": {"p": 3},
+                                    "automorphism": {"recipe": "power", "k": -1}})
+    H = twisted_data(phi).commutator_phi
+    Z = lower_central_series(G).terms[1]
+    fake = copy.copy(twisted_data(phi))
+    fake.commutator_phi = Z
+    monkeypatch.setattr(automorphisms, "commutator_twisted_data", lambda phi: fake)
+    assert check_coprime_facts(phi)[0] == min(x for x in H.members if x not in Z.member_set)
+    section = report._coprime_facts(phi)
+    assert section["commutator_stable"] == section["verdict"] == "fail"
 
 
 def test_nilpotent_decompose_c3c3(c3c3_swap):
@@ -227,14 +246,18 @@ def test_nilpotent_decompose_all_elements_q8():
         assert g in twisted and h in td.fixed.member_set
 
 
-def test_decomposition_witness_names_an_element_without_factorization(c3c3_swap):
+def test_decomposition_witness_names_an_element_without_factorization(c3c3_swap, monkeypatch):
     G, phi = c3c3_swap
     td = twisted_data(phi)
     assert decomposition_witness(phi) is None
+    assert td.product_covers
     # a corrupted twisted set: its last member dropped, so the products miss
-    # that member's coset of the fixed points
-    phi._twisted = copy.copy(td)
-    phi._twisted.twisted = td.twisted[:-1]
+    # that member's coset of the fixed points; the copy must not keep the
+    # cover that the data read before
+    corrupted = copy.copy(td)
+    corrupted.twisted = td.twisted[:-1]
+    del corrupted.product_covers
+    monkeypatch.setattr(phi, "_twisted", corrupted)
     witness = decomposition_witness(phi)
     assert witness == per_element_decomposition_witness(phi)
     x = witness["element"]
@@ -311,10 +334,11 @@ def test_fixed_points_of_product(glauberman):
     G, phi = glauberman
     A = lower_central_series(G).terms[-1]  # the translations
     whole = G.whole_subgroup()
-    out = fixed_points_of_product(phi, [("translations", A), ("whole", whole)])
-    assert out["verdict"] == "pass"
-    single = fixed_points_of_product(phi, [("translations", A)])
-    assert single["verdict"] == "pass"
+    # (|product|, |its fixed points|, |what the factors' fixed points generate|,
+    # witness): the Frobenius fixes the translations by GF(5)
+    assert fixed_points_of_product(phi, [("translations", A), ("whole", whole)]) == (
+        15500, 20, 20, None)
+    assert fixed_points_of_product(phi, [("translations", A)]) == (125, 5, 5, None)
 
 
 def test_fixed_points_of_product_componentwise():
@@ -325,8 +349,32 @@ def test_fixed_points_of_product_componentwise():
          "automorphism": {"recipe": "gen_powers", "powers": [-1, -1, 1]}})
     h_part = subgroup_generated(G, set(G.generator_indices[:2]))
     c_part = subgroup_generated(G, {G.generator_indices[2]})
-    out = fixed_points_of_product(phi, [("h", h_part), ("c", c_part)])
-    assert out["verdict"] == "pass"
+    assert fixed_points_of_product(phi, [("h", h_part), ("c", c_part)]) == (135, 15, 15, None)
+
+
+def test_product_failure_carries_a_witness_that_replays(monkeypatch):
+    # only a patched product can fail the check: the whole group in place of
+    # the product of the heisenberg factor, whose fixed points miss C_5
+    from coprimelab import automorphisms
+    spec = {"name": "direct_product",
+            "params": {"factors": [{"name": "heisenberg", "params": {"p": 3}},
+                                   {"name": "cyclic", "params": {"m": 5}}]},
+            "automorphism": {"recipe": "gen_powers", "powers": [-1, -1, 1]}}
+    G, phi = build_corpus_instance(spec)
+    h_part = subgroup_generated(G, set(G.generator_indices[:2]))
+    monkeypatch.setattr(automorphisms, "product_of_subgroups", lambda G, subs: G.whole_subgroup())
+    monkeypatch.setattr(report, "default_normal_family", lambda phi: [("h", h_part)])
+    fixed = twisted_data(phi).fixed.member_set
+    generated = h_part.member_set & fixed
+    x = fixed_points_of_product(phi, [("h", h_part)])[-1]
+    assert x == min(fixed - generated)
+    section = report._product_fixed_points(phi)
+    assert section["verdict"] == "fail"
+    assert (section["product_order"], section["fixed_in_product"],
+            section["generated_by_factor_fixed"]) == (135, 15, 3)
+    G2, phi2 = build_corpus_instance(spec)
+    y = G2.evaluate_word(section["witness"]["x"])
+    assert phi2.table[y] == y and G2.element_order(y) % 5 == 0
 
 
 def test_soluble_exponent_probe():
@@ -400,14 +448,16 @@ def test_quotient_check_failure_carries_a_witness_that_replays(monkeypatch):
     monkeypatch.setattr(automorphisms.Automorphism, "coprime", property(lambda self: True))
     G, phi = build_corpus_instance(spec)
     family = dict(automorphisms.default_normal_family(phi))
-    report = check_coprime_facts(phi)
-    assert report["verdict"] == "fail"
-    checks = report["quotient_fixed_points"]
+    quotients = check_coprime_facts(phi)[1]
+    section = report._coprime_facts(phi)
+    assert section["verdict"] == "fail"
+    checks = section["quotient_fixed_points"]
     assert [c["verdict"] for c in checks] == ["fail", "pass"]
-    for check in checks:
-        N = family[check["subgroup"]]
+    for check, (name, N, x) in zip(checks, quotients, strict=True):
+        assert check["subgroup"] == name and family[name] == N
         assert quotient_fixed_points_by_group(phi, N) == (check["verdict"] == "pass")
         bare = _bare_fixed_coset(phi, N)
+        assert x == bare
         if check["verdict"] == "pass":
             assert bare is None and "witness" not in check
         else:
@@ -428,17 +478,17 @@ def test_centralizing_failure_carries_a_witness_that_replays(monkeypatch):
     spec = {"name": "heisenberg", "params": {"p": 3},
             "automorphism": {"recipe": "power", "k": -1}}
     G, phi = build_corpus_instance(spec)
-    assert all("witness" not in c for c in check_coprime_facts(phi)["centralizing"])
+    assert all("witness" not in c for c in report._coprime_facts(phi)["centralizing"])
     # a core that [G, phi] = G does not centralize, generated by a product of
     # generators, so that its elements' words are not their indices
     a, b = G.generator_indices
     core = subgroup_generated(G, [G.mul(a, b)])
     monkeypatch.setattr(automorphisms, "normal_core", lambda G, H: core)
-    report = check_coprime_facts(phi)
-    assert report["verdict"] == "fail"
-    failed = [c for c in report["centralizing"] if c["verdict"] == "fail"]
+    section = report._coprime_facts(phi)
+    assert section["verdict"] == "fail"
+    failed = [c for c in section["centralizing"] if c["verdict"] == "fail"]
     assert [c["subgroup"] for c in failed] == ["core_of_fixed"]
-    assert all("witness" not in c for c in report["centralizing"] if c["verdict"] == "pass")
+    assert all("witness" not in c for c in section["centralizing"] if c["verdict"] == "pass")
     words = failed[0]["witness"]
     assert set(words) == {"m", "x"}
     assert all(type(k) is int for w in words.values() for k in w)

@@ -110,6 +110,41 @@ def test_forced_coprime_decomposition_witness_matches_per_element_loop(m, k, mon
     assert witness == per_element_decomposition_witness(phi)
 
 
+def test_a_corpus_pass_counts_factorizations_once_per_automorphism(monkeypatch):
+    # |twisted| |fixed| = |G|, so the product covers G iff every element has
+    # one factorization: the unique-decomposition check reads the cover that
+    # the factorization check counted, on every nilpotent instance
+    counted = []
+    count = automorphisms._factorization_counts
+
+    def counting(td):
+        counted.append(td)
+        return count(td)
+
+    monkeypatch.setattr(automorphisms, "_factorization_counts", counting)
+    nilpotent = 0
+    for spec in default_corpus()["instances"]:
+        counted.clear()
+        auto = analyze_instance(spec)["automorphism"]
+        assert len(counted) == (auto is not None and auto["coprime"]), spec["id"]
+        nilpotent += auto is not None and auto["unique_decomposition"] == "pass"
+    assert nilpotent >= 20
+
+
+def test_an_id_that_spells_a_verdict_is_not_counted(tmp_path, capsys):
+    # ids "fail" and "pass" give the summary and exit code of id "ok"
+    outcomes = {}
+    for name in ("ok", "fail", "pass"):
+        corpus = {"schema": 1, "instances": [{"id": name, "name": "cyclic", "params": {"m": 2}}]}
+        bundle, code = run_suite(corpus)
+        assert main(["suite", _write(tmp_path, "corpus.json", corpus)]) == code
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == bundle
+        outcomes[name] = code, bundle["summary"]
+    assert outcomes["ok"][1]["hard_failures"] == []
+    assert outcomes["fail"] == outcomes["pass"] == outcomes["ok"]
+
+
 def test_theorem1_closes_one_subgroup_per_orbit_glauberman(closures):
     # fixed elements need no closure; one twisted orbit representative is
     # closed at a time until e_star reaches exp([G, phi])

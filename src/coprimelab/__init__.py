@@ -10,7 +10,7 @@ from importlib import import_module
 _HOMES = {
     "automorphisms": ("check_coprime_facts", "factorization_status", "fixed_generation_S",
                       "fixed_points_of_product", "nilpotent_decompose", "phi_invariant_closure",
-                      "soluble_exponent_probe", "twisted_data"),
+                      "twisted_data"),
     "corpus": ("build_corpus_instance", "build_glauberman_example", "default_corpus",
                "load_instance"),
     "gf": ("FiniteField",),

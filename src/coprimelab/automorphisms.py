@@ -20,8 +20,7 @@ from .errors import (GroupTheoryError, NotCoprime, NotInvariant, NotNilpotent,
 from .groups import (Automorphism, FiniteGroup, Subgroup, are_conjugate,  # noqa: F401
                      build_automorphism, center, coset_labels, is_normal, normal_core,
                      product_of_subgroups, subgroup_generated)
-from .structure import (SubgroupSeries, derived_series, lower_central_series,
-                        require_nilpotent, require_soluble)
+from .structure import SubgroupSeries, derived_series, lower_central_series, require_nilpotent
 
 
 class TwistedData:
@@ -339,16 +338,6 @@ def twisted_pair_closures(phi: Automorphism, td: TwistedData) -> Iterator[Subgro
             yield phi_invariant_closure(phi, {x, y})
 
 
-def _commutator_data(phi: Automorphism) -> tuple:
-    """(H, data of phi on H) for H = [G, phi]; PreconditionViolated unless
-    [H, phi] = H."""
-    H = twisted_data(phi).commutator_phi
-    inner = commutator_twisted_data(phi)
-    if inner.commutator_phi.order != H.order:
-        raise PreconditionViolated("[G, phi, phi] = [G, phi] required")
-    return H, inner
-
-
 def fixed_generation_S(phi: Automorphism) -> dict:
     """Fixed elements of H = [G, phi] reachable inside invariant closures of
     pairs of twisted elements of phi on H, all found inside G.
@@ -365,7 +354,9 @@ def fixed_generation_S(phi: Automorphism) -> dict:
     G = phi.group
     require_coprime(phi)
     require_nilpotent(G)
-    _, inner = _commutator_data(phi)
+    inner = commutator_twisted_data(phi)
+    if inner.commutator_phi.order != twisted_data(phi).commutator_phi.order:
+        raise PreconditionViolated("[G, phi, phi] = [G, phi] required")
     fixed = inner.fixed.member_set
     S: set[int] = {0}
     closures = twisted_pair_closures(phi, inner)
@@ -374,16 +365,3 @@ def fixed_generation_S(phi: Automorphism) -> dict:
     return {"S_size": len(S),
             "generates": len(S) == len(fixed)
             or subgroup_generated(G, S).member_set == fixed}
-
-
-def soluble_exponent_probe(phi: Automorphism) -> dict:
-    """Record (derived length, twisted exponent bound, exponent) of H = [G, phi]
-    under phi, all found inside G. Raises NotCoprime unless phi is coprime,
-    then NotSoluble unless G is soluble; PreconditionViolated if the
-    invariant [H, phi] = H fails."""
-    G = phi.group
-    require_coprime(phi)
-    require_soluble(G)
-    H, inner = _commutator_data(phi)
-    return {"d": twisted_data(phi).commutator_derived_length, "e": G.exponent_of(inner.twisted),
-            "exponent": G.exponent_of(H.members)}

@@ -16,8 +16,8 @@ from .automorphisms import (Automorphism, TwistedData, check_coprime_facts,
                             commutator_twisted_data, decomposition_witness,
                             default_normal_family, factorization_status, fixed_generation_S,
                             fixed_points_of_product, is_phi_invariant, nilpotent_fixed_series,
-                            phi_invariant_closure, require_coprime, soluble_exponent_probe,
-                            twisted_data, twisted_pair_closures)
+                            phi_invariant_closure, require_coprime, twisted_data,
+                            twisted_pair_closures)
 from .corpus import _field, instance_id, load_instance
 from .errors import (CapExceeded, GroupTheoryError, InputError, NotCoprime, NotNilpotent,
                      NotSoluble, ParseError, PreconditionViolated)
@@ -75,7 +75,7 @@ def _above_pair_cap(td: TwistedData) -> Optional[str]:
 
 def theorem1_probe(phi: Automorphism) -> dict:
     """Largest exponent of a minimal invariant closure of a fixed or twisted
-    element, recorded against the group exponent.
+    element, which the report sets against the group's exponent.
 
     A fixed x is its own <phi>-orbit, so its closure is <x>, of exponent the
     order of x. The closure of a twisted x is generated by its <phi>-orbit,
@@ -94,7 +94,7 @@ def theorem1_probe(phi: Automorphism) -> dict:
         if e_star >= bound:
             break
         e_star = max(e_star, G.exponent_of(phi_invariant_closure(phi, {x}).members))
-    return {"e_star": e_star, "n": phi.order_n, "exponent": G.exponent()}
+    return {"e_star": e_star}
 
 
 def theorem2_probe(phi: Automorphism) -> dict | str:
@@ -132,8 +132,7 @@ def theorem2_probe(phi: Automorphism) -> dict | str:
         d = max(d, dl)
         if d == bound:
             break
-    return {"c": fixed_lcs.nilpotency_class, "d": d, "e": G.exponent_of(td.twisted),
-            "n": phi.order_n, "exponent_commutator": G.exponent_of(td.commutator_phi.members)}
+    return {"c": fixed_lcs.nilpotency_class, "d": d, "e": G.exponent_of(td.twisted)}
 
 
 def thompson_probe(phi: Automorphism) -> dict:
@@ -217,8 +216,7 @@ def _fixed_generation(phi: Automorphism) -> dict | str:
     if reason:
         return _skip(reason)
     gen_report = fixed_generation_S(phi)
-    return {"restricted_to_commutator_order": twisted_data(phi).commutator_phi.order,
-            "S_size": gen_report["S_size"], "generates": _verdict(gen_report["generates"])}
+    return {"S_size": gen_report["S_size"], "generates": _verdict(gen_report["generates"])}
 
 
 def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
@@ -229,17 +227,20 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
         "coprime": phi.coprime,
         "fixed_order": td.fixed.order,
         "twisted_size": len(td.twisted),
+        # H = [G, phi]: theorem 2 bounds exp H, and its pair walk stops at
+        # dl H (null if H is insoluble); both print here once, for every phi
         "commutator_order": cp.order,
+        "commutator_exponent": G.exponent_of(cp.members),
+        "commutator_derived_length": td.commutator_derived_length,
         "commutator_normal_invariant": _verdict(is_phi_invariant(phi, cp) and is_normal(G, cp)),
     }
     section["factorization"] = _or_skip(_factorization, phi)
     section["coprime_facts"] = _or_skip(_coprime_facts, phi)
     section["product_fixed_points"] = _or_skip(_product_fixed_points, phi)
     section["soluble_when_fixed_nilpotent"] = _or_skip(_soluble_when_fixed_nilpotent, phi)
-    # fixed_generation and soluble_exponent analyse phi on [G, phi] inside G
     section["unique_decomposition"] = _or_skip(_unique_decomposition, phi, section)
+    # fixed_generation analyses phi on [G, phi] inside G
     section["fixed_generation"] = _or_skip(_fixed_generation, phi)
-    section["soluble_exponent"] = _or_skip(soluble_exponent_probe, phi)
     return section
 
 

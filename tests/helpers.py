@@ -246,8 +246,7 @@ def unreduced_theorem1(phi) -> dict:
         closed.add(orbit)
         members = generated_members(G, orbit)
         e_star = max(e_star, reduce(math.lcm, (G.element_order(m) for m in members)))
-    exponent = reduce(math.lcm, (G.element_order(x) for x in range(G.order)))
-    return {"e_star": e_star, "n": phi.order_n, "exponent": exponent}
+    return {"e_star": e_star}
 
 
 # Corpus specs of the named families, as the corpus file writes them.

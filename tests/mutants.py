@@ -472,6 +472,12 @@ MUTANTS = [
      "new": "",
      "tests": ["tests/test_report_cli.py::"
                "test_a_corpus_pass_counts_factorizations_once_per_automorphism"]},
+    {"name": "the commutator exponent reads exp(G)",
+     "file": "src/coprimelab/report.py",
+     "old": "        \"commutator_exponent\": G.exponent_of(cp.members),\n",
+     "new": "        \"commutator_exponent\": G.exponent(),\n",
+     "tests": ["tests/test_in_place.py::"
+               "test_auto_section_matches_the_restriction_and_quotient_oracles"]},
     {"name": "a raw group over the cap names no place in the input",
      "file": "src/coprimelab/corpus.py",
      "old": "        except (InvalidPermutation, CapExceeded) as exc:\n",

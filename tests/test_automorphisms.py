@@ -3,18 +3,18 @@ import copy
 import pytest
 
 from coprimelab import report
-from coprimelab.automorphisms import (build_automorphism, check_coprime_facts,
+from coprimelab.automorphisms import (Automorphism, build_automorphism, check_coprime_facts,
                                       commutator_twisted_data, decomposition_witness,
-                                      factorization_status, fixed_generation_S,
-                                      fixed_points_of_product, is_phi_invariant,
-                                      nilpotent_decompose, phi_invariant_closure,
-                                      soluble_exponent_probe, twisted_data)
+                                      default_normal_family, factorization_status,
+                                      fixed_generation_S, fixed_points_of_product,
+                                      is_phi_invariant, nilpotent_decompose,
+                                      phi_invariant_closure, twisted_data)
 from coprimelab.corpus import build_corpus_instance, default_corpus
 from coprimelab.errors import NotBijective, NotCoprime, NotInvariant, NotNilpotent
-from coprimelab.groups import quotient_group, subgroup_generated, is_normal
+from coprimelab.groups import center, quotient_group, subgroup_generated, is_normal
 from coprimelab.structure import lower_central_series
-from helpers import (commutator_with_automorphism, identity_automorphism, load_workloads,
-                     per_element_decomposition_witness,
+from helpers import (commutator_with_automorphism, cyclic_spec, identity_automorphism,
+                     load_workloads, per_element_decomposition_witness, product_spec,
                      quaternion_group, quotient_automorphism, quotient_fixed_points_by_group,
                      quotient_projection, restrict_automorphism)
 
@@ -377,19 +377,34 @@ def test_product_failure_carries_a_witness_that_replays(monkeypatch):
     assert phi2.table[y] == y and G2.element_order(y) % 5 == 0
 
 
-def test_soluble_exponent_probe():
+def test_commutator_facts_c7():
     G, phi = c7_square()
-    out = soluble_exponent_probe(phi)
-    assert out == {"d": 1, "e": 7, "exponent": 7}
+    section = report._auto_section(G, phi)
+    assert (section["commutator_order"], section["commutator_exponent"],
+            section["commutator_derived_length"]) == (7, 7, 1)
 
 
-def test_soluble_exponent_probe_glauberman_restriction(glauberman):
+def test_commutator_facts_print_for_any_phi_and_null_when_insoluble(s5):
+    # conjugation by a generator is not coprime, and [G, phi] is A5
+    c = s5.generator_indices[0]
+    phi = Automorphism(s5, [s5.conjugate(g, c) for g in s5.generator_indices])
+    assert not phi.coprime
+    section = report._auto_section(s5, phi)
+    assert (section["commutator_order"], section["commutator_exponent"],
+            section["commutator_derived_length"]) == (60, 30, None)
+
+
+def test_commutator_facts_glauberman_restriction(glauberman):
+    # phi restricted to H = [G, phi] has [H, phi] = H, so the section of the
+    # restriction prints the facts of H that the section of G prints
     G, phi = glauberman
     td = twisted_data(phi)
     H, rphi, _ = restrict_automorphism(phi, td.commutator_phi)
-    out = soluble_exponent_probe(rphi)
-    assert out["d"] == 2
-    assert out["exponent"] % out["e"] == 0
+    section = report._auto_section(H, rphi)
+    assert section["commutator_order"] == H.order == td.commutator_phi.order
+    assert section["commutator_derived_length"] == td.commutator_derived_length == 2
+    assert section["commutator_exponent"] == H.exponent() == 155
+    assert section["commutator_exponent"] % H.exponent_of(twisted_data(rphi).twisted) == 0
 
 
 def _corpus_coprime_actions(max_order):
@@ -531,3 +546,29 @@ def test_centralizing_by_generators_matches_all_pairs():
             failing += expected is not None
         candidates += len(central)
     assert candidates >= 25 and failing >= 100, (candidates, failing)
+
+
+# S3 x C11 with phi of order 5 on C11 (ROADMAP item 27): fact (c) meets
+# subgroups outside the centre, and the product check a product larger than
+# each member, which no shipped instance gives it
+S3_C11 = {**product_spec({"name": "symmetric", "params": {"m": 3}}, cyclic_spec(11)),
+          "automorphism": {"recipe": "gen_powers", "powers": [1, 1, 3]}}
+
+
+def test_s3_c11_gives_fact_c_and_the_product_check_content():
+    G, phi = build_corpus_instance(S3_C11)
+    assert (G.order, phi.order_n, phi.coprime) == (66, 5, True)
+    out = report.analyze_instance(S3_C11)
+    auto = out["automorphism"]
+    assert [(c["subgroup"], c["order"], c["verdict"])
+            for c in auto["coprime_facts"]["centralizing"]] == [("derived", 3, "pass"),
+                                                                ("core_of_fixed", 6, "pass")]
+    Z = center(G).member_set
+    central = check_coprime_facts(phi)[2]
+    assert len(central) == 2 and not any(N.member_set <= Z for _, N, _ in central)
+    members = sorted(N.order for _, N in default_normal_family(phi))
+    product = auto["product_fixed_points"]
+    assert members == [3, 11] and product["product_order"] == 33
+    assert product["verdict"] == "pass"
+    counts = report.count_verdicts(out)
+    assert (counts["pass"], counts["fail"]) == (9, 0)

@@ -19,7 +19,7 @@ from coprimelab.automorphisms import (Automorphism, check_coprime_facts, decompo
                                       default_normal_family, factorization_status,
                                       fixed_generation_S, fixed_points_of_product,
                                       nilpotent_decompose, nilpotent_fixed_series,
-                                      require_coprime, soluble_exponent_probe)
+                                      require_coprime)
 from coprimelab.cli import main
 from coprimelab.corpus import build_corpus_instance, default_corpus
 from coprimelab.errors import NotCoprime, NotNilpotent, NotSoluble
@@ -57,8 +57,6 @@ GUARDS = [
      "aff9_frob", NotCoprime, "automorphism.unique_decomposition"),
     ("fixed_generation_S", lambda G, phi: fixed_generation_S(phi),
      "aff9_frob", NotCoprime, "automorphism.fixed_generation"),
-    ("soluble_exponent_probe", lambda G, phi: soluble_exponent_probe(phi),
-     "aff9_frob", NotCoprime, "automorphism.soluble_exponent"),
     ("nilpotent_fixed_series", lambda G, phi: nilpotent_fixed_series(phi),
      "aff9_frob", NotCoprime, "automorphism.soluble_when_fixed_nilpotent"),
     ("theorem1_probe", lambda G, phi: theorem1_probe(phi),
@@ -88,8 +86,6 @@ GUARDS = [
      "s5", NotSoluble, "probes.thompson"),
     ("fitting_height", lambda G, phi: fitting_height(G),
      "s5", NotSoluble, "probes.thompson"),
-    ("soluble_exponent_probe", lambda G, phi: soluble_exponent_probe(phi),
-     "s5", NotSoluble, "automorphism.soluble_exponent"),
     ("thompson_probe", lambda G, phi: thompson_probe(phi),
      "s5", NotSoluble, "probes.thompson"),
 ]
@@ -160,7 +156,7 @@ def _assert_hard_error(tmp_path, capsys, command, message):
 
 
 def test_a_commutator_invariant_failure_is_a_hard_error(monkeypatch, tmp_path, capsys):
-    # [[G, phi], phi] read as trivial: the check in _commutator_data fires
+    # [[G, phi], phi] read as trivial: the check in fixed_generation_S fires
     real = automorphisms.commutator_twisted_data
 
     def shrunk(phi):

@@ -1,8 +1,8 @@
 """The automorphism section inside G, and the batched kernel under it.
 
-``fixed_generation`` and ``soluble_exponent`` analyse phi on H = [G, phi]
-inside G, and the ``quotient_fixed_points`` check reads fixed cosets off
-``coset_labels``. The sections are compared here with the oracles in
+``fixed_generation`` and the exponent and derived length of H = [G, phi]
+read phi on H inside G, and the ``quotient_fixed_points`` check reads fixed
+cosets off ``coset_labels``. The sections are compared here with the oracles in
 ``tests/helpers.py`` that re-enumerate H as a group of its own with the
 restricted automorphism, and build each quotient group with its induced
 automorphism. ``FiniteGroup.products`` is compared with ``mul``, and
@@ -17,8 +17,8 @@ import random
 import pytest
 
 from coprimelab import groups, lie, report
-from coprimelab.automorphisms import (default_normal_family, fixed_generation_S,
-                                      soluble_exponent_probe, twisted_data)
+from coprimelab.automorphisms import (commutator_twisted_data, default_normal_family,
+                                      fixed_generation_S, twisted_data)
 from coprimelab.corpus import build_corpus_instance, default_corpus
 from coprimelab.groups import coset_labels, subgroup_generated
 from coprimelab.lie import NpSeries, jlz_series, verify_np_series
@@ -58,22 +58,20 @@ def _group(spec_id: str):
 
 
 def _restricted_sections(G, phi) -> dict:
-    """``fixed_generation`` and ``soluble_exponent`` as the automorphism
-    section wrote them from the re-enumerated [G, phi] and the restriction."""
+    """The fields of the automorphism section that read phi on H = [G, phi],
+    as written from the re-enumerated H and the restriction."""
     td = twisted_data(phi)
     Hg, rphi, _ = restrict_automorphism(phi, td.commutator_phi)
-    out = {}
+    out = {"commutator_exponent": Hg.exponent(),
+           "commutator_derived_length": derived_series(Hg).derived_length}
     if lower_central_series(G).is_nilpotent:
         r = len(twisted_data(rphi).orbit_reps)
         if r * (r + 1) // 2 > report.PAIR_CAP:
             out["fixed_generation"] = f"skipped: {r * (r + 1) // 2} orbit pairs above the pair cap"
         else:
             gen = fixed_generation_S(rphi)
-            out["fixed_generation"] = {"restricted_to_commutator_order": Hg.order,
-                                       "S_size": gen["S_size"],
+            out["fixed_generation"] = {"S_size": gen["S_size"],
                                        "generates": "pass" if gen["generates"] else "fail"}
-    if derived_series(G).is_soluble:
-        out["soluble_exponent"] = soluble_exponent_probe(rphi)
     return out
 
 
@@ -94,7 +92,8 @@ def test_auto_section_matches_the_restriction_and_quotient_oracles(spec_id):
 
 
 def test_every_in_place_section_is_compared():
-    sections = {"fixed_generation": 0, "soluble_exponent": 0, "proper": 0}
+    sections = {"fixed_generation": 0, "commutator_exponent": 0, "commutator_derived_length": 0,
+                "proper": 0}
     for spec_id in SPECS:
         G, phi = build_corpus_instance(SPECS[spec_id])
         if phi is None or not phi.coprime:
@@ -102,7 +101,8 @@ def test_every_in_place_section_is_compared():
         for key in _restricted_sections(G, phi):
             sections[key] += 1
         sections["proper"] += twisted_data(phi).commutator_phi.order < G.order
-    assert sections["fixed_generation"] >= 25 and sections["soluble_exponent"] >= 30
+    assert sections["fixed_generation"] >= 25
+    assert sections["commutator_exponent"] == sections["commutator_derived_length"] >= 35
     # [G, phi] < G, so the restriction is a second enumeration
     assert sections["proper"] >= 8
 
@@ -130,15 +130,37 @@ def test_auto_section_enumerates_no_group(monkeypatch):
     assert checked >= 25
 
 
-def test_soluble_exponent_reads_commutator_phi_on_glauberman():
+def test_commutator_exponent_reads_commutator_phi_on_glauberman():
     # [G, phi] is proper here, and its exponent is not that of G
     G, phi = build_corpus_instance(CORPUS["glauberman"])
     H = twisted_data(phi).commutator_phi
     assert 1 < H.order < G.order
-    out = soluble_exponent_probe(phi)
-    _, rphi, _ = restrict_automorphism(phi, H)
-    assert out == soluble_exponent_probe(rphi)
-    assert out["exponent"] == G.exponent_of(H.members) != G.exponent()
+    section = report._auto_section(G, phi)
+    assert section["commutator_exponent"] == G.exponent_of(H.members) == 155
+    assert G.exponent() == 620
+    assert section["commutator_derived_length"] == 2
+
+
+def test_a_coprime_phi_has_the_same_twisted_set_on_g_and_on_commutator_phi():
+    """For coprime phi, G = [G, phi] C_G(phi) (Gorenstein, Finite Groups,
+    ch. 5), so with H = [G, phi] the twisted set of phi on H has
+    |H : C_H(phi)| = |G : C_G(phi)| elements and lies in that on G: the two
+    are equal, which is why the report prints the exponent of the twisted
+    set once, as theorem 2's ``e``."""
+    checked = 0
+    for spec_id, spec in SPECS.items():
+        phi = build_corpus_instance(spec)[1]
+        if phi is not None and phi.coprime:
+            assert commutator_twisted_data(phi).twisted == twisted_data(phi).twisted, spec_id
+            checked += 1
+    assert checked == 39
+
+
+def test_the_twisted_sets_differ_when_phi_is_not_coprime():
+    G, phi = build_corpus_instance(CORPUS["aff9_frob"])
+    assert not phi.coprime
+    on_g, on_h = twisted_data(phi).twisted, commutator_twisted_data(phi).twisted
+    assert (len(on_g), len(on_h)) == (12, 6) and set(on_h) < set(on_g)
 
 
 def test_fixed_generation_walks_the_twisted_set_of_commutator_phi(monkeypatch):

@@ -225,7 +225,7 @@ def test_theorem_1_has_something_to_bound_on_ut4_3():
     make, args, _ = DEEP["ut4_3"]
     out = report.analyze_instance(make(*args))
     assert out["probes"]["theorem1"]["e_star"] == 3
-    assert out["group"]["exponent"] == out["probes"]["theorem1"]["exponent"] == 9
+    assert out["group"]["exponent"] == 9
 
 
 CLOSURE_INPUTS = [*P_GROUPS, *DEEP]

@@ -187,6 +187,7 @@ def _fixed_by_theory(report: dict, k: int) -> dict:
         lie = {**lie, "eigen": {**lie["eigen"], "dims": dims}}
     return {"group": report["group"], "lie": lie,
             **{key: auto[key] for key in ("order", "fixed_order", "commutator_order",
+                                          "commutator_exponent", "commutator_derived_length",
                                           "twisted_size")}}
 
 

@@ -59,14 +59,13 @@ def c7_phi():
 
 
 def test_theorem1_c7():
-    assert theorem1_probe(c7_phi()) == {"e_star": 7, "exponent": 7, "n": 3}
+    assert theorem1_probe(c7_phi()) == {"e_star": 7}
 
 
 def test_theorem1_exponent_p_group():
     phi = build_corpus_instance({"name": "heisenberg", "params": {"p": 3},
                                  "automorphism": {"recipe": "power", "k": -1}})[1]
-    out = theorem1_probe(phi)
-    assert out["e_star"] == 3 and out["exponent"] == 3
+    assert theorem1_probe(phi)["e_star"] == 3 == phi.group.exponent()
 
 
 def test_theorem1_matches_unreduced_oracle_on_corpus():
@@ -244,8 +243,9 @@ def test_one_corpus_pass_closes_a_pinned_number_of_subgroups(closures):
 
 
 def test_one_derived_series_of_commutator_phi_per_instance(monkeypatch):
-    # soluble_exponent and theorem 2 both read the derived length of
-    # [G, phi], and so does a theorem-2 pair closure equal to [G, phi]
+    # the automorphism section reads the derived length of [G, phi] for
+    # every phi, and theorem 2 and a pair closure equal to [G, phi] read
+    # the same cached length
     seen = []
     inner = structure.derived_series
 
@@ -263,13 +263,14 @@ def test_one_derived_series_of_commutator_phi_per_instance(monkeypatch):
         phi = build_corpus_instance(spec)[1]
         if phi is not None:
             counts[spec["id"]] = seen.count(twisted_data(phi).commutator_phi.member_set)
-    assert set(counts.values()) == {0, 1} and sum(counts.values()) == 27
+    assert set(counts.values()) == {1} and len(counts) == 29
 
 
 def test_theorem2_derives_each_distinct_pair_closure_once(monkeypatch):
     # heis5_inv's pair walk meets 7 of its closures twice, heis3_inv and
-    # heis3_c5_inv one each: 69 calls before the walk kept one derived length
-    # per distinct closure
+    # heis3_c5_inv one each: 9 calls more if the walk kept no derived length
+    # per distinct closure. [G, phi] counts once for each of the 29 instances
+    # with an automorphism.
     seen = []
     inner = structure.derived_series
 
@@ -286,7 +287,7 @@ def test_theorem2_derives_each_distinct_pair_closure_once(monkeypatch):
         analyze_instance(spec)
         assert len(set(seen)) == len(seen), spec["id"]
         total += len(seen)
-    assert total == 60
+    assert total == 62
 
 
 def test_theorem2_stops_at_the_derived_length_of_commutator_phi(closures):
@@ -340,13 +341,15 @@ def test_theorem2_c7():
     assert out["c"] == 0          # trivial fixed subgroup
     assert out["d"] == 1
     assert out["e"] == 7
-    assert out["exponent_commutator"] == 7
+    phi = c7_phi()
+    assert report._auto_section(phi.group, phi)["commutator_exponent"] == 7
 
 
 def test_theorem2_identity_phi(c9):
-    out = theorem2_probe(identity_automorphism(c9))
-    assert out["exponent_commutator"] == 1
-    assert out["e"] == 1
+    phi = identity_automorphism(c9)
+    assert theorem2_probe(phi)["e"] == 1
+    section = report._auto_section(c9, phi)
+    assert section["commutator_exponent"] == 1 and section["commutator_derived_length"] == 0
 
 
 def test_theorem2_skips_non_nilpotent_fixed(s5):

@@ -212,26 +212,19 @@ def decomposition_witness(phi: Automorphism) -> Optional[dict]:
 
 
 def default_normal_family(phi: Automorphism) -> list[tuple]:
-    """Canonical nontrivial phi-invariant normal subgroups for the lemma
-    checks, which need a coprime phi (else NotCoprime)."""
+    """Canonical phi-invariant normal subgroups other than 1 and G (fact (b)
+    on G/G reads 1 = 1) for the lemma checks; NotCoprime unless phi is coprime.
+    [G, phi] is normal and phi-invariant for every phi, and G' and Z(G) are
+    characteristic; each subgroup is listed once, under its first name."""
     require_coprime(phi)
     G = phi.group
-    td = twisted_data(phi)
     derived = derived_series(G).terms
-    candidates = [
-        ("commutator_phi", td.commutator_phi),
-        ("derived", derived[1] if len(derived) > 1 else G.trivial_subgroup()),
-        ("center", center(G)),
-    ]
-    family = []
-    seen = set()
-    for name, N in candidates:
-        if N.is_trivial or N.member_set in seen:
-            continue
-        if is_normal(G, N) and is_phi_invariant(phi, N):
-            seen.add(N.member_set)
-            family.append((name, N))
-    return family
+    family: dict = {}
+    for name, N in (("commutator_phi", twisted_data(phi).commutator_phi),
+                    ("derived", derived[1] if len(derived) > 1 else G), ("center", center(G))):
+        if 1 < N.order < G.order:
+            family.setdefault(N.member_set, (name, N))
+    return list(family.values())
 
 
 def _checked_family(phi: Automorphism, family: Sequence[tuple]) -> Sequence[tuple]:
@@ -248,21 +241,17 @@ def _checked_family(phi: Automorphism, family: Sequence[tuple]) -> Sequence[tupl
 def _central_candidates(phi: Automorphism, family: Sequence[tuple]) -> list[tuple]:
     """The (name, subgroup) pairs whose centralizing by [G, phi] fact (c)
     checks, each subgroup once under its first name: the family members
-    inside the fixed points, then the core of the fixed points and the fixed
-    part of the centre when they are nontrivial."""
+    inside the fixed points, then the core of the fixed points. A central
+    subgroup is left out, since every subgroup centralizes it."""
     G = phi.group
     td = twisted_data(phi)
-    fixed = td.fixed.member_set
-    candidates = [(name, N) for name, N in family if N.member_set <= fixed]
-    core = normal_core(G, td.fixed)
-    if not core.is_trivial:
-        candidates.append(("core_of_fixed", core))
-    z_fixed = subgroup_generated(G, center(G).member_set & fixed)
-    if not z_fixed.is_trivial:
-        candidates.append(("central_fixed", z_fixed))
+    fixed, central = td.fixed.member_set, center(G).member_set
+    candidates = [*((name, N) for name, N in family if N.member_set <= fixed),
+                  ("core_of_fixed", normal_core(G, td.fixed))]
     unique: dict = {}
     for name, N in candidates:
-        unique.setdefault(N.member_set, (name, N))
+        if not N.member_set <= central:
+            unique.setdefault(N.member_set, (name, N))
     return list(unique.values())
 
 
@@ -295,9 +284,10 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> tup
     normal subgroups: per family member (name, N, x), x the least element of
     a coset N x that phi fixes and that holds no fixed element, read off one
     ``coset_labels`` pass (``_bare_fixed_coset``). (c) [G,phi] centralizes
-    every invariant normal subgroup inside the fixed points: per candidate
-    (name, N, pair), pair the first non-commuting (m, x), m in [G,phi] and x
-    in N, in member order, found by generators unless some pair fails."""
+    the non-central invariant normal subgroups inside the fixed points: per
+    candidate (name, N, pair), pair the first non-commuting (m, x), m in
+    [G,phi] and x in N, in member order, found by generators unless some
+    pair fails."""
     require_coprime(phi)
     G = phi.group
     H = twisted_data(phi).commutator_phi
@@ -311,9 +301,9 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> tup
 
 def fixed_points_of_product(phi: Automorphism, family: Sequence[tuple]) -> tuple:
     """The fixed points of a product of invariant normal subgroups are
-    generated by the factors' fixed points: the orders of the product, its
-    fixed points and the subgroup they generate, and None or the least fixed
-    element of the product outside that subgroup."""
+    generated by the factors' fixed points: the order of the product, and
+    None or the least fixed element of the product outside the subgroup
+    that the factors' fixed points generate."""
     require_coprime(phi)
     G = phi.group
     fixed = twisted_data(phi).fixed.member_set
@@ -321,7 +311,7 @@ def fixed_points_of_product(phi: Automorphism, family: Sequence[tuple]) -> tuple
     product = product_of_subgroups(G, [N for _, N in family])
     lhs = product.member_set & fixed
     rhs = subgroup_generated(G, {0}.union(*(N.member_set & fixed for _, N in family)))
-    return product.order, len(lhs), rhs.order, min(lhs - rhs.member_set, default=None)
+    return product.order, min(lhs - rhs.member_set, default=None)
 
 
 def twisted_pair_closures(phi: Automorphism, td: TwistedData) -> Iterator[Subgroup]:

@@ -15,13 +15,13 @@ from typing import Optional
 from .automorphisms import (Automorphism, TwistedData, check_coprime_facts,
                             commutator_twisted_data, decomposition_witness,
                             default_normal_family, factorization_status, fixed_generation_S,
-                            fixed_points_of_product, is_phi_invariant, nilpotent_fixed_series,
+                            fixed_points_of_product, nilpotent_fixed_series,
                             phi_invariant_closure, require_coprime, twisted_data,
                             twisted_pair_closures)
 from .corpus import _field, instance_id, load_instance
 from .errors import (CapExceeded, GroupTheoryError, InputError, NotCoprime, NotNilpotent,
                      NotSoluble, ParseError, PreconditionViolated)
-from .groups import FiniteGroup, is_normal, subgroup_generated
+from .groups import FiniteGroup, subgroup_generated
 from .lie import (GradedLieAlgebra, build_graded_lie, check_lazard_all, check_riley,
                   extend_and_eigendecompose, jlz_series, lie_fixed_points, split_field_degree,
                   verify_bracket_axioms, verify_eigen_product_rule, verify_np_series)
@@ -57,6 +57,14 @@ def _or_skip(f, *args):
         return f(*args)
     except (NotCoprime, NotNilpotent, NotSoluble) as exc:
         return _skip(str(exc))
+
+
+def _about_phi(f, phi: Automorphism, *args):
+    """``_or_skip(f, phi, *args)`` for a statement about phi, skipped first when
+    phi acts trivially: [G, phi] = 1, C_G(phi) = G, and the statement reads X = X."""
+    if twisted_data(phi).commutator_phi.is_trivial:
+        return _skip("phi acts trivially")
+    return _or_skip(f, phi, *args)
 
 
 def canonical_json(obj) -> str:
@@ -186,12 +194,14 @@ def _coprime_facts(phi: Automorphism) -> dict:
 
 
 def _product_fixed_points(phi: Automorphism) -> dict | str:
+    """The product check on the family, skipped unless the product is larger
+    than each member: a product that is a member N reads C_N(phi) = <C_N(phi)>."""
     family = default_normal_family(phi)
-    if not family:
-        return _skip("no nontrivial invariant normals")
-    product, fixed, generated, x = fixed_points_of_product(phi, family)
-    return {"product_order": product, "fixed_in_product": fixed,
-            "generated_by_factor_fixed": generated, **_witnessed(phi.group, x, "x")}
+    if not family or any(all(M.member_set <= N.member_set for _, M in family)
+                         for _, N in family):
+        return _skip("no product of invariant normals larger than each")
+    product, x = fixed_points_of_product(phi, family)
+    return {"product_order": product, **_witnessed(phi.group, x, "x")}
 
 
 def _soluble_when_fixed_nilpotent(phi: Automorphism) -> str:
@@ -232,15 +242,14 @@ def _auto_section(G: FiniteGroup, phi: Automorphism) -> dict:
         "commutator_order": cp.order,
         "commutator_exponent": G.exponent_of(cp.members),
         "commutator_derived_length": td.commutator_derived_length,
-        "commutator_normal_invariant": _verdict(is_phi_invariant(phi, cp) and is_normal(G, cp)),
     }
-    section["factorization"] = _or_skip(_factorization, phi)
-    section["coprime_facts"] = _or_skip(_coprime_facts, phi)
-    section["product_fixed_points"] = _or_skip(_product_fixed_points, phi)
-    section["soluble_when_fixed_nilpotent"] = _or_skip(_soluble_when_fixed_nilpotent, phi)
-    section["unique_decomposition"] = _or_skip(_unique_decomposition, phi, section)
+    section["factorization"] = _about_phi(_factorization, phi)
+    section["coprime_facts"] = _about_phi(_coprime_facts, phi)
+    section["product_fixed_points"] = _about_phi(_product_fixed_points, phi)
+    section["soluble_when_fixed_nilpotent"] = _about_phi(_soluble_when_fixed_nilpotent, phi)
+    section["unique_decomposition"] = _about_phi(_unique_decomposition, phi, section)
     # fixed_generation analyses phi on [G, phi] inside G
-    section["fixed_generation"] = _or_skip(_fixed_generation, phi)
+    section["fixed_generation"] = _about_phi(_fixed_generation, phi)
     return section
 
 
@@ -296,9 +305,9 @@ def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
     if phi is None:
         section["fixed_subalgebra"] = section["eigen"] = _skip("no automorphism supplied")
     else:
-        section["fixed_subalgebra"] = _or_skip(
-            lambda: _verdict(lie_fixed_points(A, phi) is None))
-        section["eigen"] = _or_skip(lambda: _eigen_fields(A, phi)[1])
+        section["fixed_subalgebra"] = _about_phi(
+            lambda phi: _verdict(lie_fixed_points(A, phi) is None), phi)
+        section["eigen"] = _about_phi(lambda phi: _eigen_fields(A, phi)[1], phi)
     return section
 
 

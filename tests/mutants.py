@@ -472,6 +472,24 @@ MUTANTS = [
      "new": "",
      "tests": ["tests/test_report_cli.py::"
                "test_a_corpus_pass_counts_factorizations_once_per_automorphism"]},
+    # no verdict passes by the shape of its input: a phi that acts
+    # trivially, a central subgroup for fact (c) and a product that is one of
+    # its members are each refused before the check
+    {"name": "a trivially acting phi is not refused",
+     "file": "src/coprimelab/report.py",
+     "old": "    if twisted_data(phi).commutator_phi.is_trivial:\n",
+     "new": "    if False:\n",
+     "tests": ["tests/test_shape_and_content.py::test_no_verdict_passes_by_the_shape_of_its_input"]},
+    {"name": "fact (c) checks a central subgroup",
+     "file": "src/coprimelab/automorphisms.py",
+     "old": "        if not N.member_set <= central:\n",
+     "new": "        if True:\n",
+     "tests": ["tests/test_shape_and_content.py::test_no_verdict_passes_by_the_shape_of_its_input"]},
+    {"name": "the product check runs when the product is one of its factors",
+     "file": "src/coprimelab/report.py",
+     "old": "    if not family or any(",
+     "new": "    if not family or False and any(",
+     "tests": ["tests/test_shape_and_content.py::test_no_verdict_passes_by_the_shape_of_its_input"]},
     {"name": "the commutator exponent reads exp(G)",
      "file": "src/coprimelab/report.py",
      "old": "        \"commutator_exponent\": G.exponent_of(cp.members),\n",

@@ -5,8 +5,12 @@ that hypothesis' one exception class, and the message is the wording that
 the suite bundle prints after "skipped: ". The refused inputs are corpus
 instances: aff9_frob (phi of order 2 on a group of order 72, so not
 coprime), s3 (not nilpotent, and neither is its fixed-point subgroup under
-the identity) and s5 (insoluble). Two invariant checks that fire in the
-middle of a computation are hard errors, never skips.
+the identity), aff8_frob (not nilpotent, with a phi that acts), glauberman
+(whose fixed-point subgroup is not nilpotent) and s5 (insoluble). On s3 the
+statements about phi print "phi acts trivially" instead, a guard that
+raises nothing, so its rows read the group section and theorem 2. Two
+invariant checks that fire in the middle of a computation are hard errors,
+never skips.
 """
 
 import json
@@ -73,13 +77,19 @@ GUARDS = [
     ("require_nilpotent", lambda G, phi: require_nilpotent(G),
      "s3", NotNilpotent, "group.derived_length_class_bound"),
     ("nilpotent_decompose", lambda G, phi: nilpotent_decompose(phi, 0),
-     "s3", NotNilpotent, "automorphism.unique_decomposition"),
+     "s3", NotNilpotent, "group.derived_length_class_bound"),
     ("decomposition_witness", lambda G, phi: decomposition_witness(phi),
-     "s3", NotNilpotent, "automorphism.unique_decomposition"),
+     "s3", NotNilpotent, "group.derived_length_class_bound"),
     ("fixed_generation_S", lambda G, phi: fixed_generation_S(phi),
-     "s3", NotNilpotent, "automorphism.fixed_generation"),
+     "s3", NotNilpotent, "group.derived_length_class_bound"),
     ("nilpotent_fixed_series", lambda G, phi: nilpotent_fixed_series(phi),
-     "s3", NotNilpotent, "automorphism.soluble_when_fixed_nilpotent"),
+     "s3", NotNilpotent, "probes.theorem2"),
+    ("decomposition_witness", lambda G, phi: decomposition_witness(phi),
+     "aff8_frob", NotNilpotent, "automorphism.unique_decomposition"),
+    ("fixed_generation_S", lambda G, phi: fixed_generation_S(phi),
+     "aff8_frob", NotNilpotent, "automorphism.fixed_generation"),
+    ("nilpotent_fixed_series", lambda G, phi: nilpotent_fixed_series(phi),
+     "glauberman", NotNilpotent, "automorphism.soluble_when_fixed_nilpotent"),
     ("theorem2_probe", lambda G, phi: theorem2_probe(phi),
      "s3", NotNilpotent, "probes.theorem2"),
     ("require_soluble", lambda G, phi: require_soluble(G),
@@ -101,7 +111,7 @@ def golden():
 def refused():
     specs = {spec["id"]: spec for spec in default_corpus()["instances"]}
     return {inst_id: build_corpus_instance(specs[inst_id])
-            for inst_id in ("aff9_frob", "s3", "s5")}
+            for inst_id in ("aff9_frob", "s3", "aff8_frob", "glauberman", "s5")}
 
 
 @pytest.mark.parametrize("name, call, inst_id, cls, path", GUARDS,

@@ -214,8 +214,13 @@ def test_every_lie_verdict_passes_on_deep_layer_inputs(name):
     section = report._lie_section(G, phi, prime_power_base(G.order))
     assert section["lie_class"] == DEEP[name][2] == len(section["layer_dims"])
     verdicts = {key: section[key] for key in ("np_series", "lazard", "riley", "bracket_axioms",
-                                              "exponent_split", "fixed_subalgebra")}
-    verdicts["product_rule"] = section["eigen"]["product_rule"]
+                                              "exponent_split")}
+    if phi.order_n == 1:
+        # the identity (p = 2) gives the statements about phi nothing to say
+        assert section["fixed_subalgebra"] == section["eigen"] == "skipped: phi acts trivially"
+    else:
+        verdicts["fixed_subalgebra"] = section["fixed_subalgebra"]
+        verdicts["product_rule"] = section["eigen"]["product_rule"]
     assert set(verdicts.values()) == {"pass"}, verdicts
     assert section["powerful_generation"] == "skipped: group is not powerful"
 

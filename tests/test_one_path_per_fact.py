@@ -36,10 +36,6 @@ KEPT = {
     ("automorphism.commutator_exponent", "probes.theorem2.e"):
         "e is the exponent of the twisted set, a different number that divides "
         "exp([G, phi]); no input with a gap is known yet (ROADMAP item 22)",
-    ("automorphism.product_fixed_points.fixed_in_product",
-     "automorphism.product_fixed_points.generated_by_factor_fixed"):
-        "the two sides of the product check: its verdict is their equality, so "
-        "an input that fails it makes them differ",
 }
 
 

@@ -5,12 +5,15 @@ permutation (``table``). ``Automorphism(G, images)``, the one constructor,
 which checks its generator images, and ``build_automorphism``, which
 evaluates image words for it, live in ``groups``, next to the Cayley-graph
 walks that build the table, so that building an instance compiles none of
-the analysis here; they are re-exported from this module. The checks here
-return None or their first witness; ``report`` alone spells verdicts.
+the analysis here; they are re-exported from this module. Every fact about
+the fibres of x -> x^-1 x^phi, the cosets C_G(phi) x, reads one table of it
+(``TwistedData.images``). The checks here return None or their first
+witness; ``report`` alone spells verdicts.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
@@ -18,31 +21,27 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import (GroupTheoryError, NotCoprime, NotInvariant, NotNilpotent,
                      DecompositionNotFound, NonUniqueDecomposition, PreconditionViolated)
 from .groups import (Automorphism, FiniteGroup, Subgroup, are_conjugate,  # noqa: F401
-                     build_automorphism, center, coset_labels, is_normal, normal_core,
+                     build_automorphism, center, is_normal, normal_core,
                      product_of_subgroups, subgroup_generated)
 from .structure import SubgroupSeries, derived_series, lower_central_series, require_nilpotent
 
 
 class TwistedData:
     """Of phi, given by its element ``table``, on the phi-invariant subgroup of
-    G whose members are ``elements``, in increasing order: the fixed-point
-    subgroup, the twisted set and the subgroup it generates; on G also the
-    least x with x^-1 x^phi = t for each twisted t, which only
-    ``factorization_status`` reads (None on a proper subgroup). The orbit
-    representatives, the same data on [G, phi] (``inner``), the derived
-    length of [G, phi] and ``product_covers`` are computed on first read and
-    kept. It holds G and the table, never phi, so dropping phi frees it."""
+    G whose members are ``elements``, read off ``images``, the table of
+    x^-1 x^phi for every x in G: the fixed points (image 0, the identity), the
+    twisted set in increasing order and the subgroup it generates. ``images.index(t)``
+    is the least x with image t. The orbit representatives, the same data on
+    [G, phi] (``inner``), the derived length of [G, phi] and
+    ``product_covers`` are computed on first read and kept. It holds G and
+    the tables, never phi, so dropping phi frees it."""
 
-    def __init__(self, group: FiniteGroup, table: tuple, elements: Sequence[int]):
+    def __init__(self, group: FiniteGroup, table: tuple, images: array, elements: Sequence[int]):
         self.group = G = group
         self.table = table
-        self.fixed = subgroup_generated(G, [x for x in elements if table[x] == x])
-        images = G.products(map(G._inverses.__getitem__, elements),
-                            map(table.__getitem__, elements))
-        self.twisted = tuple(sorted(set(images)))
-        # walked backwards, so that the least x producing t is written last
-        self.producers = (dict(zip(reversed(images), reversed(elements)))
-                          if len(elements) == G.order else None)
+        self.images = images
+        self.fixed = subgroup_generated(G, [x for x in elements if images[x] == 0])
+        self.twisted = tuple(sorted(set(map(images.__getitem__, elements))))
         self.commutator_phi = subgroup_generated(G, self.twisted)
 
     @cached_property
@@ -53,8 +52,8 @@ class TwistedData:
 
     @cached_property
     def inner(self) -> TwistedData:
-        """The same data of phi on [G, phi]."""
-        return TwistedData(self.group, self.table, self.commutator_phi.members)
+        """The same data of phi on [G, phi], gathered from the same table."""
+        return TwistedData(self.group, self.table, self.images, self.commutator_phi.members)
 
     @cached_property
     def commutator_derived_length(self) -> Optional[int]:
@@ -70,9 +69,11 @@ class TwistedData:
 
 
 def twisted_data(phi: Automorphism) -> TwistedData:
-    """Compute {x : x^phi = x}, {x^-1 x^phi} and the subgroup the latter generates."""
+    """The twisted data of phi on G, from one batch of the |G| products x^-1 x^phi."""
     if phi._twisted is None:
-        phi._twisted = TwistedData(phi.group, phi.table, range(phi.group.order))
+        G = phi.group
+        images = array("i", G.products(G._inverses, phi.table))
+        phi._twisted = TwistedData(G, phi.table, images, range(G.order))
     return phi._twisted
 
 
@@ -95,9 +96,9 @@ def nilpotent_fixed_series(phi: Automorphism) -> SubgroupSeries:
 
 def commutator_twisted_data(phi: Automorphism) -> TwistedData:
     """The twisted data of phi restricted to H = [G, phi], computed inside G:
-    C_H(phi) = H & C_G(phi), the twisted set of phi on H (|H| products) and
-    [H, phi]. That is ``twisted_data(phi).inner``, or the data itself when
-    H = G, which is never stored as its own ``inner``."""
+    C_H(phi) = H & C_G(phi), the twisted set of phi on H (the images of H in
+    G's table) and [H, phi]. That is ``twisted_data(phi).inner``, or the data
+    itself when H = G, which is never stored as its own ``inner``."""
     td = twisted_data(phi)
     return td if td.commutator_phi.order == phi.group.order else td.inner
 
@@ -153,18 +154,13 @@ def factorization_status(phi: Automorphism) -> tuple:
     conj_union = set().union(*_orbits(td.fixed.members,
                                       lambda x: [G.conjugate(x, g) for g in G.generator_indices]))
     bad = [x for x in td.twisted if x != 0 and x in conj_union]
-    criterion_holds = not bad
     witness = None
     if bad:
         x = bad[0]
-        for a in td.fixed.members:
-            if a == 0:
-                continue
-            c = are_conjugate(G, a, x)
-            if c is not None:
-                witness = {"a": a, "b": td.producers[x], "c": c, "twisted_element": x}
-                break
-    return td.product_covers, criterion_holds, witness
+        a, c = next((a, c) for a in td.fixed.members[1:]
+                    if (c := are_conjugate(G, a, x)) is not None)
+        witness = {"a": a, "b": td.images.index(x), "c": c, "twisted_element": x}
+    return td.product_covers, not bad, witness
 
 
 def _decomposition_error(x: int, count: int) -> GroupTheoryError:
@@ -266,15 +262,17 @@ def _noncommuting_pair(G: FiniteGroup, H: Subgroup, N: Subgroup) -> Optional[tup
 
 
 def _bare_fixed_coset(phi: Automorphism, N: Subgroup) -> Optional[int]:
-    """The least element of the first coset N x that phi fixes but that
-    holds no fixed element, or None. Its labels go when it returns, so one
-    family member's labels are alive at a time."""
-    labels, reps = coset_labels(phi.group, N)
-    # N is phi-invariant, so phi(N x) = N x^phi: coset k is fixed iff its
-    # least element's image lies in it. A fixed element's coset is fixed.
-    meets_fixed = {labels[x] for x in twisted_data(phi).fixed.members}
-    return next((x for k, x in enumerate(reps)
-                 if labels[phi.table[x]] == k and k not in meets_fixed), None)
+    """None or the least x of a coset N x that phi fixes and that holds no fixed
+    element. N x is fixed iff x^-1 x^phi is in N, so the fixed cosets are the
+    |C| / |C & N| images of C = C_G(phi) iff |T & N| |C & N| = |N|, T twisted."""
+    td, members = twisted_data(phi), N.member_set
+    if len(members.intersection(td.twisted)) * len(members & td.fixed.member_set) == N.order:
+        return None
+    nc = product_of_subgroups(phi.group, [N, td.fixed]).member_set  # N x meets C iff x in N C
+    x = next((x for x, t in enumerate(td.images) if t in members and x not in nc), None)
+    if x is None:
+        raise PreconditionViolated(f"fixed cosets of a subgroup of order {N.order} miscounted")
+    return x
 
 
 def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> tuple:
@@ -282,8 +280,8 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> tup
     each holds. (a) [[G,phi],phi] = [G,phi]: None or the least element of
     [G,phi] outside it. (b) Fixed points pass to quotients by invariant
     normal subgroups: per family member (name, N, x), x the least element of
-    a coset N x that phi fixes and that holds no fixed element, read off one
-    ``coset_labels`` pass (``_bare_fixed_coset``). (c) [G,phi] centralizes
+    a coset N x that phi fixes and that holds no fixed element, sought only
+    when a count fails (``_bare_fixed_coset``). (c) [G,phi] centralizes
     the non-central invariant normal subgroups inside the fixed points: per
     candidate (name, N, pair), pair the first non-commuting (m, x), m in
     [G,phi] and x in N, in member order, found by generators unless some

@@ -170,8 +170,9 @@ def _group_section(G: FiniteGroup) -> dict:
         "p": p,
     }
     section["fitting_height"] = fitting_height(G) if ds.is_soluble else None
+    # G^(k) <= gamma_(2^k), so dl <= floor(log2 c) + 1, and 0 for c = 0
     section["derived_length_class_bound"] = _or_skip(
-        lambda: _verdict(ds.derived_length <= require_nilpotent(G).nilpotency_class + 1))
+        lambda: _verdict(ds.derived_length <= require_nilpotent(G).nilpotency_class.bit_length()))
     return section
 
 

@@ -12,8 +12,8 @@ from pathlib import Path
 
 from coprimelab.automorphisms import Automorphism, is_phi_invariant
 from coprimelab.errors import NotInvariant
-from coprimelab.groups import (FiniteGroup, Subgroup, commutator_subgroup_pair, generate_group,
-                               quotient_group)
+from coprimelab.groups import (FiniteGroup, Subgroup, commutator_subgroup_pair, coset_labels,
+                               generate_group, quotient_group, subgroup_generated)
 from coprimelab.numutil import factorization, prime_power_base
 
 
@@ -651,6 +651,29 @@ def quotient_fixed_points_by_group(phi, N) -> bool:
     fixed = {q for q, image in enumerate(qphi.table) if image == q}
     to_q = quotient_projection(phi.group, Q)
     return fixed == {to_q[x] for x in range(phi.group.order) if phi.table[x] == x}
+
+
+def bare_fixed_coset_by_labels(phi, N):
+    """The least element of the first coset N x that phi fixes but that holds
+    no fixed element, or None, off one ``coset_labels`` pass: the oracle for
+    fact (b) of ``check_coprime_facts``, which counts instead of labelling."""
+    labels, reps = coset_labels(phi.group, N)
+    # N is phi-invariant, so phi(N x) = N x^phi: coset k is fixed iff its
+    # least element's image lies in it. A fixed element's coset is fixed.
+    meets_fixed = {labels[x] for x, image in enumerate(phi.table) if image == x}
+    return next((x for k, x in enumerate(reps)
+                 if labels[phi.table[x]] == k and k not in meets_fixed), None)
+
+
+def twisted_data_by_products(phi, H) -> tuple:
+    """(C_H(phi), the twisted set of phi on H, [H, phi]) as sorted members,
+    from |H| new products x^-1 x^phi over the phi-invariant subgroup H: the
+    oracle for the data that ``TwistedData`` gathers from its one table."""
+    G = phi.group
+    images = G.products(map(G.inv, H.members), map(phi.table.__getitem__, H.members))
+    twisted = sorted(set(images))
+    fixed = subgroup_generated(G, [x for x in H.members if phi.table[x] == x])
+    return fixed.members, tuple(twisted), subgroup_generated(G, twisted).members
 
 
 class ProductCounter:

@@ -127,11 +127,19 @@ MUTANTS = [
      "old": "for m in H.gens for x in N.gens):\n",
      "new": "for m in H.gens for x in N.gens[:1]):\n",
      "tests": ["tests/test_automorphisms.py::test_centralizing_by_generators_matches_all_pairs"]},
+    # fact (b) counts |T & N| |C_G(phi) & N| against |N|, and seeks a bare
+    # fixed coset only when the count fails
     {"name": "a fixed coset counts as meeting the fixed points",
      "file": "src/coprimelab/automorphisms.py",
-     "old": "                 if labels[phi.table[x]] == k and k not in meets_fixed), None)\n",
-     "new": "                 if labels[phi.table[x]] == k and k in meets_fixed), None)\n",
+     "old": " if t in members and x not in nc), None)\n",
+     "new": " if t in members and x in nc), None)\n",
      "tests": ["tests/test_automorphisms.py::test_quotient_check_failure_carries_a_witness_that_replays"]},
+    {"name": "the fact (b) count drops the fixed points in N",
+     "file": "src/coprimelab/automorphisms.py",
+     "old": "    if len(members.intersection(td.twisted)) * len(members & td.fixed.member_set) == N.order:\n",
+     "new": "    if len(members.intersection(td.twisted)) == N.order:\n",
+     "tests": ["tests/test_in_place.py::"
+               "test_readings_of_the_twisted_table_match_the_product_and_label_oracles"]},
     {"name": "the np-series check keys commutators by the first term only",
      "file": "src/coprimelab/lie.py",
      "old": "            comm = commutators.get((top, other))\n",
@@ -222,11 +230,13 @@ MUTANTS = [
      "old": "from .numutil import is_prime\n",
      "new": "from .numutil import is_prime\nfrom .gf import FiniteField  # noqa: F401\n",
      "tests": ["tests/test_stdlib_only.py::test_building_a_group_loads_only_the_construction_modules"]},
-    {"name": "producers kept on the data of phi on [G, phi]",
+    {"name": "the twisted table composes x^phi x^-1",
      "file": "src/coprimelab/automorphisms.py",
-     "old": "\n                          if len(elements) == G.order else None)",
-     "new": ")",
-     "tests": ["tests/test_automorphisms.py::test_producers_are_kept_on_the_data_of_phi_on_g_only"]},
+     "old": "G.products(G._inverses, phi.table)",
+     "new": "G.products(phi.table, G._inverses)",
+     "tests": ["tests/test_automorphisms.py::test_images_index_is_the_least_x_with_that_twisted_image",
+               "tests/test_in_place.py::"
+               "test_readings_of_the_twisted_table_match_the_product_and_label_oracles"]},
     {"name": "the data of phi on G stored as its own inner data",
      "file": "src/coprimelab/automorphisms.py",
      "old": "    return td if td.commutator_phi.order == phi.group.order else td.inner\n",
@@ -440,6 +450,12 @@ MUTANTS = [
      "new": "        raise NotCoprime(\"action not coprime\")\n",
      "tests": ["tests/test_guards.py::"
                "test_every_guard_raises_its_class_with_the_wording_the_bundle_prints"]},
+    # dl <= floor(log2 c) + 1 is attained on every abelian instance
+    {"name": "the derived length class bound is floor(log2 c)",
+     "file": "src/coprimelab/report.py",
+     "old": "nilpotency_class.bit_length()))\n",
+     "new": "nilpotency_class.bit_length() - 1))\n",
+     "tests": ["tests/test_acceptance.py::test_suite_bundle_is_pinned"]},
     # every command's exit code is 1 iff its payload holds a fail verdict
     # (report.outcome), and an instance's id is never counted as a verdict
     {"name": "a command exits 0 whatever its verdicts",

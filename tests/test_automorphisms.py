@@ -10,7 +10,8 @@ from coprimelab.automorphisms import (Automorphism, build_automorphism, check_co
                                       is_phi_invariant, nilpotent_decompose,
                                       phi_invariant_closure, twisted_data)
 from coprimelab.corpus import build_corpus_instance, default_corpus
-from coprimelab.errors import NotBijective, NotCoprime, NotInvariant, NotNilpotent
+from coprimelab.errors import (NotBijective, NotCoprime, NotInvariant, NotNilpotent,
+                               PreconditionViolated)
 from coprimelab.groups import center, is_normal, normal_core, quotient_group, subgroup_generated
 from coprimelab.structure import lower_central_series
 from helpers import (commutator_with_automorphism, cyclic_spec, identity_automorphism,
@@ -194,9 +195,9 @@ def test_commutator_phi_is_normal_and_invariant_for_every_corpus_automorphism():
     assert (checked, non_coprime) == (29, 1)
 
 
-def test_producers_are_kept_on_the_data_of_phi_on_g_only():
-    # the least x with x^-1 x^phi = t, which factorization_status reads on
-    # G's data alone; the data of phi on a proper [G, phi] keeps none
+def test_images_index_is_the_least_x_with_that_twisted_image():
+    # factorization_status names images.index(t) as the b with b^-1 b^phi = t;
+    # the data of phi on a proper [G, phi] reads the same table
     proper = 0
     for spec in default_corpus()["instances"]:
         G, phi = build_corpus_instance(spec)
@@ -206,10 +207,10 @@ def test_producers_are_kept_on_the_data_of_phi_on_g_only():
         for x in range(G.order):
             least.setdefault(G.mul(G.inv(x), phi.table[x]), x)
         td = twisted_data(phi)
-        assert td.producers == least, spec["id"]
+        assert {t: td.images.index(t) for t in td.twisted} == least, spec["id"]
         inner = commutator_twisted_data(phi)
         if inner is not td:
-            assert inner.producers is None, spec["id"]
+            assert inner.images is td.images, spec["id"]
             proper += 1
     assert proper
 
@@ -515,6 +516,18 @@ def test_quotient_check_failure_carries_a_witness_that_replays(monkeypatch):
     coset = {G2.mul(n, x) for n in N2.members}
     assert {phi2.table[y] for y in coset} == coset
     assert all(phi2.table[y] != y for y in coset)
+
+
+def test_a_fixed_coset_count_with_no_bare_coset_is_an_invariant_failure(monkeypatch):
+    # the forced-coprime Frobenius on aff(9) fails the count on [G, phi]; with
+    # N C_G(phi) read as all of G no coset is bare, which never reads as a pass
+    from coprimelab import automorphisms
+    spec = {"name": "affine", "params": {"p": 3, "k": 2}, "automorphism": {"recipe": "frobenius"}}
+    monkeypatch.setattr(automorphisms.Automorphism, "coprime", property(lambda self: True))
+    G, phi = build_corpus_instance(spec)
+    monkeypatch.setattr(automorphisms, "product_of_subgroups", lambda G, subs: G.whole_subgroup())
+    with pytest.raises(PreconditionViolated, match="subgroup of order 36 miscounted"):
+        report._coprime_facts(phi)
 
 
 def test_centralizing_failure_carries_a_witness_that_replays(monkeypatch):

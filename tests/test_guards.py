@@ -10,7 +10,8 @@ the identity), aff8_frob (not nilpotent, with a phi that acts), glauberman
 statements about phi print "phi acts trivially" instead, a guard that
 raises nothing, so its rows read the group section and theorem 2. Two
 invariant checks that fire in the middle of a computation are hard errors,
-never skips.
+never skips. The argument checks of the group, series, number and field
+layers are each driven once with their smallest refused input.
 """
 
 import json
@@ -27,9 +28,13 @@ from coprimelab.automorphisms import (Automorphism, check_coprime_facts, decompo
 from coprimelab.cli import main
 from coprimelab.corpus import build_corpus_instance, default_corpus
 from coprimelab.errors import NotCoprime, NotNilpotent, NotSoluble
+from coprimelab.gf import FiniteField, poly_divmod, poly_mul
+from coprimelab.groups import Subgroup, generate_group, subgroup_generated
+from coprimelab.numutil import factorization
 from coprimelab.lie import build_graded_lie, jlz_series, lie_fixed_points, split_field_degree
 from coprimelab.report import run_suite, theorem1_probe, theorem2_probe, thompson_probe
-from coprimelab.structure import fitting_height, require_nilpotent, require_soluble
+from coprimelab.structure import (fitting_height, power_subgroup, require_nilpotent,
+                                  require_soluble)
 from regen_golden import GOLDEN
 
 
@@ -190,3 +195,38 @@ def test_a_filtration_invariant_failure_is_a_hard_error(monkeypatch, tmp_path, c
     monkeypatch.setattr(lie, "layer_matrices", broken)
     _assert_hard_error(tmp_path, capsys, "eigen",
                        "automorphism does not preserve filtration term 2")
+
+
+def _c2():
+    return generate_group(2, [(1, 0)])
+
+
+# (the call, the exception class or None for a value, the message or value)
+ARGUMENT_CHECKS = [
+    (lambda: Subgroup([1], []), ValueError, "a subgroup must contain the identity (index 0)"),
+    (lambda: Subgroup([0], []).order_of_nothing, AttributeError,
+     "'Subgroup' object has no attribute 'order_of_nothing'"),
+    (lambda: subgroup_generated(_c2(), [2]), ValueError, "seed 2 is not an element index"),
+    (lambda: power_subgroup(_c2(), 0), ValueError, "power exponent must be >= 1"),
+    (lambda: factorization(0), ValueError, "cannot factor 0"),
+    (lambda: poly_mul((), (1,), 2), None, ()),
+    (lambda: poly_divmod((1,), (), 2), ZeroDivisionError, "polynomial division by zero"),
+    (lambda: FiniteField(4, 1), ValueError, "4 is not prime"),
+    (lambda: FiniteField(2, 2, (1, 1)), ValueError, "modulus must be monic of degree 2"),
+    (lambda: FiniteField(2, 1).multiplicative_order(0), ZeroDivisionError,
+     "zero has no multiplicative order"),
+]
+
+
+@pytest.mark.parametrize("call, cls, expected", ARGUMENT_CHECKS,
+                         ids=["subgroup_without_identity", "subgroup_attribute", "seed_range",
+                              "power_exponent", "factorization", "poly_mul_zero",
+                              "poly_divmod_zero", "field_characteristic", "field_modulus",
+                              "multiplicative_order_zero"])
+def test_each_argument_check_refuses_its_smallest_input(call, cls, expected):
+    if cls is None:
+        assert call() == expected
+        return
+    with pytest.raises(cls) as info:
+        call()
+    assert type(info.value) is cls and str(info.value) == expected

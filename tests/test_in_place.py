@@ -1,13 +1,15 @@
 """The automorphism section inside G, and the batched kernel under it.
 
 ``fixed_generation`` and the exponent and derived length of H = [G, phi]
-read phi on H inside G, and the ``quotient_fixed_points`` check reads fixed
-cosets off ``coset_labels``. The sections are compared here with the oracles in
-``tests/helpers.py`` that re-enumerate H as a group of its own with the
-restricted automorphism, and build each quotient group with its induced
-automorphism. ``FiniteGroup.products`` is compared with ``mul``, and
-``subgroup_generated``, which closes by whole cosets, with the pairwise
-closure for its members and with the closure by elements for its ``gens``.
+read phi on H inside G, and the ``quotient_fixed_points`` check counts fixed
+cosets off the table of x^-1 x^phi. The sections are compared here with the
+oracles in ``tests/helpers.py`` that re-enumerate H as a group of its own with
+the restricted automorphism, and build each quotient group with its induced
+automorphism; the readings of that table with the oracles that compose
+x^-1 x^phi again over H and label the cosets. ``FiniteGroup.products`` is
+compared with ``mul``, and ``subgroup_generated``, which closes by whole
+cosets, with the pairwise closure for its members and with the closure by
+elements for its ``gens``.
 """
 
 import copy
@@ -16,17 +18,20 @@ import random
 
 import pytest
 
-from coprimelab import groups, lie, report
-from coprimelab.automorphisms import (commutator_twisted_data, default_normal_family,
-                                      fixed_generation_S, twisted_data)
-from coprimelab.corpus import build_corpus_instance, default_corpus
-from coprimelab.groups import coset_labels, subgroup_generated
+from coprimelab import automorphisms, groups, lie, report
+from coprimelab.automorphisms import (check_coprime_facts, commutator_twisted_data,
+                                      default_normal_family, fixed_generation_S, twisted_data)
+from coprimelab.corpus import build_corpus_instance, default_corpus, load_instance
+from coprimelab.groups import center, coset_labels, subgroup_generated
 from coprimelab.lie import NpSeries, jlz_series, verify_np_series
 from coprimelab.numutil import prime_power_base
 from coprimelab.structure import derived_series, lower_central_series
-from helpers import (brute_subgroup_members, closure_by_elements, cyclic_spec, generated_members,
-                     heisenberg_spec, modular_spec, per_pair_np_series, product_spec,
-                     quotient_fixed_points_by_group, restrict_automorphism)
+from helpers import (ProductCounter, bare_fixed_coset_by_labels, brute_subgroup_members,
+                     closure_by_elements, cyclic_spec, generated_members, heisenberg_spec,
+                     load_workloads, modular_spec, per_pair_np_series, product_spec,
+                     quotient_fixed_points_by_group, restrict_automorphism,
+                     twisted_data_by_products)
+from test_shape_and_content import _specs as content_specs
 
 
 def _gen_powers(group, powers):
@@ -199,6 +204,52 @@ def test_fixed_generation_walks_the_twisted_set_of_commutator_phi(monkeypatch):
     assert seeds == [frozenset({0}), frozenset({0, cut[1]}), frozenset({cut[1]})]
     # S meets the fixed points of phi on [G, phi] only
     assert out["S_size"] <= inner.fixed.order
+
+
+def test_readings_of_the_twisted_table_match_the_product_and_label_oracles():
+    """phi on G and on [G, phi], and fact (b) on [G, phi], G' and Z(G), as
+    read off the table of x^-1 x^phi, against the oracles, on every corpus
+    automorphism, the nilpotent_pairs corpus of seed 1 and the content
+    inputs. Fact (b) has no coprime guard of its own, so a phi that is not
+    coprime gives it fixed cosets that hold no fixed element."""
+    specs = [*content_specs().values(), *load_workloads().nilpotent_corpus(1)["instances"]]
+    proper = bare = 0
+    for spec in specs:
+        G, phi = load_instance(spec)[:2]
+        if phi is None:
+            continue
+        td, inner = twisted_data(phi), commutator_twisted_data(phi)
+        for data, H in ((td, G.whole_subgroup()), (inner, td.commutator_phi)):
+            expected = twisted_data_by_products(phi, H)
+            assert (data.fixed.members, data.twisted, data.commutator_phi.members) == expected
+        derived = derived_series(G).terms
+        family = {N.member_set: N for N in (td.commutator_phi, derived[min(1, len(derived) - 1)],
+                                            center(G))}
+        for N in family.values():
+            x = automorphisms._bare_fixed_coset(phi, N)
+            assert x == bare_fixed_coset_by_labels(phi, N), spec.get("id")
+            bare += x is not None
+        proper += inner is not td
+    assert (len(specs), proper, bare) == (47, 26, 1)
+
+
+def test_fact_b_on_glauberman_counts_instead_of_labelling(monkeypatch):
+    # labelling the cosets of each family member instead took 2 coset_labels
+    # calls and 39,240 product pairs here
+    G, phi = build_corpus_instance(CORPUS["glauberman"])
+    twisted_data(phi)
+    calls = []
+    labels = groups.coset_labels
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].order)
+        return labels(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "coset_labels", counted)
+    monkeypatch.setattr(automorphisms, "coset_labels", counted, raising=False)
+    products = ProductCounter(monkeypatch)
+    check_coprime_facts(phi)
+    assert calls == [] and products.batched <= 5_000, (calls, products.batched, products.muls)
 
 
 @pytest.mark.parametrize("spec_id", CORPUS)

@@ -578,7 +578,8 @@ def test_cli_eigen(tmp_path, capsys):
 
 def test_cli_info_exits_1_on_a_failing_class_bound(tmp_path, capsys, monkeypatch):
     # G^(k) <= gamma_(2^k) makes the bound hold on every nilpotent group, so
-    # only a patched class can fail it: heis3 has derived length 2 > 0 + 1
+    # only a patched class can fail it: heis3 has derived length 2 > 0, the
+    # bound for class 0
     path = _write(tmp_path, "h3.json", heisenberg_spec(3))
     monkeypatch.setattr(report, "require_nilpotent",
                         lambda G: types.SimpleNamespace(nilpotency_class=0))

@@ -261,15 +261,23 @@ def _noncommuting_pair(G: FiniteGroup, H: Subgroup, N: Subgroup) -> Optional[tup
     return next((m, x) for m in H.members for x in N.members if G.mul(m, x) != G.mul(x, m))
 
 
-def _bare_fixed_coset(phi: Automorphism, N: Subgroup) -> Optional[int]:
-    """None or the least x of a coset N x that phi fixes and that holds no fixed
-    element. N x is fixed iff x^-1 x^phi is in N, so the fixed cosets are the
-    |C| / |C & N| images of C = C_G(phi) iff |T & N| |C & N| = |N|, T twisted."""
-    td, members = twisted_data(phi), N.member_set
-    if len(members.intersection(td.twisted)) * len(members & td.fixed.member_set) == N.order:
+def _bare_fixed_coset(phi: Automorphism, K: Subgroup, N: Subgroup) -> Optional[int]:
+    """None or the least x of K whose coset N x phi fixes while it holds no
+    fixed element, for phi-invariant N normal in K and C = C_G(phi). N x is
+    fixed iff x^-1 x^phi is in N, and each image in T_K, the images of K in
+    the table (the twisted set when K is G), has |K| / |T_K| preimages in K,
+    so s = |T_K & N| |K| / |T_K| elements of K lie in fixed cosets. These
+    cosets are the images of C & K iff s |C & N| = |N| |C & K|."""
+    G, td = phi.group, twisted_data(phi)
+    members, fixed, images = N.member_set, td.fixed.member_set, td.images
+    twisted = td.twisted if K.order == G.order else {images[x] for x in K.members}
+    fixed_k = fixed.intersection(K.members)
+    s = len(members.intersection(twisted)) * K.order // len(twisted)
+    if s * len(members & fixed) == N.order * len(fixed_k):
         return None
-    nc = product_of_subgroups(phi.group, [N, td.fixed]).member_set  # N x meets C iff x in N C
-    x = next((x for x, t in enumerate(td.images) if t in members and x not in nc), None)
+    # N x meets C iff x is in N C_K(phi)
+    nc = product_of_subgroups(G, [N, subgroup_generated(G, fixed_k)]).member_set
+    x = next((x for x in K.members if images[x] in members and x not in nc), None)
     if x is None:
         raise PreconditionViolated(f"fixed cosets of a subgroup of order {N.order} miscounted")
     return x
@@ -281,7 +289,7 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> tup
     [G,phi] outside it. (b) Fixed points pass to quotients by invariant
     normal subgroups: per family member (name, N, x), x the least element of
     a coset N x that phi fixes and that holds no fixed element, sought only
-    when a count fails (``_bare_fixed_coset``). (c) [G,phi] centralizes
+    when a count fails (``_bare_fixed_coset`` on G/N). (c) [G,phi] centralizes
     the non-central invariant normal subgroups inside the fixed points: per
     candidate (name, N, pair), pair the first non-commuting (m, x), m in
     [G,phi] and x in N, in member order, found by generators unless some
@@ -293,7 +301,7 @@ def check_coprime_facts(phi: Automorphism, family: Optional[list] = None) -> tup
     twice = commutator_twisted_data(phi).commutator_phi
     unstable = None if twice == H else min(H.member_set - twice.member_set)
     return (unstable,
-            [(name, N, _bare_fixed_coset(phi, N)) for name, N in family],
+            [(name, N, _bare_fixed_coset(phi, G.whole_subgroup(), N)) for name, N in family],
             [(name, N, _noncommuting_pair(G, H, N)) for name, N in _central_candidates(phi, family)])
 
 

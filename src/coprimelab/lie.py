@@ -5,8 +5,10 @@ p-th powers; its layers are elementary abelian and carry a bracket induced by
 group commutators. ``NpSeries.weight`` and ``GradedLieAlgebra.log`` give each
 element's deepest term and its coordinates there. On top of that live the
 power-compatibility check of the graded bracket, the powerful-quotient
-criterion, fixed-point comparisons under a coprime automorphism, and the
-eigenspace decomposition after extending scalars by a root of unity.
+criterion, the eigenspace decomposition after extending scalars by a root
+of unity, and the fixed points of a coprime automorphism on whole layers:
+fact (b) on each section D_i/D_(i+1), counted off the table of x^-1 x^phi,
+whose witness is an element.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from typing import Optional
 from .errors import NotAPGroup, NotCoprime, NotElementaryAbelianLayer, PreconditionViolated
 from .gf import MAX_DEGREE, MAX_SEARCH, FiniteField, cyclotomic_polynomial, least_monic, poly_divmod
 from .groups import FiniteGroup, Subgroup, coset_labels, subgroup_generated
-from .linalg import (intersect_spans, mat_from_columns, identity_matrix, mat_sub, mat_vec,
-                     nullspace, rref)
+from .linalg import mat_from_columns, identity_matrix, mat_vec, nullspace, rref
 from .structure import commutator_subgroup_pair, is_powerful, power_subgroup
 from .numutil import factorization, prime_power_base, root_field_degree
 
@@ -362,16 +363,6 @@ def check_riley(A: GradedLieAlgebra) -> Optional[int]:
     return None if is_powerful(A.group, A.p, subgroup=A.series.term(c + 1)) else c + 1
 
 
-def subalgebra_of_subgroup(A: GradedLieAlgebra, H: Subgroup) -> list[tuple]:
-    """Per-layer spans of the homogeneous images of H intersected with each term."""
-    spans = []
-    for i in range(1, A.num_layers + 1):
-        # the rref of a span is canonical, so each distinct vector is passed once
-        vecs = dict.fromkeys(A.coords(i, h) for h in H.members if A.weight[h] >= i)
-        spans.append(rref(vecs, A.field))
-    return spans
-
-
 def layer_matrices(A: GradedLieAlgebra, phi) -> list[tuple]:
     """Per-layer matrices of the induced action of phi (columns = basis images)."""
     if phi.group is not A.group:
@@ -389,27 +380,21 @@ def layer_matrices(A: GradedLieAlgebra, phi) -> list[tuple]:
     return mats
 
 
-def lie_fixed_points(A: GradedLieAlgebra, phi) -> Optional[int]:
-    """None when the fixed subspace of the generated subalgebra and the span
-    coming from the fixed-point subgroup agree on every layer, else the first
-    layer i where they differ. NotCoprime unless phi is coprime."""
-    from .automorphisms import require_coprime, twisted_data
+def lie_fixed_points(series: NpSeries, phi) -> Optional[int]:
+    """None when on every layer D_i/D_(i+1) of the series the cosets that phi
+    fixes are the images of C_G(phi) & D_i, else the least x of D_i on the
+    first failing layer whose coset phi fixes while it holds no fixed element:
+    fact (b) on each section (``automorphisms._bare_fixed_coset``), which the
+    lemma C_(K/N)(phi) = C_K(phi) N / N for a coprime phi (Gorenstein,
+    *Finite Groups*, ch. 6) makes hold. NotCoprime unless phi is coprime."""
+    from .automorphisms import _bare_fixed_coset, require_coprime
 
     require_coprime(phi)
-    F = A.field
-    mats = layer_matrices(A, phi)
-    C = twisted_data(phi).fixed
-    spans = subalgebra_of_subgroup(A, C)
-    for i in range(1, A.num_layers + 1):
-        dim = A.dims[i - 1]
-        if dim == 0:
-            continue
-        kernel = nullspace(mat_sub(mats[i - 1], A.units[i - 1], F), dim, F)
-        lhs = intersect_spans(kernel, A.lp_layers[i - 1], F)
-        rhs = intersect_spans(spans[i - 1], A.lp_layers[i - 1], F)
-        if lhs != rhs:  # both are rref, which is canonical for a span
-            return i
-    return None
+    if phi.group is not series.group:
+        raise ValueError("automorphism acts on a different group")
+    terms = series.terms
+    return next((x for K, N in zip(terms, terms[1:])
+                 if (x := _bare_fixed_coset(phi, K, N)) is not None), None)
 
 
 class ExtendedAlgebra:

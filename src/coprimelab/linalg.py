@@ -77,18 +77,3 @@ def mat_from_columns(cols):
 
 def identity_matrix(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def mat_sub(A, B, F):
-    return tuple(tuple(F.sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def intersect_spans(b1, b2, F) -> tuple:
-    """Zassenhaus intersection of two row spans (vectors of equal length), as
-    its rref, which is canonical."""
-    if not b1 or not b2:
-        return ()
-    n = len(b1[0])
-    rows = [tuple(v) + tuple(v) for v in b1]
-    rows += [tuple(w) + (0,) * n for w in b2]
-    return rref([row[n:] for row in rref(rows, F) if not any(row[:n])], F)

@@ -307,7 +307,7 @@ def _lie_section(G: FiniteGroup, phi: Optional[Automorphism], p: int) -> dict:
         section["fixed_subalgebra"] = section["eigen"] = _skip("no automorphism supplied")
     else:
         section["fixed_subalgebra"] = _about_phi(
-            lambda phi: _verdict(lie_fixed_points(A, phi) is None), phi)
+            lambda phi: _verdict(lie_fixed_points(A.series, phi) is None), phi)
         section["eigen"] = _about_phi(lambda phi: _eigen_fields(A, phi)[1], phi)
     return section
 

@@ -345,6 +345,51 @@ def algebra_class(A) -> int:
     return steps
 
 
+def subalgebra_of_subgroup(A, H) -> list:
+    """Per-layer rref spans of the coordinate vectors of H & D_i in layer i."""
+    from coprimelab.linalg import rref
+    spans = []
+    for i in range(1, A.num_layers + 1):
+        # the rref of a span is canonical, so each distinct vector is passed once
+        vecs = dict.fromkeys(A.coords(i, h) for h in H.members if A.weight[h] >= i)
+        spans.append(rref(vecs, A.field))
+    return spans
+
+
+def intersect_spans(b1, b2, F) -> tuple:
+    """Zassenhaus intersection of two row spans (vectors of equal length), as
+    its rref, which is canonical."""
+    from coprimelab.linalg import rref
+    if not b1 or not b2:
+        return ()
+    n = len(b1[0])
+    rows = [tuple(v) + tuple(v) for v in b1]
+    rows += [tuple(w) + (0,) * n for w in b2]
+    return rref([row[n:] for row in rref(rows, F) if not any(row[:n])], F)
+
+
+def fixed_points_by_spans(A, phi, fixed, within):
+    """The first layer i where the fixed space of phi on layer i (the
+    nullspace of its matrix less the identity) and the span of the images of
+    the subgroup ``fixed`` differ once both are intersected with the per-layer
+    spans ``within``, or None. With ``A.lp_layers`` that is the verdict that
+    ``lie.lie_fixed_points`` gave by linear algebra on the subalgebra that
+    layer 1 generates; with ``A.units``, the same on whole layers."""
+    from coprimelab.lie import layer_matrices
+    from coprimelab.linalg import nullspace
+    F = A.field
+    spans = subalgebra_of_subgroup(A, fixed)
+    for i, (M, units) in enumerate(zip(layer_matrices(A, phi), A.units), start=1):
+        if not units:
+            continue
+        moved = tuple(tuple(F.sub(a, b) for a, b in zip(row, unit)) for row, unit in zip(M, units))
+        kernel = nullspace(moved, len(units), F)
+        if intersect_spans(kernel, within[i - 1], F) != intersect_spans(spans[i - 1],
+                                                                        within[i - 1], F):
+            return i
+    return None
+
+
 def per_element_lazard(A, x: int, xp: int) -> bool:
     """p-fold bracketing by the class of x equals bracketing by the class of
     xp = x^p, with the layer of x found by scanning the terms' member sets

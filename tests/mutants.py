@@ -127,19 +127,25 @@ MUTANTS = [
      "old": "for m in H.gens for x in N.gens):\n",
      "new": "for m in H.gens for x in N.gens[:1]):\n",
      "tests": ["tests/test_automorphisms.py::test_centralizing_by_generators_matches_all_pairs"]},
-    # fact (b) counts |T & N| |C_G(phi) & N| against |N|, and seeks a bare
-    # fixed coset only when the count fails
+    # fact (b) on a section K/N counts the elements of K in fixed cosets
+    # against |N| |C_G(phi) & K| / |C_G(phi) & N|, and seeks a bare fixed
+    # coset only when the count fails
     {"name": "a fixed coset counts as meeting the fixed points",
      "file": "src/coprimelab/automorphisms.py",
-     "old": " if t in members and x not in nc), None)\n",
-     "new": " if t in members and x in nc), None)\n",
+     "old": "images[x] in members and x not in nc), None)\n",
+     "new": "images[x] in members and x in nc), None)\n",
      "tests": ["tests/test_automorphisms.py::test_quotient_check_failure_carries_a_witness_that_replays"]},
     {"name": "the fact (b) count drops the fixed points in N",
      "file": "src/coprimelab/automorphisms.py",
-     "old": "    if len(members.intersection(td.twisted)) * len(members & td.fixed.member_set) == N.order:\n",
-     "new": "    if len(members.intersection(td.twisted)) == N.order:\n",
+     "old": "    if s * len(members & fixed) == N.order * len(fixed_k):\n",
+     "new": "    if s == N.order * len(fixed_k):\n",
      "tests": ["tests/test_in_place.py::"
                "test_readings_of_the_twisted_table_match_the_product_and_label_oracles"]},
+    {"name": "the fact (b) count reads the fixed points in K for those in N",
+     "file": "src/coprimelab/automorphisms.py",
+     "old": "    if s * len(members & fixed) == N.order * len(fixed_k):\n",
+     "new": "    if s * len(fixed_k) == N.order * len(fixed_k):\n",
+     "tests": ["tests/test_lie_layer.py::test_the_fixed_point_count_matches_the_span_oracle"]},
     {"name": "the np-series check keys commutators by the first term only",
      "file": "src/coprimelab/lie.py",
      "old": "            comm = commutators.get((top, other))\n",
@@ -167,12 +173,17 @@ MUTANTS = [
      "new": "        if left != right:\n            continue\n",
      "tests": ["tests/test_lie_layer.py::"
                "test_a_corrupted_structure_constant_fails_where_the_oracle_fails"]},
-    {"name": "the fixed-point check names the layer after the one that fails",
+    {"name": "the fixed-point check skips the last layer",
      "file": "src/coprimelab/lie.py",
-     "old": "            return i\n    return None\n",
-     "new": "            return i + 1\n    return None\n",
+     "old": "for K, N in zip(terms, terms[1:])\n",
+     "new": "for K, N in zip(terms, terms[1:-1])\n",
      "tests": ["tests/test_lie.py::"
                "test_lie_fixed_points_fail_where_the_fixed_subgroup_misses_a_fixed_layer"]},
+    {"name": "the exponent split bound is one power of p short",
+     "file": "src/coprimelab/report.py",
+     "old": "    bound = G.exponent_of(term.members) * p ** c\n",
+     "new": "    bound = G.exponent_of(term.members) * p ** (c - 1)\n",
+     "tests": ["tests/test_lie_layer.py::test_the_exponent_split_is_attained_on_nonabelian_corpus_groups"]},
     {"name": "the Riley check names term c",
      "file": "src/coprimelab/lie.py",
      "old": "subgroup=A.series.term(c + 1)) else c + 1\n",

@@ -31,7 +31,7 @@ from coprimelab.errors import NotCoprime, NotNilpotent, NotSoluble
 from coprimelab.gf import FiniteField, poly_divmod, poly_mul
 from coprimelab.groups import Subgroup, generate_group, subgroup_generated
 from coprimelab.numutil import factorization
-from coprimelab.lie import build_graded_lie, jlz_series, lie_fixed_points, split_field_degree
+from coprimelab.lie import jlz_series, lie_fixed_points, split_field_degree
 from coprimelab.report import run_suite, theorem1_probe, theorem2_probe, thompson_probe
 from coprimelab.structure import (fitting_height, power_subgroup, require_nilpotent,
                                   require_soluble)
@@ -39,12 +39,12 @@ from regen_golden import GOLDEN
 
 
 def _heis3_inner():
-    """heisenberg(3) and conjugation by a generator, of order 3: the Lie
-    algebra a non-coprime phi is refused on (aff9_frob is no p-group)."""
+    """heisenberg(3) and conjugation by a generator, of order 3: the Jennings
+    series a non-coprime phi is refused on (aff9_frob is no p-group)."""
     G = build_corpus_instance({"name": "heisenberg", "params": {"p": 3}})[0]
     c = G.generator_indices[0]
     phi = Automorphism(G, [G.conjugate(g, c) for g in G.generator_indices])
-    return build_graded_lie(jlz_series(G, 3)), phi
+    return jlz_series(G, 3), phi
 
 
 # (public name, its call on (G, phi), the refused corpus instance, the class

@@ -226,7 +226,7 @@ def test_readings_of_the_twisted_table_match_the_product_and_label_oracles():
         family = {N.member_set: N for N in (td.commutator_phi, derived[min(1, len(derived) - 1)],
                                             center(G))}
         for N in family.values():
-            x = automorphisms._bare_fixed_coset(phi, N)
+            x = automorphisms._bare_fixed_coset(phi, G.whole_subgroup(), N)
             assert x == bare_fixed_coset_by_labels(phi, N), spec.get("id")
             bare += x is not None
         proper += inner is not td

@@ -9,13 +9,14 @@ from coprimelab.groups import Automorphism, commutator_subgroup_pair, generate_g
 from coprimelab import lie
 from coprimelab.lie import (NpSeries, build_graded_lie, check_lazard_all, check_riley,
                             extend_and_eigendecompose, jlz_series, layer_matrices,
-                            lie_fixed_points, subalgebra_of_subgroup, verify_bracket_axioms,
-                            verify_eigen_product_rule, verify_np_series)
+                            lie_fixed_points, verify_bracket_axioms, verify_eigen_product_rule,
+                            verify_np_series)
 from coprimelab.linalg import mat_vec, rref
 from coprimelab.numutil import prime_power_base
 from coprimelab.structure import is_powerful, lower_central_series, power_subgroup
-from helpers import (C2_10_ORDER_889, C2_13_ORDER_6141, generated_members, identity_automorphism,
-                     load_workloads, per_element_lazard_all, quaternion_group, unitriangular_spec)
+from helpers import (C2_10_ORDER_889, C2_13_ORDER_6141, fixed_points_by_spans, generated_members,
+                     identity_automorphism, load_workloads, per_element_lazard_all,
+                     quaternion_group, subalgebra_of_subgroup, unitriangular_spec)
 
 WORKLOADS = load_workloads()
 
@@ -272,9 +273,10 @@ def test_a_consistent_pair_of_structure_constants_breaks_jacobi():
     assert outer == [(1,), (1,)]
 
 
-def test_lie_fixed_points_identity(heis3):
-    A = build_graded_lie(jlz_series(heis3, 3))
-    assert lie_fixed_points(A, identity_automorphism(heis3)) is None
+def test_lie_fixed_points_identity(heis3, c9):
+    assert lie_fixed_points(jlz_series(heis3, 3), identity_automorphism(heis3)) is None
+    with pytest.raises(ValueError, match="different group"):
+        lie_fixed_points(jlz_series(heis3, 3), identity_automorphism(c9))
 
 
 def test_lie_fixed_points_frobenius_on_additive_gf125():
@@ -283,7 +285,7 @@ def test_lie_fixed_points_frobenius_on_additive_gf125():
          "params": {"factors": [{"name": "cyclic", "params": {"m": 5}}] * 3},
          "automorphism": {"recipe": "frobenius"}})
     A = build_graded_lie(jlz_series(G, 5))
-    assert lie_fixed_points(A, phi) is None
+    assert lie_fixed_points(A.series, phi) is None
     # eigenvalue 1 (j = 0) is the fixed space: the prime subfield
     assert extend_and_eigendecompose(A, phi).dims[0][0] == 1
 
@@ -292,25 +294,27 @@ def test_lie_fixed_points_heisenberg_inversion(heis3):
     G, phi = build_corpus_instance({"name": "heisenberg", "params": {"p": 3},
                                     "automorphism": {"recipe": "power", "k": -1}})
     A = build_graded_lie(jlz_series(G, 3))
-    assert lie_fixed_points(A, phi) is None
+    assert lie_fixed_points(A.series, phi) is None
     dims = extend_and_eigendecompose(A, phi).dims
     assert [layer[0] for layer in dims] == [0, 1]  # the central layer is fixed
 
 
 def test_lie_fixed_points_fail_where_the_fixed_subgroup_misses_a_fixed_layer():
     # phi inverts the generators of heisenberg(3) and fixes its centre, the
-    # layer-2 unit; with C_G(phi) replaced by the trivial group, no fixed
-    # element spans it
+    # layer-2 unit; with C_G(phi) replaced by the trivial group, the count on
+    # the central layer finds fixed cosets that no fixed element spans
     G, phi = build_corpus_instance({"name": "heisenberg", "params": {"p": 3},
                                     "automorphism": {"recipe": "power", "k": -1}})
     A = build_graded_lie(jlz_series(G, 3))
     twisted_data(phi).fixed = G.trivial_subgroup()
-    witness = lie_fixed_points(A, phi)
-    assert witness == 2
-    unit = A.units[witness - 1][0]
-    assert mat_vec(layer_matrices(A, phi)[witness - 1], unit, A.field) == unit
-    assert rref(A.lp_layers[witness - 1] + (unit,), A.field) == A.lp_layers[witness - 1]
-    assert not subalgebra_of_subgroup(A, twisted_data(phi).fixed)[witness - 1]
+    witness = lie_fixed_points(A.series, phi)
+    assert A.weight[witness] == 2
+    assert witness == min(x for x in A.series.term(2).members if x)
+    vec = A.coords(2, witness)
+    assert mat_vec(layer_matrices(A, phi)[1], vec, A.field) == vec
+    assert rref(A.lp_layers[1] + (vec,), A.field) == A.lp_layers[1]
+    assert not subalgebra_of_subgroup(A, twisted_data(phi).fixed)[1]
+    assert fixed_points_by_spans(A, phi, twisted_data(phi).fixed, A.units) == 2
 
 
 def test_eigen_gf125_frobenius():

@@ -21,13 +21,14 @@ from coprimelab.automorphisms import phi_invariant_closure, twisted_data
 from coprimelab.corpus import build_corpus_instance, default_corpus, load_instance
 from coprimelab.groups import center
 from coprimelab.lie import (NpSeries, build_graded_lie, check_lazard_all, jlz_series,
-                            subalgebra_of_subgroup)
+                            lie_fixed_points)
 from coprimelab.linalg import rref
 from coprimelab.numutil import factorization, prime_power_base
 from coprimelab.structure import is_powerful, power_subgroup
-from helpers import (algebra_class, cyclic_spec, heisenberg_spec, modular_spec,
-                     per_element_lazard, per_element_lazard_all, product_spec, tuple_power,
-                     unitriangular_spec, wreath_spec)
+from helpers import (algebra_class, cyclic_spec, fixed_points_by_spans, heisenberg_spec,
+                     load_workloads, modular_spec, per_element_lazard, per_element_lazard_all,
+                     product_spec, subalgebra_of_subgroup, tuple_power, unitriangular_spec,
+                     wreath_spec)
 
 
 CORPUS = {spec["id"]: spec for spec in default_corpus()["instances"]}
@@ -267,3 +268,49 @@ def test_the_first_layer_algebra_has_the_class_of_the_whole_algebra(name):
     G, _ = _instance(name)
     A = build_graded_lie(jlz_series(G, prime_power_base(G.order)))
     assert algebra_class(A) == A.lie_class
+
+
+def test_the_fixed_point_count_matches_the_span_oracle():
+    # lie_fixed_points counts the fixed cosets of each layer D_i/D_(i+1)
+    # off the table of x^-1 x^phi; the oracle compares the fixed space of
+    # the layer matrix with the span of C_G(phi) & D_i, on the part of each
+    # layer that layer 1 generates (the form the verdict had) and on whole
+    # layers. With C_G(phi) read as trivial, the count fails on the first
+    # layer that phi fixes a vector of, as the whole-layer spans do.
+    specs = [*(CORPUS[name] for name in P_GROUPS),
+             *load_workloads().nilpotent_corpus(1)["instances"]]
+    inputs = [build_corpus_instance(spec)[:2] for spec in specs] + [_deep(name) for name in DEEP]
+    checked = failed = partial = 0
+    for G, phi in inputs:
+        if phi is None or not phi.coprime:
+            continue
+        series = jlz_series(G, prime_power_base(G.order))
+        A = build_graded_lie(series)
+        td = twisted_data(phi)
+        assert lie_fixed_points(series, phi) is None
+        assert fixed_points_by_spans(A, phi, td.fixed, A.lp_layers) is None
+        assert fixed_points_by_spans(A, phi, td.fixed, A.units) is None
+        fixed, td.fixed = td.fixed, G.trivial_subgroup()
+        try:
+            x = lie_fixed_points(series, phi)
+            layer = fixed_points_by_spans(A, phi, td.fixed, A.units)
+        finally:
+            td.fixed = fixed
+        assert (None if x is None else A.weight[x]) == layer
+        checked += 1
+        failed += x is not None
+        partial += A.lp_layers != A.units
+    # on 12 inputs layer 1 generates less than the whole algebra
+    assert (checked, failed, partial) == (36, 25, 12)
+
+
+@pytest.mark.parametrize("name", ["d4", "d32", "mod27_inv"])
+def test_the_exponent_split_is_attained_on_nonabelian_corpus_groups(name):
+    # exp(D_(c+1)) p^c = exp(G), c the class of the algebra that layer 1
+    # generates: the verdict's bound is sharp, one power of p less fails
+    G, phi = build_corpus_instance(CORPUS[name])[:2]
+    p = prime_power_base(G.order)
+    section = report._lie_section(G, phi, p)
+    c = section["lie_class"]
+    assert G.exponent_of(jlz_series(G, p).term(c + 1).members) * p ** c == G.exponent()
+    assert section["exponent_split"] == "pass"

@@ -18,7 +18,9 @@ not an isomorphism of pairs: theory fixes only the group and Lie sections,
 C_G(phi), [G, phi] and the size of the twisted set, and the eigenspace of
 omega^j under phi is that of omega^(jk) under phi^k. Each change works on
 the generators as point lists and on phi's image words, never through the
-group's own multiplication.
+group's own multiplication. Isomorphic pairs built by different named
+constructions (``ISOMORPHIC``) give the same report too, except for the
+id, the degree and the witnesses.
 """
 
 import functools
@@ -31,6 +33,7 @@ from coprimelab import corpus
 from coprimelab.automorphisms import twisted_data
 from coprimelab.corpus import default_corpus, load_instance
 from coprimelab.report import analyze_instance
+from helpers import unitriangular_spec
 
 MAX_ORDER = 5000
 CORPUS = {s["id"]: s for s in default_corpus()["instances"]}
@@ -207,3 +210,36 @@ def test_a_power_of_phi_prime_to_its_order_keeps_what_theory_fixes():
     assert len(pairs) == 17
     assert moved == [("c7_pow2", 2), ("c5_pow2", 3), ("c11_pow3", 2), ("c11_pow3", 3),
                      ("c11_pow3", 4), ("c2cube_m7", 3), ("c2cube_m7", 5), ("c2cube_m7", 6)]
+
+
+def _identity(name: str, **params) -> dict:
+    return {"name": name, "params": params, "automorphism": {"recipe": "identity"}}
+
+
+# Isomorphic (group, automorphism) pairs built by different constructions:
+# S3 three ways with the identity, C15 = C3 x C5 with phi squaring every
+# element, and the Heisenberg group of order p^3 as UT_3(p).
+ISOMORPHIC = {
+    "s3": [_identity("dihedral", m=3), _identity("symmetric", m=3),
+           _identity("affine", p=3, k=1)],
+    "c15_pow2": [{"name": "cyclic", "params": {"m": 15},
+                  "automorphism": {"recipe": "power", "k": 2}},
+                 {"name": "direct_product",
+                  "params": {"factors": [{"name": "cyclic", "params": {"m": 3}},
+                                         {"name": "cyclic", "params": {"m": 5}}]},
+                  "automorphism": {"recipe": "gen_powers", "powers": [2, 2]}}],
+    **{f"heis{p}": [{"name": "heisenberg", "params": {"p": p}}, unitriangular_spec(p, 3)]
+       for p in (3, 5)},
+}
+
+
+@pytest.mark.parametrize("name", ISOMORPHIC)
+def test_isomorphic_instances_of_different_constructions_give_the_same_report(name):
+    # the id, the degree of the permutation representation and the
+    # witnesses depend on the construction; nothing else may
+    reports = []
+    for spec in ISOMORPHIC[name]:
+        paths = dict(_paths(analyze_instance(spec)))
+        del paths[".id"], paths[".group.degree"]
+        reports.append(paths)
+    assert all(paths == reports[0] for paths in reports[1:])

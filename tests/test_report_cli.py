@@ -597,6 +597,37 @@ def test_cli_lie_exits_1_on_a_failing_np_series(tmp_path, capsys, monkeypatch):
     assert out["lazard"] == "pass" and out["riley"] == "pass"
 
 
+def test_cli_suite_exits_1_on_a_failing_fixed_subalgebra(tmp_path, capsys, monkeypatch):
+    # the count reads as failed on every Jennings section below layer 1, so
+    # heis3_inv's central layer fails, and c5_pow2, with one layer, does not
+    real = automorphisms._bare_fixed_coset
+
+    def failing(phi, K, N):
+        return K.members[-1] if K.order < phi.group.order else real(phi, K, N)
+
+    monkeypatch.setattr(automorphisms, "_bare_fixed_coset", failing)
+    corpus = {"schema": 1, "instances": [_corpus_spec("c5_pow2"), _corpus_spec("heis3_inv")]}
+    assert main(["suite", _write(tmp_path, "corpus.json", corpus)]) == 1
+    out, err = capsys.readouterr()
+    bundle = json.loads(out)
+    assert bundle["summary"]["fail"] == 1
+    assert bundle["summary"]["hard_failures"] == ["heis3_inv"]
+    assert bundle["instances"][1]["lie"]["fixed_subalgebra"] == "fail"
+    assert "1 fail" in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_cli_an_unreadable_file_exits_2_naming_its_path(tmp_path, capsys, kind):
+    path = tmp_path / "instance.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"name": "cyclic", "params": {"m": 2}, "id": "\xff"}')
+    assert main(["info", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}: ")
+
+
 def test_cli_auto_skips_fixed_generation_above_the_pair_cap(tmp_path, capsys, monkeypatch):
     # heisenberg(3) under inversion: [G, phi] = G has 9 twisted elements in 5
     # <phi>-orbits, so 15 orbit pairs
